@@ -19,7 +19,9 @@ import (
 	"testing"
 
 	"gvmr/internal/camera"
+	"gvmr/internal/cluster"
 	"gvmr/internal/composite"
+	"gvmr/internal/core"
 	"gvmr/internal/experiments"
 	"gvmr/internal/mapreduce"
 	"gvmr/internal/render"
@@ -254,10 +256,9 @@ func BenchmarkHostCastPixelNoSkip(b *testing.B) {
 	b.ReportMetric(float64(samples)/float64(b.N), "samples/ray")
 }
 
-// BenchmarkHostTrilinear measures raw trilinear sampling through a
-// copy-backed brick. The per-brick sampler hoist (precomputed backing
-// selection and origin floats) is what this path exercises: before the
-// hoist every call re-derived them.
+// BenchmarkHostTrilinear measures raw trilinear sampling — three axis
+// taps and a fetch through the brick's stored volume.Sampler — on a
+// copy-backed brick.
 func BenchmarkHostTrilinear(b *testing.B) {
 	_, _, bd, _ := benchScene(b, 64)
 	r := rand.New(rand.NewSource(1))
@@ -275,8 +276,8 @@ func BenchmarkHostTrilinear(b *testing.B) {
 }
 
 // BenchmarkHostTrilinearView is BenchmarkHostTrilinear through a
-// zero-copy view-backed brick (the staging-cache fast path); the hoisted
-// sampler makes the two backings cost the same.
+// zero-copy view-backed brick (the staging-cache fast path); one sampler
+// serves both backings, so they cost the same.
 func BenchmarkHostTrilinearView(b *testing.B) {
 	src, err := dataset.New(dataset.Skull, volume.Cube(64))
 	if err != nil {
@@ -306,8 +307,7 @@ func BenchmarkHostTrilinearView(b *testing.B) {
 }
 
 // BenchmarkHostShadeStencil measures a shaded contributing sample's
-// 7-fetch cost (1 classification + 6 stencil fetches), the heaviest
-// consumer of the hoisted sampler.
+// 7-fetch cost (1 classification + 6 stencil fetches sharing its taps).
 func BenchmarkHostShadeStencil(b *testing.B) {
 	cam, sp, bd, prm := benchScene(b, 64)
 	prm.Shading = true
@@ -321,6 +321,38 @@ func BenchmarkHostShadeStencil(b *testing.B) {
 		samples += s.Samples
 	}
 	b.ReportMetric(float64(samples)/float64(b.N), "samples/ray")
+}
+
+// BenchmarkDirectFrame renders the benchmark's orbit-direct frame (in-RAM
+// skull 256³ → 160², shading on, a 4-GPU job; bench/workloads.go) through
+// core.RenderOn, stepping the orbit 9° per iteration. Run with -benchmem:
+// allocs/op is the guarded number, ns/op the wall frame time.
+func BenchmarkDirectFrame(b *testing.B) {
+	src, err := dataset.New(dataset.Skull, volume.Cube(256))
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := core.Options{
+		Source: src, TF: transfer.SkullPreset(),
+		Width: 160, Height: 160,
+		GPUs: 4, Shading: true, StepVoxels: 1, TerminationAlpha: 0.98,
+	}
+	frame := func(i int) {
+		cam, err := core.OrbitCamera(src, opt.Width, opt.Height, float64(9*i%360))
+		if err != nil {
+			b.Fatal(err)
+		}
+		opt.Camera = cam
+		if _, _, err := core.RenderOn(cluster.AC(opt.GPUs), opt, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	frame(0) // materialise the dataset into the staging cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frame(i)
+	}
 }
 
 // BenchmarkHostCountingSort measures the θ(n) counting sort on a

@@ -61,23 +61,35 @@ func Under(front, back vec.V4) vec.V4 {
 	}
 }
 
+// insertionSortMax is the longest list SortByDepth insertion-sorts. A
+// pixel's list holds one fragment per brick its ray crosses — a handful —
+// but lists also arrive off the wire, so longer ones keep an O(n log n)
+// sort rather than trusting the sender.
+const insertionSortMax = 32
+
 // SortByDepth orders fragments by ascending depth (stable, so equal-depth
 // fragments keep emission order — determinism across runs). Placeholders
 // (NaN depth) sort after every real fragment: NaN would otherwise defeat
 // the comparator's ordering and could leave real fragments unsorted
 // across a placeholder, breaking CompositePixel's promise that
 // placeholders contribute nothing wherever they land.
+//
+// It runs once per pixel, so short lists are insertion-sorted in place:
+// no closure, no reflection-built swapper, no allocation. A stable sort's
+// output is unique, so the order is sort.SliceStable's.
 func SortByDepth(frags []Fragment) {
-	sort.SliceStable(frags, func(i, j int) bool {
-		a, b := frags[i].Depth, frags[j].Depth
-		if a != a { // i is a placeholder: never ahead of anything
-			return false
+	if len(frags) > insertionSortMax {
+		sort.SliceStable(frags, func(i, j int) bool { return depthLess(frags[i].Depth, frags[j].Depth) })
+		return
+	}
+	for i := 1; i < len(frags); i++ {
+		f := frags[i]
+		j := i
+		for ; j > 0 && depthLess(f.Depth, frags[j-1].Depth); j-- {
+			frags[j] = frags[j-1]
 		}
-		if b != b { // j is a placeholder: every real depth precedes it
-			return true
-		}
-		return a < b
-	})
+		frags[j] = f
+	}
 }
 
 // CompositePixel sorts the pixel's fragments by ascending depth, folds

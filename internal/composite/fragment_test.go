@@ -3,6 +3,7 @@ package composite
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -143,6 +144,47 @@ func TestSortByDepth(t *testing.T) {
 	}
 	if frags[0].Key != 2 || frags[2].Key != 1 {
 		t.Errorf("sorted order wrong: %v", frags)
+	}
+}
+
+// A stable sort's output is unique, so SortByDepth's in-place insertion
+// sort (and its long-list fallback) must order every list exactly as
+// sort.SliceStable with the same comparator does — depth ties keep
+// emission order, NaN placeholders go last in emission order.
+func TestSortByDepthMatchesSliceStable(t *testing.T) {
+	r := rand.New(rand.NewSource(89))
+	for trial := 0; trial < 3000; trial++ {
+		n := r.Intn(12)
+		if trial%10 == 0 {
+			n = r.Intn(4 * insertionSortMax) // both sides of the cut-over
+		}
+		frags := make([]Fragment, n)
+		for i := range frags {
+			// Key records emission order; few distinct depths force ties.
+			frags[i] = Fragment{Key: int32(i), Depth: float32(r.Intn(5))}
+			if r.Intn(4) == 0 {
+				frags[i].Depth = float32(math.NaN())
+			}
+		}
+		want := append([]Fragment(nil), frags...)
+		sort.SliceStable(want, func(i, j int) bool { return depthLess(want[i].Depth, want[j].Depth) })
+		SortByDepth(frags)
+		for i := range frags {
+			if frags[i].Key != want[i].Key {
+				t.Fatalf("n=%d: position %d holds emission #%d, sort.SliceStable puts #%d there", n, i, frags[i].Key, want[i].Key)
+			}
+		}
+	}
+}
+
+func TestSortByDepthDoesNotAllocate(t *testing.T) {
+	frags := []Fragment{{Depth: 3}, {Depth: 1}, {Depth: float32(math.NaN())}, {Depth: 2}, {Depth: 1}}
+	work := make([]Fragment, len(frags))
+	if n := testing.AllocsPerRun(100, func() {
+		copy(work, frags)
+		SortByDepth(work)
+	}); n != 0 {
+		t.Errorf("SortByDepth allocated %v times per pixel list", n)
 	}
 }
 

@@ -173,7 +173,11 @@ func TestChaosBreakerLifecycle(t *testing.T) {
 // backstop — the render must fail quickly with ErrRetryBudget instead of
 // grinding through MaxAttempts everywhere.
 func TestRetryBudgetExhaustionFailsFast(t *testing.T) {
-	addrs := startWorkers(t, 2, func(i int, h http.Handler) http.Handler {
+	// Four workers against a budget of 2: excluding every worker takes one
+	// brick three re-placements, so the bucket always empties first. (With
+	// two workers the outcome raced: a brick that spent both tokens before
+	// its sibling failed once ran out of workers, not budget.)
+	addrs := startWorkers(t, 4, func(i int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "boom", http.StatusInternalServerError)
 		})

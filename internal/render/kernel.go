@@ -33,8 +33,10 @@ type Kernel struct {
 	// Per-block emission buffers and intra-block thread offsets; together
 	// with Counts they form the offset/count layout. Blocks write only
 	// their own entry, which keeps RunBlock's disjoint-writes discipline.
+	// offs is one slab for the whole grid, blockOffsLen entries per block
+	// (a block that never ran keeps all-zero offsets into a nil buffer).
 	blockFrags [][]composite.Fragment
-	blockOffs  [][]int32
+	offs       []int32
 
 	grid gpu.Dim2
 }
@@ -76,9 +78,18 @@ func NewKernel(cam *camera.Camera, sp volume.Space, tex *gpu.Texture3D, prm Para
 		FP:         fp,
 		Counts:     make([]int32, grid.Count()*BlockDim*BlockDim),
 		blockFrags: make([][]composite.Fragment, grid.Count()),
-		blockOffs:  make([][]int32, grid.Count()),
+		offs:       make([]int32, grid.Count()*blockOffsLen),
 		grid:       grid,
 	}
+}
+
+// blockOffsLen is a block's share of Kernel.offs: one start offset per
+// thread plus the end sentinel.
+const blockOffsLen = BlockDim*BlockDim + 1
+
+// blockOffs returns block b's thread offsets into blockFrags[b].
+func (k *Kernel) blockOffs(b int) []int32 {
+	return k.offs[b*blockOffsLen : (b+1)*blockOffsLen]
 }
 
 // Name implements gpu.Kernel.
@@ -116,11 +127,7 @@ func (k *Kernel) ForEachThread(fn func(slot int, frags []composite.Fragment)) {
 		gy := slot / rowThreads
 		b := (gy/BlockDim)*k.grid.X + gx/BlockDim
 		ti := (gy%BlockDim)*BlockDim + gx%BlockDim
-		offs := k.blockOffs[b]
-		if offs == nil {
-			fn(slot, nil) // block never ran
-			continue
-		}
+		offs := k.blockOffs(b)
 		fn(slot, k.blockFrags[b][offs[ti]:offs[ti+1]])
 	}
 }
@@ -135,7 +142,10 @@ func (k *Kernel) RunBlock(bx, by int) gpu.Stats {
 	rowThreads := k.grid.X * BlockDim
 	bi := by*k.grid.X + bx
 	frags := make([]composite.Fragment, 0, BlockDim*BlockDim)
-	offs := make([]int32, BlockDim*BlockDim+1)
+	// One emit closure per block, not per thread: a closure handed to a
+	// func value is heap-allocated where it is created.
+	emit := func(f composite.Fragment) { frags = append(frags, f) }
+	offs := k.blockOffs(bi)
 	for ty := 0; ty < BlockDim; ty++ {
 		for tx := 0; tx < BlockDim; tx++ {
 			st.Threads++
@@ -154,9 +164,7 @@ func (k *Kernel) RunBlock(bx, by int) gpu.Stats {
 				continue
 			}
 			before := len(frags)
-			samples := sample(k.Cam, k.Space, k.Tex.Data, k.Prm, px, py, func(f composite.Fragment) {
-				frags = append(frags, f)
-			})
+			samples := sample(k.Cam, k.Space, k.Tex.Data, k.Prm, px, py, emit)
 			st.Samples += samples.Samples
 			st.SamplesSkipped += samples.Skipped
 			st.Cells += samples.Cells
@@ -172,6 +180,5 @@ func (k *Kernel) RunBlock(bx, by int) gpu.Stats {
 	}
 	offs[BlockDim*BlockDim] = int32(len(frags))
 	k.blockFrags[bi] = frags
-	k.blockOffs[bi] = offs
 	return st
 }

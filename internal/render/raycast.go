@@ -113,7 +113,7 @@ func correctedTF(tf *transfer.Func, step float32) *transfer.Func {
 // calling CastPixel directly with unprepared Params still works and
 // prepares on the fly (the corrected table is memoised process-wide).
 func (p Params) Prepare() Params {
-	if p.prepared && p.prepTF == p.TF && p.prepStep == p.StepVoxels && p.prepLight == p.Light {
+	if p.fresh() {
 		return p
 	}
 	light := p.Light
@@ -129,6 +129,13 @@ func (p Params) Prepare() Params {
 	p.prepared = true
 	p.prepTF, p.prepStep, p.prepLight = p.TF, p.StepVoxels, p.Light
 	return p
+}
+
+// fresh reports whether p's prepared constants still match the inputs
+// they were derived from. The samplers test it per ray, so a kernel-
+// prepared Params is neither re-derived nor copied through Prepare.
+func (p *Params) fresh() bool {
+	return p.prepared && p.prepTF == p.TF && p.prepStep == p.StepVoxels && p.prepLight == p.Light
 }
 
 // PrepareBrick returns p prepared (see Prepare) with the empty-space
@@ -225,6 +232,9 @@ func CastPixel(cam *camera.Camera, sp volume.Space, bd *volume.BrickData, prm Pa
 // without fetching. Skipped samples all have TF alpha exactly 0, and the
 // lattice itself never moves, so the accumulated fragment — and with it
 // the image — is bit-identical to the dense march (DESIGN.md §8).
+//
+// Each sample builds its three axis taps once; the shading stencil's six
+// fetches reuse two of them each (DESIGN.md §8, "Shared-axis stencil").
 func CastRay(cam *camera.Camera, sp volume.Space, bd *volume.BrickData, prm Params, px, py int, emit func(composite.Fragment)) SampleStats {
 	var st SampleStats
 	key := int32(py*cam.Width + px)
@@ -246,26 +256,24 @@ func CastRay(cam *camera.Camera, sp volume.Space, bd *volume.BrickData, prm Para
 	// table for non-unit steps) are hoisted out of the per-ray path;
 	// kernels prepare once per brick (PrepareBrick also resolves the
 	// empty-space structure so no memo lookup happens per ray).
-	prm = prm.Prepare()
+	if !prm.fresh() {
+		prm = prm.Prepare()
+	}
 	tf := prm.lookupTF()
+	smp := bd.Sampler()
 	skip := resolveSkip(&prm, bd)
 	if skip != nil && !skip.any {
 		skip = nil
 	}
-	// Idealised voxel-space ray for macrocell exit planes. Sample
-	// positions are always computed through the exact per-sample
-	// expression below; this affine form only bounds how far a run of
-	// samples stays inside one cell, and its float deviation from the
-	// exact positions (well under half a voxel) is absorbed by the
-	// macrocells' one-voxel-per-face dilation, which covers the trilinear
-	// footprint of any position up to half a voxel outside the cell.
-	var vorg, vdir [3]float32
+	// Space.WorldToVoxel's two constants, taken once per ray: the voxel
+	// position of a sample is ray.At(t).Scale(inv).Add(ctr), operation for
+	// operation what WorldToVoxel computes.
+	inv := 1 / sp.VoxelSize()
+	ctr := sp.WorldToVoxel(vec.V3{})
+	var exits cellExits
 	kEnd := int64(0)
 	if skip != nil {
-		inv := 1 / sp.VoxelSize()
-		c0 := sp.WorldToVoxel(vec.V3{})
-		vorg = [3]float32{ray.Origin.X*inv + c0.X, ray.Origin.Y*inv + c0.Y, ray.Origin.Z*inv + c0.Z}
-		vdir = [3]float32{ray.Dir.X * inv, ray.Dir.Y * inv, ray.Dir.Z * inv}
+		exits = newCellExits(skip.mc, ray, inv, ctr)
 		// kEnd is the first lattice index past the brick under the exact
 		// per-sample float32 comparison the dense loop uses; skips clamp
 		// to it so every skipped index is one the dense path would take.
@@ -296,7 +304,7 @@ func CastRay(cam *camera.Camera, sp volume.Space, bd *volume.BrickData, prm Para
 		if t >= t1 {
 			break
 		}
-		pos := sp.WorldToVoxel(ray.At(t))
+		pos := ray.At(t).Scale(inv).Add(ctr)
 		if skip != nil && t >= occupiedUntil {
 			mc := skip.mc
 			cx := clampCell((int(pos.X)-mc.Org[0])>>volume.MacrocellShift, mc.Cells.X)
@@ -307,12 +315,12 @@ func CastRay(cam *camera.Camera, sp volume.Space, bd *volume.BrickData, prm Para
 				lastCell = ci
 				st.Cells++
 			}
+			texit := exits.exitT(cx, cy, cz)
 			if skip.empty[ci] {
 				// Leap to the first lattice index at or beyond the cell's
 				// exit, clamped to kEnd. Every index in [k, k2) is a
 				// sample the dense path would take, whose TF alpha is
 				// exactly 0, so skipping them changes no accumulated bit.
-				texit := cellExitT(mc, cx, cy, cz, vorg, vdir)
 				k2 := k + 1
 				if e := float64(texit)/float64(step) - 0.5; e > float64(k2) {
 					if e >= float64(kEnd) {
@@ -325,9 +333,10 @@ func CastRay(cam *camera.Camera, sp volume.Space, bd *volume.BrickData, prm Para
 				k = k2
 				continue
 			}
-			occupiedUntil = cellExitT(mc, cx, cy, cz, vorg, vdir)
+			occupiedUntil = texit
 		}
-		s := bd.Sample(pos.X, pos.Y, pos.Z)
+		tx, ty, tz := smp.TapX(pos.X), smp.TapY(pos.Y), smp.TapZ(pos.Z)
+		s := smp.Fetch(tx, ty, tz)
 		st.Samples++
 		c := tf.Lookup(s)
 		if c.W > 0 {
@@ -335,7 +344,7 @@ func CastRay(cam *camera.Camera, sp volume.Space, bd *volume.BrickData, prm Para
 				entry = t
 			}
 			if prm.Shading {
-				shade := shadeAt(bd, pos, prm.lightNorm)
+				shade := shadeAt(smp, pos, tx, ty, tz, prm.lightNorm)
 				st.Samples += 6
 				c.X *= shade
 				c.Y *= shade
@@ -376,23 +385,46 @@ func clampCell(c, n int) int {
 	return c
 }
 
-// cellExitT returns the ray parameter at which the idealised voxel-space
-// ray leaves macrocell (cx,cy,cz): the nearest forward crossing of the
-// cell's exit planes. Axes the ray is parallel to never exit.
-func cellExitT(mc *volume.Macrocells, cx, cy, cz int, vorg, vdir [3]float32) float32 {
-	cell := [3]int{cx, cy, cz}
+// cellExits holds one ray's invariants of the macrocell exit test. The
+// ray is the idealised voxel-space one: sample positions are always
+// computed through the exact per-sample expression in CastRay; this
+// affine form only bounds how far a run of samples stays inside one
+// cell, and its float deviation from the exact positions (well under
+// half a voxel) is absorbed by the macrocells' one-voxel-per-face
+// dilation, which covers the trilinear footprint of any position up to
+// half a voxel outside the cell.
+type cellExits struct {
+	org, dir [3]float32
+	// face is, per axis, the voxel coordinate of cell 0's exit plane: the
+	// grid origin, plus one cell edge where the ray ascends.
+	face [3]int
+}
+
+func newCellExits(mc *volume.Macrocells, ray vec.Ray, inv float32, ctr vec.V3) cellExits {
+	e := cellExits{
+		org:  [3]float32{ray.Origin.X*inv + ctr.X, ray.Origin.Y*inv + ctr.Y, ray.Origin.Z*inv + ctr.Z},
+		dir:  [3]float32{ray.Dir.X * inv, ray.Dir.Y * inv, ray.Dir.Z * inv},
+		face: mc.Org,
+	}
+	for a, d := range e.dir {
+		if d > 0 {
+			e.face[a] += volume.MacrocellEdge
+		}
+	}
+	return e
+}
+
+// exitT returns the ray parameter at which the ray leaves macrocell
+// (cx,cy,cz): the nearest forward crossing of the cell's exit planes.
+// Axes the ray is parallel to never exit.
+func (e *cellExits) exitT(cx, cy, cz int) float32 {
 	texit := float32(math.Inf(1))
-	for a := 0; a < 3; a++ {
-		d := vdir[a]
+	for a, c := range [3]int{cx, cy, cz} {
+		d := e.dir[a]
 		if d == 0 {
 			continue
 		}
-		boundary := cell[a] << volume.MacrocellShift
-		if d > 0 {
-			boundary += volume.MacrocellEdge
-		}
-		tb := (float32(mc.Org[a]+boundary) - vorg[a]) / d
-		if tb < texit {
+		if tb := (float32(e.face[a]+c<<volume.MacrocellShift) - e.org[a]) / d; tb < texit {
 			texit = tb
 		}
 	}
@@ -400,19 +432,19 @@ func cellExitT(mc *volume.Macrocells, cx, cy, cz int, vorg, vdir [3]float32) flo
 }
 
 // shadeAt evaluates Levoy-style diffuse shading at a voxel-space position:
-// a central-difference gradient (six texture fetches) gives the surface
-// normal; the return value scales the sample color.
-func shadeAt(bd *volume.BrickData, pos vec.V3, light vec.V3) float32 {
-	const h = 1.0 // one-voxel stencil
-	g := vec.V3{
-		X: bd.Sample(pos.X+h, pos.Y, pos.Z) - bd.Sample(pos.X-h, pos.Y, pos.Z),
-		Y: bd.Sample(pos.X, pos.Y+h, pos.Z) - bd.Sample(pos.X, pos.Y-h, pos.Z),
-		Z: bd.Sample(pos.X, pos.Y, pos.Z+h) - bd.Sample(pos.X, pos.Y, pos.Z-h),
-	}
-	if g.Len() < 1e-6 {
+// a central-difference gradient (six texture fetches sharing the
+// position's own taps tx, ty, tz) gives the surface normal; the return
+// value scales the sample color.
+func shadeAt(smp *volume.Sampler, pos vec.V3, tx, ty, tz volume.Tap, light vec.V3) float32 {
+	gx, gy, gz := smp.Gradient(pos.X, pos.Y, pos.Z, tx, ty, tz)
+	g := vec.V3{X: gx, Y: gy, Z: gz}
+	l := g.Len()
+	if l < 1e-6 {
 		return 1 // homogeneous region: no surface to shade
 	}
-	n := g.Scale(-1).Norm()
+	// The normal is -g normalised. Negation leaves every square, so the
+	// length, unchanged: l serves for both the test above and the scale.
+	n := g.Scale(-1).Scale(1 / l)
 	diffuse := n.Dot(light)
 	if diffuse < 0 {
 		diffuse = -diffuse // two-sided shading for semi-transparent media

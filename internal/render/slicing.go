@@ -70,8 +70,11 @@ func CastRaySlicing(cam *camera.Camera, sp volume.Space, bd *volume.BrickData, p
 		dk = -1
 	}
 
-	prm = prm.Prepare()
+	if !prm.fresh() {
+		prm = prm.Prepare()
+	}
 	tf := prm.lookupTF()
+	smp := bd.Sampler()
 	acc := vec.V4{}
 	entry := float32(-1) // no contributing sample yet; t ≥ 0 on this path
 	maxPlanes := int64(4 * (sp.Dims.X + sp.Dims.Y + sp.Dims.Z))
@@ -88,7 +91,7 @@ func CastRaySlicing(cam *camera.Camera, sp volume.Space, bd *volume.BrickData, p
 			break
 		}
 		pos := sp.WorldToVoxel(ray.At(t))
-		s := bd.Sample(pos.X, pos.Y, pos.Z)
+		s := smp.Sample(pos.X, pos.Y, pos.Z)
 		st.Samples++
 		c := tf.Lookup(s)
 		if c.W > 0 {

@@ -78,7 +78,8 @@ func evalPoints(pts []Point, s float64) vec.V4 {
 }
 
 // Lookup returns the color for scalar s, clamping s to [0,1] and linearly
-// interpolating between adjacent table entries.
+// interpolating between adjacent table entries. Where the interpolated
+// alpha is 0 the returned colour is zero too.
 func (f *Func) Lookup(s float32) vec.V4 {
 	n := len(f.Table)
 	if n == 0 {
@@ -99,7 +100,20 @@ func (f *Func) Lookup(s float32) vec.V4 {
 		return f.Table[n-1]
 	}
 	t := pos - float32(i)
-	return f.Table[i].Lerp(f.Table[i+1], t)
+	lo, hi := &f.Table[i], &f.Table[i+1]
+	// Alpha first: the components interpolate independently, and a sample
+	// with zero alpha contributes nothing whatever its colour, so the
+	// colour of a transparent result is left zero instead of interpolated.
+	a := lo.W + (hi.W-lo.W)*t
+	if a == 0 {
+		return vec.V4{W: a}
+	}
+	return vec.V4{
+		X: lo.X + (hi.X-lo.X)*t,
+		Y: lo.Y + (hi.Y-lo.Y)*t,
+		Z: lo.Z + (hi.Z-lo.Z)*t,
+		W: a,
+	}
 }
 
 // OpacityCorrected returns a copy of f with every table entry's alpha

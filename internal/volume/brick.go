@@ -164,14 +164,10 @@ type BrickData struct {
 	mcFn   func() *Macrocells
 	mc     *Macrocells
 
-	// Hoisted sampler state: the backing selection and the ghost origin
-	// as floats, precomputed once per brick so Sample (and the 6-fetch
-	// shading stencil) is a single trilinearAt call instead of re-deriving
-	// them per fetch.
-	smpData          []float32
-	smpDims          Dims
-	smpReg           Region
-	orgX, orgY, orgZ float32
+	// smp is the brick's sampler, built once by the constructors so the
+	// per-ray path takes a pointer instead of re-deriving the backing
+	// selection and ghost origin; nil on bricks built as bare literals.
+	smp *Sampler
 
 	// empty marks a payload-free brick proven invisible before staging
 	// (see EmptyBrickData): it carries no voxel data, costs no upload
@@ -180,16 +176,26 @@ type BrickData struct {
 	empty bool
 }
 
-// initSampler precomputes the backing selection and origin floats Sample
-// uses; constructors call it once per brick.
-func (bd *BrickData) initSampler() {
-	o := bd.Brick.Ghost.Org
-	bd.orgX, bd.orgY, bd.orgZ = float32(o[0]), float32(o[1]), float32(o[2])
+// newSampler builds the sampler over the brick's ghost region: in place
+// inside the full volume when view-backed, over the copied region
+// otherwise. Positions are volume voxel-space either way.
+func (bd *BrickData) newSampler() *Sampler {
+	g := bd.Brick.Ghost
 	if bd.full != nil {
-		bd.smpData, bd.smpDims, bd.smpReg = bd.full, bd.fullDims, bd.Brick.Ghost
-	} else {
-		bd.smpData, bd.smpDims, bd.smpReg = bd.Data, bd.Brick.Ghost.Ext, Region{Ext: bd.Brick.Ghost.Ext}
+		return newSampler(bd.full, bd.fullDims, g, g.Org)
 	}
+	return newSampler(bd.Data, g.Ext, g, [3]int{})
+}
+
+// Sampler returns the brick's trilinear sampler. Bricks built as bare
+// literals have none stored and get a fresh one per call — reading the
+// brick must stay write-free so concurrent sampling is race-free on any
+// brick.
+func (bd *BrickData) Sampler() *Sampler {
+	if bd.smp == nil {
+		return bd.newSampler()
+	}
+	return bd.smp
 }
 
 // Cells returns the brick's macrocell summary grid, building it on
@@ -242,7 +248,9 @@ func EmptyBrickData(b Brick, lo, hi float32) *BrickData {
 	for i := 0; i < n; i++ {
 		mc.Min[i], mc.Max[i] = lo, hi
 	}
-	return &BrickData{Brick: b, mc: mc, empty: true}
+	bd := &BrickData{Brick: b, mc: mc, empty: true}
+	bd.smp = bd.newSampler() // over no data: rays take it, none may fetch
+	return bd
 }
 
 // FillBrick materialises a brick's ghost region from a source. The
@@ -255,7 +263,7 @@ func FillBrick(src Source, b Brick) (*BrickData, error) {
 		return nil, err
 	}
 	bd.mcFn = func() *Macrocells { return BuildMacrocells(bd.Data, b.Ghost.Ext, b.Ghost.Org) }
-	bd.initSampler()
+	bd.smp = bd.newSampler()
 	return bd, nil
 }
 
@@ -265,7 +273,7 @@ func FillBrick(src Source, b Brick) (*BrickData, error) {
 // first Cells() call across all of them.
 func ViewBrick(v *Volume, b Brick) *BrickData {
 	bd := &BrickData{Brick: b, full: v.Data, fullDims: v.Dims, mcFn: v.Macrocells}
-	bd.initSampler()
+	bd.smp = bd.newSampler()
 	return bd
 }
 
@@ -334,23 +342,7 @@ func viewBrickChecked(v *Volume, b Brick) (*BrickData, error) {
 // Sample trilinearly interpolates at the continuous *volume* voxel-space
 // position (px,py,pz). For positions inside the brick core this returns
 // exactly the same value as Volume.Sample on the full volume — the ghost
-// layer guarantees it (see tests). The backing selection and ghost-origin
-// floats are hoisted into initSampler by the constructors, so the hot
-// path (this is called up to 7× per contributing sample, counting the
-// shading stencil) is one trilinearAt call. Bricks built as bare
-// literals take the slow branch, which derives the same values per call
-// instead of caching them — Sample must stay write-free so concurrent
-// sampling is race-free on any brick.
+// layer guarantees it (see tests).
 func (bd *BrickData) Sample(px, py, pz float32) float32 {
-	if bd.smpData == nil {
-		o := bd.Brick.Ghost.Org
-		lx := px - float32(o[0])
-		ly := py - float32(o[1])
-		lz := pz - float32(o[2])
-		if bd.full != nil {
-			return trilinearAt(bd.full, bd.fullDims, bd.Brick.Ghost, lx, ly, lz)
-		}
-		return trilinearAt(bd.Data, bd.Brick.Ghost.Ext, Region{Ext: bd.Brick.Ghost.Ext}, lx, ly, lz)
-	}
-	return trilinearAt(bd.smpData, bd.smpDims, bd.smpReg, px-bd.orgX, py-bd.orgY, pz-bd.orgZ)
+	return bd.Sampler().Sample(px, py, pz)
 }

@@ -21,10 +21,7 @@
 // voxel-space position (i+0.5, j+0.5, k+0.5); data is laid out x-fastest.
 package volume
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Dims is the extent of a volume or region in voxels.
 type Dims struct {
@@ -104,75 +101,9 @@ func (v *Volume) MinMax() (lo, hi float32) {
 	return lo, hi
 }
 
-// clampIdx clamps i into [0, n-1].
-func clampIdx(i, n int) int {
-	if i < 0 {
-		return 0
-	}
-	if i >= n {
-		return n - 1
-	}
-	return i
-}
-
 // Sample trilinearly interpolates the field at the continuous voxel-space
 // position (px,py,pz), clamping at the boundary (CUDA's clamp-to-edge
 // texture addressing).
 func (v *Volume) Sample(px, py, pz float32) float32 {
-	return trilinear(v.Data, v.Dims, px, py, pz)
-}
-
-// trilinear is the shared sampling routine used by Volume and copy-backed
-// BrickData: the whole array is the region.
-func trilinear(data []float32, d Dims, px, py, pz float32) float32 {
-	return trilinearAt(data, d, Region{Ext: d}, px, py, pz)
-}
-
-// trilinearAt samples the sub-region r of a full volume at r-local
-// continuous coordinates, clamping at the region boundary (CUDA's
-// clamp-to-edge texture addressing). The weight and clamping arithmetic
-// over a region is exactly the same as over a copied r.Ext array — only
-// the final indexing adds r's origin and the full-volume strides — so
-// view-backed bricks are bit-identical to copy-backed ones.
-func trilinearAt(data []float32, full Dims, r Region, px, py, pz float32) float32 {
-	qx := float64(px) - 0.5
-	qy := float64(py) - 0.5
-	qz := float64(pz) - 0.5
-	x0f := math.Floor(qx)
-	y0f := math.Floor(qy)
-	z0f := math.Floor(qz)
-	fx := float32(qx - x0f)
-	fy := float32(qy - y0f)
-	fz := float32(qz - z0f)
-	x0 := clampIdx(int(x0f), r.Ext.X)
-	y0 := clampIdx(int(y0f), r.Ext.Y)
-	z0 := clampIdx(int(z0f), r.Ext.Z)
-	x1 := clampIdx(int(x0f)+1, r.Ext.X)
-	y1 := clampIdx(int(y0f)+1, r.Ext.Y)
-	z1 := clampIdx(int(z0f)+1, r.Ext.Z)
-
-	row := full.X
-	slab := full.X * full.Y
-	x0 += r.Org[0]
-	x1 += r.Org[0]
-	y0 += r.Org[1]
-	y1 += r.Org[1]
-	z0 += r.Org[2]
-	z1 += r.Org[2]
-	c000 := data[z0*slab+y0*row+x0]
-	c100 := data[z0*slab+y0*row+x1]
-	c010 := data[z0*slab+y1*row+x0]
-	c110 := data[z0*slab+y1*row+x1]
-	c001 := data[z1*slab+y0*row+x0]
-	c101 := data[z1*slab+y0*row+x1]
-	c011 := data[z1*slab+y1*row+x0]
-	c111 := data[z1*slab+y1*row+x1]
-
-	c00 := c000 + (c100-c000)*fx
-	c10 := c010 + (c110-c010)*fx
-	c01 := c001 + (c101-c001)*fx
-	c11 := c011 + (c111-c011)*fx
-	c0 := c00 + (c10-c00)*fy
-	c1 := c01 + (c11-c01)*fy
-	return c0 + (c1-c0)*fz
+	return newSampler(v.Data, v.Dims, Region{Ext: v.Dims}, [3]int{}).Sample(px, py, pz)
 }
