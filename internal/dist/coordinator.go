@@ -1209,7 +1209,7 @@ func (c *Coordinator) post(parent context.Context, perAttempt time.Duration,
 		}
 		return nil, nil, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxResponseBytes+1))
+	payload, err := readSized(io.LimitReader(resp.Body, c.cfg.MaxResponseBytes+1), resp.ContentLength, c.cfg.MaxResponseBytes+1)
 	if err != nil {
 		_ = resp.Body.Close()
 		if parent.Err() == nil {

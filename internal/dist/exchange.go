@@ -3,7 +3,6 @@ package dist
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -219,7 +218,7 @@ func (wk *Worker) HandleReducePush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lo, hi := int32(lo64), int32(hi64)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wk.cfg.MaxResponseBytes))
+	body, err := readSized(http.MaxBytesReader(w, r.Body, wk.cfg.MaxResponseBytes), r.ContentLength, wk.cfg.MaxResponseBytes+1)
 	if err != nil {
 		wk.rejectPush(w, http.StatusBadRequest, fmt.Errorf("dist: reading push payload: %w", err))
 		return

@@ -773,6 +773,10 @@ func TestCompressionShrinksRealStripes(t *testing.T) {
 	if !stripesBitEqual(res.Stripes, back) {
 		t.Fatal("real stripes changed bits over the columnar wire")
 	}
+	// The same floor for the list-aware pair: cf2 against the v2 identity.
+	if id2, cf2 := EncodeStripesV2(res.Stripes), CompressStripesV2(res.Stripes); len(cf2)*3 > len(id2)*2 {
+		t.Errorf("cf2 payload %d bytes vs v2 identity %d: less than 1.5x", len(cf2), len(id2))
+	}
 }
 
 // TestAcceptsColumnar covers the negotiation parser.

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"io"
 	"net"
 	"net/http"
@@ -40,4 +41,17 @@ func newClient() *http.Client { return &http.Client{Transport: sharedTransport} 
 func drainBody(body io.ReadCloser) {
 	_, _ = io.Copy(io.Discard, io.LimitReader(body, 64<<10))
 	_ = body.Close()
+}
+
+// readSized is io.ReadAll with the buffer sized up front from the body's
+// declared Content-Length (-1 when absent) instead of grown through it.
+// The limit on what is read stays with r; sizeCap only keeps a lying
+// header from reserving more than the caller would ever accept.
+func readSized(r io.Reader, declared, sizeCap int64) ([]byte, error) {
+	if declared <= 0 {
+		return io.ReadAll(r)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, min(declared, sizeCap)+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }

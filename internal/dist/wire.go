@@ -1,14 +1,11 @@
 package dist
 
 import (
-	"bytes"
-	"compress/flate"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 
 	"gvmr/internal/composite"
@@ -179,15 +176,6 @@ func DecodeStripes(data []byte) ([]core.BrickStripe, error) {
 	return stripes, nil
 }
 
-// fragChannels and fragPlanes shape the columnar transform: five float32
-// channels (R,G,B,A,Depth), each split into its four little-endian byte
-// planes so flate sees long runs of structurally similar bytes (sign and
-// exponent planes of neighbouring fragments are near-constant).
-const (
-	fragChannels = 5
-	fragPlanes   = 4
-)
-
 // CompressStripes serialises stripes into the EncodingColumnar payload:
 //
 //	flate(
@@ -202,54 +190,24 @@ const (
 // smoothness of adjacent rays. The transform is lossless and exact: the
 // decoded fragments carry the same bit patterns, NaNs included.
 func CompressStripes(stripes []core.BrickStripe) []byte {
+	buf := wireBufs.Get().(*wireBuf)
+	defer wireBufs.Put(buf)
+	raw := binary.AppendUvarint((*buf)[:0], uint64(len(stripes)))
 	total := 0
 	for _, s := range stripes {
+		raw = binary.AppendUvarint(raw, uint64(uint32(int32(s.Brick))))
+		raw = binary.AppendUvarint(raw, uint64(len(s.Frags)))
 		total += len(s.Frags)
-	}
-	var raw bytes.Buffer
-	raw.Grow(len(stripes)*8 + total*(fragChannels*fragPlanes+2))
-	var tmp [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) { raw.Write(tmp[:binary.PutUvarint(tmp[:], v)]) }
-	putVarint := func(v int64) { raw.Write(tmp[:binary.PutVarint(tmp[:], v)]) }
-
-	putUvarint(uint64(len(stripes)))
-	for _, s := range stripes {
-		putUvarint(uint64(uint32(int32(s.Brick))))
-		putUvarint(uint64(len(s.Frags)))
 	}
 	for _, s := range stripes {
 		prev := int64(0)
 		for _, f := range s.Frags {
-			putVarint(int64(f.Key) - prev)
+			raw = binary.AppendVarint(raw, int64(f.Key)-prev)
 			prev = int64(f.Key)
 		}
 	}
-	planes := make([]byte, total*fragChannels*fragPlanes)
-	i := 0
-	for _, s := range stripes {
-		for _, f := range s.Frags {
-			bits := [fragChannels]uint32{
-				math.Float32bits(f.R), math.Float32bits(f.G), math.Float32bits(f.B),
-				math.Float32bits(f.A), math.Float32bits(f.Depth),
-			}
-			for c, b := range bits {
-				for p := 0; p < fragPlanes; p++ {
-					planes[(c*fragPlanes+p)*total+i] = byte(b >> (8 * p))
-				}
-			}
-			i++
-		}
-	}
-	raw.Write(planes)
-
-	var out bytes.Buffer
-	// BestCompression: stripe payloads are sub-megabyte and encoded once
-	// per hop, so the deeper match search is wall-clock noise, and the
-	// wire model charges every byte it saves.
-	zw, _ := flate.NewWriter(&out, flate.BestCompression)
-	_, _ = zw.Write(raw.Bytes()) // bytes.Buffer writes cannot fail
-	_ = zw.Close()
-	return out.Bytes()
+	*buf = appendPlanes(raw, stripes, total)
+	return deflate(*buf)
 }
 
 // DecompressStripes parses an EncodingColumnar payload. maxBytes bounds
@@ -257,106 +215,41 @@ func CompressStripes(stripes []core.BrickStripe) []byte {
 // truncation, counts beyond the payload, out-of-range bricks or keys,
 // trailing garbage — are errors, mirroring DecodeStripes.
 func DecompressStripes(data []byte, maxBytes int64) ([]core.BrickStripe, error) {
-	zr := flate.NewReader(bytes.NewReader(data))
-	defer zr.Close()
-	raw, err := io.ReadAll(io.LimitReader(zr, maxBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("dist: %s inflate: %w", EncodingColumnar, err)
+	buf := wireBufs.Get().(*wireBuf)
+	defer wireBufs.Put(buf)
+	if err := inflate(EncodingColumnar, data, maxBytes, buf); err != nil {
+		return nil, err
 	}
-	if int64(len(raw)) > maxBytes {
-		return nil, fmt.Errorf("dist: %s payload inflates beyond %d bytes", EncodingColumnar, maxBytes)
-	}
-	pos := 0
-	uvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(raw[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("dist: %s truncated varint at byte %d", EncodingColumnar, pos)
-		}
-		pos += n
-		return v, nil
-	}
-	nStripes, err := uvarint()
+	r := columnarReader{name: EncodingColumnar, raw: *buf}
+	// A fragment costs at least one key byte plus its plane bytes.
+	stripes, counts, total, err := r.stripeTable("fragments", planeBytes+1)
 	if err != nil {
 		return nil, err
 	}
-	// Each stripe costs at least two header bytes; anything claiming more
-	// is corrupt, and bounding here keeps allocations honest.
-	if nStripes > uint64(len(raw)-pos) {
-		return nil, fmt.Errorf("dist: %s claims %d stripes in %d bytes", EncodingColumnar, nStripes, len(raw)-pos)
-	}
-	stripes := make([]core.BrickStripe, nStripes)
-	var total64 int64
-	counts := make([]int, nStripes)
-	for i := range stripes {
-		brick, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if brick > math.MaxInt32 {
-			return nil, fmt.Errorf("dist: %s brick ID %d overflows int32", EncodingColumnar, brick)
-		}
-		count, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		// A fragment costs at least one key byte plus its 20 plane bytes,
-		// so any count past that density is corrupt — checked before the
-		// fragment slices are allocated.
-		if count > uint64(len(raw)-pos)/(fragChannels*fragPlanes+1) {
-			return nil, fmt.Errorf("dist: %s stripe for brick %d claims %d fragments beyond payload", EncodingColumnar, brick, count)
-		}
-		stripes[i].Brick = int(int32(brick))
-		counts[i] = int(count)
-		total64 += int64(count)
-	}
-	if total64*(fragChannels*fragPlanes+1) > int64(len(raw)-pos) {
-		return nil, fmt.Errorf("dist: %s claims %d fragments beyond payload", EncodingColumnar, total64)
-	}
-	total := int(total64)
-	for i := range stripes {
-		if counts[i] == 0 {
-			continue
-		}
-		frags := make([]composite.Fragment, counts[i])
+	// One backing array for the payload's fragments, sized from the
+	// counts the table just bounded.
+	all := make([]composite.Fragment, total)
+	n := 0
+	for i, count := range counts {
+		frags := all[n : n+count : n+count]
+		n += count
 		prev := int64(0)
 		for j := range frags {
-			d, n := binary.Varint(raw[pos:])
-			if n <= 0 {
-				return nil, fmt.Errorf("dist: %s truncated key varint at byte %d", EncodingColumnar, pos)
+			if prev, err = r.key(prev); err != nil {
+				return nil, err
 			}
-			pos += n
-			k := prev + d
-			if k < math.MinInt32 || k > math.MaxInt32 {
-				return nil, fmt.Errorf("dist: %s key %d overflows int32", EncodingColumnar, k)
-			}
-			frags[j].Key = int32(k)
-			prev = k
+			frags[j].Key = int32(prev)
 		}
-		stripes[i].Frags = frags
-	}
-	if len(raw)-pos != total*fragChannels*fragPlanes {
-		return nil, fmt.Errorf("dist: %s plane section is %d bytes, want %d", EncodingColumnar, len(raw)-pos, total*fragChannels*fragPlanes)
-	}
-	planes := raw[pos:]
-	i := 0
-	for si := range stripes {
-		for j := range stripes[si].Frags {
-			var bits [fragChannels]uint32
-			for c := 0; c < fragChannels; c++ {
-				for p := 0; p < fragPlanes; p++ {
-					bits[c] |= uint32(planes[(c*fragPlanes+p)*total+i]) << (8 * p)
-				}
-			}
-			f := &stripes[si].Frags[j]
-			f.R = math.Float32frombits(bits[0])
-			f.G = math.Float32frombits(bits[1])
-			f.B = math.Float32frombits(bits[2])
-			f.A = math.Float32frombits(bits[3])
-			f.Depth = math.Float32frombits(bits[4])
-			i++
+		if count > 0 {
+			stripes[i].Frags = frags
 		}
 	}
-	if nStripes == 0 {
+	planes, err := r.planes(total)
+	if err != nil {
+		return nil, err
+	}
+	readPlanes(all, planes)
+	if len(stripes) == 0 {
 		return nil, nil
 	}
 	return stripes, nil

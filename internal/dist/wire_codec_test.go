@@ -1,0 +1,291 @@
+package dist
+
+import (
+	"bytes"
+	"compress/flate"
+	"errors"
+	"io"
+	"strings"
+	"sync"
+	"testing"
+
+	"gvmr/internal/cluster"
+	"gvmr/internal/composite"
+	"gvmr/internal/core"
+	"gvmr/internal/volume/dataset"
+)
+
+// wireCodecs are the two compressed encodings over the shared flate
+// helper, as the tests and the benchmark iterate them.
+var wireCodecs = []struct {
+	name   string
+	encode func([]core.BrickStripe) []byte
+	decode func([]byte, int64) ([]core.BrickStripe, error)
+}{
+	{"cf1", CompressStripes, DecompressStripes},
+	{"cf2", CompressStripesV2, DecompressStripesV2},
+}
+
+// realStripes maps the cluster benchmark's frame — skull 128³ → 176², a
+// 4-GPU job's 4 bricks — once per test binary.
+var realStripes = sync.OnceValues(func() ([]core.BrickStripe, error) {
+	src, err := dataset.New(dataset.Skull, dataset.PaperDims(dataset.Skull, 128))
+	if err != nil {
+		return nil, err
+	}
+	cam, err := core.OrbitCamera(src, 176, 176, 30)
+	if err != nil {
+		return nil, err
+	}
+	opt, err := JobSpec{
+		Dataset: dataset.Skull, Edge: 128, Width: 176, Height: 176,
+		GPUs: 4, Shading: true, StepVoxels: 1, TerminationAlpha: 0.98,
+		Camera: CameraFrom(cam),
+	}.Options()
+	if err != nil {
+		return nil, err
+	}
+	res, err := core.MapBricks(cluster.AC(4), opt, []int{0, 1, 2, 3}, 0)
+	if err != nil {
+		return nil, err
+	}
+	return res.Stripes, nil
+})
+
+func mustRealStripes(tb testing.TB) []core.BrickStripe {
+	tb.Helper()
+	stripes, err := realStripes()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(stripes) != 4 {
+		tb.Fatalf("mapped %d stripes, want 4", len(stripes))
+	}
+	return stripes
+}
+
+// stdDeflate and stdInflate are plain stdlib flate, independent of the
+// package's pooled helper: what the tests compare it against and craft
+// bodies with.
+func stdDeflate(tb testing.TB, raw []byte, level int) []byte {
+	tb.Helper()
+	var out bytes.Buffer
+	zw, err := flate.NewWriter(&out, level)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := zw.Write(raw); err != nil {
+		tb.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+func stdInflate(tb testing.TB, payload []byte) []byte {
+	tb.Helper()
+	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(payload)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+var benchSink int
+
+// BenchmarkWireCodec times both compressed encodings on real stripes.
+// wire-bytes/op is what the virtual wire model charges; ns/op is what it
+// does not. Steady-state encode allocates the returned payload and
+// nothing that scales with it.
+func BenchmarkWireCodec(b *testing.B) {
+	stripes := mustRealStripes(b)
+	for _, c := range wireCodecs {
+		payload := c.encode(stripes)
+		b.Run(c.name+"/encode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink += len(c.encode(stripes))
+			}
+			b.ReportMetric(float64(len(payload)), "wire-bytes/op")
+		})
+		b.Run(c.name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				back, err := c.decode(payload, 1<<30)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += len(back)
+			}
+			b.ReportMetric(float64(len(payload)), "wire-bytes/op")
+		})
+	}
+}
+
+// TestWireCodecSizeGuard holds the modelled wire: the virtual clock
+// charges compressed bytes, so the shipped flate level may trade at most
+// 2 % of stdlib level 9's size for its speed. A later level change that
+// would bloat virtual_ms_per_frame fails here, in tier-1.
+func TestWireCodecSizeGuard(t *testing.T) {
+	stripes := mustRealStripes(t)
+	for _, c := range wireCodecs {
+		payload := c.encode(stripes)
+		// Recover the exact columnar stream and deflate it at level 9 here.
+		raw := stdInflate(t, payload)
+		best := stdDeflate(t, raw, flate.BestCompression)
+		t.Logf("%s: %d bytes shipped, %d at level 9 (%+.2f%%), %d inflated",
+			c.name, len(payload), len(best), 100*(float64(len(payload))/float64(len(best))-1), len(raw))
+		if float64(len(payload)) > 1.02*float64(len(best)) {
+			t.Errorf("%s: shipped payload %d bytes > 1.02 × level 9's %d", c.name, len(payload), len(best))
+		}
+		back, err := c.decode(payload, int64(len(raw)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !stripesBitEqual(stripes, back) {
+			t.Errorf("%s: real stripes changed bits over the wire", c.name)
+		}
+	}
+}
+
+// poolFixtures are payloads of very different sizes, so a pooled buffer
+// or compressor last used for one is next used for another: nothing, one
+// fragment, fragment lists with NaN payloads, and a few thousand
+// fragments with runs.
+func poolFixtures() [][]core.BrickStripe {
+	big := make([]composite.Fragment, 6000)
+	for i := range big {
+		big[i] = composite.Fragment{Key: int32(i / 3), R: float32(i) / 7, A: 0.5, Depth: float32(i % 11)}
+	}
+	return [][]core.BrickStripe{
+		nil,
+		{{Brick: 9, Frags: []composite.Fragment{{Key: 1, A: 1, Depth: 0.5}}}},
+		listStripes(),
+		{{Brick: 0, Frags: big[:4000]}, {Brick: 1}, {Brick: 2, Frags: big[4000:]}},
+	}
+}
+
+// TestWireCodecPoolsConcurrent interleaves both codecs and all fixture
+// sizes through the shared pools from 8 goroutines; every round trip must
+// be exact to the bit. Run under -race in CI.
+func TestWireCodecPoolsConcurrent(t *testing.T) {
+	fixtures := poolFixtures()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 60; i++ {
+				c := wireCodecs[(g+i)%len(wireCodecs)]
+				want := fixtures[(g*3+i)%len(fixtures)]
+				back, err := c.decode(c.encode(want), 1<<20)
+				if err != nil {
+					t.Errorf("goroutine %d round %d: %s decode: %v", g, i, c.name, err)
+					return
+				}
+				if !stripesBitEqual(want, back) {
+					t.Errorf("goroutine %d round %d: %s round trip changed bits", g, i, c.name)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestWireCodecEncodeAllocs: with the pools warm, an encode allocates the
+// payload it returns and nothing that scales with the stripes.
+func TestWireCodecEncodeAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("-short rides the race leg, where sync.Pool drops Puts at random")
+	}
+	stripes := poolFixtures()[3]
+	for _, c := range wireCodecs {
+		c.encode(stripes)
+		if n := testing.AllocsPerRun(50, func() { c.encode(stripes) }); n > 4 {
+			t.Errorf("%s: %v allocs per steady-state encode, want <= 4", c.name, n)
+		}
+	}
+}
+
+// TestWireCodecPoolsSurviveErrors: a reader or buffer that goes back to
+// its pool after a failed decode must not poison the next one on the
+// same goroutine (sync.Pool hands a P its own last Put first).
+func TestWireCodecPoolsSurviveErrors(t *testing.T) {
+	want := poolFixtures()[3]
+	for _, c := range wireCodecs {
+		good := c.encode(want)
+		if _, err := c.decode(good[:len(good)/2], 1<<20); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: truncated body: got %v, want io.ErrUnexpectedEOF", c.name, err)
+		}
+		// Block type 3 is reserved: corrupt whatever the encoder emitted.
+		flipped := bytes.Clone(good)
+		flipped[0] |= 0x06
+		var corrupt flate.CorruptInputError
+		if _, err := c.decode(flipped, 1<<20); !errors.As(err, &corrupt) {
+			t.Errorf("%s: bit-flipped body: got %v, want flate.CorruptInputError", c.name, err)
+		}
+		// Over the limit by one byte, with a buffer the pool has seen grow.
+		if _, err := c.decode(good, 1023); err == nil || !strings.Contains(err.Error(), "payload inflates beyond 1023 bytes") {
+			t.Errorf("%s: over-limit body: got %v", c.name, err)
+		}
+		back, err := c.decode(good, 1<<20)
+		if err != nil {
+			t.Fatalf("%s: valid body after failed decodes: %v", c.name, err)
+		}
+		if !stripesBitEqual(want, back) {
+			t.Errorf("%s: valid body after failed decodes changed bits", c.name)
+		}
+	}
+}
+
+// TestColumnarRejectsTrailingBytes: the plane section must end the
+// stream exactly — for an empty payload too, whose plane section is empty.
+func TestColumnarRejectsTrailingBytes(t *testing.T) {
+	for _, c := range wireCodecs {
+		for _, stripes := range [][]core.BrickStripe{nil, listStripes()} {
+			body := stdDeflate(t, append(stdInflate(t, c.encode(stripes)), 0), flate.BestSpeed)
+			if _, err := c.decode(body, 1<<20); err == nil || !strings.Contains(err.Error(), "plane section") {
+				t.Errorf("%s: %d stripes + 1 trailing byte: got %v", c.name, len(stripes), err)
+			}
+		}
+	}
+}
+
+// TestInflateHoldsAtMostLimit: the zip-bomb guard bounds what is held,
+// not only what is accepted — a body inflating to 4 MiB against a 1000
+// byte bound never grows the buffer past maxBytes+1, and a pooled buffer
+// that is already larger is read into no further than that.
+func TestInflateHoldsAtMostLimit(t *testing.T) {
+	zeros := func(n int) []byte { return stdDeflate(t, make([]byte, n), flate.BestSpeed) }
+	bomb := zeros(4 << 20)
+	const maxBytes = 1000
+	const wantErr = "dist: gvmr-cf2 payload inflates beyond 1000 bytes"
+	fresh, grown := new(wireBuf), new(wireBuf)
+	*grown = make(wireBuf, 1<<16)
+	for _, buf := range []*wireBuf{fresh, grown} {
+		before := cap(*buf)
+		err := inflate(EncodingColumnar2, bomb, maxBytes, buf)
+		if err == nil || err.Error() != wantErr {
+			t.Fatalf("got %v, want %q", err, wantErr)
+		}
+		if len(*buf) != maxBytes+1 {
+			t.Errorf("inflated %d bytes, want exactly maxBytes+1", len(*buf))
+		}
+		if before == 0 && cap(*buf) > maxBytes+1 {
+			t.Errorf("buffer grew to %d bytes against a bound of %d", cap(*buf), maxBytes+1)
+		}
+		if before != 0 && cap(*buf) != before {
+			t.Errorf("pooled buffer reallocated: cap %d -> %d", before, cap(*buf))
+		}
+	}
+	// The bound itself is accepted, one byte past it is not — also when
+	// that byte arrives together with the stream's EOF.
+	if err := inflate(EncodingColumnar2, zeros(maxBytes), maxBytes, fresh); err != nil || len(*fresh) != maxBytes {
+		t.Errorf("body of exactly maxBytes: %d bytes, %v", len(*fresh), err)
+	}
+	if err := inflate(EncodingColumnar2, zeros(maxBytes+1), maxBytes, fresh); err == nil || err.Error() != wantErr {
+		t.Errorf("body of maxBytes+1: got %v, want %q", err, wantErr)
+	}
+}

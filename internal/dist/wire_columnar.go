@@ -1,0 +1,231 @@
+package dist
+
+import (
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math"
+	"slices"
+	"sync"
+
+	"gvmr/internal/composite"
+	"gvmr/internal/core"
+)
+
+// fragChannels and fragPlanes shape the columnar transform: five float32
+// channels (R,G,B,A,Depth), each split into its four little-endian byte
+// planes so flate sees long runs of structurally similar bytes (sign and
+// exponent planes of neighbouring fragments are near-constant).
+const (
+	fragChannels = 5
+	fragPlanes   = 4
+	planeBytes   = fragChannels * fragPlanes // per fragment
+)
+
+// wireFlateLevel is the deflate level of every columnar payload, chosen
+// by measurement (DESIGN.md §11): on real stripes level 4 is within 1.1 %
+// of level 9's size — what the wire model charges — at a sixth of its
+// CPU, which the wire model does not charge but the frame pays.
+// TestWireCodecSizeGuard holds the size side of that trade.
+const wireFlateLevel = 4
+
+// Codec state is pooled: a flate.Writer is ~1 MB of match tables and a
+// payload is encoded on every hop, so steady state allocates only the
+// payload handed to the caller.
+var (
+	deflaters = sync.Pool{New: func() any {
+		zw, _ := flate.NewWriter(nil, wireFlateLevel) // fails only on an invalid level
+		return zw
+	}}
+	inflaters = sync.Pool{New: func() any { return flate.NewReader(bytes.NewReader(nil)) }}
+	wireBufs  = sync.Pool{New: func() any { return new(wireBuf) }}
+)
+
+// wireBuf is pooled scratch for one side of the flate step: the columnar
+// stream or its deflated form.
+type wireBuf []byte
+
+func (b *wireBuf) Write(p []byte) (int, error) {
+	*b = append(*b, p...)
+	return len(p), nil
+}
+
+// deflate returns the flate stream of raw in a slice of its own. Any
+// deflate stream is a valid cf1/cf2 body, so the level and the pooling
+// are invisible to decoders.
+func deflate(raw []byte) []byte {
+	zw := deflaters.Get().(*flate.Writer)
+	out := wireBufs.Get().(*wireBuf)
+	*out = (*out)[:0]
+	zw.Reset(out)
+	_, _ = zw.Write(raw) // wireBuf writes cannot fail
+	_ = zw.Close()
+	payload := bytes.Clone(*out)
+	wireBufs.Put(out)
+	deflaters.Put(zw)
+	return payload
+}
+
+// inflate decompresses data into buf. maxBytes is the zip-bomb guard: at
+// most maxBytes+1 bytes are inflated, and held, before the payload is
+// refused. Reader and buffer are reset on entry, so one returned to its
+// pool after an error serves the next payload clean.
+func inflate(name string, data []byte, maxBytes int64, buf *wireBuf) error {
+	zr := inflaters.Get().(io.Reader)
+	defer inflaters.Put(zr)
+	_ = zr.(flate.Resetter).Reset(bytes.NewReader(data), nil) // never fails
+	limit := maxBytes + 1
+	b := (*buf)[:0]
+	defer func() { *buf = b }()
+	for int64(len(b)) < limit {
+		if len(b) == cap(b) {
+			grown := make([]byte, len(b), min(2*int64(cap(b))+4096, limit))
+			copy(grown, b)
+			b = grown
+		}
+		n, err := zr.Read(b[len(b):min(int64(cap(b)), limit)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			break // a final Read may carry bytes too: the bound is checked below
+		}
+		if err != nil {
+			return fmt.Errorf("dist: %s inflate: %w", name, err)
+		}
+	}
+	if int64(len(b)) > maxBytes {
+		return fmt.Errorf("dist: %s payload inflates beyond %d bytes", name, maxBytes)
+	}
+	return nil
+}
+
+// appendPlanes appends the plane section — 5 channels × 4 byte planes ×
+// one byte per fragment, total fragments in all — to the columnar stream.
+func appendPlanes(b []byte, stripes []core.BrickStripe, total int) []byte {
+	off := len(b)
+	b = slices.Grow(b, total*planeBytes)[:off+total*planeBytes]
+	var pl [planeBytes][]byte
+	for k := range pl {
+		pl[k] = b[off+k*total : off+(k+1)*total]
+	}
+	i := 0
+	for _, s := range stripes {
+		for _, f := range s.Frags {
+			for c, v := range [fragChannels]uint32{
+				math.Float32bits(f.R), math.Float32bits(f.G), math.Float32bits(f.B),
+				math.Float32bits(f.A), math.Float32bits(f.Depth),
+			} {
+				for p := 0; p < fragPlanes; p++ {
+					pl[c*fragPlanes+p][i] = byte(v >> (8 * p))
+				}
+			}
+			i++
+		}
+	}
+	return b
+}
+
+// readPlanes fills the float channels of frags from their plane section.
+func readPlanes(frags []composite.Fragment, planes []byte) {
+	n := len(frags)
+	for c := 0; c < fragChannels; c++ {
+		ch := planes[c*fragPlanes*n:]
+		p0, p1, p2, p3 := ch[:n], ch[n:2*n], ch[2*n:3*n], ch[3*n:4*n]
+		for i := range frags {
+			v := math.Float32frombits(uint32(p0[i]) | uint32(p1[i])<<8 | uint32(p2[i])<<16 | uint32(p3[i])<<24)
+			switch f := &frags[i]; c {
+			case 0:
+				f.R = v
+			case 1:
+				f.G = v
+			case 2:
+				f.B = v
+			case 3:
+				f.A = v
+			default:
+				f.Depth = v
+			}
+		}
+	}
+}
+
+// columnarReader walks an inflated columnar stream.
+type columnarReader struct {
+	name string // the encoding, for error text
+	raw  []byte
+	pos  int
+}
+
+func (r *columnarReader) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(r.raw[r.pos:])
+	if n <= 0 {
+		return 0, fmt.Errorf("dist: %s truncated varint at byte %d", r.name, r.pos)
+	}
+	r.pos += n
+	return v, nil
+}
+
+// key reads one delta-coded pixel key.
+func (r *columnarReader) key(prev int64) (int64, error) {
+	d, n := binary.Varint(r.raw[r.pos:])
+	if n <= 0 {
+		return 0, fmt.Errorf("dist: %s truncated key varint at byte %d", r.name, r.pos)
+	}
+	r.pos += n
+	if k := prev + d; k >= math.MinInt32 && k <= math.MaxInt32 {
+		return k, nil
+	}
+	return 0, fmt.Errorf("dist: %s key %d overflows int32", r.name, prev+d)
+}
+
+// stripeTable parses the stripe count and the per-stripe (unit ID, count)
+// table, and totals the counts. They count items — cf1 fragments, cf2
+// runs — that each occupy at least itemBytes of the rest of the stream:
+// any count past that density is corrupt, and refusing it here bounds
+// every later allocation by the inflated size.
+func (r *columnarReader) stripeTable(items string, itemBytes int64) ([]core.BrickStripe, []int, int64, error) {
+	nStripes, err := r.uvarint()
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	// Each stripe costs at least two table bytes.
+	if nStripes > uint64(len(r.raw)-r.pos) {
+		return nil, nil, 0, fmt.Errorf("dist: %s claims %d stripes in %d bytes", r.name, nStripes, len(r.raw)-r.pos)
+	}
+	stripes := make([]core.BrickStripe, nStripes)
+	counts := make([]int, nStripes)
+	var total int64
+	for i := range stripes {
+		unit, err := r.uvarint()
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		if unit > math.MaxInt32 {
+			return nil, nil, 0, fmt.Errorf("dist: %s unit ID %d overflows int32", r.name, unit)
+		}
+		count, err := r.uvarint()
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		if count > uint64(int64(len(r.raw)-r.pos)/itemBytes) {
+			return nil, nil, 0, fmt.Errorf("dist: %s stripe for unit %d claims %d %s beyond payload", r.name, unit, count, items)
+		}
+		stripes[i].Brick = int(unit)
+		counts[i] = int(count)
+		total += int64(count)
+	}
+	if total*itemBytes > int64(len(r.raw)-r.pos) {
+		return nil, nil, 0, fmt.Errorf("dist: %s claims %d %s beyond payload", r.name, total, items)
+	}
+	return stripes, counts, total, nil
+}
+
+// planes checks that what is left of the stream is exactly the plane
+// section of total fragments, and returns it.
+func (r *columnarReader) planes(total int64) ([]byte, error) {
+	if rest := int64(len(r.raw) - r.pos); rest != total*planeBytes {
+		return nil, fmt.Errorf("dist: %s plane section is %d bytes, want %d", r.name, rest, total*planeBytes)
+	}
+	return r.raw[r.pos:], nil
+}

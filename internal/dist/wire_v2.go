@@ -1,11 +1,8 @@
 package dist
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 
@@ -173,52 +170,25 @@ func DecodeStripesV2(data []byte) ([]core.BrickStripe, error) {
 // The transform is cf1 with per-pixel run headers in place of
 // per-fragment keys; it is lossless and exact, NaN payloads included.
 func CompressStripesV2(stripes []core.BrickStripe) []byte {
+	buf := wireBufs.Get().(*wireBuf)
+	defer wireBufs.Put(buf)
+	raw := binary.AppendUvarint((*buf)[:0], uint64(len(stripes)))
 	total := 0
 	for _, s := range stripes {
+		raw = binary.AppendUvarint(raw, uint64(uint32(int32(s.Brick))))
+		raw = binary.AppendUvarint(raw, uint64(countRuns(s.Frags)))
 		total += len(s.Frags)
-	}
-	var raw bytes.Buffer
-	raw.Grow(len(stripes)*8 + total*(fragChannels*fragPlanes+1))
-	var tmp [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) { raw.Write(tmp[:binary.PutUvarint(tmp[:], v)]) }
-	putVarint := func(v int64) { raw.Write(tmp[:binary.PutVarint(tmp[:], v)]) }
-
-	putUvarint(uint64(len(stripes)))
-	for _, s := range stripes {
-		putUvarint(uint64(uint32(int32(s.Brick))))
-		putUvarint(uint64(countRuns(s.Frags)))
 	}
 	for _, s := range stripes {
 		prev := int64(0)
 		stripeRuns(s.Frags, func(key int32, count int) {
-			putVarint(int64(key) - prev)
+			raw = binary.AppendVarint(raw, int64(key)-prev)
 			prev = int64(key)
-			putUvarint(uint64(count))
+			raw = binary.AppendUvarint(raw, uint64(count))
 		})
 	}
-	planes := make([]byte, total*fragChannels*fragPlanes)
-	i := 0
-	for _, s := range stripes {
-		for _, f := range s.Frags {
-			bits := [fragChannels]uint32{
-				math.Float32bits(f.R), math.Float32bits(f.G), math.Float32bits(f.B),
-				math.Float32bits(f.A), math.Float32bits(f.Depth),
-			}
-			for c, b := range bits {
-				for p := 0; p < fragPlanes; p++ {
-					planes[(c*fragPlanes+p)*total+i] = byte(b >> (8 * p))
-				}
-			}
-			i++
-		}
-	}
-	raw.Write(planes)
-
-	var out bytes.Buffer
-	zw, _ := flate.NewWriter(&out, flate.BestCompression)
-	_, _ = zw.Write(raw.Bytes()) // bytes.Buffer writes cannot fail
-	_ = zw.Close()
-	return out.Bytes()
+	*buf = appendPlanes(raw, stripes, total)
+	return deflate(*buf)
 }
 
 // DecompressStripesV2 parses an EncodingColumnar2 payload. maxBytes
@@ -226,129 +196,61 @@ func CompressStripesV2(stripes []core.BrickStripe) []byte {
 // are errors, mirroring DecompressStripes. Canonical-form violations
 // (zero counts, split runs) are rejected like DecodeStripesV2.
 func DecompressStripesV2(data []byte, maxBytes int64) ([]core.BrickStripe, error) {
-	zr := flate.NewReader(bytes.NewReader(data))
-	defer zr.Close()
-	raw, err := io.ReadAll(io.LimitReader(zr, maxBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("dist: %s inflate: %w", EncodingColumnar2, err)
+	buf := wireBufs.Get().(*wireBuf)
+	defer wireBufs.Put(buf)
+	if err := inflate(EncodingColumnar2, data, maxBytes, buf); err != nil {
+		return nil, err
 	}
-	if int64(len(raw)) > maxBytes {
-		return nil, fmt.Errorf("dist: %s payload inflates beyond %d bytes", EncodingColumnar2, maxBytes)
-	}
-	pos := 0
-	uvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(raw[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("dist: %s truncated varint at byte %d", EncodingColumnar2, pos)
-		}
-		pos += n
-		return v, nil
-	}
-	nStripes, err := uvarint()
+	r := columnarReader{name: EncodingColumnar2, raw: *buf}
+	// A run costs at least two header bytes (key varint + count uvarint)
+	// plus one fragment's plane bytes.
+	stripes, runCounts, runTotal, err := r.stripeTable("runs", planeBytes+2)
 	if err != nil {
 		return nil, err
 	}
-	if nStripes > uint64(len(raw)-pos) {
-		return nil, fmt.Errorf("dist: %s claims %d stripes in %d bytes", EncodingColumnar2, nStripes, len(raw)-pos)
-	}
-	stripes := make([]core.BrickStripe, nStripes)
-	runCounts := make([]int, nStripes)
-	var runTotal int64
-	for i := range stripes {
-		brick, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if brick > math.MaxInt32 {
-			return nil, fmt.Errorf("dist: %s unit ID %d overflows int32", EncodingColumnar2, brick)
-		}
-		runs, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		// A run costs at least two header bytes (key varint + count
-		// uvarint) plus one fragment's plane bytes.
-		if runs > uint64(len(raw)-pos)/(fragChannels*fragPlanes+2) {
-			return nil, fmt.Errorf("dist: %s stripe for unit %d claims %d runs beyond payload", EncodingColumnar2, brick, runs)
-		}
-		stripes[i].Brick = int(int32(brick))
-		runCounts[i] = int(runs)
-		runTotal += int64(runs)
-	}
-	if runTotal*(fragChannels*fragPlanes+2) > int64(len(raw)-pos) {
-		return nil, fmt.Errorf("dist: %s claims %d runs beyond payload", EncodingColumnar2, runTotal)
-	}
-	var total int64
-	type run struct {
-		key   int32
-		count int64
-	}
-	runs := make([][]run, nStripes)
-	for i := range stripes {
-		if runCounts[i] == 0 {
-			continue
-		}
-		rs := make([]run, runCounts[i])
-		prev := int64(0)
-		for j := range rs {
-			d, n := binary.Varint(raw[pos:])
-			if n <= 0 {
-				return nil, fmt.Errorf("dist: %s truncated key varint at byte %d", EncodingColumnar2, pos)
+	// Every run still owes its two header bytes and every fragment its
+	// plane bytes, so what is left of the stream bounds the fragments
+	// before any run is read: keys go straight into one backing array,
+	// allocated once and never past that bound.
+	all := make([]composite.Fragment, (int64(len(r.raw)-r.pos)-2*runTotal)/planeBytes)
+	n := 0
+	for i, runs := range runCounts {
+		start, prev := n, int64(0)
+		for j := 0; j < runs; j++ {
+			k, err := r.key(prev)
+			if err != nil {
+				return nil, err
 			}
-			pos += n
-			k := prev + d
-			if k < math.MinInt32 || k > math.MaxInt32 {
-				return nil, fmt.Errorf("dist: %s key %d overflows int32", EncodingColumnar2, k)
-			}
-			if j > 0 && int32(k) == rs[j-1].key {
+			if j > 0 && k == prev {
 				return nil, fmt.Errorf("dist: %s unit %d has non-maximal runs (key %d repeats)", EncodingColumnar2, stripes[i].Brick, k)
 			}
-			count, err := uvarint()
+			prev = k
+			count, err := r.uvarint()
 			if err != nil {
 				return nil, err
 			}
 			if count < 1 {
 				return nil, fmt.Errorf("dist: %s run %d of unit %d has count 0", EncodingColumnar2, j, stripes[i].Brick)
 			}
-			// No run can hold more fragments than the plane section could.
-			if count > uint64(len(raw))/(fragChannels*fragPlanes)+1 {
+			if count > uint64(len(all)-n) {
 				return nil, fmt.Errorf("dist: %s run claims %d fragments beyond payload", EncodingColumnar2, count)
 			}
-			rs[j] = run{key: int32(k), count: int64(count)}
-			prev = k
-			total += int64(count)
-		}
-		runs[i] = rs
-	}
-	if int64(len(raw)-pos) != total*fragChannels*fragPlanes {
-		return nil, fmt.Errorf("dist: %s plane section is %d bytes, want %d", EncodingColumnar2, len(raw)-pos, total*fragChannels*fragPlanes)
-	}
-	planes := raw[pos:]
-	i := 0
-	for si := range stripes {
-		var frags []composite.Fragment
-		for _, r := range runs[si] {
-			for c := int64(0); c < r.count; c++ {
-				var bits [fragChannels]uint32
-				for ch := 0; ch < fragChannels; ch++ {
-					for p := 0; p < fragPlanes; p++ {
-						bits[ch] |= uint32(planes[(ch*fragPlanes+p)*int(total)+i]) << (8 * p)
-					}
-				}
-				frags = append(frags, composite.Fragment{
-					Key:   r.key,
-					R:     math.Float32frombits(bits[0]),
-					G:     math.Float32frombits(bits[1]),
-					B:     math.Float32frombits(bits[2]),
-					A:     math.Float32frombits(bits[3]),
-					Depth: math.Float32frombits(bits[4]),
-				})
-				i++
+			for ; count > 0; count-- {
+				all[n].Key = int32(k)
+				n++
 			}
 		}
-		stripes[si].Frags = frags
+		if n > start {
+			stripes[i].Frags = all[start:n:n]
+		}
 	}
-	if nStripes == 0 {
+	all = all[:n]
+	planes, err := r.planes(int64(n))
+	if err != nil {
+		return nil, err
+	}
+	readPlanes(all, planes)
+	if len(stripes) == 0 {
 		return nil, nil
 	}
 	return stripes, nil
