@@ -15,6 +15,7 @@ package gvmr_test
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -353,6 +354,52 @@ func BenchmarkDirectFrame(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		frame(i)
 	}
+}
+
+// BenchmarkPagedFrame renders the benchmark's orbit-paged frame (skull
+// 144³ as a flate v2 file of 512 18³ bricks, a private staging cache a
+// quarter of the dense volume, 16 render bricks → 112²; bench/workloads.go)
+// through core.RenderOn, stepping the orbit 9° per iteration. reads/frame
+// is the pager's decoded file bricks (at most one each is the design:
+// DESIGN.md §14 "Pager wins"), allocs/op rides -benchmem.
+func BenchmarkPagedFrame(b *testing.B) {
+	src, err := dataset.New(dataset.Skull, volume.Cube(144))
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "skull.gvmr")
+	if err := volume.WriteFileV2(path, src, volume.V2Options{BrickEdge: 18, Compress: true}); err != nil {
+		b.Fatal(err)
+	}
+	ps, err := volume.OpenFileV2(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ps.Close()
+	ps.SetCache(volume.NewStagingCache(src.Dims().Bytes() / 4))
+	opt := core.Options{
+		Source: ps, TF: transfer.SkullPreset(),
+		Width: 112, Height: 112,
+		GPUs: 4, BricksPerGPU: 4, Shading: true, StepVoxels: 1, TerminationAlpha: 0.98,
+	}
+	frame := func(i int) {
+		cam, err := core.OrbitCamera(ps, opt.Width, opt.Height, float64(9*i%360))
+		if err != nil {
+			b.Fatal(err)
+		}
+		opt.Camera = cam
+		if _, _, err := core.RenderOn(cluster.AC(opt.GPUs), opt, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	frame(0) // first decode of every brick: constants learnt, macrocells built
+	reads0 := ps.Stats().BrickReads
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frame(i + 1)
+	}
+	b.ReportMetric(float64(ps.Stats().BrickReads-reads0)/float64(b.N), "reads/frame")
 }
 
 // BenchmarkHostCountingSort measures the θ(n) counting sort on a

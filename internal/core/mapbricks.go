@@ -193,6 +193,7 @@ func MapBricks(spec cluster.Spec, opt Options, brickIDs []int, devWorkers int) (
 	if !opt.NoStagingCache {
 		src = volume.Cached(src)
 	}
+	defer planFrame(src, chunks)()
 	var sampler render.SampleFn
 	if opt.Sampler == Slicing {
 		sampler = render.CastRaySlicing

@@ -196,3 +196,20 @@ func unitChunks(units [][]volume.Brick) []mapreduce.Chunk {
 	}
 	return chunks
 }
+
+// planFrame tells a source that can use it (a volume.FramePlanner: the v2
+// pager, bare or embedded in a wrapper) which ghost regions the job's
+// chunks will stage. The returned func must run when the job ends.
+func planFrame(src volume.Source, chunks []mapreduce.Chunk) (done func()) {
+	fp, ok := src.(volume.FramePlanner)
+	if !ok {
+		return func() {}
+	}
+	var ghosts []volume.Region
+	for _, c := range chunks {
+		for _, b := range c.(unitChunk).bricks {
+			ghosts = append(ghosts, b.Ghost)
+		}
+	}
+	return fp.PlanFrame(ghosts)
+}

@@ -94,6 +94,7 @@ func Render(cl *cluster.Cluster, opt Options) (*Result, error) {
 		return nil, err
 	}
 	chunks := unitChunks(units)
+	defer planFrame(src, chunks)()
 
 	charge := opt.chargeOverhead()
 	cfg := mapreduce.Config[composite.Fragment, []*volume.BrickData]{

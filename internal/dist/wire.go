@@ -10,6 +10,7 @@ import (
 
 	"gvmr/internal/composite"
 	"gvmr/internal/core"
+	"gvmr/internal/flatepool"
 )
 
 // HTTP surface of the distributed map endpoint.
@@ -190,8 +191,8 @@ func DecodeStripes(data []byte) ([]core.BrickStripe, error) {
 // smoothness of adjacent rays. The transform is lossless and exact: the
 // decoded fragments carry the same bit patterns, NaNs included.
 func CompressStripes(stripes []core.BrickStripe) []byte {
-	buf := wireBufs.Get().(*wireBuf)
-	defer wireBufs.Put(buf)
+	buf := flatepool.GetBuf()
+	defer flatepool.PutBuf(buf)
 	raw := binary.AppendUvarint((*buf)[:0], uint64(len(stripes)))
 	total := 0
 	for _, s := range stripes {
@@ -215,8 +216,8 @@ func CompressStripes(stripes []core.BrickStripe) []byte {
 // truncation, counts beyond the payload, out-of-range bricks or keys,
 // trailing garbage — are errors, mirroring DecodeStripes.
 func DecompressStripes(data []byte, maxBytes int64) ([]core.BrickStripe, error) {
-	buf := wireBufs.Get().(*wireBuf)
-	defer wireBufs.Put(buf)
+	buf := flatepool.GetBuf()
+	defer flatepool.PutBuf(buf)
 	if err := inflate(EncodingColumnar, data, maxBytes, buf); err != nil {
 		return nil, err
 	}

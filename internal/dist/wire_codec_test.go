@@ -12,6 +12,7 @@ import (
 	"gvmr/internal/cluster"
 	"gvmr/internal/composite"
 	"gvmr/internal/core"
+	"gvmr/internal/flatepool"
 	"gvmr/internal/volume/dataset"
 )
 
@@ -262,9 +263,9 @@ func TestInflateHoldsAtMostLimit(t *testing.T) {
 	bomb := zeros(4 << 20)
 	const maxBytes = 1000
 	const wantErr = "dist: gvmr-cf2 payload inflates beyond 1000 bytes"
-	fresh, grown := new(wireBuf), new(wireBuf)
-	*grown = make(wireBuf, 1<<16)
-	for _, buf := range []*wireBuf{fresh, grown} {
+	fresh, grown := new(flatepool.Buf), new(flatepool.Buf)
+	*grown = make(flatepool.Buf, 1<<16)
+	for _, buf := range []*flatepool.Buf{fresh, grown} {
 		before := cap(*buf)
 		err := inflate(EncodingColumnar2, bomb, maxBytes, buf)
 		if err == nil || err.Error() != wantErr {

@@ -2,16 +2,14 @@ package dist
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"slices"
-	"sync"
 
 	"gvmr/internal/composite"
 	"gvmr/internal/core"
+	"gvmr/internal/flatepool"
 )
 
 // fragChannels and fragPlanes shape the columnar transform: five float32
@@ -31,70 +29,23 @@ const (
 // TestWireCodecSizeGuard holds the size side of that trade.
 const wireFlateLevel = 4
 
-// Codec state is pooled: a flate.Writer is ~1 MB of match tables and a
-// payload is encoded on every hop, so steady state allocates only the
-// payload handed to the caller.
-var (
-	deflaters = sync.Pool{New: func() any {
-		zw, _ := flate.NewWriter(nil, wireFlateLevel) // fails only on an invalid level
-		return zw
-	}}
-	inflaters = sync.Pool{New: func() any { return flate.NewReader(bytes.NewReader(nil)) }}
-	wireBufs  = sync.Pool{New: func() any { return new(wireBuf) }}
-)
-
-// wireBuf is pooled scratch for one side of the flate step: the columnar
-// stream or its deflated form.
-type wireBuf []byte
-
-func (b *wireBuf) Write(p []byte) (int, error) {
-	*b = append(*b, p...)
-	return len(p), nil
-}
-
-// deflate returns the flate stream of raw in a slice of its own. Any
-// deflate stream is a valid cf1/cf2 body, so the level and the pooling
-// are invisible to decoders.
+// deflate returns the flate stream of raw in a slice of its own: with the
+// codec state pooled, an encode's only steady-state allocation. Any deflate
+// stream is a valid cf1/cf2 body: level and pooling are invisible to decoders.
 func deflate(raw []byte) []byte {
-	zw := deflaters.Get().(*flate.Writer)
-	out := wireBufs.Get().(*wireBuf)
-	*out = (*out)[:0]
-	zw.Reset(out)
-	_, _ = zw.Write(raw) // wireBuf writes cannot fail
-	_ = zw.Close()
-	payload := bytes.Clone(*out)
-	wireBufs.Put(out)
-	deflaters.Put(zw)
-	return payload
+	out := flatepool.GetBuf()
+	defer flatepool.PutBuf(out)
+	flatepool.Deflate(out, raw, wireFlateLevel)
+	return bytes.Clone(*out)
 }
 
 // inflate decompresses data into buf. maxBytes is the zip-bomb guard: at
-// most maxBytes+1 bytes are inflated, and held, before the payload is
-// refused. Reader and buffer are reset on entry, so one returned to its
-// pool after an error serves the next payload clean.
-func inflate(name string, data []byte, maxBytes int64, buf *wireBuf) error {
-	zr := inflaters.Get().(io.Reader)
-	defer inflaters.Put(zr)
-	_ = zr.(flate.Resetter).Reset(bytes.NewReader(data), nil) // never fails
-	limit := maxBytes + 1
-	b := (*buf)[:0]
-	defer func() { *buf = b }()
-	for int64(len(b)) < limit {
-		if len(b) == cap(b) {
-			grown := make([]byte, len(b), min(2*int64(cap(b))+4096, limit))
-			copy(grown, b)
-			b = grown
-		}
-		n, err := zr.Read(b[len(b):min(int64(cap(b)), limit)])
-		b = b[:len(b)+n]
-		if err == io.EOF {
-			break // a final Read may carry bytes too: the bound is checked below
-		}
-		if err != nil {
-			return fmt.Errorf("dist: %s inflate: %w", name, err)
-		}
+// most maxBytes+1 bytes are inflated, and held, before a payload is refused.
+func inflate(name string, data []byte, maxBytes int64, buf *flatepool.Buf) error {
+	if err := flatepool.Inflate(buf, data, maxBytes+1); err != nil {
+		return fmt.Errorf("dist: %s inflate: %w", name, err)
 	}
-	if int64(len(b)) > maxBytes {
+	if int64(len(*buf)) > maxBytes {
 		return fmt.Errorf("dist: %s payload inflates beyond %d bytes", name, maxBytes)
 	}
 	return nil

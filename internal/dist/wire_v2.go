@@ -8,6 +8,7 @@ import (
 
 	"gvmr/internal/composite"
 	"gvmr/internal/core"
+	"gvmr/internal/flatepool"
 )
 
 // The list-aware stripe encodings. v1 (and gvmr-cf1) carry one key per
@@ -170,8 +171,8 @@ func DecodeStripesV2(data []byte) ([]core.BrickStripe, error) {
 // The transform is cf1 with per-pixel run headers in place of
 // per-fragment keys; it is lossless and exact, NaN payloads included.
 func CompressStripesV2(stripes []core.BrickStripe) []byte {
-	buf := wireBufs.Get().(*wireBuf)
-	defer wireBufs.Put(buf)
+	buf := flatepool.GetBuf()
+	defer flatepool.PutBuf(buf)
 	raw := binary.AppendUvarint((*buf)[:0], uint64(len(stripes)))
 	total := 0
 	for _, s := range stripes {
@@ -196,8 +197,8 @@ func CompressStripesV2(stripes []core.BrickStripe) []byte {
 // are errors, mirroring DecompressStripes. Canonical-form violations
 // (zero counts, split runs) are rejected like DecodeStripesV2.
 func DecompressStripesV2(data []byte, maxBytes int64) ([]core.BrickStripe, error) {
-	buf := wireBufs.Get().(*wireBuf)
-	defer wireBufs.Put(buf)
+	buf := flatepool.GetBuf()
+	defer flatepool.PutBuf(buf)
 	if err := inflate(EncodingColumnar2, data, maxBytes, buf); err != nil {
 		return nil, err
 	}

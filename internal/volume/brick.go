@@ -253,6 +253,14 @@ func EmptyBrickData(b Brick, lo, hi float32) *BrickData {
 	return bd
 }
 
+// macrocellKeeper is a source with a stable identity that keeps the grids
+// of ghost regions staged from it, so a later frame's stage of the same
+// region shares the grid — same bits, and one pointer for the renderer's
+// skip-grid memo. A wrapper gets the method by embedding the source.
+type macrocellKeeper interface {
+	keptMacrocells(ghost Region, build func() *Macrocells) *Macrocells
+}
+
 // FillBrick materialises a brick's ghost region from a source. The
 // brick-private macrocell summary (one extra pass over the ghost data,
 // far cheaper than producing it) is built lazily by Cells(), so renders
@@ -262,7 +270,11 @@ func FillBrick(src Source, b Brick) (*BrickData, error) {
 	if err := src.Fill(b.Ghost, bd.Data); err != nil {
 		return nil, err
 	}
-	bd.mcFn = func() *Macrocells { return BuildMacrocells(bd.Data, b.Ghost.Ext, b.Ghost.Org) }
+	build := func() *Macrocells { return BuildMacrocells(bd.Data, b.Ghost.Ext, b.Ghost.Org) }
+	bd.mcFn = build
+	if k, ok := src.(macrocellKeeper); ok {
+		bd.mcFn = func() *Macrocells { return k.keptMacrocells(b.Ghost, build) }
+	}
 	bd.smp = bd.newSampler()
 	return bd, nil
 }

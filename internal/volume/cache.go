@@ -64,7 +64,8 @@ type CacheStats struct {
 type StagingCache struct {
 	mu       sync.Mutex
 	capacity int64
-	inUse    int64
+	inUse    int64 // bytes reserved by every live entry, ready or in flight
+	ready    int64 // the part of inUse held by ready entries: what eviction can free
 	entries  map[cacheKey]*cacheEntry
 	lru      *list.List // front = most recently used
 
@@ -82,11 +83,14 @@ type cacheKey struct {
 // taken before either exists.
 func (k cacheKey) bytes() int64 { return k.dims.Bytes() + MacrocellBytes(k.dims) }
 
+// cacheEntry is one cached value: a materialised *Volume, a pager's page
+// or the macrocell grids it keeps for a brick plan (PagedSource.grids).
 type cacheEntry struct {
 	key   cacheKey
+	bytes int64 // budget charge, reserved from insertion to removal
 	elem  *list.Element
-	ready chan struct{} // closed once vol/err are set
-	vol   *Volume
+	ready chan struct{} // closed once val/err are set
+	val   any           // nil until ready, and after a failed build
 	err   error
 }
 
@@ -262,7 +266,7 @@ func (c *StagingCache) Flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, e := range c.entries {
-		if e.vol != nil {
+		if e.val != nil {
 			c.removeLocked(e)
 		}
 	}
@@ -275,59 +279,69 @@ func (c *StagingCache) Flush() {
 // evaluation rather than materialise anything.
 func (c *StagingCache) volumeFor(src Source) (vol *Volume, ok bool, err error) {
 	key := cacheKey{name: src.Name(), dims: src.Dims()}
+	// The charge covers the macrocell summary (a pure function of the dims);
+	// the grid is built lazily, once, by the first staged brick whose
+	// render needs empty-space skipping, and shared by every later view.
+	val, ok, err := c.load(key, key.bytes(), func() (any, error) { return Materialize(src) })
+	vol, _ = val.(*Volume)
+	return vol, ok, err
+}
+
+// load returns the value cached under key, building it at most once
+// across concurrent callers and charging bytes to the budget while it is
+// held; ok == false is volumeFor's "budget held by in-flight work".
+func (c *StagingCache) load(key cacheKey, bytes int64, build func() (any, error)) (val any, ok bool, err error) {
 	c.mu.Lock()
 	if e, found := c.entries[key]; found {
 		c.hits++
 		c.lru.MoveToFront(e.elem)
 		c.mu.Unlock()
 		<-e.ready
-		if e.err != nil {
-			return nil, true, e.err
-		}
-		return e.vol, true, nil
+		return e.val, true, e.err
 	}
 	c.misses++
-	// Reserve the bytes before materialising so concurrent misses see the
+	// Reserve the bytes before building so concurrent misses see the
 	// memory pressure. If even evicting every ready entry could not fit
-	// the reservation (the budget is held by in-flight materialisations),
-	// evict nothing — dropping volumes other renders are using would gain
+	// the reservation (the budget is held by in-flight builds), evict
+	// nothing — dropping volumes other renders are using would gain
 	// nothing — and let the caller fall back to lazy evaluation.
-	bytes := key.bytes()
-	evictable := int64(0)
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		if e := el.Value.(*cacheEntry); e.vol != nil {
-			evictable += e.key.bytes()
-		}
-	}
-	if c.inUse+bytes-evictable > c.capacity {
+	if c.inUse+bytes-c.ready > c.capacity {
 		c.mu.Unlock()
 		return nil, false, nil
 	}
 	c.inUse += bytes
 	c.evictLocked()
-	e := &cacheEntry{key: key, ready: make(chan struct{})}
+	e := &cacheEntry{key: key, bytes: bytes, ready: make(chan struct{})}
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
 	c.mu.Unlock()
 
-	// Materialise outside the lock: evaluation is the expensive, already-
-	// parallel part, and other keys must not serialise behind it. The
-	// entry's reservation already covers the macrocell summary
-	// (MacrocellBytes is a pure function of the dims); the grid itself is
-	// built lazily, once, by the first staged brick whose render needs
-	// empty-space skipping, and shared by every later view.
-	vol, err = Materialize(src)
+	// Build outside the lock: evaluation is the expensive, already-
+	// parallel part, and other keys must not serialise behind it.
+	val, err = build()
 
 	c.mu.Lock()
-	e.vol, e.err = vol, err
-	if err != nil {
+	if e.err = err; err != nil {
+		val = nil
 		c.removeLocked(e) // do not cache failures; releases the reservation
 	} else {
+		e.val = val
+		c.ready += bytes
 		c.materialisations++
 	}
 	c.mu.Unlock()
 	close(e.ready)
-	return vol, true, err
+	return val, true, err
+}
+
+// demote moves key's entry, if cached, to the eviction end of the LRU:
+// its owner knows it will not want the entry again soon.
+func (c *StagingCache) demote(key cacheKey) {
+	c.mu.Lock()
+	if e, found := c.entries[key]; found {
+		c.lru.MoveToBack(e.elem)
+	}
+	c.mu.Unlock()
 }
 
 // evictLocked drops least-recently-used ready entries until the cache
@@ -337,7 +351,7 @@ func (c *StagingCache) evictLocked() {
 	for el := c.lru.Back(); el != nil && c.inUse > c.capacity; {
 		prev := el.Prev()
 		e := el.Value.(*cacheEntry)
-		if e.vol != nil {
+		if e.val != nil {
 			c.removeLocked(e)
 			c.evictions++
 		}
@@ -347,12 +361,15 @@ func (c *StagingCache) evictLocked() {
 
 // removeLocked unlinks an entry and releases its byte reservation (every
 // live entry carries one from the moment it is inserted). It must never
-// mutate e.vol/e.err: concurrent hitters that found the entry before
+// mutate e.val/e.err: concurrent hitters that found the entry before
 // removal still read those fields after <-e.ready (the close is the
 // happens-before edge), and the volume's memory is released by GC once
 // the last of them drops it.
 func (c *StagingCache) removeLocked(e *cacheEntry) {
-	c.inUse -= e.key.bytes()
+	c.inUse -= e.bytes
+	if e.val != nil {
+		c.ready -= e.bytes
+	}
 	c.lru.Remove(e.elem)
 	delete(c.entries, e.key)
 }

@@ -449,3 +449,82 @@ func TestCacheFlush(t *testing.T) {
 		t.Errorf("materialisations = %d, want 2", st.Materialisations)
 	}
 }
+
+// readyWalk is the O(entries) sum volumeFor's miss path used to take
+// under the lock on every miss; c.ready must equal it at all times.
+func readyWalk(c *StagingCache) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var n int64
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		if e := el.Value.(*cacheEntry); e.val != nil {
+			n += e.bytes
+		}
+	}
+	if n != c.ready {
+		return -1 - n // never a legal sum: the caller's comparison fails loudly
+	}
+	return n
+}
+
+// TestCacheReadyBytesMatchWalk drives the cache through every transition
+// that moves bytes between "reserved in flight" and "ready" — insert,
+// LRU eviction, failed build, flush, an in-flight reservation — and
+// checks the running count against the walk it replaced, and that the
+// "budget held by in-flight reservations → ok == false" decision is the
+// one the walk would have made.
+func TestCacheReadyBytesMatchWalk(t *testing.T) {
+	d := Dims{X: 8, Y: 8, Z: 8}
+	one := (cacheKey{dims: d}).bytes()
+	cache := NewStagingCache(3 * one)
+	check := func(when string, want int64) {
+		t.Helper()
+		if got := readyWalk(cache); got != want {
+			t.Fatalf("%s: ready bytes %d (negative: running count disagrees with the walk), want %d", when, got, want)
+		}
+	}
+	fill := func(src Source) error {
+		return cache.Wrap(src).Fill(Region{Ext: Dims{1, 1, 1}}, make([]float32, 1))
+	}
+	check("empty", 0)
+	for i := 0; i < 5; i++ { // two more than fit: evictions
+		if err := fill(NewFuncSource(fmt.Sprintf("ready-%d", i), d, testField)); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("after insert %d", i), int64(min(i+1, 3))*one)
+	}
+	failing := newGateSource("ready-fails", d, true)
+	close(failing.release)
+	if err := fill(failing); err == nil {
+		t.Fatal("failing source materialised")
+	}
+	check("after failed build", 2*one) // its reservation evicted one, then was released
+
+	// An in-flight reservation is inUse but not ready: with it and two
+	// ready entries the budget is full, a third key evicts a ready one,
+	// and once only in-flight bytes remain a key that cannot fit is
+	// refused without evicting anything.
+	gate := newGateSource("ready-inflight", d, false)
+	done := make(chan error, 1)
+	go func() { done <- fill(gate) }()
+	<-gate.started
+	check("one in flight", 2*one)
+	big := Dims{X: 8, Y: 8, Z: 24} // three entries' worth
+	if _, ok, err := cache.volumeFor(NewFuncSource("ready-big", big, testField)); ok || err != nil {
+		t.Fatalf("a key needing the in-flight bytes too: ok=%v err=%v, want refused", ok, err)
+	}
+	check("after refusal", 2*one) // refusal evicts nothing
+	if st := cache.Stats(); st.BytesInUse != 3*one {
+		t.Fatalf("bytes in use %d, want %d", st.BytesInUse, 3*one)
+	}
+	close(gate.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	check("in-flight landed", 3*one)
+	cache.Flush()
+	check("flushed", 0)
+	if st := cache.Stats(); st.BytesInUse != 0 {
+		t.Fatalf("bytes in use after flush %d", st.BytesInUse)
+	}
+}

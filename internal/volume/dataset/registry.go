@@ -137,6 +137,7 @@ func FilePagerStats() *volume.PagerStats {
 		agg.Reloads += s.Reloads
 		agg.Fallbacks += s.Fallbacks
 		agg.SkippedBricks += s.SkippedBricks
+		agg.ConstantFills += s.ConstantFills
 	}
 	if !found {
 		return nil

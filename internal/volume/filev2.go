@@ -2,17 +2,22 @@ package volume
 
 import (
 	"bufio"
-	"bytes"
+	"cmp"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"gvmr/internal/flatepool"
 )
 
 // File format v2: a bricked, demand-pageable volume file (DESIGN.md §14).
@@ -108,42 +113,14 @@ func v2MaxStored(raw int64) int64 { return raw + raw/2 + 64 }
 // file — OpenFileV2 checks against the stat size. decode→encode is a
 // fixed point (see FuzzVolumeFileV2).
 func decodeV2Header(data []byte) (v2Header, int, error) {
-	var h v2Header
-	if len(data) < v2FixedHeaderSize {
-		return h, 0, fmt.Errorf("volume: v2 header truncated: %d bytes", len(data))
-	}
-	if string(data[:4]) != fileMagic {
-		return h, 0, fmt.Errorf("volume: not a GVMR volume file")
-	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != fileVersion2 {
-		return h, 0, fmt.Errorf("volume: not a v2 volume (version %d)", v)
-	}
-	d, err := decodeDims(data[8:])
+	h, consumed, err := decodeV2Fixed(data)
 	if err != nil {
-		return h, 0, fmt.Errorf("volume: invalid v2 dims: %w", err)
+		return h, 0, err
 	}
-	h.dims = d
-	dims := [3]int{d.X, d.Y, d.Z}
-	for a := 0; a < 3; a++ {
-		c := binary.LittleEndian.Uint32(data[32+a*4:])
-		if c == 0 || int64(c) > int64(dims[a]) || int64(c) > maxV2Bricks {
-			return h, 0, fmt.Errorf("volume: brick count %d invalid for axis extent %d", c, dims[a])
-		}
-		h.counts[a] = int(c)
-	}
-	n := int64(h.counts[0]) * int64(h.counts[1]) * int64(h.counts[2])
-	if n > maxV2Bricks {
-		return h, 0, fmt.Errorf("volume: %d bricks exceeds the limit %d", n, maxV2Bricks)
-	}
-	h.flags = binary.LittleEndian.Uint32(data[44:])
-	if h.flags&^v2FlagFlate != 0 {
-		return h, 0, fmt.Errorf("volume: unknown v2 flags %#x", h.flags)
-	}
-	consumed := v2FixedHeaderSize + int(n)*v2DirEntrySize
 	if len(data) < consumed {
 		return h, 0, fmt.Errorf("volume: v2 directory truncated: %d of %d bytes", len(data), consumed)
 	}
-	h.dir = make([]v2Entry, n)
+	h.dir = make([]v2Entry, (consumed-v2FixedHeaderSize)/v2DirEntrySize)
 	hdrLen := uint64(consumed)
 	i := 0
 	for kz := 0; kz < h.counts[2]; kz++ {
@@ -179,6 +156,43 @@ func decodeV2Header(data []byte) (v2Header, int, error) {
 		}
 	}
 	return h, consumed, nil
+}
+
+// decodeV2Fixed is decodeV2Header's first half: the fixed fields, and with
+// them the length of the whole header — how much OpenFileV2 must read
+// before it can call decodeV2Header.
+func decodeV2Fixed(data []byte) (h v2Header, headerLen int, err error) {
+	if len(data) < v2FixedHeaderSize {
+		return h, 0, fmt.Errorf("volume: v2 header truncated: %d bytes", len(data))
+	}
+	if string(data[:4]) != fileMagic {
+		return h, 0, fmt.Errorf("volume: not a GVMR volume file")
+	}
+	if v := binary.LittleEndian.Uint32(data[4:]); v != fileVersion2 {
+		return h, 0, fmt.Errorf("volume: not a v2 volume (version %d)", v)
+	}
+	d, err := decodeDims(data[8:])
+	if err != nil {
+		return h, 0, fmt.Errorf("volume: invalid v2 dims: %w", err)
+	}
+	h.dims = d
+	dims := [3]int{d.X, d.Y, d.Z}
+	for a := 0; a < 3; a++ {
+		c := binary.LittleEndian.Uint32(data[32+a*4:])
+		if c == 0 || int64(c) > int64(dims[a]) || int64(c) > maxV2Bricks {
+			return h, 0, fmt.Errorf("volume: brick count %d invalid for axis extent %d", c, dims[a])
+		}
+		h.counts[a] = int(c)
+	}
+	n := int64(h.counts[0]) * int64(h.counts[1]) * int64(h.counts[2])
+	if n > maxV2Bricks {
+		return h, 0, fmt.Errorf("volume: %d bricks exceeds the limit %d", n, maxV2Bricks)
+	}
+	h.flags = binary.LittleEndian.Uint32(data[44:])
+	if h.flags&^v2FlagFlate != 0 {
+		return h, 0, fmt.Errorf("volume: unknown v2 flags %#x", h.flags)
+	}
+	return h, v2FixedHeaderSize + int(n)*v2DirEntrySize, nil
 }
 
 // encodeV2Header is the exact inverse of decodeV2Header.
@@ -257,13 +271,8 @@ func writeFileV2(f fileWriter, src Source, opts V2Options) error {
 	}
 	vox := make([]float32, maxCore)
 	raw := make([]byte, maxCore*4)
-	var zbuf bytes.Buffer
-	var zw *flate.Writer
-	if opts.Compress {
-		if zw, err = flate.NewWriter(&zbuf, flate.DefaultCompression); err != nil {
-			return err
-		}
-	}
+	zbuf := flatepool.GetBuf()
+	defer flatepool.PutBuf(zbuf)
 
 	w := bufio.NewWriterSize(f, 1<<20)
 	if _, err := w.Write(make([]byte, h.headerLen())); err != nil {
@@ -289,15 +298,8 @@ func writeFileV2(f fileWriter, src Source, opts V2Options) error {
 			binary.LittleEndian.PutUint32(enc[j*4:], floatBits(s))
 		}
 		if opts.Compress {
-			zbuf.Reset()
-			zw.Reset(&zbuf)
-			if _, err := zw.Write(enc); err != nil {
-				return err
-			}
-			if err := zw.Close(); err != nil {
-				return err
-			}
-			enc = zbuf.Bytes()
+			flatepool.Deflate(zbuf, enc, flate.DefaultCompression)
+			enc = *zbuf
 		}
 		if _, err := w.Write(enc); err != nil {
 			return err
@@ -320,6 +322,7 @@ type PagerStats struct {
 	Reloads       int64 `json:"reloads"`        // re-reads of a brick already read once: proof of eviction between the two
 	Fallbacks     int64 `json:"fallbacks"`      // pages served uncached (budget exhausted by in-flight work)
 	SkippedBricks int64 `json:"skipped_bricks"` // render bricks proven TF-empty by directory min/max: zero disk traffic
+	ConstantFills int64 `json:"constant_fills"` // page uses served from a remembered constant: no read, no inflate, no cache entry
 }
 
 // RangedSource is a Source that can bound the sample values of a region
@@ -332,27 +335,64 @@ type RangedSource interface {
 	RegionRange(r Region) (lo, hi float32, ok bool)
 }
 
+// FramePlanner is a source that can use notice of a job's Fills: the
+// renderer calls PlanFrame once per job with the ghost region of every brick
+// it may stage, and done when the job ends. A plan is a hint: it may change
+// what the source keeps in memory, never what a Fill returns.
+type FramePlanner interface {
+	PlanFrame(ghosts []Region) (done func())
+}
+
+// PagedSource.state bits, per file brick.
+const (
+	pageLoaded   = 1 << iota // decoded from disk at least once
+	pageConstant             // every voxel decoded to one Float32bits pattern
+)
+
+// errConstantPage is what reading a pageConstant brick returns in place of
+// a page, so the staging cache keeps no entry or budget for it.
+var errConstantPage = errors.New("volume: constant page")
+var errPayloadSize = errors.New("payload does not inflate to the core size")
+
+// framePlan is one job's plan: the Fills it still owes per ghost region,
+// and the staging-cache key and charge of those regions' macrocell grids.
+type framePlan struct {
+	left      map[Region]int
+	kept      cacheKey
+	keptBytes int64
+}
+
 // PagedSource reads a v2 volume file by demand-paging individual file
 // bricks through a StagingCache: each brick core is a separate cache
 // entry, so a render streams volumes far larger than the staging budget,
-// with least-recently-used bricks evicted and re-read if touched again.
+// with least-recently-used bricks — first those no live frame plan will
+// touch again — evicted and re-read if touched again. A brick that decodes
+// to one bit pattern is remembered as that and never read or cached again.
 // It is safe for concurrent use.
 type PagedSource struct {
-	f         *os.File
+	f interface {
+		io.ReaderAt
+		io.Closer
+	}
 	path      string
 	hdr       v2Header
 	grid      *Grid
 	cache     *StagingCache
 	keyPrefix string
+	pages     []cacheKey // per file brick, built once: a page touch allocates no name
 
-	mu     sync.Mutex
-	loaded map[int]bool // brick id → read from disk at least once
+	mu      sync.Mutex
+	state   []uint8      // per file brick: pageLoaded | pageConstant
+	bits    []uint32     // per pageConstant brick: its one bit pattern
+	planned []int32      // per file brick: Fills the live plans still owe it
+	plans   []*framePlan // live plans, oldest first
 
 	brickReads atomic.Int64
 	bytesRead  atomic.Int64
 	reloads    atomic.Int64
 	fallbacks  atomic.Int64
 	skips      atomic.Int64
+	constFills atomic.Int64
 }
 
 // OpenFileV2 opens a bricked v2 volume file. The header and brick
@@ -370,22 +410,13 @@ func OpenFileV2(path string) (*PagedSource, error) {
 		f.Close()
 		return nil, fmt.Errorf("volume: reading header of %s: %w", path, err)
 	}
-	if string(fixed[:4]) != fileMagic {
+	// The fixed fields give the header's length; the strict decoder gets it all.
+	_, headerLen, err := decodeV2Fixed(fixed)
+	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("volume: %s is not a GVMR volume file", path)
+		return nil, fmt.Errorf("volume: %s: %w", path, err)
 	}
-	if v := binary.LittleEndian.Uint32(fixed[4:]); v != fileVersion2 {
-		f.Close()
-		return nil, fmt.Errorf("volume: %s is not a v2 volume (version %d)", path, v)
-	}
-	// Peek just far enough to learn the directory length, then hand the
-	// complete header bytes to the one strict decoder.
-	n, perr := v2DirLen(fixed)
-	if perr != nil {
-		f.Close()
-		return nil, fmt.Errorf("volume: %s: %w", path, perr)
-	}
-	full := make([]byte, v2FixedHeaderSize+n*v2DirEntrySize)
+	full := make([]byte, headerLen)
 	copy(full, fixed)
 	if _, err := io.ReadFull(f, full[v2FixedHeaderSize:]); err != nil {
 		f.Close()
@@ -415,7 +446,7 @@ func OpenFileV2(path string) (*PagedSource, error) {
 		f.Close()
 		return nil, fmt.Errorf("volume: %s: %w", path, err)
 	}
-	return &PagedSource{
+	s := &PagedSource{
 		f:     f,
 		path:  path,
 		hdr:   hdr,
@@ -424,30 +455,15 @@ func OpenFileV2(path string) (*PagedSource, error) {
 		// Key pages by path + size + mtime so a rewritten file never
 		// serves stale pages out of the shared cache.
 		keyPrefix: fmt.Sprintf("pv2|%s|%d|%d|", path, size, fi.ModTime().UnixNano()),
-		loaded:    map[int]bool{},
-	}, nil
-}
-
-// v2DirLen reads just enough of a fixed header to learn the directory
-// entry count, with the same bounds decodeV2Header enforces.
-func v2DirLen(fixed []byte) (int, error) {
-	var n int64 = 1
-	d, err := decodeDims(fixed[8:])
-	if err != nil {
-		return 0, fmt.Errorf("invalid v2 dims: %w", err)
+		pages:     make([]cacheKey, len(hdr.dir)),
+		state:     make([]uint8, len(hdr.dir)),
+		bits:      make([]uint32, len(hdr.dir)),
+		planned:   make([]int32, len(hdr.dir)),
 	}
-	dims := [3]int{d.X, d.Y, d.Z}
-	for a := 0; a < 3; a++ {
-		c := binary.LittleEndian.Uint32(fixed[32+a*4:])
-		if c == 0 || int64(c) > int64(dims[a]) || int64(c) > maxV2Bricks {
-			return 0, fmt.Errorf("brick count %d invalid for axis extent %d", c, dims[a])
-		}
-		n *= int64(c)
+	for i := range s.pages {
+		s.pages[i] = cacheKey{name: s.keyPrefix + strconv.Itoa(i), dims: grid.Bricks[i].Core.Ext}
 	}
-	if n > maxV2Bricks {
-		return 0, fmt.Errorf("%d bricks exceeds the limit %d", n, maxV2Bricks)
-	}
-	return int(n), nil
+	return s, nil
 }
 
 // Close releases the underlying file.
@@ -479,6 +495,7 @@ func (s *PagedSource) Stats() PagerStats {
 		Reloads:       s.reloads.Load(),
 		Fallbacks:     s.fallbacks.Load(),
 		SkippedBricks: s.skips.Load(),
+		ConstantFills: s.constFills.Load(),
 	}
 }
 
@@ -494,19 +511,22 @@ func splitRange(length, n, lo, hi int) (int, int) {
 	return i0, i1
 }
 
-// brickRange returns the index ranges of file bricks whose cores overlap r.
-func (s *PagedSource) brickRange(r Region) (lo, hi [3]int) {
+// eachBrick calls fn with the directory index of every file brick whose
+// core overlaps r, x fastest.
+func (s *PagedSource) eachBrick(r Region, fn func(i int)) {
 	d := [3]int{s.hdr.dims.X, s.hdr.dims.Y, s.hdr.dims.Z}
 	e := r.End()
+	var lo, hi [3]int
 	for a := 0; a < 3; a++ {
 		lo[a], hi[a] = splitRange(d[a], s.hdr.counts[a], r.Org[a], e[a])
 	}
-	return lo, hi
-}
-
-// brickID returns the directory index of brick (kx,ky,kz).
-func (s *PagedSource) brickID(kx, ky, kz int) int {
-	return (kz*s.hdr.counts[1]+ky)*s.hdr.counts[0] + kx
+	for kz := lo[2]; kz < hi[2]; kz++ {
+		for ky := lo[1]; ky < hi[1]; ky++ {
+			for kx := lo[0]; kx < hi[0]; kx++ {
+				fn((kz*s.hdr.counts[1]+ky)*s.hdr.counts[0] + kx)
+			}
+		}
+	}
 }
 
 // RegionRange implements RangedSource: the union of directory min/max
@@ -515,153 +535,240 @@ func (s *PagedSource) brickID(kx, ky, kz int) int {
 // this bounds every sample a render can take inside r — without reading
 // one payload byte.
 func (s *PagedSource) RegionRange(r Region) (lo, hi float32, ok bool) {
-	blo, bhi := s.brickRange(r)
-	for kz := blo[2]; kz < bhi[2]; kz++ {
-		for ky := blo[1]; ky < bhi[1]; ky++ {
-			for kx := blo[0]; kx < bhi[0]; kx++ {
-				e := s.hdr.dir[s.brickID(kx, ky, kz)]
-				if !ok {
-					lo, hi, ok = e.lo, e.hi, true
-					continue
-				}
-				if e.lo < lo {
-					lo = e.lo
-				}
-				if e.hi > hi {
-					hi = e.hi
-				}
-			}
+	s.eachBrick(r, func(i int) {
+		e := s.hdr.dir[i]
+		if !ok || e.lo < lo {
+			lo = e.lo
 		}
-	}
+		if !ok || e.hi > hi {
+			hi = e.hi
+		}
+		ok = true
+	})
 	return lo, hi, ok
 }
 
-// readBrickInto reads brick i's payload from disk and decodes it into
-// dst (the brick's core voxels). This is the only disk path; everything
-// else is served from the staging cache.
-func (s *PagedSource) readBrickInto(i int, dst []float32) error {
-	s.mu.Lock()
-	reload := s.loaded[i]
-	s.loaded[i] = true
-	s.mu.Unlock()
-	if reload {
-		s.reloads.Add(1)
-	}
+// readPage reads and decodes brick i's payload into a fresh slice of core
+// voxels: the only disk path; its scratch is pooled, the page is its one
+// allocation. A brick that decoded to a single bit pattern is recorded and
+// returned as errConstantPage — only decoded bits prove that: a directory
+// lo == hi also holds for +0 mixed with -0, and NaNs never move min/max.
+func (s *PagedSource) readPage(i int) ([]float32, error) {
 	e := s.hdr.dir[i]
-	stored := make([]byte, e.stored)
-	if _, err := s.f.ReadAt(stored, int64(e.off)); err != nil {
-		return fmt.Errorf("volume: reading brick %d of %s: %w", i, s.path, err)
+	stored := flatepool.GetBuf()
+	defer flatepool.PutBuf(stored)
+	*stored = slices.Grow(*stored, int(e.stored))[:e.stored]
+	if n, err := s.f.ReadAt(*stored, int64(e.off)); n < len(*stored) {
+		// A short ReadAt owes its reason; a faulty reader may forget it.
+		return nil, fmt.Errorf("volume: reading brick %d of %s: %w", i, s.path, cmp.Or(err, io.ErrUnexpectedEOF))
+	}
+	enc := []byte(*stored)
+	size := int(s.pages[i].dims.Bytes())
+	if s.hdr.compressed() {
+		raw := flatepool.GetBuf()
+		defer flatepool.PutBuf(raw)
+		// One byte past the core size: the stream must end exactly there.
+		err := flatepool.Inflate(raw, enc, int64(size)+1)
+		if err == nil && len(*raw) != size {
+			err = errPayloadSize
+		}
+		if err != nil {
+			return nil, fmt.Errorf("volume: decompressing brick %d of %s: %w", i, s.path, err)
+		}
+		enc = *raw
+	}
+	data := make([]float32, size/4)
+	first := binary.LittleEndian.Uint32(enc)
+	constant := true
+	for j := range data {
+		b := binary.LittleEndian.Uint32(enc[j*4:])
+		data[j] = bitsFloat(b)
+		constant = constant && b == first
 	}
 	s.brickReads.Add(1)
-	s.bytesRead.Add(int64(len(stored)))
-	enc := stored
-	if s.hdr.compressed() {
-		raw := make([]byte, len(dst)*4)
-		zr := flate.NewReader(bytes.NewReader(stored))
-		if _, err := io.ReadFull(zr, raw); err != nil {
-			zr.Close()
-			return fmt.Errorf("volume: decompressing brick %d of %s: %w", i, s.path, err)
-		}
-		// The stream must end exactly at the core size; trailing data
-		// means the payload does not match the directory.
-		if n, err := zr.Read(make([]byte, 1)); n != 0 || err != io.EOF {
-			zr.Close()
-			return fmt.Errorf("volume: brick %d of %s has oversized payload", i, s.path)
-		}
-		zr.Close()
-		enc = raw
+	s.bytesRead.Add(int64(e.stored))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.state[i]&pageLoaded != 0 {
+		s.reloads.Add(1)
 	}
-	for j := range dst {
-		dst[j] = bitsFloat(binary.LittleEndian.Uint32(enc[j*4:]))
+	s.state[i] |= pageLoaded
+	if constant {
+		s.state[i] |= pageConstant
+		s.bits[i] = first
+		return nil, errConstantPage
 	}
-	return nil
+	return data, nil
 }
 
-// v2PageSource adapts one file brick to the Source interface so the
-// staging cache can materialise and account it like any other entry. Its
-// identity (keyPrefix + brick id) embeds the file's size and mtime, so a
-// rewritten file can never alias a stale page.
-type v2PageSource struct {
-	s *PagedSource
-	i int
-}
-
-func (p *v2PageSource) Name() string { return p.s.keyPrefix + strconv.Itoa(p.i) }
-func (p *v2PageSource) Dims() Dims   { return p.s.grid.Bricks[p.i].Core.Ext }
-
-func (p *v2PageSource) Fill(r Region, dst []float32) error {
-	d := p.Dims()
-	if err := checkRegion(d, r, len(dst)); err != nil {
-		return err
+// page returns brick i's core voxels, out of the staging cache unless its
+// budget is held by in-flight work (a page is charged its voxels alone: no
+// grid is ever built over one) — or, data == nil, a constant brick's value.
+func (s *PagedSource) page(i int) (data []float32, val float32, err error) {
+	s.mu.Lock()
+	constant, bits := s.state[i]&pageConstant != 0, s.bits[i]
+	s.mu.Unlock()
+	if constant {
+		s.constFills.Add(1)
+		return nil, bitsFloat(bits), nil
 	}
-	if r.Org == [3]int{} && r.Ext == d {
-		return p.s.readBrickInto(p.i, dst)
-	}
-	full := make([]float32, d.Voxels())
-	if err := p.s.readBrickInto(p.i, full); err != nil {
-		return err
-	}
-	copyRegion(&Volume{Dims: d, Data: full}, r, dst)
-	return nil
-}
-
-// page returns brick i's core as a dense volume, preferably out of the
-// staging cache. ok == false from the cache (budget held by in-flight
-// work) falls back to an uncached direct read.
-func (s *PagedSource) page(i int) (*Volume, error) {
+	cached := false
 	if c := s.cache; c != nil && c.Capacity() > 0 {
-		v, ok, err := c.volumeFor(&v2PageSource{s: s, i: i})
-		if err != nil {
-			return nil, err
+		var val any
+		val, cached, err = c.load(s.pages[i], s.pages[i].dims.Bytes(), func() (any, error) { return s.readPage(i) })
+		data, _ = val.([]float32)
+		if !cached {
+			s.fallbacks.Add(1)
 		}
-		if ok {
-			return v, nil
+	}
+	if !cached {
+		data, err = s.readPage(i)
+	}
+	if errors.Is(err, errConstantPage) {
+		return s.page(i) // recorded before the error was returned
+	}
+	return data, 0, err
+}
+
+// PlanFrame implements FramePlanner. Every file brick under a planned
+// ghost region is owed one use per region; Fill pays them, and a page
+// whose last use is paid moves to the eviction end of the cache's LRU:
+// the budget goes to pages the frame still needs. Plans of concurrent
+// jobs add up; done pays whatever the job did not Fill.
+func (s *PagedSource) PlanFrame(ghosts []Region) (done func()) {
+	p := &framePlan{left: make(map[Region]int, len(ghosts))}
+	// Were two plans' hashes to collide they would share one charge, not
+	// bits: inside the entry a grid is found by its region.
+	h := fnv.New64a()
+	s.mu.Lock()
+	for _, g := range ghosts {
+		p.left[g]++
+		s.eachBrick(g, func(i int) { s.planned[i]++ })
+		fmt.Fprint(h, g)
+		p.keptBytes += MacrocellBytes(g.Ext)
+	}
+	p.kept = cacheKey{name: fmt.Sprintf("%smc|%x", s.keyPrefix, h.Sum64())}
+	s.plans = append(s.plans, p)
+	s.mu.Unlock()
+	return func() {
+		s.mu.Lock()
+		s.plans = slices.DeleteFunc(s.plans, func(q *framePlan) bool { return q == p })
+		left := p.left
+		p.left = nil
+		s.mu.Unlock()
+		for g, n := range left {
+			s.eachBrick(g, func(i int) { s.release(i, n) })
 		}
-		s.fallbacks.Add(1)
 	}
-	d := s.grid.Bricks[i].Core.Ext
-	data := make([]float32, d.Voxels())
-	if err := s.readBrickInto(i, data); err != nil {
-		return nil, err
+}
+
+// livePlan returns the oldest live plan that lists r, or nil. With pay
+// set the plan must still be owed a Fill of r, and is marked paid; which
+// of two jobs that planned the same region gets the credit is immaterial
+// to the per-page counts.
+func (s *PagedSource) livePlan(r Region, pay bool) *framePlan {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, p := range s.plans {
+		if n, listed := p.left[r]; listed && (n > 0 || !pay) {
+			if pay {
+				p.left[r]--
+			}
+			return p
+		}
 	}
-	return &Volume{Dims: d, Data: data}, nil
+	return nil
+}
+
+// release pays n planned uses of page i and demotes a cached page that no
+// live plan will use again.
+func (s *PagedSource) release(i, n int) {
+	s.mu.Lock()
+	s.planned[i] -= int32(n)
+	idle := s.planned[i] == 0 && s.state[i]&pageConstant == 0
+	s.mu.Unlock()
+	if c := s.cache; idle && c != nil {
+		c.demote(s.pages[i])
+	}
 }
 
 // Fill implements Source: the requested region is assembled from every
 // file brick whose core intersects it, each paged through the staging
-// cache. Fills never materialise the whole volume — this is the
-// out-of-core path.
+// cache, never the whole volume — this is the out-of-core path.
 func (s *PagedSource) Fill(r Region, dst []float32) error {
 	if err := checkRegion(s.hdr.dims, r, len(dst)); err != nil {
 		return err
 	}
-	e := r.End()
-	blo, bhi := s.brickRange(r)
-	for kz := blo[2]; kz < bhi[2]; kz++ {
-		for ky := blo[1]; ky < bhi[1]; ky++ {
-			for kx := blo[0]; kx < bhi[0]; kx++ {
-				i := s.brickID(kx, ky, kz)
-				v, err := s.page(i)
-				if err != nil {
-					return err
+	plan := s.livePlan(r, true)
+	s.grids(plan) // touched: the frame's own pages must not push its grids out
+	var err error
+	s.eachBrick(r, func(i int) {
+		if err == nil {
+			err = s.fillFrom(i, r, dst)
+		}
+		if plan != nil {
+			s.release(i, 1) // after a failure too: the plan must drain
+		}
+	})
+	return err
+}
+
+// fillFrom writes the part of r that file brick i's core covers into dst.
+func (s *PagedSource) fillFrom(i int, r Region, dst []float32) error {
+	data, val, err := s.page(i)
+	if err != nil {
+		return err
+	}
+	c := s.grid.Bricks[i].Core
+	e, ce := r.End(), c.End()
+	// Intersection of the brick core with r, in volume coords.
+	x0, x1 := max(r.Org[0], c.Org[0]), min(e[0], ce[0])
+	y0, y1 := max(r.Org[1], c.Org[1]), min(e[1], ce[1])
+	z0, z1 := max(r.Org[2], c.Org[2]), min(e[2], ce[2])
+	for z := z0; z < z1; z++ {
+		for y := y0; y < y1; y++ {
+			di := ((z-r.Org[2])*r.Ext.Y+(y-r.Org[1]))*r.Ext.X + (x0 - r.Org[0])
+			row := dst[di : di+(x1-x0)]
+			if data == nil {
+				for k := range row {
+					row[k] = val
 				}
-				c := s.grid.Bricks[i].Core
-				ce := c.End()
-				// Intersection of the brick core with r, in volume coords.
-				x0, x1 := max(r.Org[0], c.Org[0]), min(e[0], ce[0])
-				y0, y1 := max(r.Org[1], c.Org[1]), min(e[1], ce[1])
-				z0, z1 := max(r.Org[2], c.Org[2]), min(e[2], ce[2])
-				for z := z0; z < z1; z++ {
-					for y := y0; y < y1; y++ {
-						si := ((z-c.Org[2])*c.Ext.Y+(y-c.Org[1]))*c.Ext.X + (x0 - c.Org[0])
-						di := ((z-r.Org[2])*r.Ext.Y+(y-r.Org[1]))*r.Ext.X + (x0 - r.Org[0])
-						copy(dst[di:di+(x1-x0)], v.Data[si:si+(x1-x0)])
-					}
-				}
+				continue
 			}
+			si := ((z-c.Org[2])*c.Ext.Y+(y-c.Org[1]))*c.Ext.X + (x0 - c.Org[0])
+			copy(row, data[si:si+(x1-x0)])
 		}
 	}
 	return nil
+}
+
+// grids returns the macrocell grids kept for p's ghost regions (Region →
+// *Macrocells), or nil without a plan or a budget that can hold them. A
+// grid is a pure function of file and region, so they live in the staging
+// cache under the file's identity, charged and evictable like a page. One
+// entry per plan, not per grid: a touch per planned Fill keeps it young; a
+// grid alone, used once a frame, goes first when the frame's pages overflow.
+func (s *PagedSource) grids(p *framePlan) *sync.Map {
+	if c := s.cache; p != nil && c != nil && c.Capacity() > 0 {
+		if val, ok, _ := c.load(p.kept, p.keptBytes, func() (any, error) { return new(sync.Map), nil }); ok {
+			return val.(*sync.Map)
+		}
+	}
+	return nil
+}
+
+// keptMacrocells implements macrocellKeeper for the ghost regions of
+// live plans; outside one nothing is kept.
+func (s *PagedSource) keptMacrocells(ghost Region, build func() *Macrocells) *Macrocells {
+	grids := s.grids(s.livePlan(ghost, false))
+	if grids == nil {
+		return build()
+	}
+	mc, ok := grids.Load(ghost)
+	if !ok {
+		mc, _ = grids.LoadOrStore(ghost, build()) // a concurrent builder may win: one pointer per grid
+	}
+	return mc.(*Macrocells)
 }
 
 // VolumeFile is a file-backed volume source that must be closed.

@@ -1,0 +1,147 @@
+package volume_test
+
+import (
+	"errors"
+	"path/filepath"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"gvmr/internal/cluster"
+	"gvmr/internal/core"
+	"gvmr/internal/transfer"
+	"gvmr/internal/volume"
+	"gvmr/internal/volume/dataset"
+)
+
+// countingPlanner decorates the pager the way the benchmark does — by
+// embedding it — and counts the plans core hands it.
+type countingPlanner struct {
+	*volume.PagedSource
+	plans atomic.Int64
+}
+
+func (c *countingPlanner) PlanFrame(ghosts []volume.Region) func() {
+	c.plans.Add(1)
+	return c.PagedSource.PlanFrame(ghosts)
+}
+
+// opaque shows core a bare Source: no planner, no kept macrocells, no
+// directory ranges.
+type opaque struct{ inner volume.Source }
+
+func (o opaque) Name() string                              { return o.inner.Name() }
+func (o opaque) Dims() volume.Dims                         { return o.inner.Dims() }
+func (o opaque) Fill(r volume.Region, dst []float32) error { return o.inner.Fill(r, dst) }
+
+// failingFill embeds the pager, so core plans the frame, and fails the
+// job's third Fill.
+type failingFill struct {
+	*volume.PagedSource
+	fills atomic.Int64
+}
+
+var errInjected = errors.New("injected fill failure")
+
+func (f *failingFill) Fill(r volume.Region, dst []float32) error {
+	if f.fills.Add(1) == 3 {
+		return errInjected
+	}
+	return f.PagedSource.Fill(r, dst)
+}
+
+// TestPagedRenderSameDigestHoweverPlanned renders the skull from a v2
+// file through a staging cache a few pages large and compares the image
+// digest with the in-RAM render's: with the frame planner reached through
+// an embedding decorator, hidden behind a wrapper that exposes only
+// Source, under two concurrent jobs on one pager, and after a job that
+// failed half way. The plan is a hint — the digest never moves — and the
+// planned counts are back at zero whenever no job is running.
+func TestPagedRenderSameDigestHoweverPlanned(t *testing.T) {
+	src, err := dataset.New(dataset.Skull, volume.Cube(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := core.Options{
+		Source: src, TF: transfer.SkullPreset(),
+		Width: 64, Height: 64,
+		GPUs: 2, BricksPerGPU: 4, Shading: true,
+	}
+	spec := cluster.AC(2)
+	render := func(s volume.Source) (string, error) {
+		o := opt
+		o.Source = s
+		res, _, err := core.RenderOn(spec, o, 0)
+		if err != nil {
+			return "", err
+		}
+		return res.Image.Digest(), nil
+	}
+	want, err := render(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "skull.gvmr")
+	if err := volume.WriteFileV2(path, src, volume.V2Options{BrickEdge: 8, Compress: true}); err != nil {
+		t.Fatal(err)
+	}
+	ps, err := volume.OpenFileV2(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	cache := volume.NewStagingCache(12 * volume.Cube(8).Bytes())
+	ps.SetCache(cache)
+	atRest := func(when string) {
+		t.Helper()
+		if uses, plans := volume.PlannedUses(ps); uses != 0 || plans != 0 {
+			t.Fatalf("%s: %d planned uses and %d plans outstanding", when, uses, plans)
+		}
+	}
+
+	planner := &countingPlanner{PagedSource: ps}
+	for frame := 0; frame < 2; frame++ {
+		if got, err := render(planner); err != nil || got != want {
+			t.Fatalf("planned frame %d: digest %s, %v; want %s", frame, got, err, want)
+		}
+	}
+	if n := planner.plans.Load(); n != 2 {
+		t.Errorf("core planned %d frames through the embedding decorator, want 2", n)
+	}
+	atRest("after planned frames")
+	st := ps.Stats()
+	if st.ConstantFills == 0 || st.Reloads == 0 || cache.Stats().Evictions == 0 {
+		t.Errorf("pager %+v, cache %+v: want constant fills, reloads and evictions", st, cache.Stats())
+	}
+
+	if got, err := render(opaque{ps}); err != nil || got != want {
+		t.Fatalf("hidden planner: digest %s, %v; want %s", got, err, want)
+	}
+	if n := planner.plans.Load(); n != 2 {
+		t.Errorf("the opaque wrapper leaked the planner: %d plans", n)
+	}
+
+	var wg sync.WaitGroup
+	for job := 0; job < 2; job++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for frame := 0; frame < 3; frame++ {
+				if got, err := render(planner); err != nil || got != want {
+					t.Errorf("concurrent job %d frame %d: digest %s, %v; want %s", job, frame, got, err, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	atRest("after concurrent jobs")
+
+	if _, err := render(&failingFill{PagedSource: ps}); !errors.Is(err, errInjected) {
+		t.Fatalf("failing job: got %v, want the injected error", err)
+	}
+	atRest("after a failed job")
+	if got, err := render(planner); err != nil || got != want {
+		t.Fatalf("frame after a failed job: digest %s, %v; want %s", got, err, want)
+	}
+}
