@@ -92,6 +92,18 @@ func SortByDepth(frags []Fragment) {
 	}
 }
 
+// depthLess is SortByDepth's comparator: ascending depth with NaN
+// (placeholder) after every real value.
+func depthLess(a, b float32) bool {
+	if a != a {
+		return false
+	}
+	if b != b {
+		return true
+	}
+	return a < b
+}
+
 // CompositePixel sorts the pixel's fragments by ascending depth, folds
 // them front to back, and blends the result over an opaque background,
 // exactly as §3.2 describes the reduce. The input slice is sorted in

@@ -20,40 +20,19 @@ import (
 // Because fragments are bucketed per (shard, brick) and the fold walks
 // bricks in ascending order, the final floats are independent of arrival
 // order — the determinism the golden digests enforce.
-//
-// Two fold strategies produce byte-identical images:
-//
-//   - direct-send: each shard concatenates its buckets in ascending-brick
-//     canonical order, counting-sorts by pixel key and composites — the
-//     in-process engine's layout, shards folding in parallel;
-//   - pairwise merge: per-brick partial images merge two at a time in
-//     log₂(bricks) rounds, binary-swap style, then every pixel folds
-//     once. Used when the fragment volume crosses the fallback threshold:
-//     it touches fragments in brick-sized runs instead of materialising
-//     one giant per-shard buffer.
-//
-// Identity of the two: each unit's per-pixel fragment list arrives in
-// deterministic emission order; depth-sorting the leaf lists stably and
-// merging with ties taken from the lower-unit side yields, per pixel,
-// exactly the stable sort by depth of the unit-ordered concatenation —
-// which is what CompositePixel computes on the direct path (DESIGN.md
-// §12 runs the argument for non-convex units, where lists are longer
-// than one).
 type streamComposite struct {
-	width, height      int
-	bg                 vec.V4
-	part               mapreduce.Partitioner
-	reducers           int
-	spec               cluster.Spec
-	mergeFallbackBytes int64
-	numBricks          int
+	width, height int
+	bg            vec.V4
+	part          mapreduce.Partitioner
+	reducers      int
+	spec          cluster.Spec
 
 	shards []map[int][]composite.Fragment // shard → brick → fragments, emission order
 	total  int64
 }
 
 func newStreamComposite(width, height int, bg vec.V4, part mapreduce.Partitioner,
-	reducers int, spec cluster.Spec, mergeFallbackBytes int64, numBricks int) *streamComposite {
+	reducers int, spec cluster.Spec) *streamComposite {
 	if part == nil {
 		part = mapreduce.RoundRobin{}
 	}
@@ -63,9 +42,7 @@ func newStreamComposite(width, height int, bg vec.V4, part mapreduce.Partitioner
 	sc := &streamComposite{
 		width: width, height: height, bg: bg,
 		part: part, reducers: reducers, spec: spec,
-		mergeFallbackBytes: mergeFallbackBytes,
-		numBricks:          numBricks,
-		shards:             make([]map[int][]composite.Fragment, reducers),
+		shards: make([]map[int][]composite.Fragment, reducers),
 	}
 	for r := range sc.shards {
 		sc.shards[r] = map[int][]composite.Fragment{}
@@ -87,8 +64,8 @@ func (sc *streamComposite) add(s core.BrickStripe) {
 // it with the modeled reduce charge: one partition scan over everything,
 // then the widest shard's sort and blend (shards run in parallel on the
 // display node, like the engine's co-located reducers). The charge is
-// computed from fragment counts alone — identical for both strategies
-// and independent of placement, faults, and the host machine.
+// computed from fragment counts alone — independent of placement,
+// faults, and the host machine.
 func (sc *streamComposite) finish() (*img.Image, sim.Time) {
 	// Pixels no fragment reaches keep the same background the in-process
 	// reducers never touch.
@@ -101,13 +78,7 @@ func (sc *streamComposite) finish() (*img.Image, sim.Time) {
 		}
 	}
 	if sc.total > 0 {
-		merge := sc.total*composite.FragmentBytes > sc.mergeFallbackBytes &&
-			sc.mergeFallbackBytes > 0 && sc.numBricks > 1
-		if merge {
-			sc.mergeFold(out)
-		} else {
-			sc.directFold(out)
-		}
+		sc.directFold(out)
 	}
 
 	var widest int64
@@ -122,10 +93,10 @@ func (sc *streamComposite) finish() (*img.Image, sim.Time) {
 	return out, charge
 }
 
-// directFold is the direct-send strategy: each shard's buckets are
-// concatenated ascending by brick (the canonical order), counting-sorted
-// and composited. Shards hold disjoint pixel keys, so they fold
-// concurrently.
+// directFold is the direct-send composite: each shard's buckets are
+// concatenated ascending by brick (the canonical order, the in-process
+// engine's layout), counting-sorted and composited. Shards hold disjoint
+// pixel keys, so they fold concurrently.
 func (sc *streamComposite) directFold(out *img.Image) {
 	keyRange := int32(sc.width * sc.height)
 	workers := sc.reducers
@@ -158,79 +129,4 @@ func (sc *streamComposite) directFold(out *img.Image) {
 		}
 		return struct{}{}, nil
 	})
-}
-
-// partialImage is one per-pixel fragment-list partial during pairwise
-// merging; lists are depth-sorted with ties in ascending-unit order.
-type partialImage map[int32][]composite.Fragment
-
-// mergeFold is the binary-swap-style strategy: leaves are per-unit
-// partials rebuilt from the shard buckets, adjacent partials merge
-// pairwise until one remains, then every pixel folds once. A convex
-// unit contributes at most one fragment per pixel (trivially sorted);
-// a non-convex unit's per-pixel list arrives in emission order —
-// ascending brick, not depth — so each leaf list is depth-sorted first.
-// The stable sort keeps emission order on ties, so the merged result is
-// still exactly the stable depth sort of the unit-ascending
-// concatenation, which is what directFold's CompositePixel computes.
-func (sc *streamComposite) mergeFold(out *img.Image) {
-	perBrick := map[int]partialImage{}
-	for _, m := range sc.shards {
-		for id, frags := range m {
-			p, ok := perBrick[id]
-			if !ok {
-				p = make(partialImage, len(frags))
-				perBrick[id] = p
-			}
-			for _, f := range frags {
-				p[f.Key] = append(p[f.Key], f)
-			}
-		}
-	}
-	for _, p := range perBrick {
-		for _, frags := range p {
-			if len(frags) > 1 {
-				composite.SortByDepth(frags)
-			}
-		}
-	}
-	ids := make([]int, 0, len(perBrick))
-	for id := range perBrick {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	partials := make([]partialImage, 0, len(ids))
-	for _, id := range ids {
-		partials = append(partials, perBrick[id])
-	}
-	for len(partials) > 1 {
-		next := make([]partialImage, 0, (len(partials)+1)/2)
-		for i := 0; i+1 < len(partials); i += 2 {
-			next = append(next, mergePartials(partials[i], partials[i+1]))
-		}
-		if len(partials)%2 == 1 {
-			next = append(next, partials[len(partials)-1])
-		}
-		partials = next
-	}
-	if len(partials) == 1 {
-		for k, frags := range partials[0] {
-			out.SetKey(k, composite.CompositeSorted(frags, sc.bg))
-		}
-	}
-}
-
-// mergePartials merges b into a pixel by pixel. Both sides are sorted
-// by depth; composite.MergeLists is stable with ties taken from a (the
-// lower-unit side), preserving the canonical order.
-func mergePartials(a, b partialImage) partialImage {
-	for k, fb := range b {
-		fa, ok := a[k]
-		if !ok {
-			a[k] = fb
-			continue
-		}
-		a[k] = composite.MergeLists(fa, fb)
-	}
-	return a
 }

@@ -97,10 +97,6 @@ type CoordinatorConfig struct {
 	// changes the image.
 	Reducers    int
 	Partitioner mapreduce.Partitioner
-	// MergeFallbackBytes switches local compositing to the pairwise
-	// (binary-swap-style) merge when the returned fragment volume
-	// exceeds it (default 8 MiB; <0 disables the fallback).
-	MergeFallbackBytes int64
 	// Replicas is the virtual-node count per worker on the placement
 	// ring (default 64).
 	Replicas int
@@ -110,14 +106,13 @@ type CoordinatorConfig struct {
 	// exchange pixel ranges peer-to-peer and the coordinator collects
 	// near-final range images instead of every raw fragment. Requires at
 	// least two eligible workers; any exchange failure (a peer dying
-	// mid-exchange, an old worker that predates the protocol) falls back
-	// to the classic coordinator-local composite on a fresh membership
+	// mid-exchange, a worker refusing the plan, a timeout) falls back to
+	// the classic coordinator-local composite on a fresh membership
 	// view — bits never change, only topology (DESIGN.md §11).
 	DistReduce bool
-	// NoCompress disables negotiated stripe compression on every hop
-	// (map responses, exchange pushes, collects). Compression is
-	// otherwise on: workers that don't advertise it simply reply
-	// identity, so mixed fleets interoperate.
+	// NoCompress asks for raw stripes (EncodingListV2) on every hop — map
+	// responses, exchange pushes, collects — instead of the compressed
+	// EncodingColumnar2.
 	NoCompress bool
 	// Spec, when non-nil, is the hardware description used for grid
 	// planning and the coordinator-side reduce/wire rates — set it when
@@ -139,7 +134,7 @@ type CoordinatorStats struct {
 	NodeDowns int64 `json:"node_downs"` // health transitions into backoff
 	// ReduceJobs counts frames completed over the distributed-reduce
 	// exchange; ReduceFallbacks counts exchanges abandoned for the
-	// classic coordinator-local path (peer death, old workers, timeouts).
+	// classic coordinator-local path (peer death, refused plans, timeouts).
 	ReduceJobs      int64 `json:"reduce_jobs"`
 	ReduceFallbacks int64 `json:"reduce_fallbacks"`
 }
@@ -202,9 +197,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	cfg.RetryBudget.Metrics = cfg.Metrics
 	if cfg.Partitioner == nil {
 		cfg.Partitioner = mapreduce.RoundRobin{}
-	}
-	if cfg.MergeFallbackBytes == 0 {
-		cfg.MergeFallbackBytes = 8 << 20
 	}
 	if cfg.MaxResponseBytes == 0 {
 		cfg.MaxResponseBytes = 1 << 30
@@ -492,7 +484,7 @@ func (c *Coordinator) RenderDetailed(ctx context.Context, job JobSpec) (*core.Re
 	// Distributed reduce first when configured and the fleet can carry
 	// it: mappers exchange pixel ranges peer-to-peer and the collects
 	// return near-final range images. Any exchange failure — a peer
-	// dying mid-exchange, a worker predating the protocol, a timeout —
+	// dying mid-exchange, a worker refusing the plan, a timeout —
 	// abandons the exchange and falls through to the classic path on a
 	// fresh membership view: same bits, different topology.
 	if c.cfg.DistReduce && len(view.addrs) >= 2 {
@@ -611,8 +603,7 @@ func (c *Coordinator) RenderDetailed(ctx context.Context, job JobSpec) (*core.Re
 	if reducers == 0 {
 		reducers = len(view.addrs)
 	}
-	acc := newStreamComposite(opt.Width, opt.Height, opt.Background,
-		c.cfg.Partitioner, reducers, planSpec, c.cfg.MergeFallbackBytes, numUnits)
+	acc := newStreamComposite(opt.Width, opt.Height, opt.Background, c.cfg.Partitioner, reducers, planSpec)
 	seen := make(map[int]bool, numUnits)
 	nodeVirtual := make(map[string]sim.Time)
 	var wireBytes int64
@@ -864,7 +855,7 @@ func (c *Coordinator) postMapReduce(ctx context.Context, job JobSpec, counts [3]
 	}
 	c.batches.Add(1)
 	b := c.breaker(addr)
-	resp, _, err := c.post(ctx, c.attemptTimeout(ctx, 0), addr, MapPath, body, "application/json", "")
+	resp, _, err := c.post(ctx, c.attemptTimeout(ctx, 0), addr, MapPath, body, "application/json")
 	if err != nil {
 		return 0, 0, fmt.Errorf("dist: node %s: %w", addr, err)
 	}
@@ -910,17 +901,14 @@ func (c *Coordinator) postCollect(ctx context.Context, job JobSpec, exID string,
 		NumBricks:  numBricks,
 		Background: [4]float32{bg.X, bg.Y, bg.Z, bg.W},
 		Job:        job,
+		Compress:   compress,
 	})
 	if err != nil {
 		return collectOutcome{}, err
 	}
-	accept := EncodingListV2
-	if compress {
-		accept = EncodingColumnar2 + ", " + EncodingColumnar
-	}
 	c.batches.Add(1)
 	b := c.breaker(tgt.Addr)
-	resp, payload, err := c.post(ctx, c.attemptTimeout(ctx, 0), tgt.Addr, CollectPath, body, "application/json", accept)
+	resp, payload, err := c.post(ctx, c.attemptTimeout(ctx, 0), tgt.Addr, CollectPath, body, "application/json")
 	if err != nil {
 		return collectOutcome{}, fmt.Errorf("dist: node %s: collect: %w", tgt.Addr, err)
 	}
@@ -1132,7 +1120,7 @@ func (c *Coordinator) BreakerState(addr string) resilience.BreakerState {
 // worker sees many short exchanges, and re-dialing each one churns TCP
 // state for nothing.
 func (c *Coordinator) post(parent context.Context, perAttempt time.Duration,
-	addr, path string, body []byte, contentType, accept string) (*http.Response, []byte, error) {
+	addr, path string, body []byte, contentType string) (*http.Response, []byte, error) {
 	b := c.breaker(addr)
 	if !b.Admit() {
 		// Not a node fault (no evidence was gathered): the batch re-places
@@ -1151,9 +1139,6 @@ func (c *Coordinator) post(parent context.Context, perAttempt time.Duration,
 		return nil, nil, err
 	}
 	req.Header.Set("Content-Type", contentType)
-	if accept != "" {
-		req.Header.Set("Accept-Encoding", accept)
-	}
 	if dl, ok := parent.Deadline(); ok {
 		req.Header.Set(resilience.HeaderDeadline, resilience.EncodeDeadline(time.Until(dl)))
 	}
@@ -1236,20 +1221,12 @@ func (c *Coordinator) post(parent context.Context, perAttempt time.Duration,
 // bounded by the per-attempt deadline.
 func (c *Coordinator) postMap(parent context.Context, perAttempt time.Duration, job JobSpec,
 	counts [3]int, bricks []int, addr string) (batchOutcome, error) {
-	body, err := encodeMapRequest(MapRequest{Job: job, Bricks: bricks, GridCounts: counts})
+	body, err := encodeMapRequest(MapRequest{Job: job, Bricks: bricks, GridCounts: counts, Compress: !c.cfg.NoCompress})
 	if err != nil {
 		return batchOutcome{}, err
 	}
-	// Offer both columnar generations: an upgraded worker prefers cf2
-	// (explicit per-pixel counts), an old one ignores the unknown token
-	// and answers cf1. NoCompress offers the identity v2 list layout
-	// instead, which old workers likewise ignore, answering identity v1.
-	accept := EncodingListV2
-	if !c.cfg.NoCompress {
-		accept = EncodingColumnar2 + ", " + EncodingColumnar
-	}
 	b := c.breaker(addr)
-	resp, payload, err := c.post(parent, perAttempt, addr, MapPath, body, "application/json", accept)
+	resp, payload, err := c.post(parent, perAttempt, addr, MapPath, body, "application/json")
 	if err != nil {
 		return batchOutcome{}, fmt.Errorf("dist: node %s: %w", addr, err)
 	}

@@ -110,8 +110,8 @@ func TestDistributedMatchesDirect(t *testing.T) {
 }
 
 // TestCompositeStrategiesAndPartitionersAgree locks the coordinator-side
-// reduce invariance: every partitioner, any reducer count, and both the
-// direct-send and pairwise-merge strategies produce identical bytes.
+// reduce invariance: every partitioner and any reducer count produce
+// identical bytes.
 func TestCompositeStrategiesAndPartitionersAgree(t *testing.T) {
 	job := testJob(t, dataset.Skull, 24, 48, 2, 60, true)
 	want := directDigest(t, job)
@@ -128,12 +128,6 @@ func TestCompositeStrategiesAndPartitionersAgree(t *testing.T) {
 		{"checkerboard", func(c *CoordinatorConfig) {
 			c.Partitioner = mapreduce.Checkerboard{Width: 48, Tile: 8}
 			c.Reducers = 5
-		}},
-		{"pairwise-merge", func(c *CoordinatorConfig) {
-			c.MergeFallbackBytes = 1 // everything over 1 byte merges pairwise
-		}},
-		{"merge-disabled", func(c *CoordinatorConfig) {
-			c.MergeFallbackBytes = -1
 		}},
 	}
 	for _, tc := range cases {
@@ -223,8 +217,8 @@ func TestWireRoundTrip(t *testing.T) {
 		{Brick: 2}, // empty stripe
 		{Brick: 5, Frags: []composite.Fragment{{Key: 0, A: 1, Depth: 0.5}}},
 	}
-	payload := EncodeStripes(stripes)
-	back, err := DecodeStripes(payload)
+	payload := encodeV2(stripes)
+	back, err := decodeV2(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +235,7 @@ func TestWireRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if PayloadDigest(payload) != PayloadDigest(EncodeStripes(back)) {
+	if PayloadDigest(payload) != PayloadDigest(encodeV2(back)) {
 		t.Error("re-encoding changed the payload bytes")
 	}
 }
@@ -253,8 +247,10 @@ func TestDecodeStripesRejectsGarbage(t *testing.T) {
 		"negative brick id": {255, 255, 255, 255, 0, 0, 0, 0},
 	}
 	for name, data := range cases {
-		if _, err := DecodeStripes(data); err == nil {
-			t.Errorf("%s: decoded without error", name)
+		for _, enc := range []string{EncodingListV2, EncodingColumnar2} {
+			if _, err := DecodePayload(enc, data, 1<<20); err == nil {
+				t.Errorf("%s as %s: decoded without error", name, enc)
+			}
 		}
 	}
 }

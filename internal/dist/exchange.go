@@ -46,6 +46,9 @@ type CollectRequest struct {
 	// Job rebinds the collect to the frame (request bounds, plan spec
 	// for the modeled reduce charge).
 	Job JobSpec `json:"job"`
+	// Compress asks for the range as EncodingColumnar2 instead of
+	// EncodingListV2.
+	Compress bool `json:"compress,omitempty"`
 }
 
 // ExchangeStats counts exchange events for /stats.
@@ -325,7 +328,7 @@ func (wk *Worker) HandleCollect(w http.ResponseWriter, r *http.Request) {
 	charge := sim.WorkTime(float64(total), spec.PartitionRate) +
 		sim.WorkTime(float64(total), spec.SortRate) +
 		sim.WorkTime(float64(total), spec.CompositeRate)
-	encoding := negotiateEncoding(r.Header.Get("Accept-Encoding"))
+	encoding := stripeEncoding(req.Compress)
 	payload, err := EncodePayloadAs([]core.BrickStripe{{Brick: 0, Frags: frags}}, encoding)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -338,9 +341,7 @@ func (wk *Worker) HandleCollect(w http.ResponseWriter, r *http.Request) {
 
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
-	if encoding != "" {
-		h.Set("Content-Encoding", encoding)
-	}
+	h.Set("Content-Encoding", encoding)
 	h.Set("Content-Length", strconv.Itoa(len(payload)))
 	h.Set(HeaderFragCount, strconv.Itoa(len(frags)))
 	h.Set(HeaderStripeDigest, PayloadDigest(payload))

@@ -2,57 +2,66 @@ package dist
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"gvmr/internal/composite"
 	"gvmr/internal/core"
 )
 
-// FuzzDecodeStripes drives both wire decoders — the identity v1 payload
-// and the columnar gvmr-cf1 transform — with arbitrary bytes. Two
-// properties, beyond not panicking:
+// FuzzDecodeStripes drives both wire decoders — the identity gvmr-v2
+// payload and the columnar gvmr-cf2 transform — with arbitrary bytes.
+// Two properties, beyond not panicking:
 //
-//   - v1 is a fixed point: the format has no slack (fixed-size records,
-//     no varints), so any payload DecodeStripes accepts must re-encode
-//     to the identical bytes;
-//   - gvmr-cf1 round-trips semantically: a fuzzer-found payload may use
+//   - gvmr-v2 is a fixed point: the format has no slack (fixed-size
+//     records, no varints) and decode enforces canonical form (maximal
+//     runs, positive counts), so any payload decodeV2 accepts must
+//     re-encode to the identical bytes;
+//   - gvmr-cf2 round-trips semantically: a fuzzer-found payload may use
 //     non-minimal varints or a different flate framing, so the invariant
 //     is decode → re-compress → decode = the same fragments bit for bit
 //     (NaN payloads included).
 //
 // The decompressed-size bound stays small so a crafted flate bomb costs
 // the fuzzer nothing.
-func FuzzDecodeStripes(f *testing.F) {
-	seed := []core.BrickStripe{
-		{Brick: 0, Frags: []composite.Fragment{
-			{Key: 3, R: 0.25, G: 0.5, B: 0.125, A: 0.75, Depth: 1.5},
-			{Key: 9, R: math.Float32frombits(0x7fc00001), A: 1, Depth: 2.25},
-		}},
-		{Brick: 2},
-		{Brick: 5, Frags: []composite.Fragment{{Key: 0, A: 1, Depth: 0.5}}},
-	}
-	f.Add(EncodeStripes(seed))
-	f.Add(CompressStripes(seed))
-	f.Add(EncodeStripes(nil))
-	f.Add(CompressStripes(nil))
+func FuzzDecodeStripes(f *testing.F) { fuzzDecodeStripes(f) }
+
+// FuzzDecodeStripesV2 replays the corpus committed under its name —
+// testdata/fuzz is keyed by function name — through the same body; new
+// fuzzing runs against FuzzDecodeStripes.
+func FuzzDecodeStripesV2(f *testing.F) { fuzzDecodeStripes(f) }
+
+func fuzzDecodeStripes(f *testing.F) {
+	seed := listStripes()
+	deep := []core.BrickStripe{{Brick: 0, Frags: func() []composite.Fragment {
+		var frags []composite.Fragment
+		for i := 0; i < 40; i++ {
+			frags = append(frags, composite.Fragment{Key: int32(i % 3), A: 0.5, Depth: float32(i)})
+		}
+		return frags
+	}()}}
+	f.Add(encodeV2(seed))
+	f.Add(encodeCF2(seed))
+	f.Add(encodeV2(deep))
+	f.Add(encodeCF2(deep))
+	f.Add(encodeV2(nil))
+	f.Add(encodeCF2(nil))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 255, 255, 255, 127})
 
 	const maxBytes = 1 << 20
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if stripes, err := DecodeStripes(data); err == nil {
-			if got := EncodeStripes(stripes); !bytes.Equal(got, data) {
-				t.Fatalf("v1 decode/encode is not a fixed point: %d bytes in, %d out", len(data), len(got))
+		if stripes, err := decodeV2(data); err == nil {
+			if got := encodeV2(stripes); !bytes.Equal(got, data) {
+				t.Fatalf("v2 decode/encode is not a fixed point: %d bytes in, %d out", len(data), len(got))
 			}
 		}
-		if stripes, err := DecompressStripes(data, maxBytes); err == nil {
-			back, err := DecompressStripes(CompressStripes(stripes), maxBytes)
+		if stripes, err := decodeCF2(data, maxBytes); err == nil {
+			back, err := decodeCF2(encodeCF2(stripes), maxBytes)
 			if err != nil {
-				t.Fatalf("re-compressed payload failed to decode: %v", err)
+				t.Fatalf("re-compressed cf2 payload failed to decode: %v", err)
 			}
 			if !stripesBitEqual(stripes, back) {
-				t.Fatal("columnar re-compression changed fragment bits")
+				t.Fatal("cf2 re-compression changed fragment bits")
 			}
 		}
 	})

@@ -98,16 +98,12 @@ type JobSpec struct {
 	TerminationAlpha float32 `json:"termination_alpha,omitempty"`
 
 	// BricksPerGPU scales the bricking policy exactly like
-	// Options.BricksPerGPU (0 means the default 1). omitempty keeps
-	// default jobs decodable by daemons that predate the field —
-	// MapRequest decoding disallows unknown fields, so only jobs that
-	// actually use the knob require upgraded workers.
+	// Options.BricksPerGPU (0 means the default 1).
 	BricksPerGPU int `json:"bricks_per_gpu,omitempty"`
 
 	// Partition, when non-nil, groups the grid's bricks into possibly
 	// non-convex map units (map-task IDs become unit IDs and stripes
-	// carry per-pixel fragment lists). nil is the convex default and
-	// keeps the wire form identical to pre-partition daemons.
+	// carry per-pixel fragment lists). nil is the convex default.
 	Partition *PartitionSpec `json:"partition,omitempty"`
 
 	Camera CameraSpec `json:"camera"`
@@ -116,9 +112,8 @@ type JobSpec struct {
 // PartitionSpec names a registered partition scheme on the wire. Both
 // sides build the same core.Partition from it, which is what lets the
 // coordinator and its workers agree on unit tables without shipping
-// code. Workers that predate partitions reject jobs carrying one with a
-// 400 (unknown field) — a loud, safe failure the coordinator surfaces
-// without marking the node down.
+// code. A worker that does not know the scheme answers 400 — a loud,
+// safe failure the coordinator surfaces without marking the node down.
 type PartitionSpec struct {
 	// Scheme is a name registered with core.RegisterPartition
 	// (builtin: "interleave").

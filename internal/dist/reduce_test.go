@@ -11,7 +11,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -114,6 +116,90 @@ func TestDistReduceCompressionToggle(t *testing.T) {
 			t.Errorf("noCompress=%t: digest %s != direct %s", noCompress, got, want)
 		}
 	}
+}
+
+// TestStripeEncodingPerHop: the requester chooses the encoding in the
+// request body and every hop that carries stripes labels them with it —
+// gvmr-cf2 by default, gvmr-v2 under NoCompress, on /map responses, peer
+// pushes and collect responses alike. A reduce-mode /map response carries
+// no stripes and no label.
+func TestStripeEncodingPerHop(t *testing.T) {
+	job := testJob(t, dataset.Skull, 32, 64, 4, 30, true)
+	want := directDigest(t, job)
+	for _, distReduce := range []bool{false, true} {
+		for _, noCompress := range []bool{false, true} {
+			var mu sync.Mutex
+			seen := map[string]map[string]int{} // path → Content-Encoding → payloads
+			note := func(path, label string) {
+				mu.Lock()
+				defer mu.Unlock()
+				if seen[path] == nil {
+					seen[path] = map[string]int{}
+				}
+				seen[path][label]++
+			}
+			addrs, _ := startReduceWorkers(t, 2, func(i int, path string, h http.Handler) http.Handler {
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if path == ReducePath { // a push: the payload is the request
+						note(path, r.Header.Get("Content-Encoding"))
+						h.ServeHTTP(w, r)
+						return
+					}
+					h.ServeHTTP(&labelRecorder{ResponseWriter: w, note: func(h http.Header) {
+						hop := path
+						if h.Get(HeaderReduced) == "1" {
+							hop += " (reduced)"
+						}
+						note(hop, h.Get("Content-Encoding"))
+					}}, r)
+				})
+			})
+			coord := newTestCoordinator(t, addrs, func(c *CoordinatorConfig) {
+				c.DistReduce = distReduce
+				c.NoCompress = noCompress
+			})
+			res, _, err := coord.Render(context.Background(), job)
+			if err != nil {
+				t.Fatalf("distReduce=%t noCompress=%t: %v", distReduce, noCompress, err)
+			}
+			if got := res.Image.Digest(); got != want {
+				t.Errorf("distReduce=%t noCompress=%t: digest %s != direct %s", distReduce, noCompress, got, want)
+			}
+			enc := stripeEncoding(!noCompress)
+			wantSeen := map[string]map[string]int{MapPath: {enc: 2}}
+			if distReduce {
+				wantSeen = map[string]map[string]int{
+					MapPath + " (reduced)": {"": 2},
+					ReducePath:             {enc: 2},
+					CollectPath:            {enc: 2},
+				}
+			}
+			mu.Lock()
+			if !reflect.DeepEqual(seen, wantSeen) {
+				t.Errorf("distReduce=%t noCompress=%t: payload labels per hop %v, want %v", distReduce, noCompress, seen, wantSeen)
+			}
+			mu.Unlock()
+		}
+	}
+}
+
+// labelRecorder reports a response's headers as the handler commits
+// them — before a byte reaches the client, so the test that waits for
+// the response reads a settled record.
+type labelRecorder struct {
+	http.ResponseWriter
+	once sync.Once
+	note func(http.Header)
+}
+
+func (l *labelRecorder) WriteHeader(code int) {
+	l.once.Do(func() { l.note(l.Header()) })
+	l.ResponseWriter.WriteHeader(code)
+}
+
+func (l *labelRecorder) Write(b []byte) (int, error) {
+	l.once.Do(func() { l.note(l.Header()) })
+	return l.ResponseWriter.Write(b)
 }
 
 // TestDistReduceSingleWorkerFallsBack: one eligible node cannot host an
@@ -290,8 +376,9 @@ func TestParseSecondsHeaderRejectsNonFinite(t *testing.T) {
 // syntheticMapResponse builds the http.Response + payload pair a worker
 // would serve for the given stripes, with a correct digest.
 func syntheticMapResponse(stripes []core.BrickStripe, mut func(h http.Header)) (*http.Response, []byte) {
-	payload := EncodeStripes(stripes)
+	payload := encodeV2(stripes)
 	h := http.Header{}
+	h.Set("Content-Encoding", EncodingListV2)
 	h.Set(HeaderStripeDigest, PayloadDigest(payload))
 	h.Set(HeaderMapSeconds, "0.25")
 	if mut != nil {
@@ -433,7 +520,7 @@ func TestCoordinatorDoesNotMarkDownOn4xx(t *testing.T) {
 			http.Error(w, "nope", tc.status)
 		}))
 		coord := newTestCoordinator(t, []string{srv.URL}, nil)
-		_, _, err := coord.post(context.Background(), time.Second, srv.URL, MapPath, nil, "application/json", "")
+		_, _, err := coord.post(context.Background(), time.Second, srv.URL, MapPath, nil, "application/json")
 		if err == nil {
 			t.Fatalf("status %d produced no error", tc.status)
 		}
@@ -462,9 +549,10 @@ func reduceWorker(t *testing.T, mut func(*WorkerConfig)) *Worker {
 
 // pushReq builds a /reduce request for stripes with a correct digest.
 func pushReq(exchange string, lo, hi int32, stripes []core.BrickStripe) *http.Request {
-	payload := EncodeStripes(stripes)
+	payload := encodeV2(stripes)
 	u := fmt.Sprintf("%s?ex=%s&lo=%d&hi=%d", ReducePath, url.QueryEscape(exchange), lo, hi)
 	r := httptest.NewRequest(http.MethodPost, u, bytes.NewReader(payload))
+	r.Header.Set("Content-Encoding", EncodingListV2)
 	r.Header.Set(HeaderStripeDigest, PayloadDigest(payload))
 	return r
 }
@@ -499,6 +587,16 @@ func TestReducePushRejects(t *testing.T) {
 		req    *http.Request
 		status int
 	}{"digest mismatch", corrupt, http.StatusBadRequest})
+	// A sound payload under any label but the two encodings is refused.
+	for _, enc := range rejectedEncodings {
+		mislabelled := pushReq("e", 0, 10, good)
+		mislabelled.Header.Set("Content-Encoding", enc)
+		cases = append(cases, struct {
+			name   string
+			req    *http.Request
+			status int
+		}{fmt.Sprintf("encoding %q", enc), mislabelled, http.StatusBadRequest})
+	}
 
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()
@@ -690,8 +788,8 @@ func TestCompressedWireRoundTrip(t *testing.T) {
 		{Brick: 2},
 		{Brick: 5, Frags: []composite.Fragment{{Key: 0, A: 1, Depth: 0.5}}},
 	}
-	payload := CompressStripes(stripes)
-	back, err := DecompressStripes(payload, 1<<20)
+	payload := encodeCF2(stripes)
+	back, err := decodeCF2(payload, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -725,14 +823,6 @@ func stripesBitEqual(a, b []core.BrickStripe) bool {
 	return true
 }
 
-// TestDecodePayloadUnknownEncoding: an encoding neither side negotiated
-// is an error, never silently misparsed.
-func TestDecodePayloadUnknownEncoding(t *testing.T) {
-	if _, err := DecodePayload("gzip", []byte{1, 2, 3}, 1<<20); err == nil {
-		t.Fatal("unknown encoding accepted")
-	}
-}
-
 // TestCompressionShrinksRealStripes runs a real map batch and asserts
 // the columnar payload is materially smaller than the identity one —
 // the wire win the cluster bench records (its guard demands ≥2x; here
@@ -756,8 +846,8 @@ func TestCompressionShrinksRealStripes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	identity := EncodeStripes(res.Stripes)
-	compressed := CompressStripes(res.Stripes)
+	identity := encodeV2(res.Stripes)
+	compressed := encodeCF2(res.Stripes)
 	if len(identity) == 0 {
 		t.Skip("empty stripes at this view")
 	}
@@ -766,32 +856,11 @@ func TestCompressionShrinksRealStripes(t *testing.T) {
 	}
 	t.Logf("wire compression: %d -> %d bytes (%.2fx)",
 		len(identity), len(compressed), float64(len(identity))/float64(len(compressed)))
-	back, err := DecompressStripes(compressed, int64(len(identity))+1024)
+	back, err := decodeCF2(compressed, int64(len(identity))+1024)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !stripesBitEqual(res.Stripes, back) {
 		t.Fatal("real stripes changed bits over the columnar wire")
-	}
-	// The same floor for the list-aware pair: cf2 against the v2 identity.
-	if id2, cf2 := EncodeStripesV2(res.Stripes), CompressStripesV2(res.Stripes); len(cf2)*3 > len(id2)*2 {
-		t.Errorf("cf2 payload %d bytes vs v2 identity %d: less than 1.5x", len(cf2), len(id2))
-	}
-}
-
-// TestAcceptsColumnar covers the negotiation parser.
-func TestAcceptsColumnar(t *testing.T) {
-	for header, want := range map[string]bool{
-		"":                           false,
-		"gzip, deflate":              false,
-		EncodingColumnar:             true,
-		"gzip, " + EncodingColumnar:  true,
-		EncodingColumnar + ";q=1":    true,
-		" " + EncodingColumnar + " ": true,
-		"xgvmr-cf1":                  false,
-	} {
-		if got := acceptsColumnar(header); got != want {
-			t.Errorf("acceptsColumnar(%q) = %t, want %t", header, got, want)
-		}
 	}
 }

@@ -42,7 +42,7 @@ func TestCoordinatorDoesNotMarkDownOnCallerCancel(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	_, _, err := coord.post(ctx, time.Minute, srv.URL, MapPath, nil, "application/json", "")
+	_, _, err := coord.post(ctx, time.Minute, srv.URL, MapPath, nil, "application/json")
 	if err == nil {
 		t.Fatal("cancelled post succeeded")
 	}
@@ -68,7 +68,7 @@ func TestCoordinatorDeadlineAbortNotNodeDown(t *testing.T) {
 	defer srv.Close()
 
 	coord := newTestCoordinator(t, []string{srv.URL}, nil)
-	_, _, err := coord.post(context.Background(), time.Second, srv.URL, MapPath, nil, "application/json", "")
+	_, _, err := coord.post(context.Background(), time.Second, srv.URL, MapPath, nil, "application/json")
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("504 error %v does not wrap ErrDeadline", err)
 	}

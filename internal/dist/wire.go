@@ -32,10 +32,10 @@ const (
 	// HeaderMapSeconds is the virtual duration of the worker's map job
 	// (its simulated makespan, not wall time), in seconds.
 	HeaderMapSeconds = "X-Gvmr-Map-Seconds"
-	// HeaderStripeDigest is the SHA-256 of the exact response body (the
-	// bytes as sent, compressed when compression was negotiated). The
-	// coordinator recomputes it; any corruption in flight (or a buggy
-	// worker) turns into a retry on another node instead of wrong bits.
+	// HeaderStripeDigest is the SHA-256 of the exact body (the bytes as
+	// sent, compressed or not). The receiver recomputes it; any
+	// corruption in flight (or a buggy worker) turns into a retry on
+	// another node instead of wrong bits.
 	HeaderStripeDigest = "X-Gvmr-Stripe-Digest"
 	// HeaderReduced marks a map response whose stripes went to the
 	// exchange's reducers instead of the response body ("1").
@@ -50,12 +50,27 @@ const (
 	HeaderExchangeMsgs  = "X-Gvmr-Exchange-Msgs"
 )
 
-// EncodingColumnar names the negotiated stripe compression: a columnar
-// transform (varint stripe headers, per-stripe delta-zigzag pixel keys,
-// byte-plane-split float channels) under stdlib flate. Advertised via
-// Accept-Encoding and confirmed via Content-Encoding, so either side may
-// be older and the exchange degrades to the identity v1 payload.
-const EncodingColumnar = "gvmr-cf1"
+// The two stripe encodings: one layout, raw or under flate. Every hop —
+// map response, peer push, collect response — carries one of them, the
+// requester says which in the request body (a compress bool), and the
+// sender labels the body with Content-Encoding. There is nothing else to
+// agree on: a decoder accepts exactly these two names.
+const (
+	// EncodingListV2 is the identity layout.
+	EncodingListV2 = "gvmr-v2"
+	// EncodingColumnar2 is the same layout as a columnar transform
+	// (varint headers, delta-coded pixel keys, byte-plane-split float
+	// channels — wire_columnar.go) under stdlib flate.
+	EncodingColumnar2 = "gvmr-cf2"
+)
+
+// stripeEncoding names the encoding a requester's compress flag selects.
+func stripeEncoding(compress bool) string {
+	if compress {
+		return EncodingColumnar2
+	}
+	return EncodingListV2
+}
 
 // MapRequest asks a worker to run the map phase for a batch of bricks.
 type MapRequest struct {
@@ -67,14 +82,16 @@ type MapRequest struct {
 	// GPU model, different bricking policy version) must fail loudly,
 	// never render different bricks.
 	GridCounts [3]int `json:"grid_counts"`
+	// Compress asks for the response stripes as EncodingColumnar2
+	// instead of EncodingListV2.
+	Compress bool `json:"compress,omitempty"`
 	// Reduce, when non-nil, turns the batch into one leg of a
 	// distributed reduce: instead of returning stripes, the worker
 	// pushes each reducer's pixel range to its /reduce endpoint (its own
 	// range is delivered in-process) and returns an empty body with
-	// HeaderReduced set. Workers predating the field reject the request
-	// (DisallowUnknownFields), which the coordinator treats as a reduce
-	// failure and falls back to the classic path — mixed fleets degrade,
-	// never diverge.
+	// HeaderReduced set. A worker that refuses the plan answers 400,
+	// which the coordinator treats as a reduce failure and falls back to
+	// the classic path — same bits, different topology.
 	Reduce *ReducePlan `json:"reduce,omitempty"`
 }
 
@@ -96,80 +113,138 @@ type ReducePlan struct {
 	// Self is the index in Reducers of the mapper itself, or -1 when the
 	// mapper is not a reducer; its own range skips the wire entirely.
 	Self int `json:"self"`
-	// Compress applies EncodingColumnar to the pushed payloads.
+	// Compress pushes the payloads as EncodingColumnar2.
 	Compress bool `json:"compress,omitempty"`
 
 	Reducers []ReduceTarget `json:"reducers"`
 }
 
-// Stripe payload format (all little-endian):
+// Identity payload format (all little-endian):
 //
-//	repeat per stripe, ascending brick ID:
-//	  int32  brick ID
-//	  int32  fragment count
-//	  count × 24-byte fragments: int32 key, float32 R,G,B,A, float32 depth
+//	repeat per stripe, ascending unit ID:
+//	  int32  unit ID
+//	  int32  run count
+//	  runs × (int32 pixel key, int32 fragment count ≥ 1)
+//	  Σcounts × 20-byte fragments: float32 R,G,B,A, float32 depth
 //
-// Fragment floats are raw IEEE-754 bit patterns — the renderer's exact
-// bits, like /render?format=raw.
-const stripeHeaderBytes = 8
+// A stripe is a sequence of (key, count) runs followed by keyless
+// fragment records: per-pixel fragment lists are explicit, so a reader
+// knows every pixel's list length before touching the fragments and a
+// pixel a non-convex unit hits k times costs 8 bytes, not 4k. Fragment
+// floats are raw IEEE-754 bit patterns — the renderer's exact bits, like
+// /render?format=raw. Runs are maximal: adjacent runs in one stripe
+// never share a key, and every count is at least 1. That makes the
+// layout canonical — any payload decodeV2 accepts re-encodes to
+// identical bytes, the fixed-point property FuzzDecodeStripes holds.
+const (
+	v2StripeHeaderBytes = 8
+	v2RunBytes          = 8
+	v2FragBytes         = composite.FragmentBytes - 4 // keyless record
+)
 
-// EncodeStripes serialises stripes into the wire payload.
-func EncodeStripes(stripes []core.BrickStripe) []byte {
+// stripeRuns calls fn for each maximal run of equal consecutive keys in
+// frags: the per-pixel (key, count) spans both encodings carry.
+func stripeRuns(frags []composite.Fragment, fn func(key int32, count int)) {
+	for i := 0; i < len(frags); {
+		j := i + 1
+		for j < len(frags) && frags[j].Key == frags[i].Key {
+			j++
+		}
+		fn(frags[i].Key, j-i)
+		i = j
+	}
+}
+
+// countRuns returns the number of maximal equal-key runs in frags.
+func countRuns(frags []composite.Fragment) int {
+	n := 0
+	stripeRuns(frags, func(int32, int) { n++ })
+	return n
+}
+
+// encodeV2 serialises stripes into the identity payload.
+func encodeV2(stripes []core.BrickStripe) []byte {
 	n := 0
 	for _, s := range stripes {
-		n += stripeHeaderBytes + len(s.Frags)*composite.FragmentBytes
+		n += v2StripeHeaderBytes + countRuns(s.Frags)*v2RunBytes + len(s.Frags)*v2FragBytes
 	}
 	buf := make([]byte, n)
 	off := 0
 	for _, s := range stripes {
 		binary.LittleEndian.PutUint32(buf[off:], uint32(int32(s.Brick)))
-		binary.LittleEndian.PutUint32(buf[off+4:], uint32(int32(len(s.Frags))))
-		off += stripeHeaderBytes
+		binary.LittleEndian.PutUint32(buf[off+4:], uint32(int32(countRuns(s.Frags))))
+		off += v2StripeHeaderBytes
+		stripeRuns(s.Frags, func(key int32, count int) {
+			binary.LittleEndian.PutUint32(buf[off:], uint32(key))
+			binary.LittleEndian.PutUint32(buf[off+4:], uint32(int32(count)))
+			off += v2RunBytes
+		})
 		for _, f := range s.Frags {
-			binary.LittleEndian.PutUint32(buf[off:], uint32(f.Key))
-			binary.LittleEndian.PutUint32(buf[off+4:], math.Float32bits(f.R))
-			binary.LittleEndian.PutUint32(buf[off+8:], math.Float32bits(f.G))
-			binary.LittleEndian.PutUint32(buf[off+12:], math.Float32bits(f.B))
-			binary.LittleEndian.PutUint32(buf[off+16:], math.Float32bits(f.A))
-			binary.LittleEndian.PutUint32(buf[off+20:], math.Float32bits(f.Depth))
-			off += composite.FragmentBytes
+			binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(f.R))
+			binary.LittleEndian.PutUint32(buf[off+4:], math.Float32bits(f.G))
+			binary.LittleEndian.PutUint32(buf[off+8:], math.Float32bits(f.B))
+			binary.LittleEndian.PutUint32(buf[off+12:], math.Float32bits(f.A))
+			binary.LittleEndian.PutUint32(buf[off+16:], math.Float32bits(f.Depth))
+			off += v2FragBytes
 		}
 	}
 	return buf
 }
 
-// DecodeStripes parses a wire payload back into stripes. It validates
-// structure only (framing, counts); semantic checks — do the brick IDs
-// match the request — are the coordinator's job.
-func DecodeStripes(data []byte) ([]core.BrickStripe, error) {
+// decodeV2 parses an identity payload. It validates structure only
+// (framing, counts) — semantic checks, such as whether the unit IDs
+// match the request, are the receiver's job — but structure includes
+// canonical form: run counts must be positive and adjacent runs must not
+// share a key, so accepted payloads are exactly encodeV2's image.
+func decodeV2(data []byte) ([]core.BrickStripe, error) {
 	var stripes []core.BrickStripe
 	off := 0
 	for off < len(data) {
-		if len(data)-off < stripeHeaderBytes {
-			return nil, fmt.Errorf("dist: truncated stripe header at byte %d", off)
+		if len(data)-off < v2StripeHeaderBytes {
+			return nil, fmt.Errorf("dist: truncated v2 stripe header at byte %d", off)
 		}
 		brick := int32(binary.LittleEndian.Uint32(data[off:]))
-		count := int32(binary.LittleEndian.Uint32(data[off+4:]))
-		off += stripeHeaderBytes
+		runs := int32(binary.LittleEndian.Uint32(data[off+4:]))
+		off += v2StripeHeaderBytes
 		if brick < 0 {
-			return nil, fmt.Errorf("dist: negative brick ID %d", brick)
+			return nil, fmt.Errorf("dist: negative unit ID %d", brick)
 		}
-		if count < 0 || int64(count)*composite.FragmentBytes > int64(len(data)-off) {
-			return nil, fmt.Errorf("dist: stripe for brick %d claims %d fragments beyond payload", brick, count)
+		if runs < 0 || int64(runs)*v2RunBytes > int64(len(data)-off) {
+			return nil, fmt.Errorf("dist: v2 stripe for unit %d claims %d runs beyond payload", brick, runs)
+		}
+		var total int64
+		keys := make([]int32, runs)
+		counts := make([]int32, runs)
+		for i := int32(0); i < runs; i++ {
+			keys[i] = int32(binary.LittleEndian.Uint32(data[off:]))
+			counts[i] = int32(binary.LittleEndian.Uint32(data[off+4:]))
+			off += v2RunBytes
+			if counts[i] < 1 {
+				return nil, fmt.Errorf("dist: v2 run %d of unit %d has count %d", i, brick, counts[i])
+			}
+			if i > 0 && keys[i] == keys[i-1] {
+				return nil, fmt.Errorf("dist: v2 unit %d has non-maximal runs (key %d repeats)", brick, keys[i])
+			}
+			total += int64(counts[i])
+		}
+		if total*v2FragBytes > int64(len(data)-off) {
+			return nil, fmt.Errorf("dist: v2 stripe for unit %d claims %d fragments beyond payload", brick, total)
 		}
 		s := core.BrickStripe{Brick: int(brick)}
-		if count > 0 {
-			s.Frags = make([]composite.Fragment, count)
-			for i := range s.Frags {
-				s.Frags[i] = composite.Fragment{
-					Key:   int32(binary.LittleEndian.Uint32(data[off:])),
-					R:     math.Float32frombits(binary.LittleEndian.Uint32(data[off+4:])),
-					G:     math.Float32frombits(binary.LittleEndian.Uint32(data[off+8:])),
-					B:     math.Float32frombits(binary.LittleEndian.Uint32(data[off+12:])),
-					A:     math.Float32frombits(binary.LittleEndian.Uint32(data[off+16:])),
-					Depth: math.Float32frombits(binary.LittleEndian.Uint32(data[off+20:])),
+		if total > 0 {
+			s.Frags = make([]composite.Fragment, 0, total)
+			for i := int32(0); i < runs; i++ {
+				for c := int32(0); c < counts[i]; c++ {
+					s.Frags = append(s.Frags, composite.Fragment{
+						Key:   keys[i],
+						R:     math.Float32frombits(binary.LittleEndian.Uint32(data[off:])),
+						G:     math.Float32frombits(binary.LittleEndian.Uint32(data[off+4:])),
+						B:     math.Float32frombits(binary.LittleEndian.Uint32(data[off+8:])),
+						A:     math.Float32frombits(binary.LittleEndian.Uint32(data[off+12:])),
+						Depth: math.Float32frombits(binary.LittleEndian.Uint32(data[off+16:])),
+					})
+					off += v2FragBytes
 				}
-				off += composite.FragmentBytes
 			}
 		}
 		stripes = append(stripes, s)
@@ -177,75 +252,98 @@ func DecodeStripes(data []byte) ([]core.BrickStripe, error) {
 	return stripes, nil
 }
 
-// CompressStripes serialises stripes into the EncodingColumnar payload:
+// encodeCF2 serialises stripes into the EncodingColumnar2 payload:
 //
 //	flate(
 //	  uvarint stripe count
-//	  repeat per stripe: uvarint brick ID, uvarint fragment count
-//	  repeat per stripe: varint delta-coded pixel keys (reset per stripe)
+//	  repeat per stripe: uvarint unit ID, uvarint run count
+//	  repeat per stripe: runs × (varint delta-coded key, uvarint count)
 //	  5 channels × 4 byte planes × one byte per fragment
 //	)
 //
-// Keys inside a stripe ascend (the caster emits pixels in scan order),
-// so deltas are small positive varints; the float planes compress on the
-// smoothness of adjacent rays. The transform is lossless and exact: the
-// decoded fragments carry the same bit patterns, NaNs included.
-func CompressStripes(stripes []core.BrickStripe) []byte {
+// Keys inside a stripe mostly ascend (the caster emits pixels in scan
+// order), so deltas are small varints, reset per stripe; the float
+// planes compress on the smoothness of adjacent rays. The transform is
+// lossless and exact: the decoded fragments carry the same bit patterns,
+// NaNs included.
+func encodeCF2(stripes []core.BrickStripe) []byte {
 	buf := flatepool.GetBuf()
 	defer flatepool.PutBuf(buf)
 	raw := binary.AppendUvarint((*buf)[:0], uint64(len(stripes)))
 	total := 0
 	for _, s := range stripes {
 		raw = binary.AppendUvarint(raw, uint64(uint32(int32(s.Brick))))
-		raw = binary.AppendUvarint(raw, uint64(len(s.Frags)))
+		raw = binary.AppendUvarint(raw, uint64(countRuns(s.Frags)))
 		total += len(s.Frags)
 	}
 	for _, s := range stripes {
 		prev := int64(0)
-		for _, f := range s.Frags {
-			raw = binary.AppendVarint(raw, int64(f.Key)-prev)
-			prev = int64(f.Key)
-		}
+		stripeRuns(s.Frags, func(key int32, count int) {
+			raw = binary.AppendVarint(raw, int64(key)-prev)
+			prev = int64(key)
+			raw = binary.AppendUvarint(raw, uint64(count))
+		})
 	}
 	*buf = appendPlanes(raw, stripes, total)
 	return deflate(*buf)
 }
 
-// DecompressStripes parses an EncodingColumnar payload. maxBytes bounds
-// the decompressed size (zip-bomb guard); structural violations —
-// truncation, counts beyond the payload, out-of-range bricks or keys,
-// trailing garbage — are errors, mirroring DecodeStripes.
-func DecompressStripes(data []byte, maxBytes int64) ([]core.BrickStripe, error) {
+// decodeCF2 parses an EncodingColumnar2 payload. maxBytes bounds the
+// decompressed size (zip-bomb guard); structural violations —
+// truncation, counts beyond the payload, out-of-range units or keys,
+// trailing garbage — and canonical-form violations (zero counts, split
+// runs) are errors, mirroring decodeV2.
+func decodeCF2(data []byte, maxBytes int64) ([]core.BrickStripe, error) {
 	buf := flatepool.GetBuf()
 	defer flatepool.PutBuf(buf)
-	if err := inflate(EncodingColumnar, data, maxBytes, buf); err != nil {
+	if err := inflate(EncodingColumnar2, data, maxBytes, buf); err != nil {
 		return nil, err
 	}
-	r := columnarReader{name: EncodingColumnar, raw: *buf}
-	// A fragment costs at least one key byte plus its plane bytes.
-	stripes, counts, total, err := r.stripeTable("fragments", planeBytes+1)
+	r := columnarReader{name: EncodingColumnar2, raw: *buf}
+	// A run costs at least two header bytes (key varint + count uvarint)
+	// plus one fragment's plane bytes.
+	stripes, runCounts, runTotal, err := r.stripeTable("runs", planeBytes+2)
 	if err != nil {
 		return nil, err
 	}
-	// One backing array for the payload's fragments, sized from the
-	// counts the table just bounded.
-	all := make([]composite.Fragment, total)
+	// Every run still owes its two header bytes and every fragment its
+	// plane bytes, so what is left of the stream bounds the fragments
+	// before any run is read: keys go straight into one backing array,
+	// allocated once and never past that bound.
+	all := make([]composite.Fragment, (int64(len(r.raw)-r.pos)-2*runTotal)/planeBytes)
 	n := 0
-	for i, count := range counts {
-		frags := all[n : n+count : n+count]
-		n += count
-		prev := int64(0)
-		for j := range frags {
-			if prev, err = r.key(prev); err != nil {
+	for i, runs := range runCounts {
+		start, prev := n, int64(0)
+		for j := 0; j < runs; j++ {
+			k, err := r.key(prev)
+			if err != nil {
 				return nil, err
 			}
-			frags[j].Key = int32(prev)
+			if j > 0 && k == prev {
+				return nil, fmt.Errorf("dist: %s unit %d has non-maximal runs (key %d repeats)", EncodingColumnar2, stripes[i].Brick, k)
+			}
+			prev = k
+			count, err := r.uvarint()
+			if err != nil {
+				return nil, err
+			}
+			if count < 1 {
+				return nil, fmt.Errorf("dist: %s run %d of unit %d has count 0", EncodingColumnar2, j, stripes[i].Brick)
+			}
+			if count > uint64(len(all)-n) {
+				return nil, fmt.Errorf("dist: %s run claims %d fragments beyond payload", EncodingColumnar2, count)
+			}
+			for ; count > 0; count-- {
+				all[n].Key = int32(k)
+				n++
+			}
 		}
-		if count > 0 {
-			stripes[i].Frags = frags
+		if n > start {
+			stripes[i].Frags = all[start:n:n]
 		}
 	}
-	planes, err := r.planes(total)
+	all = all[:n]
+	planes, err := r.planes(int64(n))
 	if err != nil {
 		return nil, err
 	}
@@ -256,37 +354,75 @@ func DecompressStripes(data []byte, maxBytes int64) ([]core.BrickStripe, error) 
 	return stripes, nil
 }
 
-// EncodePayload serialises stripes for the wire, compressed when the
-// peer negotiated it. The returned encoding is the Content-Encoding
-// value ("" = identity v1).
-func EncodePayload(stripes []core.BrickStripe, compress bool) ([]byte, string) {
-	if compress {
-		return CompressStripes(stripes), EncodingColumnar
+// SanitizeStripes strips placeholder fragments from stripes and returns
+// the clean stripes plus the number stripped. Placeholders are a
+// kernel-internal sentinel (§3.1.1 cost parity) that every emit path
+// already drops before recording stripes, so a placeholder here means a
+// bug upstream — the worker strips it rather than shipping it (a NaN
+// depth would survive compositing as a no-op, but the wire contract
+// says stripes carry only surviving fragments) and surfaces the count
+// in /stats. Stripes are only copied when a placeholder is found.
+func SanitizeStripes(stripes []core.BrickStripe) ([]core.BrickStripe, int) {
+	stripped := 0
+	var out []core.BrickStripe
+	for i, s := range stripes {
+		dirty := false
+		for _, f := range s.Frags {
+			if f.IsPlaceholder() {
+				dirty = true
+				break
+			}
+		}
+		if !dirty {
+			if out != nil {
+				out = append(out, s)
+			}
+			continue
+		}
+		if out == nil {
+			out = append(out, stripes[:i]...)
+		}
+		clean := core.BrickStripe{Brick: s.Brick, Frags: make([]composite.Fragment, 0, len(s.Frags))}
+		for _, f := range s.Frags {
+			if f.IsPlaceholder() {
+				stripped++
+				continue
+			}
+			clean.Frags = append(clean.Frags, f)
+		}
+		out = append(out, clean)
 	}
-	return EncodeStripes(stripes), ""
+	if out == nil {
+		return stripes, 0
+	}
+	return out, stripped
 }
 
-// DecodePayload parses a wire payload according to its Content-Encoding.
-// maxBytes bounds the decompressed size of compressed payloads.
+// EncodePayloadAs serialises stripes in the named encoding — the
+// Content-Encoding value the body travels under.
+func EncodePayloadAs(stripes []core.BrickStripe, encoding string) ([]byte, error) {
+	switch encoding {
+	case EncodingListV2:
+		return encodeV2(stripes), nil
+	case EncodingColumnar2:
+		return encodeCF2(stripes), nil
+	default:
+		return nil, fmt.Errorf("dist: unsupported stripe encoding %q", encoding)
+	}
+}
+
+// DecodePayload parses a wire payload according to its Content-Encoding;
+// a missing or unknown label is an error, never a guess. maxBytes bounds
+// the decompressed size of compressed payloads.
 func DecodePayload(encoding string, data []byte, maxBytes int64) ([]core.BrickStripe, error) {
 	switch encoding {
-	case "", "identity":
-		return DecodeStripes(data)
 	case EncodingListV2:
-		return DecodeStripesV2(data)
-	case EncodingColumnar:
-		return DecompressStripes(data, maxBytes)
+		return decodeV2(data)
 	case EncodingColumnar2:
-		return DecompressStripesV2(data, maxBytes)
+		return decodeCF2(data, maxBytes)
 	default:
 		return nil, fmt.Errorf("dist: unsupported content encoding %q", encoding)
 	}
-}
-
-// acceptsColumnar reports whether an Accept-Encoding header value offers
-// EncodingColumnar.
-func acceptsColumnar(header string) bool {
-	return acceptsEncoding(header, EncodingColumnar)
 }
 
 // PayloadDigest is the hex SHA-256 of a stripe payload — the value of

@@ -16,17 +16,6 @@ import (
 	"gvmr/internal/volume/dataset"
 )
 
-// wireCodecs are the two compressed encodings over the shared flate
-// helper, as the tests and the benchmark iterate them.
-var wireCodecs = []struct {
-	name   string
-	encode func([]core.BrickStripe) []byte
-	decode func([]byte, int64) ([]core.BrickStripe, error)
-}{
-	{"cf1", CompressStripes, DecompressStripes},
-	{"cf2", CompressStripesV2, DecompressStripesV2},
-}
-
 // realStripes maps the cluster benchmark's frame — skull 128³ → 176², a
 // 4-GPU job's 4 bricks — once per test binary.
 var realStripes = sync.OnceValues(func() ([]core.BrickStripe, error) {
@@ -95,33 +84,31 @@ func stdInflate(tb testing.TB, payload []byte) []byte {
 
 var benchSink int
 
-// BenchmarkWireCodec times both compressed encodings on real stripes.
+// BenchmarkWireCodec times the compressed encoding on real stripes.
 // wire-bytes/op is what the virtual wire model charges; ns/op is what it
 // does not. Steady-state encode allocates the returned payload and
 // nothing that scales with it.
 func BenchmarkWireCodec(b *testing.B) {
 	stripes := mustRealStripes(b)
-	for _, c := range wireCodecs {
-		payload := c.encode(stripes)
-		b.Run(c.name+"/encode", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				benchSink += len(c.encode(stripes))
+	payload := encodeCF2(stripes)
+	b.Run("cf2/encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSink += len(encodeCF2(stripes))
+		}
+		b.ReportMetric(float64(len(payload)), "wire-bytes/op")
+	})
+	b.Run("cf2/decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			back, err := decodeCF2(payload, 1<<30)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(len(payload)), "wire-bytes/op")
-		})
-		b.Run(c.name+"/decode", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				back, err := c.decode(payload, 1<<30)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchSink += len(back)
-			}
-			b.ReportMetric(float64(len(payload)), "wire-bytes/op")
-		})
-	}
+			benchSink += len(back)
+		}
+		b.ReportMetric(float64(len(payload)), "wire-bytes/op")
+	})
 }
 
 // TestWireCodecSizeGuard holds the modelled wire: the virtual clock
@@ -130,23 +117,21 @@ func BenchmarkWireCodec(b *testing.B) {
 // would bloat virtual_ms_per_frame fails here, in tier-1.
 func TestWireCodecSizeGuard(t *testing.T) {
 	stripes := mustRealStripes(t)
-	for _, c := range wireCodecs {
-		payload := c.encode(stripes)
-		// Recover the exact columnar stream and deflate it at level 9 here.
-		raw := stdInflate(t, payload)
-		best := stdDeflate(t, raw, flate.BestCompression)
-		t.Logf("%s: %d bytes shipped, %d at level 9 (%+.2f%%), %d inflated",
-			c.name, len(payload), len(best), 100*(float64(len(payload))/float64(len(best))-1), len(raw))
-		if float64(len(payload)) > 1.02*float64(len(best)) {
-			t.Errorf("%s: shipped payload %d bytes > 1.02 × level 9's %d", c.name, len(payload), len(best))
-		}
-		back, err := c.decode(payload, int64(len(raw)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !stripesBitEqual(stripes, back) {
-			t.Errorf("%s: real stripes changed bits over the wire", c.name)
-		}
+	payload := encodeCF2(stripes)
+	// Recover the exact columnar stream and deflate it at level 9 here.
+	raw := stdInflate(t, payload)
+	best := stdDeflate(t, raw, flate.BestCompression)
+	t.Logf("%d bytes shipped, %d at level 9 (%+.2f%%), %d inflated",
+		len(payload), len(best), 100*(float64(len(payload))/float64(len(best))-1), len(raw))
+	if float64(len(payload)) > 1.02*float64(len(best)) {
+		t.Errorf("shipped payload %d bytes > 1.02 × level 9's %d", len(payload), len(best))
+	}
+	back, err := decodeCF2(payload, int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stripesBitEqual(stripes, back) {
+		t.Error("real stripes changed bits over the wire")
 	}
 }
 
@@ -167,9 +152,9 @@ func poolFixtures() [][]core.BrickStripe {
 	}
 }
 
-// TestWireCodecPoolsConcurrent interleaves both codecs and all fixture
-// sizes through the shared pools from 8 goroutines; every round trip must
-// be exact to the bit. Run under -race in CI.
+// TestWireCodecPoolsConcurrent interleaves all fixture sizes through the
+// shared pools from 8 goroutines; every round trip must be exact to the
+// bit. Run under -race in CI.
 func TestWireCodecPoolsConcurrent(t *testing.T) {
 	fixtures := poolFixtures()
 	var wg sync.WaitGroup
@@ -178,15 +163,14 @@ func TestWireCodecPoolsConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 60; i++ {
-				c := wireCodecs[(g+i)%len(wireCodecs)]
 				want := fixtures[(g*3+i)%len(fixtures)]
-				back, err := c.decode(c.encode(want), 1<<20)
+				back, err := decodeCF2(encodeCF2(want), 1<<20)
 				if err != nil {
-					t.Errorf("goroutine %d round %d: %s decode: %v", g, i, c.name, err)
+					t.Errorf("goroutine %d round %d: decode: %v", g, i, err)
 					return
 				}
 				if !stripesBitEqual(want, back) {
-					t.Errorf("goroutine %d round %d: %s round trip changed bits", g, i, c.name)
+					t.Errorf("goroutine %d round %d: round trip changed bits", g, i)
 					return
 				}
 			}
@@ -198,15 +182,13 @@ func TestWireCodecPoolsConcurrent(t *testing.T) {
 // TestWireCodecEncodeAllocs: with the pools warm, an encode allocates the
 // payload it returns and nothing that scales with the stripes.
 func TestWireCodecEncodeAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("-short rides the race leg, where sync.Pool drops Puts at random")
+	if raceEnabled {
+		t.Skip("race detector on: sync.Pool drops Puts at random")
 	}
 	stripes := poolFixtures()[3]
-	for _, c := range wireCodecs {
-		c.encode(stripes)
-		if n := testing.AllocsPerRun(50, func() { c.encode(stripes) }); n > 4 {
-			t.Errorf("%s: %v allocs per steady-state encode, want <= 4", c.name, n)
-		}
+	encodeCF2(stripes)
+	if n := testing.AllocsPerRun(50, func() { encodeCF2(stripes) }); n > 4 {
+		t.Errorf("%v allocs per steady-state encode, want <= 4", n)
 	}
 }
 
@@ -215,41 +197,37 @@ func TestWireCodecEncodeAllocs(t *testing.T) {
 // same goroutine (sync.Pool hands a P its own last Put first).
 func TestWireCodecPoolsSurviveErrors(t *testing.T) {
 	want := poolFixtures()[3]
-	for _, c := range wireCodecs {
-		good := c.encode(want)
-		if _, err := c.decode(good[:len(good)/2], 1<<20); !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Errorf("%s: truncated body: got %v, want io.ErrUnexpectedEOF", c.name, err)
-		}
-		// Block type 3 is reserved: corrupt whatever the encoder emitted.
-		flipped := bytes.Clone(good)
-		flipped[0] |= 0x06
-		var corrupt flate.CorruptInputError
-		if _, err := c.decode(flipped, 1<<20); !errors.As(err, &corrupt) {
-			t.Errorf("%s: bit-flipped body: got %v, want flate.CorruptInputError", c.name, err)
-		}
-		// Over the limit by one byte, with a buffer the pool has seen grow.
-		if _, err := c.decode(good, 1023); err == nil || !strings.Contains(err.Error(), "payload inflates beyond 1023 bytes") {
-			t.Errorf("%s: over-limit body: got %v", c.name, err)
-		}
-		back, err := c.decode(good, 1<<20)
-		if err != nil {
-			t.Fatalf("%s: valid body after failed decodes: %v", c.name, err)
-		}
-		if !stripesBitEqual(want, back) {
-			t.Errorf("%s: valid body after failed decodes changed bits", c.name)
-		}
+	good := encodeCF2(want)
+	if _, err := decodeCF2(good[:len(good)/2], 1<<20); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("truncated body: got %v, want io.ErrUnexpectedEOF", err)
+	}
+	// Block type 3 is reserved: corrupt whatever the encoder emitted.
+	flipped := bytes.Clone(good)
+	flipped[0] |= 0x06
+	var corrupt flate.CorruptInputError
+	if _, err := decodeCF2(flipped, 1<<20); !errors.As(err, &corrupt) {
+		t.Errorf("bit-flipped body: got %v, want flate.CorruptInputError", err)
+	}
+	// Over the limit by one byte, with a buffer the pool has seen grow.
+	if _, err := decodeCF2(good, 1023); err == nil || !strings.Contains(err.Error(), "payload inflates beyond 1023 bytes") {
+		t.Errorf("over-limit body: got %v", err)
+	}
+	back, err := decodeCF2(good, 1<<20)
+	if err != nil {
+		t.Fatalf("valid body after failed decodes: %v", err)
+	}
+	if !stripesBitEqual(want, back) {
+		t.Error("valid body after failed decodes changed bits")
 	}
 }
 
 // TestColumnarRejectsTrailingBytes: the plane section must end the
 // stream exactly — for an empty payload too, whose plane section is empty.
 func TestColumnarRejectsTrailingBytes(t *testing.T) {
-	for _, c := range wireCodecs {
-		for _, stripes := range [][]core.BrickStripe{nil, listStripes()} {
-			body := stdDeflate(t, append(stdInflate(t, c.encode(stripes)), 0), flate.BestSpeed)
-			if _, err := c.decode(body, 1<<20); err == nil || !strings.Contains(err.Error(), "plane section") {
-				t.Errorf("%s: %d stripes + 1 trailing byte: got %v", c.name, len(stripes), err)
-			}
+	for _, stripes := range [][]core.BrickStripe{nil, listStripes()} {
+		body := stdDeflate(t, append(stdInflate(t, encodeCF2(stripes)), 0), flate.BestSpeed)
+		if _, err := decodeCF2(body, 1<<20); err == nil || !strings.Contains(err.Error(), "plane section") {
+			t.Errorf("%d stripes + 1 trailing byte: got %v", len(stripes), err)
 		}
 	}
 }

@@ -31,7 +31,7 @@ const wireFlateLevel = 4
 
 // deflate returns the flate stream of raw in a slice of its own: with the
 // codec state pooled, an encode's only steady-state allocation. Any deflate
-// stream is a valid cf1/cf2 body: level and pooling are invisible to decoders.
+// stream is a valid cf2 body: level and pooling are invisible to decoders.
 func deflate(raw []byte) []byte {
 	out := flatepool.GetBuf()
 	defer flatepool.PutBuf(out)
@@ -131,8 +131,8 @@ func (r *columnarReader) key(prev int64) (int64, error) {
 }
 
 // stripeTable parses the stripe count and the per-stripe (unit ID, count)
-// table, and totals the counts. They count items — cf1 fragments, cf2
-// runs — that each occupy at least itemBytes of the rest of the stream:
+// table, and totals the counts. They count items — cf2's runs — that
+// each occupy at least itemBytes of the rest of the stream:
 // any count past that density is corrupt, and refusing it here bounds
 // every later allocation by the inflated size.
 func (r *columnarReader) stripeTable(items string, itemBytes int64) ([]core.BrickStripe, []int, int64, error) {

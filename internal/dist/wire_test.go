@@ -1,0 +1,320 @@
+package dist
+
+import (
+	"bytes"
+	"math"
+	"math/rand/v2"
+	"testing"
+
+	"gvmr/internal/cluster"
+	"gvmr/internal/composite"
+	"gvmr/internal/core"
+	"gvmr/internal/volume/dataset"
+)
+
+// listStripes is a fixture with per-pixel fragment lists: pixel 7 of
+// unit 1 appears three times (a ray re-entering a non-convex unit), a
+// NaN payload channel rides along, and one stripe is empty.
+func listStripes() []core.BrickStripe {
+	return []core.BrickStripe{
+		{Brick: 1, Frags: []composite.Fragment{
+			{Key: 7, R: 0.25, G: 0.5, B: 0.125, A: 0.75, Depth: 1.5},
+			{Key: 7, R: 0.1, A: 0.5, Depth: 2.5},
+			{Key: 7, G: math.Float32frombits(0x7fc00001), A: 1, Depth: 3.5},
+			{Key: 9, A: 1, Depth: 0.5},
+			{Key: 7, B: 0.375, A: 0.25, Depth: 4.5}, // second run of key 7
+		}},
+		{Brick: 3},
+		{Brick: 4, Frags: []composite.Fragment{{Key: 0, A: 1, Depth: 0.25}}},
+	}
+}
+
+func TestStripesV2RoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		stripes []core.BrickStripe
+	}{
+		{"lists", listStripes()},
+		{"nil", nil},
+		{"empty-stripe", []core.BrickStripe{{Brick: 0}}},
+	} {
+		payload := encodeV2(tc.stripes)
+		back, err := decodeV2(payload)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.name, err)
+		}
+		if !stripesBitEqual(tc.stripes, back) && !(len(tc.stripes) == 0 && len(back) == 0) {
+			t.Fatalf("%s: v2 round trip changed stripes", tc.name)
+		}
+		// Canonical form: re-encoding the decode is the identity.
+		if again := encodeV2(back); !bytes.Equal(again, payload) {
+			t.Fatalf("%s: v2 re-encode is not a fixed point", tc.name)
+		}
+	}
+}
+
+func TestStripesV2RunHeadersCompact(t *testing.T) {
+	// 64 fragments of one pixel = one run: 8 bytes of keys, not 4 per
+	// fragment.
+	frags := make([]composite.Fragment, 64)
+	for i := range frags {
+		frags[i] = composite.Fragment{Key: 42, A: 1, Depth: float32(i)}
+	}
+	s := []core.BrickStripe{{Brick: 0, Frags: frags}}
+	v2 := encodeV2(s)
+	wantV2 := v2StripeHeaderBytes + v2RunBytes + 64*v2FragBytes
+	if len(v2) != wantV2 {
+		t.Fatalf("v2 payload is %d bytes, want %d", len(v2), wantV2)
+	}
+}
+
+func TestCompressStripesV2RoundTrip(t *testing.T) {
+	s := listStripes()
+	payload := encodeCF2(s)
+	back, err := decodeCF2(payload, 1<<20)
+	if err != nil {
+		t.Fatalf("decompress: %v", err)
+	}
+	if !stripesBitEqual(s, back) {
+		t.Fatal("cf2 round trip changed fragment bits")
+	}
+	if got, err := decodeCF2(encodeCF2(nil), 1<<20); err != nil || got != nil {
+		t.Fatalf("empty cf2 payload: got %v, %v", got, err)
+	}
+}
+
+func TestDecodeStripesV2Rejects(t *testing.T) {
+	good := encodeV2(listStripes())
+	cases := map[string][]byte{
+		"truncated header":  good[:5],
+		"truncated runs":    good[:v2StripeHeaderBytes+3],
+		"truncated payload": good[:len(good)-1],
+	}
+	// Zero-count run: unit 0, 1 run, (key 5, count 0).
+	zero := make([]byte, v2StripeHeaderBytes+v2RunBytes)
+	zero[4] = 1 // run count 1
+	zero[8] = 5 // key 5, count stays 0
+	cases["zero-count run"] = zero
+	// Non-maximal runs: two adjacent runs with the same key.
+	split := append([]byte(nil), encodeV2([]core.BrickStripe{{Brick: 0, Frags: []composite.Fragment{
+		{Key: 5, A: 1, Depth: 1},
+		{Key: 5, A: 1, Depth: 2},
+	}}})...)
+	// Rewrite the single (key 5, count 2) run as two (key 5, count 1) runs.
+	nonMax := make([]byte, 0, len(split)+v2RunBytes)
+	nonMax = append(nonMax, split[:4]...)
+	nonMax = append(nonMax, 2, 0, 0, 0) // run count 2
+	nonMax = append(nonMax, 5, 0, 0, 0, 1, 0, 0, 0)
+	nonMax = append(nonMax, 5, 0, 0, 0, 1, 0, 0, 0)
+	nonMax = append(nonMax, split[v2StripeHeaderBytes+v2RunBytes:]...)
+	cases["non-maximal runs"] = nonMax
+	// Negative unit ID.
+	neg := append([]byte(nil), good...)
+	neg[3] = 0x80
+	cases["negative unit"] = neg
+
+	for name, data := range cases {
+		if _, err := decodeV2(data); err == nil {
+			t.Errorf("%s: decode accepted a malformed payload", name)
+		}
+	}
+}
+
+func TestEncodePayloadAsRoundTrips(t *testing.T) {
+	s := listStripes()
+	for _, enc := range []string{EncodingListV2, EncodingColumnar2} {
+		payload, err := EncodePayloadAs(s, enc)
+		if err != nil {
+			t.Fatalf("%q: encode: %v", enc, err)
+		}
+		back, err := DecodePayload(enc, payload, 1<<20)
+		if err != nil {
+			t.Fatalf("%q: decode: %v", enc, err)
+		}
+		if !stripesBitEqual(s, back) {
+			t.Fatalf("%q: payload round trip changed stripes", enc)
+		}
+	}
+	for _, enc := range rejectedEncodings {
+		if _, err := EncodePayloadAs(s, enc); err == nil {
+			t.Errorf("EncodePayloadAs accepted encoding %q", enc)
+		}
+	}
+}
+
+// rejectedEncodings are labels a payload must never be parsed under: no
+// label, the HTTP default, a stranger, and the per-fragment-key codec
+// this tree once shipped.
+var rejectedEncodings = []string{"", "identity", "gzip", "gvmr-cf1"}
+
+// TestDecodePayloadUnknownEncoding: exactly two names decode. A valid
+// payload under any other label is an error, never silently misparsed.
+func TestDecodePayloadUnknownEncoding(t *testing.T) {
+	for _, good := range []string{EncodingListV2, EncodingColumnar2} {
+		payload, err := EncodePayloadAs(listStripes(), good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, enc := range rejectedEncodings {
+			if _, err := DecodePayload(enc, payload, 1<<20); err == nil {
+				t.Errorf("DecodePayload parsed a %s payload labelled %q", good, enc)
+			}
+		}
+	}
+}
+
+// pinnedStripes is a fixed seeded stripe set: four units, one empty,
+// 300 ascending pixels each, every pixel a list of depth fragments.
+func pinnedStripes(depth int) []core.BrickStripe {
+	r := rand.New(rand.NewPCG(21, uint64(depth)))
+	stripes := make([]core.BrickStripe, 4)
+	for u := range stripes {
+		stripes[u].Brick = 2*u + 1
+		if u == 2 {
+			continue
+		}
+		key := int32(0)
+		for p := 0; p < 300; p++ {
+			key += 1 + r.Int32N(5)
+			for d := 0; d < depth; d++ {
+				a := r.Float32()
+				stripes[u].Frags = append(stripes[u].Frags, composite.Fragment{
+					Key: key, R: r.Float32() * a, G: r.Float32() * a, B: r.Float32() * a, A: a,
+					Depth: float32(d) + r.Float32(),
+				})
+			}
+		}
+	}
+	return stripes
+}
+
+// TestWireFormatPinned pins the two layouts byte for byte: the digests
+// were recorded at the commit before the per-fragment-key codecs went, so
+// the deletion moved no byte. The cf2 digest is of the inflated stream —
+// the format — not of the flate framing, which a level change may move.
+func TestWireFormatPinned(t *testing.T) {
+	for _, tc := range []struct {
+		depth   int
+		v2, cf2 string
+	}{
+		{1, "b21f8c84f06d87f409f1e57abbc5364d76b19b7aeb96c1ac191318137279edf3",
+			"884d0cc277f30ed5fbf9d1ef1fe14fc80a4b2a6c63c44e07bc2dff1c0284be03"},
+		{3, "d6333288b3f02ee4bc2ebebac588e4d68360f9c4a9c47b939137264af4108cbb",
+			"902f41921c812e141448c5cbdf13640982e039ca34f8962ecf84e7f9a554b171"},
+	} {
+		s := pinnedStripes(tc.depth)
+		v2, err := EncodePayloadAs(s, EncodingListV2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := PayloadDigest(v2); got != tc.v2 {
+			t.Errorf("depth %d: %s payload digest %s, pinned %s", tc.depth, EncodingListV2, got, tc.v2)
+		}
+		cf2, err := EncodePayloadAs(s, EncodingColumnar2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := PayloadDigest(stdInflate(t, cf2)); got != tc.cf2 {
+			t.Errorf("depth %d: inflated %s stream digest %s, pinned %s", tc.depth, EncodingColumnar2, got, tc.cf2)
+		}
+	}
+}
+
+func TestSanitizeStripes(t *testing.T) {
+	clean := listStripes()
+	got, n := SanitizeStripes(clean)
+	if n != 0 {
+		t.Fatalf("clean stripes stripped %d", n)
+	}
+	if &got[0].Frags[0] != &clean[0].Frags[0] {
+		t.Fatal("clean stripes were copied")
+	}
+
+	dirty := []core.BrickStripe{
+		{Brick: 0, Frags: []composite.Fragment{
+			{Key: 1, A: 1, Depth: 0.5},
+			composite.Placeholder(2),
+			{Key: 3, A: 1, Depth: 1.5},
+		}},
+		{Brick: 2, Frags: []composite.Fragment{composite.Placeholder(4)}},
+		{Brick: 5, Frags: []composite.Fragment{{Key: 6, A: 1, Depth: 2.5}}},
+	}
+	got, n = SanitizeStripes(dirty)
+	if n != 2 {
+		t.Fatalf("stripped %d placeholders, want 2", n)
+	}
+	want := []core.BrickStripe{
+		{Brick: 0, Frags: []composite.Fragment{
+			{Key: 1, A: 1, Depth: 0.5},
+			{Key: 3, A: 1, Depth: 1.5},
+		}},
+		{Brick: 2, Frags: []composite.Fragment{}},
+		{Brick: 5, Frags: []composite.Fragment{{Key: 6, A: 1, Depth: 2.5}}},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d stripes, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Brick != want[i].Brick || len(got[i].Frags) != len(want[i].Frags) {
+			t.Fatalf("stripe %d: got %+v, want %+v", i, got[i], want[i])
+		}
+		for j := range want[i].Frags {
+			if got[i].Frags[j] != want[i].Frags[j] {
+				t.Fatalf("stripe %d frag %d: got %+v, want %+v", i, j, got[i].Frags[j], want[i].Frags[j])
+			}
+		}
+	}
+}
+
+// TestWorkerStripsPlaceholders is the regression test for the sanitize
+// seam: a mapper that leaks the kernel-internal placeholder sentinel
+// must never put it on the wire. The stub stands in for such a buggy
+// mapper; the assertions pin the payload placeholder-free, the fragment
+// count net of the strip, and the /stats counter equal to the leak.
+func TestWorkerStripsPlaceholders(t *testing.T) {
+	spec := cluster.AC(1)
+	job := testJob(t, dataset.Skull, 24, 48, 1, 0, false)
+	opt, err := job.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := core.PlanGrid(spec, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wk, err := NewWorker(WorkerConfig{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wk.mapBricks = func(cluster.Spec, core.Options, []int, int) (*core.MapResult, error) {
+		return &core.MapResult{Stripes: []core.BrickStripe{
+			{Brick: 0, Frags: []composite.Fragment{
+				{Key: 1, A: 1, Depth: 0.5},
+				composite.Placeholder(2),
+				composite.Placeholder(3),
+				{Key: 4, A: 1, Depth: 1.5},
+			}},
+		}}, nil
+	}
+	payload, frags, _, err := wk.Map(MapRequest{Job: job, Bricks: []int{0}, GridCounts: grid.Counts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frags != 2 {
+		t.Errorf("reported %d fragments, want 2 survivors", frags)
+	}
+	stripes, err := decodeV2(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range stripes {
+		for _, f := range s.Frags {
+			if f.IsPlaceholder() {
+				t.Fatalf("placeholder for key %d crossed the wire", f.Key)
+			}
+		}
+	}
+	if got := wk.PlaceholdersStripped(); got != 2 {
+		t.Errorf("PlaceholdersStripped() = %d, want 2", got)
+	}
+}

@@ -159,10 +159,10 @@ func (wk *Worker) PlaceholdersStripped() int64 { return wk.stripped.Load() }
 // mapOutcome is one successful map batch, ready to serve.
 type mapOutcome struct {
 	payload    []byte
-	encoding   string // Content-Encoding of payload ("" = identity)
+	encoding   string // Content-Encoding of payload
 	frags      int
 	mapSeconds float64
-	reduced    bool // stripes went to the exchange, payload is empty
+	reduced    bool // stripes went to the exchange: no payload, no encoding
 }
 
 // ServeHTTP implements http.Handler for MapPath. Errors map to status by
@@ -194,7 +194,7 @@ func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, budget)
 		defer cancel()
 	}
-	out, err := wk.run(ctx, req, negotiateEncoding(r.Header.Get("Accept-Encoding")))
+	out, err := wk.run(ctx, req)
 	if err != nil {
 		status := http.StatusInternalServerError
 		var reqErr requestError
@@ -214,31 +214,30 @@ func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
-	if out.encoding != "" {
+	if out.reduced {
+		h.Set(HeaderReduced, "1")
+	} else {
 		h.Set("Content-Encoding", out.encoding)
 	}
 	h.Set("Content-Length", strconv.Itoa(len(out.payload)))
 	h.Set(HeaderFragCount, strconv.Itoa(out.frags))
 	h.Set(HeaderMapSeconds, strconv.FormatFloat(out.mapSeconds, 'g', -1, 64))
 	h.Set(HeaderStripeDigest, PayloadDigest(out.payload))
-	if out.reduced {
-		h.Set(HeaderReduced, "1")
-	}
 	_, _ = w.Write(out.payload) // client hangup; the coordinator will retry
 }
 
 // Map is the in-process form of the endpoint: run a map batch and return
-// the encoded identity payload, its fragment count and the job's virtual
-// seconds. Tests share it.
+// the payload in the encoding req.Compress selects, its fragment count
+// and the job's virtual seconds. Tests share it.
 func (wk *Worker) Map(req MapRequest) ([]byte, int, float64, error) {
-	out, err := wk.run(context.Background(), req, "")
+	out, err := wk.run(context.Background(), req)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	return out.payload, out.frags, out.mapSeconds, nil
 }
 
-func (wk *Worker) run(ctx context.Context, req MapRequest, encoding string) (mapOutcome, error) {
+func (wk *Worker) run(ctx context.Context, req MapRequest) (mapOutcome, error) {
 	if err := req.Job.Validate(wk.cfg.MaxEdge, wk.cfg.MaxPixels); err != nil {
 		return mapOutcome{}, requestError{err}
 	}
@@ -304,11 +303,11 @@ func (wk *Worker) run(ctx context.Context, req MapRequest, encoding string) (map
 		out.reduced = true
 		return out, nil
 	}
-	out.payload, err = EncodePayloadAs(stripes, encoding)
+	out.encoding = stripeEncoding(req.Compress)
+	out.payload, err = EncodePayloadAs(stripes, out.encoding)
 	if err != nil {
 		return mapOutcome{}, err
 	}
-	out.encoding = encoding
 	return out, nil
 }
 
@@ -397,7 +396,11 @@ func (wk *Worker) pushStripes(ctx context.Context, plan *ReducePlan, stripes []c
 
 func (wk *Worker) postPush(ctx context.Context, tgt ReduceTarget, exchange string,
 	stripes []core.BrickStripe, compress bool) error {
-	payload, encoding := EncodePayload(stripes, compress)
+	encoding := stripeEncoding(compress)
+	payload, err := EncodePayloadAs(stripes, encoding)
+	if err != nil {
+		return err
+	}
 	ctx, cancel := context.WithTimeout(ctx, wk.cfg.PushTimeout)
 	defer cancel()
 	u := fmt.Sprintf("%s%s?ex=%s&lo=%d&hi=%d", tgt.Addr, ReducePath, url.QueryEscape(exchange), tgt.Lo, tgt.Hi)
@@ -406,9 +409,7 @@ func (wk *Worker) postPush(ctx context.Context, tgt ReduceTarget, exchange strin
 		return err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	if encoding != "" {
-		req.Header.Set("Content-Encoding", encoding)
-	}
+	req.Header.Set("Content-Encoding", encoding)
 	req.Header.Set(HeaderStripeDigest, PayloadDigest(payload))
 	resp, err := wk.cfg.PushClient.Do(req)
 	if err != nil {

@@ -31,7 +31,7 @@ type DistBenchConfig struct {
 
 // DistBenchLeg is the orbit rendered through a coordinator over N
 // in-process worker nodes. Mode names the topology: "classic" is the
-// coordinator-local reduce with the negotiated columnar wire, "raw" the
+// coordinator-local reduce with the compressed columnar wire, "raw" the
 // same with compression disabled (the A/B control for the compression
 // ratio), "reduce" the distributed reduce on the worker fleet.
 type DistBenchLeg struct {
@@ -76,7 +76,7 @@ type DistBench struct {
 	// and reduce charged, not just the map phase.
 	SpeedupVirtual1to4 float64 `json:"speedup_virtual_1to4"`
 	// WireCompressionRatio is raw wire bytes over columnar-compressed
-	// wire bytes for the 4-worker classic orbit — how much the gvmr-cf1
+	// wire bytes for the 4-worker classic orbit — how much the gvmr-cf2
 	// encoding shrinks the fragment traffic.
 	WireCompressionRatio float64 `json:"wire_compression_ratio"`
 	// CoordinatorOverheadWall is dist(1 worker) wall over direct wall: the

@@ -108,9 +108,8 @@ type Config struct {
 	// Bits are identical either way; any exchange failure falls back to
 	// the classic coordinator-local composite. Coordinator mode only.
 	DistReduce bool
-	// NoWireCompress disables columnar stripe compression on the wire
-	// (it is negotiated per request, so mixed fleets interoperate either
-	// way). Coordinator mode only.
+	// NoWireCompress asks the workers for raw stripes instead of the
+	// columnar-compressed encoding on every hop. Coordinator mode only.
 	NoWireCompress bool
 
 	// DefaultDeadline bounds every render that arrives without its own
@@ -595,8 +594,7 @@ func (s *Service) renderLeader(req Request, key string, po RenderOptions) (*Fram
 			StepVoxels: req.StepVoxels, TerminationAlpha: req.TerminationAlpha,
 			Camera: dist.CameraFrom(opt.Camera),
 		}
-		// The default bricking (1 per GPU) is spelled as the absent field
-		// so default jobs stay decodable by workers that predate it.
+		// The default bricking (1 per GPU) is spelled as the absent field.
 		if req.BricksPerGPU != 1 {
 			job.BricksPerGPU = req.BricksPerGPU
 		}

@@ -231,7 +231,8 @@ type V2Options struct {
 const DefaultBrickEdge = 32
 
 // WriteFileV2 streams a source to a bricked v2 volume file, one brick
-// core at a time, recording each brick's exact min/max in the directory.
+// core at a time, recording each brick's exact min/max in the directory;
+// a source holding NaN fails the write, naming the brick.
 // Like WriteFile it never materialises the full volume, and the file is
 // synced and closed with explicit error checking.
 func WriteFileV2(path string, src Source, opts V2Options) error {
@@ -286,7 +287,12 @@ func writeFileV2(f fileWriter, src Source, opts V2Options) error {
 			return err
 		}
 		lo, hi := data[0], data[0]
-		for _, s := range data {
+		for j, s := range data {
+			if s != s {
+				// No [lo, hi] bounds a NaN, and a directory entry without
+				// bounds is one no reader accepts.
+				return fmt.Errorf("volume: brick %d holds NaN at core voxel %d: a v2 directory cannot bound it", i, j)
+			}
 			if s < lo {
 				lo = s
 			} else if s > hi {

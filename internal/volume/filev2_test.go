@@ -2,6 +2,7 @@ package volume
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -53,6 +54,25 @@ func TestFileV2RoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWriteFileV2RejectsNaN: a NaN has no min/max, so the writer used to
+// record a directory entry no reader accepts (NaN first in a brick) or
+// bounds the brick does not honour (NaN later). It fails the write
+// instead, naming the brick.
+func TestWriteFileV2RejectsNaN(t *testing.T) {
+	for name, at := range map[string][3]int{
+		"first voxel of brick 1": {4, 0, 0},
+		"mid-brick 1":            {6, 1, 2},
+	} {
+		v := randomVolume(rand.New(rand.NewSource(5)), Dims{8, 8, 8})
+		v.Set(at[0], at[1], at[2], float32(math.NaN()))
+		path := filepath.Join(t.TempDir(), "nan.gvmr")
+		err := WriteFileV2(path, NewVolumeSource(v, "nan"), V2Options{BrickEdge: 4})
+		if err == nil || !strings.Contains(err.Error(), "brick 1 holds NaN") {
+			t.Errorf("%s: WriteFileV2 = %v, want an error naming brick 1", name, err)
+		}
 	}
 }
 
