@@ -324,10 +324,33 @@ func BenchmarkHostShadeStencil(b *testing.B) {
 	b.ReportMetric(float64(samples)/float64(b.N), "samples/ray")
 }
 
+// frameWork sums the map kernel's counted work over a benchmark's frames
+// and reports it per frame: cells/frame is macrocell visits (what the
+// distance-field leap cuts), samples/frame and skipped/frame the lattice
+// samples taken and proven invisible — their sum is the dense march's
+// sample count whatever the skipping does.
+type frameWork struct{ cells, samples, skipped int64 }
+
+func (w *frameWork) add(st *mapreduce.JobStats) {
+	w.cells += st.TotalCells
+	w.samples += st.TotalSamples
+	w.skipped += st.TotalSamplesSkipped
+}
+
+func (w *frameWork) report(b *testing.B) {
+	n := float64(b.N)
+	b.ReportMetric(float64(w.cells)/n, "cells/frame")
+	b.ReportMetric(float64(w.samples)/n, "samples/frame")
+	b.ReportMetric(float64(w.skipped)/n, "skipped/frame")
+}
+
 // BenchmarkDirectFrame renders the benchmark's orbit-direct frame (in-RAM
 // skull 256³ → 160², shading on, a 4-GPU job; bench/workloads.go) through
 // core.RenderOn, stepping the orbit 9° per iteration. Run with -benchmem:
-// allocs/op is the guarded number, ns/op the wall frame time.
+// allocs/op and B/op are guarded numbers, ns/op the wall frame time. The
+// benchmark fails — CI's bench smoke runs it — if a frame averages more
+// than 250 000 macrocell visits (the cell-by-cell DDA made 554 k) or if
+// frame 0's taken + skipped samples are not the dense march's.
 func BenchmarkDirectFrame(b *testing.B) {
 	src, err := dataset.New(dataset.Skull, volume.Cube(256))
 	if err != nil {
@@ -338,21 +361,33 @@ func BenchmarkDirectFrame(b *testing.B) {
 		Width: 160, Height: 160,
 		GPUs: 4, Shading: true, StepVoxels: 1, TerminationAlpha: 0.98,
 	}
-	frame := func(i int) {
+	frame := func(i int) *mapreduce.JobStats {
 		cam, err := core.OrbitCamera(src, opt.Width, opt.Height, float64(9*i%360))
 		if err != nil {
 			b.Fatal(err)
 		}
 		opt.Camera = cam
-		if _, _, err := core.RenderOn(cluster.AC(opt.GPUs), opt, 0); err != nil {
+		res, _, err := core.RenderOn(cluster.AC(opt.GPUs), opt, 0)
+		if err != nil {
 			b.Fatal(err)
 		}
+		return res.Stats
 	}
-	frame(0) // materialise the dataset into the staging cache
+	on := frame(0) // materialise the dataset into the staging cache
+	var work frameWork
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		frame(i)
+		work.add(frame(i))
+	}
+	b.StopTimer()
+	work.report(b)
+	if per := work.cells / int64(b.N); per > 250_000 {
+		b.Fatalf("%d macrocell visits per frame, want at most 250000", per)
+	}
+	opt.NoEmptySkip = true
+	if off := frame(0); on.TotalSamples+on.TotalSamplesSkipped != off.TotalSamples {
+		b.Fatalf("frame 0: %d samples taken + %d skipped, the dense march takes %d", on.TotalSamples, on.TotalSamplesSkipped, off.TotalSamples)
 	}
 }
 
@@ -382,24 +417,28 @@ func BenchmarkPagedFrame(b *testing.B) {
 		Width: 112, Height: 112,
 		GPUs: 4, BricksPerGPU: 4, Shading: true, StepVoxels: 1, TerminationAlpha: 0.98,
 	}
-	frame := func(i int) {
+	frame := func(i int) *mapreduce.JobStats {
 		cam, err := core.OrbitCamera(ps, opt.Width, opt.Height, float64(9*i%360))
 		if err != nil {
 			b.Fatal(err)
 		}
 		opt.Camera = cam
-		if _, _, err := core.RenderOn(cluster.AC(opt.GPUs), opt, 0); err != nil {
+		res, _, err := core.RenderOn(cluster.AC(opt.GPUs), opt, 0)
+		if err != nil {
 			b.Fatal(err)
 		}
+		return res.Stats
 	}
 	frame(0) // first decode of every brick: constants learnt, macrocells built
 	reads0 := ps.Stats().BrickReads
+	var work frameWork
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		frame(i + 1)
+		work.add(frame(i + 1))
 	}
 	b.ReportMetric(float64(ps.Stats().BrickReads-reads0)/float64(b.N), "reads/frame")
+	work.report(b)
 }
 
 // BenchmarkHostCountingSort measures the θ(n) counting sort on a

@@ -204,7 +204,9 @@ func DatasetNames() []string { return dataset.Names() }
 // and TransferFromPoints return.
 type TransferFunc = transfer.Func
 
-// Preset returns the transfer function paired with a built-in dataset.
+// Preset returns the transfer function paired with a built-in dataset:
+// one shared, immutable instance per name — build an edited copy with
+// TransferFromPoints instead of writing its Table.
 func Preset(name string) (*transfer.Func, error) { return transfer.Preset(name) }
 
 // TransferFromPoints builds a custom piecewise-linear transfer function

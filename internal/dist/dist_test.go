@@ -11,6 +11,7 @@ import (
 	"gvmr/internal/composite"
 	"gvmr/internal/core"
 	"gvmr/internal/mapreduce"
+	"gvmr/internal/render"
 	"gvmr/internal/volume/dataset"
 )
 
@@ -106,6 +107,28 @@ func TestDistributedMatchesDirect(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMapBuildsSkipStructuresOnce: JobSpec.Options hands every /map the
+// same preset instance, so the renderer's pointer-keyed memos hit across
+// requests. Two jobs from different cameras on one dataset (an edge no
+// other test stages) build one skip grid and one step-0.5 table on the
+// worker between them — it used to be one per request.
+func TestMapBuildsSkipStructuresOnce(t *testing.T) {
+	coord := newTestCoordinator(t, startWorkers(t, 1, nil), nil)
+	grids, tables := render.MemoBuilds()
+	for i, want := range []int64{1, 0} {
+		job := testJob(t, dataset.Skull, 20, 32, 1, []float64{30, 75}[i], false)
+		job.StepVoxels = 0.5
+		if _, _, err := coord.Render(context.Background(), job); err != nil {
+			t.Fatal(err)
+		}
+		g, tb := render.MemoBuilds()
+		if g-grids != want || tb-tables != want {
+			t.Errorf("job %d built %d skip grids and %d corrected tables, want %d of each", i, g-grids, tb-tables, want)
+		}
+		grids, tables = g, tb
 	}
 }
 

@@ -72,8 +72,8 @@ type Stats struct {
 	// proved invisible and never fetched: the dense path would have taken
 	// Samples + SamplesSkipped texture samples. Reported, not charged.
 	SamplesSkipped int64
-	// Cells counts macrocell traversal steps (occupancy fetch + exit
-	// computation), charged at Spec.CellRate.
+	// Cells counts macrocell visits — an occupancy fetch + exit computation
+	// each, not cells crossed — charged at Spec.CellRate.
 	Cells   int64
 	Emitted int64 // key-value pairs written (including placeholders)
 	RaysHit int64 // rays that intersected the brick

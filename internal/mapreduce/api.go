@@ -196,7 +196,8 @@ type Config[V, S any] struct {
 	// §3.1 "specifically omitted … because it didn't increase
 	// performance for our volume renderer": it is applied to each batch
 	// just before it goes on the wire and may merge pairs with equal
-	// keys (e.g. summing histogram counts). Its CPU cost is charged at
+	// keys (e.g. summing histogram counts); the batch it returns belongs
+	// to the library until the job ends. Its CPU cost is charged at
 	// the partition rate over the input size. Volume rendering cannot
 	// use it safely — fragments of one pixel from different workers may
 	// interleave in depth — which is exactly why the paper dropped it;

@@ -19,13 +19,13 @@ type reducerState[V any] struct {
 	dev   *gpu.Device
 	impl  Reducer[V]
 	inbox *sim.Chan[message[V]]
-	buf   []KV[V]
+	recv  [][]KV[V] // received batches, sorted where they lie
 	stats ReducerStats
 }
 
 func (rs *reducerState[V]) run(p *sim.Proc, cfg *configView) {
 	rs.stats.Index = rs.index
-	pending := cfg.workers
+	pending, n := cfg.workers, 0
 	for pending > 0 {
 		msg, ok := rs.inbox.Recv(p)
 		if !ok {
@@ -35,10 +35,10 @@ func (rs *reducerState[V]) run(p *sim.Proc, cfg *configView) {
 			pending--
 			continue
 		}
-		rs.stats.Received += int64(len(msg.kvs))
-		rs.buf = append(rs.buf, msg.kvs...)
+		n += len(msg.kvs)
+		rs.recv = append(rs.recv, msg.kvs)
 	}
-	n := len(rs.buf)
+	rs.stats.Received = int64(n)
 	if n == 0 {
 		return
 	}
@@ -52,7 +52,7 @@ func (rs *reducerState[V]) run(p *sim.Proc, cfg *configView) {
 	} else {
 		rs.node.CPUWork(p, float64(n), cfg.sortRate)
 	}
-	keys, groups := CountingSort(rs.buf, cfg.keyRange)
+	keys, groups := countingSort(rs.recv, cfg.keyRange)
 	rs.stats.Sort = p.Now() - sortStart
 	cfg.tr.Add(trace.Span{
 		Name: "sort", Cat: "sort",
@@ -75,7 +75,7 @@ func (rs *reducerState[V]) run(p *sim.Proc, cfg *configView) {
 		Name: "reduce", Cat: "reduce",
 		Lane: fmt.Sprintf("reducer%d", rs.index), Start: reduceStart, End: p.Now(),
 	})
-	rs.buf = nil
+	rs.recv = nil
 }
 
 // chargeGPU models running a reduce-side stage on the co-located GPU: a
@@ -100,35 +100,44 @@ func (rs *reducerState[V]) chargeGPU(p *sim.Proc, cfg *configView, bytes, work, 
 // order, which keeps runs deterministic. Exported because it is a useful
 // primitive for library users with the same dense-key restriction.
 func CountingSort[V any](kvs []KV[V], keyRange int32) (keys []int32, groups [][]V) {
-	counts := make([]int32, keyRange)
-	for i := range kvs {
-		counts[kvs[i].Key]++
+	return countingSort([][]KV[V]{kvs}, keyRange)
+}
+
+// countingSort is CountingSort over the pairs of batches, taken in order.
+// One keyRange-sized array serves throughout: per-key counts, prefix-
+// summed into write cursors, which the scatter leaves at the group ends.
+func countingSort[V any](batches [][]KV[V], keyRange int32) (keys []int32, groups [][]V) {
+	pos := make([]int32, keyRange)
+	for _, b := range batches {
+		for i := range b {
+			pos[b[i].Key]++
+		}
 	}
-	offsets := make([]int32, keyRange)
-	var total, distinct int32
-	for k := int32(0); k < keyRange; k++ {
-		offsets[k] = total
-		total += counts[k]
-		if counts[k] > 0 {
+	var total, distinct int32 // total ends as the pair count
+	for k, c := range pos {
+		pos[k] = total
+		total += c
+		if c > 0 {
 			distinct++
 		}
 	}
-	flat := make([]V, len(kvs))
-	cursor := make([]int32, keyRange)
-	copy(cursor, offsets)
-	for i := range kvs {
-		k := kvs[i].Key
-		flat[cursor[k]] = kvs[i].Val
-		cursor[k]++
+	flat := make([]V, total)
+	for _, b := range batches {
+		for i := range b {
+			k := b[i].Key
+			flat[pos[k]] = b[i].Val
+			pos[k]++
+		}
 	}
 	keys = make([]int32, 0, distinct)
 	groups = make([][]V, 0, distinct)
-	for k := int32(0); k < keyRange; k++ {
-		if counts[k] == 0 {
-			continue
+	start := int32(0)
+	for k, end := range pos {
+		if end > start {
+			keys = append(keys, int32(k))
+			groups = append(groups, flat[start:end])
+			start = end
 		}
-		keys = append(keys, k)
-		groups = append(groups, flat[offsets[k]:offsets[k]+counts[k]])
 	}
 	return keys, groups
 }

@@ -93,6 +93,7 @@ func correctedTF(tf *transfer.Func, step float32) *transfer.Func {
 		return c
 	}
 	c = tf.OpacityCorrected(step)
+	tfStepBuilds.Add(1)
 	tfStepCache.Lock()
 	if prior, ok := tfStepCache.m[key]; ok {
 		c = prior // a concurrent builder won; share its table
@@ -202,8 +203,8 @@ func (p Params) Validate() error {
 
 // SampleStats counts one pixel's sampling work: texture samples actually
 // taken, samples the empty-space DDA proved invisible and skipped (the
-// dense path would have taken Samples + Skipped), and macrocells
-// traversed (charged by the cost model at Spec.CellRate).
+// dense path would have taken Samples + Skipped), and macrocell visits —
+// classifications, not cells crossed (charged at Spec.CellRate).
 type SampleStats struct {
 	Samples int64
 	Skipped int64
@@ -227,8 +228,8 @@ func CastPixel(cam *camera.Camera, sp volume.Space, bd *volume.BrickData, prm Pa
 //
 // When the brick carries a macrocell grid (and Params.NoEmptySkip is
 // unset), the inner loop is a two-level DDA: macrocells along the ray
-// are tested against the transfer function's occupancy table, and runs
-// of lattice indices inside provably-invisible cells advance k directly
+// are tested against the transfer function's occupancy field, and runs
+// of lattice indices inside a box of provably-invisible cells advance k
 // without fetching. Skipped samples all have TF alpha exactly 0, and the
 // lattice itself never moves, so the accumulated fragment — and with it
 // the image — is bit-identical to the dense march (DESIGN.md §8).
@@ -315,12 +316,13 @@ func CastRay(cam *camera.Camera, sp volume.Space, bd *volume.BrickData, prm Para
 				lastCell = ci
 				st.Cells++
 			}
-			texit := exits.exitT(cx, cy, cz)
-			if skip.empty[ci] {
-				// Leap to the first lattice index at or beyond the cell's
-				// exit, clamped to kEnd. Every index in [k, k2) is a
-				// sample the dense path would take, whose TF alpha is
-				// exactly 0, so skipping them changes no accumulated bit.
+			r := int(skip.leap[ci])
+			texit := exits.exitT(cx, cy, cz, max(r-1, 0))
+			if r > 0 {
+				// Leap to the first lattice index at or beyond the exit of
+				// the box of empty cells around this one, clamped to kEnd.
+				// Every index in [k, k2) is one the dense path would take
+				// with TF alpha exactly 0: skipping it changes no bit.
 				k2 := k + 1
 				if e := float64(texit)/float64(step) - 0.5; e > float64(k2) {
 					if e >= float64(kEnd) {
@@ -414,15 +416,21 @@ func newCellExits(mc *volume.Macrocells, ray vec.Ray, inv float32, ctr vec.V3) c
 	return e
 }
 
-// exitT returns the ray parameter at which the ray leaves macrocell
-// (cx,cy,cz): the nearest forward crossing of the cell's exit planes.
+// exitT returns the ray parameter at which the ray leaves the box of
+// cells within Chebyshev distance r of macrocell (cx,cy,cz) — r = 0 is
+// the cell itself: the nearest forward crossing of the box's exit planes.
 // Axes the ray is parallel to never exit.
-func (e *cellExits) exitT(cx, cy, cz int) float32 {
+func (e *cellExits) exitT(cx, cy, cz, r int) float32 {
 	texit := float32(math.Inf(1))
 	for a, c := range [3]int{cx, cy, cz} {
 		d := e.dir[a]
 		if d == 0 {
 			continue
+		}
+		if d > 0 {
+			c += r
+		} else {
+			c -= r
 		}
 		if tb := (float32(e.face[a]+c<<volume.MacrocellShift) - e.org[a]) / d; tb < texit {
 			texit = tb

@@ -1,41 +1,98 @@
 package render
 
 import (
+	"bytes"
+	"math"
 	"sync"
+	"sync/atomic"
 
 	"gvmr/internal/transfer"
 	"gvmr/internal/volume"
 )
 
-// This file builds the per-(brick, transfer function, step) empty-space
-// structure the ray caster's two-level DDA traverses: a boolean mask over
-// a brick's macrocell grid marking cells that are provably invisible
+// This file builds the per-(brick, transfer function) empty-space
+// structure the ray caster's two-level DDA traverses: how far each cell
+// of a brick's macrocell grid is from the nearest one that may be visible
 // under the active transfer function. See DESIGN.md §8 for the
 // conservativeness argument that makes skipping bit-identical.
 
-// skipGrid marks which macrocells of one grid are skippable under one
-// lookup table: those whose (one-voxel-dilated, see volume.Macrocells)
-// value range maps to zero opacity everywhere. The dilation is what makes
+// skipGrid holds one leap radius per macrocell under one lookup table. A
+// cell is empty when its (one-voxel-dilated, see volume.Macrocells) value
+// range maps to zero opacity everywhere. The dilation is what makes
 // per-cell classification sufficient — every trilinear fetch of every
 // sample a ray can attribute to the cell reads values inside the cell's
 // recorded range, so a zero range-max is a proof of invisibility, not a
 // heuristic.
 type skipGrid struct {
-	mc    *volume.Macrocells
-	empty []bool // true = every possible sample here has TF alpha exactly 0
-	any   bool   // false when nothing is skippable (dense data or dense TF)
+	mc *volume.Macrocells
+	// leap is a cell's Chebyshev distance to the nearest occupied cell,
+	// capped at 255: 0 = occupied, d ≥ 1 = every cell within d−1 is empty.
+	// Beyond the grid counts as empty — a leap out of it has left the
+	// brick, and is clamped to the brick's end.
+	leap []uint8
+	any  bool // false when nothing is skippable (dense data or dense TF)
 }
 
-// buildSkipGrid evaluates TF emptiness per cell.
+var skipGridBuilds, tfStepBuilds atomic.Int64
+
+// MemoBuilds returns how many skip grids and opacity-corrected tables
+// this process has built; tests hold the memos to once per (grid, TF).
+func MemoBuilds() (grids, tables int64) { return skipGridBuilds.Load(), tfStepBuilds.Load() }
+
+// buildSkipGrid evaluates TF emptiness per cell, then turns the mask into
+// distances with the exact two-pass 26-neighbour chamfer. It works on a
+// copy padded by one far cell per face, so no cell has a missing
+// neighbour and the passes carry no border logic.
 func buildSkipGrid(mc *volume.Macrocells, tf *transfer.Func) *skipGrid {
-	n := mc.NumCells()
-	g := &skipGrid{mc: mc, empty: make([]bool, n)}
-	for i := 0; i < n; i++ {
-		e := tf.MaxAlphaInRange(mc.Min[i], mc.Max[i]) == 0
-		g.empty[i] = e
-		g.any = g.any || e
+	skipGridBuilds.Add(1)
+	nx, ny, nz := mc.Cells.X, mc.Cells.Y, mc.Cells.Z
+	g := &skipGrid{mc: mc, leap: make([]uint8, mc.NumCells())}
+	sx, sy := nx+2, (nx+2)*(ny+2)
+	pad := bytes.Repeat([]byte{math.MaxUint8}, sy*(nz+2))
+	row := func(z, y int) []uint8 { return pad[z*sy+y*sx:][:sx] }
+	for j := 0; j < ny*nz; j++ {
+		r := row(1+j/ny, 1+j%ny)[1:]
+		for x, i := 0, j*nx; x < nx; x, i = x+1, i+1 {
+			if tf.MaxAlphaInRange(mc.Min[i], mc.Max[i]) != 0 {
+				r[x] = 0
+			} else {
+				g.any = true
+			}
+		}
+	}
+	col := make([]uint8, sx)
+	for _, dir := range [2]int{1, -1} {
+		for j := 0; j < ny*nz; j++ {
+			z, y := 1+j/ny, 1+j%ny
+			if dir < 0 {
+				z, y = nz+1-z, ny+1-y
+			}
+			chamferRow(row(z, y), row(z-dir, y-1), row(z-dir, y), row(z-dir, y+1), row(z, y-dir), col, dir)
+		}
+	}
+	for j := 0; j < ny*nz; j++ {
+		copy(g.leap[j*nx:][:nx], row(1+j/ny, 1+j%ny)[1:])
 	}
 	return g
+}
+
+// chamferRow relaxes one padded row in scan direction dir against the
+// thirteen neighbours already final in that direction: the four rows
+// behind it (a, b, c in the previous plane, d in this one), folded per
+// column into col first, and the row's own previous cell.
+func chamferRow(cur, a, b, c, d, col []uint8, dir int) {
+	for x := range col {
+		col[x] = min(a[x], b[x], c[x], d[x])
+	}
+	x := 1
+	if dir < 0 {
+		x = len(cur) - 2
+	}
+	for n := len(cur) - 2; n > 0; n, x = n-1, x+dir {
+		if v := cur[x]; v > 1 {
+			cur[x] = min(v-1, col[x-1], col[x], col[x+1], cur[x-dir]) + 1
+		}
+	}
 }
 
 // occCache memoises skip grids per (macrocell grid, transfer function)
@@ -43,10 +100,10 @@ func buildSkipGrid(mc *volume.Macrocells, tf *transfer.Func) *skipGrid {
 // immutable once in use, so pointer identity is value identity. Step
 // size is deliberately NOT in the key: opacity correction maps alpha a
 // to 1-(1-a)^step, whose zero set equals the original's for any step
-// (transfer.Func.OpacityCorrected documents this), so one mask serves
+// (transfer.Func.OpacityCorrected documents this), so one field serves
 // every step of the same (grid, TF) instead of duplicating per quality
 // setting. The memo is bounded two ways: by entry count, and by the bytes it keeps
-// reachable (each entry's mask plus the macrocell grid it pins — without
+// reachable (each entry's field plus the macrocell grid it pins — without
 // the byte bound, 64 entries over 1024³ volumes could pin gigabytes the
 // staging cache believes it already evicted). At either cap single
 // arbitrary entries are evicted, so steady-state workloads near the cap
@@ -62,11 +119,11 @@ const (
 	occCacheMaxBytes = 256 << 20
 )
 
-// occEntryBytes is the retained cost of one memo entry: its own mask
-// plus the macrocell grid the entry keeps alive (counted per entry, so
-// shared grids are over- rather than under-charged).
+// occEntryBytes is the retained cost of one memo entry: its own field
+// (a byte per cell) plus the macrocell grid the entry keeps alive (counted
+// per entry, so shared grids are over- rather than under-charged).
 func occEntryBytes(k occKey, g *skipGrid) int64 {
-	return int64(len(g.empty)) + k.mc.Bytes()
+	return int64(len(g.leap)) + k.mc.Bytes()
 }
 
 type occKey struct {
@@ -75,7 +132,7 @@ type occKey struct {
 }
 
 // occupancyFor returns the memoised skip grid for a brick's macrocells
-// under tf. The mask is built from the raw table; the step-corrected
+// under tf. The field is built from the raw table; the step-corrected
 // table the sampler actually reads has exactly the same zero set, which
 // is all "invisible" means.
 func occupancyFor(mc *volume.Macrocells, tf *transfer.Func) *skipGrid {

@@ -16,6 +16,13 @@ import (
 // keeping a planned frame's grids, the second and third frame find one
 // skip grid per brick and the memo does not grow.
 func TestPagedFramesShareSkipGrids(t *testing.T) {
+	// Start from an empty memo: at its 64-entry cap an insert evicts an
+	// arbitrary entry, and earlier tests' grids would then cost this one
+	// a first-frame grid.
+	occCache.Lock()
+	clear(occCache.m)
+	occCache.bytes = 0
+	occCache.Unlock()
 	src, err := dataset.New(dataset.Skull, volume.Cube(32))
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 
 	"gvmr/internal/core"
 	"gvmr/internal/img"
+	"gvmr/internal/render"
 )
 
 func newTestServer(t *testing.T) (*Service, *httptest.Server) {
@@ -255,5 +256,32 @@ func TestHTTPPartitionParams(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("GET %q = %d, want 400", q, resp.StatusCode)
 		}
+	}
+}
+
+// TestHTTPRenderBuildsSkipStructuresOnce: the renderer memoises skip grids
+// and opacity-corrected tables by (macrocell grid, transfer function)
+// pointer, so the service must hand every request the same preset
+// instance. Two /render misses from different cameras on one dataset (an
+// edge no other test stages, both bricks views of one volume) build one
+// grid and one step-0.5 table between them — it used to be one per request.
+func TestHTTPRenderBuildsSkipStructuresOnce(t *testing.T) {
+	_, ts := newTestServer(t)
+	grids, tables := render.MemoBuilds()
+	for i, want := range []int64{1, 0} {
+		resp, err := http.Get(ts.URL + "/render?dataset=skull&edge=20&size=32&gpus=2&step=0.5&format=raw&orbit=" + []string{"30", "75"}[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get(HeaderServed) != string(ViaRender) {
+			t.Fatalf("request %d: HTTP %d served via %q", i, resp.StatusCode, resp.Header.Get(HeaderServed))
+		}
+		g, tb := render.MemoBuilds()
+		if g-grids != want || tb-tables != want {
+			t.Errorf("request %d built %d skip grids and %d corrected tables, want %d of each", i, g-grids, tb-tables, want)
+		}
+		grids, tables = g, tb
 	}
 }
