@@ -326,9 +326,10 @@ func BenchmarkHostShadeStencil(b *testing.B) {
 
 // frameWork sums the map kernel's counted work over a benchmark's frames
 // and reports it per frame: cells/frame is macrocell visits (what the
-// distance-field leap cuts), samples/frame and skipped/frame the lattice
-// samples taken and proven invisible — their sum is the dense march's
-// sample count whatever the skipping does.
+// distance-field leap cuts), samples/frame and skipped/frame the texture
+// fetches issued and the ones the grid made unnecessary (what answering
+// homogeneous cells moves from one to the other) — their sum is the dense
+// march's fetch count whatever the grid does.
 type frameWork struct{ cells, samples, skipped int64 }
 
 func (w *frameWork) add(st *mapreduce.JobStats) {
@@ -337,11 +338,16 @@ func (w *frameWork) add(st *mapreduce.JobStats) {
 	w.skipped += st.TotalSamplesSkipped
 }
 
-func (w *frameWork) report(b *testing.B) {
+// report prints the per-frame work and fails the benchmark — CI's bench
+// smoke runs it — if a frame averages more fetches than maxSamples.
+func (w *frameWork) report(b *testing.B, maxSamples int64) {
 	n := float64(b.N)
 	b.ReportMetric(float64(w.cells)/n, "cells/frame")
 	b.ReportMetric(float64(w.samples)/n, "samples/frame")
 	b.ReportMetric(float64(w.skipped)/n, "skipped/frame")
+	if per := w.samples / int64(b.N); per > maxSamples {
+		b.Fatalf("%d texture fetches per frame, want at most %d", per, maxSamples)
+	}
 }
 
 // BenchmarkDirectFrame renders the benchmark's orbit-direct frame (in-RAM
@@ -349,8 +355,10 @@ func (w *frameWork) report(b *testing.B) {
 // core.RenderOn, stepping the orbit 9° per iteration. Run with -benchmem:
 // allocs/op and B/op are guarded numbers, ns/op the wall frame time. The
 // benchmark fails — CI's bench smoke runs it — if a frame averages more
-// than 250 000 macrocell visits (the cell-by-cell DDA made 554 k) or if
-// frame 0's taken + skipped samples are not the dense march's.
+// than 250 000 macrocell visits (the cell-by-cell DDA made 554 k) or
+// 1 400 000 fetches (2.67 M before homogeneous cells were answered from
+// the grid), or if frame 0's issued + skipped fetches are not the dense
+// march's.
 func BenchmarkDirectFrame(b *testing.B) {
 	src, err := dataset.New(dataset.Skull, volume.Cube(256))
 	if err != nil {
@@ -381,7 +389,7 @@ func BenchmarkDirectFrame(b *testing.B) {
 		work.add(frame(i))
 	}
 	b.StopTimer()
-	work.report(b)
+	work.report(b, 1_400_000)
 	if per := work.cells / int64(b.N); per > 250_000 {
 		b.Fatalf("%d macrocell visits per frame, want at most 250000", per)
 	}
@@ -396,7 +404,8 @@ func BenchmarkDirectFrame(b *testing.B) {
 // quarter of the dense volume, 16 render bricks → 112²; bench/workloads.go)
 // through core.RenderOn, stepping the orbit 9° per iteration. reads/frame
 // is the pager's decoded file bricks (at most one each is the design:
-// DESIGN.md §14 "Pager wins"), allocs/op rides -benchmem.
+// DESIGN.md §14 "Pager wins"), allocs/op rides -benchmem; above 700 000
+// fetches a frame (0.99 M before homogeneous cells) the benchmark fails.
 func BenchmarkPagedFrame(b *testing.B) {
 	src, err := dataset.New(dataset.Skull, volume.Cube(144))
 	if err != nil {
@@ -438,7 +447,7 @@ func BenchmarkPagedFrame(b *testing.B) {
 		work.add(frame(i + 1))
 	}
 	b.ReportMetric(float64(ps.Stats().BrickReads-reads0)/float64(b.N), "reads/frame")
-	work.report(b)
+	work.report(b, 700_000)
 }
 
 // BenchmarkHostCountingSort measures the θ(n) counting sort on a

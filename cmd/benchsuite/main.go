@@ -204,7 +204,7 @@ func main() {
 		fmt.Printf("seqbench: serial %.2fs, parallel %.2fs (%d workers) → %.2fx wall speedup, bit-identical: %v\n",
 			b.Serial.WallSeconds, b.Parallel.WallSeconds, b.Parallel.Workers,
 			b.SpeedupWall, b.BitIdentical)
-		fmt.Printf("seqbench: empty-space skip: %.1f%% fewer samples (%d skipped), virtual %.2fs → %.2fs (%.2fx), bit-identical: %v\n",
+		fmt.Printf("seqbench: macrocell grid: %.1f%% fewer fetches (%d leapt or answered), virtual %.2fs → %.2fs (%.2fx), bit-identical: %v\n",
 			100*b.Skip.SampleReduction, b.Skip.On.SamplesSkipped,
 			b.Skip.Off.VirtualSeconds, b.Skip.On.VirtualSeconds,
 			b.Skip.SpeedupVirtual, b.Skip.BitIdentical)
@@ -213,6 +213,10 @@ func main() {
 		}
 		if !b.Skip.BitIdentical {
 			fatal("seqbench: empty-space skipping changed the image — conservativeness bug")
+		}
+		if b.Skip.On.Samples+b.Skip.On.SamplesSkipped != b.Skip.Off.Samples {
+			fatalf("seqbench: %d fetches issued + %d not issued, the dense march issues %d — accounting bug",
+				b.Skip.On.Samples, b.Skip.On.SamplesSkipped, b.Skip.Off.Samples)
 		}
 		if b.Skip.SpeedupVirtual < 1 {
 			fatalf("seqbench: skip-on virtual time is slower than skip-off (%.3fx) — acceleration regression",

@@ -57,12 +57,13 @@ type SeqBenchSkipLeg struct {
 	MacrocellSteps int64   `json:"macrocell_steps"`
 }
 
-// SeqBenchSkip is the committed empty-space-skipping A/B: the same orbit
+// SeqBenchSkip is the committed macrocell-grid A/B: the same orbit
 // rendered with the macrocell DDA on and off. BitIdentical proves the
 // acceleration structure changed no pixel; SampleReduction is the
-// fraction of texture samples it eliminated; SpeedupVirtual is the
-// net modeled win (skipped samples minus the charged macrocell
-// traversal).
+// fraction of texture fetches it made unnecessary (invisible samples
+// leapt, homogeneous ones answered from the grid: the on leg's samples +
+// samples_skipped is the off leg's samples); SpeedupVirtual is the net
+// modeled win (fetches not issued minus the charged macrocell traversal).
 type SeqBenchSkip struct {
 	On              SeqBenchSkipLeg `json:"on"`
 	Off             SeqBenchSkipLeg `json:"off"`

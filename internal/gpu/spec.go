@@ -67,10 +67,11 @@ func (d Dim2) Count() int { return d.X * d.Y }
 // model converts it to virtual time.
 type Stats struct {
 	Threads int64 // threads executed
-	Samples int64 // trilinear texture samples taken
-	// SamplesSkipped counts lattice samples the empty-space-skipping DDA
-	// proved invisible and never fetched: the dense path would have taken
-	// Samples + SamplesSkipped texture samples. Reported, not charged.
+	Samples int64 // trilinear texture fetches issued
+	// SamplesSkipped counts fetches the dense march issues that the
+	// macrocell grid made unnecessary — the sample invisible or its cell
+	// homogeneous: the dense path issues Samples + SamplesSkipped.
+	// Reported, not charged.
 	SamplesSkipped int64
 	// Cells counts macrocell visits — an occupancy fetch + exit computation
 	// each, not cells crossed — charged at Spec.CellRate.

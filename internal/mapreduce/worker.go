@@ -177,10 +177,10 @@ type JobStats struct {
 	TotalEmitted  int64
 	TotalReceived int64
 	// Texture-sampling totals across workers. TotalSamplesSkipped counts
-	// the samples empty-space skipping proved invisible and never took
-	// (the dense path would have taken TotalSamples + TotalSamplesSkipped);
-	// TotalCells is the macrocell traversal work the cost model charged
-	// for proving it.
+	// the fetches the dense march issues that the macrocell grid made
+	// unnecessary — invisible or homogeneous (the dense path issues
+	// TotalSamples + TotalSamplesSkipped); TotalCells is the macrocell
+	// traversal work the cost model charged for knowing it.
 	TotalSamples        int64
 	TotalSamplesSkipped int64
 	TotalCells          int64

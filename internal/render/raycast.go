@@ -39,11 +39,13 @@ type Params struct {
 	// Light is the world-space directional light used when Shading is
 	// set; zero means the default oblique light.
 	Light vec.V3
-	// NoEmptySkip disables macrocell empty-space skipping: the ray
-	// marches every lattice sample like the original §3.2 kernel.
-	// Skipping is bit-identical (every skipped sample has transfer-
-	// function alpha exactly 0), so this exists for A/B benchmarking and
-	// as an escape hatch, not for correctness.
+	// NoEmptySkip turns the macrocell grid off — both the leap over empty
+	// cells and the answering of homogeneous ones: the ray fetches every
+	// lattice sample like the original §3.2 kernel. Either is
+	// bit-identical (a leapt sample has transfer-function alpha exactly
+	// 0, an answered one gets the value every one of its fetches would
+	// return), so this exists for A/B benchmarking and as an escape
+	// hatch, not for correctness.
 	NoEmptySkip bool
 
 	// Prepared by Prepare(): per-Params constants hoisted out of the
@@ -201,9 +203,10 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// SampleStats counts one pixel's sampling work: texture samples actually
-// taken, samples the empty-space DDA proved invisible and skipped (the
-// dense path would have taken Samples + Skipped), and macrocell visits —
+// SampleStats counts one pixel's sampling work: texture fetches issued;
+// fetches the dense march issues that the macrocell grid made unnecessary
+// — the sample invisible (an empty cell) or homogeneous (a flat one), so
+// the dense march issues Samples + Skipped; and macrocell visits —
 // classifications, not cells crossed (charged at Spec.CellRate).
 type SampleStats struct {
 	Samples int64
@@ -232,7 +235,10 @@ func CastPixel(cam *camera.Camera, sp volume.Space, bd *volume.BrickData, prm Pa
 // of lattice indices inside a box of provably-invisible cells advance k
 // without fetching. Skipped samples all have TF alpha exactly 0, and the
 // lattice itself never moves, so the accumulated fragment — and with it
-// the image — is bit-identical to the dense march (DESIGN.md §8).
+// the image — is bit-identical to the dense march (DESIGN.md §8). An
+// occupied cell whose stencil reach holds a single value (Macrocells.Flat)
+// is neither leapt nor marched: its samples are composited from one
+// lookup of that value, the one all seven fetches would have returned.
 //
 // Each sample builds its three axis taps once; the shading stencil's six
 // fetches reuse two of them each (DESIGN.md §8, "Shared-axis stencil").
@@ -300,6 +306,7 @@ func CastRay(cam *camera.Camera, sp volume.Space, bd *volume.BrickData, prm Para
 	acc := vec.V4{}
 	// entry < 0 marks "no contributing sample yet"; t is never negative.
 	entry := float32(-1)
+march:
 	for {
 		t := (float32(k) + 0.5) * step
 		if t >= t1 {
@@ -334,6 +341,36 @@ func CastRay(cam *camera.Camera, sp volume.Space, bd *volume.BrickData, prm Para
 				st.Skipped += k2 - k
 				k = k2
 				continue
+			}
+			if mc.IsFlat(ci) {
+				// Homogeneous cell: until the ray leaves it — under the
+				// march's own float32 exit test, so the next classification
+				// falls on the index it always did — every fetch of every
+				// sample returns mc.Min[ci], the gradient is exactly 0 and
+				// shadeAt exactly 1. One lookup answers the run; only the
+				// compositing, whose rounding is the image, stays per sample.
+				c := tf.Lookup(mc.Min[ci])
+				fetches := int64(1)
+				if c.W > 0 && prm.Shading {
+					fetches = 7
+				}
+				src := vec.V4{X: c.X * c.W, Y: c.Y * c.W, Z: c.Z * c.W, W: c.W}
+				for {
+					st.Skipped += fetches
+					if c.W > 0 {
+						if entry < 0 {
+							entry = t
+						}
+						acc = composite.Under(acc, src)
+						if acc.W >= prm.TerminationAlpha {
+							break march
+						}
+					}
+					k++
+					if t = (float32(k) + 0.5) * step; t >= t1 || t >= texit {
+						continue march
+					}
+				}
 			}
 			occupiedUntil = texit
 		}

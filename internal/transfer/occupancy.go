@@ -82,6 +82,11 @@ func (f *Func) MaxAlphaInRange(lo, hi float32) float32 {
 	if n == 1 {
 		return f.Table[0].W
 	}
+	if lo-lo != 0 || hi-hi != 0 {
+		// A NaN or Inf bound (no finite x has x−x != 0): samples there can
+		// be NaN, which Lookup sends to entry 0, and an Inf is no index.
+		lo, hi = 0, 1
+	}
 	// Mirror Lookup's entry addressing exactly (same float32 arithmetic):
 	// for s in (0,1), Lookup interpolates entries int(s·(n-1)) and its
 	// successor; multiplication by a positive constant and truncation are

@@ -1,6 +1,7 @@
 package transfer
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -128,6 +129,15 @@ func TestMaxAlphaInRangeEdges(t *testing.T) {
 	g := PlumePreset()
 	if got := g.MaxAlphaInRange(0, 0); got != 0 {
 		t.Errorf("plume zero-point range reported %v, want 0", got)
+	}
+	// A NaN or Inf bound: samples there can be NaN, which Lookup sends to
+	// entry 0, so nothing narrower than the whole table bounds them (and an
+	// Inf converted to an index used to panic).
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, r := range [][2]float32{{nan, nan}, {0.3, nan}, {nan, 0.3}, {inf, inf}, {-inf, 0.05}, {-inf, inf}} {
+		if got := f.MaxAlphaInRange(r[0], r[1]); got != f.MaxAlpha() {
+			t.Errorf("MaxAlphaInRange(%v, %v) = %v, want the table's max %v", r[0], r[1], got, f.MaxAlpha())
+		}
 	}
 	empty := &Func{}
 	if empty.MaxAlphaInRange(0, 1) != 0 {

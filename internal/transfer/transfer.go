@@ -77,9 +77,9 @@ func evalPoints(pts []Point, s float64) vec.V4 {
 	return last.C
 }
 
-// Lookup returns the color for scalar s, clamping s to [0,1] and linearly
-// interpolating between adjacent table entries. Where the interpolated
-// alpha is 0 the returned colour is zero too.
+// Lookup returns the color for scalar s, clamping s to [0,1] (NaN to 0)
+// and linearly interpolating between adjacent table entries. Where the
+// interpolated alpha is 0 the returned colour is zero too.
 func (f *Func) Lookup(s float32) vec.V4 {
 	n := len(f.Table)
 	if n == 0 {
@@ -88,7 +88,7 @@ func (f *Func) Lookup(s float32) vec.V4 {
 	if n == 1 {
 		return f.Table[0]
 	}
-	if s <= 0 {
+	if !(s > 0) { // s <= 0, or NaN: a conversion of NaN to int is not an index
 		return f.Table[0]
 	}
 	if s >= 1 {

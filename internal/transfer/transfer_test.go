@@ -41,6 +41,34 @@ func TestLookupEndpoints(t *testing.T) {
 	}
 }
 
+// TestLookupIsTotal: every float32 has a colour. NaN — which no comparison
+// clamps and whose conversion to int is no index — is entry 0, like the
+// scalars at and below the domain's low end; the rest of the line is
+// clamped as ever.
+func TestLookupIsTotal(t *testing.T) {
+	f := SkullPreset().OpacityCorrected(0.5) // entry 0 is all zeros, the last is not
+	n := len(f.Table)
+	inf := float32(math.Inf(1))
+	for _, c := range []struct {
+		s    float32
+		want vec.V4
+	}{
+		{float32(math.NaN()), f.Table[0]},
+		{-inf, f.Table[0]},
+		{float32(math.Copysign(0, -1)), f.Table[0]},
+		{0, f.Table[0]},
+		{1, f.Table[n-1]},
+		{inf, f.Table[n-1]},
+	} {
+		if got := f.Lookup(c.s); got != c.want {
+			t.Errorf("Lookup(%v) = %v, want %v", c.s, got, c.want)
+		}
+	}
+	if got := f.Lookup(1e-40); got.W != 0 { // a denormal interpolates from entry 0 like any small scalar
+		t.Errorf("Lookup(1e-40) = %v", got)
+	}
+}
+
 func TestLookupLinearRamp(t *testing.T) {
 	f, err := FromPoints([]Point{
 		{S: 0, C: vec.New4(0, 0, 0, 0)},

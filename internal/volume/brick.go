@@ -244,6 +244,7 @@ func EmptyBrickData(b Brick, lo, hi float32) *BrickData {
 		Cells: cells,
 		Min:   make([]float32, n),
 		Max:   make([]float32, n),
+		Flat:  make([]uint64, flatWords(int64(n))), // nothing to answer from: no cell is flat
 	}
 	for i := 0; i < n; i++ {
 		mc.Min[i], mc.Max[i] = lo, hi

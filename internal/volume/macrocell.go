@@ -1,6 +1,9 @@
 package volume
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // This file implements macrocell grids: coarse per-cell min/max summaries
 // of a scalar field, the acceleration structure behind the ray caster's
@@ -34,13 +37,26 @@ const MacrocellEdge = 1 << MacrocellShift
 // floor(p−½)+1 per axis, which for p anywhere in the cell (plus slack
 // well under half a voxel) stay within the dilated window. That is the
 // conservativeness that lets a renderer skip a whole cell on the strength
-// of one range query; see DESIGN.md §8.
+// of one range query; see DESIGN.md §8. A NaN anywhere in the window makes
+// Min NaN and an Inf is a bound like any other: fetches near either can
+// return NaN (Inf−Inf), which is outside every range, and
+// transfer.MaxAlphaInRange calls no range with such a bound empty.
+//
+// Flat marks the homogeneous cells, one bit each (cell i is bit i%64 of
+// word i/64; see IsFlat): the cell's voxels dilated by *two* per face
+// (clamped likewise) all carry one bit pattern, finite and not −0.
+// Two voxels is the reach of the gradient stencil's ±1-voxel fetches, so
+// in a flat cell all seven fetches of a shaded sample return Min exactly
+// (v + (v−v)·w == v needs v−v == 0 and v+0 == v: finite, not −0) and the
+// renderer answers the sample from the grid (DESIGN.md §8, "Homogeneous
+// cells").
 type Macrocells struct {
 	Org   [3]int // voxel-space origin of cell (0,0,0)
 	Vox   Dims   // voxel extent covered by the grid
 	Cells Dims   // cell-grid extent: ceil(Vox / Edge) per axis
 	Min   []float32
 	Max   []float32
+	Flat  []uint64
 }
 
 // macrocellCounts returns the cell-grid extent covering d voxels.
@@ -53,17 +69,25 @@ func macrocellCounts(d Dims) Dims {
 }
 
 // MacrocellBytes returns the storage footprint of a macrocell grid over d
-// voxels (two float32 per cell). It is a pure function of the dims, so
-// the staging cache can reserve the bytes before the grid exists.
+// voxels (two float32 and the flat bit per cell). It is a pure function of
+// the dims, so the staging cache can reserve the bytes before the grid
+// exists.
 func MacrocellBytes(d Dims) int64 {
-	return macrocellCounts(d).Voxels() * 8
+	n := macrocellCounts(d).Voxels()
+	return n*8 + flatWords(n)*8
 }
+
+// flatWords returns the length of the Flat bit array for n cells.
+func flatWords(n int64) int64 { return (n + 63) / 64 }
 
 // NumCells returns the total cell count.
 func (m *Macrocells) NumCells() int { return int(m.Cells.Voxels()) }
 
 // Bytes returns the grid's storage footprint.
-func (m *Macrocells) Bytes() int64 { return int64(len(m.Min)+len(m.Max)) * 4 }
+func (m *Macrocells) Bytes() int64 { return int64(len(m.Min)+len(m.Max))*4 + int64(len(m.Flat))*8 }
+
+// IsFlat reports whether the cell at linear index i is homogeneous.
+func (m *Macrocells) IsFlat(i int) bool { return m.Flat[i>>6]>>(i&63)&1 != 0 }
 
 // CellIndex returns the linear index of cell (cx,cy,cz); no bounds check.
 func (m *Macrocells) CellIndex(cx, cy, cz int) int {
@@ -72,31 +96,36 @@ func (m *Macrocells) CellIndex(cx, cy, cz int) int {
 
 // BuildMacrocells summarises data (a dense region of vox voxels,
 // x-fastest, anchored at voxel-space origin org) into a macrocell grid.
-// Each cell's window is its own voxels dilated by one per face and
-// clamped to the region. Min/max over a box window is separable, so the
-// build reduces x, then y, then z: every voxel is read exactly once, in
-// layout order, and only the already-256×-smaller intermediate layers
-// pay the window overlap — the whole build costs about one linear pass
-// over the volume (it shares the staging cache's materialisation, so a
-// render's first frame absorbs it and every later frame skips for free).
+// Each cell's range window is its own voxels dilated by one per face and
+// clamped to the region; its flat window reaches one voxel further. Both
+// reductions over a box window are separable, so the build reduces x,
+// then y, then z: every voxel is read in layout order by one stage, and
+// only the already-256×-smaller intermediate layers pay the window
+// overlap — the whole build costs about one linear pass over the volume
+// (it shares the staging cache's materialisation, so a render's first
+// frame absorbs it and every later frame skips for free).
 func BuildMacrocells(data []float32, vox Dims, org [3]int) *Macrocells {
 	m := &Macrocells{Org: org, Vox: vox, Cells: macrocellCounts(vox)}
 	n := m.NumCells()
 	m.Min = make([]float32, n)
 	m.Max = make([]float32, n)
+	m.Flat = make([]uint64, flatWords(int64(n)))
 	cx, cy := m.Cells.X, m.Cells.Y
 	layer := cx * cy
 	slab := vox.X * vox.Y
 
 	// tmp holds one voxel layer reduced along x (per voxel row, per cell
 	// column); ring holds the last ringLayers fully xy-reduced layers —
-	// enough for one cell band's z-window (Edge+2) plus the two layers
-	// the next band reuses.
+	// exactly one cell band's flat window in z (Edge+4), of which the next
+	// band reuses four. The One arrays carry the flat reduction: the
+	// window's single bit pattern, or notFlat.
 	const ringLayers = MacrocellEdge + 4
 	tmpMin := make([]float32, vox.Y*cx)
 	tmpMax := make([]float32, vox.Y*cx)
+	tmpOne := make([]uint32, vox.Y*cx)
 	ringMin := make([]float32, ringLayers*layer)
 	ringMax := make([]float32, ringLayers*layer)
+	ringOne := make([]uint32, ringLayers*layer)
 
 	// reduceLayer folds voxel layer z into ring[z%ringLayers].
 	reduceLayer := func(z int) {
@@ -105,70 +134,99 @@ func BuildMacrocells(data []float32, vox Dims, org [3]int) *Macrocells {
 			row := data[base+y*vox.X : base+(y+1)*vox.X]
 			out := y * cx
 			for k := 0; k < cx; k++ {
-				x0, x1 := windowClamp(k, vox.X)
-				lo, hi := row[x0], row[x0]
-				for _, v := range row[x0+1 : x1] {
-					if v < lo {
-						lo = v
-					} else if v > hi {
-						hi = v
+				x0, x1 := windowClamp(k, vox.X, 1)
+				f0, f1 := windowClamp(k, vox.X, 2)
+				// The window's ends differ wherever the field has a slope,
+				// so most windows that are not flat cost one comparison.
+				one := math.Float32bits(row[f0])
+				diff := one ^ math.Float32bits(row[f1-1])
+				if diff == 0 {
+					for _, v := range row[f0+1 : f1] {
+						diff |= one ^ math.Float32bits(v)
 					}
 				}
-				tmpMin[out+k], tmpMax[out+k] = lo, hi
+				lo, hi := row[x0], row[x0]
+				if diff != 0 || one&expMask == expMask {
+					one = notFlat
+					for _, v := range row[x0+1 : x1] {
+						if v < lo {
+							lo = v
+						} else if v > hi {
+							hi = v
+						} else if v != v {
+							lo = v // comparisons drop a NaN: keep it (min carries it on)
+						}
+					}
+				}
+				tmpMin[out+k], tmpMax[out+k], tmpOne[out+k] = lo, hi, one
 			}
 		}
 		dst := (z % ringLayers) * layer
 		for ky := 0; ky < cy; ky++ {
-			y0, y1 := windowClamp(ky, vox.Y)
+			y0, y1 := windowClamp(ky, vox.Y, 1)
+			f0, f1 := windowClamp(ky, vox.Y, 2)
 			for k := 0; k < cx; k++ {
-				lo, hi := tmpMin[y0*cx+k], tmpMax[y0*cx+k]
-				for y := y0 + 1; y < y1; y++ {
-					if v := tmpMin[y*cx+k]; v < lo {
-						lo = v
-					}
-					if v := tmpMax[y*cx+k]; v > hi {
-						hi = v
+				one := tmpOne[f0*cx+k]
+				for y := f0 + 1; y < f1 && one != notFlat; y++ {
+					if tmpOne[y*cx+k] != one {
+						one = notFlat
 					}
 				}
-				ringMin[dst+ky*cx+k] = lo
-				ringMax[dst+ky*cx+k] = hi
+				// A flat window's rows all hold [v, v]: only others reduce.
+				lo, hi := tmpMin[y0*cx+k], tmpMax[y0*cx+k]
+				for y := y0 + 1; y < y1 && one == notFlat; y++ {
+					lo, hi = min(lo, tmpMin[y*cx+k]), max(hi, tmpMax[y*cx+k])
+				}
+				ringMin[dst+ky*cx+k], ringMax[dst+ky*cx+k], ringOne[dst+ky*cx+k] = lo, hi, one
 			}
 		}
 	}
 
 	next := 0 // first voxel layer not yet reduced
 	for kz := 0; kz < m.Cells.Z; kz++ {
-		z0, z1 := windowClamp(kz, vox.Z)
-		for ; next < z1; next++ {
+		z0, z1 := windowClamp(kz, vox.Z, 1)
+		f0, f1 := windowClamp(kz, vox.Z, 2)
+		for ; next < f1; next++ {
 			reduceLayer(next)
 		}
 		out := kz * layer
-		src := (z0 % ringLayers) * layer
-		copy(m.Min[out:out+layer], ringMin[src:src+layer])
-		copy(m.Max[out:out+layer], ringMax[src:src+layer])
-		for z := z0 + 1; z < z1; z++ {
-			src := (z % ringLayers) * layer
-			for i := 0; i < layer; i++ {
-				if v := ringMin[src+i]; v < m.Min[out+i] {
-					m.Min[out+i] = v
+		for i := 0; i < layer; i++ {
+			one := ringOne[(f0%ringLayers)*layer+i]
+			for z := f0 + 1; z < f1 && one != notFlat; z++ {
+				if ringOne[(z%ringLayers)*layer+i] != one {
+					one = notFlat
 				}
-				if v := ringMax[src+i]; v > m.Max[out+i] {
-					m.Max[out+i] = v
-				}
+			}
+			lo, hi := ringMin[(z0%ringLayers)*layer+i], ringMax[(z0%ringLayers)*layer+i]
+			for z := z0 + 1; z < z1 && one == notFlat; z++ {
+				src := (z % ringLayers) * layer
+				lo, hi = min(lo, ringMin[src+i]), max(hi, ringMax[src+i])
+			}
+			m.Min[out+i], m.Max[out+i] = lo, hi
+			if one != notFlat {
+				m.Flat[(out+i)>>6] |= 1 << ((out + i) & 63)
 			}
 		}
 	}
 	return m
 }
 
+// notFlat is the flat reduction's "more than one value" mark: the bits of
+// −0, which is never a flat value itself (a window of −0 reduces to it
+// directly); expMask selects the all-ones exponent of an Inf or NaN.
+const (
+	notFlat = 1 << 31
+	expMask = 0x7f800000
+)
+
 // windowClamp returns the [lo, hi) voxel window of cell c along an axis
-// of extent n: the cell's voxels dilated by one per side, clamped.
-func windowClamp(c, n int) (int, int) {
-	lo := c<<MacrocellShift - 1
+// of extent n: the cell's voxels dilated by reach per side, clamped.
+func windowClamp(c, n, reach int) (int, int) {
+	lo := c<<MacrocellShift - reach
 	if lo < 0 {
 		lo = 0
 	}
-	hi := (c+1)<<MacrocellShift + 1
+	hi := (c+1)<<MacrocellShift + reach
 	if hi > n {
 		hi = n
 	}

@@ -1,35 +1,62 @@
 package volume
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
-// bruteCellRange recomputes one cell's dilated min/max directly from the
-// data — the specification BuildMacrocells must match.
-func bruteCellRange(data []float32, vox Dims, cx, cy, cz int) (lo, hi float32) {
-	x0, x1 := windowClamp(cx, vox.X)
-	y0, y1 := windowClamp(cy, vox.Y)
-	z0, z1 := windowClamp(cz, vox.Z)
-	first := true
-	for z := z0; z < z1; z++ {
-		for y := y0; y < y1; y++ {
-			for x := x0; x < x1; x++ {
-				v := data[(z*vox.Y+y)*vox.X+x]
-				if first {
-					lo, hi, first = v, v, false
-					continue
-				}
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
+// bruteCellRange recomputes one cell's summary directly from the data —
+// the specification BuildMacrocells must match. The range is the min/max
+// of the cell dilated by one voxel per face, Min being NaN if that window
+// holds one; flat means the cell dilated by two holds a single bit pattern
+// that is finite and not −0.
+func bruteCellRange(data []float32, vox Dims, cx, cy, cz int) (lo, hi float32, flat bool) {
+	window := func(reach int, visit func(v float32)) {
+		x0, x1 := windowClamp(cx, vox.X, reach)
+		y0, y1 := windowClamp(cy, vox.Y, reach)
+		z0, z1 := windowClamp(cz, vox.Z, reach)
+		for z := z0; z < z1; z++ {
+			for y := y0; y < y1; y++ {
+				for x := x0; x < x1; x++ {
+					visit(data[(z*vox.Y+y)*vox.X+x])
 				}
 			}
 		}
 	}
-	return lo, hi
+	lo, hi = float32(math.Inf(1)), float32(math.Inf(-1))
+	window(1, func(v float32) {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	})
+	window(1, func(v float32) {
+		if v != v {
+			lo = v
+		}
+	})
+	flat = true
+	const e = MacrocellEdge
+	one := math.Float32bits(data[(cz*e*vox.Y+cy*e)*vox.X+cx*e]) // the cell's first voxel
+	window(2, func(v float32) {
+		if b := math.Float32bits(v); b != one || v-v != 0 || b == 1<<31 {
+			flat = false
+		}
+	})
+	return lo, hi, flat
+}
+
+// sameRange compares a built cell to the specification: equal bounds (±0
+// alike, as every consumer compares them), or a NaN Min where the window
+// holds a NaN (Max is then whatever the comparisons left).
+func sameRange(gotLo, gotHi, lo, hi float32) bool {
+	if lo != lo {
+		return gotLo != gotLo
+	}
+	return gotLo == lo && gotHi == hi
 }
 
 func TestMacrocellMinMaxBruteForce(t *testing.T) {
@@ -48,15 +75,88 @@ func TestMacrocellMinMaxBruteForce(t *testing.T) {
 		for cz := 0; cz < mc.Cells.Z; cz++ {
 			for cy := 0; cy < mc.Cells.Y; cy++ {
 				for cx := 0; cx < mc.Cells.X; cx++ {
-					lo, hi := bruteCellRange(data, d, cx, cy, cz)
+					lo, hi, flat := bruteCellRange(data, d, cx, cy, cz)
 					i := mc.CellIndex(cx, cy, cz)
-					if mc.Min[i] != lo || mc.Max[i] != hi {
-						t.Fatalf("%v cell (%d,%d,%d): [%v,%v], want [%v,%v]",
-							d, cx, cy, cz, mc.Min[i], mc.Max[i], lo, hi)
+					if !sameRange(mc.Min[i], mc.Max[i], lo, hi) || mc.IsFlat(i) != flat {
+						t.Fatalf("%v cell (%d,%d,%d): [%v,%v] flat %v, want [%v,%v] flat %v",
+							d, cx, cy, cz, mc.Min[i], mc.Max[i], mc.IsFlat(i), lo, hi, flat)
 					}
 				}
 			}
 		}
+	}
+}
+
+// plateauData fills a region with a background value and paints random
+// boxes of single values over it — ordinary scalars, the values a flat
+// cell may not hold (−0, ±Inf, NaN) and a denormal it may — so that cells
+// land on every side of the flat rule: inside a plateau, one voxel short
+// of it, across two, against the region's faces.
+func plateauData(r *rand.Rand, d Dims, boxes int) []float32 {
+	values := []float32{0.25, 0.5, 0.5, 0.75, 0, float32(math.Copysign(0, -1)), 1e-40,
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	data := make([]float32, d.Voxels())
+	for i := range data {
+		data[i] = 0.125
+	}
+	ext := [3]int{d.X, d.Y, d.Z}
+	for b := 0; b < boxes; b++ {
+		var lo, hi [3]int
+		for a := range lo {
+			lo[a] = r.Intn(ext[a]+4) - 4 // boxes may start beyond a face
+			hi[a] = min(lo[a]+1+r.Intn(14), ext[a])
+			lo[a] = max(lo[a], 0)
+		}
+		v := values[r.Intn(len(values))]
+		if b%3 == 0 {
+			v = values[r.Intn(4)]
+		}
+		for z := lo[2]; z < hi[2]; z++ {
+			for y := lo[1]; y < hi[1]; y++ {
+				for x := lo[0]; x < hi[0]; x++ {
+					data[(z*d.Y+y)*d.X+x] = v
+				}
+			}
+		}
+	}
+	return data
+}
+
+// TestMacrocellFlatBruteForce holds the flat bit and the kept NaNs to the
+// specification on generated piecewise-constant regions,
+// and checks the generator reached the cases that matter.
+func TestMacrocellFlatBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(53))
+	var flats, nans, cells int
+	for trial := 0; trial < 60; trial++ {
+		d := Dims{X: 1 + r.Intn(30), Y: 1 + r.Intn(26), Z: 1 + r.Intn(22)}
+		data := plateauData(r, d, r.Intn(9))
+		mc := BuildMacrocells(data, d, [3]int{r.Intn(5), r.Intn(5), r.Intn(5)})
+		for cz := 0; cz < mc.Cells.Z; cz++ {
+			for cy := 0; cy < mc.Cells.Y; cy++ {
+				for cx := 0; cx < mc.Cells.X; cx++ {
+					lo, hi, flat := bruteCellRange(data, d, cx, cy, cz)
+					i := mc.CellIndex(cx, cy, cz)
+					if !sameRange(mc.Min[i], mc.Max[i], lo, hi) || mc.IsFlat(i) != flat {
+						t.Fatalf("trial %d %v cell (%d,%d,%d): [%v,%v] flat %v, want [%v,%v] flat %v",
+							trial, d, cx, cy, cz, mc.Min[i], mc.Max[i], mc.IsFlat(i), lo, hi, flat)
+					}
+					if flat && math.Float32bits(mc.Min[i]) != math.Float32bits(mc.Max[i]) {
+						t.Fatalf("trial %d %v cell (%d,%d,%d): flat with range [%v,%v]", trial, d, cx, cy, cz, mc.Min[i], mc.Max[i])
+					}
+					cells++
+					if flat {
+						flats++
+					}
+					if lo != lo {
+						nans++
+					}
+				}
+			}
+		}
+	}
+	if flats < cells/20 || flats > cells*19/20 || nans == 0 {
+		t.Fatalf("generator degenerate: %d flat and %d holding a NaN of %d cells", flats, nans, cells)
 	}
 }
 
@@ -123,11 +223,11 @@ func TestBrickMacrocellsAtGhostBoundaries(t *testing.T) {
 		for cz := 0; cz < mc.Cells.Z; cz++ {
 			for cy := 0; cy < mc.Cells.Y; cy++ {
 				for cx := 0; cx < mc.Cells.X; cx++ {
-					lo, hi := bruteCellRange(bd.Data, b.Ghost.Ext, cx, cy, cz)
+					lo, hi, flat := bruteCellRange(bd.Data, b.Ghost.Ext, cx, cy, cz)
 					i := mc.CellIndex(cx, cy, cz)
-					if mc.Min[i] != lo || mc.Max[i] != hi {
-						t.Fatalf("brick %d cell (%d,%d,%d): [%v,%v], want [%v,%v]",
-							b.ID, cx, cy, cz, mc.Min[i], mc.Max[i], lo, hi)
+					if !sameRange(mc.Min[i], mc.Max[i], lo, hi) || mc.IsFlat(i) != flat {
+						t.Fatalf("brick %d cell (%d,%d,%d): [%v,%v] flat %v, want [%v,%v] flat %v",
+							b.ID, cx, cy, cz, mc.Min[i], mc.Max[i], mc.IsFlat(i), lo, hi, flat)
 					}
 				}
 			}
