@@ -11,8 +11,8 @@ package render
 import (
 	"fmt"
 	"math"
-	"sync"
 
+	"gvmr/internal/cache"
 	"gvmr/internal/camera"
 	"gvmr/internal/composite"
 	"gvmr/internal/transfer"
@@ -66,20 +66,13 @@ type Params struct {
 	skip *skipGrid
 }
 
-// tfStepCache memoises opacity-corrected transfer tables per
+// stepTables memoises opacity-corrected transfer tables per
 // (*transfer.Func, step), so samplers called per pixel with unprepared
 // Params don't rebuild the table per ray. Like the rest of the renderer
 // it assumes a transfer function's Table is not mutated after first use
-// (transfer.Func documents this). The memo is bounded: at the cap a
-// single arbitrary entry is evicted (not the whole map), so steady-state
-// workloads sitting near the cap keep their hot tables instead of
-// rebuilding every one of them after each insert.
-var tfStepCache = struct {
-	sync.Mutex
-	m map[tfStepKey]*transfer.Func
-}{m: map[tfStepKey]*transfer.Func{}}
-
-const tfStepCacheMax = 64
+// (transfer.Func documents this). An entry is charged its table and the
+// one it pins, 8 KiB at the presets' resolution.
+var stepTables = cache.New[tfStepKey, *transfer.Func](1 << 20)
 
 type tfStepKey struct {
 	tf   *transfer.Func
@@ -87,25 +80,10 @@ type tfStepKey struct {
 }
 
 func correctedTF(tf *transfer.Func, step float32) *transfer.Func {
-	key := tfStepKey{tf: tf, step: step}
-	tfStepCache.Lock()
-	c, ok := tfStepCache.m[key]
-	tfStepCache.Unlock()
-	if ok {
-		return c
-	}
-	c = tf.OpacityCorrected(step)
-	tfStepBuilds.Add(1)
-	tfStepCache.Lock()
-	if prior, ok := tfStepCache.m[key]; ok {
-		c = prior // a concurrent builder won; share its table
-	} else {
-		if len(tfStepCache.m) >= tfStepCacheMax {
-			evictOne(tfStepCache.m)
-		}
-		tfStepCache.m[key] = c
-	}
-	tfStepCache.Unlock()
+	bytes := 2 * 16 * int64(len(tf.Table)) // a vec.V4 is four float32s
+	c, _, _ := stepTables.Load(tfStepKey{tf, step}, bytes, func(bool) (*transfer.Func, int64, error) {
+		return tf.OpacityCorrected(step), bytes, nil
+	})
 	return c
 }
 

@@ -3,9 +3,8 @@ package render
 import (
 	"bytes"
 	"math"
-	"sync"
-	"sync/atomic"
 
+	"gvmr/internal/cache"
 	"gvmr/internal/transfer"
 	"gvmr/internal/volume"
 )
@@ -33,18 +32,19 @@ type skipGrid struct {
 	any  bool // false when nothing is skippable (dense data or dense TF)
 }
 
-var skipGridBuilds, tfStepBuilds atomic.Int64
-
 // MemoBuilds returns how many skip grids and opacity-corrected tables
-// this process has built; tests hold the memos to once per (grid, TF).
-func MemoBuilds() (grids, tables int64) { return skipGridBuilds.Load(), tfStepBuilds.Load() }
+// this process has built through the memos; tests hold them to once per
+// (grid, TF).
+func MemoBuilds() (grids, tables int64) {
+	g, t := skipGrids.Stats(), stepTables.Stats()
+	return g.Misses - g.Joins, t.Misses - t.Joins
+}
 
 // buildSkipGrid evaluates TF emptiness per cell, then turns the mask into
 // distances with the exact two-pass 26-neighbour chamfer. It works on a
 // copy padded by one far cell per face, so no cell has a missing
 // neighbour and the passes carry no border logic.
 func buildSkipGrid(mc *volume.Macrocells, tf *transfer.Func) *skipGrid {
-	skipGridBuilds.Add(1)
 	nx, ny, nz := mc.Cells.X, mc.Cells.Y, mc.Cells.Z
 	g := &skipGrid{mc: mc, leap: make([]uint8, mc.NumCells())}
 	sx, sy := nx+2, (nx+2)*(ny+2)
@@ -95,38 +95,21 @@ func chamferRow(cur, a, b, c, d, col []uint8, dir int) {
 	}
 }
 
-// occCache memoises skip grids per (macrocell grid, transfer function)
-// — the same identity discipline as tfStepCache: grids and tables are
+// skipGrids memoises skip grids per (macrocell grid, transfer function)
+// — the same identity discipline as stepTables: grids and tables are
 // immutable once in use, so pointer identity is value identity. Step
 // size is deliberately NOT in the key: opacity correction maps alpha a
 // to 1-(1-a)^step, whose zero set equals the original's for any step
 // (transfer.Func.OpacityCorrected documents this), so one field serves
 // every step of the same (grid, TF) instead of duplicating per quality
-// setting. The memo is bounded two ways: by entry count, and by the bytes it keeps
-// reachable (each entry's field plus the macrocell grid it pins — without
-// the byte bound, 64 entries over 1024³ volumes could pin gigabytes the
-// staging cache believes it already evicted). At either cap single
-// arbitrary entries are evicted, so steady-state workloads near the cap
-// don't rebuild every hot entry.
-var occCache = struct {
-	sync.Mutex
-	m     map[occKey]*skipGrid
-	bytes int64
-}{m: map[occKey]*skipGrid{}}
+// setting. The budget bounds the bytes the memo keeps reachable: each
+// entry's field (a byte per cell) plus the macrocell grid it pins, counted
+// per entry, so shared grids are over- rather than under-charged — without
+// it, entries over 1024³ volumes could pin gigabytes the staging cache
+// believes it already evicted.
+var skipGrids = cache.New[skipKey, *skipGrid](256 << 20)
 
-const (
-	occCacheMax      = 64
-	occCacheMaxBytes = 256 << 20
-)
-
-// occEntryBytes is the retained cost of one memo entry: its own field
-// (a byte per cell) plus the macrocell grid the entry keeps alive (counted
-// per entry, so shared grids are over- rather than under-charged).
-func occEntryBytes(k occKey, g *skipGrid) int64 {
-	return int64(len(g.leap)) + k.mc.Bytes()
-}
-
-type occKey struct {
+type skipKey struct {
 	mc *volume.Macrocells
 	tf *transfer.Func
 }
@@ -136,38 +119,9 @@ type occKey struct {
 // table the sampler actually reads has exactly the same zero set, which
 // is all "invisible" means.
 func occupancyFor(mc *volume.Macrocells, tf *transfer.Func) *skipGrid {
-	key := occKey{mc: mc, tf: tf}
-	occCache.Lock()
-	g, ok := occCache.m[key]
-	occCache.Unlock()
-	if ok {
-		return g
-	}
-	g = buildSkipGrid(mc, tf)
-	cost := occEntryBytes(key, g)
-	occCache.Lock()
-	if prior, ok := occCache.m[key]; ok {
-		g = prior // a concurrent builder won; share its grid
-	} else {
-		for len(occCache.m) > 0 &&
-			(len(occCache.m) >= occCacheMax || occCache.bytes+cost > occCacheMaxBytes) {
-			for k, e := range occCache.m {
-				occCache.bytes -= occEntryBytes(k, e)
-				delete(occCache.m, k)
-				break
-			}
-		}
-		occCache.m[key] = g
-		occCache.bytes += cost
-	}
-	occCache.Unlock()
+	bytes := int64(mc.NumCells()) + mc.Bytes()
+	g, _, _ := skipGrids.Load(skipKey{mc, tf}, bytes, func(bool) (*skipGrid, int64, error) {
+		return buildSkipGrid(mc, tf), bytes, nil
+	})
 	return g
-}
-
-// evictOne drops a single arbitrary entry from a memo map at capacity.
-func evictOne[K comparable, V any](m map[K]V) {
-	for k := range m {
-		delete(m, k)
-		return
-	}
 }

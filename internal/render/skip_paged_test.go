@@ -4,25 +4,19 @@ import (
 	"path/filepath"
 	"testing"
 
+	"gvmr/internal/cache"
 	"gvmr/internal/transfer"
 	"gvmr/internal/volume"
 	"gvmr/internal/volume/dataset"
 )
 
-// TestPagedFramesShareSkipGrids: occCache keys on the macrocell grid's
-// pointer, and a copy-backed brick used to build a private grid at every
+// TestPagedFramesShareSkipGrids: the skip-grid memo keys on the macrocell
+// grid's pointer, and a copy-backed brick used to build a private grid at every
 // stage — so on the paged path the memo never hit, rebuilt every brick's
 // mask every frame and filled up with dead entries. With the pager
 // keeping a planned frame's grids, the second and third frame find one
 // skip grid per brick and the memo does not grow.
 func TestPagedFramesShareSkipGrids(t *testing.T) {
-	// Start from an empty memo: at its 64-entry cap an insert evicts an
-	// arbitrary entry, and earlier tests' grids would then cost this one
-	// a first-frame grid.
-	occCache.Lock()
-	clear(occCache.m)
-	occCache.bytes = 0
-	occCache.Unlock()
 	src, err := dataset.New(dataset.Skull, volume.Cube(32))
 	if err != nil {
 		t.Fatal(err)
@@ -59,11 +53,7 @@ func TestPagedFramesShareSkipGrids(t *testing.T) {
 		}
 		return grids
 	}
-	memoSize := func() int {
-		occCache.Lock()
-		defer occCache.Unlock()
-		return len(occCache.m)
-	}
+	memoSize := func() int { return len(skipGrids.Entries()) }
 	first := frame()
 	size := memoSize()
 	for n := 2; n <= 3; n++ {
@@ -73,7 +63,33 @@ func TestPagedFramesShareSkipGrids(t *testing.T) {
 			}
 		}
 		if got := memoSize(); got != size {
-			t.Errorf("frame %d: occCache grew from %d to %d entries", n, size, got)
+			t.Errorf("frame %d: the memo grew from %d to %d entries", n, size, got)
 		}
+	}
+}
+
+// TestSkipGridMemoIsLRU: a grid touched every round survives any number
+// of cold (grid, TF) pairs pushed through the memo past its budget — the
+// count-capped map it replaces evicted an arbitrary entry and promised no
+// such thing.
+func TestSkipGridMemoIsLRU(t *testing.T) {
+	real := skipGrids
+	defer func() { skipGrids = real }()
+	tf := transfer.SkullPreset()
+	grid := func() *volume.Macrocells {
+		return volume.New(volume.Cube(16)).Macrocells()
+	}
+	hot := grid()
+	per := int64(hot.NumCells()) + hot.Bytes()
+	skipGrids = cache.New[skipKey, *skipGrid](4 * per)
+	first := occupancyFor(hot, tf)
+	for round := 0; round < 12; round++ {
+		occupancyFor(grid(), tf)
+		if g := occupancyFor(hot, tf); g != first {
+			t.Fatalf("round %d: the hot grid's skip grid was rebuilt", round)
+		}
+	}
+	if st := skipGrids.Stats(); st.Evictions != 9 || st.Misses != 13 || st.BytesInUse != 4*per {
+		t.Errorf("stats %+v, want 13 builds, 9 cold evictions and a full budget of %d", st, 4*per)
 	}
 }

@@ -1,15 +1,11 @@
 package server
 
 import (
-	"container/list"
-	"fmt"
-	"os"
-	"sync"
 	"time"
 
+	"gvmr/internal/cache"
 	"gvmr/internal/img"
 	"gvmr/internal/sim"
-	"gvmr/internal/volume"
 )
 
 // Frame is one rendered, encoded frame: the float framebuffer the
@@ -49,218 +45,19 @@ func (f *Frame) Bytes() int64 {
 // Config.FrameCacheBytes nor GVMR_FRAME_BYTES says otherwise.
 const DefaultFrameCacheBytes = 256 << 20
 
-// frameCacheBytesFromEnv resolves the frame-cache budget: an explicit
-// config value wins, else GVMR_FRAME_BYTES (same grammar as
-// GVMR_STAGING_BYTES; "0"/"off" disables, unparsable disables fail-safe),
-// else the default.
-func frameCacheBytesFromEnv(configured int64) int64 {
-	if configured != 0 {
-		return configured
-	}
-	s := os.Getenv("GVMR_FRAME_BYTES")
-	if s == "" {
-		return DefaultFrameCacheBytes
-	}
-	n, ok := volume.ParseBytes(s)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "gvmr: unparsable GVMR_FRAME_BYTES=%q; frame cache disabled\n", s)
-		return 0
-	}
-	return n
-}
+// FrameCache is the bounded build-once cache (package cache) of rendered
+// frames by request key. A build in flight is the request coalescer's
+// call: requests for its key wait for the one render, and its bytes are
+// reserved so concurrent renders cannot overshoot the budget. A disabled
+// cache, or one whose budget is held by renders in flight, still
+// coalesces; it just keeps nothing.
+type FrameCache = cache.Cache[string, *Frame]
 
-// FrameCacheStats is a snapshot of frame-cache activity.
-type FrameCacheStats struct {
-	Hits       int64 `json:"hits"`
-	Misses     int64 `json:"misses"`
-	Inserts    int64 `json:"inserts"`
-	Evictions  int64 `json:"evictions"`
-	Bypassed   int64 `json:"bypassed"` // renders that could not reserve budget
-	BytesInUse int64 `json:"bytes_in_use"`
-	Capacity   int64 `json:"capacity"`
-}
+// NewFrameCache builds a cache bounded to capacity bytes of frame data;
+// capacity <= 0 disables it.
+func NewFrameCache(capacity int64) *FrameCache { return cache.New[string, *Frame](capacity) }
 
-// FrameCache is a bounded, concurrency-safe LRU cache of rendered frames,
-// modeled on volume.StagingCache: bytes are reserved while a render is in
-// flight so concurrent renders cannot overshoot the budget, and when the
-// budget is entirely held by reservations a further render proceeds
-// uncached instead of evicting frames other requests are about to reuse.
-// Unlike the staging cache it holds no ready-wait machinery — the
-// request coalescer already guarantees one render per key.
-type FrameCache struct {
-	mu       sync.Mutex
-	capacity int64
-	inUse    int64
-	reserved int64 // bytes held by in-flight reservations (subset of inUse)
-	entries  map[string]*frameEntry
-	lru      *list.List // front = most recently used; ready entries only
-
-	hits, misses, inserts, evictions, bypassed int64
-}
-
-type frameEntry struct {
-	key   string
-	elem  *list.Element // nil while the entry is a bare reservation
-	frame *Frame
-	bytes int64
-}
-
-// NewFrameCache builds a cache bounded to capacity bytes of frame data.
-// capacity <= 0 yields a disabled cache: Get always misses, Reserve
-// always declines.
-func NewFrameCache(capacity int64) *FrameCache {
-	return &FrameCache{
-		capacity: capacity,
-		entries:  map[string]*frameEntry{},
-		lru:      list.New(),
-	}
-}
-
-// Capacity returns the byte budget.
-func (c *FrameCache) Capacity() int64 { return c.capacity }
-
-// Get returns the cached frame for key, if ready.
-func (c *FrameCache) Get(key string) (*Frame, bool) {
-	return c.lookup(key, true)
-}
-
-// peek is Get without touching the hit/miss counters — for double-check
-// lookups that already counted themselves (recency is still refreshed; a
-// hit is a hit for LRU purposes).
-func (c *FrameCache) peek(key string) (*Frame, bool) {
-	return c.lookup(key, false)
-}
-
-func (c *FrameCache) lookup(key string, count bool) (*Frame, bool) {
-	if c == nil || c.capacity <= 0 {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok || e.frame == nil {
-		if count {
-			c.misses++
-		}
-		return nil, false
-	}
-	if count {
-		c.hits++
-	}
-	c.lru.MoveToFront(e.elem)
-	return e.frame, true
-}
-
-// Reserve claims est bytes for an in-flight render of key. It returns
-// false — the caller should render uncached — when the cache is disabled,
-// est exceeds the whole capacity, the key is already present (reserved or
-// ready), or the budget is held by reservations that cannot be evicted.
-// Ready LRU entries are evicted as needed. A successful Reserve must be
-// paired with Commit or Release.
-func (c *FrameCache) Reserve(key string, est int64) bool {
-	if c == nil || c.capacity <= 0 || est > c.capacity {
-		if c != nil {
-			c.mu.Lock()
-			c.bypassed++
-			c.mu.Unlock()
-		}
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		c.bypassed++
-		return false
-	}
-	// Could evicting every ready entry fit the reservation? Everything
-	// except other reservations is evictable, so the budget is
-	// insufficient only when the reservations alone exceed it — O(1),
-	// this runs on every render.
-	if c.reserved+est > c.capacity {
-		c.bypassed++
-		return false
-	}
-	c.inUse += est
-	c.reserved += est
-	c.evictLocked()
-	c.entries[key] = &frameEntry{key: key, bytes: est}
-	return true
-}
-
-// Commit fills a reservation with the rendered frame, adjusting the
-// charge from the estimate to the frame's actual size.
-func (c *FrameCache) Commit(key string, f *Frame) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok || e.frame != nil {
-		return
-	}
-	c.inUse += f.Bytes() - e.bytes
-	c.reserved -= e.bytes
-	e.bytes = f.Bytes()
-	e.frame = f
-	e.elem = c.lru.PushFront(e)
-	c.inserts++
-	c.evictLocked()
-}
-
-// Release drops a reservation whose render failed.
-func (c *FrameCache) Release(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok || e.frame != nil {
-		return
-	}
-	c.inUse -= e.bytes
-	c.reserved -= e.bytes
-	delete(c.entries, key)
-}
-
-// evictLocked drops least-recently-used ready frames until the cache fits
-// its capacity. Reservations hold their bytes and are never evicted. The
-// entry just committed may itself be evicted if it is the only ready
-// entry and still over budget; Commit pushes it to the front first, so
-// that happens only when nothing else can make room.
-func (c *FrameCache) evictLocked() {
-	for el := c.lru.Back(); el != nil && c.inUse > c.capacity; {
-		prev := el.Prev()
-		e := el.Value.(*frameEntry)
-		c.inUse -= e.bytes
-		c.lru.Remove(e.elem)
-		delete(c.entries, e.key)
-		c.evictions++
-		el = prev
-	}
-}
-
-// Flush drops every ready frame; reservations in flight are left to
-// commit or release themselves.
-func (c *FrameCache) Flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, e := range c.entries {
-		if e.frame == nil {
-			continue
-		}
-		c.inUse -= e.bytes
-		c.lru.Remove(e.elem)
-		delete(c.entries, e.key)
-	}
-}
-
-// Stats returns a snapshot of the counters.
-func (c *FrameCache) Stats() FrameCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return FrameCacheStats{
-		Hits:       c.hits,
-		Misses:     c.misses,
-		Inserts:    c.inserts,
-		Evictions:  c.evictions,
-		Bypassed:   c.bypassed,
-		BytesInUse: c.inUse,
-		Capacity:   c.capacity,
-	}
-}
+// FrameCacheStats is a snapshot of frame-cache activity. A request counts
+// as exactly one hit or one miss; Bypassed counts renders that could not
+// reserve budget.
+type FrameCacheStats = cache.Stats

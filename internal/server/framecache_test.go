@@ -1,9 +1,11 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
+	"gvmr/internal/cache"
 	"gvmr/internal/img"
 	"gvmr/internal/vec"
 )
@@ -17,14 +19,43 @@ func mkFrame(key string, w, h, pngLen int) *Frame {
 	}
 }
 
-// renderInto reserves, "renders" and commits one frame, the way the
-// service does.
-func renderInto(c *FrameCache, key string, w, h int) bool {
-	if !c.Reserve(key, img.RawBytes(w, h)) {
-		return false
+// renderInto reserves the raw-frame estimate, "renders" and keeps one
+// frame the way the service does, and reports whether the reservation
+// was granted.
+func renderInto(c *FrameCache, key string, w, h, pngLen int) (reserved bool) {
+	c.Load(key, img.RawBytes(w, h), func(r bool) (*Frame, int64, error) {
+		reserved = r
+		f := mkFrame(key, w, h, pngLen)
+		return f, f.Bytes(), nil
+	})
+	return reserved
+}
+
+// inFlight starts a render of key that holds its reservation until the
+// returned finish is called with the render's outcome.
+func inFlight(t *testing.T, c *FrameCache, key string, w, h int) (finish func(*Frame, error)) {
+	t.Helper()
+	type outcome struct {
+		f   *Frame
+		err error
 	}
-	c.Commit(key, mkFrame(key, w, h, 100))
-	return true
+	entered, release, done := make(chan struct{}), make(chan outcome), make(chan struct{})
+	go func() {
+		defer close(done)
+		c.Load(key, img.RawBytes(w, h), func(bool) (*Frame, int64, error) {
+			close(entered)
+			o := <-release
+			if o.err != nil {
+				return nil, 0, o.err
+			}
+			return o.f, o.f.Bytes(), nil
+		})
+	}()
+	<-entered
+	return func(f *Frame, err error) {
+		release <- outcome{f, err}
+		<-done
+	}
 }
 
 // TestFrameCacheLRUAndBudget mirrors the staging cache's bounded-memory
@@ -35,7 +66,7 @@ func TestFrameCacheLRUAndBudget(t *testing.T) {
 	per := img.RawBytes(w, h) + 100
 	c := NewFrameCache(3 * per)
 	for i := 0; i < 5; i++ {
-		if !renderInto(c, fmt.Sprintf("f%d", i), w, h) {
+		if !renderInto(c, fmt.Sprintf("f%d", i), w, h, 100) {
 			t.Fatalf("frame %d did not cache", i)
 		}
 	}
@@ -56,31 +87,30 @@ func TestFrameCacheLRUAndBudget(t *testing.T) {
 
 // TestFrameCacheReserveFallback mirrors TestCacheFallbackWhenBudgetInFlight
 // for the frame cache: when the whole budget is held by an in-flight
-// reservation, a further Reserve declines (the render proceeds uncached)
+// reservation, a further render is refused one (it proceeds uncached)
 // instead of evicting or overshooting.
 func TestFrameCacheReserveFallback(t *testing.T) {
 	w, h := 16, 16
 	c := NewFrameCache(img.RawBytes(w, h) + 200) // room for ~one frame
-	if !c.Reserve("inflight", img.RawBytes(w, h)) {
-		t.Fatal("first reservation declined")
-	}
-	if c.Reserve("victim", img.RawBytes(w, h)) {
-		t.Fatal("second reservation accepted while the budget is held in flight")
+	finish := inFlight(t, c, "inflight", w, h)
+	if renderInto(c, "victim", w, h, 100) {
+		t.Fatal("second reservation granted while the budget is held in flight")
 	}
 	if st := c.Stats(); st.Bypassed != 1 {
 		t.Errorf("bypassed = %d, want 1", st.Bypassed)
 	}
-	c.Commit("inflight", mkFrame("inflight", w, h, 100))
-	// Ready entries are evictable: the same reservation now succeeds.
-	if !c.Reserve("victim", img.RawBytes(w, h)) {
-		t.Fatal("reservation still declined after the in-flight frame committed")
+	if _, ok := c.Get("victim"); ok {
+		t.Error("a render without a reservation was kept")
 	}
+	finish(mkFrame("inflight", w, h, 100), nil)
+	// Ready entries are evictable: the same reservation is now granted.
+	finish = inFlight(t, c, "victim", w, h)
 	if _, ok := c.Get("inflight"); ok {
 		t.Error("committed frame should have been evicted for the new reservation")
 	}
-	c.Release("victim")
+	finish(nil, errors.New("synthetic render failure"))
 	if st := c.Stats(); st.BytesInUse != 0 {
-		t.Errorf("bytes in use = %d after release, want 0", st.BytesInUse)
+		t.Errorf("bytes in use = %d after the failed render, want 0", st.BytesInUse)
 	}
 }
 
@@ -89,43 +119,53 @@ func TestFrameCacheReserveFallback(t *testing.T) {
 func TestFrameCacheFailedRenderNotCached(t *testing.T) {
 	w, h := 8, 8
 	c := NewFrameCache(1 << 20)
-	if !c.Reserve("fail", img.RawBytes(w, h)) {
-		t.Fatal("reservation declined")
-	}
-	c.Release("fail")
+	inFlight(t, c, "fail", w, h)(nil, errors.New("synthetic render failure"))
 	if st := c.Stats(); st.BytesInUse != 0 || st.Inserts != 0 {
 		t.Errorf("failed render left state: %+v", st)
 	}
 	if _, ok := c.Get("fail"); ok {
 		t.Error("failed render served from cache")
 	}
-	if !renderInto(c, "fail", w, h) {
+	if !renderInto(c, "fail", w, h, 100) {
 		t.Error("re-render after failure did not cache")
+	}
+	if _, ok := c.Get("fail"); !ok {
+		t.Error("re-rendered frame missing")
 	}
 }
 
-// TestFrameCacheBypassAndDisable covers over-budget frames, duplicate
-// reservations and the disabled cache.
+// TestFrameCacheBypassAndDisable covers over-budget frames, a duplicate
+// request of a key in flight, degraded frames and the disabled cache.
 func TestFrameCacheBypassAndDisable(t *testing.T) {
 	c := NewFrameCache(1 << 10)
-	if c.Reserve("huge", 1<<20) {
-		t.Error("over-budget reservation accepted")
+	if renderInto(c, "huge", 64, 64, 0) {
+		t.Error("over-budget reservation granted")
 	}
-	if !c.Reserve("dup", 512) {
-		t.Fatal("reservation declined")
+	finish := inFlight(t, c, "dup", 4, 4)
+	joined := make(chan cache.Served)
+	go func() {
+		_, how, _ := c.Load("dup", 64, func(bool) (*Frame, int64, error) {
+			t.Error("a key in flight was rendered twice")
+			return nil, 0, nil
+		})
+		joined <- how
+	}()
+	waitFor(t, "the duplicate to join", func() bool { return c.Stats().Joins == 1 })
+	finish(mkFrame("dup", 4, 4, 10), nil)
+	if how := <-joined; how != cache.Joined {
+		t.Errorf("duplicate request was served %v, want joined", how)
 	}
-	if c.Reserve("dup", 512) {
-		t.Error("duplicate reservation accepted")
+	f, _, err := c.Load("degraded", 64, func(bool) (*Frame, int64, error) {
+		return &Frame{Key: "degraded", Degraded: true}, cache.Discard, nil
+	})
+	if err != nil || f == nil || !f.Degraded {
+		t.Errorf("discarded frame was not handed to its caller: %v, %v", f, err)
 	}
-	var disabled *FrameCache
-	if _, ok := disabled.Get("x"); ok {
-		t.Error("nil cache hit")
-	}
-	if disabled.Reserve("x", 1) {
-		t.Error("nil cache reserved")
+	if _, ok := c.Get("degraded"); ok {
+		t.Error("discarded frame was kept")
 	}
 	z := NewFrameCache(0)
-	if z.Reserve("x", 1) {
+	if renderInto(z, "x", 1, 1, 0) {
 		t.Error("zero-capacity cache reserved")
 	}
 	if _, ok := z.Get("x"); ok {
@@ -134,18 +174,17 @@ func TestFrameCacheBypassAndDisable(t *testing.T) {
 }
 
 // TestFrameCacheCommitAdjustsCharge: the reservation is an estimate (raw
-// bytes); Commit adjusts to the actual frame size (raw + PNG) and evicts
-// if the adjustment pushed the cache over budget.
+// bytes); the render's final charge (raw + PNG) replaces it and evicts if
+// the adjustment pushed the cache over budget.
 func TestFrameCacheCommitAdjustsCharge(t *testing.T) {
 	w, h := 8, 8
 	raw := img.RawBytes(w, h)
 	c := NewFrameCache(2*raw + 150)
-	renderInto(c, "a", w, h) // raw+100
-	if !c.Reserve("b", raw) {
+	renderInto(c, "a", w, h, 100) // raw+100
+	// A PNG that pushes past the budget: LRU ("a") must go.
+	if !renderInto(c, "b", w, h, 200) {
 		t.Fatal("second reservation declined")
 	}
-	// Commit with a PNG that pushes past the budget: LRU ("a") must go.
-	c.Commit("b", mkFrame("b", w, h, 200))
 	st := c.Stats()
 	if st.BytesInUse != raw+200 {
 		t.Errorf("bytes in use = %d, want %d", st.BytesInUse, raw+200)
@@ -162,8 +201,8 @@ func TestFrameCacheCommitAdjustsCharge(t *testing.T) {
 func TestFrameCacheFlush(t *testing.T) {
 	w, h := 8, 8
 	c := NewFrameCache(1 << 20)
-	renderInto(c, "ready", w, h)
-	c.Reserve("pending", img.RawBytes(w, h))
+	renderInto(c, "ready", w, h, 100)
+	finish := inFlight(t, c, "pending", w, h)
 	c.Flush()
 	if _, ok := c.Get("ready"); ok {
 		t.Error("flushed frame still served")
@@ -172,7 +211,7 @@ func TestFrameCacheFlush(t *testing.T) {
 	if st.BytesInUse != img.RawBytes(w, h) {
 		t.Errorf("bytes in use = %d, want the pending reservation only", st.BytesInUse)
 	}
-	c.Commit("pending", mkFrame("pending", w, h, 10))
+	finish(mkFrame("pending", w, h, 10), nil)
 	if _, ok := c.Get("pending"); !ok {
 		t.Error("reservation did not survive the flush")
 	}

@@ -3,15 +3,15 @@
 // cmd/gvmrd is the daemon around it) that serves rendered frames off the
 // simulated multi-GPU cluster under concurrent load.
 //
-// Three mechanisms compose per request, in order:
+// Two mechanisms compose per request, in order:
 //
-//  1. a rendered-frame LRU cache (FrameCache, byte-budgeted like the
-//     volume staging cache, GVMR_FRAME_BYTES) — repeated views are a
-//     map lookup;
-//  2. a request coalescer (singleflight keyed by dataset + dims + camera
-//     + transfer function + quality) — a storm of identical requests
-//     costs exactly one render;
-//  3. admission control — a bounded queue in front of a fixed-width
+//  1. the rendered-frame cache (FrameCache: the bounded build-once cache
+//     the volume staging cache also is, GVMR_FRAME_BYTES), keyed by
+//     dataset + dims + camera + transfer function + quality — a repeated
+//     view is a map lookup, and a render in flight is the entry every
+//     identical request waits on, so a storm of them costs exactly one
+//     render;
+//  2. admission control — a bounded queue in front of a fixed-width
 //     render-worker pool; when the queue is full new renders are
 //     rejected immediately (HTTP 429) instead of piling up, and Close
 //     drains gracefully.
@@ -34,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"gvmr/internal/cache"
 	"gvmr/internal/cluster"
 	"gvmr/internal/core"
 	"gvmr/internal/dist"
@@ -271,6 +272,10 @@ const (
 	ViaRender    ServedVia = "render"    // rendered fresh
 )
 
+// servedVia names how the frame cache came by a request's frame (a Hit
+// from Load: the frame was kept between the request's Get and its Load).
+var servedVia = [...]ServedVia{cache.Hit: ViaCache, cache.Joined: ViaCoalesced, cache.Built: ViaRender}
+
 // Service is the embeddable render service. Create with New, serve with
 // Render (or the HTTP Handler), stop with Close.
 type Service struct {
@@ -282,9 +287,8 @@ type Service struct {
 	sem   chan struct{} // render-worker slots
 	queue chan struct{} // admission: workers + MaxQueue tokens
 
-	cache  *FrameCache
-	flight flightGroup
-	lat    *latencyRing
+	cache *FrameCache
+	lat   *latencyRing
 
 	// res aggregates overload-policy counters (breaker opens, sheds,
 	// degraded frames, …) across this service, its coordinator and its
@@ -345,11 +349,11 @@ func New(cfg Config) (*Service, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cacheBytes := cfg.FrameCacheBytes
-	if cacheBytes < 0 {
-		cacheBytes = 0
-	} else {
-		cacheBytes = frameCacheBytesFromEnv(cacheBytes)
+	// An explicit budget wins (negative disables), else GVMR_FRAME_BYTES,
+	// else the default.
+	cacheBytes := max(cfg.FrameCacheBytes, 0)
+	if cfg.FrameCacheBytes == 0 {
+		cacheBytes = volume.BytesFromEnv("GVMR_FRAME_BYTES", DefaultFrameCacheBytes)
 	}
 	s := &Service{
 		cfg:        cfg,
@@ -492,9 +496,10 @@ type RenderOptions struct {
 	Deadline time.Duration
 }
 
-// Render serves one frame: cache, then coalescer, then an admitted
-// render. It is safe for any number of concurrent callers. The returned
-// Frame is shared and immutable. via reports how the request was served.
+// Render serves one frame: from the cache, from a render of its key
+// already in flight, or from an admitted render of its own. It is safe
+// for any number of concurrent callers. The returned Frame is shared and
+// immutable. via reports how the request was served.
 // Render is the plain-priority path: interactive class, default deadline.
 func (s *Service) Render(ctx context.Context, req Request) (f *Frame, via ServedVia, err error) {
 	return s.RenderWith(ctx, req, RenderOptions{Priority: resilience.Interactive})
@@ -524,58 +529,63 @@ func (s *Service) RenderWith(ctx context.Context, req Request, po RenderOptions)
 	if f, ok := s.cache.Get(key); ok {
 		return f, ViaCache, nil
 	}
-	initiatorVia := ViaRender
-	f, shared, err := s.flight.do(ctx, key, func() (*Frame, error) {
-		// Re-check under the flight: a previous leader may have committed
-		// between our miss and this call (peek: the outer Get already
-		// counted this request). The write to initiatorVia is published
-		// to the initiator by the flight's done-channel close.
-		if f, ok := s.cache.peek(key); ok {
-			initiatorVia = ViaCache
-			return f, nil
+	// The Load runs detached from every caller's context: each caller —
+	// the one whose Load renders included — waits on its own ctx, so an
+	// impatient client abandons only its response, never the shared render
+	// (which completes and is kept for whoever asks next).
+	type loaded struct {
+		f   *Frame
+		how cache.Served
+		err error
+	}
+	done := make(chan loaded, 1)
+	go func() {
+		f, how, err := s.cache.Load(key, img.RawBytes(req.Width, req.Height), func(bool) (*Frame, int64, error) {
+			return s.renderLeader(req, key, po)
+		})
+		done <- loaded{f, how, err}
+	}()
+	select {
+	case <-ctx.Done():
+		return nil, "", ctx.Err()
+	case l := <-done:
+		if l.err != nil {
+			return nil, "", l.err
 		}
-		return s.renderLeader(req, key, po)
-	})
-	if err != nil {
-		return nil, "", err
+		if l.how == cache.Joined {
+			s.mu.Lock()
+			s.coalesced++
+			s.mu.Unlock()
+		}
+		return l.f, servedVia[l.how], nil
 	}
-	if shared {
-		s.mu.Lock()
-		s.coalesced++
-		s.mu.Unlock()
-		return f, ViaCoalesced, nil
-	}
-	return f, initiatorVia, nil
 }
 
-// renderLeader is the coalescer leader's path: admission, then one
-// core.RenderOn job, then PNG encoding and cache commit. It runs
-// detached from any request context (the flight goroutine), so an
-// abandoned request never wastes the render — the frame still commits
-// to the cache; only Close interrupts the wait for a worker slot. The
+// renderLeader is the path of the one request that renders a key:
+// admission, then one core.RenderOn job, then PNG encoding. It returns the
+// frame with its cache charge — cache.Discard for a degraded frame, which
+// is shared with the requests waiting on it but never kept. It runs
+// detached from any request context, so an abandoned request never wastes
+// the render; only Close interrupts the wait for a worker slot. The
 // policy's deadline is enforced here (not from the caller's context):
 // abandoning a request must not abort a shared render, but blowing its
 // end-to-end budget must.
-func (s *Service) renderLeader(req Request, key string, po RenderOptions) (*Frame, error) {
+func (s *Service) renderLeader(req Request, key string, po RenderOptions) (*Frame, int64, error) {
 	if err := s.beginJob(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer s.endJob()
 
 	release, err := s.admit(po.Priority)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer release()
 
 	opt, err := s.options(req)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	// Reserve cache budget while the render is in flight; when the
-	// budget is held by other in-flight renders, render uncached.
-	est := img.RawBytes(req.Width, req.Height)
-	reserved := s.cache.Reserve(key, est)
 
 	deadline := po.Deadline
 	if deadline == 0 {
@@ -645,17 +655,11 @@ func (s *Service) renderLeader(req Request, key string, po RenderOptions) (*Fram
 	}
 	wall := time.Since(wallStart)
 	if err != nil {
-		if reserved {
-			s.cache.Release(key)
-		}
-		return nil, err
+		return nil, 0, err
 	}
 	var png bytes.Buffer
 	if err := res.Image.EncodePNG(&png); err != nil {
-		if reserved {
-			s.cache.Release(key)
-		}
-		return nil, err
+		return nil, 0, err
 	}
 	f := &Frame{
 		Key:         key,
@@ -670,18 +674,14 @@ func (s *Service) renderLeader(req Request, key string, po RenderOptions) (*Fram
 		RenderWall:  wall,
 		Degraded:    degraded,
 	}
-	if reserved {
-		if degraded {
-			s.cache.Release(key)
-		} else {
-			s.cache.Commit(key, f)
-		}
-	}
 	s.mu.Lock()
 	s.renders++
 	s.renderWall += wall
 	s.mu.Unlock()
-	return f, nil
+	if degraded {
+		return f, cache.Discard, nil
+	}
+	return f, f.Bytes(), nil
 }
 
 // beginJob admits one unit of work against the drain state; every
@@ -952,9 +952,6 @@ func (s *Service) Stats() Stats {
 // Resilience exposes the shared overload-policy counters (tests inject
 // faults and assert on these).
 func (s *Service) Resilience() *resilience.Metrics { return s.res }
-
-// Cache exposes the frame cache (for tests and the daemon's flags).
-func (s *Service) Cache() *FrameCache { return s.cache }
 
 // Draining reports whether Close has begun — a cheap flag read for
 // health probes, without the full Stats snapshot.

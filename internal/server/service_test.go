@@ -76,11 +76,6 @@ func TestServiceCoalesces(t *testing.T) {
 	s := newTestService(t, Config{GPUs: 2, Workers: 1})
 	s.renderOn = g.fn
 	req := Request{Dataset: "skull", Edge: 16, Width: 32, Height: 32}
-	nReq := req
-	if err := nReq.normalize(s); err != nil {
-		t.Fatal(err)
-	}
-	key := nReq.key()
 
 	type out struct {
 		f   *Frame
@@ -97,7 +92,7 @@ func TestServiceCoalesces(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		go render()
 	}
-	waitFor(t, "4 followers", func() bool { return s.flight.waiting(key) == 4 })
+	waitFor(t, "4 followers", func() bool { return s.cache.Stats().Joins == 4 })
 	close(g.release)
 
 	vias := map[ServedVia]int{}

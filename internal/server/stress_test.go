@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,10 +17,11 @@ import (
 	"gvmr/internal/vec"
 )
 
-// Stress suite: the frame cache and the coalescer under concurrent
-// Get/Reserve/Commit/Release/Flush and concurrent Render/Flush/Close with
-// randomized interleavings. Run under -race in CI (the server race leg);
-// the per-run seed is logged so a failing schedule can be chased.
+// Stress suite: the frame cache under concurrent Get/Load/Flush — builds
+// that keep, fail and discard — and the service under concurrent
+// Render/Flush/Close with randomized interleavings. Run under -race in CI
+// (the server race leg); the per-run seed is logged so a failing schedule
+// can be chased.
 
 func stressSeed(t *testing.T) int64 {
 	seed := time.Now().UnixNano()
@@ -27,11 +29,31 @@ func stressSeed(t *testing.T) int64 {
 	return seed
 }
 
+// settled checks a frame cache at rest: nothing in flight, and
+// bytes_in_use is exactly the ready frames it holds, within the budget.
+func settled(t *testing.T, c *FrameCache) {
+	t.Helper()
+	var sum int64
+	for _, e := range c.Entries() {
+		if !e.Ready {
+			t.Errorf("key %q still in flight at rest (%d bytes reserved)", e.Key, e.Bytes)
+			continue
+		}
+		if e.Bytes != e.Val.Bytes() {
+			t.Errorf("key %q charged %d bytes, its frame is %d", e.Key, e.Bytes, e.Val.Bytes())
+		}
+		sum += e.Bytes
+	}
+	if st := c.Stats(); st.BytesInUse != sum || sum > st.Capacity {
+		t.Errorf("settled cache holds %d bytes of ready frames, bytes_in_use %d, capacity %d", sum, st.BytesInUse, st.Capacity)
+	}
+}
+
 // TestFrameCacheStress hammers one small cache from many goroutines with
 // every operation the service performs, against a deliberately tiny
 // budget so reservations, bypasses and evictions all trigger constantly.
-// Invariants: accounting never goes negative, never exceeds capacity
-// after settling, and every reservation is eventually paired.
+// Invariants: every lookup counts once, and at rest no reservation is
+// left unpaired and the accounting is exactly the frames held.
 func TestFrameCacheStress(t *testing.T) {
 	seed := stressSeed(t)
 	frame := func(key string, w, h int) *Frame {
@@ -39,6 +61,7 @@ func TestFrameCacheStress(t *testing.T) {
 	}
 	const workers = 8
 	cache := NewFrameCache(20 * frame("x", 8, 8).Bytes() / 10) // ~2 frames' worth
+	var loads atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		g := g
@@ -50,121 +73,140 @@ func TestFrameCacheStress(t *testing.T) {
 				key := fmt.Sprintf("k%d", rng.Intn(6))
 				switch rng.Intn(10) {
 				case 0, 1, 2, 3: // lookups dominate in production
-					cache.Get(key)
-				case 4, 5, 6:
-					f := frame(key, 8, 8)
-					if cache.Reserve(key, f.Bytes()) {
-						if rng.Intn(4) == 0 {
-							cache.Release(key)
-						} else {
-							cache.Commit(key, f)
-						}
+					if _, ok := cache.Get(key); ok {
+						loads.Add(1)
 					}
+				case 4, 5, 6:
+					loads.Add(1)
+					fail := rng.Intn(4) == 0
+					cache.Load(key, img.RawBytes(8, 8), func(bool) (*Frame, int64, error) {
+						if fail {
+							return nil, 0, errors.New("synthetic render failure")
+						}
+						f := frame(key, 8, 8)
+						return f, f.Bytes(), nil
+					})
 				case 7:
 					cache.Flush()
 				case 8:
 					cache.Stats()
 				case 9:
-					// Oversized reservation: must decline, never wedge.
-					if cache.Reserve(key, cache.Capacity()+1) {
-						t.Error("over-capacity reservation accepted")
-						cache.Release(key)
-					}
+					// Oversized reservation: must be refused, never wedge.
+					loads.Add(1)
+					cache.Load(key, cache.Capacity()+1, func(reserved bool) (*Frame, int64, error) {
+						if reserved {
+							t.Error("over-capacity reservation granted")
+						}
+						return frame(key, 8, 8), 1, nil
+					})
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	cache.mu.Lock()
-	defer cache.mu.Unlock()
-	if cache.inUse < 0 || cache.reserved < 0 {
-		t.Fatalf("negative accounting: inUse %d reserved %d", cache.inUse, cache.reserved)
+	if st := cache.Stats(); st.Hits+st.Misses != loads.Load() {
+		t.Errorf("hits %d + misses %d for %d loads and hitting gets", st.Hits, st.Misses, loads.Load())
 	}
-	if cache.reserved != 0 {
-		t.Fatalf("unpaired reservations: %d bytes still reserved", cache.reserved)
-	}
-	if cache.inUse > cache.capacity {
-		t.Fatalf("settled cache over budget: %d > %d", cache.inUse, cache.capacity)
-	}
+	settled(t, cache)
 }
 
-// TestServiceStress runs the full request path — cache, coalescer,
+// TestServiceStress runs the full request path — cache, coalescing,
 // admission — under concurrent randomized load with cache flushes mixed
-// in, then closes the service mid-traffic. Every response must be a
-// frame or one of the declared errors; afterwards the service must be
-// drained with nothing in flight.
+// in: first a leg that nothing sheds or fails, where the request ledger
+// must balance exactly, then a leg that closes the service mid-traffic.
+// Every response must be a frame or one of the declared errors; after
+// each leg every request counted as exactly one cache hit or miss and the
+// cache is settled, and after the second the service is drained.
 func TestServiceStress(t *testing.T) {
 	seed := stressSeed(t)
-	s := newTestService(t, Config{GPUs: 2, Workers: 4, MaxQueue: 8})
-	var renders sync.Map // key → true, to vary timing per key
+	const workers = 12
+	// Queue room for every client at once: the first leg must shed nothing.
+	s := newTestService(t, Config{GPUs: 2, Workers: 4, MaxQueue: workers})
 	s.renderOn = func(spec cluster.Spec, opt core.Options, devWorkers int) (*core.Result, sim.Time, error) {
-		renders.Store(opt.Width, true)
 		time.Sleep(time.Duration(opt.Width%5) * time.Millisecond) // vary interleavings
 		im := img.New(opt.Width, opt.Height, vec.V4{X: 0.5, W: 1})
 		return &core.Result{Image: im, Runtime: sim.Second}, sim.Second, nil
 	}
 
-	const workers = 12
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
 	var unexpected sync.Map
-	for g := 0; g < workers; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed ^ int64(g)<<32))
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				switch rng.Intn(12) {
-				case 0:
-					s.Cache().Flush()
-				case 1:
-					s.Stats()
-				default:
-					req := Request{
-						Dataset: "skull", Edge: 16,
-						Width:  16 + rng.Intn(4), // small key space → real coalescing
-						Height: 16,
-						Orbit:  float64(rng.Intn(3)) * 10,
-					}
-					_, _, err := s.Render(context.Background(), req)
-					switch {
-					case err == nil:
-					case errors.Is(err, ErrOverloaded), errors.Is(err, ErrDraining):
+	// storm runs the clients until during returns, then waits for them.
+	storm := func(leg int64, during func()) Stats {
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for g := 0; g < workers; g++ {
+			g := g
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed ^ int64(g)<<32 ^ leg<<48))
+				for {
+					select {
+					case <-stop:
+						return
 					default:
-						unexpected.Store(err.Error(), true)
+					}
+					switch rng.Intn(12) {
+					case 0:
+						s.cache.Flush()
+					case 1:
+						s.Stats()
+					default:
+						req := Request{
+							Dataset: "skull", Edge: 16,
+							Width:  16 + rng.Intn(4), // small key space → real coalescing
+							Height: 16,
+							Orbit:  float64(rng.Intn(3)) * 10,
+						}
+						_, _, err := s.Render(context.Background(), req)
+						switch {
+						case err == nil:
+						case errors.Is(err, ErrOverloaded), errors.Is(err, ErrDraining):
+						default:
+							unexpected.Store(err.Error(), true)
+						}
 					}
 				}
-			}
-		}()
+			}()
+		}
+		during()
+		close(stop)
+		wg.Wait()
+		unexpected.Range(func(k, _ any) bool {
+			t.Errorf("unexpected render error under stress: %v", k)
+			return true
+		})
+		st := s.Stats()
+		if st.Cache.Hits+st.Cache.Misses != st.Requests {
+			t.Errorf("leg %d: %d requests counted %d cache hits + %d misses", leg, st.Requests, st.Cache.Hits, st.Cache.Misses)
+		}
+		settled(t, s.cache)
+		return st
 	}
 
-	time.Sleep(100 * time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	if err := s.Close(ctx); err != nil {
-		t.Fatalf("close under load: %v", err)
+	st := storm(1, func() { time.Sleep(100 * time.Millisecond) })
+	if st.Rejected != 0 || st.Errors != 0 {
+		t.Fatalf("the clean leg shed %d and failed %d requests", st.Rejected, st.Errors)
 	}
-	close(stop)
-	wg.Wait()
+	if got := st.Cache.Hits + st.Coalesced + st.Renders; got != st.Requests {
+		t.Errorf("ledger: %d requests, but %d hits + %d coalesced + %d renders = %d",
+			st.Requests, st.Cache.Hits, st.Coalesced, st.Renders, got)
+	}
+	if st.Renders == 0 || st.Cache.Hits == 0 {
+		t.Errorf("clean leg performed %d renders and %d cache hits, want both", st.Renders, st.Cache.Hits)
+	}
 
-	unexpected.Range(func(k, _ any) bool {
-		t.Errorf("unexpected render error under stress: %v", k)
-		return true
+	st = storm(2, func() {
+		time.Sleep(100 * time.Millisecond)
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		defer cancel()
+		if err := s.Close(ctx); err != nil {
+			t.Errorf("close under load: %v", err)
+		}
 	})
-	st := s.Stats()
 	if st.InFlight != 0 {
 		t.Errorf("renders still in flight after drain: %d", st.InFlight)
 	}
 	if !st.Draining {
 		t.Error("service not marked draining after Close")
-	}
-	if st.Renders == 0 {
-		t.Error("stress run performed no renders")
 	}
 }

@@ -1,6 +1,7 @@
 package volume
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -300,12 +301,12 @@ func ViewBrick(v *Volume, b Brick) *BrickData {
 func StageBrick(src Source, b Brick) (*BrickData, error) {
 	switch s := src.(type) {
 	case *CachedSource:
-		v, ok, err := s.cache.volumeFor(s.src)
+		v, err := s.cache.volumeFor(s.src)
+		if errors.Is(err, errBudgetHeld) {
+			return FillBrick(s.src, b)
+		}
 		if err != nil {
 			return nil, err
-		}
-		if !ok {
-			return FillBrick(s.src, b)
 		}
 		return viewBrickChecked(v, b)
 	case *VolumeSource:

@@ -1,12 +1,13 @@
 package volume
 
 import (
-	"container/list"
+	"errors"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
-	"sync"
+
+	"gvmr/internal/cache"
 )
 
 // This file implements the volume staging cache: a process-wide,
@@ -27,10 +28,11 @@ import (
 //   - Only sources that declare themselves cacheable (the Stageable
 //     interface) are cached; dense VolumeSources and file-backed sources
 //     pass through untouched.
-//   - Memory is bounded: bytes are reserved when a materialisation
-//     starts, least-recently-used ready entries are evicted first to
-//     make room, and when in-flight reservations exhaust the budget a
-//     further miss materialises uncached instead of overshooting.
+//   - Memory is bounded by package cache's policy: bytes are reserved
+//     when a materialisation starts, least-recently-used ready entries
+//     are evicted first to make room, and when in-flight reservations
+//     exhaust the budget a further miss falls back to lazy per-region
+//     evaluation instead of overshooting.
 //     Sources whose full volume exceeds the capacity bypass the cache
 //     entirely — that is the huge (≥1024³ with small budgets) lazy
 //     out-of-core path the FuncSource streaming design exists for.
@@ -59,17 +61,11 @@ type CacheStats struct {
 	Capacity         int64 `json:"capacity"`
 }
 
-// StagingCache is a bounded, concurrency-safe cache of materialised
-// volumes. The zero value is unusable; use NewStagingCache.
+// StagingCache is the bounded build-once cache (package cache) of
+// materialised volumes, pager pages and the macrocell grids a pager keeps
+// for a brick plan. The zero value is unusable; use NewStagingCache.
 type StagingCache struct {
-	mu       sync.Mutex
-	capacity int64
-	inUse    int64 // bytes reserved by every live entry, ready or in flight
-	ready    int64 // the part of inUse held by ready entries: what eviction can free
-	entries  map[cacheKey]*cacheEntry
-	lru      *list.List // front = most recently used
-
-	hits, misses, materialisations, evictions int64
+	*cache.Cache[cacheKey, any]
 }
 
 type cacheKey struct {
@@ -77,31 +73,16 @@ type cacheKey struct {
 	dims Dims
 }
 
-// bytes is the full budget charge of one cached entry: the dense volume
+// bytes is the full budget charge of one cached volume: the dense voxels
 // plus its macrocell summary grid (built alongside it for empty-space
 // skipping). Both are pure functions of the dims, so reservations can be
 // taken before either exists.
 func (k cacheKey) bytes() int64 { return k.dims.Bytes() + MacrocellBytes(k.dims) }
 
-// cacheEntry is one cached value: a materialised *Volume, a pager's page
-// or the macrocell grids it keeps for a brick plan (PagedSource.grids).
-type cacheEntry struct {
-	key   cacheKey
-	bytes int64 // budget charge, reserved from insertion to removal
-	elem  *list.Element
-	ready chan struct{} // closed once val/err are set
-	val   any           // nil until ready, and after a failed build
-	err   error
-}
-
 // NewStagingCache builds a cache bounded to capacity bytes of voxel data.
 // A capacity <= 0 yields a disabled cache whose Wrap is the identity.
 func NewStagingCache(capacity int64) *StagingCache {
-	return &StagingCache{
-		capacity: capacity,
-		entries:  map[cacheKey]*cacheEntry{},
-		lru:      list.New(),
-	}
+	return &StagingCache{cache.New[cacheKey, any](capacity)}
 }
 
 // DefaultCacheBytes caps the default staging-cache capacity; the actual
@@ -114,7 +95,7 @@ const DefaultCacheBytes = 8 << 30
 // Cache is the process-wide staging cache used by the renderer. Its
 // capacity comes from GVMR_STAGING_BYTES when set ("0" or "off" disables
 // staging), else min(DefaultCacheBytes, available memory / 2).
-var Cache = NewStagingCache(cacheBytesFromEnv())
+var Cache = NewStagingCache(BytesFromEnv("GVMR_STAGING_BYTES", defaultCacheBytes()))
 
 func defaultCacheBytes() int64 {
 	if avail, ok := availableMemoryBytes(); ok && avail/2 < DefaultCacheBytes {
@@ -148,16 +129,18 @@ func availableMemoryBytes() (int64, bool) {
 	return 0, false
 }
 
-func cacheBytesFromEnv() int64 {
-	s := os.Getenv("GVMR_STAGING_BYTES")
+// BytesFromEnv resolves a cache budget from the environment variable name
+// (the ParseBytes grammar; "0" or "off" disables), else def. The variables
+// exist to bound memory, so an unparsable value must never silently raise
+// the bound: it fails safe by disabling the cache.
+func BytesFromEnv(name string, def int64) int64 {
+	s := os.Getenv(name)
 	if s == "" {
-		return defaultCacheBytes()
+		return def
 	}
-	n, ok := parseBytes(s)
+	n, ok := ParseBytes(s)
 	if !ok {
-		// The variable exists to bound memory; an unparsable value must
-		// never silently raise the bound, so fail safe by disabling.
-		fmt.Fprintf(os.Stderr, "gvmr: unparsable GVMR_STAGING_BYTES=%q; staging cache disabled\n", s)
+		fmt.Fprintf(os.Stderr, "gvmr: unparsable %s=%q; that cache is disabled\n", name, s)
 		return 0
 	}
 	return n
@@ -178,11 +161,11 @@ var byteSuffixes = []struct {
 	{"TIB", 40}, {"TB", 40}, {"T", 40},
 }
 
-// parseBytes reads a byte count with an optional K/M/G/T suffix
-// (optionally followed by "iB" or "B"), e.g. "2G", "512MiB", "0", "off".
-// Anything but digits before the suffix — "1GX", "1.5G", "+2M" — is
-// rejected.
-func parseBytes(s string) (int64, bool) {
+// ParseBytes reads a byte count with an optional K/M/G/T suffix
+// (optionally followed by "iB" or "B"), e.g. "2G", "512MiB", "0", "off" —
+// the grammar GVMR_STAGING_BYTES and GVMR_FRAME_BYTES share. Anything but
+// digits before the suffix — "1GX", "1.5G", "+2M" — is rejected.
+func ParseBytes(s string) (int64, bool) {
 	t := strings.TrimSpace(strings.ToUpper(s))
 	if t == "OFF" {
 		return 0, true
@@ -210,10 +193,6 @@ func parseBytes(s string) (int64, bool) {
 	return n << shift, true
 }
 
-// ParseBytes parses a human-readable byte count ("2G", "512MiB", "0",
-// "off") — the grammar GVMR_STAGING_BYTES and GVMR_FRAME_BYTES share.
-func ParseBytes(s string) (int64, bool) { return parseBytes(s) }
-
 // Cached wraps src with the process-wide staging cache; see
 // (*StagingCache).Wrap for the pass-through rules.
 func Cached(src Source) Source { return Cache.Wrap(src) }
@@ -224,7 +203,7 @@ func Cached(src Source) Source { return Cache.Wrap(src) }
 // declare itself Stageable, or src's full volume exceeds the cache
 // capacity (the huge lazy path stays lazy).
 func (c *StagingCache) Wrap(src Source) Source {
-	if c == nil || c.capacity <= 0 {
+	if c == nil || c.Capacity() <= 0 {
 		return src
 	}
 	switch src.(type) {
@@ -235,143 +214,50 @@ func (c *StagingCache) Wrap(src Source) Source {
 	if !ok || !s.StageCacheable() {
 		return src
 	}
-	if (cacheKey{dims: src.Dims()}).bytes() > c.capacity {
+	if (cacheKey{dims: src.Dims()}).bytes() > c.Capacity() {
 		return src
 	}
 	return &CachedSource{cache: c, src: src}
 }
 
-// Stats returns a snapshot of the cache counters.
+// Stats returns a snapshot of the cache counters. A lookup that waited on
+// a materialisation in flight found its entry, so it reads as a hit.
 func (c *StagingCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	st := c.Cache.Stats()
 	return CacheStats{
-		Hits:             c.hits,
-		Misses:           c.misses,
-		Materialisations: c.materialisations,
-		Evictions:        c.evictions,
-		BytesInUse:       c.inUse,
-		Capacity:         c.capacity,
+		Hits:             st.Hits + st.Joins,
+		Misses:           st.Misses - st.Joins,
+		Materialisations: st.Inserts,
+		Evictions:        st.Evictions,
+		BytesInUse:       st.BytesInUse,
+		Capacity:         st.Capacity,
 	}
 }
 
-// Capacity returns the byte budget.
-func (c *StagingCache) Capacity() int64 { return c.capacity }
-
-// Flush drops every cached volume (entries still materialising are left
-// to finish and insert themselves; counters are preserved). Callers
-// already holding a flushed volume keep using it safely — unlinking an
-// entry never mutates it.
-func (c *StagingCache) Flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, e := range c.entries {
-		if e.val != nil {
-			c.removeLocked(e)
-		}
-	}
-}
+// errBudgetHeld is what a build that was refused a reservation returns in
+// place of building anything.
+var errBudgetHeld = errors.New("volume: staging budget held by in-flight work")
 
 // volumeFor returns the dense volume for src, materialising it at most
-// once per key across all concurrent callers. ok == false (without
-// error) means the budget is currently held by in-flight reservations
-// that cannot be evicted: the caller should fall back to lazy per-region
-// evaluation rather than materialise anything.
-func (c *StagingCache) volumeFor(src Source) (vol *Volume, ok bool, err error) {
+// once per key across all concurrent callers. errBudgetHeld means the
+// budget is currently held by in-flight reservations that cannot be
+// evicted: the caller should fall back to lazy per-region evaluation
+// rather than materialise anything.
+func (c *StagingCache) volumeFor(src Source) (*Volume, error) {
 	key := cacheKey{name: src.Name(), dims: src.Dims()}
 	// The charge covers the macrocell summary (a pure function of the dims);
 	// the grid is built lazily, once, by the first staged brick whose
 	// render needs empty-space skipping, and shared by every later view.
-	val, ok, err := c.load(key, key.bytes(), func() (any, error) { return Materialize(src) })
-	vol, _ = val.(*Volume)
-	return vol, ok, err
-}
-
-// load returns the value cached under key, building it at most once
-// across concurrent callers and charging bytes to the budget while it is
-// held; ok == false is volumeFor's "budget held by in-flight work".
-func (c *StagingCache) load(key cacheKey, bytes int64, build func() (any, error)) (val any, ok bool, err error) {
-	c.mu.Lock()
-	if e, found := c.entries[key]; found {
-		c.hits++
-		c.lru.MoveToFront(e.elem)
-		c.mu.Unlock()
-		<-e.ready
-		return e.val, true, e.err
-	}
-	c.misses++
-	// Reserve the bytes before building so concurrent misses see the
-	// memory pressure. If even evicting every ready entry could not fit
-	// the reservation (the budget is held by in-flight builds), evict
-	// nothing — dropping volumes other renders are using would gain
-	// nothing — and let the caller fall back to lazy evaluation.
-	if c.inUse+bytes-c.ready > c.capacity {
-		c.mu.Unlock()
-		return nil, false, nil
-	}
-	c.inUse += bytes
-	c.evictLocked()
-	e := &cacheEntry{key: key, bytes: bytes, ready: make(chan struct{})}
-	e.elem = c.lru.PushFront(e)
-	c.entries[key] = e
-	c.mu.Unlock()
-
-	// Build outside the lock: evaluation is the expensive, already-
-	// parallel part, and other keys must not serialise behind it.
-	val, err = build()
-
-	c.mu.Lock()
-	if e.err = err; err != nil {
-		val = nil
-		c.removeLocked(e) // do not cache failures; releases the reservation
-	} else {
-		e.val = val
-		c.ready += bytes
-		c.materialisations++
-	}
-	c.mu.Unlock()
-	close(e.ready)
-	return val, true, err
-}
-
-// demote moves key's entry, if cached, to the eviction end of the LRU:
-// its owner knows it will not want the entry again soon.
-func (c *StagingCache) demote(key cacheKey) {
-	c.mu.Lock()
-	if e, found := c.entries[key]; found {
-		c.lru.MoveToBack(e.elem)
-	}
-	c.mu.Unlock()
-}
-
-// evictLocked drops least-recently-used ready entries until the cache
-// fits its capacity; entries still materialising hold their reservation
-// and cannot be evicted.
-func (c *StagingCache) evictLocked() {
-	for el := c.lru.Back(); el != nil && c.inUse > c.capacity; {
-		prev := el.Prev()
-		e := el.Value.(*cacheEntry)
-		if e.val != nil {
-			c.removeLocked(e)
-			c.evictions++
+	bytes := key.bytes()
+	val, _, err := c.Load(key, bytes, func(reserved bool) (any, int64, error) {
+		if !reserved {
+			return nil, 0, errBudgetHeld
 		}
-		el = prev
-	}
-}
-
-// removeLocked unlinks an entry and releases its byte reservation (every
-// live entry carries one from the moment it is inserted). It must never
-// mutate e.val/e.err: concurrent hitters that found the entry before
-// removal still read those fields after <-e.ready (the close is the
-// happens-before edge), and the volume's memory is released by GC once
-// the last of them drops it.
-func (c *StagingCache) removeLocked(e *cacheEntry) {
-	c.inUse -= e.bytes
-	if e.val != nil {
-		c.ready -= e.bytes
-	}
-	c.lru.Remove(e.elem)
-	delete(c.entries, e.key)
+		v, err := Materialize(src)
+		return v, bytes, err
+	})
+	vol, _ := val.(*Volume)
+	return vol, err
 }
 
 // CachedSource serves a Stageable source's regions out of a StagingCache.
@@ -395,12 +281,12 @@ func (s *CachedSource) Unwrap() Source { return s.src }
 // by in-flight materialisations, the request falls back to the
 // underlying source's lazy per-region evaluation.
 func (s *CachedSource) Fill(r Region, dst []float32) error {
-	v, ok, err := s.cache.volumeFor(s.src)
+	v, err := s.cache.volumeFor(s.src)
+	if errors.Is(err, errBudgetHeld) {
+		return s.src.Fill(r, dst)
+	}
 	if err != nil {
 		return err
-	}
-	if !ok {
-		return s.src.Fill(r, dst)
 	}
 	if err := checkRegion(v.Dims, r, len(dst)); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package volume
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -274,9 +275,9 @@ func TestParseBytes(t *testing.T) {
 		{"0x10", 0, false},
 	}
 	for _, c := range cases {
-		got, ok := parseBytes(c.in)
+		got, ok := ParseBytes(c.in)
 		if ok != c.ok || (ok && got != c.want) {
-			t.Errorf("parseBytes(%q) = %d, %v; want %d, %v", c.in, got, ok, c.want, c.ok)
+			t.Errorf("ParseBytes(%q) = %d, %v; want %d, %v", c.in, got, ok, c.want, c.ok)
 		}
 	}
 }
@@ -313,7 +314,7 @@ func (s *gateSource) Fill(r Region, dst []float32) error {
 
 // TestCacheFallbackWhenBudgetInFlight pins the budget with an in-flight
 // materialisation and checks the documented fallback: volumeFor reports
-// ok=false (nothing is evicted — the reservation cannot be) and
+// errBudgetHeld (nothing is evicted — the reservation cannot be) and
 // CachedSource.Fill serves the request through the underlying source's
 // lazy per-region evaluation instead of materialising anything.
 func TestCacheFallbackWhenBudgetInFlight(t *testing.T) {
@@ -425,6 +426,57 @@ func TestCacheHitObservesFailedMaterialisation(t *testing.T) {
 	}
 }
 
+// panicSource panics in Fill while armed: a bug in a source, which
+// net/http recovers when a worker stages bricks under a /map handler.
+type panicSource struct {
+	*FuncSource
+	armed bool
+}
+
+func (s *panicSource) Fill(r Region, dst []float32) error {
+	if s.armed {
+		panic("synthetic source bug")
+	}
+	return s.FuncSource.Fill(r, dst)
+}
+
+// TestCachePanickingBuildDoesNotPoison: a materialisation that panics
+// reaches its caller as that panic and leaves nothing behind — no entry
+// in flight forever, no bytes reserved — so the next Fill of the same
+// source materialises instead of blocking on a build nobody is running.
+func TestCachePanickingBuildDoesNotPoison(t *testing.T) {
+	cache := NewStagingCache(1 << 20)
+	src := &panicSource{FuncSource: NewFuncSource("panics", Dims{X: 8, Y: 8, Z: 8}, testField), armed: true}
+	fill := func() error {
+		return cache.Wrap(src).Fill(Region{Ext: Dims{1, 1, 1}}, make([]float32, 1))
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the build's panic did not reach its caller")
+			}
+		}()
+		fill()
+	}()
+	if st := cache.Stats(); st.BytesInUse != 0 {
+		t.Errorf("panicked build left %d bytes reserved", st.BytesInUse)
+	}
+	src.armed = false
+	done := make(chan error, 1)
+	go func() { done <- fill() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Fill after a panicked build is still blocked on its entry")
+	}
+	if st := cache.Stats(); st.Materialisations != 1 {
+		t.Errorf("materialisations = %d, want 1", st.Materialisations)
+	}
+}
+
 // TestCacheFlush drops entries and releases accounted bytes.
 func TestCacheFlush(t *testing.T) {
 	d := Dims{X: 8, Y: 8, Z: 8}
@@ -451,20 +503,22 @@ func TestCacheFlush(t *testing.T) {
 }
 
 // readyWalk is the O(entries) sum volumeFor's miss path used to take
-// under the lock on every miss; c.ready must equal it at all times.
+// under the lock on every miss: the bytes held by ready entries, which
+// the cache's refusal decision must agree with (package cache's own tests
+// hold its running count to the walk). Every live entry's charge, ready
+// or in flight, must add up to bytes_in_use.
 func readyWalk(c *StagingCache) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var n int64
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		if e := el.Value.(*cacheEntry); e.val != nil {
-			n += e.bytes
+	var ready, all int64
+	for _, e := range c.Entries() {
+		all += e.Bytes
+		if e.Ready {
+			ready += e.Bytes
 		}
 	}
-	if n != c.ready {
-		return -1 - n // never a legal sum: the caller's comparison fails loudly
+	if all != c.Stats().BytesInUse {
+		return -1 - ready // never a legal sum: the caller's comparison fails loudly
 	}
-	return n
+	return ready
 }
 
 // TestCacheReadyBytesMatchWalk drives the cache through every transition
@@ -480,7 +534,7 @@ func TestCacheReadyBytesMatchWalk(t *testing.T) {
 	check := func(when string, want int64) {
 		t.Helper()
 		if got := readyWalk(cache); got != want {
-			t.Fatalf("%s: ready bytes %d (negative: running count disagrees with the walk), want %d", when, got, want)
+			t.Fatalf("%s: ready bytes %d (negative: bytes_in_use disagrees with the walk), want %d", when, got, want)
 		}
 	}
 	fill := func(src Source) error {
@@ -510,8 +564,8 @@ func TestCacheReadyBytesMatchWalk(t *testing.T) {
 	<-gate.started
 	check("one in flight", 2*one)
 	big := Dims{X: 8, Y: 8, Z: 24} // three entries' worth
-	if _, ok, err := cache.volumeFor(NewFuncSource("ready-big", big, testField)); ok || err != nil {
-		t.Fatalf("a key needing the in-flight bytes too: ok=%v err=%v, want refused", ok, err)
+	if _, err := cache.volumeFor(NewFuncSource("ready-big", big, testField)); !errors.Is(err, errBudgetHeld) {
+		t.Fatalf("a key needing the in-flight bytes too: err=%v, want refused", err)
 	}
 	check("after refusal", 2*one) // refusal evicts nothing
 	if st := cache.Stats(); st.BytesInUse != 3*one {

@@ -618,16 +618,17 @@ func (s *PagedSource) page(i int) (data []float32, val float32, err error) {
 		s.constFills.Add(1)
 		return nil, bitsFloat(bits), nil
 	}
-	cached := false
 	if c := s.cache; c != nil && c.Capacity() > 0 {
 		var val any
-		val, cached, err = c.load(s.pages[i], s.pages[i].dims.Bytes(), func() (any, error) { return s.readPage(i) })
+		val, _, err = c.Load(s.pages[i], s.pages[i].dims.Bytes(), func(reserved bool) (any, int64, error) {
+			if !reserved {
+				s.fallbacks.Add(1)
+			}
+			data, err := s.readPage(i)
+			return data, s.pages[i].dims.Bytes(), err
+		})
 		data, _ = val.([]float32)
-		if !cached {
-			s.fallbacks.Add(1)
-		}
-	}
-	if !cached {
+	} else {
 		data, err = s.readPage(i)
 	}
 	if errors.Is(err, errConstantPage) {
@@ -694,7 +695,7 @@ func (s *PagedSource) release(i, n int) {
 	idle := s.planned[i] == 0 && s.state[i]&pageConstant == 0
 	s.mu.Unlock()
 	if c := s.cache; idle && c != nil {
-		c.demote(s.pages[i])
+		c.Demote(s.pages[i])
 	}
 }
 
@@ -756,7 +757,13 @@ func (s *PagedSource) fillFrom(i int, r Region, dst []float32) error {
 // grid alone, used once a frame, goes first when the frame's pages overflow.
 func (s *PagedSource) grids(p *framePlan) *sync.Map {
 	if c := s.cache; p != nil && c != nil && c.Capacity() > 0 {
-		if val, ok, _ := c.load(p.kept, p.keptBytes, func() (any, error) { return new(sync.Map), nil }); ok {
+		val, _, err := c.Load(p.kept, p.keptBytes, func(reserved bool) (any, int64, error) {
+			if !reserved {
+				return nil, 0, errBudgetHeld
+			}
+			return new(sync.Map), p.keptBytes, nil
+		})
+		if err == nil {
 			return val.(*sync.Map)
 		}
 	}

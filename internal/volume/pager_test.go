@@ -269,11 +269,10 @@ func TestPagerDiskFaults(t *testing.T) {
 				if ps.state[brick] != 0 {
 					t.Errorf("failed brick has state %#x, want none", ps.state[brick])
 				}
-				cache.mu.Lock()
-				_, retained := cache.entries[ps.pages[brick]]
-				cache.mu.Unlock()
-				if retained {
-					t.Error("failed page is in the cache")
+				for _, e := range cache.Entries() {
+					if e.Key == ps.pages[brick] {
+						t.Error("failed page is in the cache")
+					}
 				}
 				ff.fault = nil
 				if !reflect.DeepEqual(fillBits(t, ps, whole), fillBits(t, ref, whole)) {
