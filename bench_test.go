@@ -1,29 +1,18 @@
-// Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (see DESIGN.md §4 for the experiment index), plus host-side
-// microbenchmarks of the real computational kernels.
-//
-// The figure benchmarks drive the deterministic simulation at the scale
-// selected by GVMR_SCALE (paper|quick, default paper — the paper's full
-// 512² image, 128³–1024³, 1–32 GPU grid) and print the regenerated tables
-// once. The expensive scaling sweep is shared across benchmarks through a
-// cache, so Fig3/Fig4/Claims all report from one run. ns/op for the
-// figure benchmarks is host wall time of the simulation, not the virtual
-// cluster time; the printed tables carry the virtual (paper-comparable)
-// numbers.
+// Host-side microbenchmarks of the real computational kernels, plus the
+// frame guards BenchmarkDirectFrame and BenchmarkPagedFrame that mirror
+// bench/'s orbit workloads. The paper's tables (DESIGN.md §4) are
+// regenerated by cmd/benchsuite on the virtual clock, not here.
 package gvmr_test
 
 import (
-	"fmt"
 	"math/rand"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"gvmr/internal/camera"
 	"gvmr/internal/cluster"
 	"gvmr/internal/composite"
 	"gvmr/internal/core"
-	"gvmr/internal/experiments"
 	"gvmr/internal/mapreduce"
 	"gvmr/internal/render"
 	"gvmr/internal/transfer"
@@ -31,153 +20,6 @@ import (
 	"gvmr/internal/volume"
 	"gvmr/internal/volume/dataset"
 )
-
-var sweepCache struct {
-	once sync.Once
-	rows []experiments.SweepRow
-	err  error
-}
-
-func sweepRows(b *testing.B) []experiments.SweepRow {
-	b.Helper()
-	sweepCache.once.Do(func() {
-		sweepCache.rows, sweepCache.err = experiments.Sweep(experiments.FromEnv())
-	})
-	if sweepCache.err != nil {
-		b.Fatal(sweepCache.err)
-	}
-	return sweepCache.rows
-}
-
-var printOnce sync.Map
-
-// printTable prints each named table a single time per process, so
-// repeated benchmark iterations don't flood the output.
-func printTable(name string, render func() string) {
-	if _, loaded := printOnce.LoadOrStore(name, true); !loaded {
-		fmt.Printf("\n%s\n", render())
-	}
-}
-
-// BenchmarkFig2 regenerates Figure 2: one frame of each dataset.
-func BenchmarkFig2(b *testing.B) {
-	sc := experiments.FromEnv()
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig2(sc, "")
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("fig2", t.String)
-	}
-}
-
-// BenchmarkFig3 regenerates Figure 3: the stage breakdown over the full
-// (volume × GPU count) grid.
-func BenchmarkFig3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := sweepRows(b)
-		t := experiments.Fig3(rows)
-		printTable("fig3", t.String)
-	}
-}
-
-// BenchmarkFig4 regenerates Figure 4: FPS and VPS series from the same
-// sweep.
-func BenchmarkFig4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := sweepRows(b)
-		fps, vps := experiments.Fig4(rows)
-		printTable("fig4", func() string { return fps.String() + "\n" + vps.String() })
-	}
-}
-
-// BenchmarkEfficiency regenerates the §4.2 parallel-efficiency figure of
-// merit.
-func BenchmarkEfficiency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := sweepRows(b)
-		printTable("efficiency", experiments.Efficiency(rows).String)
-	}
-}
-
-// BenchmarkSec63 regenerates the §6.3 map-phase bottleneck analysis
-// (communication vs computation at 8 and 16 GPUs on the large volume).
-func BenchmarkSec63(b *testing.B) {
-	sc := experiments.FromEnv()
-	for i := 0; i < b.N; i++ {
-		_, t, err := experiments.Sec63(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("sec63", t.String)
-	}
-}
-
-// BenchmarkMicro regenerates the §3 micro-cost table (disk, PCIe up,
-// fragment read-back).
-func BenchmarkMicro(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.Micro()
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("micro", t.String)
-	}
-}
-
-// BenchmarkBaseline regenerates the footnote-1 comparison against the
-// CPU-cluster (ParaView stand-in) renderer.
-func BenchmarkBaseline(b *testing.B) {
-	sc := experiments.FromEnv()
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.BaselineCmp(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("baseline", t.String)
-	}
-}
-
-// BenchmarkClaims checks the paper's headline claims against the sweep.
-func BenchmarkClaims(b *testing.B) {
-	sc := experiments.FromEnv()
-	for i := 0; i < b.N; i++ {
-		rows := sweepRows(b)
-		printTable("claims", experiments.ClaimsReport(sc, rows).String)
-	}
-}
-
-// BenchmarkInOutOfCore regenerates the in-core vs out-of-core comparison.
-func BenchmarkInOutOfCore(b *testing.B) {
-	sc := experiments.FromEnv()
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.InOutOfCore(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("inoutcore", t.String)
-	}
-}
-
-// BenchmarkAblation regenerates the §6.1/§7 design-choice ablations.
-func BenchmarkAblation(b *testing.B) {
-	sc := experiments.FromEnv()
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.Ablations(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("ablation", t.String)
-	}
-}
-
-// BenchmarkZeroCopy regenerates the §7 0-copy emission estimate.
-func BenchmarkZeroCopy(b *testing.B) {
-	sc := experiments.FromEnv()
-	for i := 0; i < b.N; i++ {
-		printTable("zerocopy", experiments.ZeroCopy(sc).String)
-	}
-}
 
 // ---- Host microbenchmarks: the real computational kernels. ----
 
@@ -241,7 +83,8 @@ func BenchmarkHostCastPixelFineStep(b *testing.B) {
 
 // BenchmarkHostCastPixelNoSkip is BenchmarkHostCastPixel with the
 // macrocell DDA disabled: the A/B for the empty-space-skipping win on
-// the host (virtual-time wins are measured by seqbench).
+// the host (the virtual-time A/B is benchsuite's "no empty-space
+// skipping" ablation row).
 func BenchmarkHostCastPixelNoSkip(b *testing.B) {
 	cam, sp, bd, prm := benchScene(b, 64)
 	prm.NoEmptySkip = true

@@ -167,9 +167,10 @@ func TestCompositeStrategiesAndPartitionersAgree(t *testing.T) {
 
 // TestVirtualTimeScalesWithWorkers: with 1-GPU nodes, a 4-brick job's
 // map phase must get faster in virtual time as nodes are added (the
-// distributed scaling claim distbench records). The per-job fixed
-// overhead (250ms, paid node-parallel) dwarfs map work at test scale, so
-// the assertion is on the map component of the breakdown.
+// distributed scaling claim; the tier-1 guard that 2 workers beat 1).
+// The per-job fixed overhead (250ms, paid node-parallel) dwarfs map work
+// at test scale, so the assertion is on the map component of the
+// breakdown.
 func TestVirtualTimeScalesWithWorkers(t *testing.T) {
 	job := testJob(t, dataset.Skull, 32, 64, 4, 0, false)
 	mapVirtual := map[int]float64{}

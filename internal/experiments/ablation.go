@@ -13,7 +13,7 @@ import (
 
 // Ablations runs the §6.1/§7 design-choice experiments: the compositing
 // topology, the sampling technique, reduce placement, chunk scheduling,
-// partitioning, and the 0-copy emission estimate. Each row is one full
+// partitioning, shading, and empty-space skipping. Each row is one full
 // frame render at the ablation scale.
 func Ablations(sc Scale) (*report.Table, error) {
 	t := report.New(fmt.Sprintf("§6.1/§7 ablations — %d³ skull, %d GPUs, %d² image",
@@ -23,7 +23,7 @@ func Ablations(sc Scale) (*report.Table, error) {
 	gpus := 8
 
 	run := func(name, notes string, mutate func(*core.Options)) error {
-		res, err := RenderConfig(dataset.Skull, dims, gpus, sc.ImageSize, sc.mutate(mutate))
+		res, err := RenderConfig(dataset.Skull, dims, gpus, sc.ImageSize, mutate)
 		if err != nil {
 			return fmt.Errorf("ablation %q: %w", name, err)
 		}
@@ -61,6 +61,8 @@ func Ablations(sc Scale) (*report.Table, error) {
 			func(o *core.Options) { o.BricksPerGPU = 4 }},
 		{"gradient shading", "§2 shading; 6 extra fetches/sample",
 			func(o *core.Options) { o.Shading = true }},
+		{"no empty-space skipping", "DESIGN §8 macrocell DDA off; same image",
+			func(o *core.Options) { o.NoEmptySkip = true }},
 	}
 	for _, c := range cases {
 		if err := run(c.name, c.notes, c.mutate); err != nil {

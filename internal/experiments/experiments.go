@@ -1,13 +1,13 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5, §6.3, footnote 1, and the §3 micro-costs), plus the
-// §6.1 design ablations. It is shared by cmd/benchsuite and the root
-// bench_test.go so every reported number comes from exactly one code
-// path (see DESIGN.md §4 for the experiment index).
+// §6.1 design ablations, all on the virtual clock. cmd/benchsuite is its
+// one entry point, so every reported number comes from exactly one code
+// path (see DESIGN.md §4 for the experiment index); wall-clock frame
+// timing belongs to bench/.
 package experiments
 
 import (
 	"fmt"
-	"os"
 
 	"gvmr/internal/cluster"
 	"gvmr/internal/core"
@@ -46,16 +46,12 @@ type Scale struct {
 
 	// Serial forces the figure sweeps to run one cell at a time on the
 	// calling goroutine (the frame scheduler's opt-out, for debugging
-	// and serial-vs-parallel A/B benchmarks). The default fans
+	// and the serial-vs-parallel sweep test). The default fans
 	// independent cells out across host cores; rows are stitched back
 	// in grid order either way, so tables are bit-identical.
 	Serial bool
 	// Workers caps the fan-out pool width (0 means GOMAXPROCS).
 	Workers int
-	// NoSkip disables macrocell empty-space skipping in the timed legs
-	// (benchsuite -noskip): the skip-off A/B half of the seqbench record
-	// and a regression guard for CI. Images are identical either way.
-	NoSkip bool
 }
 
 // poolWidth resolves the scheduler pool for a fan-out of n jobs.
@@ -64,18 +60,6 @@ func (sc Scale) poolWidth(n int) int {
 		return 1
 	}
 	return schedule.Workers(sc.Workers, n)
-}
-
-// mutate wraps a caller's option mutation with the scale-level toggles
-// (currently NoSkip), so every figure subcommand honors benchsuite
-// -noskip through one place.
-func (sc Scale) mutate(f func(*core.Options)) func(*core.Options) {
-	return func(o *core.Options) {
-		o.NoEmptySkip = sc.NoSkip
-		if f != nil {
-			f(o)
-		}
-	}
 }
 
 // Paper returns the full evaluation scale: 512² images, 128³–1024³
@@ -117,15 +101,6 @@ func Quick() Scale {
 
 		AblationEdge: 64,
 	}
-}
-
-// FromEnv picks the scale from GVMR_SCALE (quick|paper), defaulting to
-// paper.
-func FromEnv() Scale {
-	if os.Getenv("GVMR_SCALE") == "quick" {
-		return Quick()
-	}
-	return Paper()
 }
 
 // RenderConfig renders one frame of the named dataset at the given dims on
@@ -211,7 +186,7 @@ func Sweep(sc Scale) ([]SweepRow, error) {
 	devWorkers := schedule.DeviceWorkers(workers)
 	return schedule.Map(workers, len(cells), func(i int) (SweepRow, error) {
 		c := cells[i]
-		res, err := RenderConfigWorkers(dataset.Skull, c.dims, c.gpus, sc.ImageSize, devWorkers, sc.mutate(nil))
+		res, err := RenderConfigWorkers(dataset.Skull, c.dims, c.gpus, sc.ImageSize, devWorkers, nil)
 		if err != nil {
 			return SweepRow{}, fmt.Errorf("sweep %v on %d GPUs: %w", c.dims, c.gpus, err)
 		}

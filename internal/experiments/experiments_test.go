@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -42,17 +41,6 @@ func TestScalesWellFormed(t *testing.T) {
 	p := Paper()
 	if p.ImageSize != 512 || p.Edges[len(p.Edges)-1] != 1024 || p.GPUCounts[len(p.GPUCounts)-1] != 32 {
 		t.Errorf("paper scale does not match the paper's grid: %+v", p)
-	}
-}
-
-func TestFromEnv(t *testing.T) {
-	t.Setenv("GVMR_SCALE", "quick")
-	if FromEnv().Name != "quick" {
-		t.Error("GVMR_SCALE=quick ignored")
-	}
-	t.Setenv("GVMR_SCALE", "")
-	if FromEnv().Name != "paper" {
-		t.Error("default scale should be paper")
 	}
 }
 
@@ -185,6 +173,9 @@ func TestAblationsRun(t *testing.T) {
 	if len(tab.Rows) < 8 {
 		t.Fatalf("ablation rows = %d", len(tab.Rows))
 	}
+	if last := tab.Rows[len(tab.Rows)-1][0]; last != "no empty-space skipping" {
+		t.Errorf("last ablation row = %q, want the skip-off A/B", last)
+	}
 }
 
 func TestZeroCopySlower(t *testing.T) {
@@ -237,58 +228,5 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("sweep rows differ between serial and parallel execution:\nserial   %+v\nparallel %+v",
 			serial, parallel)
-	}
-}
-
-// TestSeqBenchRecord exercises the BENCH_fig2.json generator end to end
-// at test scale: both legs must agree bit for bit and the record must
-// round-trip through JSON.
-func TestSeqBenchRecord(t *testing.T) {
-	sc := tiny()
-	// 16³ macrocells span a quarter of the volume and nothing is provably
-	// empty; 32³ is the smallest edge where the skull orbit skips.
-	sc.Fig2Edge = 32
-	b, err := RunSeqBench(sc, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !b.BitIdentical {
-		t.Error("seqbench legs diverged")
-	}
-	if b.Serial.WallSeconds <= 0 || b.Parallel.WallSeconds <= 0 || b.SpeedupWall <= 0 {
-		t.Errorf("wall-clock fields not populated: %+v", b)
-	}
-	if b.Config.Frames != 3 || b.Config.Dataset != dataset.Skull {
-		t.Errorf("config not recorded: %+v", b.Config)
-	}
-	if len(b.Virtual.PerFrameSeconds) != 3 || b.Virtual.MeanFPS <= 0 {
-		t.Errorf("virtual figures not populated: %+v", b.Virtual)
-	}
-	if !b.Skip.BitIdentical {
-		t.Error("skip-on orbit diverged from skip-off")
-	}
-	if b.Skip.On.Samples+b.Skip.On.SamplesSkipped != b.Skip.Off.Samples {
-		t.Errorf("skip sample conservation broken: %+v", b.Skip)
-	}
-	if b.Skip.On.SamplesSkipped <= 0 || b.Skip.SampleReduction <= 0 {
-		t.Errorf("skip leg did not skip: %+v", b.Skip)
-	}
-	if b.Skip.Off.MacrocellSteps != 0 || b.Skip.On.MacrocellSteps <= 0 {
-		t.Errorf("macrocell traversal accounting wrong: %+v", b.Skip)
-	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := b.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back SeqBench
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Config != b.Config {
-		t.Error("config did not round-trip through JSON")
 	}
 }

@@ -36,7 +36,7 @@ func Fig2(sc Scale, outDir string) (*report.Table, error) {
 		// Figure renders use gradient shading — the paper's images are
 		// shaded (§2: "interpolation and shading calculations").
 		res, err := RenderConfigWorkers(jobs[i].name, jobs[i].dims, 4, sc.ImageSize, devWorkers,
-			sc.mutate(func(o *core.Options) { o.Shading = true }))
+			func(o *core.Options) { o.Shading = true })
 		if err != nil {
 			return nil, fmt.Errorf("fig2 %s: %w", jobs[i].name, err)
 		}
@@ -126,7 +126,7 @@ func Sec63(sc Scale) ([]Sec63Row, *report.Table, error) {
 		"GPUs", "computation(ms)", "communication(ms)", "comm/comp")
 	var out []Sec63Row
 	for _, gpus := range []int{8, 16} {
-		res, err := RenderConfig(dataset.Skull, volume.Cube(sc.Sec63Edge), gpus, sc.ImageSize, sc.mutate(nil))
+		res, err := RenderConfig(dataset.Skull, volume.Cube(sc.Sec63Edge), gpus, sc.ImageSize, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -218,7 +218,7 @@ func InOutOfCore(sc Scale) (*report.Table, error) {
 		{"in-situ (interconnect hand-off)", func(o *core.Options) { o.InSitu = true }},
 	}
 	for _, m := range modes {
-		res, err := RenderConfig(dataset.Skull, dims, gpus, sc.ImageSize, sc.mutate(m.mutate))
+		res, err := RenderConfig(dataset.Skull, dims, gpus, sc.ImageSize, m.mutate)
 		if err != nil {
 			return nil, err
 		}

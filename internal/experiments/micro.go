@@ -88,7 +88,7 @@ func BaselineCmp(sc Scale) (*report.Table, error) {
 		fmt.Sprintf("%d ranks", sc.BaselineRanks), dims.String(),
 		report.Sec(cpuRes.Runtime), report.F0(cpuRes.VPSMillions))
 
-	gpuRes, err := RenderConfig(dataset.Skull, dims, sc.BaselineGPUs, sc.ImageSize, sc.mutate(nil))
+	gpuRes, err := RenderConfig(dataset.Skull, dims, sc.BaselineGPUs, sc.ImageSize, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +103,7 @@ func BaselineCmp(sc Scale) (*report.Table, error) {
 	// ParaView's published 346 MVPS; peak VPS comes from the largest
 	// volume (Figure 4).
 	peakDims := volume.Cube(sc.BaselineGPUEdge)
-	peakRes, err := RenderConfig(dataset.Skull, peakDims, sc.BaselineGPUs, sc.ImageSize, sc.mutate(nil))
+	peakRes, err := RenderConfig(dataset.Skull, peakDims, sc.BaselineGPUs, sc.ImageSize, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -89,7 +89,8 @@ func TestEmptySkipBitIdentityProperty(t *testing.T) {
 // TestEmptySkipSequenceIdentity renders a short orbit with skipping on
 // and off through the public sequence API: every frame digest must
 // match, and the aggregated stats must show the skip-on run doing
-// strictly less sampling work for the same images.
+// strictly less sampling work, in no more virtual time, for the same
+// images.
 func TestEmptySkipSequenceIdentity(t *testing.T) {
 	render := func(noskip bool) []*gvmr.Result {
 		cl, err := gvmr.NewCluster(2)
@@ -123,6 +124,7 @@ func TestEmptySkipSequenceIdentity(t *testing.T) {
 		t.Fatalf("frame counts differ: %d vs %d", len(on), len(off))
 	}
 	var totalSkipped int64
+	var runtimeOn, runtimeOff gvmr.Time
 	for i := range on {
 		if on[i].Image.Digest() != off[i].Image.Digest() {
 			t.Errorf("frame %d: digests differ between skip on/off", i)
@@ -133,8 +135,15 @@ func TestEmptySkipSequenceIdentity(t *testing.T) {
 			t.Errorf("frame %d: conservation broken (%d+%d != %d)", i, sOn, skOn, sOff)
 		}
 		totalSkipped += skOn
+		runtimeOn += on[i].Runtime
+		runtimeOff += off[i].Runtime
 	}
 	if totalSkipped == 0 {
 		t.Error("orbit skipped nothing on the skull preset")
+	}
+	// Skipping must not cost virtual time on this orbit. Not a property of
+	// every scene: at 24³ the plume's cell charges outweigh its savings.
+	if runtimeOn > runtimeOff {
+		t.Errorf("skip-on orbit virtual time %v > skip-off %v — acceleration regression", runtimeOn, runtimeOff)
 	}
 }
