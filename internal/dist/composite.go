@@ -1,132 +1,49 @@
 package dist
 
 import (
-	"runtime"
-	"sort"
-
-	"gvmr/internal/cluster"
 	"gvmr/internal/composite"
-	"gvmr/internal/core"
-	"gvmr/internal/img"
-	"gvmr/internal/mapreduce"
-	"gvmr/internal/schedule"
-	"gvmr/internal/sim"
 	"gvmr/internal/vec"
 )
 
-// streamComposite is the coordinator-local reduce phase, fed stripes as
-// batch responses arrive instead of barriering on the full set: the
-// partition scan of an early batch overlaps the map phase of a slow one.
-// Because fragments are bucketed per (shard, brick) and the fold walks
-// bricks in ascending order, the final floats are independent of arrival
-// order — the determinism the golden digests enforce.
-type streamComposite struct {
-	width, height int
-	bg            vec.V4
-	part          mapreduce.Partitioner
-	reducers      int
-	spec          cluster.Spec
-
-	shards []map[int][]composite.Fragment // shard → brick → fragments, emission order
-	total  int64
-}
-
-func newStreamComposite(width, height int, bg vec.V4, part mapreduce.Partitioner,
-	reducers int, spec cluster.Spec) *streamComposite {
-	if part == nil {
-		part = mapreduce.RoundRobin{}
+// foldRange is the one reduce both topologies run (§3.1.1, §3.2): the
+// coordinator over the whole image [0, W·H), a reducer over its range
+// [lo,hi). runs are the per-unit fragment lists in ascending unit order,
+// emission order within each — the canonical order, the in-process
+// engine's layout — and every key lies in [lo,hi). One counting pass
+// groups the fragments by pixel key, order kept, and set receives each
+// touched key once, ascending, with its fragments composited over bg.
+// Because grouping is stable and the order canonical, the folded floats
+// are independent of placement and arrival: the determinism the golden
+// digests enforce.
+func foldRange(runs [][]composite.Fragment, lo, hi int32, bg vec.V4, set func(int32, vec.V4)) {
+	// pos[k+1] counts key lo+k; the prefix sum turns pos[k] into the
+	// start of key lo+k's group and the scatter leaves it at the end.
+	pos := make([]int32, hi-lo+1)
+	n := 0
+	for _, run := range runs {
+		for i := range run {
+			pos[run[i].Key-lo+1]++
+		}
+		n += len(run)
 	}
-	if reducers < 1 {
-		reducers = 1
+	if n == 0 {
+		return
 	}
-	sc := &streamComposite{
-		width: width, height: height, bg: bg,
-		part: part, reducers: reducers, spec: spec,
-		shards: make([]map[int][]composite.Fragment, reducers),
+	for k := 1; k < len(pos); k++ {
+		pos[k] += pos[k-1]
 	}
-	for r := range sc.shards {
-		sc.shards[r] = map[int][]composite.Fragment{}
-	}
-	return sc
-}
-
-// add partitions one brick's stripe into the shard buckets — the
-// modeled partition scan, run as responses land.
-func (sc *streamComposite) add(s core.BrickStripe) {
-	for _, f := range s.Frags {
-		r := sc.part.Partition(f.Key, sc.reducers)
-		sc.shards[r][s.Brick] = append(sc.shards[r][s.Brick], f)
-	}
-	sc.total += int64(len(s.Frags))
-}
-
-// finish folds the accumulated shards into the final image and returns
-// it with the modeled reduce charge: one partition scan over everything,
-// then the widest shard's sort and blend (shards run in parallel on the
-// display node, like the engine's co-located reducers). The charge is
-// computed from fragment counts alone — independent of placement,
-// faults, and the host machine.
-func (sc *streamComposite) finish() (*img.Image, sim.Time) {
-	// Pixels no fragment reaches keep the same background the in-process
-	// reducers never touch.
-	out := img.New(sc.width, sc.height, composite.Finalize(composite.Fragment{}.Color(), sc.bg))
-
-	shardCount := make([]int64, sc.reducers)
-	for r, m := range sc.shards {
-		for _, frags := range m {
-			shardCount[r] += int64(len(frags))
+	flat := make([]composite.Fragment, n)
+	for _, run := range runs {
+		for _, f := range run {
+			flat[pos[f.Key-lo]] = f
+			pos[f.Key-lo]++
 		}
 	}
-	if sc.total > 0 {
-		sc.directFold(out)
-	}
-
-	var widest int64
-	for _, n := range shardCount {
-		if n > widest {
-			widest = n
+	start := int32(0)
+	for k, end := range pos[:hi-lo] {
+		if end > start {
+			set(lo+int32(k), composite.CompositePixel(flat[start:end], bg))
+			start = end
 		}
 	}
-	charge := sim.WorkTime(float64(sc.total), sc.spec.PartitionRate) +
-		sim.WorkTime(float64(widest), sc.spec.SortRate) +
-		sim.WorkTime(float64(widest), sc.spec.CompositeRate)
-	return out, charge
-}
-
-// directFold is the direct-send composite: each shard's buckets are
-// concatenated ascending by brick (the canonical order, the in-process
-// engine's layout), counting-sorted and composited. Shards hold disjoint
-// pixel keys, so they fold concurrently.
-func (sc *streamComposite) directFold(out *img.Image) {
-	keyRange := int32(sc.width * sc.height)
-	workers := sc.reducers
-	if mp := runtime.GOMAXPROCS(0); workers > mp {
-		workers = mp
-	}
-	// Shard errors are impossible (pure computation); ignore the error
-	// slot of the pool API.
-	_, _ = schedule.Map(workers, sc.reducers, func(r int) (struct{}, error) {
-		m := sc.shards[r]
-		if len(m) == 0 {
-			return struct{}{}, nil
-		}
-		ids := make([]int, 0, len(m))
-		n := 0
-		for id, frags := range m {
-			ids = append(ids, id)
-			n += len(frags)
-		}
-		sort.Ints(ids)
-		shard := make([]mapreduce.KV[composite.Fragment], 0, n)
-		for _, id := range ids {
-			for _, f := range m[id] {
-				shard = append(shard, mapreduce.KV[composite.Fragment]{Key: f.Key, Val: f})
-			}
-		}
-		keys, groups := mapreduce.CountingSort(shard, keyRange)
-		for i, k := range keys {
-			out.SetKey(k, composite.CompositePixel(groups[i], sc.bg))
-		}
-		return struct{}{}, nil
-	})
 }

@@ -10,7 +10,6 @@ import (
 	"gvmr/internal/cluster"
 	"gvmr/internal/composite"
 	"gvmr/internal/core"
-	"gvmr/internal/mapreduce"
 	"gvmr/internal/render"
 	"gvmr/internal/volume/dataset"
 )
@@ -133,35 +132,26 @@ func TestMapBuildsSkipStructuresOnce(t *testing.T) {
 }
 
 // TestCompositeStrategiesAndPartitionersAgree locks the coordinator-side
-// reduce invariance: every partitioner and any reducer count produce
-// identical bytes.
+// reduce invariance: the one fold yields the direct bits whatever the
+// eligible count the modelled reducers split pixels by (key % eligible),
+// and it folds the same fragments every time.
 func TestCompositeStrategiesAndPartitionersAgree(t *testing.T) {
 	job := testJob(t, dataset.Skull, 24, 48, 2, 60, true)
 	want := directDigest(t, job)
-	addrs := startWorkers(t, 2, nil)
-	cases := []struct {
-		label string
-		mut   func(*CoordinatorConfig)
-	}{
-		{"roundrobin", nil},
-		{"striped", func(c *CoordinatorConfig) {
-			c.Partitioner = mapreduce.Striped{Width: 48, StripeHeight: 4}
-			c.Reducers = 3
-		}},
-		{"checkerboard", func(c *CoordinatorConfig) {
-			c.Partitioner = mapreduce.Checkerboard{Width: 48, Tile: 8}
-			c.Reducers = 5
-		}},
-	}
-	for _, tc := range cases {
-		coord := newTestCoordinator(t, addrs, tc.mut)
-		res, _, err := coord.Render(context.Background(), job)
+	var frags int64
+	for _, workers := range []int{1, 2, 3} {
+		coord := newTestCoordinator(t, startWorkers(t, workers, nil), nil)
+		res, bd, err := coord.RenderDetailed(context.Background(), job)
 		if err != nil {
-			t.Fatalf("%s: %v", tc.label, err)
+			t.Fatalf("%d workers: %v", workers, err)
 		}
 		if got := res.Image.Digest(); got != want {
-			t.Errorf("%s: digest %s != direct %s", tc.label, got, want)
+			t.Errorf("%d workers: digest %s != direct %s", workers, got, want)
 		}
+		if workers > 1 && bd.Fragments != frags {
+			t.Errorf("%d workers folded %d fragments, 1 worker %d", workers, bd.Fragments, frags)
+		}
+		frags = bd.Fragments
 	}
 }
 
@@ -203,7 +193,7 @@ func TestVirtualTimeScalesWithWorkers(t *testing.T) {
 // the same node across frames (staging-cache affinity), and placement
 // covers all nodes for a many-brick job.
 func TestPlacementAffinity(t *testing.T) {
-	r := newRing([]string{"a:1", "b:1", "c:1"}, 0)
+	r := newRing([]string{"a:1", "b:1", "c:1"})
 	jobA := JobSpec{Dataset: dataset.Skull, Edge: 32, GPUs: 8}
 	jobB := jobA
 	jobB.Camera.FovY = 1 // different view, same identity fields

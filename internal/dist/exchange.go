@@ -271,7 +271,7 @@ func (wk *Worker) HandleCollect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CollectRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, wk.cfg.MaxBody))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		http.Error(w, fmt.Sprintf("bad collect request: %v", err), http.StatusBadRequest)
@@ -352,9 +352,9 @@ func (wk *Worker) HandleCollect(w http.ResponseWriter, r *http.Request) {
 }
 
 // compositeRange folds the session's fragments into one final color per
-// touched pixel, in the canonical order: bricks ascending, emission
-// order within a brick — exactly the concatenation CompositePixel sees
-// on the coordinator-local path, so the folded floats are bit-identical.
+// touched pixel with the coordinator's own fold, in the canonical order:
+// bricks ascending, emission order within a brick — so the folded
+// floats are bit-identical to the coordinator-local path.
 func (s *exchangeSession) compositeRange(req CollectRequest) (frags []composite.Fragment, total int64, netBytes, netMsgs int64) {
 	s.mu.Lock()
 	ids := make([]int, 0, len(s.bricks))
@@ -365,33 +365,14 @@ func (s *exchangeSession) compositeRange(req CollectRequest) (frags []composite.
 	sort.Ints(ids)
 	for _, id := range ids {
 		runs = append(runs, s.bricks[id])
+		total += int64(len(s.bricks[id]))
 	}
 	netBytes, netMsgs = s.netBytes, s.netMsgs
 	s.mu.Unlock()
 
-	width := req.Hi - req.Lo
-	buckets := make([][]composite.Fragment, width)
-	touched := 0
-	for _, run := range runs {
-		for _, f := range run {
-			i := f.Key - req.Lo
-			if buckets[i] == nil {
-				touched++
-			}
-			buckets[i] = append(buckets[i], f)
-			total++
-		}
-	}
 	bg := vec.V4{X: req.Background[0], Y: req.Background[1], Z: req.Background[2], W: req.Background[3]}
-	frags = make([]composite.Fragment, 0, touched)
-	for i, b := range buckets {
-		if b == nil {
-			continue
-		}
-		c := composite.CompositePixel(b, bg)
-		frags = append(frags, composite.Fragment{
-			Key: req.Lo + int32(i), R: c.X, G: c.Y, B: c.Z, A: c.W,
-		})
-	}
+	foldRange(runs, req.Lo, req.Hi, bg, func(k int32, c vec.V4) {
+		frags = append(frags, composite.Fragment{Key: k, R: c.X, G: c.Y, B: c.Z, A: c.W})
+	})
 	return frags, total, netBytes, netMsgs
 }

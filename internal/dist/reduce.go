@@ -1,0 +1,220 @@
+package dist
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"math/rand/v2"
+	"slices"
+	"strconv"
+
+	"gvmr/internal/cluster"
+	"gvmr/internal/composite"
+	"gvmr/internal/core"
+	"gvmr/internal/sim"
+	"gvmr/internal/vec"
+	"gvmr/internal/volume"
+)
+
+// exchangeID mints a session identifier unique enough that a stale
+// exchange from a previous frame can never alias a live one.
+func exchangeID() string {
+	return fmt.Sprintf("%016x%016x", rand.Uint64(), rand.Uint64())
+}
+
+// renderReduce runs one frame with the reduce phase on the workers
+// (DESIGN.md §11): every reducer — a placeable worker — owns a
+// contiguous pixel-key range, mappers push each range to its owner over
+// /reduce (their own range never touches the wire), and the coordinator
+// collects one sparse composited range image per reducer. No retries or
+// hedging inside an exchange — a delivered push is not idempotent-free
+// to re-place across nodes mid-flight, so any failure aborts the
+// exchange and the caller falls back to the classic path, which has both.
+func (c *Coordinator) renderReduce(ctx context.Context, job JobSpec, opt core.Options, planSpec cluster.Spec,
+	grid *volume.Grid, view clusterView, reducers []string, numUnits int) (*core.Result, Breakdown, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	perNode := view.placeInitial(job, numUnits)
+	n := len(reducers)
+	pixels := int64(opt.Width) * int64(opt.Height)
+	targets := make([]ReduceTarget, n)
+	for i, a := range reducers {
+		targets[i] = ReduceTarget{
+			Addr: a,
+			Lo:   int32(pixels * int64(i) / int64(n)),
+			Hi:   int32(pixels * int64(i+1) / int64(n)),
+		}
+	}
+	exID := exchangeID()
+	compress := !c.cfg.NoCompress
+
+	// Map fan-out: one batch per node, each carrying the identical
+	// reducer plan. All maps must land before any collect can complete,
+	// so failures surface here first.
+	type mapRes struct {
+		mapSeconds float64
+		frags      int64
+		err        error
+	}
+	mapCh := make(chan mapRes, len(perNode))
+	for a, bricks := range perNode {
+		// A mapper that is not a reducer (its breaker turned between the
+		// two reads) delivers every range over the wire.
+		self := slices.IndexFunc(targets, func(t ReduceTarget) bool { return t.Addr == a })
+		plan := &ReducePlan{Exchange: exID, Self: self, Compress: compress, Reducers: targets}
+		go func(a string, bricks []int) {
+			secs, frags, err := c.postMapReduce(ctx, job, grid.Counts, bricks, a, plan)
+			mapCh <- mapRes{mapSeconds: secs, frags: frags, err: err}
+		}(a, bricks)
+	}
+	bd := Breakdown{Reduced: true, Batches: int64(len(perNode)) + int64(n)}
+	var mapErr error
+	for range perNode {
+		mr := <-mapCh
+		if mr.err != nil {
+			if mapErr == nil {
+				mapErr = mr.err
+				cancel() // tear down sibling maps; the exchange is lost
+			}
+			continue
+		}
+		bd.Map = max(bd.Map, sim.Seconds(mr.mapSeconds))
+		bd.Fragments += mr.frags
+	}
+	if mapErr != nil {
+		return nil, Breakdown{}, mapErr
+	}
+
+	// Collect fan-out: by now every range is fully delivered (maps
+	// returned only after their pushes landed), so collects are one
+	// round trip each.
+	type collectRes struct {
+		i   int
+		out collectOutcome
+		err error
+	}
+	colCh := make(chan collectRes, n)
+	for i := range targets {
+		go func(i int) {
+			out, err := c.postCollect(ctx, job, exID, targets[i], numUnits, opt.Background, compress)
+			colCh <- collectRes{i: i, out: out, err: err}
+		}(i)
+	}
+	outs := make([]collectOutcome, n)
+	var colErr error
+	for range targets {
+		cr := <-colCh
+		if cr.err != nil {
+			if colErr == nil {
+				colErr = cr.err
+				cancel()
+			}
+			continue
+		}
+		outs[cr.i] = cr.out
+	}
+	if colErr != nil {
+		return nil, Breakdown{}, colErr
+	}
+
+	// Assemble: untouched pixels keep the same pre-filled background as
+	// the classic path; every collected pixel carries its final color.
+	out := background(opt)
+	var exchangeWire, collectWire sim.Time
+	for _, co := range outs {
+		for _, f := range co.frags {
+			out.SetKey(f.Key, vec.V4{X: f.R, Y: f.G, Z: f.B, W: f.A})
+		}
+		// Peer pushes into the reducers' NICs run reducer-parallel (max);
+		// the collect responses serialise into the coordinator's NIC.
+		exchangeWire = max(exchangeWire, sim.Time(co.netMsgs)*(planSpec.NICLatency+planSpec.MsgOverhead)+
+			sim.BytesTime(co.netBytes, planSpec.NICBandwidth))
+		bd.Reduce = max(bd.Reduce, sim.Seconds(co.reduceSeconds))
+		collectWire += planSpec.NICLatency + planSpec.MsgOverhead +
+			sim.BytesTime(co.bytes, planSpec.NICBandwidth)
+		bd.ExchangeBytes += co.netBytes
+		bd.CollectBytes += co.bytes
+	}
+	mapMsgs := sim.Time(len(perNode)) * (planSpec.NICLatency + planSpec.MsgOverhead)
+	bd.Wire = mapMsgs + exchangeWire + collectWire
+	bd.WireBytes = bd.ExchangeBytes + bd.CollectBytes
+	return bd.frame(out, job, opt, grid), bd, nil
+}
+
+// postMapReduce posts one reduce-mode map batch: the worker pushes its
+// stripes into the exchange and answers with an empty body and the
+// HeaderReduced marker.
+func (c *Coordinator) postMapReduce(ctx context.Context, job JobSpec, counts [3]int,
+	bricks []int, addr string, plan *ReducePlan) (mapSeconds float64, frags int64, err error) {
+	body, err := encodeMapRequest(MapRequest{Job: job, Bricks: bricks, GridCounts: counts, Reduce: plan})
+	if err != nil {
+		return 0, 0, err
+	}
+	c.batches.Add(1)
+	b := c.breaker(addr)
+	resp, _, err := c.post(ctx, c.attemptTimeout(ctx, 0), addr, MapPath, body, "application/json")
+	if err != nil {
+		return 0, 0, fmt.Errorf("dist: node %s: %w", addr, err)
+	}
+	if resp.Header.Get(HeaderReduced) != "1" {
+		c.corrupt.Add(1)
+		c.markFailure(b)
+		return 0, 0, fmt.Errorf("dist: node %s: map response lacks %s (stripes went nowhere)", addr, HeaderReduced)
+	}
+	mapSeconds, err = parseSecondsHeader(resp, HeaderMapSeconds)
+	if err != nil {
+		c.corrupt.Add(1)
+		c.markFailure(b)
+		return 0, 0, fmt.Errorf("dist: node %s: %w", addr, err)
+	}
+	if h := resp.Header.Get(HeaderFragCount); h != "" {
+		v, perr := strconv.ParseInt(h, 10, 64)
+		if perr != nil || v < 0 {
+			c.corrupt.Add(1)
+			c.markFailure(b)
+			return 0, 0, fmt.Errorf("dist: node %s: bad %s header %q", addr, HeaderFragCount, h)
+		}
+		frags = v
+	}
+	return mapSeconds, frags, nil
+}
+
+// collectOutcome is one reducer's composited range.
+type collectOutcome struct {
+	frags         []composite.Fragment // sparse final pixels (Key + RGBA)
+	reduceSeconds float64
+	netBytes      int64 // exchange bytes the reducer received from peers
+	netMsgs       int64
+	bytes         int64 // collect response bytes on the coordinator hop
+}
+
+// postCollect fetches and verifies one reducer's composited range.
+func (c *Coordinator) postCollect(ctx context.Context, job JobSpec, exID string,
+	tgt ReduceTarget, numBricks int, bg vec.V4, compress bool) (collectOutcome, error) {
+	body, err := json.Marshal(CollectRequest{
+		Exchange:   exID,
+		Lo:         tgt.Lo,
+		Hi:         tgt.Hi,
+		NumBricks:  numBricks,
+		Background: [4]float32{bg.X, bg.Y, bg.Z, bg.W},
+		Job:        job,
+		Compress:   compress,
+	})
+	if err != nil {
+		return collectOutcome{}, err
+	}
+	c.batches.Add(1)
+	b := c.breaker(tgt.Addr)
+	resp, payload, err := c.post(ctx, c.attemptTimeout(ctx, 0), tgt.Addr, CollectPath, body, "application/json")
+	if err != nil {
+		return collectOutcome{}, fmt.Errorf("dist: node %s: collect: %w", tgt.Addr, err)
+	}
+	out, err := c.verifyCollect(resp, payload, tgt)
+	if err != nil {
+		c.corrupt.Add(1)
+		c.markFailure(b)
+		return collectOutcome{}, fmt.Errorf("dist: node %s: collect: %w", tgt.Addr, err)
+	}
+	return out, nil
+}

@@ -20,6 +20,7 @@ import (
 	"gvmr/internal/cluster"
 	"gvmr/internal/composite"
 	"gvmr/internal/core"
+	"gvmr/internal/resilience"
 	"gvmr/internal/volume/dataset"
 )
 
@@ -224,6 +225,46 @@ func TestDistReduceSingleWorkerFallsBack(t *testing.T) {
 	}
 	if st := coord.Stats(); st.ReduceJobs != 0 || st.ReduceFallbacks != 0 {
 		t.Errorf("single-worker render touched exchange counters: %+v", st)
+	}
+}
+
+// TestDistReduceSkipsOpenBreakers: a healthy worker whose breaker is
+// still open (the breaker-lifecycle setup, on a clock that never moves)
+// is no reducer. Its breaker refuses the collect, so an exchange planned
+// over it failed every frame and redid it on the classic path: 0 reduce
+// jobs, 4 fallbacks and 7 batches a frame. Planned over the placeable
+// nodes, each frame is one exchange of 2 maps and 2 collects.
+func TestDistReduceSkipsOpenBreakers(t *testing.T) {
+	clk := newChaosClock()
+	addrs, _ := startReduceWorkers(t, 3, nil)
+	coord := newTestCoordinator(t, addrs, func(c *CoordinatorConfig) {
+		c.DistReduce = true
+		c.Breaker = resilience.BreakerConfig{MinRequests: 2, FailureRatio: 0.5, OpenFor: 5 * time.Second, Now: clk.Now}
+	})
+	b := coord.breaker(addrs[0])
+	b.Failure()
+	b.Failure()
+	if st := coord.BreakerState(addrs[0]); st != resilience.StateOpen {
+		t.Fatalf("breaker is %v, want open", st)
+	}
+	before := coord.Stats()
+	for _, deg := range []float64{0, 90, 180, 270} {
+		job := testJob(t, dataset.Skull, 32, 64, 6, deg, false)
+		res, bd, err := coord.RenderDetailed(context.Background(), job)
+		if err != nil {
+			t.Fatalf("%v°: %v", deg, err)
+		}
+		if got, want := res.Image.Digest(), directDigest(t, job); got != want {
+			t.Errorf("%v°: digest %s != direct %s", deg, got, want)
+		}
+		if !bd.Reduced || bd.Batches != 4 {
+			t.Errorf("%v°: reduced %t over %d batches, want the exchange in 4", deg, bd.Reduced, bd.Batches)
+		}
+	}
+	after := coord.Stats()
+	if jobs, falls, batches := after.ReduceJobs-before.ReduceJobs, after.ReduceFallbacks-before.ReduceFallbacks,
+		after.Batches-before.Batches; jobs != 4 || falls != 0 || batches != 16 {
+		t.Errorf("4 frames: +%d reduce jobs, +%d fallbacks, +%d batches; want +4, +0, +16", jobs, falls, batches)
 	}
 }
 

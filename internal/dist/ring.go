@@ -11,7 +11,7 @@ import (
 // lands on the same node frame after frame, so the node's staging cache
 // and macrocell grids stay hot) and stability under membership change (a
 // node death moves only that node's arc, not every brick). Each node
-// projects `replicas` virtual points onto the ring; a key walks clockwise
+// projects ringReplicas virtual points onto the ring; a key walks clockwise
 // from its hash and takes nodes in the order their points appear — that
 // walk is also the deterministic re-placement order when the first choice
 // is down.
@@ -41,13 +41,13 @@ func hash64(s string) uint64 {
 	return h
 }
 
-func newRing(addrs []string, replicas int) *ring {
-	if replicas < 1 {
-		replicas = 64
-	}
+// ringReplicas is the virtual-point count per node.
+const ringReplicas = 64
+
+func newRing(addrs []string) *ring {
 	r := &ring{nodes: len(addrs)}
 	for i, a := range addrs {
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < ringReplicas; v++ {
 			r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", a, v)), node: i})
 		}
 	}

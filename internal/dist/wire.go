@@ -299,10 +299,8 @@ func decodeCF2(data []byte, maxBytes int64) ([]core.BrickStripe, error) {
 	if err := inflate(EncodingColumnar2, data, maxBytes, buf); err != nil {
 		return nil, err
 	}
-	r := columnarReader{name: EncodingColumnar2, raw: *buf}
-	// A run costs at least two header bytes (key varint + count uvarint)
-	// plus one fragment's plane bytes.
-	stripes, runCounts, runTotal, err := r.stripeTable("runs", planeBytes+2)
+	r := columnarReader{raw: *buf}
+	stripes, runCounts, runTotal, err := r.stripeTable()
 	if err != nil {
 		return nil, err
 	}

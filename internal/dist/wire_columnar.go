@@ -101,17 +101,20 @@ func readPlanes(frags []composite.Fragment, planes []byte) {
 	}
 }
 
-// columnarReader walks an inflated columnar stream.
+// cf2RunBytes is the least one cf2 run occupies: two header bytes (key
+// varint + count uvarint) plus one fragment's plane bytes.
+const cf2RunBytes = planeBytes + 2
+
+// columnarReader walks an inflated EncodingColumnar2 stream.
 type columnarReader struct {
-	name string // the encoding, for error text
-	raw  []byte
-	pos  int
+	raw []byte
+	pos int
 }
 
 func (r *columnarReader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.raw[r.pos:])
 	if n <= 0 {
-		return 0, fmt.Errorf("dist: %s truncated varint at byte %d", r.name, r.pos)
+		return 0, fmt.Errorf("dist: %s truncated varint at byte %d", EncodingColumnar2, r.pos)
 	}
 	r.pos += n
 	return v, nil
@@ -121,28 +124,28 @@ func (r *columnarReader) uvarint() (uint64, error) {
 func (r *columnarReader) key(prev int64) (int64, error) {
 	d, n := binary.Varint(r.raw[r.pos:])
 	if n <= 0 {
-		return 0, fmt.Errorf("dist: %s truncated key varint at byte %d", r.name, r.pos)
+		return 0, fmt.Errorf("dist: %s truncated key varint at byte %d", EncodingColumnar2, r.pos)
 	}
 	r.pos += n
 	if k := prev + d; k >= math.MinInt32 && k <= math.MaxInt32 {
 		return k, nil
 	}
-	return 0, fmt.Errorf("dist: %s key %d overflows int32", r.name, prev+d)
+	return 0, fmt.Errorf("dist: %s key %d overflows int32", EncodingColumnar2, prev+d)
 }
 
-// stripeTable parses the stripe count and the per-stripe (unit ID, count)
-// table, and totals the counts. They count items — cf2's runs — that
-// each occupy at least itemBytes of the rest of the stream:
-// any count past that density is corrupt, and refusing it here bounds
-// every later allocation by the inflated size.
-func (r *columnarReader) stripeTable(items string, itemBytes int64) ([]core.BrickStripe, []int, int64, error) {
+// stripeTable parses the stripe count and the per-stripe (unit ID, run
+// count) table, and totals the counts. Each run occupies at least
+// cf2RunBytes of the rest of the stream: any count past that density is
+// corrupt, and refusing it here bounds every later allocation by the
+// inflated size.
+func (r *columnarReader) stripeTable() ([]core.BrickStripe, []int, int64, error) {
 	nStripes, err := r.uvarint()
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	// Each stripe costs at least two table bytes.
 	if nStripes > uint64(len(r.raw)-r.pos) {
-		return nil, nil, 0, fmt.Errorf("dist: %s claims %d stripes in %d bytes", r.name, nStripes, len(r.raw)-r.pos)
+		return nil, nil, 0, fmt.Errorf("dist: %s claims %d stripes in %d bytes", EncodingColumnar2, nStripes, len(r.raw)-r.pos)
 	}
 	stripes := make([]core.BrickStripe, nStripes)
 	counts := make([]int, nStripes)
@@ -153,21 +156,21 @@ func (r *columnarReader) stripeTable(items string, itemBytes int64) ([]core.Bric
 			return nil, nil, 0, err
 		}
 		if unit > math.MaxInt32 {
-			return nil, nil, 0, fmt.Errorf("dist: %s unit ID %d overflows int32", r.name, unit)
+			return nil, nil, 0, fmt.Errorf("dist: %s unit ID %d overflows int32", EncodingColumnar2, unit)
 		}
 		count, err := r.uvarint()
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		if count > uint64(int64(len(r.raw)-r.pos)/itemBytes) {
-			return nil, nil, 0, fmt.Errorf("dist: %s stripe for unit %d claims %d %s beyond payload", r.name, unit, count, items)
+		if count > uint64(int64(len(r.raw)-r.pos)/cf2RunBytes) {
+			return nil, nil, 0, fmt.Errorf("dist: %s stripe for unit %d claims %d runs beyond payload", EncodingColumnar2, unit, count)
 		}
 		stripes[i].Brick = int(unit)
 		counts[i] = int(count)
 		total += int64(count)
 	}
-	if total*itemBytes > int64(len(r.raw)-r.pos) {
-		return nil, nil, 0, fmt.Errorf("dist: %s claims %d %s beyond payload", r.name, total, items)
+	if total*cf2RunBytes > int64(len(r.raw)-r.pos) {
+		return nil, nil, 0, fmt.Errorf("dist: %s claims %d runs beyond payload", EncodingColumnar2, total)
 	}
 	return stripes, counts, total, nil
 }
@@ -176,7 +179,7 @@ func (r *columnarReader) stripeTable(items string, itemBytes int64) ([]core.Bric
 // section of total fragments, and returns it.
 func (r *columnarReader) planes(total int64) ([]byte, error) {
 	if rest := int64(len(r.raw) - r.pos); rest != total*planeBytes {
-		return nil, fmt.Errorf("dist: %s plane section is %d bytes, want %d", r.name, rest, total*planeBytes)
+		return nil, fmt.Errorf("dist: %s plane section is %d bytes, want %d", EncodingColumnar2, rest, total*planeBytes)
 	}
 	return r.raw[r.pos:], nil
 }

@@ -33,18 +33,10 @@ type WorkerConfig struct {
 	// service's limits (defaults 512 and 4096²).
 	MaxEdge   int
 	MaxPixels int
-	// MaxBody bounds JSON request bodies (default 1 MiB — map and
-	// collect requests are small documents).
-	MaxBody int64
 	// MaxResponseBytes bounds one exchange push payload, on the wire and
 	// decompressed (default 1 GiB, mirroring the coordinator's response
 	// bound).
 	MaxResponseBytes int64
-	// PushClient posts exchange ranges to peer reducers (default: a
-	// client on the shared tuned transport). PushTimeout bounds one peer
-	// push (default 20s).
-	PushClient  *http.Client
-	PushTimeout time.Duration
 	// MaxExchanges caps concurrent reduce sessions (default 64);
 	// ExchangeTTL sweeps sessions whose coordinator vanished (default
 	// 2 minutes).
@@ -54,6 +46,13 @@ type WorkerConfig struct {
 	// shares its node-wide resilience counters).
 	Metrics *resilience.Metrics
 }
+
+// maxRequestBody bounds JSON request bodies: map and collect requests
+// are small documents. pushTimeout bounds one peer push.
+const (
+	maxRequestBody = 1 << 20
+	pushTimeout    = 20 * time.Second
+)
 
 func (c *WorkerConfig) fillDefaults() error {
 	if err := c.Spec.Validate(); err != nil {
@@ -65,17 +64,8 @@ func (c *WorkerConfig) fillDefaults() error {
 	if c.MaxPixels == 0 {
 		c.MaxPixels = 4096 * 4096
 	}
-	if c.MaxBody == 0 {
-		c.MaxBody = 1 << 20
-	}
 	if c.MaxResponseBytes == 0 {
 		c.MaxResponseBytes = 1 << 30
-	}
-	if c.PushClient == nil {
-		c.PushClient = newClient()
-	}
-	if c.PushTimeout == 0 {
-		c.PushTimeout = 20 * time.Second
 	}
 	if c.MaxExchanges == 0 {
 		c.MaxExchanges = 64
@@ -177,7 +167,7 @@ func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req MapRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, wk.cfg.MaxBody))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		http.Error(w, fmt.Sprintf("bad map request: %v", err), http.StatusBadRequest)
@@ -401,7 +391,7 @@ func (wk *Worker) postPush(ctx context.Context, tgt ReduceTarget, exchange strin
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithTimeout(ctx, wk.cfg.PushTimeout)
+	ctx, cancel := context.WithTimeout(ctx, pushTimeout)
 	defer cancel()
 	u := fmt.Sprintf("%s%s?ex=%s&lo=%d&hi=%d", tgt.Addr, ReducePath, url.QueryEscape(exchange), tgt.Lo, tgt.Hi)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(payload))
@@ -411,7 +401,7 @@ func (wk *Worker) postPush(ctx context.Context, tgt ReduceTarget, exchange strin
 	req.Header.Set("Content-Type", "application/octet-stream")
 	req.Header.Set("Content-Encoding", encoding)
 	req.Header.Set(HeaderStripeDigest, PayloadDigest(payload))
-	resp, err := wk.cfg.PushClient.Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
 		return err
 	}
