@@ -1,7 +1,7 @@
 // Command volgen writes a built-in synthetic dataset to a .gvmr volume
 // file, for exercising the out-of-core (disk-streamed) rendering path.
-// The default output is the bricked v2 format the demand pager streams;
-// -v1 writes the legacy flat format.
+// The file is bricked for the demand pager; bricks holding a single
+// value are recorded in its directory and take no space on disk.
 //
 // Usage:
 //
@@ -24,9 +24,8 @@ func main() {
 		ds       = flag.String("dataset", "skull", "dataset (skull|supernova|plume)")
 		size     = flag.Int("size", 128, "cube edge (plume becomes (n/2)x(n/2)x2n)")
 		out      = flag.String("o", "", "output .gvmr path (required)")
-		v1       = flag.Bool("v1", false, "write the flat v1 format (no bricking, no demand paging)")
-		brick    = flag.Int("brick", 0, "v2 brick edge in voxels (0 = default 32)")
-		compress = flag.Bool("compress", false, "flate-compress each v2 brick payload")
+		brick    = flag.Int("brick", 0, "brick edge in voxels (0 = default 32)")
+		compress = flag.Bool("compress", false, "flate-compress each brick payload")
 	)
 	flag.Parse()
 	if *out == "" {
@@ -36,17 +35,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *v1 {
-		if *brick != 0 || *compress {
-			log.Fatal("-brick/-compress apply to the v2 format only")
-		}
-		err = gvmr.WriteVolumeFileV1(*out, src)
-	} else {
-		err = gvmr.WriteVolumeFileOpts(*out, src, gvmr.VolumeFileOptions{
-			BrickEdge: *brick,
-			Compress:  *compress,
-		})
-	}
+	err = gvmr.WriteVolumeFileOpts(*out, src, gvmr.VolumeFileOptions{
+		BrickEdge: *brick,
+		Compress:  *compress,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -82,10 +82,8 @@ func main() {
 		res.Runtime, res.Grid.NumBricks(), res.GPUs, res.VPSMillions)
 	fmt.Printf("partition+io share (disk loads + transfers): %v of %v mean per GPU\n",
 		res.Stats.MeanStage.PartitionIO, res.Stats.MeanStage.Total())
-	if pager, ok := file.(interface{ Stats() gvmr.PagerStats }); ok {
-		s := pager.Stats()
-		fmt.Printf("pager: %d file bricks, %d reads (%.1f MiB), %d reloads, %d constant fills, %d skipped by min/max\n",
-			s.Bricks, s.BrickReads, float64(s.BytesRead)/(1<<20), s.Reloads, s.ConstantFills, s.SkippedBricks)
-	}
+	s := file.Stats()
+	fmt.Printf("pager: %d file bricks, %d reads (%.1f MiB), %d reloads, %d constant fills, %d skipped by min/max\n",
+		s.Bricks, s.BrickReads, float64(s.BytesRead)/(1<<20), s.Reloads, s.ConstantFills, s.SkippedBricks)
 	fmt.Println("wrote supernova_ooc.png")
 }

@@ -237,45 +237,38 @@ func NewCamera(eye, center, up vec.V3, fovY float64, width, height int) (*Camera
 func V3(x, y, z float64) vec.V3 { return vec.New3(x, y, z) }
 
 // VolumeFileOptions configures WriteVolumeFileOpts: the target brick edge
-// (default 32) and optional per-brick flate compression of the bricked v2
-// format.
+// (default 32) and optional per-brick flate compression.
 type VolumeFileOptions = volume.V2Options
 
-// VolumeFile is an open .gvmr volume file source; close it when done.
-// Bricked (v2) files are returned as a *volume.PagedSource whose Stats
-// method reports demand-paging activity.
-type VolumeFile = volume.VolumeFile
+// VolumeFile is an open .gvmr volume file: a source that demand-pages its
+// bricks and reports that activity in Stats. Close it when done.
+type VolumeFile = *volume.PagedSource
 
 // PagerStats is a snapshot of a paged volume file's streaming activity
 // (brick reads, bytes, evict-driven reloads, min/max skip counts).
 type PagerStats = volume.PagerStats
 
-// WriteVolumeFile streams a source to a bricked (v2) .gvmr volume file
-// with default options — the on-disk format the out-of-core demand pager
-// reads. Use WriteVolumeFileOpts to pick the brick size or enable
-// compression, WriteVolumeFileV1 for the legacy flat format.
+// WriteVolumeFile streams a source to a bricked .gvmr volume file with
+// default options — the one on-disk format, which the out-of-core demand
+// pager reads. Bricks holding a single value are recorded in the file's
+// directory and take no payload. Use WriteVolumeFileOpts to pick the
+// brick size or enable compression.
 func WriteVolumeFile(path string, src Source) error {
 	return volume.WriteFileV2(path, src, volume.V2Options{})
 }
 
-// WriteVolumeFileOpts streams a source to a bricked (v2) .gvmr volume
-// file with explicit options.
+// WriteVolumeFileOpts streams a source to a bricked .gvmr volume file
+// with explicit options.
 func WriteVolumeFileOpts(path string, src Source, opts VolumeFileOptions) error {
 	return volume.WriteFileV2(path, src, opts)
 }
 
-// WriteVolumeFileV1 streams a source to a flat (v1) .gvmr volume file:
-// one raw little-endian float32 array, no bricking, no demand paging.
-func WriteVolumeFileV1(path string, src Source) error {
-	return volume.WriteFile(path, src)
-}
-
-// OpenVolumeFile opens a .gvmr volume file (either version) as a
-// streaming source. Bricked v2 files stage individual bricks through the
-// process-wide staging cache on demand, so rendering never needs the
-// whole volume in memory. Close it when done.
+// OpenVolumeFile opens a bricked .gvmr volume file as a streaming source:
+// it stages individual bricks through the process-wide staging cache on
+// demand, so rendering never needs the whole volume in memory. Files of
+// the retired flat format are refused. Close it when done.
 func OpenVolumeFile(path string) (VolumeFile, error) {
-	return volume.OpenVolume(path)
+	return volume.OpenFileV2(path)
 }
 
 // RegisterVolumeFile opens a .gvmr volume file and registers it as a

@@ -157,10 +157,10 @@ func TestOutOfCoreMatchesInCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "sn.gvmr")
-	if err := volume.WriteFile(path, src); err != nil {
+	if err := volume.WriteFileV2(path, src, volume.V2Options{BrickEdge: 8}); err != nil {
 		t.Fatal(err)
 	}
-	fileSrc, err := volume.OpenFile(path)
+	fileSrc, err := volume.OpenFileV2(path)
 	if err != nil {
 		t.Fatal(err)
 	}

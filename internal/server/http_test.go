@@ -8,11 +8,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 
 	"gvmr/internal/core"
 	"gvmr/internal/img"
 	"gvmr/internal/render"
+	"gvmr/internal/volume"
+	"gvmr/internal/volume/dataset"
 )
 
 func newTestServer(t *testing.T) (*Service, *httptest.Server) {
@@ -283,5 +286,47 @@ func TestHTTPRenderBuildsSkipStructuresOnce(t *testing.T) {
 			t.Errorf("request %d built %d skip grids and %d corrected tables, want %d of each", i, g-grids, tb-tables, want)
 		}
 		grids, tables = g, tb
+	}
+}
+
+// TestHTTPStatsPagerCounters: a registered volume file renders over HTTP,
+// and /stats reports its pager under "pager" — bricks read from disk and
+// fills served from the directory's constant bricks.
+func TestHTTPStatsPagerCounters(t *testing.T) {
+	src, err := dataset.New(dataset.Skull, volume.Cube(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "skull32.gvmr")
+	if err := volume.WriteFileV2(path, src, volume.V2Options{BrickEdge: 8, Compress: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := dataset.RegisterVolumeFile("skullfile-stats", path, "skull"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dataset.UnregisterVolumeFile("skullfile-stats") })
+	_, ts := newTestServer(t)
+	resp, err := http.Get(ts.URL + "/render?dataset=skullfile-stats&size=32&orbit=30&shading=1&gpus=2&format=raw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("render: HTTP %d", resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Pager map[string]int64 `json:"pager"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Pager["brick_reads"] <= 0 || st.Pager["constant_fills"] <= 0 {
+		t.Errorf(`/stats "pager" = %v: want brick_reads and constant_fills above zero`, st.Pager)
 	}
 }

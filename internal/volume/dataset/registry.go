@@ -14,15 +14,15 @@ import (
 // the out-of-core example). Registering a file makes its name a
 // first-class dataset — Names/New/PaperDims and every layer above them
 // (server request validation, dist job specs) treat it exactly like a
-// built-in. The file is opened once and the source shared by every
-// render: for bricked v2 files that source is the demand pager, so
-// concurrent requests share one page cache and one set of pager counters.
+// built-in. The file is opened once and its demand pager shared by every
+// render, so concurrent requests share one page cache and one set of
+// pager counters.
 
 // fileEntry is one registered file-backed dataset.
 type fileEntry struct {
 	path string
 	tf   string // transfer-function preset name (see transfer.Preset)
-	src  volume.VolumeFile
+	src  *volume.PagedSource
 }
 
 var (
@@ -35,11 +35,10 @@ func builtin(name string) bool {
 	return name == Skull || name == Supernova || name == Plume
 }
 
-// RegisterVolumeFile opens the GVMR volume file at path (v1 or v2,
-// auto-detected) and registers it as dataset name, rendered with the
-// tfPreset transfer function ("" means the neutral gray ramp). Names are
-// case-insensitive and must not collide with a built-in or an earlier
-// registration.
+// RegisterVolumeFile opens the GVMR volume file at path and registers it
+// as dataset name, rendered with the tfPreset transfer function ("" means
+// the neutral gray ramp). Names are case-insensitive and must not collide
+// with a built-in or an earlier registration.
 func RegisterVolumeFile(name, path, tfPreset string) error {
 	name = strings.ToLower(strings.TrimSpace(name))
 	if name == "" {
@@ -51,7 +50,7 @@ func RegisterVolumeFile(name, path, tfPreset string) error {
 	if tfPreset == "" {
 		tfPreset = "gray"
 	}
-	src, err := volume.OpenVolume(path)
+	src, err := volume.OpenFileV2(path)
 	if err != nil {
 		return err
 	}
@@ -118,19 +117,16 @@ func TFName(name string) string {
 }
 
 // FilePagerStats aggregates demand-pager counters across every registered
-// v2 volume, or nil when none is paged (v1 files and an empty registry).
+// volume, or nil when none is registered.
 func FilePagerStats() *volume.PagerStats {
 	regMu.RLock()
 	defer regMu.RUnlock()
+	if len(registered) == 0 {
+		return nil
+	}
 	var agg volume.PagerStats
-	found := false
 	for _, e := range registered {
-		p, ok := e.src.(*volume.PagedSource)
-		if !ok {
-			continue
-		}
-		found = true
-		s := p.Stats()
+		s := e.src.Stats()
 		agg.Bricks += s.Bricks
 		agg.BrickReads += s.BrickReads
 		agg.BytesRead += s.BytesRead
@@ -138,9 +134,6 @@ func FilePagerStats() *volume.PagerStats {
 		agg.Fallbacks += s.Fallbacks
 		agg.SkippedBricks += s.SkippedBricks
 		agg.ConstantFills += s.ConstantFills
-	}
-	if !found {
-		return nil
 	}
 	return &agg
 }

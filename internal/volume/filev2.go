@@ -11,6 +11,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"strconv"
@@ -20,8 +21,9 @@ import (
 	"gvmr/internal/flatepool"
 )
 
-// File format v2: a bricked, demand-pageable volume file (DESIGN.md §14).
-// Layout:
+// The GVMR volume file: bricked, demand-pageable, and sparse by
+// construction (DESIGN.md §14). It stands in for the paper's pre-bricked
+// volume files on the cluster's disks. Layout:
 //
 //	offset 0:  "GVMR" magic
 //	offset 4:  uint32 version (2)
@@ -30,21 +32,32 @@ import (
 //	offset 44: uint32 flags (bit 0: per-brick flate compression)
 //	offset 48: brick directory, one 24-byte entry per brick in MakeGrid
 //	           order (x-fastest): uint64 payload offset, uint64 stored
-//	           byte count, float32 min, float32 max of the brick's core
-//	offset 48+24N: brick payloads — each brick's *core* region (cores tile
-//	           the volume exactly; ghost layers are reassembled from
-//	           neighbouring cores at page time), little-endian float32
-//	           x-fastest, optionally flate-compressed per brick
+//	           byte count, float32 min, float32 max of the brick's core.
+//	           A constant brick — one bit pattern in every core voxel —
+//	           has offset 0, stored 0, min and max that pattern, and no
+//	           payload.
+//	offset 48+24N: brick payloads — each dense brick's *core* region
+//	           (cores tile the volume exactly; ghost layers are reassembled
+//	           from neighbouring cores at page time), little-endian float32
+//	           x-fastest, optionally flate-compressed per brick; the file
+//	           ends where the last payload does
 //
 // All integers are little-endian. The per-brick min/max in the directory
 // is what lets the renderer prove a brick invisible under the active
-// transfer function without reading its payload at all.
+// transfer function without reading its payload at all. Version 1, a flat
+// dump, is no longer read.
 const (
+	fileMagic         = "GVMR"
 	fileVersion2      = uint32(2)
 	v2FlagFlate       = uint32(1)
 	v2FixedHeaderSize = 4 + 4 + 3*8 + 3*4 + 4
 	v2DirEntrySize    = 8 + 8 + 4 + 4
 )
+
+// maxFileDim bounds a single axis read from a file header. Headers are
+// untrusted input: a dim must survive the uint64→int conversion on every
+// platform and keep X*Y*Z*4 computable in int64 without overflow.
+const maxFileDim = 1 << 31
 
 // maxV2Bricks bounds the directory length read from an untrusted header
 // (a million bricks of ≥1 voxel each; real files are thousands).
@@ -53,9 +66,13 @@ const maxV2Bricks = 1 << 20
 // v2Entry is one decoded brick-directory entry.
 type v2Entry struct {
 	off    uint64  // payload offset from start of file
-	stored uint64  // payload byte count as stored (compressed if flate)
+	stored uint64  // payload byte count as stored (compressed if flate); 0: constant
 	lo, hi float32 // exact min/max of the brick's core samples
 }
+
+// constant reports whether the entry records a constant brick, whose
+// every core voxel has lo's bit pattern.
+func (e v2Entry) constant() bool { return e.stored == 0 }
 
 // v2Header is a decoded v2 header: fixed fields plus the brick directory.
 type v2Header struct {
@@ -104,14 +121,30 @@ func coreBytes(e Dims) (int64, bool) {
 // (uncompressed) blocks, comfortably under raw/2 + 64 extra.
 func v2MaxStored(raw int64) int64 { return raw + raw/2 + 64 }
 
+// decodeDims reads and bounds the three uint64 dims at hdr (24 bytes).
+// Header dims are untrusted; anything outside [1, maxFileDim] is hostile
+// or corrupt, and rejecting it here keeps all later size arithmetic
+// overflow-free.
+func decodeDims(hdr []byte) (Dims, error) {
+	var u [3]uint64
+	for a := 0; a < 3; a++ {
+		u[a] = binary.LittleEndian.Uint64(hdr[a*8:])
+		if u[a] == 0 || u[a] > maxFileDim {
+			return Dims{}, fmt.Errorf("dim %d out of range [1, %d]", u[a], int64(maxFileDim))
+		}
+	}
+	return Dims{X: int(u[0]), Y: int(u[1]), Z: int(u[2])}, nil
+}
+
 // decodeV2Header parses and validates a v2 header (fixed fields plus
 // brick directory) from the front of data, returning the bytes consumed.
 // Every field is treated as hostile: dims and counts are bounded, the
 // directory length is capped, stored sizes must be consistent with each
-// brick's raw core size, and min > max (or NaN) is rejected. What it
-// cannot check without the file — that payload offsets lie inside the
-// file — OpenFileV2 checks against the stat size. decode→encode is a
-// fixed point (see FuzzVolumeFileV2).
+// brick's raw core size, a constant entry must hold one bit pattern at
+// offset 0, and min > max (or NaN) is rejected. What it cannot check
+// without the file — that payloads lie inside it and end it — OpenFileV2
+// checks against the stat size. decode→encode is a fixed point (see
+// FuzzVolumeFileV2).
 func decodeV2Header(data []byte) (v2Header, int, error) {
 	h, consumed, err := decodeV2Fixed(data)
 	if err != nil {
@@ -137,14 +170,17 @@ func decodeV2Header(data []byte) (v2Header, int, error) {
 				if !ok {
 					return h, 0, fmt.Errorf("volume: brick %d core size overflows", i)
 				}
-				if h.compressed() {
-					if e.stored == 0 || e.stored > uint64(v2MaxStored(raw)) {
-						return h, 0, fmt.Errorf("volume: brick %d stored size %d implausible for %d raw bytes", i, e.stored, raw)
+				switch {
+				case e.constant():
+					if e.off != 0 || floatBits(e.lo) != floatBits(e.hi) {
+						return h, 0, fmt.Errorf("volume: brick %d constant entry invalid: offset %d, bits %#x..%#x",
+							i, e.off, floatBits(e.lo), floatBits(e.hi))
 					}
-				} else if e.stored != uint64(raw) {
+				case h.compressed() && e.stored > uint64(v2MaxStored(raw)):
+					return h, 0, fmt.Errorf("volume: brick %d stored size %d implausible for %d raw bytes", i, e.stored, raw)
+				case !h.compressed() && e.stored != uint64(raw):
 					return h, 0, fmt.Errorf("volume: brick %d stored size %d != %d raw bytes", i, e.stored, raw)
-				}
-				if e.off < hdrLen || e.off > math.MaxInt64-e.stored {
+				case e.off < hdrLen || e.off > math.MaxInt64-e.stored:
 					return h, 0, fmt.Errorf("volume: brick %d payload offset %d invalid", i, e.off)
 				}
 				if !(e.lo <= e.hi) { // also rejects NaN
@@ -169,7 +205,7 @@ func decodeV2Fixed(data []byte) (h v2Header, headerLen int, err error) {
 		return h, 0, fmt.Errorf("volume: not a GVMR volume file")
 	}
 	if v := binary.LittleEndian.Uint32(data[4:]); v != fileVersion2 {
-		return h, 0, fmt.Errorf("volume: not a v2 volume (version %d)", v)
+		return h, 0, fmt.Errorf("volume: unsupported version %d: only the bricked version %d is read", v, fileVersion2)
 	}
 	d, err := decodeDims(data[8:])
 	if err != nil {
@@ -230,21 +266,61 @@ type V2Options struct {
 // DefaultBrickEdge is the brick edge WriteFileV2 uses when none is given.
 const DefaultBrickEdge = 32
 
-// WriteFileV2 streams a source to a bricked v2 volume file, one brick
-// core at a time, recording each brick's exact min/max in the directory;
-// a source holding NaN fails the write, naming the brick.
-// Like WriteFile it never materialises the full volume, and the file is
-// synced and closed with explicit error checking.
+// fileWriter is the destination contract of the volume writer: a data
+// sink whose Sync and Close errors are the last chance to learn that a
+// write was silently lost (*os.File satisfies it; tests inject failures).
+type fileWriter interface {
+	io.Writer
+	io.WriterAt
+	Sync() error
+	Close() error
+}
+
+// finishFile completes a volume write: if the body succeeded, sync the
+// file to stable storage and close it, reporting the first error. A
+// failed close can mean a truncated volume on disk, so its error must
+// reach the caller instead of vanishing in a defer.
+func finishFile(f fileWriter, err error) error {
+	if err != nil {
+		f.Close() // best-effort; the write error is the primary failure
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// WriteFileV2 streams a source to a bricked volume file, one brick core
+// at a time, never materialising the full volume. Each brick's exact
+// min/max goes in the directory, and a brick whose core holds one bit
+// pattern is recorded there as that pattern, with no payload; a source
+// holding NaN fails the write, naming the brick. The file is written
+// beside path, synced, closed and renamed over it: a reader that has the
+// old file open keeps reading the old volume, and a failed write leaves
+// it in place.
 func WriteFileV2(path string, src Source, opts V2Options) error {
-	f, err := os.Create(path)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*")
 	if err != nil {
 		return err
 	}
-	return finishFile(f, writeFileV2(f, src, opts))
+	err = f.Chmod(0o644) // not CreateTemp's 0600: the volume is data to share
+	if err == nil {
+		err = writeFileV2(f, src, opts)
+	}
+	if err = finishFile(f, err); err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
-// writeFileV2 writes the v2 body to f: a placeholder header, the brick
-// payloads in directory order, then the real header patched in at 0.
+// writeFileV2 writes the v2 body to f: a placeholder header, the dense
+// bricks' payloads in directory order, then the real header patched in
+// at 0.
 func writeFileV2(f fileWriter, src Source, opts V2Options) error {
 	edge := opts.BrickEdge
 	if edge <= 0 {
@@ -287,17 +363,24 @@ func writeFileV2(f fileWriter, src Source, opts V2Options) error {
 			return err
 		}
 		lo, hi := data[0], data[0]
+		first, constant := floatBits(data[0]), true
 		for j, s := range data {
 			if s != s {
 				// No [lo, hi] bounds a NaN, and a directory entry without
 				// bounds is one no reader accepts.
 				return fmt.Errorf("volume: brick %d holds NaN at core voxel %d: a v2 directory cannot bound it", i, j)
 			}
+			// Bits, not values: a brick mixing +0 and -0 is dense.
+			constant = constant && floatBits(s) == first
 			if s < lo {
 				lo = s
 			} else if s > hi {
 				hi = s
 			}
+		}
+		if constant {
+			h.dir[i] = v2Entry{lo: lo, hi: hi}
+			continue
 		}
 		enc := raw[:n*4]
 		for j, s := range data {
@@ -328,7 +411,7 @@ type PagerStats struct {
 	Reloads       int64 `json:"reloads"`        // re-reads of a brick already read once: proof of eviction between the two
 	Fallbacks     int64 `json:"fallbacks"`      // pages served uncached (budget exhausted by in-flight work)
 	SkippedBricks int64 `json:"skipped_bricks"` // render bricks proven TF-empty by directory min/max: zero disk traffic
-	ConstantFills int64 `json:"constant_fills"` // page uses served from a remembered constant: no read, no inflate, no cache entry
+	ConstantFills int64 `json:"constant_fills"` // page uses served from a directory constant: no read, no inflate, no cache entry
 }
 
 // RangedSource is a Source that can bound the sample values of a region
@@ -349,15 +432,6 @@ type FramePlanner interface {
 	PlanFrame(ghosts []Region) (done func())
 }
 
-// PagedSource.state bits, per file brick.
-const (
-	pageLoaded   = 1 << iota // decoded from disk at least once
-	pageConstant             // every voxel decoded to one Float32bits pattern
-)
-
-// errConstantPage is what reading a pageConstant brick returns in place of
-// a page, so the staging cache keeps no entry or budget for it.
-var errConstantPage = errors.New("volume: constant page")
 var errPayloadSize = errors.New("payload does not inflate to the core size")
 
 // framePlan is one job's plan: the Fills it still owes per ghost region,
@@ -372,9 +446,9 @@ type framePlan struct {
 // bricks through a StagingCache: each brick core is a separate cache
 // entry, so a render streams volumes far larger than the staging budget,
 // with least-recently-used bricks — first those no live frame plan will
-// touch again — evicted and re-read if touched again. A brick that decodes
-// to one bit pattern is remembered as that and never read or cached again.
-// It is safe for concurrent use.
+// touch again — evicted and re-read if touched again. A brick the
+// directory records as constant is never read or cached: its pattern is
+// written straight into the destination. It is safe for concurrent use.
 type PagedSource struct {
 	f interface {
 		io.ReaderAt
@@ -385,11 +459,10 @@ type PagedSource struct {
 	grid      *Grid
 	cache     *StagingCache
 	keyPrefix string
-	pages     []cacheKey // per file brick, built once: a page touch allocates no name
+	pages     []cacheKey    // per file brick, built once: a page touch allocates no name
+	loaded    []atomic.Bool // per file brick: decoded from disk at least once
 
 	mu      sync.Mutex
-	state   []uint8      // per file brick: pageLoaded | pageConstant
-	bits    []uint32     // per pageConstant brick: its one bit pattern
 	planned []int32      // per file brick: Fills the live plans still owe it
 	plans   []*framePlan // live plans, oldest first
 
@@ -401,11 +474,11 @@ type PagedSource struct {
 	constFills atomic.Int64
 }
 
-// OpenFileV2 opens a bricked v2 volume file. The header and brick
-// directory are fully validated at open — including every payload's
-// placement inside the actual file size — so truncated or hostile files
-// fail here, not mid-render. Pages go through the process-wide staging
-// cache by default; SetCache overrides.
+// OpenFileV2 opens a GVMR volume file. The header and brick directory are
+// fully validated at open — including every payload's placement inside
+// the actual file size, and that the last one ends the file — so
+// truncated, padded or hostile files fail here, not mid-render. Pages go
+// through the process-wide staging cache by default; SetCache overrides.
 func OpenFileV2(path string) (*PagedSource, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -439,6 +512,7 @@ func OpenFileV2(path string) (*PagedSource, error) {
 		return nil, fmt.Errorf("volume: stat %s: %w", path, err)
 	}
 	size := fi.Size()
+	last := uint64(headerLen)
 	for i, e := range hdr.dir {
 		end := e.off + e.stored // overflow ruled out by decodeV2Header
 		if end > uint64(size) {
@@ -446,6 +520,11 @@ func OpenFileV2(path string) (*PagedSource, error) {
 			return nil, fmt.Errorf("volume: %s: brick %d payload [%d, %d) exceeds file size %d",
 				path, i, e.off, end, size)
 		}
+		last = max(last, end)
+	}
+	if last != uint64(size) {
+		f.Close()
+		return nil, fmt.Errorf("volume: %s is %d bytes, its directory accounts for %d", path, size, last)
 	}
 	grid, err := MakeGrid(hdr.dims, hdr.counts)
 	if err != nil {
@@ -462,8 +541,7 @@ func OpenFileV2(path string) (*PagedSource, error) {
 		// serves stale pages out of the shared cache.
 		keyPrefix: fmt.Sprintf("pv2|%s|%d|%d|", path, size, fi.ModTime().UnixNano()),
 		pages:     make([]cacheKey, len(hdr.dir)),
-		state:     make([]uint8, len(hdr.dir)),
-		bits:      make([]uint32, len(hdr.dir)),
+		loaded:    make([]atomic.Bool, len(hdr.dir)),
 		planned:   make([]int32, len(hdr.dir)),
 	}
 	for i := range s.pages {
@@ -554,11 +632,9 @@ func (s *PagedSource) RegionRange(r Region) (lo, hi float32, ok bool) {
 	return lo, hi, ok
 }
 
-// readPage reads and decodes brick i's payload into a fresh slice of core
-// voxels: the only disk path; its scratch is pooled, the page is its one
-// allocation. A brick that decoded to a single bit pattern is recorded and
-// returned as errConstantPage — only decoded bits prove that: a directory
-// lo == hi also holds for +0 mixed with -0, and NaNs never move min/max.
+// readPage reads and decodes dense brick i's payload into a fresh slice of
+// core voxels: the only disk path; its scratch is pooled, the page is its
+// one allocation.
 func (s *PagedSource) readPage(i int) ([]float32, error) {
 	e := s.hdr.dir[i]
 	stored := flatepool.GetBuf()
@@ -584,25 +660,13 @@ func (s *PagedSource) readPage(i int) ([]float32, error) {
 		enc = *raw
 	}
 	data := make([]float32, size/4)
-	first := binary.LittleEndian.Uint32(enc)
-	constant := true
 	for j := range data {
-		b := binary.LittleEndian.Uint32(enc[j*4:])
-		data[j] = bitsFloat(b)
-		constant = constant && b == first
+		data[j] = bitsFloat(binary.LittleEndian.Uint32(enc[j*4:]))
 	}
 	s.brickReads.Add(1)
 	s.bytesRead.Add(int64(e.stored))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state[i]&pageLoaded != 0 {
+	if s.loaded[i].Swap(true) {
 		s.reloads.Add(1)
-	}
-	s.state[i] |= pageLoaded
-	if constant {
-		s.state[i] |= pageConstant
-		s.bits[i] = first
-		return nil, errConstantPage
 	}
 	return data, nil
 }
@@ -611,29 +675,23 @@ func (s *PagedSource) readPage(i int) ([]float32, error) {
 // budget is held by in-flight work (a page is charged its voxels alone: no
 // grid is ever built over one) — or, data == nil, a constant brick's value.
 func (s *PagedSource) page(i int) (data []float32, val float32, err error) {
-	s.mu.Lock()
-	constant, bits := s.state[i]&pageConstant != 0, s.bits[i]
-	s.mu.Unlock()
-	if constant {
+	if e := s.hdr.dir[i]; e.constant() {
 		s.constFills.Add(1)
-		return nil, bitsFloat(bits), nil
+		return nil, e.lo, nil
 	}
-	if c := s.cache; c != nil && c.Capacity() > 0 {
-		var val any
-		val, _, err = c.Load(s.pages[i], s.pages[i].dims.Bytes(), func(reserved bool) (any, int64, error) {
-			if !reserved {
-				s.fallbacks.Add(1)
-			}
-			data, err := s.readPage(i)
-			return data, s.pages[i].dims.Bytes(), err
-		})
-		data, _ = val.([]float32)
-	} else {
+	c := s.cache
+	if c == nil || c.Capacity() == 0 {
 		data, err = s.readPage(i)
+		return data, 0, err
 	}
-	if errors.Is(err, errConstantPage) {
-		return s.page(i) // recorded before the error was returned
-	}
+	v, _, err := c.Load(s.pages[i], s.pages[i].dims.Bytes(), func(reserved bool) (any, int64, error) {
+		if !reserved {
+			s.fallbacks.Add(1)
+		}
+		data, err := s.readPage(i)
+		return data, s.pages[i].dims.Bytes(), err
+	})
+	data, _ = v.([]float32)
 	return data, 0, err
 }
 
@@ -692,7 +750,7 @@ func (s *PagedSource) livePlan(r Region, pay bool) *framePlan {
 func (s *PagedSource) release(i, n int) {
 	s.mu.Lock()
 	s.planned[i] -= int32(n)
-	idle := s.planned[i] == 0 && s.state[i]&pageConstant == 0
+	idle := s.planned[i] == 0
 	s.mu.Unlock()
 	if c := s.cache; idle && c != nil {
 		c.Demote(s.pages[i])
@@ -782,39 +840,4 @@ func (s *PagedSource) keptMacrocells(ghost Region, build func() *Macrocells) *Ma
 		mc, _ = grids.LoadOrStore(ghost, build()) // a concurrent builder may win: one pointer per grid
 	}
 	return mc.(*Macrocells)
-}
-
-// VolumeFile is a file-backed volume source that must be closed.
-type VolumeFile interface {
-	Source
-	Close() error
-}
-
-// OpenVolume opens a GVMR volume file of either version: flat v1 files
-// load through FileSource, bricked v2 files through the demand pager.
-func OpenVolume(path string) (VolumeFile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	hdr := make([]byte, 8)
-	_, rerr := io.ReadFull(f, hdr)
-	cerr := f.Close()
-	if rerr != nil {
-		return nil, fmt.Errorf("volume: reading header of %s: %w", path, rerr)
-	}
-	if cerr != nil {
-		return nil, cerr
-	}
-	if string(hdr[:4]) != fileMagic {
-		return nil, fmt.Errorf("volume: %s is not a GVMR volume file", path)
-	}
-	switch v := binary.LittleEndian.Uint32(hdr[4:]); v {
-	case fileVersion:
-		return OpenFile(path)
-	case fileVersion2:
-		return OpenFileV2(path)
-	default:
-		return nil, fmt.Errorf("volume: %s has unsupported version %d", path, v)
-	}
 }

@@ -86,15 +86,7 @@ func TestFileV2RegionFill(t *testing.T) {
 	defer ps.Close()
 	r := rand.New(rand.NewSource(97))
 	for trial := 0; trial < 50; trial++ {
-		var reg Region
-		for a, n := range [3]int{d.X, d.Y, d.Z} {
-			reg.Org[a] = r.Intn(n)
-		}
-		reg.Ext = Dims{
-			X: 1 + r.Intn(d.X-reg.Org[0]),
-			Y: 1 + r.Intn(d.Y-reg.Org[1]),
-			Z: 1 + r.Intn(d.Z-reg.Org[2]),
-		}
+		reg := randomRegion(r, d)
 		dst := make([]float32, reg.Ext.Voxels())
 		if err := ps.Fill(reg, dst); err != nil {
 			t.Fatal(err)
@@ -126,15 +118,7 @@ func TestFileV2RegionRangeBounds(t *testing.T) {
 	defer ps.Close()
 	r := rand.New(rand.NewSource(103))
 	for trial := 0; trial < 50; trial++ {
-		var reg Region
-		for a, n := range [3]int{d.X, d.Y, d.Z} {
-			reg.Org[a] = r.Intn(n)
-		}
-		reg.Ext = Dims{
-			X: 1 + r.Intn(d.X-reg.Org[0]),
-			Y: 1 + r.Intn(d.Y-reg.Org[1]),
-			Z: 1 + r.Intn(d.Z-reg.Org[2]),
-		}
+		reg := randomRegion(r, d)
 		lo, hi, ok := ps.RegionRange(reg)
 		if !ok {
 			t.Fatalf("trial %d: no range for %+v", trial, reg)
@@ -219,13 +203,14 @@ func TestFileV2PagingEvictsAndReloads(t *testing.T) {
 
 func TestStageBrickSkipUsesDirectoryMinMax(t *testing.T) {
 	// A field with a known structure: left half zero, right half ~1, so
-	// brick ranges separate cleanly at a 0.5 threshold.
+	// brick ranges separate cleanly at a 0.5 threshold. The right half
+	// varies, so its file bricks are dense: paged, not directory constants.
 	d := Dims{16, 8, 8}
 	v := New(d)
 	for z := 0; z < d.Z; z++ {
 		for y := 0; y < d.Y; y++ {
 			for x := 8; x < d.X; x++ {
-				v.Set(x, y, z, 1)
+				v.Set(x, y, z, 1+float32(x+y+z)/64)
 			}
 		}
 	}
@@ -306,8 +291,18 @@ func TestStageBrickSkipUsesDirectoryMinMax(t *testing.T) {
 }
 
 func TestOpenFileV2RejectsHostileHeaders(t *testing.T) {
+	// Eight raw 4³ bricks: 0–6 dense, 7 constant.
 	d := Dims{8, 8, 8}
-	path, _ := writeV2(t, 109, d, V2Options{BrickEdge: 4})
+	v := randomVolume(rand.New(rand.NewSource(109)), d)
+	for i := range v.Data {
+		if x, y, z := i%8, i/8%8, i/64; x >= 4 && y >= 4 && z >= 4 {
+			v.Data[i] = 0.5
+		}
+	}
+	path := filepath.Join(t.TempDir(), "vol.gvmr")
+	if err := WriteFileV2(path, NewVolumeSource(v, "t"), V2Options{BrickEdge: 4}); err != nil {
+		t.Fatal(err)
+	}
 	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -331,6 +326,16 @@ func TestOpenFileV2RejectsHostileHeaders(t *testing.T) {
 	put64 := func(b []byte, off int, v uint64) []byte {
 		binary.LittleEndian.PutUint64(b[off:], v)
 		return b
+	}
+	constant := v2FixedHeaderSize + 7*v2DirEntrySize
+	h, _, err := decodeV2Header(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range h.dir {
+		if e.constant() != (i == 7) {
+			t.Fatalf("fixture brick %d: constant = %v", i, e.constant())
+		}
 	}
 	cases := map[string]func(b []byte) []byte{
 		"bad-magic":      func(b []byte) []byte { b[0] = 'X'; return b },
@@ -356,6 +361,19 @@ func TestOpenFileV2RejectsHostileHeaders(t *testing.T) {
 		"nan-range": func(b []byte) []byte {
 			return put32(b, v2FixedHeaderSize+16, 0x7FC00000)
 		},
+		"constant-bits-differ": func(b []byte) []byte {
+			return put32(b, constant+20, floatBits(0.5)+1)
+		},
+		"constant-with-offset": func(b []byte) []byte {
+			return put64(b, constant, uint64(v2FixedHeaderSize+8*v2DirEntrySize))
+		},
+		"constant-nan": func(b []byte) []byte {
+			put32(b, constant+16, 0x7FC00000)
+			return put32(b, constant+20, 0x7FC00000)
+		},
+		"dense-stored-zero": func(b []byte) []byte {
+			return put64(b, v2FixedHeaderSize+8, 0)
+		},
 		"truncated-fixed":   func(b []byte) []byte { return b[:20] },
 		"truncated-dir":     func(b []byte) []byte { return b[:v2FixedHeaderSize+5] },
 		"truncated-payload": func(b []byte) []byte { return b[:len(b)-3] },
@@ -368,54 +386,5 @@ func TestOpenFileV2RejectsHostileHeaders(t *testing.T) {
 	// Control: the unmutated bytes still open.
 	if err := openMutated("control", func(b []byte) []byte { return b }); err != nil {
 		t.Errorf("control copy rejected: %v", err)
-	}
-}
-
-func TestOpenVolumeAutoDetectsVersion(t *testing.T) {
-	dir := t.TempDir()
-	r := rand.New(rand.NewSource(113))
-	v := randomVolume(r, Dims{6, 6, 6})
-	p1 := filepath.Join(dir, "v1.gvmr")
-	p2 := filepath.Join(dir, "v2.gvmr")
-	if err := WriteFile(p1, NewVolumeSource(v, "t")); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFileV2(p2, NewVolumeSource(v, "t"), V2Options{BrickEdge: 4}); err != nil {
-		t.Fatal(err)
-	}
-	for path, want := range map[string]string{p1: "*volume.FileSource", p2: "*volume.PagedSource"} {
-		vf, err := OpenVolume(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Materialize(vf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range v.Data {
-			if got.Data[i] != v.Data[i] {
-				t.Fatalf("%s: sample %d mismatch", path, i)
-			}
-		}
-		switch vf.(type) {
-		case *FileSource:
-			if want != "*volume.FileSource" {
-				t.Errorf("%s opened as FileSource, want %s", path, want)
-			}
-		case *PagedSource:
-			if want != "*volume.PagedSource" {
-				t.Errorf("%s opened as PagedSource, want %s", path, want)
-			}
-		}
-		if err := vf.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bad := filepath.Join(dir, "bad.gvmr")
-	if err := os.WriteFile(bad, []byte("GARBAGEGARBAGE"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenVolume(bad); err == nil || !strings.Contains(err.Error(), "not a GVMR") {
-		t.Errorf("garbage OpenVolume error = %v", err)
 	}
 }

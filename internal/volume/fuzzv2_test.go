@@ -17,10 +17,16 @@ import (
 // round trip is a fixed point (so what the pager acts on is exactly what
 // is on disk, no normalisation ambiguity).
 func FuzzVolumeFileV2(f *testing.F) {
-	// A real header from the writer, plus structured near-misses.
+	// A real header from the writer — brick 0 constant, the rest dense —
+	// plus structured near-misses.
 	dir := f.TempDir()
 	path := filepath.Join(dir, "seed.gvmr")
 	v := randomVolume(rand.New(rand.NewSource(127)), Dims{9, 7, 5})
+	for i := range v.Data {
+		if x, y, z := i%9, i/9%7, i/63; x < 3 && y < 3 && z < 2 {
+			v.Data[i] = -1
+		}
+	}
 	if err := WriteFileV2(path, NewVolumeSource(v, "t"), V2Options{BrickEdge: 4, Compress: true}); err != nil {
 		f.Fatal(err)
 	}
@@ -32,7 +38,9 @@ func FuzzVolumeFileV2(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	_ = hdr
+	if !hdr.dir[0].constant() || hdr.dir[1].constant() {
+		f.Fatal("seed volume: want brick 0 constant and brick 1 dense")
+	}
 	f.Add(good[:consumed])
 	f.Add(good[:v2FixedHeaderSize])
 	f.Add([]byte("GVMR"))

@@ -2,6 +2,7 @@ package volume_test
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -143,5 +144,101 @@ func TestPagedRenderSameDigestHoweverPlanned(t *testing.T) {
 	atRest("after a failed job")
 	if got, err := render(planner); err != nil || got != want {
 		t.Fatalf("frame after a failed job: digest %s, %v; want %s", got, err, want)
+	}
+}
+
+// TestPagedRenderSurvivesFileSwap rewrites the file under an open pager
+// mid-orbit with another dataset of the same dims, raw, so the new dense
+// payloads could sit where the old ones did. Every frame the open pager
+// renders — through a cache too small to keep what it read — is the
+// first volume's, and a fresh open renders the second's.
+func TestPagedRenderSurvivesFileSwap(t *testing.T) {
+	first, err := dataset.New(dataset.Skull, volume.Cube(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := dataset.New(dataset.Supernova, volume.Cube(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(s volume.Source, deg float64) string {
+		t.Helper()
+		cam, err := core.OrbitCamera(s, 48, 48, deg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := core.RenderOn(cluster.AC(2), core.Options{
+			Source: s, TF: transfer.SkullPreset(), Camera: cam,
+			Width: 48, Height: 48, GPUs: 2, BricksPerGPU: 4,
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Image.Digest()
+	}
+	path := filepath.Join(t.TempDir(), "swap.gvmr")
+	opts := volume.V2Options{BrickEdge: 8}
+	if err := volume.WriteFileV2(path, first, opts); err != nil {
+		t.Fatal(err)
+	}
+	ps, err := volume.OpenFileV2(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	ps.SetCache(volume.NewStagingCache(2 * volume.Cube(8).Bytes()))
+	for frame, deg := range []float64{0, 60, 120, 180} {
+		if frame == 1 {
+			if err := volume.WriteFileV2(path, second, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := render(ps, deg), render(first, deg); got != want {
+			t.Errorf("frame %d at %v°: digest %s, want the first volume's %s", frame, deg, got, want)
+		}
+	}
+	fresh, err := volume.OpenFileV2(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if got, want := render(fresh, 0), render(second, 0); got != want {
+		t.Errorf("fresh open: digest %s, want the second volume's %s", got, want)
+	}
+}
+
+// TestSkullFileReadsDenseBricksOnly writes the orbit-paged benchmark's
+// file — skull 144³ in 512 bricks of 18³ — raw. The writer records its
+// 245 one-value bricks in the directory, so the file holds the 267 dense
+// cores alone (6 240 912 bytes, not 11 956 272), and a fresh pager's
+// first whole-volume Fill reads exactly those 267.
+func TestSkullFileReadsDenseBricksOnly(t *testing.T) {
+	src, err := dataset.New(dataset.Skull, volume.Cube(144))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "skull144.gvmr")
+	if err := volume.WriteFileV2(path, volume.Cached(src), volume.V2Options{BrickEdge: 18}); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != 6240912 {
+		t.Errorf("file is %d bytes, want 6240912", fi.Size())
+	}
+	ps, err := volume.OpenFileV2(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	ps.SetCache(nil)
+	whole := volume.Region{Ext: ps.Dims()}
+	if err := ps.Fill(whole, make([]float32, whole.Ext.Voxels())); err != nil {
+		t.Fatal(err)
+	}
+	if st := ps.Stats(); st.Bricks != 512 || st.BrickReads != 267 || st.ConstantFills != 245 {
+		t.Errorf("whole fill of a fresh pager: %+v, want 267 of 512 bricks read and 245 constant fills", st)
 	}
 }

@@ -114,11 +114,13 @@ func constantBrickVolume(bits uint32) *Volume {
 	return v
 }
 
-// TestConstantPagesFillSameBits: a Fill served from remembered constants
-// writes the bits a decoding Fill writes — for +0, -0, a NaN pattern and
-// an ordinary value, flate and raw — with no read, no cache entry and no
-// budget; and a brick mixing +0 with -0, whose directory says lo == hi,
-// is not taken for a constant.
+// TestConstantPagesFillSameBits: a Fill served from directory constants
+// writes the bits a decoding Fill would — for +0, -0 and an ordinary
+// value, flate and raw — with no read, no cache entry and no budget.
+// The writer compares bits, not values: the brick mixing +0 with -0,
+// whose directory says lo == hi, is stored dense. A file whose dense
+// payloads a foreign writer filled with one NaN pattern pages as dense,
+// with the same bits.
 func TestConstantPagesFillSameBits(t *testing.T) {
 	const nanBits = 0x7fc12345
 	for _, bits := range []uint32{0, 1 << 31, nanBits, math.Float32bits(3.25)} {
@@ -129,12 +131,18 @@ func TestConstantPagesFillSameBits(t *testing.T) {
 			t.Run(fmt.Sprintf("%#x/flate=%v", bits, compress), func(t *testing.T) {
 				v := constantBrickVolume(bits)
 				path := t.TempDir() + "/c.gvmr"
-				src := v
+				src, constants := v, 6
 				if bits == nanBits {
-					// WriteFileV2 would record NaN as a brick's min and max, which
-					// no reader accepts: write zeros and swap the payloads' bits in
-					// afterwards — a file a foreign writer could produce.
-					src = constantBrickVolume(0)
+					// WriteFileV2 refuses NaN: write noise in its place and swap
+					// the payloads' bits afterwards.
+					src, constants = New(v.Dims), 0
+					r := rand.New(rand.NewSource(7))
+					for i, s := range v.Data {
+						if s != s {
+							s = r.Float32()
+						}
+						src.Data[i] = s
+					}
 				}
 				if err := WriteFileV2(path, NewVolumeSource(src, "c"), V2Options{BrickEdge: 4, Compress: compress}); err != nil {
 					t.Fatal(err)
@@ -164,41 +172,39 @@ func TestConstantPagesFillSameBits(t *testing.T) {
 
 				cache := NewStagingCache(1 << 20)
 				ps, ff := openFaulty(t, path, cache)
-				whole := Region{Ext: v.Dims}
-				decoded := fillBits(t, ps, whole)
-				st := ps.Stats()
-				if st.BrickReads != 8 {
-					t.Fatalf("first fill decoded %d bricks, want 8", st.BrickReads)
-				}
-				reads := ff.reads.Load()
-				memo := fillBits(t, ps, whole)
-				if !reflect.DeepEqual(decoded, want) || !reflect.DeepEqual(memo, want) {
-					t.Fatal("fill bits differ from the source volume's")
-				}
-				if n := ff.reads.Load() - reads; n != 0 {
-					t.Errorf("second fill made %d ReadAt calls, want 0", n)
-				}
-				if got := ps.Stats().ConstantFills - st.ConstantFills; got != 6 {
-					t.Errorf("second fill served %d pages from constants, want 6", got)
-				}
-				for i, s := range ps.state {
-					if constant := s&pageConstant != 0; constant != (i >= 1 && i <= 6) {
-						t.Errorf("brick %d constant = %v", i, constant)
+				for i, e := range ps.hdr.dir {
+					if e.constant() != (constants > 0 && i >= 1 && i <= 6) {
+						t.Errorf("brick %d constant = %v", i, e.constant())
 					}
 				}
 				if e := ps.hdr.dir[7]; e.lo != e.hi {
 					t.Fatalf("the ±0 brick's directory range is [%v, %v]: the test no longer tests lo == hi", e.lo, e.hi)
 				}
-				// Only the two dense pages hold budget.
-				if cs := cache.Stats(); cs.BytesInUse != 2*Cube(4).Bytes() {
-					t.Errorf("cache holds %d bytes, want two pages (%d)", cs.BytesInUse, 2*Cube(4).Bytes())
+				whole := Region{Ext: v.Dims}
+				dense := int64(8 - constants)
+				first := fillBits(t, ps, whole)
+				st := ps.Stats()
+				if st.BrickReads != dense || ff.reads.Load() != dense {
+					t.Errorf("first fill decoded %d bricks in %d ReadAt calls, want %d", st.BrickReads, ff.reads.Load(), dense)
+				}
+				second := fillBits(t, ps, whole)
+				if !reflect.DeepEqual(first, want) || !reflect.DeepEqual(second, want) {
+					t.Fatal("fill bits differ from the source volume's")
+				}
+				if n := ff.reads.Load() - dense; n != 0 {
+					t.Errorf("second fill made %d ReadAt calls, want 0", n)
+				}
+				if got := ps.Stats().ConstantFills; got != 2*int64(constants) {
+					t.Errorf("two fills served %d pages from constants, want %d", got, 2*constants)
+				}
+				// Only the dense pages hold budget.
+				if cs := cache.Stats(); cs.BytesInUse != dense*Cube(4).Bytes() {
+					t.Errorf("cache holds %d bytes, want %d pages (%d)", cs.BytesInUse, dense, dense*Cube(4).Bytes())
 				}
 				// A sub-region crossing constant and dense bricks, uncached.
 				ps.SetCache(nil)
 				r := Region{Org: [3]int{2, 1, 3}, Ext: Dims{5, 6, 4}}
-				got := fillBits(t, ps, r)
-				ref := fillBits(t, NewVolumeSource(v, "c"), r)
-				if !reflect.DeepEqual(got, ref) {
+				if !reflect.DeepEqual(fillBits(t, ps, r), fillBits(t, NewVolumeSource(v, "c"), r)) {
 					t.Error("uncached sub-region fill differs")
 				}
 			})
@@ -206,23 +212,14 @@ func TestConstantPagesFillSameBits(t *testing.T) {
 	}
 }
 
-// TestPagerDiskFaults: a failed page read — an I/O error, a short read,
-// a corrupt flate stream, a stream inflating to less or more than the
-// core size — is an error that names the brick and wraps its cause; the page
-// is not retained, the brick is not recorded constant, and the pooled
-// scratch serves the next good read of the same brick with the right
-// bits.
+// TestPagerDiskFaults: a failed read of a dense page — an I/O error, a
+// short read, a corrupt flate stream, a stream inflating to less or more
+// than the core size — is an error that names the brick and wraps its
+// cause; the page is not retained, the brick is not marked loaded, and
+// the pooled scratch serves the next good read of the same brick with
+// the right bits.
 func TestPagerDiskFaults(t *testing.T) {
-	// Brick 1 is constant (the value 2), so "not recorded constant after a
-	// failure" has a brick to fail on; the others are dense.
-	v := randomVolume(rand.New(rand.NewSource(11)), Dims{8, 4, 4})
-	for z := 0; z < 4; z++ {
-		for y := 0; y < 4; y++ {
-			for x := 4; x < 8; x++ {
-				v.Set(x, y, z, 2)
-			}
-		}
-	}
+	v := randomVolume(rand.New(rand.NewSource(11)), Dims{8, 4, 4}) // two dense bricks
 	ref := NewVolumeSource(v, "faults")
 	whole := Region{Ext: v.Dims}
 	boom := errors.New("injected I/O error")
@@ -266,8 +263,8 @@ func TestPagerDiskFaults(t *testing.T) {
 				if want := fmt.Sprintf("brick %d of %s", brick, path); !strings.Contains(err.Error(), want) {
 					t.Errorf("error %q does not name %q", err, want)
 				}
-				if ps.state[brick] != 0 {
-					t.Errorf("failed brick has state %#x, want none", ps.state[brick])
+				if ps.loaded[brick].Load() {
+					t.Error("failed brick is marked loaded")
 				}
 				for _, e := range cache.Entries() {
 					if e.Key == ps.pages[brick] {
@@ -277,9 +274,6 @@ func TestPagerDiskFaults(t *testing.T) {
 				ff.fault = nil
 				if !reflect.DeepEqual(fillBits(t, ps, whole), fillBits(t, ref, whole)) {
 					t.Error("good read after the fault returned wrong bits")
-				}
-				if brick == 1 && ps.state[1]&pageConstant == 0 {
-					t.Error("constant brick not recognised by the good read")
 				}
 			})
 		}
@@ -312,8 +306,8 @@ func TestPagerDiskFaults(t *testing.T) {
 			if !errors.Is(err, errPayloadSize) || !strings.Contains(err.Error(), "brick 1 of "+path) {
 				t.Fatalf("got %v, want the payload-size error naming brick 1", err)
 			}
-			if ps.state[1] != 0 {
-				t.Errorf("failed brick has state %#x", ps.state[1])
+			if ps.loaded[1].Load() {
+				t.Error("failed brick is marked loaded")
 			}
 			ps.Close()
 			rewriteV2(t, path, func(*v2Header, []byte) []byte { return good })
@@ -510,7 +504,7 @@ func TestKeptMacrocellsMatchFreshBuild(t *testing.T) {
 
 // pageReadFixture writes a 72³ analytic blob — dense inside a ball,
 // exactly zero outside — as flate 18³ bricks, and returns the pager with
-// a dense and a constant brick.
+// a dense brick and a directory constant.
 func pageReadFixture(tb testing.TB) (ps *PagedSource, ff *faultFile, dense, constant int) {
 	tb.Helper()
 	src := NewFuncSource("blob", Cube(72), func(x, y, z float64) float32 {
@@ -522,12 +516,16 @@ func pageReadFixture(tb testing.TB) (ps *PagedSource, ff *faultFile, dense, cons
 		tb.Fatal(err)
 	}
 	ps, ff = openFaulty(tb, path, NewStagingCache(1<<20))
-	return ps, ff, (1*4+1)*4 + 1, 0 // a centre brick, a corner brick
+	dense, constant = (1*4+1)*4+1, 0 // a centre brick, a corner brick
+	if ps.hdr.dir[dense].constant() || !ps.hdr.dir[constant].constant() {
+		tb.Fatal("fixture: want a dense centre brick and a constant corner")
+	}
+	return ps, ff, dense, constant
 }
 
 // BenchmarkPageRead is one file-brick page-in: /dense reads, inflates and
 // decodes an 18³ flate brick (-benchmem: the page itself should be the
-// only allocation), /constant is a page use served from a remembered
+// only allocation), /constant is a page use served from a directory
 // constant (reads/op must be 0).
 func BenchmarkPageRead(b *testing.B) {
 	ps, ff, dense, constant := pageReadFixture(b)
@@ -540,9 +538,6 @@ func BenchmarkPageRead(b *testing.B) {
 		}
 	})
 	b.Run("constant", func(b *testing.B) {
-		if _, _, err := ps.page(constant); err != nil { // first decode
-			b.Fatal(err)
-		}
 		reads := ff.reads.Load()
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -589,9 +584,6 @@ func TestPageReadAllocs(t *testing.T) {
 	})
 	if n := testing.AllocsPerRun(50, read); n > stdlib+1 {
 		t.Errorf("%v allocs per warm dense page read, want the page + compress/flate's own %v", n, stdlib)
-	}
-	if _, _, err := ps.page(constant); err != nil {
-		t.Fatal(err)
 	}
 	reads := ff.reads.Load()
 	if n := testing.AllocsPerRun(50, func() {
