@@ -7,6 +7,7 @@ package gvmr_test
 import (
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"gvmr/internal/camera"
@@ -247,8 +248,11 @@ func BenchmarkDirectFrame(b *testing.B) {
 // quarter of the dense volume, 16 render bricks → 112²; bench/workloads.go)
 // through core.RenderOn, stepping the orbit 9° per iteration. reads/frame
 // is the pager's decoded file bricks (at most one each is the design:
-// DESIGN.md §14 "Pager wins"), allocs/op rides -benchmem; above 700 000
-// fetches a frame (0.99 M before homogeneous cells) the benchmark fails.
+// DESIGN.md §14 "Pager wins"), allocs/op rides -benchmem. The benchmark
+// fails above 700 000 fetches a frame (0.99 M before homogeneous cells),
+// 266 reads (272–274 while a finished plan re-demoted its spent pages) or
+// 10 MB allocated (22.1 MB before ghost buffers were recycled and pages
+// inflated in place).
 func BenchmarkPagedFrame(b *testing.B) {
 	src, err := dataset.New(dataset.Skull, volume.Cube(144))
 	if err != nil {
@@ -283,14 +287,25 @@ func BenchmarkPagedFrame(b *testing.B) {
 	}
 	frame(0) // first decode of every brick: constants learnt, macrocells built
 	reads0 := ps.Stats().BrickReads
+	var mem0, mem1 runtime.MemStats
+	runtime.ReadMemStats(&mem0)
 	var work frameWork
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		work.add(frame(i + 1))
 	}
-	b.ReportMetric(float64(ps.Stats().BrickReads-reads0)/float64(b.N), "reads/frame")
+	b.StopTimer()
+	runtime.ReadMemStats(&mem1)
+	reads := float64(ps.Stats().BrickReads-reads0) / float64(b.N)
+	b.ReportMetric(reads, "reads/frame")
 	work.report(b, 700_000)
+	if reads > 266 {
+		b.Fatalf("%.1f file bricks read per frame, want at most 266", reads)
+	}
+	if per := (mem1.TotalAlloc - mem0.TotalAlloc) / uint64(b.N); per > 10_000_000 {
+		b.Fatalf("%d bytes allocated per frame, want at most 10 MB", per)
+	}
 }
 
 // BenchmarkHostCountingSort measures the θ(n) counting sort on a

@@ -65,7 +65,8 @@ func (m *rayCastMapper) tfEmpty() func(lo, hi float32) bool {
 }
 
 // Map implements mapreduce.Mapper: per brick of the unit, upload, run the
-// kernel, read back, and emit every thread's fragment list. A thread
+// kernel, read back, and emit every thread's fragment list, then free the
+// texture and release the staged buffer for the next brick's stage. A thread
 // whose list is empty (padding, miss, zero opacity) emits one key -1
 // placeholder pair — the §3.1.1 "later-discarded place holders" — so the
 // engine's emitted/discarded statistics stay comparable to the classic
@@ -80,6 +81,7 @@ func (m *rayCastMapper) Map(p mapreduce.Ctx, w *mapreduce.Worker, c mapreduce.Ch
 		k := render.NewKernel(m.cam, m.grid.Space, tex, m.prm)
 		if k == nil {
 			tex.Free()
+			bd.Release()
 			continue // brick off screen: nothing to do
 		}
 		k.Sampler = m.sampler
@@ -98,6 +100,7 @@ func (m *rayCastMapper) Map(p mapreduce.Ctx, w *mapreduce.Worker, c mapreduce.Ch
 			}
 		})
 		tex.Free()
+		bd.Release()
 	}
 	return nil
 }

@@ -149,7 +149,7 @@ func factorScore(d Dims, c [3]int) float64 {
 // volume, the staging cache's zero-copy path); both sample identically.
 type BrickData struct {
 	Brick Brick
-	Data  []float32 // ghost region, x-fastest; nil when view-backed
+	Data  []float32 // ghost region, x-fastest; nil when view-backed or released
 	// View backing: the whole volume's data, indexed through the ghost
 	// region. Sampling arithmetic is bit-identical to the copied layout.
 	full     []float32
@@ -263,13 +263,68 @@ type macrocellKeeper interface {
 	keptMacrocells(ghost Region, build func() *Macrocells) *Macrocells
 }
 
-// FillBrick materialises a brick's ghost region from a source. The
-// brick-private macrocell summary (one extra pass over the ghost data,
-// far cheaper than producing it) is built lazily by Cells(), so renders
-// that never skip never pay for it.
+// ghostFree is the free list of copy-backed bricks' ghost buffers, keyed
+// by length: Release puts, FillBrick takes. Fill overwrites every element
+// (the Source contract), so a buffer is handed out as it came back. Its
+// bound holds a paged frame's whole set of copy-backed bricks
+// (orbit-paged's sixteen are ~13 MB) with room to spare.
+var ghostFree = freeList{max: 32 << 20, bufs: map[int][][]float32{}}
+
+type freeList struct {
+	max   int64 // bytes kept at most
+	mu    sync.Mutex
+	bufs  map[int][][]float32
+	bytes int64
+}
+
+// get returns a buffer of n elements, recycled if one is free.
+func (l *freeList) get(n int) []float32 {
+	l.mu.Lock()
+	if free := l.bufs[n]; len(free) > 0 {
+		buf := free[len(free)-1]
+		free[len(free)-1] = nil // a taken buffer lives as long as its brick, no longer
+		l.bufs[n] = free[:len(free)-1]
+		l.bytes -= int64(n) * 4
+		l.mu.Unlock()
+		return buf
+	}
+	l.mu.Unlock()
+	return make([]float32, n)
+}
+
+// put keeps buf for a later get. Past the bound, buffers of other lengths
+// go first — a render of another shape has taken over — and then buf.
+func (l *freeList) put(buf []float32) {
+	n := int64(len(buf)) * 4
+	if n > l.max {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for k, free := range l.bufs {
+		if l.bytes+n <= l.max {
+			break
+		}
+		if k != len(buf) {
+			l.bytes -= int64(k) * 4 * int64(len(free))
+			delete(l.bufs, k)
+		}
+	}
+	if l.bytes+n <= l.max {
+		l.bufs[len(buf)] = append(l.bufs[len(buf)], buf)
+		l.bytes += n
+	}
+}
+
+// FillBrick materialises a brick's ghost region from a source into a
+// buffer from the free list Release fills. The brick-private macrocell
+// summary (one extra pass over the ghost data, far cheaper than producing
+// it) is built lazily by Cells(), so renders that never skip never pay
+// for it.
 func FillBrick(src Source, b Brick) (*BrickData, error) {
-	bd := &BrickData{Brick: b, Data: make([]float32, b.Ghost.Ext.Voxels())}
+	bd := &BrickData{Brick: b, Data: ghostFree.get(int(b.Ghost.Ext.Voxels()))}
 	if err := src.Fill(b.Ghost, bd.Data); err != nil {
+		ghostFree.put(bd.Data)
 		return nil, err
 	}
 	build := func() *Macrocells { return BuildMacrocells(bd.Data, b.Ghost.Ext, b.Ghost.Org) }
@@ -279,6 +334,19 @@ func FillBrick(src Source, b Brick) (*BrickData, error) {
 	}
 	bd.smp = bd.newSampler()
 	return bd, nil
+}
+
+// Release returns a copy-backed brick's ghost buffer to the free list
+// FillBrick draws from; the renderer calls it once the brick's texture is
+// freed. The brick must not be sampled afterwards: its sampler is gone
+// with the buffer. View-backed and payload-free bricks hold no buffer, and
+// a second Release finds none.
+func (bd *BrickData) Release() {
+	if bd.Data == nil {
+		return
+	}
+	ghostFree.put(bd.Data)
+	bd.Data, bd.smp = nil, nil
 }
 
 // ViewBrick returns a BrickData that samples the brick's ghost region

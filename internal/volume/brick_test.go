@@ -171,3 +171,62 @@ func TestBrickWorldBoundsTile(t *testing.T) {
 		t.Errorf("brick bounds union %v != volume bounds %v", union, want)
 	}
 }
+
+// TestReleaseRecyclesGhostBuffers: a released copy-backed brick's buffer
+// is the next same-shaped FillBrick's, holding that brick's bits; a view,
+// an empty brick and a second Release return nothing. Past its bound the
+// list makes way for a new length by dropping the others, and drops a
+// buffer that would not fit alone.
+func TestReleaseRecyclesGhostBuffers(t *testing.T) {
+	v := randomVolume(rand.New(rand.NewSource(3)), Dims{8, 8, 7})
+	src := NewVolumeSource(v, "r")
+	g, err := MakeGrid(v.Dims, [3]int{2, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := FillBrick(src, g.Bricks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := &first.Data[0]
+	first.Release()
+	first.Release()
+	ViewBrick(v, g.Bricks[0]).Release()
+	EmptyBrickData(g.Bricks[0], 0, 0).Release()
+	if first.Data != nil {
+		t.Fatal("a released brick still holds its buffer")
+	}
+	again, err := FillBrick(src, g.Bricks[1]) // the same ghost extent, mirrored
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &again.Data[0] != buf {
+		t.Error("FillBrick of the same shape did not take the released buffer")
+	}
+	for i := range again.Data {
+		r := g.Bricks[1].Ghost
+		x, y, z := i%r.Ext.X, i/r.Ext.X%r.Ext.Y, i/(r.Ext.X*r.Ext.Y)
+		if again.Data[i] != v.At(r.Org[0]+x, r.Org[1]+y, r.Org[2]+z) {
+			t.Fatalf("voxel %d of the recycled brick is not the source's", i)
+		}
+	}
+
+	l := freeList{max: 64, bufs: map[int][][]float32{}}
+	for i := 0; i < 5; i++ {
+		l.put(make([]float32, 4)) // the fifth is past the bound
+	}
+	if l.bytes != 64 || len(l.bufs[4]) != 4 {
+		t.Fatalf("after five puts of 16 bytes: %d bytes, %d buffers", l.bytes, len(l.bufs[4]))
+	}
+	l.put(make([]float32, 8))
+	if l.bytes != 32 || len(l.bufs) != 1 || len(l.bufs[8]) != 1 {
+		t.Fatalf("a new length did not displace the old: %d bytes, %d lengths", l.bytes, len(l.bufs))
+	}
+	l.put(make([]float32, 17))
+	if l.bytes != 32 || len(l.bufs) != 1 {
+		t.Fatalf("a buffer larger than the bound was kept: %d bytes", l.bytes)
+	}
+	if got := l.get(8); len(got) != 8 || l.bytes != 0 {
+		t.Fatalf("get: %d elements, %d bytes left", len(got), l.bytes)
+	}
+}

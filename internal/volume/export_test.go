@@ -11,3 +11,10 @@ func PlannedUses(s *PagedSource) (uses, plans int) {
 	}
 	return uses, len(s.plans)
 }
+
+// FreeGhostBytes returns the bytes of ghost buffers on the free list.
+func FreeGhostBytes() int64 {
+	ghostFree.mu.Lock()
+	defer ghostFree.mu.Unlock()
+	return ghostFree.bytes
+}

@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"gvmr/internal/flatepool"
 )
@@ -634,34 +635,38 @@ func (s *PagedSource) RegionRange(r Region) (lo, hi float32, ok bool) {
 
 // readPage reads and decodes dense brick i's payload into a fresh slice of
 // core voxels: the only disk path; its scratch is pooled, the page is its
-// one allocation.
+// one allocation. The payload is read or inflated straight into the page's
+// own bytes, which on a little-endian host then are its voxels.
 func (s *PagedSource) readPage(i int) ([]float32, error) {
 	e := s.hdr.dir[i]
-	stored := flatepool.GetBuf()
-	defer flatepool.PutBuf(stored)
-	*stored = slices.Grow(*stored, int(e.stored))[:e.stored]
-	if n, err := s.f.ReadAt(*stored, int64(e.off)); n < len(*stored) {
-		// A short ReadAt owes its reason; a faulty reader may forget it.
-		return nil, fmt.Errorf("volume: reading brick %d of %s: %w", i, s.path, cmp.Or(err, io.ErrUnexpectedEOF))
-	}
-	enc := []byte(*stored)
 	size := int(s.pages[i].dims.Bytes())
+	// One spare float of capacity: the inflate's one-byte probe past the
+	// core size must fit in the page.
+	data := make([]float32, size/4, size/4+1)
+	raw := flatepool.Buf(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(data))), cap(data)*4))
 	if s.hdr.compressed() {
-		raw := flatepool.GetBuf()
-		defer flatepool.PutBuf(raw)
+		stored := flatepool.GetBuf()
+		defer flatepool.PutBuf(stored)
+		*stored = slices.Grow((*stored)[:0], int(e.stored))[:e.stored]
+		if err := s.readPayload(i, *stored); err != nil {
+			return nil, err
+		}
 		// One byte past the core size: the stream must end exactly there.
-		err := flatepool.Inflate(raw, enc, int64(size)+1)
-		if err == nil && len(*raw) != size {
+		err := flatepool.Inflate(&raw, *stored, int64(size)+1)
+		if err == nil && len(raw) != size {
 			err = errPayloadSize
 		}
 		if err != nil {
 			return nil, fmt.Errorf("volume: decompressing brick %d of %s: %w", i, s.path, err)
 		}
-		enc = *raw
+	} else if err := s.readPayload(i, raw[:size]); err != nil {
+		return nil, err
 	}
-	data := make([]float32, size/4)
-	for j := range data {
-		data[j] = bitsFloat(binary.LittleEndian.Uint32(enc[j*4:]))
+	if !littleEndian {
+		// In place: each voxel reads its own four bytes before writing them.
+		for j := range data {
+			data[j] = bitsFloat(binary.LittleEndian.Uint32(raw[j*4:]))
+		}
 	}
 	s.brickReads.Add(1)
 	s.bytesRead.Add(int64(e.stored))
@@ -669,6 +674,15 @@ func (s *PagedSource) readPage(i int) ([]float32, error) {
 		s.reloads.Add(1)
 	}
 	return data, nil
+}
+
+// readPayload reads brick i's stored payload, len(dst) bytes, into dst.
+func (s *PagedSource) readPayload(i int, dst []byte) error {
+	if n, err := s.f.ReadAt(dst, int64(s.hdr.dir[i].off)); n < len(dst) {
+		// A short ReadAt owes its reason; a faulty reader may forget it.
+		return fmt.Errorf("volume: reading brick %d of %s: %w", i, s.path, cmp.Or(err, io.ErrUnexpectedEOF))
+	}
+	return nil
 }
 
 // page returns brick i's core voxels, out of the staging cache unless its
@@ -722,7 +736,9 @@ func (s *PagedSource) PlanFrame(ghosts []Region) (done func()) {
 		p.left = nil
 		s.mu.Unlock()
 		for g, n := range left {
-			s.eachBrick(g, func(i int) { s.release(i, n) })
+			if n > 0 { // a paid region's pages were demoted in spent order as Fill paid them
+				s.eachBrick(g, func(i int) { s.release(i, n) })
+			}
 		}
 	}
 }

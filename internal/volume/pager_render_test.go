@@ -207,6 +207,57 @@ func TestPagedRenderSurvivesFileSwap(t *testing.T) {
 	}
 }
 
+// TestPagedRendersShareGhostBuffers renders two v2 files of one size —
+// skull and supernova — alternately in one process: each file's
+// copy-backed bricks are staged into ghost buffers the other's frame
+// released, unzeroed. Every frame matches its own volume's in-RAM render,
+// so a voxel left over from the other file fails the test.
+func TestPagedRendersShareGhostBuffers(t *testing.T) {
+	var srcs, paged []volume.Source
+	for _, name := range []string{dataset.Skull, dataset.Supernova} {
+		src, err := dataset.New(name, volume.Cube(32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), name+".gvmr")
+		if err := volume.WriteFileV2(path, src, volume.V2Options{BrickEdge: 8, Compress: true}); err != nil {
+			t.Fatal(err)
+		}
+		ps, err := volume.OpenFileV2(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ps.Close()
+		ps.SetCache(volume.NewStagingCache(8 * volume.Cube(8).Bytes()))
+		srcs, paged = append(srcs, src), append(paged, ps)
+	}
+	render := func(s volume.Source, deg float64) string {
+		t.Helper()
+		cam, err := core.OrbitCamera(s, 48, 48, deg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := core.RenderOn(cluster.AC(2), core.Options{
+			Source: s, TF: transfer.SkullPreset(), Camera: cam,
+			Width: 48, Height: 48, GPUs: 2, BricksPerGPU: 4, Shading: true,
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Image.Digest()
+	}
+	for frame, deg := range []float64{0, 0, 40, 80} {
+		for i := range paged {
+			if got, want := render(paged[i], deg), render(srcs[i], deg); got != want {
+				t.Errorf("frame %d, %s: digest %s, want the in-RAM render's %s", frame, srcs[i].Name(), got, want)
+			}
+		}
+	}
+	if volume.FreeGhostBytes() == 0 {
+		t.Error("no ghost buffer came back to the free list: nothing was reused")
+	}
+}
+
 // TestSkullFileReadsDenseBricksOnly writes the orbit-paged benchmark's
 // file — skull 144³ in 512 bricks of 18³ — raw. The writer records its
 // 245 one-value bricks in the directory, so the file holds the 267 dense

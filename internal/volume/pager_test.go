@@ -377,6 +377,32 @@ func TestPlanFrameEvictsSpentPagesFirst(t *testing.T) {
 	}
 }
 
+// TestPaidPlanDoneKeepsSpentOrder: the Fills of a fully paid plan demote
+// its pages in the order their uses were spent, and done leaves that
+// order alone — it once demoted every page of the plan again, in map
+// order, and the next frame evicted by that order instead.
+func TestPaidPlanDoneKeepsSpentOrder(t *testing.T) {
+	ps, _, regions := planFixture(t, NewStagingCache(1<<20))
+	order := func() []string {
+		var keys []string
+		for _, e := range ps.cache.Entries() {
+			keys = append(keys, e.Key.name)
+		}
+		return keys
+	}
+	for frame := 0; frame < 8; frame++ {
+		done := ps.PlanFrame(regions)
+		for _, r := range regions {
+			fillBits(t, ps, r)
+		}
+		spent := order()
+		done()
+		if got := order(); !reflect.DeepEqual(got, spent) {
+			t.Fatalf("frame %d: done reordered the cache\n from %q\n   to %q", frame, spent, got)
+		}
+	}
+}
+
 // TestPlanFrameCountsDrain: planned counts add across concurrent plans
 // and return to zero however a job ends — every Fill made, some skipped,
 // a Fill failing half way, done called twice, a Fill nobody planned.
@@ -548,6 +574,31 @@ func BenchmarkPageRead(b *testing.B) {
 		}
 		b.ReportMetric(float64(ff.reads.Load()-reads)/float64(b.N), "reads/op")
 	})
+}
+
+// TestReadPageDecodeLoop: the decode loop a big-endian host runs yields
+// the bits the little-endian in-place read does, for flate and raw files.
+func TestReadPageDecodeLoop(t *testing.T) {
+	defer func(le bool) { littleEndian = le }(littleEndian)
+	for _, compress := range []bool{true, false} {
+		path, v := writeV2(t, 31, Dims{9, 8, 7}, V2Options{BrickEdge: 4, Compress: compress})
+		ps, _ := openFaulty(t, path, nil)
+		for i, b := range ps.BrickGrid().Bricks {
+			want := fillBits(t, NewVolumeSource(v, "t"), b.Core)
+			for _, le := range []bool{true, false} {
+				littleEndian = le
+				data, err := ps.readPage(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j, s := range data {
+					if math.Float32bits(s) != want[j] {
+						t.Fatalf("flate=%v little-endian=%v brick %d voxel %d differs", compress, le, i, j)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestPageReadAllocs holds BenchmarkPageRead's two numbers. A warm dense

@@ -16,7 +16,9 @@ type Source interface {
 	// Dims returns the full volume extent.
 	Dims() Dims
 	// Fill writes the field over region r into dst (x-fastest within
-	// r.Ext); len(dst) must be r.Ext.Voxels().
+	// r.Ext); len(dst) must be r.Ext.Voxels(). A successful Fill writes
+	// every element of dst: FillBrick hands it recycled buffers holding an
+	// earlier brick's voxels, unzeroed.
 	Fill(r Region, dst []float32) error
 }
 
