@@ -244,15 +244,16 @@ func BenchmarkDirectFrame(b *testing.B) {
 }
 
 // BenchmarkPagedFrame renders the benchmark's orbit-paged frame (skull
-// 144³ as a flate v2 file of 512 18³ bricks, a private staging cache a
-// quarter of the dense volume, 16 render bricks → 112²; bench/workloads.go)
-// through core.RenderOn, stepping the orbit 9° per iteration. reads/frame
-// is the pager's decoded file bricks (at most one each is the design:
-// DESIGN.md §14 "Pager wins"), allocs/op rides -benchmem. The benchmark
-// fails above 700 000 fetches a frame (0.99 M before homogeneous cells),
-// 266 reads (272–274 while a finished plan re-demoted its spent pages) or
-// 10 MB allocated (22.1 MB before ghost buffers were recycled and pages
-// inflated in place).
+// 144³ as a run-length coded v2 file of 512 18³ bricks, a private staging
+// cache a quarter of the dense volume, 16 render bricks → 112²;
+// bench/workloads.go) through core.RenderOn, stepping the orbit 9° per
+// iteration. reads/frame is the pager's decoded file bricks (at most one
+// each is the design: DESIGN.md §14 "Pager wins"), allocs/op rides
+// -benchmem. The benchmark fails above 700 000 fetches a frame (0.99 M
+// before homogeneous cells), 266 reads (272–274 while a finished plan
+// re-demoted its spent pages), 10 MB allocated (22.1 MB before ghost
+// buffers were recycled and pages decoded in place) or 5 000 allocations
+// (6 914 while pages were flate streams, whose Huffman tables allocate).
 func BenchmarkPagedFrame(b *testing.B) {
 	src, err := dataset.New(dataset.Skull, volume.Cube(144))
 	if err != nil {
@@ -305,6 +306,9 @@ func BenchmarkPagedFrame(b *testing.B) {
 	}
 	if per := (mem1.TotalAlloc - mem0.TotalAlloc) / uint64(b.N); per > 10_000_000 {
 		b.Fatalf("%d bytes allocated per frame, want at most 10 MB", per)
+	}
+	if per := (mem1.Mallocs - mem0.Mallocs) / uint64(b.N); per > 5_000 {
+		b.Fatalf("%d allocations per frame, want at most 5000", per)
 	}
 }
 

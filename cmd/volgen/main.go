@@ -25,7 +25,7 @@ func main() {
 		size     = flag.Int("size", 128, "cube edge (plume becomes (n/2)x(n/2)x2n)")
 		out      = flag.String("o", "", "output .gvmr path (required)")
 		brick    = flag.Int("brick", 0, "brick edge in voxels (0 = default 32)")
-		compress = flag.Bool("compress", false, "flate-compress each brick payload")
+		compress = flag.Bool("compress", false, "compress each brick payload (run-length code of its float32 bit patterns)")
 	)
 	flag.Parse()
 	if *out == "" {

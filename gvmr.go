@@ -237,7 +237,8 @@ func NewCamera(eye, center, up vec.V3, fovY float64, width, height int) (*Camera
 func V3(x, y, z float64) vec.V3 { return vec.New3(x, y, z) }
 
 // VolumeFileOptions configures WriteVolumeFileOpts: the target brick edge
-// (default 32) and optional per-brick flate compression.
+// (default 32) and optional per-brick compression, a run-length code of
+// the voxels' bit patterns that the pager decodes with a copy/fill loop.
 type VolumeFileOptions = volume.V2Options
 
 // VolumeFile is an open .gvmr volume file: a source that demand-pages its

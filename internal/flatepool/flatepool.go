@@ -1,7 +1,7 @@
-// Package flatepool pools compress/flate state for the two places gvmr
-// runs flate once per small payload: the stripe wire (internal/dist) and
-// the v2 volume pager (internal/volume). A flate.Writer is ~1 MB of match
-// tables and a reader a 32 KB window; steady state allocates neither.
+// Package flatepool pools compress/flate state for the one place gvmr
+// runs flate once per small payload: the stripe wire (internal/dist). A
+// flate.Writer is ~1 MB of match tables and a reader a 32 KB window;
+// steady state allocates neither.
 package flatepool
 
 import (

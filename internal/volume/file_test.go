@@ -63,7 +63,7 @@ func randomRegion(r *rand.Rand, d Dims) Region {
 	return reg
 }
 
-// TestFileRoundTrip: a sparse volume written raw and flate reads back
+// TestFileRoundTrip: a sparse volume written raw and run-length coded reads back
 // bit for bit. The directory records as constant exactly the bricks whose
 // cores hold one bit pattern — the ±0 brick stays dense — and the file
 // holds payload bytes for the dense bricks only.
@@ -82,13 +82,13 @@ func TestFileRoundTrip(t *testing.T) {
 		ps.SetCache(nil)
 		whole := Region{Ext: v.Dims}
 		if !reflect.DeepEqual(fillBits(t, ps, whole), fillBits(t, NewVolumeSource(v, "t"), whole)) {
-			t.Fatalf("flate=%v: read-back bits differ", compress)
+			t.Fatalf("compress=%v: read-back bits differ", compress)
 		}
 		size := int64(ps.hdr.headerLen())
 		var dense int64
 		for i, e := range ps.hdr.dir {
 			if e.constant() != constant[i] {
-				t.Errorf("flate=%v brick %d: constant = %v", compress, i, e.constant())
+				t.Errorf("compress=%v brick %d: constant = %v", compress, i, e.constant())
 			}
 			size += int64(e.stored)
 			if !constant[i] {
@@ -100,7 +100,7 @@ func TestFileRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if fi.Size() != size {
-			t.Errorf("flate=%v: file is %d bytes, header + payloads = %d", compress, fi.Size(), size)
+			t.Errorf("compress=%v: file is %d bytes, header + payloads = %d", compress, fi.Size(), size)
 		}
 		if raw := size - int64(ps.hdr.headerLen()); !compress && raw != dense {
 			t.Errorf("raw payloads hold %d bytes, the dense cores %d", raw, dense)

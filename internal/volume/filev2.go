@@ -3,13 +3,13 @@ package volume
 import (
 	"bufio"
 	"cmp"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
@@ -18,8 +18,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
-
-	"gvmr/internal/flatepool"
 )
 
 // The GVMR volume file: bricked, demand-pageable, and sparse by
@@ -30,7 +28,8 @@ import (
 //	offset 4:  uint32 version (2)
 //	offset 8:  3×uint64 volume dims (x, y, z)
 //	offset 32: 3×uint32 brick counts per axis
-//	offset 44: uint32 flags (bit 0: per-brick flate compression)
+//	offset 44: uint32 flags (bit 1: run-length payloads; bit 0, once
+//	           per-brick flate, is refused)
 //	offset 48: brick directory, one 24-byte entry per brick in MakeGrid
 //	           order (x-fastest): uint64 payload offset, uint64 stored
 //	           byte count, float32 min, float32 max of the brick's core.
@@ -40,17 +39,24 @@ import (
 //	offset 48+24N: brick payloads — each dense brick's *core* region
 //	           (cores tile the volume exactly; ghost layers are reassembled
 //	           from neighbouring cores at page time), little-endian float32
-//	           x-fastest, optionally flate-compressed per brick; the file
-//	           ends where the last payload does
+//	           x-fastest, or with bit 1 set run-length coded per brick; the
+//	           file ends where the last payload does
 //
-// All integers are little-endian. The per-brick min/max in the directory
-// is what lets the renderer prove a brick invisible under the active
-// transfer function without reading its payload at all. Version 1, a flat
-// dump, is no longer read.
+// A run-length payload is a sequence of segments, each
+//
+//	uvarint L, L little-endian float32 bit patterns (literals),
+//	uvarint R ≥ 1, one bit pattern repeated R times (a run)
+//
+// and it ends exactly where the core is full. All integers are
+// little-endian. The per-brick min/max in the directory is what lets the
+// renderer prove a brick invisible under the active transfer function
+// without reading its payload at all. Version 1, a flat dump, is no
+// longer read.
 const (
 	fileMagic         = "GVMR"
 	fileVersion2      = uint32(2)
-	v2FlagFlate       = uint32(1)
+	v2FlagFlate       = uint32(1) // retired: refused by name
+	v2FlagRuns        = uint32(2)
 	v2FixedHeaderSize = 4 + 4 + 3*8 + 3*4 + 4
 	v2DirEntrySize    = 8 + 8 + 4 + 4
 )
@@ -67,7 +73,7 @@ const maxV2Bricks = 1 << 20
 // v2Entry is one decoded brick-directory entry.
 type v2Entry struct {
 	off    uint64  // payload offset from start of file
-	stored uint64  // payload byte count as stored (compressed if flate); 0: constant
+	stored uint64  // payload byte count as stored (run-length coded if flagged); 0: constant
 	lo, hi float32 // exact min/max of the brick's core samples
 }
 
@@ -83,7 +89,7 @@ type v2Header struct {
 	dir    []v2Entry
 }
 
-func (h *v2Header) compressed() bool { return h.flags&v2FlagFlate != 0 }
+func (h *v2Header) compressed() bool { return h.flags&v2FlagRuns != 0 }
 
 // headerLen returns the total encoded length: fixed header + directory.
 func (h *v2Header) headerLen() int {
@@ -117,10 +123,83 @@ func coreBytes(e Dims) (int64, bool) {
 	return vox * 4, true
 }
 
-// v2MaxStored bounds the stored size of a flate-compressed payload of raw
-// bytes: flate's worst case is a small per-block overhead on stored
-// (uncompressed) blocks, comfortably under raw/2 + 64 extra.
-func v2MaxStored(raw int64) int64 { return raw + raw/2 + 64 }
+// v2MaxStored is the largest run-length payload the writer produces for a
+// core of raw bytes: one segment of every voxel but the last as literals,
+// then the last as a run of one. appendRuns never exceeds it.
+func v2MaxStored(raw int64) int64 { return raw + int64(uvarintLen(uint64(raw/4-1))) + 1 }
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// errCorruptPayload is wrapped by every run-length payload the decoder
+// refuses.
+var errCorruptPayload = errors.New("corrupt run-length payload")
+
+// appendRuns appends the run-length code of data's bit patterns to dst.
+// A run of equal patterns becomes a segment's run only where that makes
+// the payload shorter than keeping it as literals, so no payload is
+// longer than v2MaxStored of its raw size.
+func appendRuns(dst []byte, data []float32) []byte {
+	start := 0 // data[start:i] are literals not yet written
+	for i := 0; i < len(data); {
+		pat, r := floatBits(data[i]), 1
+		for i+r < len(data) && floatBits(data[i+r]) == pat {
+			r++
+		}
+		end := i + r
+		if 4*r <= uvarintLen(uint64(i-start))+uvarintLen(uint64(r))+4 {
+			if end < len(data) {
+				i = end // cheaper as literals
+				continue
+			}
+			i, r = end-1, 1 // the payload ends with a run: its last voxel
+		}
+		dst = binary.AppendUvarint(dst, uint64(i-start))
+		for _, s := range data[start:i] {
+			dst = binary.LittleEndian.AppendUint32(dst, floatBits(s))
+		}
+		dst = binary.AppendUvarint(dst, uint64(r))
+		dst = binary.LittleEndian.AppendUint32(dst, pat)
+		start, i = end, end
+	}
+	return dst
+}
+
+// decodeRuns decodes a run-length payload into dst, the little-endian
+// bytes of len(dst)/4 voxels: literals are copied in, runs fill. The
+// payload is untrusted; it must fill dst exactly and end there.
+func decodeRuns(dst, src []byte) error {
+	for o := 0; o < len(dst); {
+		left := uint64(len(dst)-o) / 4
+		lits, n := binary.Uvarint(src)
+		if n <= 0 {
+			return fmt.Errorf("%w: truncated literal count at voxel %d", errCorruptPayload, o/4)
+		}
+		src = src[n:]
+		if lits > left || uint64(len(src)) < 4*lits {
+			return fmt.Errorf("%w: %d literals at voxel %d: %d voxels left, %d bytes", errCorruptPayload, lits, o/4, left, len(src))
+		}
+		o += copy(dst[o:], src[:4*lits])
+		src = src[4*lits:]
+		run, n := binary.Uvarint(src)
+		if n <= 0 || len(src) < n+4 {
+			return fmt.Errorf("%w: truncated run at voxel %d", errCorruptPayload, o/4)
+		}
+		if run == 0 || run > left-lits {
+			return fmt.Errorf("%w: run of %d at voxel %d: %d voxels left", errCorruptPayload, run, o/4, left-lits)
+		}
+		seg := dst[o : o+4*int(run)]
+		copy(seg, src[n:n+4])
+		for k := 4; k < len(seg); k *= 2 {
+			copy(seg[k:], seg[:k])
+		}
+		src, o = src[n+4:], o+len(seg)
+	}
+	if len(src) > 0 {
+		return fmt.Errorf("%w: %d bytes left after the core is full", errCorruptPayload, len(src))
+	}
+	return nil
+}
 
 // decodeDims reads and bounds the three uint64 dims at hdr (24 bytes).
 // Header dims are untrusted; anything outside [1, maxFileDim] is hostile
@@ -226,7 +305,10 @@ func decodeV2Fixed(data []byte) (h v2Header, headerLen int, err error) {
 		return h, 0, fmt.Errorf("volume: %d bricks exceeds the limit %d", n, maxV2Bricks)
 	}
 	h.flags = binary.LittleEndian.Uint32(data[44:])
-	if h.flags&^v2FlagFlate != 0 {
+	if h.flags&v2FlagFlate != 0 {
+		return h, 0, errors.New("volume: flate-compressed v2 files are no longer read; rewrite with volgen -compress")
+	}
+	if h.flags&^v2FlagRuns != 0 {
 		return h, 0, fmt.Errorf("volume: unknown v2 flags %#x", h.flags)
 	}
 	return h, v2FixedHeaderSize + int(n)*v2DirEntrySize, nil
@@ -260,7 +342,9 @@ type V2Options struct {
 	// a 128 KiB raw brick, small enough that a tiny staging budget still
 	// holds several, large enough that the directory stays negligible).
 	BrickEdge int
-	// Compress flate-compresses each brick payload independently.
+	// Compress compresses each brick payload independently, with a
+	// run-length code of its voxels' bit patterns: a page-in is a read and
+	// a copy/fill loop, with no entropy decoding.
 	Compress bool
 }
 
@@ -338,7 +422,7 @@ func writeFileV2(f fileWriter, src Source, opts V2Options) error {
 	}
 	h := v2Header{dims: d, counts: counts, dir: make([]v2Entry, grid.NumBricks())}
 	if opts.Compress {
-		h.flags = v2FlagFlate
+		h.flags = v2FlagRuns
 	}
 
 	var maxCore int64
@@ -348,9 +432,7 @@ func writeFileV2(f fileWriter, src Source, opts V2Options) error {
 		}
 	}
 	vox := make([]float32, maxCore)
-	raw := make([]byte, maxCore*4)
-	zbuf := flatepool.GetBuf()
-	defer flatepool.PutBuf(zbuf)
+	buf := make([]byte, 0, v2MaxStored(maxCore*4))
 
 	w := bufio.NewWriterSize(f, 1<<20)
 	if _, err := w.Write(make([]byte, h.headerLen())); err != nil {
@@ -383,13 +465,13 @@ func writeFileV2(f fileWriter, src Source, opts V2Options) error {
 			h.dir[i] = v2Entry{lo: lo, hi: hi}
 			continue
 		}
-		enc := raw[:n*4]
-		for j, s := range data {
-			binary.LittleEndian.PutUint32(enc[j*4:], floatBits(s))
-		}
+		enc := buf[:0]
 		if opts.Compress {
-			flatepool.Deflate(zbuf, enc, flate.DefaultCompression)
-			enc = *zbuf
+			enc = appendRuns(enc, data)
+		} else {
+			for _, s := range data {
+				enc = binary.LittleEndian.AppendUint32(enc, floatBits(s))
+			}
 		}
 		if _, err := w.Write(enc); err != nil {
 			return err
@@ -412,7 +494,7 @@ type PagerStats struct {
 	Reloads       int64 `json:"reloads"`        // re-reads of a brick already read once: proof of eviction between the two
 	Fallbacks     int64 `json:"fallbacks"`      // pages served uncached (budget exhausted by in-flight work)
 	SkippedBricks int64 `json:"skipped_bricks"` // render bricks proven TF-empty by directory min/max: zero disk traffic
-	ConstantFills int64 `json:"constant_fills"` // page uses served from a directory constant: no read, no inflate, no cache entry
+	ConstantFills int64 `json:"constant_fills"` // page uses served from a directory constant: no read, no decode, no cache entry
 }
 
 // RangedSource is a Source that can bound the sample values of a region
@@ -432,8 +514,6 @@ type RangedSource interface {
 type FramePlanner interface {
 	PlanFrame(ghosts []Region) (done func())
 }
-
-var errPayloadSize = errors.New("payload does not inflate to the core size")
 
 // framePlan is one job's plan: the Fills it still owes per ghost region,
 // and the staging-cache key and charge of those regions' macrocell grids.
@@ -563,7 +643,7 @@ func (s *PagedSource) Dims() Dims { return s.hdr.dims }
 // BrickGrid returns the file's brick decomposition.
 func (s *PagedSource) BrickGrid() *Grid { return s.grid }
 
-// Compressed reports whether brick payloads are flate-compressed.
+// Compressed reports whether brick payloads are run-length coded.
 func (s *PagedSource) Compressed() bool { return s.hdr.compressed() }
 
 // SetCache routes pages through c instead of the process-wide cache
@@ -633,33 +713,28 @@ func (s *PagedSource) RegionRange(r Region) (lo, hi float32, ok bool) {
 	return lo, hi, ok
 }
 
+// storedBufs pools the scratch a run-length payload is read into.
+var storedBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // readPage reads and decodes dense brick i's payload into a fresh slice of
 // core voxels: the only disk path; its scratch is pooled, the page is its
-// one allocation. The payload is read or inflated straight into the page's
+// one allocation. The payload is read or decoded straight into the page's
 // own bytes, which on a little-endian host then are its voxels.
 func (s *PagedSource) readPage(i int) ([]float32, error) {
 	e := s.hdr.dir[i]
-	size := int(s.pages[i].dims.Bytes())
-	// One spare float of capacity: the inflate's one-byte probe past the
-	// core size must fit in the page.
-	data := make([]float32, size/4, size/4+1)
-	raw := flatepool.Buf(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(data))), cap(data)*4))
+	data := make([]float32, s.pages[i].dims.Voxels())
+	raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(data))), len(data)*4)
 	if s.hdr.compressed() {
-		stored := flatepool.GetBuf()
-		defer flatepool.PutBuf(stored)
+		stored := storedBufs.Get().(*[]byte)
+		defer storedBufs.Put(stored)
 		*stored = slices.Grow((*stored)[:0], int(e.stored))[:e.stored]
 		if err := s.readPayload(i, *stored); err != nil {
 			return nil, err
 		}
-		// One byte past the core size: the stream must end exactly there.
-		err := flatepool.Inflate(&raw, *stored, int64(size)+1)
-		if err == nil && len(raw) != size {
-			err = errPayloadSize
+		if err := decodeRuns(raw, *stored); err != nil {
+			return nil, fmt.Errorf("volume: decoding brick %d of %s: %w", i, s.path, err)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("volume: decompressing brick %d of %s: %w", i, s.path, err)
-		}
-	} else if err := s.readPayload(i, raw[:size]); err != nil {
+	} else if err := s.readPayload(i, raw); err != nil {
 		return nil, err
 	}
 	if !littleEndian {

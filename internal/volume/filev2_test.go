@@ -27,7 +27,7 @@ func TestFileV2RoundTrip(t *testing.T) {
 		opts V2Options
 	}{
 		{"raw", V2Options{BrickEdge: 4}},
-		{"flate", V2Options{BrickEdge: 4, Compress: true}},
+		{"runs", V2Options{BrickEdge: 4, Compress: true}},
 		{"default-edge", V2Options{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -345,6 +345,11 @@ func TestOpenFileV2RejectsHostileHeaders(t *testing.T) {
 		"zero-count":     func(b []byte) []byte { return put32(b, 32, 0) },
 		"count-over-dim": func(b []byte) []byte { return put32(b, 32, 9) },
 		"unknown-flags":  func(b []byte) []byte { return put32(b, 44, 0x80) },
+		"flate-flag":     func(b []byte) []byte { return put32(b, 44, v2FlagFlate) },
+		"runs-stored-over-bound": func(b []byte) []byte {
+			put32(b, 44, v2FlagRuns)
+			return put64(b, v2FixedHeaderSize+8, uint64(v2MaxStored(Cube(4).Bytes()))+1)
+		},
 		"stored-mismatch": func(b []byte) []byte {
 			return put64(b, v2FixedHeaderSize+8, 12345)
 		},
@@ -382,6 +387,15 @@ func TestOpenFileV2RejectsHostileHeaders(t *testing.T) {
 		if err := openMutated(name, mutate); err == nil {
 			t.Errorf("%s: hostile file accepted", name)
 		}
+	}
+	if err := openMutated("flate-flag", cases["flate-flag"]); err == nil || !strings.Contains(err.Error(), "flate-compressed v2 files are no longer read") {
+		t.Errorf("flate-flag: got %v, want the retired flag refused by name", err)
+	}
+	// The run-length bound is exact: a stored size at it passes the header.
+	atBound := put32(append([]byte(nil), good...), 44, v2FlagRuns)
+	put64(atBound, v2FixedHeaderSize+8, uint64(v2MaxStored(Cube(4).Bytes())))
+	if _, _, err := decodeV2Header(atBound); err != nil {
+		t.Errorf("stored size at v2MaxStored refused: %v", err)
 	}
 	// Control: the unmutated bytes still open.
 	if err := openMutated("control", func(b []byte) []byte { return b }); err != nil {

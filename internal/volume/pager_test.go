@@ -2,7 +2,6 @@ package volume
 
 import (
 	"bytes"
-	"compress/flate"
 	"errors"
 	"fmt"
 	"io"
@@ -116,7 +115,8 @@ func constantBrickVolume(bits uint32) *Volume {
 
 // TestConstantPagesFillSameBits: a Fill served from directory constants
 // writes the bits a decoding Fill would — for +0, -0 and an ordinary
-// value, flate and raw — with no read, no cache entry and no budget.
+// value, run-length coded and raw — with no read, no cache entry and no
+// budget.
 // The writer compares bits, not values: the brick mixing +0 with -0,
 // whose directory says lo == hi, is stored dense. A file whose dense
 // payloads a foreign writer filled with one NaN pattern pages as dense,
@@ -128,6 +128,8 @@ func TestConstantPagesFillSameBits(t *testing.T) {
 			if bits == nanBits && compress {
 				continue // the NaN payloads are patched into the file in place: raw only
 			}
+			// "flate=" labels the Compress option: the subtest IDs predate
+			// its run-length code.
 			t.Run(fmt.Sprintf("%#x/flate=%v", bits, compress), func(t *testing.T) {
 				v := constantBrickVolume(bits)
 				path := t.TempDir() + "/c.gvmr"
@@ -213,17 +215,16 @@ func TestConstantPagesFillSameBits(t *testing.T) {
 }
 
 // TestPagerDiskFaults: a failed read of a dense page — an I/O error, a
-// short read, a corrupt flate stream, a stream inflating to less or more
-// than the core size — is an error that names the brick and wraps its
-// cause; the page is not retained, the brick is not marked loaded, and
-// the pooled scratch serves the next good read of the same brick with
-// the right bits.
+// short read, a corrupt run-length payload, a payload decoding to fewer
+// or more voxels than the core holds — is an error that names the brick
+// and wraps its cause; the page is not retained, the brick is not marked
+// loaded, and the pooled scratch serves the next good read of the same
+// brick with the right bits.
 func TestPagerDiskFaults(t *testing.T) {
 	v := randomVolume(rand.New(rand.NewSource(11)), Dims{8, 4, 4}) // two dense bricks
 	ref := NewVolumeSource(v, "faults")
 	whole := Region{Ext: v.Dims}
 	boom := errors.New("injected I/O error")
-	var corrupt flate.CorruptInputError
 
 	for _, tc := range []struct {
 		name  string
@@ -236,10 +237,10 @@ func TestPagerDiskFaults(t *testing.T) {
 			func(err error) bool { return errors.Is(err, io.EOF) }},
 		{"short-read-silent", func(p []byte, _ int64, n int, _ error) (int, error) { return n - 1, nil },
 			func(err error) bool { return errors.Is(err, io.ErrUnexpectedEOF) }},
-		{"corrupt-flate", func(p []byte, _ int64, n int, err error) (int, error) {
-			p[0] |= 0x06 // block type 3 is reserved
+		{"corrupt-runs", func(p []byte, _ int64, n int, err error) (int, error) {
+			p[0] = 0x7f // 127 literals in a 64-voxel core
 			return n, err
-		}, func(err error) bool { return errors.As(err, &corrupt) }},
+		}, func(err error) bool { return errors.Is(err, errCorruptPayload) }},
 	} {
 		for _, brick := range []int{0, 1} {
 			t.Run(fmt.Sprintf("%s/brick%d", tc.name, brick), func(t *testing.T) {
@@ -281,7 +282,7 @@ func TestPagerDiskFaults(t *testing.T) {
 
 	for _, tc := range []struct {
 		name  string
-		delta int // bytes the last brick's stream inflates to, relative to its core
+		delta int // voxels the last brick's payload decodes to, relative to its core
 	}{{"short-payload", -1}, {"trailing-payload", +1}} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := t.TempDir() + "/f.gvmr"
@@ -291,20 +292,18 @@ func TestPagerDiskFaults(t *testing.T) {
 			var good []byte
 			rewriteV2(t, path, func(_ *v2Header, last []byte) []byte {
 				good = bytes.Clone(last)
-				raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(last)))
+				core, err := decodeVoxels(last, 64)
 				if err != nil {
 					t.Fatal(err)
 				}
-				var z bytes.Buffer
-				zw, _ := flate.NewWriter(&z, flate.DefaultCompression)
-				zw.Write(append(raw, 0)[:len(raw)+tc.delta])
-				zw.Close()
-				return z.Bytes()
+				// The extra voxel repeats the last: the payload keeps its
+				// length, within the directory's bound, and runs one past.
+				return appendRuns(nil, append(core, core[63])[:64+tc.delta])
 			})
 			ps, _ := openFaulty(t, path, NewStagingCache(1<<20))
 			err := ps.Fill(whole, make([]float32, whole.Ext.Voxels()))
-			if !errors.Is(err, errPayloadSize) || !strings.Contains(err.Error(), "brick 1 of "+path) {
-				t.Fatalf("got %v, want the payload-size error naming brick 1", err)
+			if !errors.Is(err, errCorruptPayload) || !strings.Contains(err.Error(), "brick 1 of "+path) {
+				t.Fatalf("got %v, want the corrupt-payload error naming brick 1", err)
 			}
 			if ps.loaded[1].Load() {
 				t.Error("failed brick is marked loaded")
@@ -529,8 +528,8 @@ func TestKeptMacrocellsMatchFreshBuild(t *testing.T) {
 }
 
 // pageReadFixture writes a 72³ analytic blob — dense inside a ball,
-// exactly zero outside — as flate 18³ bricks, and returns the pager with
-// a dense brick and a directory constant.
+// exactly zero outside — as run-length coded 18³ bricks, and returns the
+// pager with a dense brick and a directory constant.
 func pageReadFixture(tb testing.TB) (ps *PagedSource, ff *faultFile, dense, constant int) {
 	tb.Helper()
 	src := NewFuncSource("blob", Cube(72), func(x, y, z float64) float32 {
@@ -549,10 +548,10 @@ func pageReadFixture(tb testing.TB) (ps *PagedSource, ff *faultFile, dense, cons
 	return ps, ff, dense, constant
 }
 
-// BenchmarkPageRead is one file-brick page-in: /dense reads, inflates and
-// decodes an 18³ flate brick (-benchmem: the page itself should be the
-// only allocation), /constant is a page use served from a directory
-// constant (reads/op must be 0).
+// BenchmarkPageRead is one file-brick page-in: /dense reads and decodes
+// an 18³ run-length coded brick (-benchmem: the page itself is the only
+// allocation, TestPageReadAllocs holds it), /constant is a page use
+// served from a directory constant (reads/op must be 0).
 func BenchmarkPageRead(b *testing.B) {
 	ps, ff, dense, constant := pageReadFixture(b)
 	b.Run("dense", func(b *testing.B) {
@@ -577,7 +576,8 @@ func BenchmarkPageRead(b *testing.B) {
 }
 
 // TestReadPageDecodeLoop: the decode loop a big-endian host runs yields
-// the bits the little-endian in-place read does, for flate and raw files.
+// the bits the little-endian in-place read does, for run-length coded and
+// raw files.
 func TestReadPageDecodeLoop(t *testing.T) {
 	defer func(le bool) { littleEndian = le }(littleEndian)
 	for _, compress := range []bool{true, false} {
@@ -593,7 +593,7 @@ func TestReadPageDecodeLoop(t *testing.T) {
 				}
 				for j, s := range data {
 					if math.Float32bits(s) != want[j] {
-						t.Fatalf("flate=%v little-endian=%v brick %d voxel %d differs", compress, le, i, j)
+						t.Fatalf("compress=%v little-endian=%v brick %d voxel %d differs", compress, le, i, j)
 					}
 				}
 			}
@@ -602,11 +602,9 @@ func TestReadPageDecodeLoop(t *testing.T) {
 }
 
 // TestPageReadAllocs holds BenchmarkPageRead's two numbers. A warm dense
-// page-in allocates the page and nothing else of the pager's: the
-// yardstick is compress/flate itself, whose decoder allocates link tables
-// for every block with Huffman codes longer than nine bits — a count that
-// depends on the brick and that no caller can pool. A constant page use
-// allocates nothing and never reaches the file.
+// page-in allocates the page and nothing else: the stored bytes go to
+// pooled scratch and decode into the page. A constant page use allocates
+// nothing and never reaches the file.
 func TestPageReadAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector on: sync.Pool drops Puts at random")
@@ -618,23 +616,8 @@ func TestPageReadAllocs(t *testing.T) {
 		}
 	}
 	read()
-	e := ps.hdr.dir[dense]
-	stored := make([]byte, e.stored)
-	if _, err := ff.inner.ReadAt(stored, int64(e.off)); err != nil {
-		t.Fatal(err)
-	}
-	src := bytes.NewReader(nil)
-	zr := flate.NewReader(src)
-	raw := make([]byte, ps.pages[dense].dims.Bytes())
-	stdlib := testing.AllocsPerRun(50, func() {
-		src.Reset(stored)
-		zr.(flate.Resetter).Reset(src, nil)
-		if _, err := io.ReadFull(zr, raw); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if n := testing.AllocsPerRun(50, read); n > stdlib+1 {
-		t.Errorf("%v allocs per warm dense page read, want the page + compress/flate's own %v", n, stdlib)
+	if n := testing.AllocsPerRun(50, read); n != 1 {
+		t.Errorf("%v allocs per warm dense page read, want 1: the page", n)
 	}
 	reads := ff.reads.Load()
 	if n := testing.AllocsPerRun(50, func() {
