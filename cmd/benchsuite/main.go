@@ -13,9 +13,9 @@
 //
 // Every table is on the virtual clock; wall-clock frame timing is
 // bench/'s job. The figure sweeps fan independent cells out across host
-// cores through the internal/schedule worker pool; -serial opts out
-// (tables are bit-identical either way). -cpuprofile writes a pprof CPU
-// profile of the run.
+// cores through the internal/schedule worker pool, GOMAXPROCS wide;
+// GOMAXPROCS=1 runs them one at a time, and the output is byte-identical
+// either way. -cpuprofile writes a pprof CPU profile of the run.
 package main
 
 import (
@@ -52,8 +52,6 @@ func main() {
 	var (
 		scaleName  = flag.String("scale", "paper", "experiment scale: paper|quick")
 		outDir     = flag.String("out", "", "directory for rendered PNGs (fig2)")
-		serial     = flag.Bool("serial", false, "run sweep cells one at a time (scheduler opt-out)")
-		workers    = flag.Int("workers", 0, "scheduler pool width for sweeps (0 = GOMAXPROCS)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this path (perf work starts from profiles, not guesses)")
 	)
 	flag.Parse()
@@ -83,8 +81,6 @@ func main() {
 	default:
 		fatalf("unknown scale %q", *scaleName)
 	}
-	sc.Serial = *serial
-	sc.Workers = *workers
 
 	cmds := flag.Args()
 	if len(cmds) == 0 {

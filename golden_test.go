@@ -234,10 +234,11 @@ func TestGoldenPartitionerInvariance(t *testing.T) {
 }
 
 // TestGoldenSequenceSerialVsParallel locks the scheduler contract down at
-// the public API: an orbit rendered serially and through the parallel
-// frame scheduler produces bit-identical images and per-frame virtual
-// times.
+// the public API: an orbit rendered back to back (a trace selects that)
+// and through the parallel frame scheduler produces bit-identical images
+// and per-frame virtual times.
 func TestGoldenSequenceSerialVsParallel(t *testing.T) {
+	withProcs(t, 4) // a real pool even on one core
 	render := func(serial bool) *gvmr.SequenceResult {
 		t.Helper()
 		cl, err := gvmr.NewCluster(2)
@@ -252,11 +253,11 @@ func TestGoldenSequenceSerialVsParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := gvmr.RenderSequence(cl, gvmr.Options{
-			Source: src, TF: tf, Width: 48, Height: 48,
-			SequenceSerial:  serial,
-			SequenceWorkers: 4, // force a real pool in parallel mode
-		}, 4, 360)
+		opt := gvmr.Options{Source: src, TF: tf, Width: 48, Height: 48}
+		if serial {
+			opt.Trace = gvmr.NewTraceLog()
+		}
+		seq, err := gvmr.RenderSequence(cl, opt, 4, 360)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,6 +265,9 @@ func TestGoldenSequenceSerialVsParallel(t *testing.T) {
 	}
 	serial := render(true)
 	parallel := render(false)
+	if serial.Workers != 1 || parallel.Workers != 4 {
+		t.Fatalf("pool widths = %d serial / %d parallel, want 1 / 4", serial.Workers, parallel.Workers)
+	}
 	if serial.LastImage.Digest() != parallel.LastImage.Digest() {
 		t.Error("serial and parallel sequence images differ")
 	}

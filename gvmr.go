@@ -124,11 +124,12 @@ type SequenceResult = core.SequenceResult
 
 // RenderSequence renders an orbiting animation of `frames` frames and
 // reports the sustained frame rate (§4.2's interactivity figure of
-// merit). Frames are independent simulations, so by default they render
+// merit). Frames are independent simulations, so they render
 // concurrently across host cores, each on a fresh instance of the
 // cluster's spec; images, per-frame virtual times and aggregated
-// statistics are bit-identical to serial execution
-// (Options.SequenceSerial opts out).
+// statistics are bit-identical to serial execution (GOMAXPROCS=1, or a
+// non-nil Options.Trace, which renders the frames back to back on cl so
+// the trace is one timeline).
 func RenderSequence(cl *Cluster, opt Options, frames int, orbitDegrees float64) (*SequenceResult, error) {
 	return core.RenderSequence(cl, opt, frames, orbitDegrees)
 }
@@ -288,8 +289,8 @@ func WrapVolume(v *volume.Volume, tag string) Source {
 // StagingCacheStats reports the process-wide volume staging cache
 // counters: analytic sources are materialised once per identity and every
 // later brick stage is served as a zero-copy view (see internal/volume).
-// Set GVMR_STAGING_BYTES to resize the cache ("0" or "off" disables), or
-// Options.NoStagingCache to bypass it for one render.
+// Set GVMR_STAGING_BYTES to resize the cache ("0" or "off" disables); a
+// source opts out by not implementing volume.Stageable.
 func StagingCacheStats() volume.CacheStats { return volume.Cache.Stats() }
 
 // FlushStagingCache drops every cached volume, releasing its memory.

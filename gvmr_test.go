@@ -2,6 +2,7 @@ package gvmr_test
 
 import (
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"gvmr"
@@ -130,9 +131,19 @@ func TestPublicAPICustomTransfer(t *testing.T) {
 	}
 }
 
+// withProcs sets GOMAXPROCS — the frame pool's width — to n for the rest
+// of the test. Values above the core count force a real pool on any
+// machine.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestPublicAPIRenderFrames exercises the parallel frame APIs the way an
 // animation consumer would: build an orbit path, render it synchronously
-// and as a stream, and check the two agree frame for frame.
+// one frame at a time and as a stream on a real pool, and check the two
+// agree frame for frame.
 func TestPublicAPIRenderFrames(t *testing.T) {
 	src, err := gvmr.Dataset("skull", 24)
 	if err != nil {
@@ -142,7 +153,8 @@ func TestPublicAPIRenderFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := gvmr.Options{Source: src, TF: tf, Width: 48, Height: 48, SequenceWorkers: 3}
+	withProcs(t, 1)
+	opt := gvmr.Options{Source: src, TF: tf, Width: 48, Height: 48}
 	cams, err := gvmr.OrbitCameras(src, 48, 48, 3, 120)
 	if err != nil {
 		t.Fatal(err)
@@ -167,6 +179,7 @@ func TestPublicAPIRenderFrames(t *testing.T) {
 		t.Error("session clock did not advance")
 	}
 
+	runtime.GOMAXPROCS(4) // a real pool even on one core
 	cl2, err := gvmr.NewCluster(2)
 	if err != nil {
 		t.Fatal(err)

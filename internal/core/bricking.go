@@ -11,12 +11,14 @@ import (
 // must be cut into so one brick fits in a device's usable memory). The
 // paper's renderer "works well for configurations where the number of
 // bricks is close (roughly within a factor of four) to the number of
-// GPUs" (§6) — BricksPerGPU dials exactly that factor.
-func planBricks(d volume.Dims, gpus, bricksPerGPU int, vramBytes int64, vramFraction float64) (*volume.Grid, error) {
+// GPUs" (§6) — BricksPerGPU dials exactly that factor. A brick may
+// occupy three quarters of a device's memory; the working buffers need
+// the rest.
+func planBricks(d volume.Dims, gpus, bricksPerGPU int, vramBytes int64) (*volume.Grid, error) {
 	if gpus < 1 {
 		return nil, fmt.Errorf("core: %d GPUs", gpus)
 	}
-	usable := int64(float64(vramBytes) * vramFraction)
+	usable := vramBytes * 3 / 4
 	if usable <= 0 {
 		return nil, fmt.Errorf("core: no usable VRAM")
 	}

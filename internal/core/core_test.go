@@ -262,28 +262,28 @@ func TestPlanBricksVRAMFloor(t *testing.T) {
 	// A volume bigger than one device's usable VRAM must be split even on
 	// one GPU (the out-of-core regime).
 	d := volume.Cube(64)      // 1 MiB
-	vram := int64(300 * 1024) // tiny VRAM: forces >= 4 bricks
-	g, err := planBricks(d, 1, 1, vram, 1.0)
+	vram := int64(400 * 1024) // tiny VRAM, 300 KiB usable: forces >= 4 bricks
+	g, err := planBricks(d, 1, 1, vram)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.NumBricks() < 4 {
 		t.Errorf("VRAM floor ignored: %d bricks", g.NumBricks())
 	}
-	if g.MaxBrickBytes() > vram {
-		t.Errorf("brick %d bytes exceeds usable VRAM %d", g.MaxBrickBytes(), vram)
+	if g.MaxBrickBytes() > vram*3/4 {
+		t.Errorf("brick %d bytes exceeds usable VRAM %d", g.MaxBrickBytes(), vram*3/4)
 	}
 }
 
 func TestPlanBricksMatchesGPUs(t *testing.T) {
-	g, err := planBricks(volume.Cube(64), 8, 1, 4<<30, 0.75)
+	g, err := planBricks(volume.Cube(64), 8, 1, 4<<30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.NumBricks() != 8 {
 		t.Errorf("bricks = %d, want 8 (one per GPU)", g.NumBricks())
 	}
-	g, err = planBricks(volume.Cube(64), 8, 2, 4<<30, 0.75)
+	g, err = planBricks(volume.Cube(64), 8, 2, 4<<30)
 	if err != nil {
 		t.Fatal(err)
 	}

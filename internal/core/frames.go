@@ -31,32 +31,92 @@ type Frame struct {
 // machine with schedule.DeviceWorkers. The render service calls this
 // once per admitted request.
 func RenderOn(spec cluster.Spec, opt Options, devWorkers int) (*Result, sim.Time, error) {
-	inst, err := spec.Instance()
+	inst, err := instance(spec, devWorkers)
 	if err != nil {
 		return nil, 0, err
 	}
-	if devWorkers > 0 {
-		inst.SetDeviceWorkers(devWorkers)
-	}
-	start := inst.Env.Now()
-	r, err := Render(inst, opt)
-	if err != nil {
-		return nil, 0, err
-	}
-	return r, inst.Env.Now() - start, nil
+	return renderTimed(inst, opt)
 }
 
-// renderFrameJob renders cams[f] on a fresh instance of cl's spec and
-// returns the result plus the frame's virtual duration. It is the unit
-// of work both RenderFrames and RenderFramesAsync schedule.
-func renderFrameJob(cl *cluster.Cluster, opt Options, cams []*camera.Camera, devWorkers, f int) (Frame, error) {
-	frameOpt := opt
-	frameOpt.Camera = cams[f]
-	r, dur, err := RenderOn(cl.Params, frameOpt, devWorkers)
+// instance builds a fresh instance of spec whose simulated devices use at
+// most devWorkers host cores (≤ 0 means all of GOMAXPROCS).
+func instance(spec cluster.Spec, devWorkers int) (*cluster.Cluster, error) {
+	inst, err := spec.Instance()
+	if err != nil {
+		return nil, err
+	}
+	inst.SetDeviceWorkers(devWorkers)
+	return inst, nil
+}
+
+// renderTimed renders one frame on cl and returns it with the virtual
+// time cl's clock advanced by.
+func renderTimed(cl *cluster.Cluster, opt Options) (*Result, sim.Time, error) {
+	start := cl.Env.Now()
+	r, err := Render(cl, opt)
+	if err != nil {
+		return nil, 0, err
+	}
+	return r, cl.Env.Now() - start, nil
+}
+
+// renderFrameJob renders cams[f] through render and returns the result
+// plus the frame's virtual duration. It is the unit of work both the
+// frame loop and RenderFramesAsync schedule.
+func renderFrameJob(render func(Options) (*Result, sim.Time, error), opt Options, cams []*camera.Camera, f int) (Frame, error) {
+	opt.Camera = cams[f]
+	r, dur, err := render(opt)
 	if err != nil {
 		return Frame{Index: f}, fmt.Errorf("core: frame %d: %w", f, err)
 	}
 	return Frame{Index: f, Result: r, Time: dur}, nil
+}
+
+// onInstances renders each frame on a fresh instance of cl's spec whose
+// devices use devWorkers host cores.
+func onInstances(cl *cluster.Cluster, devWorkers int) func(Options) (*Result, sim.Time, error) {
+	return func(opt Options) (*Result, sim.Time, error) { return RenderOn(cl.Params, opt, devWorkers) }
+}
+
+// renderFrames is the one multi-frame loop: it renders one frame per
+// camera and returns the frames in camera order plus the pool width it
+// used. keep(f) reports whether frame f's image is retained; the others
+// are dropped as soon as the frame is done, so they are not all held
+// until the join. The caller's cluster clock ends advanced by the summed
+// frame durations, as if it had rendered the frames back to back.
+//
+// A non-nil Options.Trace renders the frames back to back on the
+// caller's cluster itself, so the trace is one timeline. Otherwise the
+// frames render concurrently across host cores, each on a fresh instance
+// of the cluster's spec, and the clock is advanced afterwards; output is
+// bit-identical either way.
+func renderFrames(cl *cluster.Cluster, opt Options, cams []*camera.Camera, keep func(f int) bool) ([]Frame, int, error) {
+	workers := schedule.Workers(len(cams))
+	render := onInstances(cl, schedule.DeviceWorkers(workers))
+	if opt.Trace != nil {
+		workers = 1
+		render = func(o Options) (*Result, sim.Time, error) { return renderTimed(cl, o) }
+	}
+	frames, err := schedule.Map(workers, len(cams), func(f int) (Frame, error) {
+		fr, err := renderFrameJob(render, opt, cams, f)
+		if err == nil && !keep(f) {
+			fr.Result.Image = nil
+		}
+		return fr, err
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	if opt.Trace == nil {
+		var total sim.Time
+		for _, fr := range frames {
+			total += fr.Time
+		}
+		if err := cl.Env.RunUntil(cl.Env.Now() + total); err != nil {
+			return nil, 0, err
+		}
+	}
+	return frames, workers, nil
 }
 
 func validateFrames(opt *Options, cams []*camera.Camera) error {
@@ -77,48 +137,22 @@ func validateFrames(opt *Options, cams []*camera.Camera) error {
 // RenderFrames renders one frame per camera — an animation path, a
 // turntable, a stereo pair — concurrently across host cores, each frame
 // on a fresh instance of the cluster's spec, and returns the results in
-// camera order. Options.SequenceSerial and Options.SequenceWorkers
-// control the pool exactly as in RenderSequence (a non-nil Options.Trace
-// also forces serial, and the serial path renders on the caller's
-// cluster itself, so a trace stays one coherent timeline); output is
-// bit-identical at any pool width. The caller's cluster clock advances
-// by the summed frame durations, as if it had rendered the frames back
-// to back.
+// camera order. The pool is GOMAXPROCS wide; a non-nil Options.Trace
+// renders the frames back to back on the caller's cluster instead, so
+// the trace is one timeline. Output is bit-identical either way. The
+// caller's cluster clock advances by the summed frame durations, as if
+// it had rendered the frames back to back.
 func RenderFrames(cl *cluster.Cluster, opt Options, cams []*camera.Camera) ([]*Result, error) {
 	if err := validateFrames(&opt, cams); err != nil {
 		return nil, err
 	}
-	if opt.SequenceSerial || opt.Trace != nil {
-		// Pre-scheduler behavior: frames back to back on the caller's
-		// cluster, its clock advancing with each render.
-		out := make([]*Result, len(cams))
-		for f, cam := range cams {
-			frameOpt := opt
-			frameOpt.Camera = cam
-			r, err := Render(cl, frameOpt)
-			if err != nil {
-				return nil, fmt.Errorf("core: frame %d: %w", f, err)
-			}
-			out[f] = r
-		}
-		return out, nil
-	}
-	workers := schedule.Workers(opt.SequenceWorkers, len(cams))
-	devWorkers := schedule.DeviceWorkers(workers)
-	frames, err := schedule.Map(workers, len(cams), func(f int) (Frame, error) {
-		return renderFrameJob(cl, opt, cams, devWorkers, f)
-	})
+	frames, _, err := renderFrames(cl, opt, cams, func(int) bool { return true })
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*Result, len(frames))
-	var total sim.Time
 	for i, fr := range frames {
 		out[i] = fr.Result
-		total += fr.Time
-	}
-	if err := cl.Env.RunUntil(cl.Env.Now() + total); err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -142,22 +176,22 @@ func RenderFrames(cl *cluster.Cluster, opt Options, cams []*camera.Camera) ([]*R
 // caller's cluster clock is not advanced (consumers that want session
 // accounting sum Frame.Time themselves), and a non-nil Options.Trace
 // only serialises execution; its spans come from per-frame instances
-// that each start at virtual time zero. Use RenderFrames with
-// SequenceSerial for a single coherent timeline.
+// that each start at virtual time zero. Use RenderFrames for a single
+// coherent timeline.
 func RenderFramesAsync(cl *cluster.Cluster, opt Options, cams []*camera.Camera) (<-chan Frame, func(), error) {
 	if err := validateFrames(&opt, cams); err != nil {
 		return nil, nil, err
 	}
 	workers := 1
-	if !opt.SequenceSerial && opt.Trace == nil {
-		workers = schedule.Workers(opt.SequenceWorkers, len(cams))
+	if opt.Trace == nil {
+		workers = schedule.Workers(len(cams))
 	}
-	devWorkers := schedule.DeviceWorkers(workers)
+	render := onInstances(cl, schedule.DeviceWorkers(workers))
 	done := make(chan struct{})
 	var stopOnce sync.Once
 	stop := func() { stopOnce.Do(func() { close(done) }) }
 	items := schedule.Stream(workers, len(cams), func(f int) (Frame, error) {
-		return renderFrameJob(cl, opt, cams, devWorkers, f)
+		return renderFrameJob(render, opt, cams, f)
 	}, done)
 	out := make(chan Frame)
 	go func() {

@@ -1,15 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"sync"
 
-	"gvmr/internal/camera"
 	"gvmr/internal/cluster"
 	"gvmr/internal/composite"
 	"gvmr/internal/mapreduce"
-	"gvmr/internal/render"
 	"gvmr/internal/sim"
 	"gvmr/internal/volume"
 )
@@ -24,15 +23,13 @@ func PlanGrid(spec cluster.Spec, opt Options) (*volume.Grid, error) {
 	if err := opt.fillDefaults(); err != nil {
 		return nil, err
 	}
-	gpus := opt.GPUs
-	if gpus == 0 {
-		gpus = spec.Nodes * spec.GPUsPerNode
-	}
-	if gpus < 1 {
-		return nil, fmt.Errorf("core: %d GPUs", gpus)
-	}
-	return planBricks(opt.Source.Dims(), gpus, opt.BricksPerGPU,
-		spec.GPU.VRAMBytes, opt.VRAMFraction)
+	return planBricks(opt.Source.Dims(), specGPUs(spec, opt), opt.BricksPerGPU, spec.GPU.VRAMBytes)
+}
+
+// specGPUs is the GPU count a job with these options plans for on a
+// cluster of this spec: opt.GPUs, or every GPU of the spec.
+func specGPUs(spec cluster.Spec, opt Options) int {
+	return cmp.Or(opt.GPUs, spec.Nodes*spec.GPUsPerNode)
 }
 
 // BrickStripe is one map unit's surviving (non-placeholder) fragments in
@@ -149,26 +146,10 @@ func MapBricks(spec cluster.Spec, opt Options, brickIDs []int, devWorkers int) (
 	if len(brickIDs) == 0 {
 		return nil, fmt.Errorf("core: no bricks to map")
 	}
-	grid, err := PlanGrid(spec, opt)
+	mapper, units, err := planJob(opt, specGPUs(spec, opt), spec.GPU.VRAMBytes)
 	if err != nil {
 		return nil, err
 	}
-	units, err := jobUnits(grid, opt.Partition)
-	if err != nil {
-		return nil, err
-	}
-	cam := opt.Camera
-	if cam == nil {
-		cam, err = camera.Fit(grid.Space.Bounds(), opt.Width, opt.Height)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if cam.Width != opt.Width || cam.Height != opt.Height {
-		return nil, fmt.Errorf("core: camera image %dx%d != options %dx%d",
-			cam.Width, cam.Height, opt.Width, opt.Height)
-	}
-
 	rec := &stripeRecorder{stripes: map[int]*BrickStripe{}}
 	chunks := make([]mapreduce.Chunk, 0, len(brickIDs))
 	for _, id := range brickIDs {
@@ -182,56 +163,13 @@ func MapBricks(spec cluster.Spec, opt Options, brickIDs []int, devWorkers int) (
 		chunks = append(chunks, unitChunk{id: id, bricks: units[id]})
 	}
 
-	inst, err := spec.Instance()
+	inst, err := instance(spec, devWorkers)
 	if err != nil {
 		return nil, err
 	}
-	if devWorkers > 0 {
-		inst.SetDeviceWorkers(devWorkers)
-	}
-	src := opt.Source
-	if !opt.NoStagingCache {
-		src = volume.Cached(src)
-	}
-	defer planFrame(src, chunks)()
-	var sampler render.SampleFn
-	if opt.Sampler == Slicing {
-		sampler = render.CastRaySlicing
-	}
-	mapper := &recordingMapper{
-		inner: &rayCastMapper{
-			src:     src,
-			grid:    grid,
-			cam:     cam,
-			prm:     opt.renderParams(),
-			sampler: sampler,
-		},
-		rec: rec,
-	}
-	if err := mapper.inner.prm.Validate(); err != nil {
-		return nil, err
-	}
-	workers := inst.TotalGPUs()
-	if len(chunks) < workers {
-		workers = len(chunks)
-	}
-	cfg := mapreduce.Config[composite.Fragment, []*volume.BrickData]{
-		Cluster:             inst,
-		Workers:             workers,
-		Mapper:              mapper,
-		MakeReducer:         func(int) mapreduce.Reducer[composite.Fragment] { return discardReducer{} },
-		Partitioner:         opt.Partitioner,
-		KeyRange:            int32(opt.Width * opt.Height),
-		ValueBytes:          composite.FragmentBytes - 4,
-		Chunks:              chunks,
-		Assign:              opt.Assign,
-		FlushBytes:          opt.FlushBytes,
-		FromDisk:            opt.FromDisk,
-		ReduceOn:            opt.ReduceOn,
-		SortOn:              opt.SortOn,
-		ChargeFixedOverhead: opt.chargeOverhead(),
-		Trace:               opt.Trace,
-	}
+	defer planFrame(mapper.src, chunks)()
+	cfg := opt.jobConfig(inst, min(inst.TotalGPUs(), len(chunks)), &recordingMapper{inner: mapper, rec: rec}, chunks)
+	cfg.MakeReducer = func(int) mapreduce.Reducer[composite.Fragment] { return discardReducer{} }
 	t0 := inst.Env.Now()
 	stats, err := mapreduce.Run(cfg)
 	if err != nil {
@@ -240,7 +178,7 @@ func MapBricks(spec cluster.Spec, opt Options, brickIDs []int, devWorkers int) (
 	res := &MapResult{
 		Runtime: inst.Env.Now() - t0,
 		Stats:   stats,
-		Grid:    grid,
+		Grid:    mapper.grid,
 	}
 	for _, s := range rec.stripes {
 		res.Stripes = append(res.Stripes, *s)

@@ -79,17 +79,9 @@ type Options struct {
 	// max(GPUs·BricksPerGPU, VRAM floor). Default 1, the paper's
 	// "number of bricks close to the number of GPUs" regime.
 	BricksPerGPU int
-	// VRAMFraction is the fraction of device memory a single brick may
-	// occupy (working buffers need the rest). Default 0.75.
-	VRAMFraction float64
 
 	// FromDisk streams bricks through the simulated disk (out-of-core).
 	FromDisk bool
-
-	// NoStagingCache disables the process-wide volume staging cache for
-	// this render: every brick stage re-evaluates the source (the pre-cache
-	// behavior, useful for benchmarking synthesis itself).
-	NoStagingCache bool
 
 	// NoEmptySkip disables macrocell empty-space skipping in the ray
 	// caster: every lattice sample is fetched and classified like the
@@ -105,22 +97,13 @@ type Options struct {
 	// interconnect hand-off instead of a disk read.
 	InSitu bool
 
-	// SequenceSerial forces RenderSequence and RenderFrames to execute
-	// one frame at a time on the caller's cluster (the pre-scheduler
-	// behavior). The default renders independent frames concurrently
-	// across host cores, each on a fresh instance of the cluster's spec;
-	// images, per-frame virtual times and aggregated statistics are
-	// bit-identical either way.
-	SequenceSerial bool
-	// SequenceWorkers caps the frame scheduler's pool width (0 means
-	// GOMAXPROCS). Values above GOMAXPROCS are honored, which forces
-	// real concurrency even on small machines — the determinism tests
-	// use that.
-	SequenceWorkers int
-
 	// Trace, when non-nil, collects per-operation activity spans (see
-	// internal/trace) for timeline export. A non-nil Trace forces
-	// serial sequence execution so the log stays one coherent timeline.
+	// internal/trace) for timeline export. It alone selects the
+	// back-to-back path of RenderSequence and RenderFrames: frames render
+	// one after another on the caller's cluster, so the log is one
+	// timeline. Without it frames render concurrently across host cores,
+	// each on a fresh instance of the cluster's spec; images, per-frame
+	// virtual times and statistics are bit-identical either way.
 	Trace *trace.Log
 
 	Compositor Compositor
@@ -142,13 +125,6 @@ type Options struct {
 	ReduceOn mapreduce.Placement
 	SortOn   mapreduce.Placement
 	Assign   mapreduce.AssignMode
-
-	// FlushBytes is the streaming emission threshold (default 256 KiB).
-	FlushBytes int64
-
-	// ChargeFixedOverhead includes the per-job fixed cost in timings
-	// (default true — the paper's runtimes include full frame setup).
-	ChargeFixedOverhead *bool
 }
 
 func (o *Options) fillDefaults() error {
@@ -170,23 +146,10 @@ func (o *Options) fillDefaults() error {
 	if o.BricksPerGPU == 0 {
 		o.BricksPerGPU = 1
 	}
-	if o.VRAMFraction == 0 {
-		o.VRAMFraction = 0.75
-	}
-	if o.FlushBytes == 0 {
-		o.FlushBytes = 256 << 10
-	}
 	if o.Background.W == 0 {
 		o.Background = vec.V4{X: 0, Y: 0, Z: 0, W: 1}
 	}
 	return nil
-}
-
-func (o *Options) chargeOverhead() bool {
-	if o.ChargeFixedOverhead == nil {
-		return true
-	}
-	return *o.ChargeFixedOverhead
 }
 
 // renderParams builds the kernel parameters.

@@ -2,12 +2,24 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"gvmr/internal/cluster"
+	"gvmr/internal/sim"
+	"gvmr/internal/trace"
 	"gvmr/internal/transfer"
 	"gvmr/internal/volume/dataset"
 )
+
+// withProcs sets GOMAXPROCS — the frame pool's width — to n for the rest
+// of the test. Values above the core count force a real pool on any
+// machine.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 func seqOptions(t *testing.T) Options {
 	t.Helper()
@@ -37,16 +49,16 @@ func renderSeq(t *testing.T, opt Options) *SequenceResult {
 
 // TestSequenceParallelMatchesSerial is the scheduler's core contract:
 // fanning the frames of a sequence out across real goroutines, each on a
-// fresh cluster instance, must reproduce the serial path bit for bit —
-// images, per-frame virtual times, and the full per-frame JobStats.
+// fresh cluster instance, must reproduce the back-to-back path a trace
+// selects bit for bit — images, per-frame virtual times, and the full
+// per-frame JobStats.
 func TestSequenceParallelMatchesSerial(t *testing.T) {
+	withProcs(t, 4) // a real pool even on one core
 	serialOpt := seqOptions(t)
-	serialOpt.SequenceSerial = true
+	serialOpt.Trace = &trace.Log{}
 	serial := renderSeq(t, serialOpt)
 
-	parOpt := seqOptions(t)
-	parOpt.SequenceWorkers = 4 // force a real pool even on one core
-	par := renderSeq(t, parOpt)
+	par := renderSeq(t, seqOptions(t))
 
 	if par.Workers != 4 || serial.Workers != 1 {
 		t.Fatalf("pool widths = %d serial / %d parallel", serial.Workers, par.Workers)
@@ -76,13 +88,11 @@ func TestSequenceParallelMatchesSerial(t *testing.T) {
 // per-frame times and images, at different pool widths. Runs under -race
 // in CI.
 func TestSequenceParallelDeterministic(t *testing.T) {
-	opt := seqOptions(t)
-	opt.SequenceWorkers = 3
-	a := renderSeq(t, opt)
+	withProcs(t, 3)
+	a := renderSeq(t, seqOptions(t))
 	for run := 0; run < 2; run++ {
-		opt := seqOptions(t)
-		opt.SequenceWorkers = 2 + run*4 // 2 then 6 workers
-		b := renderSeq(t, opt)
+		withProcs(t, 2+run*4) // 2 then 6 workers
+		b := renderSeq(t, seqOptions(t))
 		if !reflect.DeepEqual(a.FrameStats, b.FrameStats) {
 			t.Errorf("run %d: JobStats differ across parallel runs", run)
 		}
@@ -101,8 +111,8 @@ func TestSequenceParallelDeterministic(t *testing.T) {
 // TestSequenceAdvancesSessionClock: parallel execution still accumulates
 // virtual time on the caller's cluster, as an interactive session would.
 func TestSequenceAdvancesSessionClock(t *testing.T) {
+	withProcs(t, 2)
 	opt := seqOptions(t)
-	opt.SequenceWorkers = 2
 	cl, err := cluster.AC(2).Instance()
 	if err != nil {
 		t.Fatal(err)
@@ -119,8 +129,8 @@ func TestSequenceAdvancesSessionClock(t *testing.T) {
 // TestRenderFramesMatchesSequence: the public frame API renders the same
 // orbit cameras to the same images and durations as RenderSequence.
 func TestRenderFramesMatchesSequence(t *testing.T) {
+	withProcs(t, 3)
 	opt := seqOptions(t)
-	opt.SequenceWorkers = 3
 	seq := renderSeq(t, opt)
 
 	cams, err := OrbitCameras(opt.Source, opt.Width, opt.Height, 4, 180)
@@ -152,8 +162,8 @@ func TestRenderFramesMatchesSequence(t *testing.T) {
 // TestRenderFramesAsyncStreamsInOrder: the async API delivers every
 // frame, in index order, with the same content as the synchronous API.
 func TestRenderFramesAsyncStreamsInOrder(t *testing.T) {
+	withProcs(t, 3)
 	opt := seqOptions(t)
-	opt.SequenceWorkers = 3
 	cams, err := OrbitCameras(opt.Source, opt.Width, opt.Height, 5, 360)
 	if err != nil {
 		t.Fatal(err)
@@ -196,19 +206,20 @@ func TestRenderFramesAsyncStreamsInOrder(t *testing.T) {
 	}
 }
 
-// TestSequenceSerialErrorsMatchParallel: both modes report the failure of
-// the lowest-index failing frame, identically wrapped.
+// TestSequenceErrorFirstFrame: back-to-back and pooled rendering both
+// report the failure of the lowest-index failing frame, identically
+// wrapped.
 func TestSequenceErrorFirstFrame(t *testing.T) {
+	withProcs(t, 3)
 	opt := seqOptions(t)
 	opt.GPUs = 99 // more GPUs than the cluster has: every frame fails
-	opt.SequenceSerial = true
+	opt.Trace = &trace.Log{}
 	cl, err := cluster.AC(2).Instance()
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, serialErr := RenderSequence(cl, opt, 3, 90)
-	opt.SequenceSerial = false
-	opt.SequenceWorkers = 3
+	opt.Trace = nil
 	cl2, _ := cl.Clone()
 	_, parErr := RenderSequence(cl2, opt, 3, 90)
 	if serialErr == nil || parErr == nil {
@@ -216,5 +227,66 @@ func TestSequenceErrorFirstFrame(t *testing.T) {
 	}
 	if serialErr.Error() != parErr.Error() {
 		t.Errorf("error text differs:\nserial   %v\nparallel %v", serialErr, parErr)
+	}
+}
+
+// TestTracedFramesShareOneTimeline: a trace is the one reason frames
+// render back to back on the caller's cluster. The traced frames must
+// match the pooled ones bit for bit, end on the same session clock, and
+// lie end to end on that clock — not each on its own timeline from zero.
+func TestTracedFramesShareOneTimeline(t *testing.T) {
+	withProcs(t, 3)
+	opt := seqOptions(t)
+	cams, err := OrbitCameras(opt.Source, opt.Width, opt.Height, 3, 90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(log *trace.Log) ([]*Result, *cluster.Cluster) {
+		t.Helper()
+		cl, err := cluster.AC(2).Instance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := opt
+		o.Trace = log
+		results, err := RenderFrames(cl, o, cams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return results, cl
+	}
+	log := &trace.Log{}
+	traced, tcl := render(log)
+	pooled, pcl := render(nil)
+	for f := range cams {
+		if traced[f].Image.Digest() != pooled[f].Image.Digest() {
+			t.Errorf("frame %d: traced image differs from pooled", f)
+		}
+		if !reflect.DeepEqual(traced[f].Stats, pooled[f].Stats) {
+			t.Errorf("frame %d: traced stats differ from pooled", f)
+		}
+	}
+	end := tcl.Env.Now()
+	if end != pcl.Env.Now() {
+		t.Errorf("session clock: traced %v != pooled %v", end, pcl.Env.Now())
+	}
+	if log.Len() == 0 {
+		t.Fatal("trace recorded no spans")
+	}
+	var latest sim.Time
+	for _, s := range log.Spans() {
+		latest = max(latest, s.End)
+	}
+	if latest > end {
+		t.Errorf("latest span ends at %v, after the session clock %v", latest, end)
+	}
+	frame0 := opt
+	frame0.Camera = cams[0]
+	_, d0, err := RenderOn(cluster.AC(2), frame0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if latest <= d0 {
+		t.Errorf("latest span ends at %v, within frame 0's %v: frames were not laid end to end", latest, d0)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"gvmr/internal/camera"
@@ -36,6 +37,80 @@ type Result struct {
 	VPSMillions float64
 }
 
+// engineConfig is the MapReduce job configuration a render job runs.
+type engineConfig = mapreduce.Config[composite.Fragment, []*volume.BrickData]
+
+// planJob plans one render job on GPUs with vramBytes of device memory
+// each: the brick grid, the camera (opt.Camera or the fitted default
+// view), and the mapper over the staging-cached source, plus the job's
+// map units. Render and MapBricks both plan through it, which is what
+// makes a unit's fragments in MapBricks bit-identical to the same unit's
+// inside Render. opt must already hold its defaults.
+func planJob(opt Options, gpus int, vramBytes int64) (*rayCastMapper, [][]volume.Brick, error) {
+	grid, err := planBricks(opt.Source.Dims(), gpus, opt.BricksPerGPU, vramBytes)
+	if err != nil {
+		return nil, nil, err
+	}
+	cam := opt.Camera
+	if cam == nil {
+		cam, err = camera.Fit(grid.Space.Bounds(), opt.Width, opt.Height)
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	if cam.Width != opt.Width || cam.Height != opt.Height {
+		return nil, nil, fmt.Errorf("core: camera image %dx%d != options %dx%d",
+			cam.Width, cam.Height, opt.Width, opt.Height)
+	}
+	// Brick staging reads through the process-wide staging cache: the
+	// source is materialised at most once per identity and every Stage
+	// call becomes a row-wise copy (virtual disk/PCIe time is still
+	// charged by the engine as configured). A source that does not
+	// declare volume.Stageable passes through uncached.
+	mapper := &rayCastMapper{
+		src:  volume.Cached(opt.Source),
+		grid: grid,
+		cam:  cam,
+		prm:  opt.renderParams(),
+	}
+	if opt.Sampler == Slicing {
+		mapper.sampler = render.CastRaySlicing
+	}
+	if err := mapper.prm.Validate(); err != nil {
+		return nil, nil, err
+	}
+	units, err := jobUnits(grid, opt.Partition)
+	if err != nil {
+		return nil, nil, err
+	}
+	return mapper, units, nil
+}
+
+// jobConfig builds the MapReduce configuration of a render job mapping
+// chunks with `workers` GPUs of cl; the caller adds the reducers. The
+// per-job fixed overhead is always charged (the paper's runtimes include
+// full frame setup) and fragments stream to the reducers in 256 KiB
+// batches.
+func (o *Options) jobConfig(cl *cluster.Cluster, workers int,
+	m mapreduce.Mapper[composite.Fragment, []*volume.BrickData], chunks []mapreduce.Chunk) engineConfig {
+	return engineConfig{
+		Cluster:             cl,
+		Workers:             workers,
+		Mapper:              m,
+		Partitioner:         o.Partitioner,
+		KeyRange:            int32(o.Width * o.Height),
+		ValueBytes:          composite.FragmentBytes - 4,
+		Chunks:              chunks,
+		Assign:              o.Assign,
+		FlushBytes:          256 << 10,
+		FromDisk:            o.FromDisk,
+		ReduceOn:            o.ReduceOn,
+		SortOn:              o.SortOn,
+		ChargeFixedOverhead: true,
+		Trace:               o.Trace,
+	}
+}
+
 // Render renders one frame of the source volume on the cluster and
 // returns the image plus full statistics. It drives the cluster's
 // simulation environment to completion.
@@ -43,76 +118,18 @@ func Render(cl *cluster.Cluster, opt Options) (*Result, error) {
 	if err := opt.fillDefaults(); err != nil {
 		return nil, err
 	}
-	gpus := opt.GPUs
-	if gpus == 0 {
-		gpus = cl.TotalGPUs()
-	}
+	gpus := cmp.Or(opt.GPUs, cl.TotalGPUs())
 	if gpus < 1 || gpus > cl.TotalGPUs() {
 		return nil, fmt.Errorf("core: %d GPUs requested, cluster has %d", gpus, cl.TotalGPUs())
 	}
-	grid, err := planBricks(opt.Source.Dims(), gpus, opt.BricksPerGPU,
-		cl.Params.GPU.VRAMBytes, opt.VRAMFraction)
-	if err != nil {
-		return nil, err
-	}
-	cam := opt.Camera
-	if cam == nil {
-		cam, err = camera.Fit(grid.Space.Bounds(), opt.Width, opt.Height)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if cam.Width != opt.Width || cam.Height != opt.Height {
-		return nil, fmt.Errorf("core: camera image %dx%d != options %dx%d",
-			cam.Width, cam.Height, opt.Width, opt.Height)
-	}
-
-	// Brick staging reads through the process-wide staging cache: the
-	// source is materialised at most once per identity and every Stage
-	// call becomes a row-wise copy (virtual disk/PCIe time is still
-	// charged by the engine as configured).
-	src := opt.Source
-	if !opt.NoStagingCache {
-		src = volume.Cached(src)
-	}
-	var sampler render.SampleFn
-	if opt.Sampler == Slicing {
-		sampler = render.CastRaySlicing
-	}
-	mapper := &rayCastMapper{
-		src:     src,
-		grid:    grid,
-		cam:     cam,
-		prm:     opt.renderParams(),
-		sampler: sampler,
-	}
-	if err := mapper.prm.Validate(); err != nil {
-		return nil, err
-	}
-	units, err := jobUnits(grid, opt.Partition)
+	mapper, units, err := planJob(opt, gpus, cl.Params.GPU.VRAMBytes)
 	if err != nil {
 		return nil, err
 	}
 	chunks := unitChunks(units)
-	defer planFrame(src, chunks)()
+	defer planFrame(mapper.src, chunks)()
 
-	charge := opt.chargeOverhead()
-	cfg := mapreduce.Config[composite.Fragment, []*volume.BrickData]{
-		Cluster:             cl,
-		Workers:             gpus,
-		Mapper:              mapper,
-		Partitioner:         opt.Partitioner,
-		KeyRange:            int32(opt.Width * opt.Height),
-		ValueBytes:          composite.FragmentBytes - 4,
-		Chunks:              chunks,
-		Assign:              opt.Assign,
-		FlushBytes:          opt.FlushBytes,
-		FromDisk:            opt.FromDisk,
-		ReduceOn:            opt.ReduceOn,
-		SortOn:              opt.SortOn,
-		ChargeFixedOverhead: charge,
-		Trace:               opt.Trace,
-	}
+	cfg := opt.jobConfig(cl, gpus, mapper, chunks)
 	if opt.InSitu {
 		if opt.FromDisk {
 			return nil, fmt.Errorf("core: InSitu and FromDisk are mutually exclusive")
@@ -125,7 +142,7 @@ func Render(cl *cluster.Cluster, opt Options) (*Result, error) {
 	}
 
 	res := &Result{
-		Grid:   grid,
+		Grid:   mapper.grid,
 		GPUs:   gpus,
 		Voxels: opt.Source.Dims().Voxels(),
 	}
@@ -169,7 +186,7 @@ func Render(cl *cluster.Cluster, opt Options) (*Result, error) {
 			return nil, err
 		}
 		res.Stats = stats
-		swap, err := binarySwap(cl, cam, collectors, opt.Background, res.Image)
+		swap, err := binarySwap(cl, mapper.cam, collectors, opt.Background, res.Image)
 		if err != nil {
 			return nil, err
 		}

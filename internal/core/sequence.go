@@ -8,7 +8,6 @@ import (
 	"gvmr/internal/cluster"
 	"gvmr/internal/img"
 	"gvmr/internal/mapreduce"
-	"gvmr/internal/schedule"
 	"gvmr/internal/sim"
 	"gvmr/internal/vec"
 	"gvmr/internal/volume"
@@ -149,14 +148,13 @@ func (b orbitBase) at(angle float64) (*camera.Camera, error) {
 // caller's cluster across frames, as a real interactive session would.
 // The per-frame images are rendered fully; only the last is retained.
 //
-// Frames are independent simulations, so by default they execute
-// concurrently across host cores (the internal/schedule worker pool):
-// each frame renders on a fresh instance of the cluster's spec and the
-// per-frame virtual times are stitched back into serial accounting —
-// images, per-frame times and aggregated statistics are bit-identical
-// to serial execution. Set Options.SequenceSerial to force the
-// one-frame-at-a-time path; a non-nil Options.Trace also forces it, so
-// a trace stays a single coherent timeline.
+// The frames are RenderFrames' frames over OrbitCameras: independent
+// simulations rendered concurrently across host cores (the
+// internal/schedule worker pool), each on a fresh instance of the
+// cluster's spec, with the per-frame virtual times stitched back into
+// serial accounting — images, per-frame times and aggregated statistics
+// are bit-identical to back-to-back rendering, which a non-nil
+// Options.Trace selects so the trace stays one timeline.
 func RenderSequence(cl *cluster.Cluster, opt Options, frames int, orbitDegrees float64) (*SequenceResult, error) {
 	if err := opt.fillDefaults(); err != nil {
 		return nil, err
@@ -164,81 +162,27 @@ func RenderSequence(cl *cluster.Cluster, opt Options, frames int, orbitDegrees f
 	// Cross-frame staging reuse needs no wiring here: Render routes every
 	// frame's source through the process-wide staging cache (keyed by
 	// source identity), so the field is evaluated once and every frame
-	// stages out of the same materialised volume — in parallel mode the
-	// first frame to arrive fills the cache while the rest block briefly,
-	// then all stage concurrently (the cache was built for exactly this).
+	// stages out of the same materialised volume — concurrent frames
+	// block briefly while the first to arrive fills the cache, then all
+	// stage concurrently (the cache was built for exactly this).
 	cams, err := OrbitCameras(opt.Source, opt.Width, opt.Height, frames, orbitDegrees)
 	if err != nil {
 		return nil, err
 	}
-	if opt.SequenceSerial || opt.Trace != nil {
-		return renderSequenceSerial(cl, opt, cams)
-	}
-	return renderSequenceParallel(cl, opt, cams)
-}
-
-// renderSequenceSerial is the pre-scheduler path: every frame renders on
-// the caller's cluster, back to back on its single virtual clock.
-func renderSequenceSerial(cl *cluster.Cluster, opt Options, cams []*camera.Camera) (*SequenceResult, error) {
-	res := &SequenceResult{Frames: len(cams), Workers: 1}
-	start := cl.Env.Now()
-	for f, cam := range cams {
-		frameOpt := opt
-		frameOpt.Camera = cam
-		frameStart := cl.Env.Now()
-		r, err := Render(cl, frameOpt)
-		if err != nil {
-			return nil, fmt.Errorf("core: frame %d: %w", f, err)
-		}
-		res.PerFrame = append(res.PerFrame, cl.Env.Now()-frameStart)
-		res.FrameStats = append(res.FrameStats, r.Stats)
-		res.LastImage = r.Image
-	}
-	res.Total = cl.Env.Now() - start
-	finishSequence(res)
-	return res, nil
-}
-
-// renderSequenceParallel fans the frames out over the worker pool, one
-// fresh cluster instance per frame, and stitches the per-frame virtual
-// times back into the serial accounting: PerFrame[f] is frame f's
-// simulated duration, Total is their sum (frames run back to back in
-// virtual time, exactly as the serial path schedules them), and the
-// caller's cluster clock advances by Total.
-func renderSequenceParallel(cl *cluster.Cluster, opt Options, cams []*camera.Camera) (*SequenceResult, error) {
-	workers := schedule.Workers(opt.SequenceWorkers, len(cams))
-	devWorkers := schedule.DeviceWorkers(workers)
-	outs, err := schedule.Map(workers, len(cams), func(f int) (Frame, error) {
-		fr, err := renderFrameJob(cl, opt, cams, devWorkers, f)
-		if err == nil && f != len(cams)-1 {
-			// Only the last image is retained (as in the serial path);
-			// don't hold every frame's framebuffer until the join.
-			fr.Result.Image = nil
-		}
-		return fr, err
-	})
+	last := len(cams) - 1
+	out, workers, err := renderFrames(cl, opt, cams, func(f int) bool { return f == last })
 	if err != nil {
 		return nil, err
 	}
-	res := &SequenceResult{Frames: len(cams), Workers: workers}
-	for _, o := range outs {
-		res.PerFrame = append(res.PerFrame, o.Time)
-		res.FrameStats = append(res.FrameStats, o.Result.Stats)
-		res.Total += o.Time
-		res.LastImage = o.Result.Image
+	res := &SequenceResult{Frames: len(cams), Workers: workers, LastImage: out[last].Result.Image}
+	for _, fr := range out {
+		res.PerFrame = append(res.PerFrame, fr.Time)
+		res.FrameStats = append(res.FrameStats, fr.Result.Stats)
+		res.Total += fr.Time
 	}
-	// The caller's session clock advances as if it had rendered the
-	// frames itself.
-	if err := cl.Env.RunUntil(cl.Env.Now() + res.Total); err != nil {
-		return nil, err
-	}
-	finishSequence(res)
-	return res, nil
-}
-
-func finishSequence(res *SequenceResult) {
 	res.Agg = aggregateStats(res.FrameStats)
 	if res.Total > 0 {
 		res.MeanFPS = float64(res.Frames) / res.Total.Seconds()
 	}
+	return res, nil
 }

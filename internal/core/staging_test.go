@@ -77,12 +77,13 @@ func TestRenderCachesAcrossConfigurations(t *testing.T) {
 	}
 }
 
-// TestRenderNoStagingCacheOptOut verifies the explicit opt-out: every
-// brick stage evaluates the source directly, and the image matches the
-// cached render exactly.
+// TestRenderNoStagingCacheOptOut verifies the opt-out: a source that does
+// not declare volume.Stageable is never cached, so every brick stage
+// evaluates it directly, and the image matches the cached render exactly.
 func TestRenderNoStagingCacheOptOut(t *testing.T) {
 	optA, counterA := countedOptions(t, "optout-a", 32, 40, 4)
-	optA.NoStagingCache = true
+	// Embedding the interface hides the counter's StageCacheable.
+	optA.Source = struct{ volume.Source }{counterA}
 	clA := newCluster(t, 4)
 	resA, err := Render(clA, optA)
 	if err != nil {

@@ -43,23 +43,6 @@ type Scale struct {
 	BaselineGPUs         int
 	// AblationEdge sizes the §6.1 ablation renders.
 	AblationEdge int
-
-	// Serial forces the figure sweeps to run one cell at a time on the
-	// calling goroutine (the frame scheduler's opt-out, for debugging
-	// and the serial-vs-parallel sweep test). The default fans
-	// independent cells out across host cores; rows are stitched back
-	// in grid order either way, so tables are bit-identical.
-	Serial bool
-	// Workers caps the fan-out pool width (0 means GOMAXPROCS).
-	Workers int
-}
-
-// poolWidth resolves the scheduler pool for a fan-out of n jobs.
-func (sc Scale) poolWidth(n int) int {
-	if sc.Serial {
-		return 1
-	}
-	return schedule.Workers(sc.Workers, n)
 }
 
 // Paper returns the full evaluation scale: 512² images, 128³–1024³
@@ -164,8 +147,9 @@ type SweepRow struct {
 // Figure 3 starts the 1024³ series at 2 GPUs.
 //
 // Every cell is an independent simulation on its own cluster instance, so
-// cells fan out across host cores (Scale.Serial opts out); rows come back
-// stitched in grid order and are bit-identical to a serial sweep.
+// cells fan out across host cores (GOMAXPROCS=1 runs them one at a
+// time); rows come back stitched in grid order and are bit-identical to a
+// serial sweep.
 func Sweep(sc Scale) ([]SweepRow, error) {
 	vram := cluster.AC(1).GPU.VRAMBytes
 	type cell struct {
@@ -182,7 +166,7 @@ func Sweep(sc Scale) ([]SweepRow, error) {
 			cells = append(cells, cell{dims: dims, gpus: gpus})
 		}
 	}
-	workers := sc.poolWidth(len(cells))
+	workers := schedule.Workers(len(cells))
 	devWorkers := schedule.DeviceWorkers(workers)
 	return schedule.Map(workers, len(cells), func(i int) (SweepRow, error) {
 		c := cells[i]

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -213,15 +214,14 @@ func TestRenderConfigMutate(t *testing.T) {
 // TestSweepParallelMatchesSerial: fanning sweep cells out across the
 // scheduler pool must produce row-for-row identical tables.
 func TestSweepParallelMatchesSerial(t *testing.T) {
-	serialSc := tiny()
-	serialSc.Serial = true
-	serial, err := Sweep(serialSc)
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	serial, err := Sweep(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
-	parSc := tiny()
-	parSc.Workers = 4 // force a real pool even on one core
-	parallel, err := Sweep(parSc)
+	runtime.GOMAXPROCS(4) // a real pool even on one core
+	parallel, err := Sweep(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}

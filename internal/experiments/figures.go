@@ -30,7 +30,7 @@ func Fig2(sc Scale, outDir string) (*report.Table, error) {
 	}
 	// The three dataset renders are independent simulations: fan them out
 	// across cores, then write PNGs and table rows in dataset order.
-	workers := sc.poolWidth(len(jobs))
+	workers := schedule.Workers(len(jobs))
 	devWorkers := schedule.DeviceWorkers(workers)
 	results, err := schedule.Map(workers, len(jobs), func(i int) (*core.Result, error) {
 		// Figure renders use gradient shading — the paper's images are

@@ -21,22 +21,13 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a requested pool width: requested > 0 is honored (so
-// callers and tests can force real concurrency even on small machines),
-// zero means GOMAXPROCS. The result is clamped to [1, jobs].
-func Workers(requested, jobs int) int {
-	w := requested
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > jobs {
-		w = jobs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
+// Workers is the pool width for a fan-out of the given number of jobs:
+// GOMAXPROCS, clamped to [1, jobs]. Run with GOMAXPROCS=1 for one job at
+// a time.
+func Workers(jobs int) int { return clamp(runtime.GOMAXPROCS(0), jobs) }
+
+// clamp bounds a pool width to [1, jobs].
+func clamp(workers, jobs int) int { return max(1, min(workers, jobs)) }
 
 // DeviceWorkers splits GOMAXPROCS across a pool of the given width: each
 // job's simulated devices get this many host cores for kernel-block
@@ -65,14 +56,15 @@ type Item[T any] struct {
 // results in index order. On failure it returns the error of the
 // lowest-index failed job — exactly the error a serial loop would have
 // stopped on — and cancels jobs that have not started yet (jobs already
-// running complete). workers <= 1 runs the jobs inline in index order,
-// stopping at the first error like a plain loop.
+// running complete). The pool width is clamped to [1, n]; a width of 1
+// runs the jobs inline in index order, stopping at the first error like
+// a plain loop.
 func Map[T any](workers, n int, job func(int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	if n == 0 {
 		return out, nil
 	}
-	if workers = Workers(workers, n); workers == 1 {
+	if workers = clamp(workers, n); workers == 1 {
 		for i := 0; i < n; i++ {
 			v, err := job(i)
 			if err != nil {
@@ -135,7 +127,7 @@ func Map[T any](workers, n int, job func(int) (T, error)) ([]T, error) {
 // stops reading MUST cancel (or drain) — otherwise delivery blocks
 // forever. nil means not cancellable.
 func Stream[T any](workers, n int, job func(int) (T, error), done <-chan struct{}) <-chan Item[T] {
-	workers = Workers(workers, n)
+	workers = clamp(workers, n)
 	out := make(chan Item[T], workers)
 	if n == 0 {
 		close(out)

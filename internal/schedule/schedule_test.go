@@ -3,26 +3,25 @@ package schedule
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
 func TestWorkers(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
 	cases := []struct {
-		requested, jobs, want int
+		jobs, want int
 	}{
-		{0, 0, 1},
-		{0, 1, 1},
-		{8, 4, 4},
-		{3, 100, 3},
-		{-1, 2, 2}, // negative falls back to GOMAXPROCS, clamped by jobs
+		{0, 1},
+		{1, 1},
+		{procs, procs},
+		{procs + 100, procs}, // GOMAXPROCS caps a large fan-out
 	}
 	for _, c := range cases {
-		if got := Workers(c.requested, c.jobs); c.requested >= 0 && got != c.want {
-			t.Errorf("Workers(%d, %d) = %d, want %d", c.requested, c.jobs, got, c.want)
-		} else if got < 1 {
-			t.Errorf("Workers(%d, %d) = %d < 1", c.requested, c.jobs, got)
+		if got := Workers(c.jobs); got != c.want {
+			t.Errorf("Workers(%d) = %d, want %d", c.jobs, got, c.want)
 		}
 	}
 }

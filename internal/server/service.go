@@ -58,15 +58,12 @@ func (e invalidRequestError) Unwrap() error { return ErrInvalid }
 
 // Config sizes a Service.
 type Config struct {
-	// GPUs is the simulated cluster size each render runs on (default 4).
-	// Ignored when Spec is non-nil.
+	// GPUs is the simulated cluster size each render runs on, on the
+	// calibrated cluster.AC(GPUs) hardware (default 4).
 	GPUs int
-	// Spec overrides the default calibrated cluster.AC(GPUs) hardware.
-	Spec *cluster.Spec
 	// Workers is the number of renders executing concurrently (0 =
-	// GOMAXPROCS, resolved through the schedule pool policy; device-level
-	// host cores are split across workers the same way RenderFrames
-	// splits them).
+	// GOMAXPROCS; device-level host cores are split across workers with
+	// schedule.DeviceWorkers, as RenderFrames splits them).
 	Workers int
 	// MaxQueue bounds how many admitted renders may wait for a worker
 	// (default 64). Beyond Workers+MaxQueue, Render fails fast with
@@ -181,9 +178,6 @@ func New(cfg Config) (*Service, error) {
 		cfg.GPUs = 4
 	}
 	spec := cluster.AC(cfg.GPUs)
-	if cfg.Spec != nil {
-		spec = *cfg.Spec
-	}
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -248,9 +242,8 @@ func New(cfg Config) (*Service, error) {
 			DistReduce:     cfg.DistReduce,
 			NoCompress:     cfg.NoWireCompress,
 			Metrics:        s.res,
-			// Plan grids with this service's spec, so a custom Spec works
-			// as long as the workers run the same hardware description
-			// (the grid-counts cross-check catches anything else).
+			// Plan grids with this service's spec: AC(cfg.GPUs), the
+			// machine the wire and reduce charges model.
 			Spec: &spec,
 		})
 		if err != nil {

@@ -169,11 +169,10 @@ func TestCacheEvictionAndBypass(t *testing.T) {
 	if s := cache.Wrap(huge); s != Source(huge) {
 		t.Errorf("over-budget source should bypass the cache, got %T", s)
 	}
-	// Explicit opt-out.
-	out := NewFuncSource("optout", small, testField)
-	out.NoCache = true
+	// A source that does not declare Stageable opts out.
+	out := struct{ Source }{NewFuncSource("optout", small, testField)}
 	if s := cache.Wrap(out); s != Source(out) {
-		t.Errorf("opted-out source should bypass the cache, got %T", s)
+		t.Errorf("a source that is not Stageable should bypass the cache, got %T", s)
 	}
 	// Already-dense volumes pass through.
 	vs := NewVolumeSource(New(small), "dense")

@@ -82,9 +82,6 @@ type FuncSource struct {
 	// calls. It must agree with Field to within the dataset package's
 	// documented fast-math tolerance.
 	Rows RowFiller
-	// NoCache opts this source out of staging caches even when its volume
-	// would fit (see StagingCache).
-	NoCache bool
 }
 
 // NewFuncSource builds a Source from an analytic field.
@@ -105,9 +102,8 @@ func (s *FuncSource) Name() string { return s.Tag }
 func (s *FuncSource) Dims() Dims { return s.Size }
 
 // StageCacheable implements Stageable: analytic fields are deterministic
-// per (tag, dims), so staging caches may materialise them once, unless the
-// source opted out.
-func (s *FuncSource) StageCacheable() bool { return !s.NoCache }
+// per (tag, dims), so staging caches may materialise them once.
+func (s *FuncSource) StageCacheable() bool { return true }
 
 // Fill implements Source, evaluating the field at voxel centers in
 // parallel over host cores (z-slabs).
