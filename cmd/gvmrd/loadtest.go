@@ -259,7 +259,7 @@ func bitIdentityCheck(client *http.Client, rawURL, ds string, edge, size int, or
 	if err != nil {
 		return false, err
 	}
-	tf, err := transfer.Preset(ds)
+	tf, err := transfer.Preset(dataset.TFName(ds))
 	if err != nil {
 		return false, err
 	}

@@ -76,12 +76,12 @@ func (cs CameraSpec) validate() error {
 	return nil
 }
 
-// JobSpec addresses one distributed frame: a built-in dataset (which also
-// selects the transfer-function preset), the image size, the exact
-// camera, and the quality knobs — the same identity the render service's
-// request key canonicalises, with the camera resolved to explicit floats
-// so the wire form renders any view (orbit frames and the golden suite's
-// fitted default alike).
+// JobSpec addresses one frame: a built-in dataset (which also selects the
+// transfer-function preset), the image size, the exact camera, and the
+// quality knobs. It is what the render service resolves each normalized
+// request into and renders, locally or on its workers, with the camera
+// resolved to explicit floats so the wire form renders any view (orbit
+// frames and the golden suite's fitted default alike).
 type JobSpec struct {
 	Dataset string `json:"dataset"`
 	Edge    int    `json:"edge"`
@@ -130,9 +130,9 @@ func (p *PartitionSpec) Build() (core.Partition, error) {
 	return core.BuildPartition(p.Scheme, p.Parts)
 }
 
-// Validate bounds the job against worker-side limits (mirroring the
-// render service's request limits: maxEdge caps the dataset cube edge,
-// maxPixels the image area).
+// Validate bounds the job against the node's limits: maxEdge caps the
+// dataset cube edge, maxPixels the image area. The render service and its
+// /map workers both run it, so a frame one accepts the other accepts.
 func (j JobSpec) Validate(maxEdge, maxPixels int) error {
 	known := false
 	for _, n := range dataset.Names() {
@@ -147,6 +147,8 @@ func (j JobSpec) Validate(maxEdge, maxPixels int) error {
 	if j.Edge < 8 || j.Edge > maxEdge {
 		return fmt.Errorf("dist: edge %d outside [8, %d]", j.Edge, maxEdge)
 	}
+	// Each dimension is bounded before the product so a crafted w*h can
+	// overflow neither this check nor the renderer's allocation.
 	maxPx := int64(maxPixels)
 	if j.Width < 1 || j.Height < 1 ||
 		int64(j.Width) > maxPx || int64(j.Height) > maxPx ||
@@ -156,7 +158,10 @@ func (j JobSpec) Validate(maxEdge, maxPixels int) error {
 	if j.GPUs < 1 || j.GPUs > 1024 {
 		return fmt.Errorf("dist: %d GPUs outside [1, 1024]", j.GPUs)
 	}
-	if !(float64(j.StepVoxels) >= 0.01 && float64(j.StepVoxels) <= 16) {
+	// Bounded in float32, the step's own precision: ?step=0.01 parses to
+	// float32(0.01), just below 0.01 in float64. Written as a
+	// positive-range check so NaN fails it too.
+	if !(j.StepVoxels >= 0.01 && j.StepVoxels <= 16) {
 		return fmt.Errorf("dist: step %v outside [0.01, 16]", j.StepVoxels)
 	}
 	if !(j.TerminationAlpha > 0 && j.TerminationAlpha <= 1) {

@@ -40,19 +40,25 @@ func TestCoordinatorServiceMatchesLocal(t *testing.T) {
 	defer coord.Close(context.Background())
 
 	req := Request{Dataset: "skull", Edge: 24, Width: 48, Height: 48, Orbit: 33, GPUs: 2, Shading: true}
-	fLocal, _, err := local.Render(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fDist, via, err := coord.Render(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if via != ViaRender {
-		t.Errorf("first distributed render served via %q", via)
-	}
-	if fDist.Digest != fLocal.Digest {
-		t.Errorf("distributed digest %s != local %s", fDist.Digest, fLocal.Digest)
+	// The lowest step a client can spell: ?step=0.01 parses to
+	// float32(0.01), which the workers must accept as the service does.
+	fine := req
+	fine.StepVoxels = float32(0.01)
+	for _, r := range []Request{req, fine} {
+		fLocal, _, err := local.Render(context.Background(), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fDist, via, err := coord.Render(context.Background(), r)
+		if err != nil {
+			t.Fatalf("step %v: %v", r.StepVoxels, err)
+		}
+		if via != ViaRender {
+			t.Errorf("step %v: first distributed render served via %q", r.StepVoxels, via)
+		}
+		if fDist.Digest != fLocal.Digest {
+			t.Errorf("step %v: distributed digest %s != local %s", r.StepVoxels, fDist.Digest, fLocal.Digest)
+		}
 	}
 
 	mapJobs := ws1.Stats().MapJobs + ws2.Stats().MapJobs

@@ -13,7 +13,6 @@ import (
 // and the virtual-time figures of merit. Frames are immutable once built;
 // the cache and every response share them.
 type Frame struct {
-	Key           string
 	Width, Height int
 	Image         *img.Image
 	PNG           []byte
@@ -32,7 +31,7 @@ type Frame struct {
 	// Degraded marks a brownout frame: the distributed render missed its
 	// deadline and the service (with Config.AllowDegraded) served a
 	// coarser local render instead. Degraded frames are never cached —
-	// the full-quality key must stay honest.
+	// the full-quality request must stay honest.
 	Degraded bool
 }
 
@@ -46,16 +45,17 @@ func (f *Frame) Bytes() int64 {
 const DefaultFrameCacheBytes = 256 << 20
 
 // FrameCache is the bounded build-once cache (package cache) of rendered
-// frames by request key. A build in flight is the request coalescer's
-// call: requests for its key wait for the one render, and its bytes are
+// frames, keyed by the normalized Request itself: requests that normalize
+// to equal values render bit-identical frames. A build in flight is the
+// request coalescer's call: equal requests wait for the one render, and its bytes are
 // reserved so concurrent renders cannot overshoot the budget. A disabled
 // cache, or one whose budget is held by renders in flight, still
 // coalesces; it just keeps nothing.
-type FrameCache = cache.Cache[string, *Frame]
+type FrameCache = cache.Cache[Request, *Frame]
 
 // NewFrameCache builds a cache bounded to capacity bytes of frame data;
 // capacity <= 0 disables it.
-func NewFrameCache(capacity int64) *FrameCache { return cache.New[string, *Frame](capacity) }
+func NewFrameCache(capacity int64) *FrameCache { return cache.New[Request, *Frame](capacity) }
 
 // FrameCacheStats is a snapshot of frame-cache activity. A request counts
 // as exactly one hit or one miss; Bypassed counts renders that could not

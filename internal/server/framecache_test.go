@@ -10,10 +10,14 @@ import (
 	"gvmr/internal/vec"
 )
 
+// rq names a test frame: the cache keys on the Request value, so a
+// dataset name alone makes distinct keys.
+func rq(name string) Request { return Request{Dataset: name} }
+
 // mkFrame builds a committed-size test frame (raw bytes + a fake PNG).
-func mkFrame(key string, w, h, pngLen int) *Frame {
+func mkFrame(w, h, pngLen int) *Frame {
 	return &Frame{
-		Key: key, Width: w, Height: h,
+		Width: w, Height: h,
 		Image: img.New(w, h, vec.V4{}),
 		PNG:   make([]byte, pngLen),
 	}
@@ -23,9 +27,9 @@ func mkFrame(key string, w, h, pngLen int) *Frame {
 // frame the way the service does, and reports whether the reservation
 // was granted.
 func renderInto(c *FrameCache, key string, w, h, pngLen int) (reserved bool) {
-	c.Load(key, img.RawBytes(w, h), func(r bool) (*Frame, int64, error) {
+	c.Load(rq(key), img.RawBytes(w, h), func(r bool) (*Frame, int64, error) {
 		reserved = r
-		f := mkFrame(key, w, h, pngLen)
+		f := mkFrame(w, h, pngLen)
 		return f, f.Bytes(), nil
 	})
 	return reserved
@@ -42,7 +46,7 @@ func inFlight(t *testing.T, c *FrameCache, key string, w, h int) (finish func(*F
 	entered, release, done := make(chan struct{}), make(chan outcome), make(chan struct{})
 	go func() {
 		defer close(done)
-		c.Load(key, img.RawBytes(w, h), func(bool) (*Frame, int64, error) {
+		c.Load(rq(key), img.RawBytes(w, h), func(bool) (*Frame, int64, error) {
 			close(entered)
 			o := <-release
 			if o.err != nil {
@@ -77,10 +81,10 @@ func TestFrameCacheLRUAndBudget(t *testing.T) {
 	if st.Evictions != 2 {
 		t.Errorf("evictions = %d, want 2", st.Evictions)
 	}
-	if _, ok := c.Get("f4"); !ok {
+	if _, ok := c.Get(rq("f4")); !ok {
 		t.Error("most recent frame was evicted")
 	}
-	if _, ok := c.Get("f0"); ok {
+	if _, ok := c.Get(rq("f0")); ok {
 		t.Error("oldest frame survived a full wrap")
 	}
 }
@@ -99,13 +103,13 @@ func TestFrameCacheReserveFallback(t *testing.T) {
 	if st := c.Stats(); st.Bypassed != 1 {
 		t.Errorf("bypassed = %d, want 1", st.Bypassed)
 	}
-	if _, ok := c.Get("victim"); ok {
+	if _, ok := c.Get(rq("victim")); ok {
 		t.Error("a render without a reservation was kept")
 	}
-	finish(mkFrame("inflight", w, h, 100), nil)
+	finish(mkFrame(w, h, 100), nil)
 	// Ready entries are evictable: the same reservation is now granted.
 	finish = inFlight(t, c, "victim", w, h)
-	if _, ok := c.Get("inflight"); ok {
+	if _, ok := c.Get(rq("inflight")); ok {
 		t.Error("committed frame should have been evicted for the new reservation")
 	}
 	finish(nil, errors.New("synthetic render failure"))
@@ -123,13 +127,13 @@ func TestFrameCacheFailedRenderNotCached(t *testing.T) {
 	if st := c.Stats(); st.BytesInUse != 0 || st.Inserts != 0 {
 		t.Errorf("failed render left state: %+v", st)
 	}
-	if _, ok := c.Get("fail"); ok {
+	if _, ok := c.Get(rq("fail")); ok {
 		t.Error("failed render served from cache")
 	}
 	if !renderInto(c, "fail", w, h, 100) {
 		t.Error("re-render after failure did not cache")
 	}
-	if _, ok := c.Get("fail"); !ok {
+	if _, ok := c.Get(rq("fail")); !ok {
 		t.Error("re-rendered frame missing")
 	}
 }
@@ -144,31 +148,31 @@ func TestFrameCacheBypassAndDisable(t *testing.T) {
 	finish := inFlight(t, c, "dup", 4, 4)
 	joined := make(chan cache.Served)
 	go func() {
-		_, how, _ := c.Load("dup", 64, func(bool) (*Frame, int64, error) {
+		_, how, _ := c.Load(rq("dup"), 64, func(bool) (*Frame, int64, error) {
 			t.Error("a key in flight was rendered twice")
 			return nil, 0, nil
 		})
 		joined <- how
 	}()
 	waitFor(t, "the duplicate to join", func() bool { return c.Stats().Joins == 1 })
-	finish(mkFrame("dup", 4, 4, 10), nil)
+	finish(mkFrame(4, 4, 10), nil)
 	if how := <-joined; how != cache.Joined {
 		t.Errorf("duplicate request was served %v, want joined", how)
 	}
-	f, _, err := c.Load("degraded", 64, func(bool) (*Frame, int64, error) {
-		return &Frame{Key: "degraded", Degraded: true}, cache.Discard, nil
+	f, _, err := c.Load(rq("degraded"), 64, func(bool) (*Frame, int64, error) {
+		return &Frame{Degraded: true}, cache.Discard, nil
 	})
 	if err != nil || f == nil || !f.Degraded {
 		t.Errorf("discarded frame was not handed to its caller: %v, %v", f, err)
 	}
-	if _, ok := c.Get("degraded"); ok {
+	if _, ok := c.Get(rq("degraded")); ok {
 		t.Error("discarded frame was kept")
 	}
 	z := NewFrameCache(0)
 	if renderInto(z, "x", 1, 1, 0) {
 		t.Error("zero-capacity cache reserved")
 	}
-	if _, ok := z.Get("x"); ok {
+	if _, ok := z.Get(rq("x")); ok {
 		t.Error("zero-capacity cache hit")
 	}
 }
@@ -189,10 +193,10 @@ func TestFrameCacheCommitAdjustsCharge(t *testing.T) {
 	if st.BytesInUse != raw+200 {
 		t.Errorf("bytes in use = %d, want %d", st.BytesInUse, raw+200)
 	}
-	if _, ok := c.Get("a"); ok {
+	if _, ok := c.Get(rq("a")); ok {
 		t.Error("LRU frame survived the commit adjustment")
 	}
-	if _, ok := c.Get("b"); !ok {
+	if _, ok := c.Get(rq("b")); !ok {
 		t.Error("committed frame missing")
 	}
 }
@@ -204,15 +208,15 @@ func TestFrameCacheFlush(t *testing.T) {
 	renderInto(c, "ready", w, h, 100)
 	finish := inFlight(t, c, "pending", w, h)
 	c.Flush()
-	if _, ok := c.Get("ready"); ok {
+	if _, ok := c.Get(rq("ready")); ok {
 		t.Error("flushed frame still served")
 	}
 	st := c.Stats()
 	if st.BytesInUse != img.RawBytes(w, h) {
 		t.Errorf("bytes in use = %d, want the pending reservation only", st.BytesInUse)
 	}
-	finish(mkFrame("pending", w, h, 10), nil)
-	if _, ok := c.Get("pending"); !ok {
+	finish(mkFrame(w, h, 10), nil)
+	if _, ok := c.Get(rq("pending")); !ok {
 		t.Error("reservation did not survive the flush")
 	}
 }

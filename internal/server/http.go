@@ -168,7 +168,7 @@ func parseRenderRequest(r *http.Request) (Request, string, error) {
 	}
 	if v := q.Get("partition"); v != "" {
 		// "scheme:parts", e.g. "interleave:2" — the same spelling
-		// Partition.Name uses and the request key canonicalises.
+		// Partition.Name uses; it becomes the job's PartitionSpec.
 		scheme, parts, ok := strings.Cut(v, ":")
 		if !ok || scheme == "" {
 			return req, "", fmt.Errorf("bad partition=%q (want scheme:parts)", v)

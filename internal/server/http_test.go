@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"gvmr/internal/core"
 	"gvmr/internal/img"
 	"gvmr/internal/render"
 	"gvmr/internal/volume"
@@ -95,16 +94,8 @@ func TestHTTPRawMatchesDirectRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := s.options(Request{Dataset: "skull", Edge: 16, Width: 32, Height: 32,
+	direct := directDigest(t, s.spec, Request{Dataset: "skull", Edge: 16, Width: 32, Height: 32,
 		Orbit: 30, Shading: true, GPUs: 2, StepVoxels: 1, TerminationAlpha: 0.98})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _, err := core.RenderOn(s.spec, opt, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := res.Image.Digest()
 	if served.Digest() != direct {
 		t.Error("served raw bits differ from direct render")
 	}

@@ -14,14 +14,15 @@ import (
 	"gvmr/internal/img"
 	"gvmr/internal/resilience"
 	"gvmr/internal/sim"
-	"gvmr/internal/transfer"
 	"gvmr/internal/volume/dataset"
 )
 
 // Request addresses one frame: a built-in dataset (which also selects its
 // transfer-function preset), the image size, a camera on the fitted
-// orbit, and the quality knobs. Its canonical key drives both the
-// coalescer and the frame cache.
+// orbit, and the quality knobs. Normalized, it is the frame's identity: a
+// plain comparable value that keys both the coalescer and the frame
+// cache. What the service renders is the dist.JobSpec normalize resolves
+// it into.
 type Request struct {
 	Dataset string  // built-in dataset + TF preset name
 	Edge    int     // dataset cube edge (paper aspect for plume)
@@ -48,21 +49,14 @@ type Request struct {
 	Parts        int
 }
 
-// normalize fills defaults and validates against the service limits, so
-// that two spellings of the same frame produce the same key.
-func (r *Request) normalize(s *Service) error {
+// normalize fills the request's defaults, so that two spellings of the
+// same frame become one Request value, and resolves it into the job that
+// renders it. It checks only what the service alone knows — its cluster
+// size, a finite orbit, parts without a scheme; every bound the job shares
+// with /map is JobSpec.Validate's, the same check the workers run.
+func (r *Request) normalize(s *Service) (dist.JobSpec, error) {
 	if r.Dataset == "" {
 		r.Dataset = dataset.Skull
-	}
-	known := false
-	for _, n := range dataset.Names() {
-		if n == r.Dataset {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return fmt.Errorf("server: unknown dataset %q (have %v)", r.Dataset, dataset.Names())
 	}
 	if d, ok := dataset.NativeDims(r.Dataset); ok {
 		// File-backed volumes have fixed on-disk dims; canonicalize the
@@ -72,73 +66,56 @@ func (r *Request) normalize(s *Service) error {
 	} else if r.Edge == 0 {
 		r.Edge = 64
 	}
-	if r.Edge < 8 || r.Edge > s.cfg.MaxEdge {
-		return fmt.Errorf("server: edge %d outside [8, %d]", r.Edge, s.cfg.MaxEdge)
-	}
 	if r.Width == 0 {
 		r.Width = 256
 	}
 	if r.Height == 0 {
 		r.Height = r.Width
 	}
-	// Each dimension is bounded before the product so a crafted w*h can
-	// overflow neither this check nor the slice allocation in the
-	// renderer.
-	maxPx := int64(s.cfg.MaxPixels)
-	if r.Width < 1 || r.Height < 1 ||
-		int64(r.Width) > maxPx || int64(r.Height) > maxPx ||
-		int64(r.Width)*int64(r.Height) > maxPx {
-		return fmt.Errorf("server: image %dx%d outside (0, %d] pixels", r.Width, r.Height, s.cfg.MaxPixels)
-	}
+	gpus := s.spec.Nodes * s.spec.GPUsPerNode
 	if r.GPUs == 0 {
-		r.GPUs = s.spec.Nodes * s.spec.GPUsPerNode
-	}
-	if r.GPUs < 1 || r.GPUs > s.spec.Nodes*s.spec.GPUsPerNode {
-		return fmt.Errorf("server: %d GPUs requested, cluster has %d", r.GPUs, s.spec.Nodes*s.spec.GPUsPerNode)
-	}
-	if math.IsNaN(r.Orbit) || math.IsInf(r.Orbit, 0) {
-		return fmt.Errorf("server: orbit %v is not a finite angle", r.Orbit)
+		r.GPUs = gpus
 	}
 	if r.StepVoxels == 0 {
 		r.StepVoxels = 1
 	}
-	// Written as a positive-range check so NaN fails it too.
-	if !(r.StepVoxels >= 0.01 && r.StepVoxels <= 16) {
-		return fmt.Errorf("server: step %v outside [0.01, 16]", r.StepVoxels)
-	}
 	if r.TerminationAlpha == 0 {
 		r.TerminationAlpha = 0.98
-	}
-	if !(r.TerminationAlpha > 0 && r.TerminationAlpha <= 1) {
-		return fmt.Errorf("server: termination alpha %v outside (0, 1]", r.TerminationAlpha)
 	}
 	if r.BricksPerGPU == 0 {
 		r.BricksPerGPU = 1
 	}
-	if r.BricksPerGPU < 1 || r.BricksPerGPU > 64 {
-		return fmt.Errorf("server: bricks-per-gpu %d outside [1, 64]", r.BricksPerGPU)
+	switch {
+	case r.GPUs > gpus:
+		return dist.JobSpec{}, fmt.Errorf("server: %d GPUs requested, cluster has %d", r.GPUs, gpus)
+	case math.IsNaN(r.Orbit) || math.IsInf(r.Orbit, 0):
+		return dist.JobSpec{}, fmt.Errorf("server: orbit %v is not a finite angle", r.Orbit)
+	case r.Partition == "" && r.Parts != 0:
+		return dist.JobSpec{}, fmt.Errorf("server: parts=%d without a partition scheme", r.Parts)
 	}
-	if r.Partition == "" {
-		if r.Parts != 0 {
-			return fmt.Errorf("server: parts=%d without a partition scheme", r.Parts)
-		}
-	} else if _, err := core.BuildPartition(r.Partition, r.Parts); err != nil {
-		return fmt.Errorf("server: %w", err)
+	job := dist.JobSpec{
+		Dataset: r.Dataset, Edge: r.Edge,
+		Width: r.Width, Height: r.Height,
+		GPUs: r.GPUs, Shading: r.Shading,
+		StepVoxels: r.StepVoxels, TerminationAlpha: r.TerminationAlpha,
 	}
-	return nil
-}
-
-// key is the canonical identity of the frame this request addresses:
-// dataset preset (data + transfer function) + dims + camera + quality.
-// Requests with equal keys render bit-identical frames.
-func (r *Request) key() string {
-	part := ""
+	// The default bricking (1 per GPU) is spelled as the absent field.
+	if r.BricksPerGPU != 1 {
+		job.BricksPerGPU = r.BricksPerGPU
+	}
 	if r.Partition != "" {
-		part = fmt.Sprintf("%s:%d", r.Partition, r.Parts)
+		job.Partition = &dist.PartitionSpec{Scheme: r.Partition, Parts: r.Parts}
 	}
-	return fmt.Sprintf("%s|e%d|%dx%d|o%g|g%d|sh%t|st%g|ta%g|b%d|p%s",
-		r.Dataset, r.Edge, r.Width, r.Height, r.Orbit, r.GPUs,
-		r.Shading, r.StepVoxels, r.TerminationAlpha, r.BricksPerGPU, part)
+	src, err := dataset.New(r.Dataset, dataset.PaperDims(r.Dataset, r.Edge))
+	if err != nil {
+		return job, err
+	}
+	cam, err := core.OrbitCamera(src, r.Width, r.Height, r.Orbit)
+	if err != nil {
+		return job, err
+	}
+	job.Camera = dist.CameraFrom(cam)
+	return job, job.Validate(s.cfg.MaxEdge, s.cfg.MaxPixels)
 }
 
 // ServedVia says how a request was satisfied.
@@ -157,8 +134,8 @@ var servedVia = [...]ServedVia{cache.Hit: ViaCache, cache.Joined: ViaCoalesced, 
 
 // RenderOptions carries the per-request overload policy. It is policy,
 // not identity: two requests that differ only here share one cache entry
-// and one coalesced render, which is exactly why it must never leak into
-// Request.key().
+// and one coalesced render, which is exactly why it must never become a
+// Request field.
 type RenderOptions struct {
 	// Priority is the admission class this request sheds at (zero value
 	// is Speculative, the first to go; interactive callers must say so).
@@ -168,7 +145,7 @@ type RenderOptions struct {
 	Deadline time.Duration
 }
 
-// Render serves one frame: from the cache, from a render of its key
+// Render serves one frame: from the cache, from a render of its request
 // already in flight, or from an admitted render of its own. It is safe
 // for any number of concurrent callers. The returned Frame is shared and
 // immutable. via reports how the request was served.
@@ -179,10 +156,10 @@ func (s *Service) Render(ctx context.Context, req Request) (f *Frame, via Served
 
 // RenderWith is Render with an explicit overload policy.
 func (s *Service) RenderWith(ctx context.Context, req Request, po RenderOptions) (f *Frame, via ServedVia, err error) {
-	if err := req.normalize(s); err != nil {
+	job, err := req.normalize(s)
+	if err != nil {
 		return nil, "", invalidRequestError{err}
 	}
-	key := req.key()
 	start := time.Now()
 	s.mu.Lock()
 	s.requests++
@@ -198,7 +175,7 @@ func (s *Service) RenderWith(ctx context.Context, req Request, po RenderOptions)
 		}
 	}()
 
-	if f, ok := s.cache.Get(key); ok {
+	if f, ok := s.cache.Get(req); ok {
 		return f, ViaCache, nil
 	}
 	// The Load runs detached from every caller's context: each caller —
@@ -212,8 +189,8 @@ func (s *Service) RenderWith(ctx context.Context, req Request, po RenderOptions)
 	}
 	done := make(chan loaded, 1)
 	go func() {
-		f, how, err := s.cache.Load(key, img.RawBytes(req.Width, req.Height), func(bool) (*Frame, int64, error) {
-			return s.renderLeader(req, key, po)
+		f, how, err := s.cache.Load(req, img.RawBytes(req.Width, req.Height), func(bool) (*Frame, int64, error) {
+			return s.renderLeader(job, po)
 		})
 		done <- loaded{f, how, err}
 	}()
@@ -233,8 +210,9 @@ func (s *Service) RenderWith(ctx context.Context, req Request, po RenderOptions)
 	}
 }
 
-// renderLeader is the path of the one request that renders a key:
-// admission, then one core.RenderOn job, then PNG encoding. It returns the
+// renderLeader is the path of the one request that renders a frame:
+// admission, then the job — on the worker fleet, or as one core.RenderOn
+// with the job's own options — then PNG encoding. It returns the
 // frame with its cache charge — cache.Discard for a degraded frame, which
 // is shared with the requests waiting on it but never kept. It runs
 // detached from any request context, so an abandoned request never wastes
@@ -242,7 +220,7 @@ func (s *Service) RenderWith(ctx context.Context, req Request, po RenderOptions)
 // policy's deadline is enforced here (not from the caller's context):
 // abandoning a request must not abort a shared render, but blowing its
 // end-to-end budget must.
-func (s *Service) renderLeader(req Request, key string, po RenderOptions) (*Frame, int64, error) {
+func (s *Service) renderLeader(job dist.JobSpec, po RenderOptions) (*Frame, int64, error) {
 	if err := s.beginJob(); err != nil {
 		return nil, 0, err
 	}
@@ -254,7 +232,7 @@ func (s *Service) renderLeader(req Request, key string, po RenderOptions) (*Fram
 	}
 	defer release()
 
-	opt, err := s.options(req)
+	opt, err := job.Options()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -269,20 +247,6 @@ func (s *Service) renderLeader(req Request, key string, po RenderOptions) (*Fram
 	var dur sim.Time
 	degraded := false
 	if s.coord != nil {
-		job := dist.JobSpec{
-			Dataset: req.Dataset, Edge: req.Edge,
-			Width: req.Width, Height: req.Height,
-			GPUs: req.GPUs, Shading: req.Shading,
-			StepVoxels: req.StepVoxels, TerminationAlpha: req.TerminationAlpha,
-			Camera: dist.CameraFrom(opt.Camera),
-		}
-		// The default bricking (1 per GPU) is spelled as the absent field.
-		if req.BricksPerGPU != 1 {
-			job.BricksPerGPU = req.BricksPerGPU
-		}
-		if req.Partition != "" {
-			job.Partition = &dist.PartitionSpec{Scheme: req.Partition, Parts: req.Parts}
-		}
 		// The render context carries the policy, detached from the caller:
 		// priority rides to workers as a header, and the deadline (when
 		// set) both times out the coordinator and propagates the shrinking
@@ -334,9 +298,8 @@ func (s *Service) renderLeader(req Request, key string, po RenderOptions) (*Fram
 		return nil, 0, err
 	}
 	f := &Frame{
-		Key:         key,
-		Width:       req.Width,
-		Height:      req.Height,
+		Width:       job.Width,
+		Height:      job.Height,
 		Image:       res.Image,
 		PNG:         png.Bytes(),
 		Digest:      res.Image.Digest(),
@@ -354,39 +317,4 @@ func (s *Service) renderLeader(req Request, key string, po RenderOptions) (*Fram
 		return f, cache.Discard, nil
 	}
 	return f, f.Bytes(), nil
-}
-
-// options translates a normalized request into render options. The
-// staging cache keys sources by tag+dims, so per-request source
-// construction still shares one materialisation per dataset identity.
-func (s *Service) options(req Request) (core.Options, error) {
-	src, err := dataset.New(req.Dataset, dataset.PaperDims(req.Dataset, req.Edge))
-	if err != nil {
-		return core.Options{}, err
-	}
-	tf, err := transfer.Preset(dataset.TFName(req.Dataset))
-	if err != nil {
-		return core.Options{}, err
-	}
-	cam, err := core.OrbitCamera(src, req.Width, req.Height, req.Orbit)
-	if err != nil {
-		return core.Options{}, err
-	}
-	var part core.Partition
-	if req.Partition != "" {
-		if part, err = core.BuildPartition(req.Partition, req.Parts); err != nil {
-			return core.Options{}, err
-		}
-	}
-	return core.Options{
-		Source: src, TF: tf,
-		Width: req.Width, Height: req.Height,
-		Camera:           cam,
-		GPUs:             req.GPUs,
-		Shading:          req.Shading,
-		StepVoxels:       req.StepVoxels,
-		TerminationAlpha: req.TerminationAlpha,
-		BricksPerGPU:     req.BricksPerGPU,
-		Partition:        part,
-	}, nil
 }

@@ -97,10 +97,10 @@ func TestBrownoutUnreachableWithoutFlag(t *testing.T) {
 		t.Errorf("flag off but %d degraded frames rendered", snap.DegradedFrames)
 	}
 	nReq := req
-	if err := nReq.normalize(s); err != nil {
+	if _, err := nReq.normalize(s); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.cache.Get(nReq.key()); ok {
+	if _, ok := s.cache.Get(nReq); ok {
 		t.Error("failed render left a cached frame")
 	}
 }
@@ -132,10 +132,10 @@ func TestBrownoutServesDegradedUncached(t *testing.T) {
 		t.Errorf("degraded frames = %d, want 1", snap.DegradedFrames)
 	}
 	nReq := req
-	if err := nReq.normalize(s); err != nil {
+	if _, err := nReq.normalize(s); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.cache.Get(nReq.key()); ok {
+	if _, ok := s.cache.Get(nReq); ok {
 		t.Error("degraded frame was committed to the cache")
 	}
 }

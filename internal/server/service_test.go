@@ -12,7 +12,9 @@ import (
 	"gvmr/internal/core"
 	"gvmr/internal/img"
 	"gvmr/internal/sim"
+	"gvmr/internal/transfer"
 	"gvmr/internal/vec"
+	"gvmr/internal/volume/dataset"
 )
 
 // gatedRender stubs core.RenderOn with a gate the test controls: every
@@ -55,6 +57,35 @@ func newTestService(t *testing.T, cfg Config) *Service {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// directDigest renders a request, spelled out in full, straight through
+// core.RenderOn with options built from the dataset, its preset transfer
+// function and the orbit camera — not from the service's JobSpec — and
+// returns the image digest: an independent reference for served bits.
+func directDigest(t *testing.T, spec cluster.Spec, req Request) string {
+	t.Helper()
+	src, err := dataset.New(req.Dataset, dataset.PaperDims(req.Dataset, req.Edge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tf, err := transfer.Preset(dataset.TFName(req.Dataset))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cam, err := core.OrbitCamera(src, req.Width, req.Height, req.Orbit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := core.RenderOn(spec, core.Options{
+		Source: src, TF: tf, Width: req.Width, Height: req.Height, Camera: cam,
+		GPUs: req.GPUs, Shading: req.Shading,
+		StepVoxels: req.StepVoxels, TerminationAlpha: req.TerminationAlpha,
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Image.Digest()
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -255,10 +286,9 @@ func TestServiceAbandonedRequestStillCaches(t *testing.T) {
 	s.renderOn = g.fn
 	req := Request{Dataset: "skull", Edge: 16, Width: 32, Height: 32}
 	nReq := req
-	if err := nReq.normalize(s); err != nil {
+	if _, err := nReq.normalize(s); err != nil {
 		t.Fatal(err)
 	}
-	key := nReq.key()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
@@ -270,7 +300,7 @@ func TestServiceAbandonedRequestStillCaches(t *testing.T) {
 	}
 	close(g.release)
 	waitFor(t, "detached render to commit", func() bool {
-		_, ok := s.cache.Get(key)
+		_, ok := s.cache.Get(nReq)
 		return ok
 	})
 	if _, via, err := s.Render(context.Background(), req); err != nil || via != ViaCache {
@@ -337,27 +367,32 @@ func TestServiceValidation(t *testing.T) {
 }
 
 // TestRequestKeyNormalization: different spellings of the same frame
-// share a key; different frames do not.
+// normalize to one Request value, the cache key; different frames do not.
 func TestRequestKeyNormalization(t *testing.T) {
 	s := newTestService(t, Config{GPUs: 2})
-	keyOf := func(r Request) string {
+	keyOf := func(r Request) Request {
 		t.Helper()
-		if err := r.normalize(s); err != nil {
+		if _, err := r.normalize(s); err != nil {
 			t.Fatal(err)
 		}
-		return r.key()
+		return r
 	}
 	imp := keyOf(Request{Dataset: "skull", Edge: 64, Width: 256})
 	exp := keyOf(Request{Dataset: "skull", Edge: 64, Width: 256, Height: 256,
 		GPUs: 2, StepVoxels: 1, TerminationAlpha: 0.98})
 	if imp != exp {
-		t.Errorf("defaulted key %q != explicit key %q", imp, exp)
+		t.Errorf("defaulted key %+v != explicit key %+v", imp, exp)
 	}
 	if keyOf(Request{Dataset: "skull", Edge: 64, Width: 256, Orbit: 1}) == imp {
 		t.Error("different cameras share a key")
 	}
 	if keyOf(Request{Dataset: "skull", Edge: 64, Width: 256, Shading: true}) == imp {
 		t.Error("different quality shares a key")
+	}
+	// == is IEEE equality, so orbit -0 and +0 share a key: they are the
+	// same view and render the same bits.
+	if keyOf(Request{Dataset: "skull", Edge: 64, Width: 256, Orbit: math.Copysign(0, -1)}) != imp {
+		t.Error("orbit -0 and +0 do not share a key")
 	}
 }
 
@@ -378,16 +413,9 @@ func TestServiceRealRenderMatchesDirect(t *testing.T) {
 	if f.Image.MeanLuminance() <= 0 {
 		t.Error("served a black frame")
 	}
-	opt, err := s.options(Request{Dataset: "skull", Edge: 16, Width: 32, Height: 32,
+	direct := directDigest(t, s.spec, Request{Dataset: "skull", Edge: 16, Width: 32, Height: 32,
 		Shading: true, GPUs: 2, StepVoxels: 1, TerminationAlpha: 0.98})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _, err := core.RenderOn(s.spec, opt, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Image.Digest() != f.Digest {
+	if direct != f.Digest {
 		t.Error("served frame differs from a direct render")
 	}
 	if len(f.PNG) == 0 {

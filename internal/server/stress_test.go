@@ -36,11 +36,11 @@ func settled(t *testing.T, c *FrameCache) {
 	var sum int64
 	for _, e := range c.Entries() {
 		if !e.Ready {
-			t.Errorf("key %q still in flight at rest (%d bytes reserved)", e.Key, e.Bytes)
+			t.Errorf("key %+v still in flight at rest (%d bytes reserved)", e.Key, e.Bytes)
 			continue
 		}
 		if e.Bytes != e.Val.Bytes() {
-			t.Errorf("key %q charged %d bytes, its frame is %d", e.Key, e.Bytes, e.Val.Bytes())
+			t.Errorf("key %+v charged %d bytes, its frame is %d", e.Key, e.Bytes, e.Val.Bytes())
 		}
 		sum += e.Bytes
 	}
@@ -56,11 +56,11 @@ func settled(t *testing.T, c *FrameCache) {
 // left unpaired and the accounting is exactly the frames held.
 func TestFrameCacheStress(t *testing.T) {
 	seed := stressSeed(t)
-	frame := func(key string, w, h int) *Frame {
-		return &Frame{Key: key, Width: w, Height: h, PNG: []byte("png")}
+	frame := func(w, h int) *Frame {
+		return &Frame{Width: w, Height: h, PNG: []byte("png")}
 	}
 	const workers = 8
-	cache := NewFrameCache(20 * frame("x", 8, 8).Bytes() / 10) // ~2 frames' worth
+	cache := NewFrameCache(20 * frame(8, 8).Bytes() / 10) // ~2 frames' worth
 	var loads atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
@@ -70,7 +70,7 @@ func TestFrameCacheStress(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed + int64(g)))
 			for i := 0; i < 3000; i++ {
-				key := fmt.Sprintf("k%d", rng.Intn(6))
+				key := Request{Dataset: fmt.Sprintf("k%d", rng.Intn(6))}
 				switch rng.Intn(10) {
 				case 0, 1, 2, 3: // lookups dominate in production
 					if _, ok := cache.Get(key); ok {
@@ -83,7 +83,7 @@ func TestFrameCacheStress(t *testing.T) {
 						if fail {
 							return nil, 0, errors.New("synthetic render failure")
 						}
-						f := frame(key, 8, 8)
+						f := frame(8, 8)
 						return f, f.Bytes(), nil
 					})
 				case 7:
@@ -97,7 +97,7 @@ func TestFrameCacheStress(t *testing.T) {
 						if reserved {
 							t.Error("over-capacity reservation granted")
 						}
-						return frame(key, 8, 8), 1, nil
+						return frame(8, 8), 1, nil
 					})
 				}
 			}
