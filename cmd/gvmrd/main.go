@@ -94,7 +94,7 @@ func serviceFlags(fs *flag.FlagSet) func() (*server.Service, error) {
 		gpus          = fs.Int("gpus", 4, "simulated cluster GPU count per render")
 		renderWorkers = fs.Int("render-workers", 0, "concurrent renders (0 = GOMAXPROCS)")
 		queue         = fs.Int("queue", 64, "admitted renders that may wait beyond the render workers (admission bound)")
-		frameBytes    = fs.Int64("frame-bytes", 0, "frame cache budget in bytes (0 = GVMR_FRAME_BYTES or 256 MiB, -1 disables)")
+		frameBytes    = fs.Int64("frame-bytes", 0, "frame cache budget in bytes (0 = 256 MiB, -1 disables)")
 		maxEdge       = fs.Int("max-edge", 512, "largest dataset cube edge a request may ask for")
 		maxPixels     = fs.Int("max-pixels", 4096*4096, "largest image (width*height) a request may ask for")
 		workerList    = fs.String("workers", "", "comma-separated gvmrd worker addresses (host:port,...); non-empty fans renders out as a distributed coordinator")

@@ -88,26 +88,25 @@ func planJob(opt Options, gpus int, vramBytes int64) (*rayCastMapper, [][]volume
 
 // jobConfig builds the MapReduce configuration of a render job mapping
 // chunks with `workers` GPUs of cl; the caller adds the reducers. The
-// per-job fixed overhead is always charged (the paper's runtimes include
+// engine charges the per-job fixed overhead (the paper's runtimes include
 // full frame setup) and fragments stream to the reducers in 256 KiB
 // batches.
 func (o *Options) jobConfig(cl *cluster.Cluster, workers int,
 	m mapreduce.Mapper[composite.Fragment, []*volume.BrickData], chunks []mapreduce.Chunk) engineConfig {
 	return engineConfig{
-		Cluster:             cl,
-		Workers:             workers,
-		Mapper:              m,
-		Partitioner:         o.Partitioner,
-		KeyRange:            int32(o.Width * o.Height),
-		ValueBytes:          composite.FragmentBytes - 4,
-		Chunks:              chunks,
-		Assign:              o.Assign,
-		FlushBytes:          256 << 10,
-		FromDisk:            o.FromDisk,
-		ReduceOn:            o.ReduceOn,
-		SortOn:              o.SortOn,
-		ChargeFixedOverhead: true,
-		Trace:               o.Trace,
+		Cluster:     cl,
+		Workers:     workers,
+		Mapper:      m,
+		Partitioner: o.Partitioner,
+		KeyRange:    int32(o.Width * o.Height),
+		ValueBytes:  composite.FragmentBytes - 4,
+		Chunks:      chunks,
+		Assign:      o.Assign,
+		FlushBytes:  256 << 10,
+		FromDisk:    o.FromDisk,
+		ReduceOn:    o.ReduceOn,
+		SortOn:      o.SortOn,
+		Trace:       o.Trace,
 	}
 }
 

@@ -63,16 +63,14 @@ type CoordinatorConfig struct {
 	// Responses are bit-identical by construction, so hedging can never
 	// change the image.
 	HedgeAfter time.Duration
-	// Breaker configures the per-worker circuit breakers that gate
-	// placement eligibility (closed→open→half-open on a sliding
-	// error-rate window; see resilience.BreakerConfig for the defaults).
-	// Breakers are a fast-path hint only — membership state (lease
-	// expiry, drain) is the authority on who is placeable at all.
+	// Breaker is the clock seam of the per-worker circuit breakers that
+	// gate placement eligibility (closed→open→half-open on a sliding
+	// error-rate window with fixed thresholds; DESIGN.md). Only the chaos
+	// tests set it, to drive every transition on a fake clock; its
+	// Metrics field is overwritten with Metrics. Breakers are a fast-path
+	// hint only — membership state (lease expiry, drain) is the
+	// authority on who is placeable at all.
 	Breaker resilience.BreakerConfig
-	// RetryBudget caps cluster-wide retry and hedge amplification: every
-	// extra attempt costs a token and only successes mint new ones, so a
-	// sick fleet fast-fails instead of melting itself down.
-	RetryBudget resilience.BudgetConfig
 	// Metrics, when non-nil, receives the resilience events (breaker
 	// opens, probes, budget exhaustion, deadline aborts) — the server
 	// shares one instance across its admission gate and this
@@ -124,8 +122,11 @@ type CoordinatorStats struct {
 // placement and a drained node receives zero new placements after its
 // drain is acknowledged. Safe for concurrent use.
 type Coordinator struct {
-	cfg    CoordinatorConfig
-	reg    *membership.Registry
+	cfg CoordinatorConfig
+	reg *membership.Registry
+	// budget caps cluster-wide retry and hedge amplification: every extra
+	// attempt costs a token and only successes mint new ones, so a sick
+	// fleet fast-fails instead of melting itself down.
 	budget *resilience.RetryBudget
 
 	mu sync.Mutex
@@ -169,14 +170,13 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg.Metrics = &resilience.Metrics{}
 	}
 	cfg.Breaker.Metrics = cfg.Metrics
-	cfg.RetryBudget.Metrics = cfg.Metrics
 	if cfg.MaxResponseBytes == 0 {
 		cfg.MaxResponseBytes = 1 << 30
 	}
 	return &Coordinator{
 		cfg:      cfg,
 		reg:      reg,
-		budget:   resilience.NewRetryBudget(cfg.RetryBudget),
+		budget:   resilience.NewRetryBudget(cfg.Metrics),
 		breakers: map[string]*resilience.Breaker{},
 	}, nil
 }

@@ -103,7 +103,7 @@ func oldPlaceInitial(v clusterView, job JobSpec, numBricks int) map[string][]int
 // some of them saturated.
 func genView(rng *rand.Rand) clusterView {
 	clk := newChaosClock()
-	cfg := resilience.BreakerConfig{MinRequests: 1, OpenFor: 5 * time.Second, Now: clk.Now}
+	cfg := resilience.BreakerConfig{Now: clk.Now}
 	v := clusterView{nodes: map[string]*resilience.Breaker{}, saturated: map[string]bool{}}
 	state := map[string]int{}
 	for i := 1 + rng.Intn(6); i > 0; i-- {
@@ -115,15 +115,15 @@ func genView(rng *rand.Rand) clusterView {
 	}
 	v.ring = newRing(v.addrs)
 	for _, a := range v.addrs {
-		if state[a] >= 2 { // half-open once the clock passes OpenFor
-			v.nodes[a].Failure()
+		if state[a] >= 2 { // half-open once the clock passes the open period
+			tripOpen(v.nodes[a])
 		}
 	}
 	clk.Advance(6 * time.Second)
 	for _, a := range v.addrs {
 		switch state[a] {
 		case 1:
-			v.nodes[a].Failure()
+			tripOpen(v.nodes[a])
 		case 3:
 			v.nodes[a].Admit()
 		}

@@ -239,11 +239,9 @@ func TestDistReduceSkipsOpenBreakers(t *testing.T) {
 	addrs, _ := startReduceWorkers(t, 3, nil)
 	coord := newTestCoordinator(t, addrs, func(c *CoordinatorConfig) {
 		c.DistReduce = true
-		c.Breaker = resilience.BreakerConfig{MinRequests: 2, FailureRatio: 0.5, OpenFor: 5 * time.Second, Now: clk.Now}
+		c.Breaker = resilience.BreakerConfig{Now: clk.Now}
 	})
-	b := coord.breaker(addrs[0])
-	b.Failure()
-	b.Failure()
+	tripOpen(coord.breaker(addrs[0]))
 	if st := coord.BreakerState(addrs[0]); st != resilience.StateOpen {
 		t.Fatalf("breaker is %v, want open", st)
 	}

@@ -83,12 +83,20 @@ func TestCoordinatorDeadlineAbortNotNodeDown(t *testing.T) {
 	}
 }
 
+// tripOpen fails b until it opens: the breaker's thresholds are fixed, so
+// tests reach the open state through its own failure ratio.
+func tripOpen(b *resilience.Breaker) {
+	for b.State() != resilience.StateOpen {
+		b.Failure()
+	}
+}
+
 // TestChaosBreakerLifecycle is the deterministic soak: a wedged worker
 // (hard 500s) trips its breaker open; while open it costs nothing — no
-// retries, no budget tokens, placement routes around it; after OpenFor
-// on the fake clock a half-open probe readmits it and, healthy again,
-// the breaker closes. Every surviving render is bit-identical to a
-// direct render.
+// retries, no budget tokens, placement routes around it; once the open
+// period passes on the fake clock half-open probes readmit it and,
+// healthy again, the breaker closes. Every surviving render is
+// bit-identical to a direct render.
 func TestChaosBreakerLifecycle(t *testing.T) {
 	const seed = 20260808
 	rng := rand.New(rand.NewSource(seed))
@@ -110,13 +118,7 @@ func TestChaosBreakerLifecycle(t *testing.T) {
 		})
 	})
 	coord := newTestCoordinator(t, addrs, func(c *CoordinatorConfig) {
-		c.Breaker = resilience.BreakerConfig{
-			MinRequests:  2,
-			FailureRatio: 0.5,
-			OpenFor:      5 * time.Second,
-			CloseAfter:   1,
-			Now:          clk.Now,
-		}
+		c.Breaker = resilience.BreakerConfig{Now: clk.Now}
 	})
 	render := func() {
 		t.Helper()
@@ -127,10 +129,10 @@ func TestChaosBreakerLifecycle(t *testing.T) {
 		}
 	}
 
-	// Phase 1 — wedged: renders survive on retries until two failures
-	// land in the breaker window and it opens.
+	// Phase 1 — wedged: renders survive on retries until five failed
+	// exchanges land in the breaker window and it opens.
 	opened := false
-	for i := 0; i < 10 && !opened; i++ {
+	for i := 0; i < 20 && !opened; i++ {
 		render()
 		opened = coord.BreakerState(addrs[0]) == resilience.StateOpen
 	}
@@ -151,41 +153,44 @@ func TestChaosBreakerLifecycle(t *testing.T) {
 		t.Errorf("open breaker still cost %d retries", d)
 	}
 
-	// Phase 3 — recovery: heal the worker, advance past OpenFor; the
-	// half-open probe succeeds and one success (CloseAfter=1) closes.
+	// Phase 3 — recovery: heal the worker, advance past the 5 s open
+	// period; one probe at a time readmits it and two healthy probes
+	// close the breaker.
 	wedged.Store(false)
 	clk.Advance(6 * time.Second)
 	if st := coord.BreakerState(addrs[0]); st != resilience.StateHalfOpen {
-		t.Fatalf("after OpenFor breaker is %v, want half-open", st)
+		t.Fatalf("after the open period breaker is %v, want half-open", st)
 	}
-	render()
-	if st := coord.BreakerState(addrs[0]); st != resilience.StateClosed {
-		t.Errorf("after healthy probe breaker is %v, want closed", st)
+	closed := false
+	for i := 0; i < 10 && !closed; i++ {
+		render()
+		closed = coord.BreakerState(addrs[0]) == resilience.StateClosed
+	}
+	if !closed {
+		t.Errorf("after healthy probes breaker is %v, want closed", coord.BreakerState(addrs[0]))
 	}
 	snap := coord.Resilience().Snapshot()
-	if snap.HalfOpenProbes < 1 {
-		t.Errorf("no half-open probe counted: %+v", snap)
+	if snap.HalfOpenProbes < 2 {
+		t.Errorf("%d half-open probes counted, want 2: %+v", snap.HalfOpenProbes, snap)
 	}
 }
 
-// TestRetryBudgetExhaustionFailsFast: with every worker hard-failing and
-// breakers configured out of the way, the retry budget is the only
-// backstop — the render must fail quickly with ErrRetryBudget instead of
-// grinding through MaxAttempts everywhere.
+// TestRetryBudgetExhaustionFailsFast: with every worker hard-failing, the
+// retry budget is the backstop — the render must fail quickly with
+// ErrRetryBudget instead of grinding through MaxAttempts everywhere.
 func TestRetryBudgetExhaustionFailsFast(t *testing.T) {
-	// Four workers against a budget of 2: excluding every worker takes one
-	// brick three re-placements, so the bucket always empties first. (With
-	// two workers the outcome raced: a brick that spent both tokens before
-	// its sibling failed once ran out of workers, not budget.)
-	addrs := startWorkers(t, 4, func(i int, h http.Handler) http.Handler {
+	// Eighteen workers against the 16-token budget: excluding every worker
+	// takes one brick 17 re-placements, so the bucket always empties
+	// first. With 17 workers or fewer a brick could exclude every worker
+	// before the bucket empties.
+	const workers, budget = 18, 16
+	addrs := startWorkers(t, workers, func(i int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "boom", http.StatusInternalServerError)
 		})
 	})
 	coord := newTestCoordinator(t, addrs, func(c *CoordinatorConfig) {
 		c.MaxAttempts = 100
-		c.Breaker = resilience.BreakerConfig{MinRequests: 1 << 20} // never trips
-		c.RetryBudget = resilience.BudgetConfig{Capacity: 2}
 	})
 	job := testJob(t, dataset.Skull, 24, 48, 2, 0, false)
 	done := make(chan error, 1)
@@ -205,7 +210,7 @@ func TestRetryBudgetExhaustionFailsFast(t *testing.T) {
 	if snap.RetryBudgetExhausted < 1 {
 		t.Errorf("exhaustion not counted: %+v", snap)
 	}
-	if retries := coord.Stats().Retries; retries > 2 {
-		t.Errorf("%d retries spent against a budget of 2", retries)
+	if retries := coord.Stats().Retries; retries > budget {
+		t.Errorf("%d retries spent against a budget of %d", retries, budget)
 	}
 }

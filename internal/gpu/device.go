@@ -45,7 +45,6 @@ type Device struct {
 
 	engine    *sim.Resource // kernel execution engine (one kernel at a time)
 	allocated int64
-	streams   []*Stream
 	stats     DeviceStats
 
 	// Workers caps host-side parallelism for kernel execution; zero means
@@ -139,7 +138,7 @@ func (d *Device) UploadTexture3D(p *sim.Proc, bd *volume.BrickData) (*Texture3D,
 	return &Texture3D{Buf: buf, Data: bd}, nil
 }
 
-// DownloadTime charges a device-to-host copy of n bytes on the shared PCIe
+// Download charges a device-to-host copy of n bytes on the shared PCIe
 // link (the fragment read-back path) and returns the modeled duration.
 func (d *Device) Download(p *sim.Proc, n int64) sim.Time {
 	t := d.PCIe.TransferTime(n)
@@ -151,8 +150,8 @@ func (d *Device) Download(p *sim.Proc, n int64) sim.Time {
 
 // Execute runs a kernel to completion from the calling process: the real
 // computation executes on host cores, then the modeled cost occupies the
-// device's execution engine. Streams use this internally; callers that
-// don't need async can call it directly.
+// device's execution engine, so kernels from concurrent processes on one
+// device serialise while kernels on different devices overlap.
 func (d *Device) Execute(p *sim.Proc, k Kernel, zeroCopy bool) Stats {
 	stats := d.runBlocks(k)
 	cost := KernelCost(&d.Spec, stats, zeroCopy)

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -220,30 +221,50 @@ func TestKernelCostModel(t *testing.T) {
 	}
 }
 
-func TestStreamOrdering(t *testing.T) {
+func TestStreamDownloadOp(t *testing.T) {
 	env := sim.NewEnv()
 	d := testDevice(env)
-	var order []string
 	env.Go("host", func(p *sim.Proc) {
-		s := d.NewStream("s0")
-		s.Enqueue(p, "a", func(sp *sim.Proc) {
-			sp.Sleep(10 * sim.Millisecond)
-			order = append(order, "a")
-		})
-		s.Enqueue(p, "b", func(sp *sim.Proc) {
-			order = append(order, "b")
-		})
-		order = append(order, "host") // enqueues are async: host continues first
-		s.Sync(p)
-		order = append(order, "synced")
-		d.Close(p)
+		got := d.Download(p, 1<<20)
+		want := d.PCIe.TransferTime(1 << 20)
+		if got != want || p.Now() != want {
+			t.Errorf("download took %v, completed at %v, want %v", got, p.Now(), want)
+		}
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := "host,a,b,synced"
-	if got := strings.Join(order, ","); got != want {
-		t.Errorf("order = %s, want %s", got, want)
+	if d.Stats().BytesD2H != 1<<20 || d.Stats().D2HTime != d.PCIe.TransferTime(1<<20) {
+		t.Errorf("stats = %+v", d.Stats())
+	}
+}
+
+// executeConcurrently runs k once on each device from its own process and
+// returns when the last one finished.
+func executeConcurrently(t *testing.T, env *sim.Env, k Kernel, devs ...*Device) sim.Time {
+	t.Helper()
+	var end sim.Time
+	for i, d := range devs {
+		env.Go(fmt.Sprintf("host%d", i), func(p *sim.Proc) {
+			d.Execute(p, k, false)
+			end = max(end, p.Now())
+		})
+	}
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return end
+}
+
+func TestSameDeviceStreamsSerialiseOnEngine(t *testing.T) {
+	// Two processes launching on one device: kernels contend for the
+	// single execution engine, so they serialise (unlike across devices).
+	env := sim.NewEnv()
+	d := testDevice(env)
+	k := &countKernel{grid: Dim2{1, 1}, block: Dim2{16, 16}, samplesPerThread: 100000}
+	one := KernelCost(&d.Spec, Stats{Threads: 256, Samples: 256 * 100000, Emitted: 256}, false)
+	if end := executeConcurrently(t, env, k, d, d); end < 2*one {
+		t.Errorf("same-device kernels overlapped: %v < %v", end, 2*one)
 	}
 }
 
@@ -253,35 +274,33 @@ func TestStreamsOverlapAcrossDevices(t *testing.T) {
 	d1 := NewDevice(env, 0, 0, TeslaC1060(), link)
 	d2 := NewDevice(env, 1, 0, TeslaC1060(), link)
 	k := &countKernel{grid: Dim2{1, 1}, block: Dim2{16, 16}, samplesPerThread: 100000}
-	env.Go("host", func(p *sim.Proc) {
-		s1 := d1.NewStream("s1")
-		s2 := d2.NewStream("s2")
-		e1 := s1.Launch(p, k)
-		e2 := s2.Launch(p, k)
-		sim.WaitAll(p, e1, e2)
-		elapsed := p.Now()
-		// Each kernel: 256 threads * 1e5 samples / 70e6 ≈ 366ms. If they
-		// overlapped, total ≈ one kernel, not two.
-		one := KernelCost(&d1.Spec, Stats{Threads: 256, Samples: 256 * 100000, Emitted: 256}, false)
-		if elapsed > one+one/10 {
-			t.Errorf("two devices took %v, want ≈%v (parallel)", elapsed, one)
-		}
-		d1.Close(p)
-		d2.Close(p)
+	// Each kernel: 256 threads * 1e5 samples at SampleRate. If they
+	// overlapped, total ≈ one kernel, not two.
+	one := KernelCost(&d1.Spec, Stats{Threads: 256, Samples: 256 * 100000, Emitted: 256}, false)
+	if end := executeConcurrently(t, env, k, d1, d2); end > one+one/10 {
+		t.Errorf("two devices took %v, want ≈%v (parallel)", end, one)
+	}
+}
+
+func TestOccupyContendsWithKernels(t *testing.T) {
+	env := sim.NewEnv()
+	d := testDevice(env)
+	k := &countKernel{grid: Dim2{1, 1}, block: Dim2{16, 16}, samplesPerThread: 100000}
+	kcost := KernelCost(&d.Spec, Stats{Threads: 256, Samples: 256 * 100000, Emitted: 256}, false)
+	var done sim.Time
+	env.Go("kernel", func(p *sim.Proc) {
+		d.Execute(p, k, false)
+	})
+	env.Go("occupier", func(p *sim.Proc) {
+		p.Sleep(sim.Microsecond) // arrive while the kernel holds the engine
+		d.Occupy(p, 10*sim.Millisecond)
+		done = p.Now()
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestUnclosedStreamIsDeadlock(t *testing.T) {
-	env := sim.NewEnv()
-	d := testDevice(env)
-	env.Go("host", func(p *sim.Proc) {
-		d.NewStream("leaky")
-	})
-	if err := env.Run(); err == nil || !strings.Contains(err.Error(), "deadlock") {
-		t.Errorf("leaked stream should deadlock, got %v", err)
+	if done < kcost+10*sim.Millisecond {
+		t.Errorf("Occupy finished at %v; should queue behind kernel (%v)", done, kcost)
 	}
 }
 

@@ -1,9 +1,12 @@
 // Package gpu simulates a CUDA-class GPU device on top of the sim kernel:
-// VRAM accounting, 3D textures, asynchronous streams, and kernel launches
-// that execute real Go "kernels" (parallelised over thread blocks on host
+// VRAM accounting, 3D textures, PCIe copies, and kernel launches that
+// execute real Go "kernels" (parallelised over thread blocks on host
 // cores) while charging modeled execution time from a calibrated cost
-// model. This is the substitution for the paper's Tesla C1060 GPUs — see
-// DESIGN.md §2.
+// model to the device's single execution engine. Overlap of staging,
+// kernels and sends comes from the caller's concurrent sim processes
+// (the mapreduce engine's loader and sender processes), not from device
+// streams. This is the substitution for the paper's Tesla C1060 GPUs —
+// see DESIGN.md §2.
 package gpu
 
 import "gvmr/internal/sim"

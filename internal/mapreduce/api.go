@@ -132,15 +132,16 @@ const (
 	AssignAffinity
 )
 
-// Config describes a job.
+// Config describes a job. Every job starts after the cluster's per-job
+// fixed overhead (cluster.Spec.JobFixedOverhead: process and kernel-
+// context setup, collective start); a job that should pay none runs on a
+// spec whose overhead is zero.
 type Config[V, S any] struct {
 	Cluster *cluster.Cluster
 	// Workers is the number of mapper workers; worker i drives GPU i.
-	// Zero means all GPUs.
+	// Zero means all GPUs. There is one reducer per worker: reducer r
+	// is co-located with worker r.
 	Workers int
-	// Reducers defaults to Workers; reducer r is co-located with worker
-	// r mod Workers.
-	Reducers int
 
 	Mapper      Mapper[V, S]
 	MakeReducer func(r int) Reducer[V]
@@ -177,33 +178,11 @@ type Config[V, S any] struct {
 	ReduceOn Placement
 	SortOn   Placement
 
-	// GPUReduceSpeedup is the modeled throughput multiple a GPU enjoys
-	// over one CPU core for the reduce/sort inner loops (data-parallel
-	// blending); used only when ReduceOn/SortOn is OnGPU.
-	GPUReduceSpeedup float64
-
-	// ChargeFixedOverhead adds the cluster's per-job fixed overhead
-	// (process/kernel-context setup, collective start) to the makespan.
-	ChargeFixedOverhead bool
-
 	// Home maps a chunk to the node ID that holds its data (the in-situ
 	// producer). With AssignAffinity, chunks are scheduled onto workers
 	// of their home node when possible; any chunk staged away from its
 	// home is charged an interconnect hand-off of Chunk.Bytes.
 	Home func(c Chunk) int
-
-	// Combine, when non-nil, is the partial reduce/combine the paper
-	// §3.1 "specifically omitted … because it didn't increase
-	// performance for our volume renderer": it is applied to each batch
-	// just before it goes on the wire and may merge pairs with equal
-	// keys (e.g. summing histogram counts); the batch it returns belongs
-	// to the library until the job ends. Its CPU cost is charged at
-	// the partition rate over the input size. Volume rendering cannot
-	// use it safely — fragments of one pixel from different workers may
-	// interleave in depth — which is exactly why the paper dropped it;
-	// the histogram workload shows the wire-traffic win it gives jobs
-	// with mergeable values.
-	Combine func(kvs []KV[V]) []KV[V]
 
 	// Trace, when non-nil, records activity spans (kernels, transfers,
 	// sorts, reduces) for timeline export; see internal/trace.
@@ -219,12 +198,6 @@ func (c *Config[V, S]) validate() error {
 	}
 	if c.Workers < 1 || c.Workers > c.Cluster.TotalGPUs() {
 		return fmt.Errorf("mapreduce: %d workers for %d GPUs", c.Workers, c.Cluster.TotalGPUs())
-	}
-	if c.Reducers == 0 {
-		c.Reducers = c.Workers
-	}
-	if c.Reducers < 1 {
-		return fmt.Errorf("mapreduce: %d reducers", c.Reducers)
 	}
 	if c.Mapper == nil {
 		return fmt.Errorf("mapreduce: nil mapper")
@@ -246,9 +219,6 @@ func (c *Config[V, S]) validate() error {
 	}
 	if c.Assign == AssignAffinity && c.Home == nil {
 		return fmt.Errorf("mapreduce: affinity assignment needs a Home function")
-	}
-	if c.GPUReduceSpeedup == 0 {
-		c.GPUReduceSpeedup = 8
 	}
 	return nil
 }

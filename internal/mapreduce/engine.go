@@ -30,10 +30,7 @@ func Run[V, S any](cfg Config[V, S]) (*JobStats, error) {
 	}
 	env := cfg.Cluster.Env
 	t0 := env.Now()
-	startAt := t0
-	if cfg.ChargeFixedOverhead {
-		startAt += cfg.Cluster.Params.JobFixedOverhead
-	}
+	startAt := t0 + cfg.Cluster.Params.JobFixedOverhead
 
 	kvBytes := int64(4 + cfg.ValueBytes)
 	workers := make([]*Worker, cfg.Workers)
@@ -47,14 +44,12 @@ func Run[V, S any](cfg Config[V, S]) (*JobStats, error) {
 			work0: cfg.Cluster.Device(i).Stats().Work,
 		}
 	}
-	reducers := make([]*reducerState[V], cfg.Reducers)
+	reducers := make([]*reducerState[V], cfg.Workers)
 	for r := range reducers {
-		host := r % cfg.Workers
 		reducers[r] = &reducerState[V]{
 			index: r,
-			node:  cfg.Cluster.NodeOf(host),
-			dev:   cfg.Cluster.Device(host),
-			host:  host,
+			node:  cfg.Cluster.NodeOf(r),
+			dev:   cfg.Cluster.Device(r),
 			impl:  cfg.MakeReducer(r),
 			inbox: sim.NewChan[message[V]](env, fmt.Sprintf("reducer%d.inbox", r), 4096),
 		}
@@ -156,8 +151,8 @@ func Run[V, S any](cfg Config[V, S]) (*JobStats, error) {
 			})
 
 			sendWG := sim.NewWaitGroup(env, fmt.Sprintf("worker%d.sends", w.Index))
-			buffers := make([][]KV[V], cfg.Reducers)
-			bufBytes := make([]int64, cfg.Reducers)
+			buffers := make([][]KV[V], cfg.Workers)
+			bufBytes := make([]int64, cfg.Workers)
 
 			flush := func(p *sim.Proc, r int) {
 				batch := buffers[r]
@@ -170,16 +165,6 @@ func Run[V, S any](cfg Config[V, S]) (*JobStats, error) {
 				partStart := p.Now()
 				w.Node.CPUWork(p, float64(len(batch)), cfg.Cluster.Params.PartitionRate)
 				w.partIOTime += p.Now() - partStart
-				if cfg.Combine != nil {
-					combStart := p.Now()
-					w.Node.CPUWork(p, float64(len(batch)), cfg.Cluster.Params.PartitionRate)
-					batch = cfg.Combine(batch)
-					w.partIOTime += p.Now() - combStart
-					w.span("partition+io", "combine", combStart, p.Now())
-					if len(batch) == 0 {
-						return
-					}
-				}
 
 				dst := reducers[r]
 				bytes := int64(len(batch)) * kvBytes
@@ -217,9 +202,9 @@ func Run[V, S any](cfg Config[V, S]) (*JobStats, error) {
 					emitFailed = true
 					return
 				}
-				r := w.Index % cfg.Reducers
+				r := w.Index
 				if !cfg.LocalReduce {
-					r = cfg.Partitioner.Partition(kv.Key, cfg.Reducers)
+					r = cfg.Partitioner.Partition(kv.Key, cfg.Workers)
 				}
 				buffers[r] = append(buffers[r], kv)
 				bufBytes[r] += kvBytes
@@ -304,7 +289,6 @@ func Run[V, S any](cfg Config[V, S]) (*JobStats, error) {
 		reduceOn:   cfg.ReduceOn,
 		sortRate:   cfg.Cluster.Params.SortRate,
 		reduceRate: cfg.Cluster.Params.CompositeRate,
-		gpuSpeedup: cfg.GPUReduceSpeedup,
 	}
 	for _, rs := range reducers {
 		rs := rs
@@ -371,8 +355,8 @@ func assembleStats[V, S any](cfg Config[V, S], makespan sim.Time,
 	for _, rs := range reducers {
 		js.Reducers = append(js.Reducers, rs.stats)
 		js.TotalReceived += rs.stats.Received
-		perWorker[rs.host].Sort += rs.stats.Sort
-		perWorker[rs.host].Reduce += rs.stats.Reduce
+		perWorker[rs.index].Sort += rs.stats.Sort
+		perWorker[rs.index].Reduce += rs.stats.Reduce
 	}
 	var sum StageTimes
 	for i := range perWorker {

@@ -415,13 +415,15 @@ func TestStreamingFlushProducesMoreMessages(t *testing.T) {
 }
 
 func TestFixedOverheadCharged(t *testing.T) {
+	// Every job pays its spec's JobFixedOverhead: the same job on AC
+	// with the overhead zeroed finishes exactly that much sooner.
 	a, _ := newHistConfig(t, 2, 2, 100, 8)
+	a.Cluster = freeStartCluster(t, 2)
 	sa, err := Run(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, _ := newHistConfig(t, 2, 2, 100, 8)
-	b.ChargeFixedOverhead = true
 	sb, err := Run(b)
 	if err != nil {
 		t.Fatal(err)
@@ -431,6 +433,18 @@ func TestFixedOverheadCharged(t *testing.T) {
 	if diff < want*9/10 || diff > want*11/10 {
 		t.Errorf("fixed overhead added %v, want ≈%v", diff, want)
 	}
+}
+
+// freeStartCluster is AC with gpus GPUs and no per-job fixed overhead.
+func freeStartCluster(t *testing.T, gpus int) *cluster.Cluster {
+	t.Helper()
+	spec := cluster.AC(gpus)
+	spec.JobFixedOverhead = 0
+	cl, err := cluster.New(sim.NewEnv(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
 }
 
 func TestCountingSortGroups(t *testing.T) {
@@ -493,9 +507,11 @@ func TestCountingSortEquivalenceProperty(t *testing.T) {
 
 func TestMoreWorkersSpreadWork(t *testing.T) {
 	// Pure compute scaling: a compute-heavy job on more GPUs finishes
-	// sooner (communication is tiny here).
+	// sooner (communication is tiny here). The fixed per-job set-up cost
+	// does not spread over GPUs, so both runs start free of it.
 	run := func(gpus int) sim.Time {
 		cfg, _ := newHistConfig(t, gpus, 16, 200000, 8)
+		cfg.Cluster = freeStartCluster(t, gpus)
 		stats, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -610,58 +626,5 @@ func TestHomeChargesHandoffWithStaticAssign(t *testing.T) {
 	if sMoved.Makespan <= sBase.Makespan {
 		t.Errorf("hand-offs %v should cost more than local data %v",
 			sMoved.Makespan, sBase.Makespan)
-	}
-}
-
-func TestCombinerShrinksWireTraffic(t *testing.T) {
-	// The histogram job can merge same-key counts before sending; wire
-	// bytes drop while results stay exact — and volume rendering cannot
-	// use this, which is why the paper omitted it (§3.1).
-	run := func(combine bool) (*JobStats, map[int32]int64) {
-		cfg, reducers := newHistConfig(t, 4, 8, 20000, 16)
-		if combine {
-			cfg.Combine = func(kvs []KV[int32]) []KV[int32] {
-				sums := map[int32]int32{}
-				for _, kv := range kvs {
-					sums[kv.Key] += kv.Val
-				}
-				out := make([]KV[int32], 0, len(sums))
-				for k := int32(0); k < 16; k++ {
-					if v, ok := sums[k]; ok {
-						out = append(out, KV[int32]{Key: k, Val: v})
-					}
-				}
-				return out
-			}
-		}
-		stats, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats, mergeSums(*reducers)
-	}
-	plain, histPlain := run(false)
-	combined, histCombined := run(true)
-	if combined.BytesOnWire >= plain.BytesOnWire/10 {
-		t.Errorf("combiner wire bytes %d, want <10%% of %d",
-			combined.BytesOnWire, plain.BytesOnWire)
-	}
-	for k, v := range histPlain {
-		if histCombined[k] != v {
-			t.Fatalf("combiner changed result at key %d: %d vs %d", k, histCombined[k], v)
-		}
-	}
-}
-
-func TestCombinerToEmptyBatch(t *testing.T) {
-	// A combiner that drops everything must not wedge the job.
-	cfg, _ := newHistConfig(t, 2, 4, 100, 8)
-	cfg.Combine = func(kvs []KV[int32]) []KV[int32] { return nil }
-	stats, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.TotalReceived != 0 {
-		t.Errorf("dropped batches still delivered %d pairs", stats.TotalReceived)
 	}
 }

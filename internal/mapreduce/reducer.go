@@ -13,8 +13,7 @@ import (
 // worker, counting-sorts them by key (θ(n), exploiting the dense integer
 // key restriction) and folds each key group through the user Reducer.
 type reducerState[V any] struct {
-	index int
-	host  int // co-located worker index
+	index int // also the co-located worker's index
 	node  *cluster.Node
 	dev   *gpu.Device
 	impl  Reducer[V]
@@ -48,7 +47,7 @@ func (rs *reducerState[V]) run(p *sim.Proc, cfg *configView) {
 	kvBytes := int64(4 + cfg.valueBytes)
 	sortStart := p.Now()
 	if cfg.sortOn == OnGPU {
-		rs.chargeGPU(p, cfg, float64(n*int(kvBytes)), float64(n), cfg.sortRate)
+		rs.chargeGPU(p, float64(n*int(kvBytes)), float64(n), cfg.sortRate)
 	} else {
 		rs.node.CPUWork(p, float64(n), cfg.sortRate)
 	}
@@ -63,7 +62,7 @@ func (rs *reducerState[V]) run(p *sim.Proc, cfg *configView) {
 	// Reduce phase: fold every key group.
 	reduceStart := p.Now()
 	if cfg.reduceOn == OnGPU {
-		rs.chargeGPU(p, cfg, float64(n*int(kvBytes)), float64(n), cfg.reduceRate)
+		rs.chargeGPU(p, float64(n*int(kvBytes)), float64(n), cfg.reduceRate)
 	} else {
 		rs.node.CPUWork(p, float64(n), cfg.reduceRate)
 	}
@@ -78,16 +77,21 @@ func (rs *reducerState[V]) run(p *sim.Proc, cfg *configView) {
 	rs.recv = nil
 }
 
+// gpuReduceSpeedup is the modeled throughput multiple a GPU enjoys over
+// one CPU core for the reduce/sort inner loops (data-parallel blending);
+// it applies only when ReduceOn/SortOn is OnGPU.
+const gpuReduceSpeedup = 8
+
 // chargeGPU models running a reduce-side stage on the co-located GPU: a
 // host-to-device copy of the data, the data-parallel work at a multiple of
 // the single-core CPU rate, and the result read-back. It occupies the
 // device engine, contending with any mapping still in flight there.
-func (rs *reducerState[V]) chargeGPU(p *sim.Proc, cfg *configView, bytes, work, cpuRate float64) {
+func (rs *reducerState[V]) chargeGPU(p *sim.Proc, bytes, work, cpuRate float64) {
 	if bytes > 0 {
 		t := rs.dev.PCIe.TransferTime(int64(bytes))
 		rs.dev.PCIe.Link.Use(p, t)
 	}
-	rs.dev.Occupy(p, sim.WorkTime(work, cpuRate*cfg.gpuSpeedup))
+	rs.dev.Occupy(p, sim.WorkTime(work, cpuRate*gpuReduceSpeedup))
 	if bytes > 0 {
 		t := rs.dev.PCIe.TransferTime(int64(bytes) / 4) // results are smaller
 		rs.dev.PCIe.Link.Use(p, t)
@@ -153,5 +157,4 @@ type configView struct {
 	reduceOn   Placement
 	sortRate   float64
 	reduceRate float64
-	gpuSpeedup float64
 }

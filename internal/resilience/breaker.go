@@ -12,8 +12,8 @@ type BreakerState int
 const (
 	// StateClosed: requests flow, outcomes feed the sliding error window.
 	StateClosed BreakerState = iota
-	// StateOpen: the node is ineligible for placement until OpenFor
-	// elapses.
+	// StateOpen: the node is ineligible for placement until
+	// breakerOpenFor elapses.
 	StateOpen
 	// StateHalfOpen: a bounded number of trial requests probe the node;
 	// consecutive successes close the breaker, any failure re-opens it.
@@ -33,62 +33,39 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// BreakerConfig sizes a circuit breaker. The zero value takes every
-// default, so callers configure only what they need.
-type BreakerConfig struct {
-	// Window is the sliding error-rate window (default 10s), divided into
-	// Buckets count buckets (default 5) so old outcomes age out smoothly
-	// instead of all at once.
-	Window  time.Duration
-	Buckets int
-	// MinRequests is the minimum window volume before the ratio can trip
-	// the breaker (default 5): two failures out of two requests is noise,
+// The breaker's thresholds (DESIGN.md, "Per-worker circuit breakers").
+const (
+	// breakerWindow is the sliding error-rate window, divided into
+	// breakerBuckets buckets so old outcomes age out smoothly instead of
+	// all at once.
+	breakerWindow  = 10 * time.Second
+	breakerBuckets = 5
+	// breakerMinRequests is the minimum window volume before the ratio
+	// can trip the breaker: two failures out of two requests is noise,
 	// not evidence.
-	MinRequests int
-	// FailureRatio trips the breaker when failures/total reaches it over
-	// a window with at least MinRequests outcomes (default 0.5).
-	FailureRatio float64
-	// OpenFor is how long an open breaker refuses placement before
-	// half-opening (default 5s).
-	OpenFor time.Duration
-	// HalfOpenProbes bounds concurrent trial requests while half-open
-	// (default 1): a recovering node gets a trickle, not the full load.
-	HalfOpenProbes int
-	// CloseAfter is the consecutive half-open successes required to close
-	// (default 2).
-	CloseAfter int
+	breakerMinRequests = 5
+	// breakerFailureRatio trips the breaker when failures/total reaches
+	// it over a window with at least breakerMinRequests outcomes.
+	breakerFailureRatio = 0.5
+	// breakerOpenFor is how long an open breaker refuses placement
+	// before half-opening.
+	breakerOpenFor = 5 * time.Second
+	// breakerHalfOpenProbes bounds concurrent trial requests while
+	// half-open: a recovering node gets a trickle, not the full load.
+	breakerHalfOpenProbes = 1
+	// breakerCloseAfter is the consecutive half-open successes required
+	// to close.
+	breakerCloseAfter = 2
+)
+
+// BreakerConfig wires a circuit breaker to its environment. The zero
+// value runs on the real clock without metrics.
+type BreakerConfig struct {
 	// Now is the clock seam (default time.Now); the chaos tests inject a
 	// fake clock to drive every transition deterministically.
 	Now func() time.Time
 	// Metrics, when non-nil, receives open and probe events.
 	Metrics *Metrics
-}
-
-func (c *BreakerConfig) fillDefaults() {
-	if c.Window <= 0 {
-		c.Window = 10 * time.Second
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = 5
-	}
-	if c.MinRequests <= 0 {
-		c.MinRequests = 5
-	}
-	if c.FailureRatio <= 0 || c.FailureRatio > 1 {
-		c.FailureRatio = 0.5
-	}
-	if c.OpenFor <= 0 {
-		c.OpenFor = 5 * time.Second
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 1
-	}
-	if c.CloseAfter <= 0 {
-		c.CloseAfter = 2
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
 }
 
 // bucket is one slice of the sliding window.
@@ -98,15 +75,15 @@ type bucket struct {
 }
 
 // Breaker is a per-node circuit breaker: closed→open on a sliding
-// error-rate window, open→half-open after OpenFor, half-open→closed on
-// consecutive probe successes (any probe failure re-opens). Safe for
+// error-rate window, open→half-open after breakerOpenFor, half-open→closed
+// on consecutive probe successes (any probe failure re-opens). Safe for
 // concurrent use.
 type Breaker struct {
 	cfg BreakerConfig
 
 	mu         sync.Mutex
 	state      BreakerState
-	buckets    []bucket
+	buckets    [breakerBuckets]bucket
 	cur        int       // index of the active bucket
 	openUntil  time.Time // open: when to half-open
 	probes     int       // half-open: trial requests in flight
@@ -115,8 +92,10 @@ type Breaker struct {
 
 // NewBreaker builds a closed breaker.
 func NewBreaker(cfg BreakerConfig) *Breaker {
-	cfg.fillDefaults()
-	b := &Breaker{cfg: cfg, buckets: make([]bucket, cfg.Buckets)}
+	if cfg.Now == nil {
+		cfg.Now = time.Now
+	}
+	b := &Breaker{cfg: cfg}
 	b.buckets[0].start = cfg.Now()
 	return b
 }
@@ -132,17 +111,15 @@ func (b *Breaker) advance(now time.Time) {
 	if b.state != StateClosed {
 		return
 	}
-	per := b.cfg.Window / time.Duration(len(b.buckets))
+	const per = breakerWindow / breakerBuckets
 	for now.Sub(b.buckets[b.cur].start) >= per {
-		next := (b.cur + 1) % len(b.buckets)
+		next := (b.cur + 1) % breakerBuckets
 		b.buckets[next] = bucket{start: b.buckets[b.cur].start.Add(per)}
 		b.cur = next
 		// A long quiet gap would loop here once per bucket width; cap the
 		// catch-up by restarting the window at now.
-		if now.Sub(b.buckets[b.cur].start) >= b.cfg.Window {
-			for i := range b.buckets {
-				b.buckets[i] = bucket{}
-			}
+		if now.Sub(b.buckets[b.cur].start) >= breakerWindow {
+			b.buckets = [breakerBuckets]bucket{}
 			b.buckets[b.cur].start = now
 		}
 	}
@@ -168,7 +145,7 @@ func (b *Breaker) Placeable() bool {
 	case StateOpen:
 		return false
 	case StateHalfOpen:
-		return b.probes < b.cfg.HalfOpenProbes
+		return b.probes < breakerHalfOpenProbes
 	}
 	return true
 }
@@ -185,7 +162,7 @@ func (b *Breaker) Admit() bool {
 	case StateOpen:
 		return false
 	case StateHalfOpen:
-		if b.probes >= b.cfg.HalfOpenProbes {
+		if b.probes >= breakerHalfOpenProbes {
 			return false
 		}
 		b.probes++
@@ -221,11 +198,9 @@ func (b *Breaker) Success() {
 			b.probes--
 		}
 		b.consecSucc++
-		if b.consecSucc >= b.cfg.CloseAfter {
+		if b.consecSucc >= breakerCloseAfter {
 			b.state = StateClosed
-			for i := range b.buckets {
-				b.buckets[i] = bucket{}
-			}
+			b.buckets = [breakerBuckets]bucket{}
 			b.cur = 0
 			b.buckets[0].start = now
 		}
@@ -251,7 +226,7 @@ func (b *Breaker) Failure() {
 			fail += bk.fail
 		}
 		total := succ + fail
-		if total >= b.cfg.MinRequests && float64(fail) >= b.cfg.FailureRatio*float64(total) {
+		if total >= breakerMinRequests && float64(fail) >= breakerFailureRatio*float64(total) {
 			b.open(now)
 		}
 	case StateHalfOpen:
@@ -267,7 +242,7 @@ func (b *Breaker) Failure() {
 // open transitions to StateOpen (caller holds b.mu).
 func (b *Breaker) open(now time.Time) {
 	b.state = StateOpen
-	b.openUntil = now.Add(b.cfg.OpenFor)
+	b.openUntil = now.Add(breakerOpenFor)
 	b.consecSucc = 0
 	b.probes = 0
 	b.cfg.Metrics.BreakerOpened()

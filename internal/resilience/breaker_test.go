@@ -34,29 +34,27 @@ func (c *fakeClock) Advance(d time.Duration) {
 func TestBreakerLifecycle(t *testing.T) {
 	clk := newFakeClock()
 	var m Metrics
-	b := NewBreaker(BreakerConfig{
-		Window: 10 * time.Second, Buckets: 5, MinRequests: 4, FailureRatio: 0.5,
-		OpenFor: 5 * time.Second, CloseAfter: 2, Now: clk.Now, Metrics: &m,
-	})
+	b := NewBreaker(BreakerConfig{Now: clk.Now, Metrics: &m})
 	if got := b.State(); got != StateClosed {
 		t.Fatalf("new breaker state = %v, want closed", got)
 	}
 
-	// Below MinRequests the ratio can never trip, even at 100% failure.
-	b.Failure()
-	b.Failure()
-	b.Failure()
+	// Below the minimum volume the ratio can never trip, even at 100%
+	// failure.
+	for i := 0; i < breakerMinRequests-1; i++ {
+		b.Failure()
+	}
 	if got := b.State(); got != StateClosed {
-		t.Fatalf("state after 3 failures (MinRequests=4) = %v, want closed", got)
+		t.Fatalf("state after %d failures = %v, want closed", breakerMinRequests-1, got)
 	}
 	if !b.Placeable() {
 		t.Fatal("closed breaker must be placeable")
 	}
 
-	// The fourth outcome reaches MinRequests at 100% failure: open.
+	// The next outcome reaches the minimum at 100% failure: open.
 	b.Failure()
 	if got := b.State(); got != StateOpen {
-		t.Fatalf("state after 4/4 failures = %v, want open", got)
+		t.Fatalf("state after %d/%[1]d failures = %v, want open", breakerMinRequests, got)
 	}
 	if b.Placeable() || b.Admit() {
 		t.Fatal("open breaker must refuse placement and admission")
@@ -72,14 +70,15 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatalf("state after stragglers = %v, want open", got)
 	}
 
-	// Not yet: one nanosecond before OpenFor elapses it is still open.
-	clk.Advance(5*time.Second - time.Nanosecond)
+	// Not yet: one nanosecond before breakerOpenFor elapses it is still
+	// open.
+	clk.Advance(breakerOpenFor - time.Nanosecond)
 	if got := b.State(); got != StateOpen {
-		t.Fatalf("state before OpenFor elapsed = %v, want open", got)
+		t.Fatalf("state before breakerOpenFor elapsed = %v, want open", got)
 	}
 	clk.Advance(time.Nanosecond)
 	if got := b.State(); got != StateHalfOpen {
-		t.Fatalf("state after OpenFor = %v, want half-open", got)
+		t.Fatalf("state after breakerOpenFor = %v, want half-open", got)
 	}
 
 	// One probe slot: the first Admit takes it, the second is refused.
@@ -93,7 +92,8 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatalf("half_open_probes = %d, want 1", got)
 	}
 
-	// First probe succeeds: still half-open (CloseAfter=2), slot free.
+	// First probe succeeds: still half-open (two successes close), slot
+	// free.
 	b.Success()
 	if got := b.State(); got != StateHalfOpen {
 		t.Fatalf("state after 1/2 probe successes = %v, want half-open", got)
@@ -103,7 +103,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 	b.Success()
 	if got := b.State(); got != StateClosed {
-		t.Fatalf("state after %d probe successes = %v, want closed", 2, got)
+		t.Fatalf("state after %d probe successes = %v, want closed", breakerCloseAfter, got)
 	}
 
 	// The close reset the window: one failure cannot re-trip it.
@@ -114,19 +114,18 @@ func TestBreakerLifecycle(t *testing.T) {
 }
 
 // TestBreakerProbeFailureReopens: any half-open probe failure re-opens
-// the breaker for a full OpenFor.
+// the breaker for a full breakerOpenFor.
 func TestBreakerProbeFailureReopens(t *testing.T) {
 	clk := newFakeClock()
 	var m Metrics
-	b := NewBreaker(BreakerConfig{
-		MinRequests: 2, OpenFor: 3 * time.Second, Now: clk.Now, Metrics: &m,
-	})
-	b.Failure()
-	b.Failure()
+	b := NewBreaker(BreakerConfig{Now: clk.Now, Metrics: &m})
+	for i := 0; i < breakerMinRequests; i++ {
+		b.Failure()
+	}
 	if got := b.State(); got != StateOpen {
 		t.Fatalf("state = %v, want open", got)
 	}
-	clk.Advance(3 * time.Second)
+	clk.Advance(breakerOpenFor)
 	if !b.Admit() {
 		t.Fatal("half-open breaker must admit a probe")
 	}
@@ -134,9 +133,9 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	if got := b.State(); got != StateOpen {
 		t.Fatalf("state after probe failure = %v, want open", got)
 	}
-	clk.Advance(3*time.Second - time.Millisecond)
+	clk.Advance(breakerOpenFor - time.Millisecond)
 	if b.Placeable() {
-		t.Fatal("re-opened breaker must stay open a full OpenFor")
+		t.Fatal("re-opened breaker must stay open a full breakerOpenFor")
 	}
 	if got := m.Snapshot().BreakerOpens; got != 2 {
 		t.Fatalf("breaker_opens = %d, want 2 (open + re-open)", got)
@@ -148,13 +147,12 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 // the breaker.
 func TestBreakerWindowAges(t *testing.T) {
 	clk := newFakeClock()
-	b := NewBreaker(BreakerConfig{
-		Window: 10 * time.Second, Buckets: 5, MinRequests: 4, FailureRatio: 0.5, Now: clk.Now,
-	})
-	b.Failure()
-	b.Failure()
-	b.Failure()
-	clk.Advance(11 * time.Second) // the whole window ages out
+	b := NewBreaker(BreakerConfig{Now: clk.Now})
+	for i := 0; i < breakerMinRequests-1; i++ {
+		b.Failure()
+	}
+	clk.Advance(breakerWindow + time.Second) // the whole window ages out
+	// The fifth failure, but alone in the window.
 	b.Failure()
 	if got := b.State(); got != StateClosed {
 		t.Fatalf("state = %v, want closed (old failures aged out)", got)

@@ -32,7 +32,7 @@ func ParseDeadline(s string) (time.Duration, bool, error) {
 		return 0, false, nil
 	}
 	ms, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || ms < 1 || time.Duration(ms)*time.Millisecond > MaxDeadline {
+	if err != nil || ms < 1 || ms > int64(MaxDeadline/time.Millisecond) {
 		return 0, false, fmt.Errorf("resilience: bad %s header %q (want integer ms in [1, %d])",
 			HeaderDeadline, s, int64(MaxDeadline/time.Millisecond))
 	}

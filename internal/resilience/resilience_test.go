@@ -8,9 +8,11 @@ import (
 
 func TestRetryBudget(t *testing.T) {
 	var m Metrics
-	b := NewRetryBudget(BudgetConfig{Capacity: 2, Refill: 0.5, Metrics: &m})
-	if !b.TryTake() || !b.TryTake() {
-		t.Fatal("a full bucket must grant Capacity tokens")
+	b := NewRetryBudget(&m)
+	for i := 0; i < budgetCapacity; i++ {
+		if !b.TryTake() {
+			t.Fatalf("a full bucket granted only %d of %d tokens", i, budgetCapacity)
+		}
 	}
 	if b.TryTake() {
 		t.Fatal("an empty bucket must refuse")
@@ -18,21 +20,24 @@ func TestRetryBudget(t *testing.T) {
 	if got := m.Snapshot().RetryBudgetExhausted; got != 1 {
 		t.Fatalf("retry_budget_exhausted = %d, want 1", got)
 	}
-	// Two successes mint one token (Refill=0.5)...
-	b.Credit()
+	// Ten credits of 0.1 sum to 0.9999999999999999, so the eleventh
+	// success mints the first token...
+	for i := 0; i < 10; i++ {
+		b.Credit()
+	}
 	if b.TryTake() {
-		t.Fatal("half a token must not grant a retry")
+		t.Fatal("ten credits must not yet grant a retry")
 	}
 	b.Credit()
 	if !b.TryTake() {
-		t.Fatal("two credits at Refill=0.5 must mint one token")
+		t.Fatal("eleven credits must mint one token")
 	}
-	// ...and the balance never exceeds Capacity.
-	for i := 0; i < 100; i++ {
+	// ...and the balance never exceeds the capacity.
+	for i := 0; i < 1000; i++ {
 		b.Credit()
 	}
-	if got := b.Tokens(); got != 2 {
-		t.Fatalf("tokens after overfill = %v, want Capacity=2", got)
+	if got := b.Tokens(); got != budgetCapacity {
+		t.Fatalf("tokens after overfill = %v, want %d", got, budgetCapacity)
 	}
 }
 
@@ -102,7 +107,8 @@ func TestDeadlineCodec(t *testing.T) {
 		t.Fatalf("empty header must mean no deadline, got ok=%v err=%v", ok, err)
 	}
 	for _, bad := range []string{"0", "-5", "abc", "1.5", "1e3", "99999999999999999999",
-		"3600001" /* > MaxDeadline */} {
+		"3600001" /* > MaxDeadline */, "9223372036855" /* ms·1e6 wraps negative */, "18446744073710", /* wraps to 448µs */
+	} {
 		if _, _, err := ParseDeadline(bad); err == nil {
 			t.Fatalf("ParseDeadline(%q) accepted, want error", bad)
 		}

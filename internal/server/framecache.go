@@ -40,8 +40,8 @@ func (f *Frame) Bytes() int64 {
 	return img.RawBytes(f.Width, f.Height) + int64(len(f.PNG))
 }
 
-// DefaultFrameCacheBytes is the rendered-frame cache budget when neither
-// Config.FrameCacheBytes nor GVMR_FRAME_BYTES says otherwise.
+// DefaultFrameCacheBytes is the rendered-frame cache budget when
+// Config.FrameCacheBytes is zero.
 const DefaultFrameCacheBytes = 256 << 20
 
 // FrameCache is the bounded build-once cache (package cache) of rendered

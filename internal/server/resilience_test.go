@@ -165,8 +165,10 @@ func TestRenderHTTPDeadlineSurface(t *testing.T) {
 	if resp := get(strict, "100"); resp.StatusCode != http.StatusGatewayTimeout {
 		t.Errorf("deadline miss: HTTP %d, want 504", resp.StatusCode)
 	}
-	if resp := get(strict, "bogus"); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad deadline header: HTTP %d, want 400", resp.StatusCode)
+	for _, bad := range []string{"bogus", "9223372036855" /* overflows to a negative budget */} {
+		if resp := get(strict, bad); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("bad deadline header %q: HTTP %d, want 400", bad, resp.StatusCode)
+		}
 	}
 
 	soft := newTestService(t, Config{

@@ -6,11 +6,11 @@
 // Two mechanisms compose per request, in order:
 //
 //  1. the rendered-frame cache (FrameCache: the bounded build-once cache
-//     the volume staging cache also is, GVMR_FRAME_BYTES), keyed by
-//     dataset + dims + camera + transfer function + quality — a repeated
-//     view is a map lookup, and a render in flight is the entry every
-//     identical request waits on, so a storm of them costs exactly one
-//     render;
+//     the volume staging cache also is, sized by Config.FrameCacheBytes),
+//     keyed by dataset + dims + camera + transfer function + quality — a
+//     repeated view is a map lookup, and a render in flight is the entry
+//     every identical request waits on, so a storm of them costs exactly
+//     one render;
 //  2. admission control — a bounded queue in front of a fixed-width
 //     render-worker pool; when the queue is full new renders are
 //     rejected immediately (HTTP 429) instead of piling up, and Close
@@ -36,7 +36,6 @@ import (
 	"gvmr/internal/resilience"
 	"gvmr/internal/schedule"
 	"gvmr/internal/sim"
-	"gvmr/internal/volume"
 )
 
 // Service errors, mapped to HTTP statuses by the handler.
@@ -69,8 +68,8 @@ type Config struct {
 	// (default 64). Beyond Workers+MaxQueue, Render fails fast with
 	// ErrOverloaded.
 	MaxQueue int
-	// FrameCacheBytes budgets the rendered-frame cache (0 = honor
-	// GVMR_FRAME_BYTES, else 256 MiB; negative disables).
+	// FrameCacheBytes budgets the rendered-frame cache (0 =
+	// DefaultFrameCacheBytes; negative disables).
 	FrameCacheBytes int64
 	// MaxPixels caps Width*Height per request (default 4096²).
 	MaxPixels int
@@ -197,11 +196,10 @@ func New(cfg Config) (*Service, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// An explicit budget wins (negative disables), else GVMR_FRAME_BYTES,
-	// else the default.
+	// Zero takes the default budget; negative disables the cache.
 	cacheBytes := max(cfg.FrameCacheBytes, 0)
 	if cfg.FrameCacheBytes == 0 {
-		cacheBytes = volume.BytesFromEnv("GVMR_FRAME_BYTES", DefaultFrameCacheBytes)
+		cacheBytes = DefaultFrameCacheBytes
 	}
 	s := &Service{
 		cfg:        cfg,

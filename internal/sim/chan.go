@@ -140,9 +140,6 @@ func NewEvent(env *Env, name string) *Event {
 	return &Event{env: env, name: name}
 }
 
-// Fired reports whether the event has fired.
-func (ev *Event) Fired() bool { return ev.fired }
-
 // Fire triggers the event, waking all waiters at the current time. Firing
 // an already-fired event is a no-op.
 func (ev *Event) Fire(p *Proc) {

@@ -13,7 +13,6 @@ type Resource struct {
 	waiters  []*Proc
 
 	// accounting
-	busySince   Time
 	busyTotal   Time // time-integral of (inUse > 0)
 	acquires    int64
 	waitTotal   Time // total time processes spent queued

@@ -33,9 +33,6 @@ func (a V3) Add(b V3) V3 { return V3{a.X + b.X, a.Y + b.Y, a.Z + b.Z} }
 // Sub returns a - b.
 func (a V3) Sub(b V3) V3 { return V3{a.X - b.X, a.Y - b.Y, a.Z - b.Z} }
 
-// Mul returns the component-wise product a * b.
-func (a V3) Mul(b V3) V3 { return V3{a.X * b.X, a.Y * b.Y, a.Z * b.Z} }
-
 // Scale returns a scaled by s.
 func (a V3) Scale(s float32) V3 { return V3{a.X * s, a.Y * s, a.Z * s} }
 

@@ -163,7 +163,7 @@ var byteSuffixes = []struct {
 
 // ParseBytes reads a byte count with an optional K/M/G/T suffix
 // (optionally followed by "iB" or "B"), e.g. "2G", "512MiB", "0", "off" —
-// the grammar GVMR_STAGING_BYTES and GVMR_FRAME_BYTES share. Anything but
+// the grammar of GVMR_STAGING_BYTES. Anything but
 // digits before the suffix — "1GX", "1.5G", "+2M" — is rejected.
 func ParseBytes(s string) (int64, bool) {
 	t := strings.TrimSpace(strings.ToUpper(s))

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// FuzzParseBytes hammers the byte-count grammar shared by
-// GVMR_STAGING_BYTES and GVMR_FRAME_BYTES. The variables bound memory, so
+// FuzzParseBytes hammers the byte-count grammar of GVMR_STAGING_BYTES.
+// The variable bounds memory, so
 // the properties are safety properties: never panic, never return a
 // negative or overflowed count, reject anything that is not plainly
 // digits + one suffix, and stay consistent under the normalizations the
