@@ -105,15 +105,6 @@ func NewCluster(gpus int) (*Cluster, error) {
 	return cluster.New(sim.NewEnv(), cluster.AC(gpus))
 }
 
-// NewClusterParams builds a cluster from explicit hardware parameters.
-func NewClusterParams(p cluster.Params) (*Cluster, error) {
-	return cluster.New(sim.NewEnv(), p)
-}
-
-// ACParams returns the calibrated Accelerator Cluster hardware model for
-// the given GPU count, for callers that want to tweak constants.
-func ACParams(gpus int) cluster.Params { return cluster.AC(gpus) }
-
 // Render renders one frame and returns the image plus full statistics.
 func Render(cl *Cluster, opt Options) (*Result, error) {
 	return core.Render(cl, opt)
@@ -193,11 +184,6 @@ func Dataset(name string, n int) (Source, error) {
 	return dataset.New(name, dataset.PaperDims(name, n))
 }
 
-// DatasetDims returns a built-in dataset at explicit dimensions.
-func DatasetDims(name string, d Dims) (Source, error) {
-	return dataset.New(name, d)
-}
-
 // DatasetNames lists the built-in datasets.
 func DatasetNames() []string { return dataset.Names() }
 
@@ -222,12 +208,6 @@ func RGBA(r, g, b, a float64) vec.V4 { return vec.New4(r, g, b, a) }
 
 // Cube returns n×n×n dims.
 func Cube(n int) Dims { return volume.Cube(n) }
-
-// FitCamera frames a source's volume in a width×height image from the
-// default three-quarter view.
-func FitCamera(src Source, width, height int) (*Camera, error) {
-	return camera.Fit(volume.NewSpace(src.Dims()).Bounds(), width, height)
-}
 
 // NewCamera builds an explicit perspective camera.
 func NewCamera(eye, center, up vec.V3, fovY float64, width, height int) (*Camera, error) {
@@ -280,18 +260,3 @@ func OpenVolumeFile(path string) (VolumeFile, error) {
 func RegisterVolumeFile(name, path, tfPreset string) error {
 	return dataset.RegisterVolumeFile(name, path, tfPreset)
 }
-
-// WrapVolume exposes an in-memory volume as a source.
-func WrapVolume(v *volume.Volume, tag string) Source {
-	return volume.NewVolumeSource(v, tag)
-}
-
-// StagingCacheStats reports the process-wide volume staging cache
-// counters: analytic sources are materialised once per identity and every
-// later brick stage is served as a zero-copy view (see internal/volume).
-// Set GVMR_STAGING_BYTES to resize the cache ("0" or "off" disables); a
-// source opts out by not implementing volume.Stageable.
-func StagingCacheStats() volume.CacheStats { return volume.Cache.Stats() }
-
-// FlushStagingCache drops every cached volume, releasing its memory.
-func FlushStagingCache() { volume.Cache.Flush() }

@@ -112,20 +112,22 @@ func TestDistributedMatchesDirect(t *testing.T) {
 // TestMapBuildsSkipStructuresOnce: JobSpec.Options hands every /map the
 // same preset instance, so the renderer's pointer-keyed memos hit across
 // requests. Two jobs from different cameras on one dataset (an edge no
-// other test stages) build one skip grid and one step-0.5 table on the
-// worker between them — it used to be one per request.
+// other test stages) build at most one skip grid and one step-0.5 table on
+// the worker between them — it used to be one per request. The first job
+// builds none when an earlier run in this process (-count) built them;
+// the second, from another camera, must always build none.
 func TestMapBuildsSkipStructuresOnce(t *testing.T) {
 	coord := newTestCoordinator(t, startWorkers(t, 1, nil), nil)
 	grids, tables := render.MemoBuilds()
-	for i, want := range []int64{1, 0} {
+	for i, most := range []int64{1, 0} {
 		job := testJob(t, dataset.Skull, 20, 32, 1, []float64{30, 75}[i], false)
 		job.StepVoxels = 0.5
 		if _, _, err := coord.Render(context.Background(), job); err != nil {
 			t.Fatal(err)
 		}
 		g, tb := render.MemoBuilds()
-		if g-grids != want || tb-tables != want {
-			t.Errorf("job %d built %d skip grids and %d corrected tables, want %d of each", i, g-grids, tb-tables, want)
+		if g-grids > most || tb-tables > most {
+			t.Errorf("job %d built %d skip grids and %d corrected tables, want at most %d of each", i, g-grids, tb-tables, most)
 		}
 		grids, tables = g, tb
 	}

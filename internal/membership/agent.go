@@ -43,9 +43,6 @@ type AgentConfig struct {
 	Capacity Capacity
 	// Load, when non-nil, is sampled for every heartbeat.
 	Load func() Load
-	// Interval overrides the server-assigned heartbeat interval (tests;
-	// 0 = adopt the registry's lease terms).
-	Interval time.Duration
 	// RetryEvery paces registration retries (default 1s).
 	RetryEvery time.Duration
 	// Client is the control-plane HTTP client (default 5s timeout).
@@ -101,7 +98,6 @@ func StartAgent(cfg AgentConfig) (*Agent, error) {
 		cfg: cfg, coord: coord, self: self,
 		instance: hex.EncodeToString(buf[:]),
 		state:    AgentJoining,
-		interval: cfg.Interval,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -185,12 +181,11 @@ func (a *Agent) register(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	iv := a.cfg.Interval
-	if iv <= 0 {
-		iv = time.Duration(resp.HeartbeatMillis) * time.Millisecond
-		if iv <= 0 {
-			iv = 2 * time.Second
-		}
+	// The term is bounded before it is multiplied: an out-of-range
+	// answer would otherwise wrap to a period that floods the registry.
+	iv := 2 * time.Second
+	if ms := resp.HeartbeatMillis; ms > 0 && ms <= 3_600_000 {
+		iv = time.Duration(ms) * time.Millisecond
 	}
 	a.mu.Lock()
 	a.interval = iv

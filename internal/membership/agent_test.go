@@ -216,3 +216,38 @@ func TestHTTPEndpointsRejectHostileTraffic(t *testing.T) {
 		t.Fatalf("bad register body = %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestAgentRejectsHostileLeaseTerm: a /register answer whose heartbeat
+// term overflows when converted to a Duration must not become the beat
+// period; the agent keeps its 2s default and sends no beat in 200ms.
+func TestAgentRejectsHostileLeaseTerm(t *testing.T) {
+	var mu sync.Mutex
+	beats := 0
+	mux := http.NewServeMux()
+	mux.HandleFunc(RegisterPath, func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"state":"alive","heartbeat_millis":18446744073710,"miss_limit":3}`))
+	})
+	mux.HandleFunc(HeartbeatPath, func(w http.ResponseWriter, _ *http.Request) {
+		mu.Lock()
+		beats++
+		mu.Unlock()
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"state":"alive"}`))
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	a, err := StartAgent(AgentConfig{Coordinator: srv.URL, Advertise: "127.0.0.1:9007",
+		Capacity: Capacity{DeviceWorkers: 1}, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Stop()
+	waitFor(t, "registration", a.Registered)
+	time.Sleep(200 * time.Millisecond)
+	mu.Lock()
+	defer mu.Unlock()
+	if beats != 0 {
+		t.Fatalf("%d heartbeats in 200ms after a hostile lease term, want 0 (2s default)", beats)
+	}
+}

@@ -92,8 +92,14 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.HeartbeatInterval <= 0 {
+	switch {
+	case c.HeartbeatInterval <= 0:
 		c.HeartbeatInterval = 2 * time.Second
+	case c.HeartbeatInterval < time.Millisecond:
+		// Registrants are told the term in whole milliseconds; a shorter
+		// one would advertise 0 (the agent's 2s default) while leases
+		// expire after a few microseconds.
+		c.HeartbeatInterval = time.Millisecond
 	}
 	if c.MissLimit <= 0 {
 		c.MissLimit = 3

@@ -281,3 +281,21 @@ func TestConcurrentRegistryAccess(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestSubMillisecondHeartbeatRaised: the registry advertises its term in
+// whole milliseconds, so a sub-millisecond interval is raised to 1ms — the
+// advertised term is never 0 and never longer than the lease it enforces.
+func TestSubMillisecondHeartbeatRaised(t *testing.T) {
+	r := New(Config{HeartbeatInterval: 500 * time.Microsecond, MissLimit: 3})
+	resp := register(t, r, "127.0.0.1:9001", "inst-a")
+	advertised := time.Duration(resp.HeartbeatMillis) * time.Millisecond
+	if advertised < time.Millisecond {
+		t.Fatalf("advertised %v, want >= 1ms", advertised)
+	}
+	if ttl := r.ttl(); ttl < advertised {
+		t.Fatalf("enforced ttl %v < advertised term %v", ttl, advertised)
+	}
+	if iv, _ := r.Lease(); iv != time.Millisecond {
+		t.Fatalf("Lease interval = %v, want 1ms", iv)
+	}
+}

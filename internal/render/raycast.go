@@ -33,12 +33,9 @@ type Params struct {
 	// TerminationAlpha is the early-ray-termination threshold.
 	TerminationAlpha float32
 	// Shading enables Levoy-style gradient (central-difference) diffuse
-	// shading of contributing samples; it costs six extra texture
-	// fetches per shaded sample, which the cost model charges.
+	// shading of contributing samples under lightDir; it costs six extra
+	// texture fetches per shaded sample, which the cost model charges.
 	Shading bool
-	// Light is the world-space directional light used when Shading is
-	// set; zero means the default oblique light.
-	Light vec.V3
 	// NoEmptySkip turns the macrocell grid off — both the leap over empty
 	// cells and the answering of homogeneous ones: the ray fetches every
 	// lattice sample like the original §3.2 kernel. Either is
@@ -54,17 +51,19 @@ type Params struct {
 	// The prep* fields snapshot the inputs the constants were derived
 	// from, so mutating a prepared Params re-derives instead of silently
 	// using stale constants.
-	prepared  bool
-	prepStep  float32
-	prepLight vec.V3
-	prepTF    *transfer.Func
-	lightNorm vec.V3         // normalised Light (or the default light)
-	tfStep    *transfer.Func // opacity-corrected TF when StepVoxels != 1
+	prepared bool
+	prepStep float32
+	prepTF   *transfer.Func
+	tfStep   *transfer.Func // opacity-corrected TF when StepVoxels != 1
 	// skip is the per-brick occupancy structure resolved by PrepareBrick;
 	// CastPixel falls back to the process-wide memo when it is absent or
 	// belongs to a different brick's macrocell grid.
 	skip *skipGrid
 }
+
+// lightDir is the world-space directional light Shading uses: one
+// oblique light, normalised.
+var lightDir = vec.New3(0.5, 0.8, 0.6).Norm()
 
 // stepTables memoises opacity-corrected transfer tables per
 // (*transfer.Func, step), so samplers called per pixel with unprepared
@@ -87,28 +86,22 @@ func correctedTF(tf *transfer.Func, step float32) *transfer.Func {
 	return c
 }
 
-// Prepare returns p with its derived per-Params constants computed: the
-// normalised light direction and, for non-unit steps, the transfer
-// function with opacity correction folded into its table (replacing a
-// math.Pow per sample with nothing). Kernels call it once per brick;
+// Prepare returns p with its derived per-Params constants computed: for
+// non-unit steps, the transfer function with opacity correction folded
+// into its table (replacing a math.Pow per sample with nothing). Kernels call it once per brick;
 // calling CastPixel directly with unprepared Params still works and
 // prepares on the fly (the corrected table is memoised process-wide).
 func (p Params) Prepare() Params {
 	if p.fresh() {
 		return p
 	}
-	light := p.Light
-	if light == (vec.V3{}) {
-		light = vec.New3(0.5, 0.8, 0.6)
-	}
-	p.lightNorm = light.Norm()
 	p.tfStep = nil
 	p.skip = nil // per-brick; re-resolved by PrepareBrick or per ray
 	if p.TF != nil && p.StepVoxels > 0 && p.StepVoxels != 1 {
 		p.tfStep = correctedTF(p.TF, p.StepVoxels)
 	}
 	p.prepared = true
-	p.prepTF, p.prepStep, p.prepLight = p.TF, p.StepVoxels, p.Light
+	p.prepTF, p.prepStep = p.TF, p.StepVoxels
 	return p
 }
 
@@ -116,7 +109,7 @@ func (p Params) Prepare() Params {
 // they were derived from. The samplers test it per ray, so a kernel-
 // prepared Params is neither re-derived nor copied through Prepare.
 func (p *Params) fresh() bool {
-	return p.prepared && p.prepTF == p.TF && p.prepStep == p.StepVoxels && p.prepLight == p.Light
+	return p.prepared && p.prepTF == p.TF && p.prepStep == p.StepVoxels
 }
 
 // PrepareBrick returns p prepared (see Prepare) with the empty-space
@@ -361,7 +354,7 @@ march:
 				entry = t
 			}
 			if prm.Shading {
-				shade := shadeAt(smp, pos, tx, ty, tz, prm.lightNorm)
+				shade := shadeAt(smp, pos, tx, ty, tz, lightDir)
 				st.Samples += 6
 				c.X *= shade
 				c.Y *= shade

@@ -173,7 +173,7 @@ func castRaySeven(cam *camera.Camera, sp volume.Space, bd *volume.BrickData, prm
 				entry = t
 			}
 			if prm.Shading {
-				shade := shadeAtSeven(bd, pos, prm.lightNorm)
+				shade := shadeAtSeven(bd, pos, lightDir)
 				st.Samples += 6
 				c.X *= shade
 				c.Y *= shade

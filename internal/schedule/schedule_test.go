@@ -71,12 +71,17 @@ func TestMapFirstErrorByIndex(t *testing.T) {
 }
 
 func TestMapCancelSkipsUnstartedJobs(t *testing.T) {
+	// Every other job waits for job 0 to fail, so the second worker cannot
+	// race through the whole range before the failure lands.
 	var ran int64
+	failed := make(chan struct{})
 	_, err := Map(2, 1000, func(i int) (int, error) {
 		atomic.AddInt64(&ran, 1)
 		if i == 0 {
+			defer close(failed)
 			return 0, fmt.Errorf("boom")
 		}
+		<-failed
 		return i, nil
 	})
 	if err == nil {

@@ -257,12 +257,15 @@ func TestHTTPPartitionParams(t *testing.T) {
 // and opacity-corrected tables by (macrocell grid, transfer function)
 // pointer, so the service must hand every request the same preset
 // instance. Two /render misses from different cameras on one dataset (an
-// edge no other test stages, both bricks views of one volume) build one
-// grid and one step-0.5 table between them — it used to be one per request.
+// edge no other test stages, both bricks views of one volume) build at
+// most one grid and one step-0.5 table between them — it used to be one
+// per request. The first miss builds none when an earlier run in this
+// process (-count) built them; the second, from another camera, must
+// always build none.
 func TestHTTPRenderBuildsSkipStructuresOnce(t *testing.T) {
 	_, ts := newTestServer(t)
 	grids, tables := render.MemoBuilds()
-	for i, want := range []int64{1, 0} {
+	for i, most := range []int64{1, 0} {
 		resp, err := http.Get(ts.URL + "/render?dataset=skull&edge=20&size=32&gpus=2&step=0.5&format=raw&orbit=" + []string{"30", "75"}[i])
 		if err != nil {
 			t.Fatal(err)
@@ -273,8 +276,8 @@ func TestHTTPRenderBuildsSkipStructuresOnce(t *testing.T) {
 			t.Fatalf("request %d: HTTP %d served via %q", i, resp.StatusCode, resp.Header.Get(HeaderServed))
 		}
 		g, tb := render.MemoBuilds()
-		if g-grids != want || tb-tables != want {
-			t.Errorf("request %d built %d skip grids and %d corrected tables, want %d of each", i, g-grids, tb-tables, want)
+		if g-grids > most || tb-tables > most {
+			t.Errorf("request %d built %d skip grids and %d corrected tables, want at most %d of each", i, g-grids, tb-tables, most)
 		}
 		grids, tables = g, tb
 	}

@@ -7,7 +7,6 @@ import "fmt"
 // receiver takes the value. All waiter queues are FIFO, preserving
 // determinism.
 type Chan[T any] struct {
-	env    *Env
 	name   string
 	cap    int
 	buf    []T
@@ -26,14 +25,11 @@ func NewChan[T any](env *Env, name string, capacity int) *Chan[T] {
 	if capacity < 0 {
 		panic(fmt.Sprintf("sim: chan %q capacity %d < 0", name, capacity))
 	}
-	return &Chan[T]{env: env, name: name, cap: capacity}
+	return &Chan[T]{name: name, cap: capacity}
 }
 
 // Len returns the number of buffered values.
 func (c *Chan[T]) Len() int { return len(c.buf) }
-
-// Closed reports whether the channel has been closed.
-func (c *Chan[T]) Closed() bool { return c.closed }
 
 // Send delivers v, blocking p in virtual time while the buffer is full (or,
 // for capacity 0, until a receiver arrives). Sending on a closed channel
@@ -57,20 +53,6 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 	}
 	c.sendQ = append(c.sendQ, sendWaiter[T]{p: p, v: v})
 	p.block("sending " + c.name)
-}
-
-// TrySend delivers v without blocking; it reports whether the value was
-// accepted. It fails when the buffer is full and no receiver waits, or
-// when the channel is closed.
-func (c *Chan[T]) TrySend(p *Proc, v T) bool {
-	if c.closed {
-		return false
-	}
-	if len(c.recvQ) > 0 || len(c.buf) < c.cap {
-		c.Send(p, v)
-		return true
-	}
-	return false
 }
 
 // Recv takes the next value, blocking p while the channel is empty. It
@@ -126,53 +108,9 @@ func (c *Chan[T]) Close(p *Proc) {
 	c.recvQ = nil
 }
 
-// Event is a one-shot condition: processes Wait until some process Fires
-// it. Waiting on a fired event returns immediately.
-type Event struct {
-	env     *Env
-	name    string
-	fired   bool
-	waiters []*Proc
-}
-
-// NewEvent creates an unfired event.
-func NewEvent(env *Env, name string) *Event {
-	return &Event{env: env, name: name}
-}
-
-// Fire triggers the event, waking all waiters at the current time. Firing
-// an already-fired event is a no-op.
-func (ev *Event) Fire(p *Proc) {
-	if ev.fired {
-		return
-	}
-	ev.fired = true
-	for _, w := range ev.waiters {
-		p.unblock(w)
-	}
-	ev.waiters = nil
-}
-
-// Wait blocks p until the event fires.
-func (ev *Event) Wait(p *Proc) {
-	if ev.fired {
-		return
-	}
-	ev.waiters = append(ev.waiters, p)
-	p.block("waiting " + ev.name)
-}
-
-// WaitAll blocks p until every event has fired.
-func WaitAll(p *Proc, events ...*Event) {
-	for _, ev := range events {
-		ev.Wait(p)
-	}
-}
-
 // WaitGroup counts outstanding work items in virtual time, mirroring
 // sync.WaitGroup.
 type WaitGroup struct {
-	env     *Env
 	name    string
 	count   int
 	waiters []*Proc
@@ -180,7 +118,7 @@ type WaitGroup struct {
 
 // NewWaitGroup creates a WaitGroup with zero count.
 func NewWaitGroup(env *Env, name string) *WaitGroup {
-	return &WaitGroup{env: env, name: name}
+	return &WaitGroup{name: name}
 }
 
 // Add increments the counter by n (n may be negative, like sync.WaitGroup).

@@ -134,23 +134,6 @@ func TestChanDrainAfterClose(t *testing.T) {
 	}
 }
 
-func TestTrySend(t *testing.T) {
-	env := NewEnv()
-	ch := NewChan[int](env, "c", 1)
-	env.Go("p", func(p *Proc) {
-		if !ch.TrySend(p, 1) {
-			t.Error("TrySend into empty buffer failed")
-		}
-		if ch.TrySend(p, 2) {
-			t.Error("TrySend into full buffer succeeded")
-		}
-		ch.Recv(p)
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSendOnClosedPanics(t *testing.T) {
 	env := NewEnv()
 	ch := NewChan[int](env, "c", 1)
@@ -160,43 +143,6 @@ func TestSendOnClosedPanics(t *testing.T) {
 	})
 	if err := env.Run(); err == nil {
 		t.Error("send on closed chan should surface an error")
-	}
-}
-
-func TestEventBroadcast(t *testing.T) {
-	env := NewEnv()
-	ev := NewEvent(env, "go")
-	var woke []Time
-	for i := 0; i < 3; i++ {
-		env.Go("w", func(p *Proc) {
-			ev.Wait(p)
-			woke = append(woke, p.Now())
-		})
-	}
-	env.Go("firer", func(p *Proc) {
-		p.Sleep(12 * Millisecond)
-		ev.Fire(p)
-		ev.Fire(p) // double fire is a no-op
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(woke) != 3 {
-		t.Fatalf("woke %d waiters, want 3", len(woke))
-	}
-	for _, w := range woke {
-		if w != 12*Millisecond {
-			t.Errorf("waiter woke at %v, want 12ms", w)
-		}
-	}
-	env.Go("late", func(p *Proc) {
-		ev.Wait(p) // already fired: returns immediately
-		if p.Now() != 12*Millisecond {
-			t.Errorf("late waiter at %v", p.Now())
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -58,11 +58,6 @@ func (e *Env) schedule(t Time, p *Proc) {
 // Go spawns a process that begins executing fn at the current virtual time.
 // It may be called before Run or from inside another process.
 func (e *Env) Go(name string, fn func(*Proc)) *Proc {
-	return e.GoAt(e.now, name, fn)
-}
-
-// GoAt spawns a process that begins executing fn at virtual time t.
-func (e *Env) GoAt(t Time, name string, fn func(*Proc)) *Proc {
 	p := &Proc{
 		env:    e,
 		name:   name,
@@ -72,7 +67,7 @@ func (e *Env) GoAt(t Time, name string, fn func(*Proc)) *Proc {
 	}
 	e.live[p] = struct{}{}
 	go p.run(fn)
-	e.schedule(t, p)
+	e.schedule(e.now, p)
 	return p
 }
 
@@ -156,7 +151,7 @@ type Proc struct {
 	done   bool
 	err    error
 
-	// blocked-wait delivery slots, used by Chan and Event.
+	// blocked-wait delivery slots, used by Chan.
 	recvVal any
 	recvOK  bool
 }

@@ -198,9 +198,6 @@ func TestConversions(t *testing.T) {
 	if Millis(2) != 2*Millisecond {
 		t.Error("Millis conversion wrong")
 	}
-	if Micros(3) != 3*Microsecond {
-		t.Error("Micros conversion wrong")
-	}
 	if got := (1500 * Millisecond).Seconds(); got != 1.5 {
 		t.Errorf("Seconds() = %v", got)
 	}

@@ -9,24 +9,33 @@ func TestResourceQueueLen(t *testing.T) {
 	env := NewEnv()
 	res := NewResource(env, "r", 1)
 	env.Go("holder", func(p *Proc) {
-		res.Acquire(p)
-		p.Sleep(10 * Millisecond)
-		if res.QueueLen() != 2 {
-			t.Errorf("QueueLen = %d, want 2", res.QueueLen())
-		}
-		res.Release(p)
+		res.Use(p, 10*Millisecond)
 	})
+	var done []Time
 	for i := 0; i < 2; i++ {
 		env.Go("waiter", func(p *Proc) {
 			p.Sleep(Millisecond)
 			res.Use(p, Millisecond)
+			done = append(done, p.Now())
 		})
 	}
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if res.QueueLen() != 0 || res.InUse() != 0 {
-		t.Error("resource not drained")
+	if len(done) != 2 || done[0] != 11*Millisecond || done[1] != 12*Millisecond {
+		t.Errorf("queued users finished at %v, want [11ms 12ms]", done)
+	}
+	// The drained resource serves a later user without a wait.
+	env.Go("late", func(p *Proc) {
+		start := p.Now()
+		res.Acquire(p)
+		if p.Now() != start {
+			t.Errorf("acquire on a drained resource waited until %v", p.Now())
+		}
+		res.Release(p)
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -34,17 +43,17 @@ func TestChanAccessors(t *testing.T) {
 	env := NewEnv()
 	ch := NewChan[int](env, "c", 4)
 	env.Go("p", func(p *Proc) {
-		if ch.Len() != 0 || ch.Closed() {
-			t.Error("fresh chan state wrong")
+		if ch.Len() != 0 {
+			t.Error("fresh chan not empty")
 		}
 		ch.Send(p, 1)
 		ch.Send(p, 2)
 		if ch.Len() != 2 {
 			t.Errorf("Len = %d", ch.Len())
 		}
-		ch.Close(p)
-		if !ch.Closed() {
-			t.Error("Closed false after close")
+		ch.Recv(p)
+		if ch.Len() != 1 {
+			t.Errorf("Len after recv = %d", ch.Len())
 		}
 	})
 	if err := env.Run(); err != nil {

@@ -73,40 +73,23 @@ func TestResourceFIFOOrder(t *testing.T) {
 	}
 }
 
-func TestResourceAccounting(t *testing.T) {
-	env := NewEnv()
-	res := NewResource(env, "disk", 1)
-	env.Go("a", func(p *Proc) {
-		res.Use(p, 30*Millisecond)
-		p.Sleep(70 * Millisecond) // idle gap
-		res.Use(p, 20*Millisecond)
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := res.BusyTime(); got != 50*Millisecond {
-		t.Errorf("BusyTime = %v, want 50ms", got)
-	}
-	if got := res.Acquires(); got != 2 {
-		t.Errorf("Acquires = %d, want 2", got)
-	}
-	u := res.Utilization()
-	if u < 0.40 || u > 0.45 { // 50ms busy over 120ms total
-		t.Errorf("Utilization = %v, want ~0.417", u)
-	}
-}
-
 func TestResourceWaitTime(t *testing.T) {
 	env := NewEnv()
 	res := NewResource(env, "r", 1)
+	var acquired []Time
 	for i := 0; i < 2; i++ {
-		env.Go("u", func(p *Proc) { res.Use(p, 10*Millisecond) })
+		env.Go("u", func(p *Proc) {
+			res.Acquire(p)
+			acquired = append(acquired, p.Now())
+			p.Sleep(10 * Millisecond)
+			res.Release(p)
+		})
 	}
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := res.WaitTime(); got != 10*Millisecond {
-		t.Errorf("WaitTime = %v, want 10ms (second user queued behind first)", got)
+	if len(acquired) != 2 || acquired[0] != 0 || acquired[1] != 10*Millisecond {
+		t.Errorf("acquired at %v, want [0 10ms] (second user queued behind first)", acquired)
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package sim is a deterministic discrete-event simulation kernel.
 //
 // It provides a virtual clock, cooperatively scheduled processes backed by
-// goroutines, FIFO resources with utilization accounting, typed channels
-// with blocking semantics in virtual time, and one-shot events. The paper's
-// hardware — GPUs, PCIe links, NICs, disks — is modeled as processes and
-// resources on top of this kernel, so the reported timings are virtual and
-// bit-reproducible while the computation they account for is real.
+// goroutines, FIFO resources, and typed channels and wait groups with
+// blocking semantics in virtual time. The paper's hardware — GPUs, PCIe
+// links, NICs, disks — is modeled as processes and resources on top of this
+// kernel, so the reported timings are virtual and bit-reproducible while the
+// computation they account for is real.
 //
 // Exactly one process executes at any instant (the scheduler serialises
 // them), so process code may mutate simulation state without locking.
@@ -28,9 +28,6 @@ const (
 
 // Seconds converts a float64 second count to a Time.
 func Seconds(s float64) Time { return Time(s * float64(Second)) }
-
-// Micros converts a float64 microsecond count to a Time.
-func Micros(us float64) Time { return Time(us * float64(Microsecond)) }
 
 // Millis converts a float64 millisecond count to a Time.
 func Millis(ms float64) Time { return Time(ms * float64(Millisecond)) }

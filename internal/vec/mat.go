@@ -12,21 +12,6 @@ func Identity() M4 {
 	return m
 }
 
-// MulM returns the matrix product a * b.
-func (a M4) MulM(b M4) M4 {
-	var r M4
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			var s float32
-			for k := 0; k < 4; k++ {
-				s += a[i][k] * b[k][j]
-			}
-			r[i][j] = s
-		}
-	}
-	return r
-}
-
 // MulV returns the matrix-vector product a * v.
 func (a M4) MulV(v V4) V4 {
 	return V4{
@@ -48,20 +33,6 @@ func (a M4) MulPoint(p V3) V3 {
 	return V3{v.X, v.Y, v.Z}
 }
 
-// Translate returns a translation matrix by t.
-func Translate(t V3) M4 {
-	m := Identity()
-	m[0][3], m[1][3], m[2][3] = t.X, t.Y, t.Z
-	return m
-}
-
-// ScaleM returns a scaling matrix by s.
-func ScaleM(s V3) M4 {
-	var m M4
-	m[0][0], m[1][1], m[2][2], m[3][3] = s.X, s.Y, s.Z, 1
-	return m
-}
-
 // RotateY returns a rotation matrix about the Y axis by angle radians.
 func RotateY(angle float64) M4 {
 	c := float32(math.Cos(angle))
@@ -70,87 +41,4 @@ func RotateY(angle float64) M4 {
 	m[0][0], m[0][2] = c, s
 	m[2][0], m[2][2] = -s, c
 	return m
-}
-
-// RotateX returns a rotation matrix about the X axis by angle radians.
-func RotateX(angle float64) M4 {
-	c := float32(math.Cos(angle))
-	s := float32(math.Sin(angle))
-	m := Identity()
-	m[1][1], m[1][2] = c, -s
-	m[2][1], m[2][2] = s, c
-	return m
-}
-
-// LookAt builds a right-handed view matrix with the camera at eye, looking
-// at center, with the given up vector.
-func LookAt(eye, center, up V3) M4 {
-	f := center.Sub(eye).Norm()
-	s := f.Cross(up.Norm()).Norm()
-	u := s.Cross(f)
-	m := Identity()
-	m[0][0], m[0][1], m[0][2] = s.X, s.Y, s.Z
-	m[1][0], m[1][1], m[1][2] = u.X, u.Y, u.Z
-	m[2][0], m[2][1], m[2][2] = -f.X, -f.Y, -f.Z
-	m[0][3] = -s.Dot(eye)
-	m[1][3] = -u.Dot(eye)
-	m[2][3] = f.Dot(eye)
-	return m
-}
-
-// Perspective builds a right-handed perspective projection matrix.
-// fovY is the vertical field of view in radians.
-func Perspective(fovY, aspect, near, far float64) M4 {
-	f := float32(1 / math.Tan(fovY/2))
-	var m M4
-	m[0][0] = f / float32(aspect)
-	m[1][1] = f
-	m[2][2] = float32((far + near) / (near - far))
-	m[2][3] = float32(2 * far * near / (near - far))
-	m[3][2] = -1
-	return m
-}
-
-// Inverse returns the inverse of a and whether a was invertible, using
-// Gauss-Jordan elimination with partial pivoting in float64.
-func (a M4) Inverse() (M4, bool) {
-	var aug [4][8]float64
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			aug[i][j] = float64(a[i][j])
-		}
-		aug[i][4+i] = 1
-	}
-	for col := 0; col < 4; col++ {
-		pivot := col
-		for r := col + 1; r < 4; r++ {
-			if math.Abs(aug[r][col]) > math.Abs(aug[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(aug[pivot][col]) < 1e-12 {
-			return M4{}, false
-		}
-		aug[col], aug[pivot] = aug[pivot], aug[col]
-		p := aug[col][col]
-		for j := 0; j < 8; j++ {
-			aug[col][j] /= p
-		}
-		for r := 0; r < 4; r++ {
-			if r == col {
-				continue
-			}
-			f := aug[r][col]
-			for j := 0; j < 8; j++ {
-				aug[r][j] -= f * aug[col][j]
-			}
-		}
-	}
-	var inv M4
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			inv[i][j] = float32(aug[i][4+j])
-		}
-	}
-	return inv, true
 }

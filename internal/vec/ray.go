@@ -27,11 +27,6 @@ func (b AABB) Contains(p V3) bool {
 		p.Z >= b.Min.Z && p.Z <= b.Max.Z
 }
 
-// Union returns the smallest box containing both b and o.
-func (b AABB) Union(o AABB) AABB {
-	return AABB{Min: b.Min.Min(o.Min), Max: b.Max.Max(o.Max)}
-}
-
 // Corners returns the eight corner points of the box.
 func (b AABB) Corners() [8]V3 {
 	return [8]V3{

@@ -86,9 +86,6 @@ func (a V4) Add(b V4) V4 { return V4{a.X + b.X, a.Y + b.Y, a.Z + b.Z, a.W + b.W}
 // Scale returns a scaled by s.
 func (a V4) Scale(s float32) V4 { return V4{a.X * s, a.Y * s, a.Z * s, a.W * s} }
 
-// XYZ returns the first three components of a as a V3.
-func (a V4) XYZ() V3 { return V3{a.X, a.Y, a.Z} }
-
 // Lerp linearly interpolates between a and b by t in [0,1].
 func (a V4) Lerp(b V4, t float32) V4 {
 	return V4{

@@ -140,9 +140,6 @@ func TestV4Ops(t *testing.T) {
 	if got := a.Scale(2); got != (V4{2, 4, 6, 8}) {
 		t.Errorf("V4 Scale = %v", got)
 	}
-	if got := a.XYZ(); got != (V3{1, 2, 3}) {
-		t.Errorf("XYZ = %v", got)
-	}
 	if got := a.Lerp(b, 0.5); got != (V4{2.5, 2.5, 2.5, 2.5}) {
 		t.Errorf("V4 Lerp = %v", got)
 	}

@@ -164,7 +164,7 @@ func TestBrickWorldBoundsTile(t *testing.T) {
 	}
 	union := g.Bricks[0].Bounds
 	for _, b := range g.Bricks[1:] {
-		union = union.Union(b.Bounds)
+		union = vec.AABB{Min: union.Min.Min(b.Bounds.Min), Max: union.Max.Max(b.Bounds.Max)}
 	}
 	want := g.Space.Bounds()
 	if union.Min.Sub(want.Min).Len() > 1e-6 || union.Max.Sub(want.Max).Len() > 1e-6 {

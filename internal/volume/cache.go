@@ -272,9 +272,6 @@ func (s *CachedSource) Name() string { return s.src.Name() }
 // Dims implements Source.
 func (s *CachedSource) Dims() Dims { return s.src.Dims() }
 
-// Unwrap returns the underlying source.
-func (s *CachedSource) Unwrap() Source { return s.src }
-
 // Fill implements Source: the first call (process-wide, per identity)
 // materialises the full volume; every call copies the requested region
 // row-wise out of the dense data. When the cache budget is entirely held
