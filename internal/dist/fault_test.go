@@ -181,6 +181,56 @@ func TestCorruptResponseRetried(t *testing.T) {
 	}
 }
 
+// TestCorruptStoredPlaneRetried flips a byte of a stored noise plane in
+// node 1's first compressed response that stores one. Such a payload
+// still decodes — to wrong colours — so only the stripe digest stands
+// between it and the framebuffer: the coordinator must count it corrupt
+// and re-place the batch, and the frame must keep the direct render's
+// bits.
+func TestCorruptStoredPlaneRetried(t *testing.T) {
+	job := testJob(t, dataset.Skull, 32, 96, 4, 30, true)
+	want := directDigest(t, job)
+
+	var flipped atomic.Int64
+	addrs := startWorkers(t, 2, func(i int, h http.Handler) http.Handler {
+		if i != 1 {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			body := rec.Body.Bytes()
+			if rec.Header().Get("Content-Encoding") == EncodingColumnar2 &&
+				len(flateSection(t, body)) < len(body) && flipped.Load() == 0 {
+				body[len(body)-1] ^= 0x01 // last stored plane, digest header untouched
+				if _, err := DecodePayload(EncodingColumnar2, body, 1<<30); err != nil {
+					t.Errorf("payload with a flipped stored byte no longer decodes: %v", err)
+				}
+				flipped.Add(1)
+			}
+			for k, v := range rec.Header() {
+				w.Header()[k] = v
+			}
+			w.WriteHeader(rec.Code)
+			_, _ = w.Write(body)
+		})
+	})
+	coord := newTestCoordinator(t, addrs, nil)
+	res, _, err := coord.Render(context.Background(), job)
+	if err != nil {
+		t.Fatalf("render with a corrupting node: %v", err)
+	}
+	if flipped.Load() != 1 {
+		t.Fatal("node 1 sent no payload with stored planes: nothing was flipped")
+	}
+	if got := res.Image.Digest(); got != want {
+		t.Errorf("digest after a flipped stored plane %s != direct %s", got, want)
+	}
+	if st := coord.Stats(); st.Corrupt != 1 || st.Retries < 1 {
+		t.Errorf("flipped stored plane not caught and retried: %+v", st)
+	}
+}
+
 // TestAllWorkersDeadFailsFast: when every node is gone the job must fail
 // with an error, not hang — the bounded-retry contract.
 func TestAllWorkersDeadFailsFast(t *testing.T) {

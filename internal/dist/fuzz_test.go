@@ -17,9 +17,9 @@ import (
 //     runs, positive counts), so any payload decodeV2 accepts must
 //     re-encode to the identical bytes;
 //   - gvmr-cf2 round-trips semantically: a fuzzer-found payload may use
-//     non-minimal varints or a different flate framing, so the invariant
-//     is decode → re-compress → decode = the same fragments bit for bit
-//     (NaN payloads included).
+//     non-minimal varints, a different flate framing or a different
+//     choice of stored planes, so the invariant is decode → re-compress →
+//     decode = the same fragments bit for bit (NaN payloads included).
 //
 // The decompressed-size bound stays small so a crafted flate bomb costs
 // the fuzzer nothing.
@@ -47,6 +47,16 @@ func fuzzDecodeStripes(f *testing.F) {
 	f.Add(encodeCF2(nil))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 255, 255, 255, 127})
+	// The plane test's two outcomes: random colours store their low
+	// mantissa planes after the flate stream; a constant colour over as
+	// many fragments keeps every plane packed.
+	noisy := []core.BrickStripe{{Brick: 2, Frags: pinnedStripes(1)[0].Frags[:storedMinFrags]}}
+	f.Add(encodeCF2(noisy))
+	long := []core.BrickStripe{{Brick: 0, Frags: make([]composite.Fragment, storedMinFrags)}}
+	for i := range long[0].Frags {
+		long[0].Frags[i] = composite.Fragment{Key: int32(i / 4), R: 0.25, G: 0.5, A: 0.5, Depth: float32(i % 4)}
+	}
+	f.Add(encodeCF2(long))
 
 	const maxBytes = 1 << 20
 	f.Fuzz(func(t *testing.T, data []byte) {

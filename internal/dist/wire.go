@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"gvmr/internal/composite"
 	"gvmr/internal/core"
@@ -258,57 +259,103 @@ func decodeV2(data []byte) ([]core.BrickStripe, error) {
 //	  uvarint stripe count
 //	  repeat per stripe: uvarint unit ID, uvarint run count
 //	  repeat per stripe: runs × (varint delta-coded key, uvarint count)
-//	  5 channels × 4 byte planes × one byte per fragment
+//	  the packed byte planes, one byte per fragment each
 //	)
+//	if any plane is stored:
+//	  3-byte little-endian mask: bit c*4+p set = byte p of channel c stored
+//	  the stored byte planes, one byte per fragment each
 //
-// Keys inside a stripe mostly ascend (the caster emits pixels in scan
-// order), so deltas are small varints, reset per stripe; the float
-// planes compress on the smoothness of adjacent rays. The transform is
+// The byte planes are the 5 channels (R, G, B, A, depth) × 4
+// little-endian bytes of every fragment's float32s, in that order within
+// each section. Keys inside a stripe mostly ascend (the caster emits
+// pixels in scan order), so deltas are small varints, reset per stripe;
+// the sign, exponent and high mantissa planes compress on the smoothness
+// of adjacent rays. The low mantissa planes of the colours are rounding
+// noise: the plane test (storedPlanes) stores them after the flate
+// stream, which is self-delimiting, instead of deflating them. A payload
+// that stores nothing is the flate stream alone. The transform is
 // lossless and exact: the decoded fragments carry the same bit patterns,
 // NaNs included.
 func encodeCF2(stripes []core.BrickStripe) []byte {
 	buf := flatepool.GetBuf()
 	defer flatepool.PutBuf(buf)
-	raw := binary.AppendUvarint((*buf)[:0], uint64(len(stripes)))
-	total := 0
+	var head, total int
+	*buf, head, total = appendColumnar((*buf)[:0], stripes)
+	planes := (*buf)[head:]
+	mask := storedPlanes(planes, total)
+	var parts [1 + planeBytes][]byte
+	in := append(parts[:0], (*buf)[:head])
+	for k := 0; k < planeBytes; k++ {
+		if mask&(1<<k) == 0 {
+			in = append(in, planes[k*total:(k+1)*total])
+		}
+	}
+	out := flatepool.GetBuf()
+	defer flatepool.PutBuf(out)
+	flatepool.Deflate(out, wireFlateLevel, in...)
+	payload := make([]byte, len(*out), len(*out)+maskBytes+bits.OnesCount32(mask)*total)
+	copy(payload, *out)
+	if mask == 0 {
+		return payload
+	}
+	payload = append(payload, byte(mask), byte(mask>>8), byte(mask>>16))
+	for k := 0; k < planeBytes; k++ {
+		if mask&(1<<k) != 0 {
+			payload = append(payload, planes[k*total:(k+1)*total]...)
+		}
+	}
+	return payload
+}
+
+// appendColumnar appends the columnar stream of stripes with every plane
+// packed: the stripe table, the keys, and from head on the plane section
+// of total fragments.
+func appendColumnar(b []byte, stripes []core.BrickStripe) (_ []byte, head, total int) {
+	b = binary.AppendUvarint(b, uint64(len(stripes)))
 	for _, s := range stripes {
-		raw = binary.AppendUvarint(raw, uint64(uint32(int32(s.Brick))))
-		raw = binary.AppendUvarint(raw, uint64(countRuns(s.Frags)))
+		b = binary.AppendUvarint(b, uint64(uint32(int32(s.Brick))))
+		b = binary.AppendUvarint(b, uint64(countRuns(s.Frags)))
 		total += len(s.Frags)
 	}
 	for _, s := range stripes {
 		prev := int64(0)
 		stripeRuns(s.Frags, func(key int32, count int) {
-			raw = binary.AppendVarint(raw, int64(key)-prev)
+			b = binary.AppendVarint(b, int64(key)-prev)
 			prev = int64(key)
-			raw = binary.AppendUvarint(raw, uint64(count))
+			b = binary.AppendUvarint(b, uint64(count))
 		})
 	}
-	*buf = appendPlanes(raw, stripes, total)
-	return deflate(*buf)
+	head = len(b)
+	return appendPlanes(b, stripes, total), head, total
 }
 
 // decodeCF2 parses an EncodingColumnar2 payload. maxBytes bounds the
-// decompressed size (zip-bomb guard); structural violations —
-// truncation, counts beyond the payload, out-of-range units or keys,
-// trailing garbage — and canonical-form violations (zero counts, split
-// runs) are errors, mirroring decodeV2.
+// decompressed size of its flate stream (zip-bomb guard); structural
+// violations — truncation, counts beyond the payload, out-of-range units
+// or keys, a bad plane mask, either plane section longer or shorter than
+// its planes, trailing garbage — and canonical-form violations (zero
+// counts, split runs) are errors, mirroring decodeV2.
 func decodeCF2(data []byte, maxBytes int64) ([]core.BrickStripe, error) {
 	buf := flatepool.GetBuf()
 	defer flatepool.PutBuf(buf)
-	if err := inflate(EncodingColumnar2, data, maxBytes, buf); err != nil {
+	tail, err := inflate(EncodingColumnar2, data, maxBytes, buf)
+	if err != nil {
 		return nil, err
 	}
-	r := columnarReader{raw: *buf}
+	mask, stored, err := storedSection(tail)
+	if err != nil {
+		return nil, err
+	}
+	r := columnarReader{raw: *buf, mask: mask, stored: stored}
 	stripes, runCounts, runTotal, err := r.stripeTable()
 	if err != nil {
 		return nil, err
 	}
 	// Every run still owes its two header bytes and every fragment its
-	// plane bytes, so what is left of the stream bounds the fragments
+	// plane bytes, so what is left of the payload bounds the fragments
 	// before any run is read: keys go straight into one backing array,
 	// allocated once and never past that bound.
-	all := make([]composite.Fragment, (int64(len(r.raw)-r.pos)-2*runTotal)/planeBytes)
+	all := make([]composite.Fragment, r.fragBound(runTotal))
 	n := 0
 	for i, runs := range runCounts {
 		start, prev := n, int64(0)
@@ -345,7 +392,7 @@ func decodeCF2(data []byte, maxBytes int64) ([]core.BrickStripe, error) {
 	if err != nil {
 		return nil, err
 	}
-	readPlanes(all, planes)
+	readPlanes(all, &planes)
 	if len(stripes) == 0 {
 		return nil, nil
 	}

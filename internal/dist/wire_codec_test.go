@@ -5,6 +5,8 @@ import (
 	"compress/flate"
 	"errors"
 	"io"
+	"math"
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"testing"
@@ -86,17 +88,21 @@ var benchSink int
 
 // BenchmarkWireCodec times the compressed encoding on real stripes.
 // wire-bytes/op is what the virtual wire model charges; ns/op is what it
-// does not. Steady-state encode allocates the returned payload and
+// does not. flate-bytes/op is the part of the columnar stream that goes
+// through flate: a layout that sends the noise planes through it again
+// shows here. Steady-state encode allocates the returned payload and
 // nothing that scales with it.
 func BenchmarkWireCodec(b *testing.B) {
 	stripes := mustRealStripes(b)
 	payload := encodeCF2(stripes)
+	flateIn := len(stdInflate(b, payload))
 	b.Run("cf2/encode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			benchSink += len(encodeCF2(stripes))
 		}
 		b.ReportMetric(float64(len(payload)), "wire-bytes/op")
+		b.ReportMetric(float64(flateIn), "flate-bytes/op")
 	})
 	b.Run("cf2/decode", func(b *testing.B) {
 		b.ReportAllocs()
@@ -108,31 +114,79 @@ func BenchmarkWireCodec(b *testing.B) {
 			benchSink += len(back)
 		}
 		b.ReportMetric(float64(len(payload)), "wire-bytes/op")
+		b.ReportMetric(float64(flateIn), "flate-bytes/op")
 	})
 }
 
+// smoothStripes is a compressible fixture: colours on a 1/256 grid and
+// half-voxel depths, so no byte plane is noise and the plane test stores
+// nothing.
+func smoothStripes() []core.BrickStripe {
+	stripes := make([]core.BrickStripe, 3)
+	for u := range stripes {
+		stripes[u].Brick = u
+		for i := 0; i < 3000; i++ {
+			c := float32((i/7+u*40)%256) / 256
+			stripes[u].Frags = append(stripes[u].Frags, composite.Fragment{
+				Key: int32(i / 2), R: c, G: c / 2, B: 1 - c, A: 0.5, Depth: float32(i%9) / 2,
+			})
+		}
+	}
+	return stripes
+}
+
 // TestWireCodecSizeGuard holds the modelled wire: the virtual clock
-// charges compressed bytes, so the shipped flate level may trade at most
-// 2 % of stdlib level 9's size for its speed. A later level change that
-// would bloat virtual_ms_per_frame fails here, in tier-1.
+// charges payload bytes, so storing the noise planes may not make any
+// payload larger than the whole columnar stream deflated at the shipped
+// level — the layout that deflated every plane — and on real stripes the
+// shipped level may trade at most 2 % of stdlib level 9's size for its
+// speed. A later level or plane-test change that would bloat
+// virtual_ms_per_frame fails here, in tier-1.
 func TestWireCodecSizeGuard(t *testing.T) {
-	stripes := mustRealStripes(t)
-	payload := encodeCF2(stripes)
-	// Recover the exact columnar stream and deflate it at level 9 here.
-	raw := stdInflate(t, payload)
-	best := stdDeflate(t, raw, flate.BestCompression)
-	t.Logf("%d bytes shipped, %d at level 9 (%+.2f%%), %d inflated",
-		len(payload), len(best), 100*(float64(len(payload))/float64(len(best))-1), len(raw))
-	if float64(len(payload)) > 1.02*float64(len(best)) {
-		t.Errorf("shipped payload %d bytes > 1.02 × level 9's %d", len(payload), len(best))
+	for _, tc := range []struct {
+		name    string
+		stripes []core.BrickStripe
+		stores  bool
+	}{
+		{"real", mustRealStripes(t), true},
+		{"smooth", smoothStripes(), false},
+		{"pinned", pinnedStripes(3), true},
+	} {
+		payload := encodeCF2(tc.stripes)
+		whole, _, _ := appendColumnar(nil, tc.stripes)
+		packed := stdDeflate(t, whole, wireFlateLevel)
+		best := stdDeflate(t, whole, flate.BestCompression)
+		flateLen := len(flateSection(t, payload))
+		t.Logf("%s: %d bytes shipped (%d of them flate) against %d with every plane deflated at level %d and %d at level 9; %d of %d stream bytes deflated",
+			tc.name, len(payload), flateLen, len(packed), wireFlateLevel, len(best), len(stdInflate(t, payload)), len(whole))
+		if len(payload) > len(packed) {
+			t.Errorf("%s: shipped payload %d bytes > %d with every plane deflated", tc.name, len(payload), len(packed))
+		}
+		if tc.name == "real" && float64(len(payload)) > 1.02*float64(len(best)) {
+			t.Errorf("%s: shipped payload %d bytes > 1.02 × level 9's %d", tc.name, len(payload), len(best))
+		}
+		if stores := flateLen < len(payload); stores != tc.stores {
+			t.Errorf("%s: stores planes = %v, want %v", tc.name, stores, tc.stores)
+		}
+		back, err := decodeCF2(payload, int64(len(whole)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !stripesBitEqual(tc.stripes, back) {
+			t.Errorf("%s: stripes changed bits over the wire", tc.name)
+		}
 	}
-	back, err := decodeCF2(payload, int64(len(raw)))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// flateSection returns the flate stream a cf2 payload begins with, found
+// by stdlib flate alone.
+func flateSection(tb testing.TB, payload []byte) []byte {
+	tb.Helper()
+	src := bytes.NewReader(payload)
+	if _, err := io.Copy(io.Discard, flate.NewReader(src)); err != nil {
+		tb.Fatal(err)
 	}
-	if !stripesBitEqual(stripes, back) {
-		t.Error("real stripes changed bits over the wire")
-	}
+	return payload[:len(payload)-src.Len()]
 }
 
 // poolFixtures are payloads of very different sizes, so a pooled buffer
@@ -194,19 +248,24 @@ func TestWireCodecEncodeAllocs(t *testing.T) {
 
 // TestWireCodecPoolsSurviveErrors: a reader or buffer that goes back to
 // its pool after a failed decode must not poison the next one on the
-// same goroutine (sync.Pool hands a P its own last Put first).
+// same goroutine (sync.Pool hands a P its own last Put first). The
+// fixture stores planes, so the faults aim at its flate section.
 func TestWireCodecPoolsSurviveErrors(t *testing.T) {
-	want := poolFixtures()[3]
+	want := pinnedStripes(3)
 	good := encodeCF2(want)
-	if _, err := decodeCF2(good[:len(good)/2], 1<<20); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("truncated body: got %v, want io.ErrUnexpectedEOF", err)
+	fl := len(flateSection(t, good))
+	if fl == len(good) {
+		t.Fatal("fixture stores no plane")
 	}
-	// Block type 3 is reserved: corrupt whatever the encoder emitted.
+	if _, err := decodeCF2(good[:fl/2], 1<<20); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("truncated flate section: got %v, want io.ErrUnexpectedEOF", err)
+	}
+	// Block type 3 is reserved: corrupt the flate section's first block.
 	flipped := bytes.Clone(good)
 	flipped[0] |= 0x06
 	var corrupt flate.CorruptInputError
 	if _, err := decodeCF2(flipped, 1<<20); !errors.As(err, &corrupt) {
-		t.Errorf("bit-flipped body: got %v, want flate.CorruptInputError", err)
+		t.Errorf("bit-flipped flate section: got %v, want flate.CorruptInputError", err)
 	}
 	// Over the limit by one byte, with a buffer the pool has seen grow.
 	if _, err := decodeCF2(good, 1023); err == nil || !strings.Contains(err.Error(), "payload inflates beyond 1023 bytes") {
@@ -221,13 +280,37 @@ func TestWireCodecPoolsSurviveErrors(t *testing.T) {
 	}
 }
 
-// TestColumnarRejectsTrailingBytes: the plane section must end the
-// stream exactly — for an empty payload too, whose plane section is empty.
+// TestColumnarRejectsTrailingBytes: each plane section must end exactly
+// where its planes do — for an empty payload too, whose sections are
+// empty — and what follows the flate stream must be nothing or a
+// nonzero 20-bit mask with its stored planes.
 func TestColumnarRejectsTrailingBytes(t *testing.T) {
-	for _, stripes := range [][]core.BrickStripe{nil, listStripes()} {
-		body := stdDeflate(t, append(stdInflate(t, encodeCF2(stripes)), 0), flate.BestSpeed)
-		if _, err := decodeCF2(body, 1<<20); err == nil || !strings.Contains(err.Error(), "plane section") {
-			t.Errorf("%d stripes + 1 trailing byte: got %v", len(stripes), err)
+	for _, stripes := range [][]core.BrickStripe{nil, listStripes(), pinnedStripes(3)} {
+		payload := encodeCF2(stripes)
+		tail := payload[len(flateSection(t, payload)):]
+		body := append(stdDeflate(t, append(stdInflate(t, payload), 0), flate.BestSpeed), tail...)
+		if _, err := decodeCF2(body, 1<<20); err == nil || !strings.Contains(err.Error(), "packed plane section") {
+			t.Errorf("%d stripes + 1 trailing inflated byte: got %v", len(stripes), err)
+		}
+		want := "stored plane section"
+		if len(tail) == 0 {
+			want = "truncated plane mask"
+		}
+		if _, err := decodeCF2(append(bytes.Clone(payload), 0), 1<<20); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%d stripes + 1 trailing byte: got %v, want %q", len(stripes), err, want)
+		}
+		// A stored section short of its planes bounds the fragments below
+		// what the runs claim.
+		if len(tail) > 0 {
+			if _, err := decodeCF2(payload[:len(payload)-1], 1<<20); err == nil || !strings.Contains(err.Error(), "beyond payload") {
+				t.Errorf("%d stripes, stored section 1 byte short: got %v", len(stripes), err)
+			}
+		}
+	}
+	for _, mask := range [][]byte{{0, 0, 0}, {0, 0, 0x10}} {
+		body := append(encodeCF2(listStripes()), mask...)
+		if _, err := decodeCF2(body, 1<<20); err == nil || !strings.Contains(err.Error(), "plane mask") {
+			t.Errorf("mask % x: got %v", mask, err)
 		}
 	}
 }
@@ -245,7 +328,7 @@ func TestInflateHoldsAtMostLimit(t *testing.T) {
 	*grown = make(flatepool.Buf, 1<<16)
 	for _, buf := range []*flatepool.Buf{fresh, grown} {
 		before := cap(*buf)
-		err := inflate(EncodingColumnar2, bomb, maxBytes, buf)
+		_, err := inflate(EncodingColumnar2, bomb, maxBytes, buf)
 		if err == nil || err.Error() != wantErr {
 			t.Fatalf("got %v, want %q", err, wantErr)
 		}
@@ -261,10 +344,54 @@ func TestInflateHoldsAtMostLimit(t *testing.T) {
 	}
 	// The bound itself is accepted, one byte past it is not — also when
 	// that byte arrives together with the stream's EOF.
-	if err := inflate(EncodingColumnar2, zeros(maxBytes), maxBytes, fresh); err != nil || len(*fresh) != maxBytes {
+	if _, err := inflate(EncodingColumnar2, zeros(maxBytes), maxBytes, fresh); err != nil || len(*fresh) != maxBytes {
 		t.Errorf("body of exactly maxBytes: %d bytes, %v", len(*fresh), err)
 	}
-	if err := inflate(EncodingColumnar2, zeros(maxBytes+1), maxBytes, fresh); err == nil || err.Error() != wantErr {
+	if _, err := inflate(EncodingColumnar2, zeros(maxBytes+1), maxBytes, fresh); err == nil || err.Error() != wantErr {
 		t.Errorf("body of maxBytes+1: got %v, want %q", err, wantErr)
+	}
+}
+
+// TestPlaneTest: byteChanges agrees with a byte-by-byte count at every
+// length around its word stride, and the plane test stores exactly the
+// planes that are noise — not a plane that changes at every position
+// but cycles through seven values, and nothing of a tiny payload.
+func TestPlaneTest(t *testing.T) {
+	r := rand.New(rand.NewPCG(39, 1))
+	for n := 0; n < 40; n++ {
+		for range 20 {
+			p := make([]byte, n)
+			for i := range p {
+				p[i] = byte(r.IntN(3))
+			}
+			want := 0
+			for i := 1; i < n; i++ {
+				if p[i] != p[i-1] {
+					want++
+				}
+			}
+			if got := byteChanges(p); got != want {
+				t.Fatalf("% x: byteChanges %d, want %d", p, got, want)
+			}
+		}
+	}
+	frags := make([]composite.Fragment, 2000)
+	for i := range frags {
+		frags[i] = composite.Fragment{
+			Key: int32(i),
+			R:   math.Float32frombits(0x3f000000 | r.Uint32()&0xffff), // two noise planes
+			G:   float32(i%7) / 7,                                     // cycles: packed
+			A:   1, Depth: float32(i),
+		}
+	}
+	planesOf := func(frags []composite.Fragment) ([]byte, int) {
+		raw, head, total := appendColumnar(nil, []core.BrickStripe{{Frags: frags}})
+		return raw[head:], total
+	}
+	if got := storedPlanes(planesOf(frags)); got != 0b11 {
+		t.Errorf("stored planes %020b, want R's two low bytes", got)
+	}
+	if got := storedPlanes(planesOf(frags[:storedMinFrags-1])); got != 0 {
+		t.Errorf("tiny payload stored planes %020b", got)
 	}
 }

@@ -188,19 +188,25 @@ func pinnedStripes(depth int) []core.BrickStripe {
 	return stripes
 }
 
-// TestWireFormatPinned pins the two layouts byte for byte: the digests
-// were recorded at the commit before the per-fragment-key codecs went, so
-// the deletion moved no byte. The cf2 digest is of the inflated stream —
-// the format — not of the flate framing, which a level change may move.
+// TestWireFormatPinned pins the two layouts byte for byte. The v2
+// digests were recorded at the commit before the per-fragment-key codecs
+// went, so the deletion moved no byte. The cf2 digest is of the format —
+// the inflated stream followed by the plane mask and the stored planes —
+// not of the flate framing, which a level change may move; it was
+// re-recorded when the noise planes left the flate stream. The whole
+// columnar stream, every plane packed — what a payload that stores no
+// plane inflates to — keeps the digest it had before that.
 func TestWireFormatPinned(t *testing.T) {
 	for _, tc := range []struct {
-		depth   int
-		v2, cf2 string
+		depth          int
+		v2, whole, cf2 string
 	}{
 		{1, "b21f8c84f06d87f409f1e57abbc5364d76b19b7aeb96c1ac191318137279edf3",
-			"884d0cc277f30ed5fbf9d1ef1fe14fc80a4b2a6c63c44e07bc2dff1c0284be03"},
+			"884d0cc277f30ed5fbf9d1ef1fe14fc80a4b2a6c63c44e07bc2dff1c0284be03",
+			"0c0c08b558c70f8ac3b820f0be1c55bf049e1719c01e12b813408eb33d84e96f"},
 		{3, "d6333288b3f02ee4bc2ebebac588e4d68360f9c4a9c47b939137264af4108cbb",
-			"902f41921c812e141448c5cbdf13640982e039ca34f8962ecf84e7f9a554b171"},
+			"902f41921c812e141448c5cbdf13640982e039ca34f8962ecf84e7f9a554b171",
+			"f0b117781c97a0a161e852ad9e317cf672cb36604d767ffeff18c588e18454d3"},
 	} {
 		s := pinnedStripes(tc.depth)
 		v2, err := EncodePayloadAs(s, EncodingListV2)
@@ -210,12 +216,16 @@ func TestWireFormatPinned(t *testing.T) {
 		if got := PayloadDigest(v2); got != tc.v2 {
 			t.Errorf("depth %d: %s payload digest %s, pinned %s", tc.depth, EncodingListV2, got, tc.v2)
 		}
+		if whole, _, _ := appendColumnar(nil, s); PayloadDigest(whole) != tc.whole {
+			t.Errorf("depth %d: whole columnar stream digest %s, pinned %s", tc.depth, PayloadDigest(whole), tc.whole)
+		}
 		cf2, err := EncodePayloadAs(s, EncodingColumnar2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := PayloadDigest(stdInflate(t, cf2)); got != tc.cf2 {
-			t.Errorf("depth %d: inflated %s stream digest %s, pinned %s", tc.depth, EncodingColumnar2, got, tc.cf2)
+		format := append(stdInflate(t, cf2), cf2[len(flateSection(t, cf2)):]...)
+		if got := PayloadDigest(format); got != tc.cf2 {
+			t.Errorf("depth %d: %s format digest %s, pinned %s", tc.depth, EncodingColumnar2, got, tc.cf2)
 		}
 	}
 }

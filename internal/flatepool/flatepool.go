@@ -1,7 +1,10 @@
 // Package flatepool pools compress/flate state for the one place gvmr
-// runs flate once per small payload: the stripe wire (internal/dist). A
-// flate.Writer is ~1 MB of match tables and a reader a 32 KB window;
-// steady state allocates neither.
+// runs flate once per small payload: the stripe wire (internal/dist),
+// whose columnar payload is a flate stream of the stripe table, the keys
+// and the smooth byte planes, followed by the noise planes stored as they
+// are. A flate.Writer is ~1 MB of match tables and a reader a 32 KB
+// window; steady state allocates neither. Inflate reports where its
+// stream ended, so a payload may carry bytes after it.
 package flatepool
 
 import (
@@ -33,9 +36,10 @@ func PutBuf(b *Buf) { bufs.Put(b) }
 // deflaters holds one pool per level: flate.HuffmanOnly (-2) is slot 0.
 var deflaters [12]sync.Pool
 
-// Deflate replaces out's contents with the flate stream of raw — the
-// bytes a fresh writer emits. An invalid level is a caller bug: it panics.
-func Deflate(out *Buf, raw []byte, level int) {
+// Deflate replaces out's contents with the flate stream of the parts of
+// raw, in order — the bytes a fresh writer emits for them. An invalid
+// level is a caller bug: it panics.
+func Deflate(out *Buf, level int, raw ...[]byte) {
 	pool := &deflaters[level+2]
 	*out = (*out)[:0]
 	zw, _ := pool.Get().(*flate.Writer)
@@ -43,7 +47,9 @@ func Deflate(out *Buf, raw []byte, level int) {
 		zw, _ = flate.NewWriter(nil, level) // every level with a pool is valid
 	}
 	zw.Reset(out)
-	_, _ = zw.Write(raw) // Buf writes cannot fail
+	for _, p := range raw {
+		_, _ = zw.Write(p) // Buf writes cannot fail
+	}
 	_ = zw.Close()
 	pool.Put(zw)
 }
@@ -63,8 +69,11 @@ var inflaters = sync.Pool{New: func() any {
 // Inflate decompresses data into buf until the stream ends or buf holds
 // limit bytes; callers bound the size they accept by passing one byte
 // more and checking len(*buf). buf grows by doubling, never past limit.
-// Reader and buffer are reset on entry, so an error poisons neither.
-func Inflate(buf *Buf, data []byte, limit int64) error {
+// It returns how many bytes of data the stream occupied: a bytes.Reader
+// is an io.ByteReader, so flate reads no byte past its final block, and
+// once the stream has ended whatever follows it is the caller's. Reader
+// and buffer are reset on entry, so an error poisons neither.
+func Inflate(buf *Buf, data []byte, limit int64) (int, error) {
 	in := inflaters.Get().(*inflater)
 	defer inflaters.Put(in)
 	in.src.Reset(data)
@@ -81,11 +90,11 @@ func Inflate(buf *Buf, data []byte, limit int64) error {
 		n, err := in.zr.Read(b[len(b):min(int64(cap(b)), limit)])
 		b = b[:len(b)+n]
 		if err == io.EOF {
-			return nil // a final Read may carry bytes too: check len after
+			break // a final Read may carry bytes too: check len after
 		}
 		if err != nil {
-			return err
+			return 0, err
 		}
 	}
-	return nil
+	return len(data) - in.src.Len(), nil
 }

@@ -28,7 +28,7 @@ func TestDeflateMatchesFreshWriter(t *testing.T) {
 	for _, level := range []int{flate.HuffmanOnly, flate.DefaultCompression, flate.NoCompression, 4, flate.BestCompression} {
 		for i, n := range []int{0, 1, 5000, 70000, 300} {
 			raw := payload(int64(i), n)
-			Deflate(out, raw, level)
+			Deflate(out, level, raw)
 			var want bytes.Buffer
 			zw, err := flate.NewWriter(&want, level)
 			if err != nil {
@@ -51,20 +51,20 @@ func TestInflateBoundsAndRecovers(t *testing.T) {
 	raw := payload(9, 40000)
 	z := GetBuf()
 	defer PutBuf(z)
-	Deflate(z, raw, flate.DefaultCompression)
+	Deflate(z, flate.DefaultCompression, raw)
 	good := bytes.Clone(*z)
 
 	buf := new(Buf)
-	if err := Inflate(buf, good, 1001); err != nil || len(*buf) != 1001 || cap(*buf) > 1001 {
+	if _, err := Inflate(buf, good, 1001); err != nil || len(*buf) != 1001 || cap(*buf) > 1001 {
 		t.Fatalf("limit 1001: len %d cap %d err %v", len(*buf), cap(*buf), err)
 	}
-	if err := Inflate(buf, good[:len(good)/2], 1<<20); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := Inflate(buf, good[:len(good)/2], 1<<20); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated stream: %v, want io.ErrUnexpectedEOF", err)
 	}
 	bad := bytes.Clone(good)
 	bad[0] |= 0x06 // reserved block type
 	var corrupt flate.CorruptInputError
-	if err := Inflate(buf, bad, 1<<20); !errors.As(err, &corrupt) {
+	if _, err := Inflate(buf, bad, 1<<20); !errors.As(err, &corrupt) {
 		t.Fatalf("corrupt stream: %v, want flate.CorruptInputError", err)
 	}
 	var wg sync.WaitGroup
@@ -75,7 +75,7 @@ func TestInflateBoundsAndRecovers(t *testing.T) {
 			b := GetBuf()
 			defer PutBuf(b)
 			for i := 0; i < 20; i++ {
-				if err := Inflate(b, good, int64(len(raw))+1); err != nil || !bytes.Equal(*b, raw) {
+				if _, err := Inflate(b, good, int64(len(raw))+1); err != nil || !bytes.Equal(*b, raw) {
 					t.Errorf("round trip after failures: %d bytes, %v", len(*b), err)
 					return
 				}
@@ -83,4 +83,30 @@ func TestInflateBoundsAndRecovers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestInflateReportsStreamEnd: flate streams are self-delimiting, so a
+// payload may carry bytes after one — the stripe wire stores its noise
+// planes there. Inflate must return the stream's own length whatever
+// follows it, and Deflate of a payload's parts must inflate to their
+// concatenation.
+func TestInflateReportsStreamEnd(t *testing.T) {
+	out, buf := GetBuf(), GetBuf()
+	defer PutBuf(out)
+	defer PutBuf(buf)
+	for _, level := range []int{flate.HuffmanOnly, flate.NoCompression, 4, flate.BestCompression} {
+		for i, n := range []int{0, 1, 5000, 70000} {
+			raw := payload(int64(i), n)
+			Deflate(out, level, raw[:n/3], raw[n/3:])
+			stream := len(*out)
+			for _, tail := range [][]byte{nil, {0}, payload(99, 700)} {
+				data := append(bytes.Clone(*out), tail...)
+				got, err := Inflate(buf, data, int64(n)+1)
+				if err != nil || got != stream || !bytes.Equal(*buf, raw) {
+					t.Errorf("level %d, %d bytes + %d trailing: stream of %d bytes reported %d (%v)",
+						level, n, len(tail), stream, got, err)
+				}
+			}
+		}
+	}
 }

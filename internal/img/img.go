@@ -14,6 +14,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"unsafe"
 
 	"gvmr/internal/vec"
 )
@@ -22,6 +23,20 @@ import (
 type Image struct {
 	W, H int
 	Pix  []vec.V4
+}
+
+// A pixel is four float32s with no padding, so on a little-endian host
+// the framebuffer's memory is its raw encoding: Digest and EncodeRaw use
+// those bytes in place there, and the portable per-pixel loop elsewhere.
+var (
+	_            [16]byte = [unsafe.Sizeof(vec.V4{})]byte{}
+	littleEndian          = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+)
+
+// pixBytes is the framebuffer's memory as bytes — the raw encoding on a
+// little-endian host.
+func (im *Image) pixBytes() []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(im.Pix))), len(im.Pix)*16)
 }
 
 // New allocates an image filled with the given color.
@@ -72,6 +87,20 @@ func (im *Image) EncodePNG(w io.Writer) error {
 	return png.Encode(w, im.ToNRGBA())
 }
 
+// PNGBound is an upper bound on the bytes EncodePNG writes for a w×h
+// image: filtered rows of h·(4w+1) bytes as deflate stored blocks (5
+// bytes a 64 KiB block, and a final one), the zlib header and checksum,
+// the IDAT chunks that carry them (12 bytes each; every chunk but the
+// last holds at least the encoder's 32 KiB buffer), the signature, IHDR
+// and IEND. The encoder writes a frame — opaque — as 3-byte RGB rows, so
+// a quarter of the bound's row bytes is slack for any block flate codes
+// with Huffman tables instead of storing it.
+func PNGBound(w, h int) int64 {
+	rows := int64(h) * (4*int64(w) + 1)
+	z := 2 + rows + 5*(rows/65535+2) + 4
+	return 8 + 25 + z + 12*(z/(32<<10)+1) + 12
+}
+
 // WritePNG writes the image to a PNG file.
 func (im *Image) WritePNG(path string) error {
 	f, err := os.Create(path)
@@ -111,6 +140,15 @@ func (im *Image) WritePPM(path string) error {
 // render service's format=raw responses use it so clients (and the CI
 // smoke test) can compare served bits against a direct render.
 func (im *Image) EncodeRaw(w io.Writer) error {
+	if littleEndian {
+		_, err := w.Write(im.pixBytes())
+		return err
+	}
+	return im.encodeRawPortable(w)
+}
+
+// encodeRawPortable is EncodeRaw on any host, sixteen bytes at a time.
+func (im *Image) encodeRawPortable(w io.Writer) error {
 	buf := make([]byte, 16<<10)
 	n := 0
 	for _, c := range im.Pix {
@@ -197,12 +235,10 @@ func (im *Image) Digest() string {
 	binary.LittleEndian.PutUint64(buf[0:], uint64(im.W))
 	binary.LittleEndian.PutUint64(buf[8:], uint64(im.H))
 	h.Write(buf[:])
-	for _, c := range im.Pix {
-		binary.LittleEndian.PutUint32(buf[0:], math.Float32bits(c.X))
-		binary.LittleEndian.PutUint32(buf[4:], math.Float32bits(c.Y))
-		binary.LittleEndian.PutUint32(buf[8:], math.Float32bits(c.Z))
-		binary.LittleEndian.PutUint32(buf[12:], math.Float32bits(c.W))
-		h.Write(buf[:])
+	if littleEndian {
+		h.Write(im.pixBytes())
+	} else {
+		_ = im.encodeRawPortable(h) // hash writes cannot fail
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -2,8 +2,12 @@ package img
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"image/png"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"testing"
@@ -174,5 +178,69 @@ func TestRawRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeRaw(bytes.NewReader(nil), 0, 2); err == nil {
 		t.Error("zero-size raw accepted")
+	}
+}
+
+// oddBits is an image of the bit patterns a byte-order or per-pixel
+// shortcut could mishandle: NaNs with payloads, ±0, ±Inf, denormals,
+// and ordinary colours.
+func oddBits(w, h int) *Image {
+	pats := []uint32{0x7fc00001, 0xffc12345, 0x00000000, 0x80000000, 0x7f800000, 0xff800000,
+		0x00000001, 0x807fffff, 0x3e800000, 0x3f7fffff, 0x12345678}
+	im := New(w, h, vec.V4{})
+	for i := range im.Pix {
+		f := func(k int) float32 { return math.Float32frombits(pats[(4*i+k)%len(pats)]) }
+		im.Pix[i] = vec.V4{X: f(0), Y: f(1), Z: f(2), W: f(3)}
+	}
+	return im
+}
+
+// TestInPlaceMatchesPortable: Digest and EncodeRaw, which use the
+// framebuffer's memory in place on a little-endian host, agree bit for
+// bit with the portable per-pixel encoding: the same raw bytes, and the
+// digest of the dimensions followed by those bytes one pixel at a time.
+func TestInPlaceMatchesPortable(t *testing.T) {
+	for _, size := range [][2]int{{0, 0}, {1, 1}, {7, 5}, {176, 176}} {
+		im := oddBits(size[0], size[1])
+		var portable, raw bytes.Buffer
+		if err := im.encodeRawPortable(&portable); err != nil {
+			t.Fatal(err)
+		}
+		if err := im.EncodeRaw(&raw); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw.Bytes(), portable.Bytes()) || int64(raw.Len()) != RawBytes(im.W, im.H) {
+			t.Errorf("%dx%d: EncodeRaw differs from the portable encoding", im.W, im.H)
+		}
+		h := sha256.New()
+		var dims [16]byte
+		binary.LittleEndian.PutUint64(dims[0:], uint64(im.W))
+		binary.LittleEndian.PutUint64(dims[8:], uint64(im.H))
+		h.Write(dims[:])
+		for p := portable.Bytes(); len(p) > 0; p = p[16:] {
+			h.Write(p[:16])
+		}
+		if got, want := im.Digest(), hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("%dx%d: Digest %s, portable %s", im.W, im.H, got, want)
+		}
+	}
+}
+
+// TestPNGBound: no image encodes past PNGBound — noise, the worst case
+// for flate, at the sizes the service renders and at odd small ones.
+func TestPNGBound(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	for _, size := range [][2]int{{1, 1}, {3, 2}, {64, 1}, {1, 64}, {160, 160}, {176, 176}, {256, 256}, {600, 400}} {
+		im := New(size[0], size[1], vec.V4{})
+		for i := range im.Pix {
+			im.Pix[i] = vec.V4{X: r.Float32(), Y: r.Float32(), Z: r.Float32(), W: 1}
+		}
+		var buf bytes.Buffer
+		if err := im.EncodePNG(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if bound := PNGBound(im.W, im.H); int64(buf.Len()) > bound {
+			t.Errorf("%dx%d noise: PNG of %d bytes > bound %d", im.W, im.H, buf.Len(), bound)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"sync"
 	"time"
 
 	"gvmr/internal/cache"
@@ -8,14 +10,15 @@ import (
 	"gvmr/internal/sim"
 )
 
-// Frame is one rendered, encoded frame: the float framebuffer the
-// renderer composited, its PNG encoding (done once, served many times),
-// and the virtual-time figures of merit. Frames are immutable once built;
-// the cache and every response share them.
+// Frame is one rendered frame: the float framebuffer the renderer
+// composited, its digest, and the virtual-time figures of merit. Its PNG
+// encoding is made on the first PNG response and kept, so a frame only
+// ever served raw never pays for one. Frames are immutable once built
+// (the PNG aside, which is made once under its own sync.Once); the cache
+// and every response share them.
 type Frame struct {
 	Width, Height int
 	Image         *img.Image
-	PNG           []byte
 	// Digest is the SHA-256 of the exact float32 framebuffer bits
 	// (img.Image.Digest) — responses carry it so clients can verify
 	// served bits against a direct render.
@@ -33,12 +36,28 @@ type Frame struct {
 	// coarser local render instead. Degraded frames are never cached —
 	// the full-quality request must stay honest.
 	Degraded bool
+
+	pngOnce sync.Once
+	png     []byte
+	pngErr  error
 }
 
-// Bytes is the cache charge of a frame: raw framebuffer plus PNG.
-func (f *Frame) Bytes() int64 {
-	return img.RawBytes(f.Width, f.Height) + int64(len(f.PNG))
+// PNG returns the frame's PNG encoding, encoding it on the first call.
+func (f *Frame) PNG() ([]byte, error) {
+	f.pngOnce.Do(func() {
+		var buf bytes.Buffer
+		f.pngErr = f.Image.EncodePNG(&buf)
+		f.png = buf.Bytes()
+	})
+	return f.png, f.pngErr
 }
+
+// Bytes is the cache charge of a frame: its raw framebuffer plus an upper
+// bound on its PNG, so the budget holds whether or not the PNG is made.
+func (f *Frame) Bytes() int64 { return frameBytes(f.Width, f.Height) }
+
+// frameBytes is the cache charge of a w×h frame.
+func frameBytes(w, h int) int64 { return img.RawBytes(w, h) + img.PNGBound(w, h) }
 
 // DefaultFrameCacheBytes is the rendered-frame cache budget when
 // Config.FrameCacheBytes is zero.

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"gvmr/internal/cache"
@@ -14,22 +16,18 @@ import (
 // dataset name alone makes distinct keys.
 func rq(name string) Request { return Request{Dataset: name} }
 
-// mkFrame builds a committed-size test frame (raw bytes + a fake PNG).
-func mkFrame(w, h, pngLen int) *Frame {
-	return &Frame{
-		Width: w, Height: h,
-		Image: img.New(w, h, vec.V4{}),
-		PNG:   make([]byte, pngLen),
-	}
+// mkFrame builds a test frame: a black w×h framebuffer, PNG not made.
+func mkFrame(w, h int) *Frame {
+	return &Frame{Width: w, Height: h, Image: img.New(w, h, vec.V4{})}
 }
 
 // renderInto reserves the raw-frame estimate, "renders" and keeps one
-// frame the way the service does, and reports whether the reservation
-// was granted.
-func renderInto(c *FrameCache, key string, w, h, pngLen int) (reserved bool) {
+// frame at its final charge, and reports whether the reservation was
+// granted.
+func renderInto(c *FrameCache, key string, w, h int) (reserved bool) {
 	c.Load(rq(key), img.RawBytes(w, h), func(r bool) (*Frame, int64, error) {
 		reserved = r
-		f := mkFrame(w, h, pngLen)
+		f := mkFrame(w, h)
 		return f, f.Bytes(), nil
 	})
 	return reserved
@@ -64,19 +62,19 @@ func inFlight(t *testing.T, c *FrameCache, key string, w, h int) (finish func(*F
 
 // TestFrameCacheLRUAndBudget mirrors the staging cache's bounded-memory
 // policy: LRU frames are evicted to fit the budget and the newest
-// survive.
+// survive. Each frame is charged its raw bytes plus the PNG bound.
 func TestFrameCacheLRUAndBudget(t *testing.T) {
 	w, h := 16, 16
-	per := img.RawBytes(w, h) + 100
+	per := img.RawBytes(w, h) + img.PNGBound(w, h)
 	c := NewFrameCache(3 * per)
 	for i := 0; i < 5; i++ {
-		if !renderInto(c, fmt.Sprintf("f%d", i), w, h, 100) {
+		if !renderInto(c, fmt.Sprintf("f%d", i), w, h) {
 			t.Fatalf("frame %d did not cache", i)
 		}
 	}
 	st := c.Stats()
-	if st.BytesInUse > c.Capacity() {
-		t.Errorf("bytes in use %d over capacity %d", st.BytesInUse, c.Capacity())
+	if st.BytesInUse != 3*per {
+		t.Errorf("bytes in use %d, want three frames' %d", st.BytesInUse, 3*per)
 	}
 	if st.Evictions != 2 {
 		t.Errorf("evictions = %d, want 2", st.Evictions)
@@ -95,9 +93,9 @@ func TestFrameCacheLRUAndBudget(t *testing.T) {
 // instead of evicting or overshooting.
 func TestFrameCacheReserveFallback(t *testing.T) {
 	w, h := 16, 16
-	c := NewFrameCache(img.RawBytes(w, h) + 200) // room for ~one frame
+	c := NewFrameCache(mkFrame(w, h).Bytes() + 200) // room for one frame
 	finish := inFlight(t, c, "inflight", w, h)
-	if renderInto(c, "victim", w, h, 100) {
+	if renderInto(c, "victim", w, h) {
 		t.Fatal("second reservation granted while the budget is held in flight")
 	}
 	if st := c.Stats(); st.Bypassed != 1 {
@@ -106,7 +104,7 @@ func TestFrameCacheReserveFallback(t *testing.T) {
 	if _, ok := c.Get(rq("victim")); ok {
 		t.Error("a render without a reservation was kept")
 	}
-	finish(mkFrame(w, h, 100), nil)
+	finish(mkFrame(w, h), nil)
 	// Ready entries are evictable: the same reservation is now granted.
 	finish = inFlight(t, c, "victim", w, h)
 	if _, ok := c.Get(rq("inflight")); ok {
@@ -130,7 +128,7 @@ func TestFrameCacheFailedRenderNotCached(t *testing.T) {
 	if _, ok := c.Get(rq("fail")); ok {
 		t.Error("failed render served from cache")
 	}
-	if !renderInto(c, "fail", w, h, 100) {
+	if !renderInto(c, "fail", w, h) {
 		t.Error("re-render after failure did not cache")
 	}
 	if _, ok := c.Get(rq("fail")); !ok {
@@ -142,7 +140,7 @@ func TestFrameCacheFailedRenderNotCached(t *testing.T) {
 // request of a key in flight, degraded frames and the disabled cache.
 func TestFrameCacheBypassAndDisable(t *testing.T) {
 	c := NewFrameCache(1 << 10)
-	if renderInto(c, "huge", 64, 64, 0) {
+	if renderInto(c, "huge", 64, 64) {
 		t.Error("over-budget reservation granted")
 	}
 	finish := inFlight(t, c, "dup", 4, 4)
@@ -155,7 +153,7 @@ func TestFrameCacheBypassAndDisable(t *testing.T) {
 		joined <- how
 	}()
 	waitFor(t, "the duplicate to join", func() bool { return c.Stats().Joins == 1 })
-	finish(mkFrame(4, 4, 10), nil)
+	finish(mkFrame(4, 4), nil)
 	if how := <-joined; how != cache.Joined {
 		t.Errorf("duplicate request was served %v, want joined", how)
 	}
@@ -169,7 +167,7 @@ func TestFrameCacheBypassAndDisable(t *testing.T) {
 		t.Error("discarded frame was kept")
 	}
 	z := NewFrameCache(0)
-	if renderInto(z, "x", 1, 1, 0) {
+	if renderInto(z, "x", 1, 1) {
 		t.Error("zero-capacity cache reserved")
 	}
 	if _, ok := z.Get(rq("x")); ok {
@@ -178,26 +176,38 @@ func TestFrameCacheBypassAndDisable(t *testing.T) {
 }
 
 // TestFrameCacheCommitAdjustsCharge: the reservation is an estimate (raw
-// bytes); the render's final charge (raw + PNG) replaces it and evicts if
-// the adjustment pushed the cache over budget.
+// bytes); the render's final charge — raw plus the PNG bound — replaces
+// it and evicts if the adjustment pushed the cache over budget. The
+// charge is the bound whether or not the PNG was ever made, so encoding
+// it later never takes the cache over budget.
 func TestFrameCacheCommitAdjustsCharge(t *testing.T) {
 	w, h := 8, 8
 	raw := img.RawBytes(w, h)
-	c := NewFrameCache(2*raw + 150)
-	renderInto(c, "a", w, h, 100) // raw+100
-	// A PNG that pushes past the budget: LRU ("a") must go.
-	if !renderInto(c, "b", w, h, 200) {
+	charge := raw + img.PNGBound(w, h)
+	c := NewFrameCache(2*charge - 1)
+	renderInto(c, "a", w, h)
+	// Two frames' charges do not fit: LRU ("a") must go.
+	if !renderInto(c, "b", w, h) {
 		t.Fatal("second reservation declined")
 	}
 	st := c.Stats()
-	if st.BytesInUse != raw+200 {
-		t.Errorf("bytes in use = %d, want %d", st.BytesInUse, raw+200)
+	if st.BytesInUse != charge {
+		t.Errorf("bytes in use = %d, want %d", st.BytesInUse, charge)
 	}
 	if _, ok := c.Get(rq("a")); ok {
 		t.Error("LRU frame survived the commit adjustment")
 	}
-	if _, ok := c.Get(rq("b")); !ok {
-		t.Error("committed frame missing")
+	f, ok := c.Get(rq("b"))
+	if !ok {
+		t.Fatal("committed frame missing")
+	}
+	png, err := f.PNG()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(png)) > img.PNGBound(w, h) || f.Bytes() != charge || c.Stats().BytesInUse != charge {
+		t.Errorf("after encoding a %d-byte PNG: charge %d, bytes in use %d, want %d",
+			len(png), f.Bytes(), c.Stats().BytesInUse, charge)
 	}
 }
 
@@ -205,7 +215,7 @@ func TestFrameCacheCommitAdjustsCharge(t *testing.T) {
 func TestFrameCacheFlush(t *testing.T) {
 	w, h := 8, 8
 	c := NewFrameCache(1 << 20)
-	renderInto(c, "ready", w, h, 100)
+	renderInto(c, "ready", w, h)
 	finish := inFlight(t, c, "pending", w, h)
 	c.Flush()
 	if _, ok := c.Get(rq("ready")); ok {
@@ -215,8 +225,39 @@ func TestFrameCacheFlush(t *testing.T) {
 	if st.BytesInUse != img.RawBytes(w, h) {
 		t.Errorf("bytes in use = %d, want the pending reservation only", st.BytesInUse)
 	}
-	finish(mkFrame(w, h, 10), nil)
+	finish(mkFrame(w, h), nil)
 	if _, ok := c.Get(rq("pending")); !ok {
 		t.Error("reservation did not survive the flush")
+	}
+}
+
+// TestFramePNGConcurrent: requests sharing a cached frame may ask for its
+// PNG at once; every one gets the one encoding, byte for byte
+// img.EncodePNG's. Run under -race in CI.
+func TestFramePNGConcurrent(t *testing.T) {
+	f := mkFrame(24, 16)
+	f.Image.Set(3, 5, vec.New4(0.5, 0.25, 1, 1))
+	var want bytes.Buffer
+	if err := f.Image.EncodePNG(&want); err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]byte, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			png, err := f.PNG()
+			if err != nil {
+				t.Error(err)
+			}
+			got[g] = png
+		}()
+	}
+	wg.Wait()
+	for g, png := range got {
+		if !bytes.Equal(png, want.Bytes()) || &png[0] != &got[0][0] {
+			t.Errorf("goroutine %d got %d bytes, not the one %d-byte encoding", g, len(png), want.Len())
+		}
 	}
 }

@@ -260,6 +260,13 @@ func (s *Service) handleRender(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	var png []byte
+	if format == "png" {
+		if png, err = f.PNG(); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+	}
 	h := w.Header()
 	if f.Degraded {
 		h.Set(resilience.HeaderDegraded, "1")
@@ -279,11 +286,11 @@ func (s *Service) handleRender(w http.ResponseWriter, r *http.Request) {
 		_ = f.Image.EncodeRaw(w) // client hangup; nothing to recover
 	default:
 		h.Set("Content-Type", "image/png")
-		h.Set("Content-Length", strconv.Itoa(len(f.PNG)))
+		h.Set("Content-Length", strconv.Itoa(len(png)))
 		if r.Method == http.MethodHead {
 			return
 		}
-		_, _ = w.Write(f.PNG)
+		_, _ = w.Write(png)
 	}
 }
 

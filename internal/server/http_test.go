@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"gvmr/internal/img"
@@ -101,6 +102,66 @@ func TestHTTPRawMatchesDirectRender(t *testing.T) {
 	}
 	if resp.Header.Get(HeaderDigest) != direct {
 		t.Error("digest header differs from direct render")
+	}
+}
+
+// TestRawRenderSkipsPNG: a raw /render renders and caches its frame
+// without encoding a PNG. The first PNG response for the view — a HEAD,
+// which needs the Content-Length — encodes it once and the frame keeps
+// it, so a later GET serves exactly img.EncodePNG's bytes of the
+// framebuffer from that one encoding.
+func TestRawRenderSkipsPNG(t *testing.T) {
+	s, ts := newTestServer(t)
+	do := func(method, query string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+"/render?"+query, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: HTTP %d: %s %v", method, query, resp.StatusCode, body, err)
+		}
+		return resp, body
+	}
+	do(http.MethodGet, testQuery+"&format=raw")
+	entries := s.cache.Entries()
+	if len(entries) != 1 || !entries[0].Ready {
+		t.Fatalf("raw render left %d cache entries, want 1 ready frame", len(entries))
+	}
+	f := entries[0].Val
+	if f.png != nil {
+		t.Fatal("a raw render encoded a PNG")
+	}
+	head, _ := do(http.MethodHead, testQuery)
+	f.pngOnce.Do(func() {}) // orders the handler's encoding before these reads
+	if f.png == nil {
+		t.Fatal("a PNG HEAD left the frame without its PNG")
+	}
+	encoded := &f.png[0]
+	resp, body := do(http.MethodGet, testQuery)
+	var want bytes.Buffer
+	if err := f.Image.EncodePNG(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Error("served PNG differs from img.EncodePNG of the frame")
+	}
+	if cl := head.Header.Get("Content-Length"); cl != strconv.Itoa(want.Len()) {
+		t.Errorf("HEAD Content-Length %s, want %d", cl, want.Len())
+	}
+	if &f.png[0] != encoded {
+		t.Error("the GET encoded the frame's PNG a second time")
+	}
+	for _, r := range []*http.Response{head, resp} {
+		if via := r.Header.Get(HeaderServed); via != string(ViaCache) {
+			t.Errorf("PNG request after the raw one served via %q, want cache", via)
+		}
 	}
 }
 

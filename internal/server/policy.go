@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 	"gvmr/internal/cache"
 	"gvmr/internal/core"
 	"gvmr/internal/dist"
-	"gvmr/internal/img"
 	"gvmr/internal/resilience"
 	"gvmr/internal/sim"
 	"gvmr/internal/volume/dataset"
@@ -189,7 +187,7 @@ func (s *Service) RenderWith(ctx context.Context, req Request, po RenderOptions)
 	}
 	done := make(chan loaded, 1)
 	go func() {
-		f, how, err := s.cache.Load(req, img.RawBytes(req.Width, req.Height), func(bool) (*Frame, int64, error) {
+		f, how, err := s.cache.Load(req, frameBytes(req.Width, req.Height), func(bool) (*Frame, int64, error) {
 			return s.renderLeader(job, po)
 		})
 		done <- loaded{f, how, err}
@@ -212,8 +210,9 @@ func (s *Service) RenderWith(ctx context.Context, req Request, po RenderOptions)
 
 // renderLeader is the path of the one request that renders a frame:
 // admission, then the job — on the worker fleet, or as one core.RenderOn
-// with the job's own options — then PNG encoding. It returns the
-// frame with its cache charge — cache.Discard for a degraded frame, which
+// with the job's own options — then the digest; the PNG waits for the
+// first response that serves one (Frame.PNG). It returns the frame with
+// its cache charge — cache.Discard for a degraded frame, which
 // is shared with the requests waiting on it but never kept. It runs
 // detached from any request context, so an abandoned request never wastes
 // the render; only Close interrupts the wait for a worker slot. The
@@ -293,15 +292,10 @@ func (s *Service) renderLeader(job dist.JobSpec, po RenderOptions) (*Frame, int6
 	if err != nil {
 		return nil, 0, err
 	}
-	var png bytes.Buffer
-	if err := res.Image.EncodePNG(&png); err != nil {
-		return nil, 0, err
-	}
 	f := &Frame{
 		Width:       job.Width,
 		Height:      job.Height,
 		Image:       res.Image,
-		PNG:         png.Bytes(),
 		Digest:      res.Image.Digest(),
 		Runtime:     dur,
 		FPS:         res.FPS,

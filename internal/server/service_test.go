@@ -418,7 +418,7 @@ func TestServiceRealRenderMatchesDirect(t *testing.T) {
 	if direct != f.Digest {
 		t.Error("served frame differs from a direct render")
 	}
-	if len(f.PNG) == 0 {
-		t.Error("no PNG encoded")
+	if png, err := f.PNG(); err != nil || len(png) == 0 {
+		t.Errorf("no PNG encoded: %v", err)
 	}
 }

@@ -57,7 +57,7 @@ func settled(t *testing.T, c *FrameCache) {
 func TestFrameCacheStress(t *testing.T) {
 	seed := stressSeed(t)
 	frame := func(w, h int) *Frame {
-		return &Frame{Width: w, Height: h, PNG: []byte("png")}
+		return &Frame{Width: w, Height: h}
 	}
 	const workers = 8
 	cache := NewFrameCache(20 * frame(8, 8).Bytes() / 10) // ~2 frames' worth

@@ -128,9 +128,8 @@ func TestConstantPagesFillSameBits(t *testing.T) {
 			if bits == nanBits && compress {
 				continue // the NaN payloads are patched into the file in place: raw only
 			}
-			// "flate=" labels the Compress option: the subtest IDs predate
-			// its run-length code.
-			t.Run(fmt.Sprintf("%#x/flate=%v", bits, compress), func(t *testing.T) {
+			// "runs=" labels the Compress option: run-length coded payloads.
+			t.Run(fmt.Sprintf("%#x/runs=%v", bits, compress), func(t *testing.T) {
 				v := constantBrickVolume(bits)
 				path := t.TempDir() + "/c.gvmr"
 				src, constants := v, 6
