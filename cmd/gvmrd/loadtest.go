@@ -255,27 +255,37 @@ func bitIdentityCheck(client *http.Client, rawURL, ds string, edge, size int, or
 	}
 	servedDigest := resp.Header.Get(server.HeaderDigest)
 
-	src, err := dataset.New(ds, dataset.PaperDims(ds, edge))
+	im, err := directRender(ds, edge, size, orbit, gpus, shading)
 	if err != nil {
 		return false, err
+	}
+	direct := im.Digest()
+	return servedIm.Digest() == direct && servedDigest == direct, nil
+}
+
+// directRender renders a /render request's frame straight through
+// core.RenderOn, bypassing the service.
+func directRender(ds string, edge, size int, orbit float64, gpus int, shading bool) (*img.Image, error) {
+	src, err := dataset.New(ds, dataset.PaperDims(ds, edge))
+	if err != nil {
+		return nil, err
 	}
 	tf, err := transfer.Preset(dataset.TFName(ds))
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	cam, err := core.OrbitCamera(src, size, size, orbit)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	res, _, err := core.RenderOn(cluster.AC(gpus), core.Options{
 		Source: src, TF: tf, Width: size, Height: size,
 		Camera: cam, GPUs: gpus, Shading: shading,
 	}, 0)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	direct := res.Image.Digest()
-	return servedIm.Digest() == direct && servedDigest == direct, nil
+	return res.Image, nil
 }
 
 // sustainedLoad drives the zipf camera mix for the given duration and

@@ -49,8 +49,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -71,19 +73,51 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gvmrd: ")
-	args := os.Args[1:]
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	var usage usageError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.As(err, &usage):
+		if usage.print {
+			fmt.Fprintln(os.Stderr, "gvmrd:", usage.err)
+		}
+		os.Exit(2)
+	default:
+		log.Print(err)
+		os.Exit(1)
+	}
+}
+
+// usageError is a bad command line: exit status 2. print is false when
+// the flag package has already reported it.
+type usageError struct {
+	err   error
+	print bool
+}
+
+func (e usageError) Error() string { return e.err.Error() }
+
+// run is the daemon with its command line, minus the process: serve runs
+// until ctx is cancelled, then drains and returns. stdout gets the line
+// naming the address serve listens on.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
 	sub := "serve"
 	if len(args) > 0 && args[0] != "" && args[0][0] != '-' {
 		sub, args = args[0], args[1:]
 	}
 	switch sub {
 	case "serve":
-		runServe(args)
+		return runServe(ctx, args, stdout)
 	case "loadtest":
+		// loadtest takes no context and exits the process itself on
+		// failure; a signal ends it at once.
+		defer context.AfterFunc(ctx, func() { os.Exit(1) })()
 		runLoadtest(args)
+		return nil
 	default:
-		fmt.Fprintf(os.Stderr, "gvmrd: unknown subcommand %q (serve|loadtest)\n", sub)
-		os.Exit(2)
+		return usageError{fmt.Errorf("unknown subcommand %q (serve|loadtest)", sub), true}
 	}
 }
 
@@ -184,27 +218,35 @@ func parseVolumeFlag(s string) (name, path, tf string, err error) {
 	return name, path, tf, nil
 }
 
-func runServe(args []string) {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+func runServe(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8421", "listen address")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound")
 	withPprof := fs.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/")
 	join := fs.String("join", "", "coordinator address to register with as a cluster worker (host:port)")
 	advertise := fs.String("advertise", "", "address the coordinator should reach this worker at (default: derived from -addr)")
 	mkService := serviceFlags(fs)
-	_ = fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{err, false}
+	}
 
 	svc, err := mkService()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		log.Fatal(err)
+		_ = svc.Close(context.Background()) // nothing admitted yet
+		return err
 	}
 	agent, err := startMembership(svc, ln, *join, *advertise)
 	if err != nil {
-		log.Fatal(err)
+		ln.Close()
+		_ = svc.Close(context.Background()) // nothing admitted yet
+		return err
 	}
 	handler := svc.Handler()
 	if *withPprof {
@@ -223,42 +265,44 @@ func runServe(args []string) {
 	}
 	hs := &http.Server{Handler: handler}
 	st := svc.Stats()
-	log.Printf("listening on %s (%d workers, queue %d, frame cache %d MiB)",
+	fmt.Fprintf(stdout, "gvmrd: listening on %s (%d workers, queue %d, frame cache %d MiB)\n",
 		ln.Addr(), st.Workers, st.QueueCapacity, st.Cache.Capacity>>20)
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	var serveErr error
 	select {
-	case err := <-errc:
-		log.Fatal(err)
-	case s := <-sig:
-		log.Printf("%v: draining...", s)
+	case serveErr = <-errc:
+	case <-ctx.Done():
+		log.Printf("draining...")
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if agent != nil {
 		// Self-drain first: once the coordinator acknowledges, no new map
 		// batches arrive, so the local drain below only waits out work
 		// already in flight.
-		if err := agent.Drain(ctx); err != nil {
+		if err := agent.Drain(dctx); err != nil {
 			log.Printf("membership drain: %v", err)
 		}
 	}
-	if err := svc.Close(ctx); err != nil {
+	if err := svc.Close(dctx); err != nil {
 		log.Printf("drain: %v", err)
 	}
 	if agent != nil {
-		if err := agent.Deregister(ctx); err != nil {
+		if err := agent.Deregister(dctx); err != nil {
 			log.Printf("membership deregister: %v", err)
 		}
 		agent.Stop()
 	}
-	if err := hs.Shutdown(ctx); err != nil {
+	if err := hs.Shutdown(dctx); err != nil {
 		log.Printf("shutdown: %v", err)
 	}
+	if serveErr != nil {
+		return fmt.Errorf("serve: %w", serveErr)
+	}
 	log.Printf("drained; bye")
+	return nil
 }
 
 // startMembership wires the worker side of dynamic membership when -join

@@ -1,6 +1,20 @@
 package main
 
-import "testing"
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"gvmr/internal/server"
+)
 
 // TestParseVolumeFlag: -volume takes name=path with an optional
 // @tf-preset; the last @ splits, so a path may hold one.
@@ -23,5 +37,97 @@ func TestParseVolumeFlag(t *testing.T) {
 		if _, _, _, err := parseVolumeFlag(bad); err == nil {
 			t.Errorf("parseVolumeFlag(%q) accepted", bad)
 		}
+	}
+}
+
+// TestRunServe drives serve as the process would: it listens on a port
+// the kernel picks, serves raw and PNG frames — rendered, then from the
+// cache, and a HEAD — whose bodies are a direct render's encodings, and
+// drains cleanly when its context is cancelled.
+func TestRunServe(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out, stdout := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"serve", "-addr", "127.0.0.1:0", "-gpus", "2"}, stdout)
+		stdout.Close()
+	}()
+	line, err := bufio.NewReader(out).ReadString('\n')
+	if err != nil {
+		t.Fatalf("no listening line: %v (run: %v)", err, <-done)
+	}
+	go io.Copy(io.Discard, out)
+	addr, _, ok := strings.Cut(strings.TrimPrefix(line, "gvmrd: listening on "), " ")
+	if !ok || addr == line {
+		t.Fatalf("cannot read the address from %q", line)
+	}
+
+	// One raw view and one PNG view, each fetched twice: a render, then
+	// a cache hit; the PNG view once more by HEAD.
+	for _, v := range []struct {
+		format string
+		orbit  float64
+	}{{"raw", 40}, {"png", 130}} {
+		im, err := directRender("skull", 16, 32, v.orbit, 2, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if v.format == "raw" {
+			err = im.EncodeRaw(&want)
+		} else {
+			err = im.EncodePNG(&want)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		url := fmt.Sprintf("http://%s/render?dataset=skull&edge=16&size=32&orbit=%g&gpus=2&shading=1&format=%s",
+			addr, v.orbit, v.format)
+		for i, method := range []string{http.MethodGet, http.MethodGet, http.MethodHead} {
+			if method == http.MethodHead && v.format == "raw" {
+				continue
+			}
+			via := server.ViaCache
+			if i == 0 {
+				via = server.ViaRender
+			}
+			req, err := http.NewRequest(method, url, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %s: HTTP %d: %s %v", method, url, resp.StatusCode, body, err)
+			}
+			h := resp.Header
+			if h.Get(server.HeaderDigest) != im.Digest() || h.Get(server.HeaderServed) != string(via) ||
+				h.Get("Content-Length") != strconv.Itoa(want.Len()) {
+				t.Errorf("%s %s: digest %s, served %s, length %s; want %s, %s, %d", method, url,
+					h.Get(server.HeaderDigest), h.Get(server.HeaderServed), h.Get("Content-Length"), im.Digest(), via, want.Len())
+			}
+			if method == http.MethodGet && !bytes.Equal(body, want.Bytes()) {
+				t.Errorf("%s %s: body of %d bytes is not the direct render's %d", method, url, len(body), want.Len())
+			}
+		}
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("serve did not drain cleanly: %v", err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("serve did not return after cancel")
+	}
+	if c, err := net.Dial("tcp", addr); err == nil {
+		c.Close()
+		t.Error("serve still accepts connections after draining")
 	}
 }

@@ -8,10 +8,12 @@
 //
 //	GVMR_UPDATE_GOLDEN=1 go test -run TestGoldenImages .
 //
-// and review the diff. The renderer is pure Go IEEE-754 float math with
-// no fused-multiply-add contraction on amd64/arm64 test targets, so the
-// digests are stable across runs, pool widths and serial/parallel modes
-// — that stability is itself asserted here.
+// and review the diff. The renderer is pure Go IEEE-754 float math, and
+// the Go compiler fuses no multiply-adds on amd64, so there the digests
+// are stable across runs, pool widths and serial/parallel modes — that
+// stability is itself asserted here. The committed digests hold on amd64
+// only: arm64, ppc64le, s390x and riscv64 builds fuse multiply-adds in
+// the render and composite packages, which round differently.
 package gvmr_test
 
 import (

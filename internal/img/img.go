@@ -9,7 +9,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"image"
-	"image/color"
 	"image/png"
 	"io"
 	"math"
@@ -68,16 +67,15 @@ func clamp8(v float32) uint8 {
 	return uint8(v*255 + 0.5)
 }
 
+// nrgba is a pixel's opaque 8-bit colour, as ToNRGBA stores it.
+func nrgba(c vec.V4) [4]uint8 { return [4]uint8{clamp8(c.X), clamp8(c.Y), clamp8(c.Z), 255} }
+
 // ToNRGBA converts to an 8-bit stdlib image.
 func (im *Image) ToNRGBA() *image.NRGBA {
 	out := image.NewNRGBA(image.Rect(0, 0, im.W, im.H))
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			c := im.At(x, y)
-			out.SetNRGBA(x, y, color.NRGBA{
-				R: clamp8(c.X), G: clamp8(c.Y), B: clamp8(c.Z), A: 255,
-			})
-		}
+	for i, c := range im.Pix {
+		p := nrgba(c)
+		copy(out.Pix[4*i:], p[:])
 	}
 	return out
 }

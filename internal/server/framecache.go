@@ -11,17 +11,19 @@ import (
 )
 
 // Frame is one rendered frame: the float framebuffer the renderer
-// composited, its digest, and the virtual-time figures of merit. Its PNG
+// composited, kept in compact form (its background once, plus the pixels
+// that differ from it), its digest, and the virtual-time figures of
+// merit. Every response is written from the compact form. Its PNG
 // encoding is made on the first PNG response and kept, so a frame only
 // ever served raw never pays for one. Frames are immutable once built
 // (the PNG aside, which is made once under its own sync.Once); the cache
 // and every response share them.
 type Frame struct {
 	Width, Height int
-	Image         *img.Image
+	Pixels        *img.Compact
 	// Digest is the SHA-256 of the exact float32 framebuffer bits
-	// (img.Image.Digest) — responses carry it so clients can verify
-	// served bits against a direct render.
+	// (img.Image.Digest of the full render) — responses carry it so
+	// clients can verify served bits against a direct render.
 	Digest string
 	// Runtime is the frame's virtual duration on the simulated cluster;
 	// FPS/VPSMillions are the paper's figures of merit for it.
@@ -46,18 +48,20 @@ type Frame struct {
 func (f *Frame) PNG() ([]byte, error) {
 	f.pngOnce.Do(func() {
 		var buf bytes.Buffer
-		f.pngErr = f.Image.EncodePNG(&buf)
+		f.pngErr = f.Pixels.EncodePNG(&buf)
 		f.png = buf.Bytes()
 	})
 	return f.png, f.pngErr
 }
 
-// Bytes is the cache charge of a frame: its raw framebuffer plus an upper
-// bound on its PNG, so the budget holds whether or not the PNG is made.
-func (f *Frame) Bytes() int64 { return frameBytes(f.Width, f.Height) }
+// Bytes is the cache charge of a frame: its compact framebuffer plus an
+// upper bound on its PNG, so the budget holds whether or not the PNG is
+// made.
+func (f *Frame) Bytes() int64 { return f.Pixels.Bytes() + img.PNGBound(f.Width, f.Height) }
 
-// frameBytes is the cache charge of a w×h frame.
-func frameBytes(w, h int) int64 { return img.RawBytes(w, h) + img.PNGBound(w, h) }
+// reserveBytes is what a w×h frame's render reserves before it is drawn:
+// the raw framebuffer plus the PNG bound, which bounds any frame's charge.
+func reserveBytes(w, h int) int64 { return img.RawBytes(w, h) + img.PNGBound(w, h) }
 
 // DefaultFrameCacheBytes is the rendered-frame cache budget when
 // Config.FrameCacheBytes is zero.

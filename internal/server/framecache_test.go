@@ -16,9 +16,34 @@ import (
 // dataset name alone makes distinct keys.
 func rq(name string) Request { return Request{Dataset: name} }
 
-// mkFrame builds a test frame: a black w×h framebuffer, PNG not made.
+// mkFrame builds a test frame, PNG not made: a w×h framebuffer with no
+// background — no pixel repeats its first — so its compact form is as
+// large as it gets and its charge is the raw bytes plus the PNG bound.
 func mkFrame(w, h int) *Frame {
-	return &Frame{Width: w, Height: h, Image: img.New(w, h, vec.V4{})}
+	im := img.New(w, h, vec.V4{})
+	for i := range im.Pix {
+		im.Pix[i].X = float32(i)
+	}
+	return frameOf(im)
+}
+
+// frameOf keeps im as the service keeps a rendered frame.
+func frameOf(im *img.Image) *Frame {
+	return &Frame{Width: im.W, Height: im.H, Pixels: im.Compact(), Digest: im.Digest()}
+}
+
+// frameImage is f's full framebuffer, read back from its raw encoding.
+func frameImage(t *testing.T, f *Frame) *img.Image {
+	t.Helper()
+	var raw bytes.Buffer
+	if err := f.Pixels.EncodeRaw(&raw); err != nil {
+		t.Fatal(err)
+	}
+	im, err := img.DecodeRaw(&raw, f.Width, f.Height)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return im
 }
 
 // renderInto reserves the raw-frame estimate, "renders" and keeps one
@@ -62,10 +87,10 @@ func inFlight(t *testing.T, c *FrameCache, key string, w, h int) (finish func(*F
 
 // TestFrameCacheLRUAndBudget mirrors the staging cache's bounded-memory
 // policy: LRU frames are evicted to fit the budget and the newest
-// survive. Each frame is charged its raw bytes plus the PNG bound.
+// survive. Each frame is charged its compact bytes plus the PNG bound.
 func TestFrameCacheLRUAndBudget(t *testing.T) {
 	w, h := 16, 16
-	per := img.RawBytes(w, h) + img.PNGBound(w, h)
+	per := mkFrame(w, h).Bytes()
 	c := NewFrameCache(3 * per)
 	for i := 0; i < 5; i++ {
 		if !renderInto(c, fmt.Sprintf("f%d", i), w, h) {
@@ -176,14 +201,13 @@ func TestFrameCacheBypassAndDisable(t *testing.T) {
 }
 
 // TestFrameCacheCommitAdjustsCharge: the reservation is an estimate (raw
-// bytes); the render's final charge — raw plus the PNG bound — replaces
-// it and evicts if the adjustment pushed the cache over budget. The
-// charge is the bound whether or not the PNG was ever made, so encoding
-// it later never takes the cache over budget.
+// bytes); the render's final charge — the compact bytes plus the PNG
+// bound — replaces it and evicts if the adjustment pushed the cache over
+// budget. The charge holds the bound whether or not the PNG was ever
+// made, so encoding it later never takes the cache over budget.
 func TestFrameCacheCommitAdjustsCharge(t *testing.T) {
 	w, h := 8, 8
-	raw := img.RawBytes(w, h)
-	charge := raw + img.PNGBound(w, h)
+	charge := mkFrame(w, h).Bytes()
 	c := NewFrameCache(2*charge - 1)
 	renderInto(c, "a", w, h)
 	// Two frames' charges do not fit: LRU ("a") must go.
@@ -235,10 +259,11 @@ func TestFrameCacheFlush(t *testing.T) {
 // PNG at once; every one gets the one encoding, byte for byte
 // img.EncodePNG's. Run under -race in CI.
 func TestFramePNGConcurrent(t *testing.T) {
-	f := mkFrame(24, 16)
-	f.Image.Set(3, 5, vec.New4(0.5, 0.25, 1, 1))
+	im := img.New(24, 16, vec.V4{})
+	im.Set(3, 5, vec.New4(0.5, 0.25, 1, 1))
+	f := frameOf(im)
 	var want bytes.Buffer
-	if err := f.Image.EncodePNG(&want); err != nil {
+	if err := im.EncodePNG(&want); err != nil {
 		t.Fatal(err)
 	}
 	got := make([][]byte, 8)

@@ -283,7 +283,7 @@ func (s *Service) handleRender(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodHead {
 			return
 		}
-		_ = f.Image.EncodeRaw(w) // client hangup; nothing to recover
+		_ = f.Pixels.EncodeRaw(w) // client hangup; nothing to recover
 	default:
 		h.Set("Content-Type", "image/png")
 		h.Set("Content-Length", strconv.Itoa(len(png)))

@@ -146,7 +146,7 @@ func TestRawRenderSkipsPNG(t *testing.T) {
 	encoded := &f.png[0]
 	resp, body := do(http.MethodGet, testQuery)
 	var want bytes.Buffer
-	if err := f.Image.EncodePNG(&want); err != nil {
+	if err := frameImage(t, f).EncodePNG(&want); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(body, want.Bytes()) {

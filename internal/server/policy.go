@@ -187,7 +187,7 @@ func (s *Service) RenderWith(ctx context.Context, req Request, po RenderOptions)
 	}
 	done := make(chan loaded, 1)
 	go func() {
-		f, how, err := s.cache.Load(req, frameBytes(req.Width, req.Height), func(bool) (*Frame, int64, error) {
+		f, how, err := s.cache.Load(req, reserveBytes(req.Width, req.Height), func(bool) (*Frame, int64, error) {
 			return s.renderLeader(job, po)
 		})
 		done <- loaded{f, how, err}
@@ -210,8 +210,9 @@ func (s *Service) RenderWith(ctx context.Context, req Request, po RenderOptions)
 
 // renderLeader is the path of the one request that renders a frame:
 // admission, then the job — on the worker fleet, or as one core.RenderOn
-// with the job's own options — then the digest; the PNG waits for the
-// first response that serves one (Frame.PNG). It returns the frame with
+// with the job's own options — then the digest on the full render, and
+// the compact form the frame keeps; the PNG waits for the first response
+// that serves one (Frame.PNG). It returns the frame with
 // its cache charge — cache.Discard for a degraded frame, which
 // is shared with the requests waiting on it but never kept. It runs
 // detached from any request context, so an abandoned request never wastes
@@ -295,7 +296,7 @@ func (s *Service) renderLeader(job dist.JobSpec, po RenderOptions) (*Frame, int6
 	f := &Frame{
 		Width:       job.Width,
 		Height:      job.Height,
-		Image:       res.Image,
+		Pixels:      res.Image.Compact(),
 		Digest:      res.Image.Digest(),
 		Runtime:     dur,
 		FPS:         res.FPS,

@@ -410,7 +410,7 @@ func TestServiceRealRenderMatchesDirect(t *testing.T) {
 	if via != ViaRender {
 		t.Fatalf("served via %v", via)
 	}
-	if f.Image.MeanLuminance() <= 0 {
+	if frameImage(t, f).MeanLuminance() <= 0 {
 		t.Error("served a black frame")
 	}
 	direct := directDigest(t, s.spec, Request{Dataset: "skull", Edge: 16, Width: 32, Height: 32,
@@ -420,5 +420,32 @@ func TestServiceRealRenderMatchesDirect(t *testing.T) {
 	}
 	if png, err := f.PNG(); err != nil || len(png) == 0 {
 		t.Errorf("no PNG encoded: %v", err)
+	}
+}
+
+// TestCachedFrameIsCompact: the frame cache keeps a render in compact
+// form and charges it that plus the PNG bound. A skull orbit frame at the
+// cluster benchmark's 176² is mostly background, so it holds under a
+// quarter of its raw framebuffer — and still writes the digested bits.
+func TestCachedFrameIsCompact(t *testing.T) {
+	s := newTestService(t, Config{GPUs: 2, Workers: 2})
+	req := Request{Dataset: "skull", Edge: 128, Width: 176, Height: 176, Orbit: 27, Shading: true}
+	f, via, err := s.Render(context.Background(), req)
+	if err != nil || via != ViaRender {
+		t.Fatalf("render: via %v, %v", via, err)
+	}
+	entries := s.cache.Entries()
+	if len(entries) != 1 || !entries[0].Ready || entries[0].Val != f {
+		t.Fatalf("the render left %d cache entries, want its frame", len(entries))
+	}
+	raw, bound := img.RawBytes(176, 176), img.PNGBound(176, 176)
+	if got, want := entries[0].Bytes, f.Pixels.Bytes()+bound; got != want {
+		t.Errorf("frame charged %d bytes, want compact %d + PNG bound %d", got, f.Pixels.Bytes(), bound)
+	}
+	if f.Pixels.Bytes() > raw/4 {
+		t.Errorf("compact frame holds %d bytes, over a quarter of the raw %d", f.Pixels.Bytes(), raw)
+	}
+	if frameImage(t, f).Digest() != f.Digest {
+		t.Error("the compact frame does not write the digested render")
 	}
 }

@@ -56,11 +56,8 @@ func settled(t *testing.T, c *FrameCache) {
 // left unpaired and the accounting is exactly the frames held.
 func TestFrameCacheStress(t *testing.T) {
 	seed := stressSeed(t)
-	frame := func(w, h int) *Frame {
-		return &Frame{Width: w, Height: h}
-	}
 	const workers = 8
-	cache := NewFrameCache(20 * frame(8, 8).Bytes() / 10) // ~2 frames' worth
+	cache := NewFrameCache(20 * mkFrame(8, 8).Bytes() / 10) // ~2 frames' worth
 	var loads atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
@@ -83,7 +80,7 @@ func TestFrameCacheStress(t *testing.T) {
 						if fail {
 							return nil, 0, errors.New("synthetic render failure")
 						}
-						f := frame(8, 8)
+						f := mkFrame(8, 8)
 						return f, f.Bytes(), nil
 					})
 				case 7:
@@ -97,7 +94,7 @@ func TestFrameCacheStress(t *testing.T) {
 						if reserved {
 							t.Error("over-capacity reservation granted")
 						}
-						return frame(8, 8), 1, nil
+						return mkFrame(8, 8), 1, nil
 					})
 				}
 			}
