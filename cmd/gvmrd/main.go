@@ -10,7 +10,7 @@
 //	gvmrd serve -accept-joins           # coordinator; workers join at runtime
 //	gvmrd serve -join coord:8421        # worker; registers with a coordinator
 //	gvmrd serve -workers h1:8421,h2:8421,h3:8421   # static coordinator
-//	gvmrd loadtest -duration 10s -concurrency 16 -json BENCH_serve.json
+//	gvmrd serve -volume v=skull.gvmr@skull        # serve a volume file as dataset v
 //
 // Endpoints:
 //
@@ -40,11 +40,8 @@
 // the coordinator assigns, and on SIGTERM drains (finish in-flight map
 // batches, receive nothing new) before deregistering — see DESIGN.md §10.
 //
-// The loadtest subcommand hammers a service (its own in-process one by
-// default, or -addr for a running daemon) with a zipf mix of repeated
-// and unique cameras, verifies the coalescer, the frame cache and
-// bit-identity against a direct render, and writes the machine-readable
-// BENCH_serve.json record.
+// serve is the only subcommand and the default; anything else is a usage
+// error (exit status 2). The frame benchmark lives in bench/.
 package main
 
 import (
@@ -103,93 +100,13 @@ func (e usageError) Error() string { return e.err.Error() }
 // until ctx is cancelled, then drains and returns. stdout gets the line
 // naming the address serve listens on.
 func run(ctx context.Context, args []string, stdout io.Writer) error {
-	sub := "serve"
 	if len(args) > 0 && args[0] != "" && args[0][0] != '-' {
-		sub, args = args[0], args[1:]
-	}
-	switch sub {
-	case "serve":
-		return runServe(ctx, args, stdout)
-	case "loadtest":
-		// loadtest takes no context and exits the process itself on
-		// failure; a signal ends it at once.
-		defer context.AfterFunc(ctx, func() { os.Exit(1) })()
-		runLoadtest(args)
-		return nil
-	default:
-		return usageError{fmt.Errorf("unknown subcommand %q (serve|loadtest)", sub), true}
-	}
-}
-
-// serviceFlags registers the flags shared by serve and loadtest's
-// self-hosted mode, returning a constructor.
-func serviceFlags(fs *flag.FlagSet) func() (*server.Service, error) {
-	var (
-		gpus          = fs.Int("gpus", 4, "simulated cluster GPU count per render")
-		renderWorkers = fs.Int("render-workers", 0, "concurrent renders (0 = GOMAXPROCS)")
-		queue         = fs.Int("queue", 64, "admitted renders that may wait beyond the render workers (admission bound)")
-		frameBytes    = fs.Int64("frame-bytes", 0, "frame cache budget in bytes (0 = 256 MiB, -1 disables)")
-		maxEdge       = fs.Int("max-edge", 512, "largest dataset cube edge a request may ask for")
-		maxPixels     = fs.Int("max-pixels", 4096*4096, "largest image (width*height) a request may ask for")
-		workerList    = fs.String("workers", "", "comma-separated gvmrd worker addresses (host:port,...); non-empty fans renders out as a distributed coordinator")
-		hedgeAfter    = fs.Duration("hedge-after", 0, "duplicate a straggling map batch onto another worker after this delay (coordinator mode; 0 = off)")
-		attemptTO     = fs.Duration("attempt-timeout", 0, "bound one map exchange with a worker (coordinator mode; 0 = 30s default)")
-		distReduce    = fs.Bool("dist-reduce", false, "reduce on the worker fleet: mappers exchange stripes peer-to-peer and the coordinator collects near-final pixels (coordinator mode)")
-		wireCompress  = fs.Bool("wire-compress", true, "compress stripes (columnar + flate) on the map/reduce wire")
-		acceptJoins   = fs.Bool("accept-joins", false, "accept dynamic worker joins (POST /register); coordinator mode with a live fleet")
-		heartbeat     = fs.Duration("heartbeat", 2*time.Second, "lease heartbeat interval assigned to joining workers")
-		leaseMisses   = fs.Int("lease-misses", 3, "missed heartbeats before a joined worker's lease expires and it is evicted")
-		defDeadline   = fs.Duration("default-deadline", 0, "end-to-end deadline for renders that don't carry their own X-Gvmr-Deadline (0 = unbounded)")
-		allowDegraded = fs.Bool("allow-degraded", false, "on a missed deadline, serve a coarser uncached frame (X-Gvmr-Degraded: 1) instead of 504")
-	)
-	var volumes volumeFlags
-	fs.Var(&volumes, "volume", "register a .gvmr volume file as a dataset: name=path[@tf-preset] (repeatable; v2 files stream via the demand pager)")
-	return func() (*server.Service, error) {
-		for _, spec := range volumes {
-			name, path, tf, err := parseVolumeFlag(spec)
-			if err != nil {
-				return nil, err
-			}
-			if err := gvmr.RegisterVolumeFile(name, path, tf); err != nil {
-				return nil, err
-			}
-			log.Printf("registered volume %q from %s", name, path)
+		if args[0] != "serve" {
+			return usageError{fmt.Errorf("unknown subcommand %q (serve)", args[0]), true}
 		}
-		var addrs []string
-		if *workerList != "" {
-			for _, a := range strings.Split(*workerList, ",") {
-				if a = strings.TrimSpace(a); a == "" {
-					continue
-				} else if _, err := strconv.Atoi(a); err == nil {
-					// -workers used to be the render-concurrency count; a
-					// bare integer here is almost certainly an old script,
-					// not a worker named "8". Fail loudly at startup.
-					return nil, fmt.Errorf(
-						"-workers takes worker addresses (host:port,...); for concurrent renders use -render-workers %s", a)
-				} else {
-					addrs = append(addrs, a)
-				}
-			}
-		}
-		return server.New(server.Config{
-			GPUs:            *gpus,
-			Workers:         *renderWorkers,
-			MaxQueue:        *queue,
-			FrameCacheBytes: *frameBytes,
-			MaxPixels:       *maxPixels,
-			MaxEdge:         *maxEdge,
-			WorkerAddrs:     addrs,
-			HedgeAfter:      *hedgeAfter,
-			AttemptTimeout:  *attemptTO,
-			DistReduce:      *distReduce,
-			NoWireCompress:  !*wireCompress,
-			AcceptJoins:     *acceptJoins,
-			HeartbeatEvery:  *heartbeat,
-			LeaseMisses:     *leaseMisses,
-			DefaultDeadline: *defDeadline,
-			AllowDegraded:   *allowDegraded,
-		})
+		args = args[1:]
 	}
+	return runServe(ctx, args, stdout)
 }
 
 // volumeFlags collects repeated -volume name=path[@tf-preset] flags.
@@ -220,12 +137,31 @@ func parseVolumeFlag(s string) (name, path, tf string, err error) {
 
 func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-	addr := fs.String("addr", ":8421", "listen address")
-	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound")
-	withPprof := fs.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/")
-	join := fs.String("join", "", "coordinator address to register with as a cluster worker (host:port)")
-	advertise := fs.String("advertise", "", "address the coordinator should reach this worker at (default: derived from -addr)")
-	mkService := serviceFlags(fs)
+	var (
+		addr          = fs.String("addr", ":8421", "listen address")
+		drainTimeout  = fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound")
+		withPprof     = fs.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/")
+		join          = fs.String("join", "", "coordinator address to register with as a cluster worker (host:port)")
+		advertise     = fs.String("advertise", "", "address the coordinator should reach this worker at (default: derived from -addr)")
+		gpus          = fs.Int("gpus", 4, "simulated cluster GPU count per render")
+		renderWorkers = fs.Int("render-workers", 0, "concurrent renders (0 = GOMAXPROCS)")
+		queue         = fs.Int("queue", 64, "admitted renders that may wait beyond the render workers (admission bound)")
+		frameBytes    = fs.Int64("frame-bytes", 0, "frame cache budget in bytes (0 = 256 MiB, -1 disables)")
+		maxEdge       = fs.Int("max-edge", 512, "largest dataset cube edge a request may ask for")
+		maxPixels     = fs.Int("max-pixels", 4096*4096, "largest image (width*height) a request may ask for")
+		workerList    = fs.String("workers", "", "comma-separated gvmrd worker addresses (host:port,...); non-empty fans renders out as a distributed coordinator")
+		hedgeAfter    = fs.Duration("hedge-after", 0, "duplicate a straggling map batch onto another worker after this delay (coordinator mode; 0 = off)")
+		attemptTO     = fs.Duration("attempt-timeout", 0, "bound one map exchange with a worker (coordinator mode; 0 = 30s default)")
+		distReduce    = fs.Bool("dist-reduce", false, "reduce on the worker fleet: mappers exchange stripes peer-to-peer and the coordinator collects near-final pixels (coordinator mode)")
+		wireCompress  = fs.Bool("wire-compress", true, "compress stripes (columnar + flate) on the map/reduce wire")
+		acceptJoins   = fs.Bool("accept-joins", false, "accept dynamic worker joins (POST /register); coordinator mode with a live fleet")
+		heartbeat     = fs.Duration("heartbeat", 2*time.Second, "lease heartbeat interval assigned to joining workers")
+		leaseMisses   = fs.Int("lease-misses", 3, "missed heartbeats before a joined worker's lease expires and it is evicted")
+		defDeadline   = fs.Duration("default-deadline", 0, "end-to-end deadline for renders that don't carry their own X-Gvmr-Deadline (0 = unbounded)")
+		allowDegraded = fs.Bool("allow-degraded", false, "on a missed deadline, serve a coarser uncached frame (X-Gvmr-Degraded: 1) instead of 504")
+	)
+	var volumes volumeFlags
+	fs.Var(&volumes, "volume", "register a .gvmr volume file as a dataset: name=path[@tf-preset] (repeatable; v2 files stream via the demand pager)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return err
@@ -233,7 +169,48 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 		return usageError{err, false}
 	}
 
-	svc, err := mkService()
+	for _, spec := range volumes {
+		name, path, tf, err := parseVolumeFlag(spec)
+		if err != nil {
+			return err
+		}
+		if err := gvmr.RegisterVolumeFile(name, path, tf); err != nil {
+			return err
+		}
+		log.Printf("registered volume %q from %s", name, path)
+	}
+	var addrs []string
+	for _, a := range strings.Split(*workerList, ",") {
+		if a = strings.TrimSpace(a); a == "" {
+			continue
+		} else if _, err := strconv.Atoi(a); err == nil {
+			// -workers used to be the render-concurrency count; a bare
+			// integer here is almost certainly an old script, not a
+			// worker named "8". Fail loudly at startup.
+			return fmt.Errorf(
+				"-workers takes worker addresses (host:port,...); for concurrent renders use -render-workers %s", a)
+		} else {
+			addrs = append(addrs, a)
+		}
+	}
+	svc, err := server.New(server.Config{
+		GPUs:            *gpus,
+		Workers:         *renderWorkers,
+		MaxQueue:        *queue,
+		FrameCacheBytes: *frameBytes,
+		MaxPixels:       *maxPixels,
+		MaxEdge:         *maxEdge,
+		WorkerAddrs:     addrs,
+		HedgeAfter:      *hedgeAfter,
+		AttemptTimeout:  *attemptTO,
+		DistReduce:      *distReduce,
+		NoWireCompress:  !*wireCompress,
+		AcceptJoins:     *acceptJoins,
+		HeartbeatEvery:  *heartbeat,
+		LeaseMisses:     *leaseMisses,
+		DefaultDeadline: *defDeadline,
+		AllowDegraded:   *allowDegraded,
+	})
 	if err != nil {
 		return err
 	}

@@ -4,17 +4,102 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"gvmr/internal/cluster"
+	"gvmr/internal/core"
+	"gvmr/internal/img"
 	"gvmr/internal/server"
+	"gvmr/internal/transfer"
+	"gvmr/internal/volume"
+	"gvmr/internal/volume/dataset"
 )
+
+// directRender renders a /render request's frame straight through
+// core.RenderOn, bypassing the service.
+func directRender(ds string, edge, size int, orbit float64, gpus int, shading bool) (*img.Image, error) {
+	src, err := dataset.New(ds, dataset.PaperDims(ds, edge))
+	if err != nil {
+		return nil, err
+	}
+	tf, err := transfer.Preset(dataset.TFName(ds))
+	if err != nil {
+		return nil, err
+	}
+	cam, err := core.OrbitCamera(src, size, size, orbit)
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := core.RenderOn(cluster.AC(gpus), core.Options{
+		Source: src, TF: tf, Width: size, Height: size,
+		Camera: cam, GPUs: gpus, Shading: shading,
+	}, 0)
+	if err != nil {
+		return nil, err
+	}
+	return res.Image, nil
+}
+
+// startServe runs serve with args on a port the kernel picks and returns
+// its address and a stop function that cancels it and waits for a clean
+// drain, after which nothing accepts on the address.
+func startServe(t *testing.T, args ...string) (addr string, stop func()) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	out, stdout := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, append([]string{"serve", "-addr", "127.0.0.1:0"}, args...), stdout)
+		stdout.Close()
+	}()
+	line, err := bufio.NewReader(out).ReadString('\n')
+	if err != nil {
+		cancel()
+		t.Fatalf("no listening line: %v (run: %v)", err, <-done)
+	}
+	go io.Copy(io.Discard, out)
+	addr, _, ok := strings.Cut(strings.TrimPrefix(line, "gvmrd: listening on "), " ")
+	if !ok || addr == line {
+		cancel()
+		t.Fatalf("cannot read the address from %q", line)
+	}
+	return addr, func() {
+		t.Helper()
+		cancel()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("serve did not drain cleanly: %v", err)
+			}
+		case <-time.After(time.Minute):
+			t.Fatal("serve did not return after cancel")
+		}
+		if c, err := net.Dial("tcp", addr); err == nil {
+			c.Close()
+			t.Error("serve still accepts connections after draining")
+		}
+	}
+}
+
+// TestRunRejectsUnknownSubcommand: serve is the only subcommand; any
+// other, loadtest included, is a usage error (exit status 2).
+func TestRunRejectsUnknownSubcommand(t *testing.T) {
+	for _, sub := range []string{"loadtest", "bench"} {
+		var usage usageError
+		if err := run(context.Background(), []string{sub}, io.Discard); !errors.As(err, &usage) {
+			t.Errorf("run(%q) = %v, want a usage error", sub, err)
+		}
+	}
+}
 
 // TestParseVolumeFlag: -volume takes name=path with an optional
 // @tf-preset; the last @ splits, so a path may hold one.
@@ -45,23 +130,7 @@ func TestParseVolumeFlag(t *testing.T) {
 // cache, and a HEAD — whose bodies are a direct render's encodings, and
 // drains cleanly when its context is cancelled.
 func TestRunServe(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	out, stdout := io.Pipe()
-	done := make(chan error, 1)
-	go func() {
-		done <- run(ctx, []string{"serve", "-addr", "127.0.0.1:0", "-gpus", "2"}, stdout)
-		stdout.Close()
-	}()
-	line, err := bufio.NewReader(out).ReadString('\n')
-	if err != nil {
-		t.Fatalf("no listening line: %v (run: %v)", err, <-done)
-	}
-	go io.Copy(io.Discard, out)
-	addr, _, ok := strings.Cut(strings.TrimPrefix(line, "gvmrd: listening on "), " ")
-	if !ok || addr == line {
-		t.Fatalf("cannot read the address from %q", line)
-	}
+	addr, stop := startServe(t, "-gpus", "2")
 
 	// One raw view and one PNG view, each fetched twice: a render, then
 	// a cache hit; the PNG view once more by HEAD.
@@ -117,17 +186,45 @@ func TestRunServe(t *testing.T) {
 		}
 	}
 
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("serve did not drain cleanly: %v", err)
-		}
-	case <-time.After(time.Minute):
-		t.Fatal("serve did not return after cancel")
+	stop()
+}
+
+// TestBitIdentityCheckRegisteredVolume: a volume registered with
+// -volume v=path@skull and requested as dataset=v is served in the bits
+// of a direct render whose transfer function is the registration's
+// preset, not one named after the dataset.
+func TestBitIdentityCheckRegisteredVolume(t *testing.T) {
+	src, err := dataset.New(dataset.Skull, volume.Cube(16))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c, err := net.Dial("tcp", addr); err == nil {
-		c.Close()
-		t.Error("serve still accepts connections after draining")
+	path := filepath.Join(t.TempDir(), "v.gvmr")
+	if err := volume.WriteFileV2(path, src, volume.V2Options{BrickEdge: 8}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dataset.UnregisterVolumeFile("v") })
+	addr, stop := startServe(t, "-gpus", "2", "-volume", "v="+path+"@skull")
+	defer stop()
+
+	resp, err := http.Get("http://" + addr + "/render?dataset=v&edge=16&size=32&orbit=33.25&gpus=2&shading=true&format=raw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP %d: %s %v", resp.StatusCode, body, err)
+	}
+	served, err := img.DecodeRaw(bytes.NewReader(body), 32, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, err := directRender("v", 16, 32, 33.25, 2, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := im.Digest(); served.Digest() != want || resp.Header.Get(server.HeaderDigest) != want {
+		t.Errorf("served bits %s (header %s) differ from the direct render's %s",
+			served.Digest(), resp.Header.Get(server.HeaderDigest), want)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -94,9 +93,9 @@ type pushError struct{ err error }
 func (e pushError) Error() string { return e.err.Error() }
 func (e pushError) Unwrap() error { return e.err }
 
-// deadlineError marks map work abandoned because the request's
-// propagated end-to-end deadline expired. The node is healthy and the
-// request was fine — the *budget* ran out. Served as 504 (gateway
+// deadlineError marks a batch refused because the request's propagated
+// end-to-end deadline expired before mapping began. The node is healthy
+// and the request was fine — the *budget* ran out. Served as 504 (gateway
 // timeout), the one status the coordinator classifies as a deadline
 // abort: no node is marked down and no retry is launched, because a
 // retry cannot beat an already-spent deadline.
@@ -173,8 +172,9 @@ func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad map request: %v", err), http.StatusBadRequest)
 		return
 	}
-	// The propagated end-to-end deadline bounds this batch's context:
-	// work the coordinator can no longer use is abandoned, not finished.
+	// The propagated end-to-end deadline bounds this batch's context: a
+	// batch whose budget is spent before mapping is refused, and the
+	// exchange pushes give up at it.
 	ctx := r.Context()
 	if budget, ok, err := resilience.ParseDeadline(r.Header.Get(resilience.HeaderDeadline)); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -270,22 +270,29 @@ func (wk *Worker) run(ctx context.Context, req MapRequest) (mapOutcome, error) {
 			return mapOutcome{}, requestError{err}
 		}
 	}
-	raw, mapSeconds, err := wk.mapBatch(ctx, opt, req.Bricks)
+	// The propagated deadline is checked once, here: a budget already
+	// spent (in the admission queue, say) gets no map work. Once mapping
+	// starts it runs to the end, as one core.MapBricks call, so a frame's
+	// bits and virtual seconds never depend on the deadline.
+	if err := ctx.Err(); errors.Is(err, context.DeadlineExceeded) {
+		return mapOutcome{}, deadlineError{fmt.Errorf("dist: deadline expired before mapping: %w", err)}
+	}
+	res, err := wk.mapBricks(wk.cfg.Spec, opt, req.Bricks, wk.cfg.DevWorkers)
 	if err != nil {
-		return mapOutcome{}, err
+		return mapOutcome{}, fmt.Errorf("dist: map phase: %w", err)
 	}
 	rawFrags := 0
-	for _, s := range raw {
+	for _, s := range res.Stripes {
 		rawFrags += len(s.Frags)
 	}
 	// The wire contract says stripes carry only surviving fragments;
 	// strip (and loudly count) any placeholder a buggy mapper leaked
 	// rather than shipping the sentinel.
-	stripes, stripped := SanitizeStripes(raw)
+	stripes, stripped := SanitizeStripes(res.Stripes)
 	if stripped > 0 {
 		wk.stripped.Add(int64(stripped))
 	}
-	out := mapOutcome{frags: rawFrags - stripped, mapSeconds: mapSeconds}
+	out := mapOutcome{frags: rawFrags - stripped, mapSeconds: res.Runtime.Seconds()}
 	if req.Reduce != nil {
 		if err := wk.pushStripes(ctx, req.Reduce, stripes); err != nil {
 			return mapOutcome{}, err
@@ -299,45 +306,6 @@ func (wk *Worker) run(ctx context.Context, req MapRequest) (mapOutcome, error) {
 		return mapOutcome{}, err
 	}
 	return out, nil
-}
-
-// mapBatch runs the map phase of one batch. Without a deadline the
-// whole batch is a single core.MapBricks call — the golden path,
-// unchanged. With a propagated deadline the batch is chunked one brick
-// at a time with a deadline check between bricks, so a budget that
-// expires mid-batch abandons the remaining bricks instead of computing
-// results the coordinator can no longer use. Stripes are canonical per
-// brick (DESIGN.md §9), so the image bits are identical either way;
-// only the modeled virtual seconds can differ on the deadline path
-// (per-brick staging is re-charged), and virtual time never reaches a
-// frame digest.
-func (wk *Worker) mapBatch(ctx context.Context, opt core.Options, bricks []int) ([]core.BrickStripe, float64, error) {
-	if _, ok := ctx.Deadline(); !ok {
-		res, err := wk.mapBricks(wk.cfg.Spec, opt, bricks, wk.cfg.DevWorkers)
-		if err != nil {
-			return nil, 0, fmt.Errorf("dist: map phase: %w", err)
-		}
-		return res.Stripes, res.Runtime.Seconds(), nil
-	}
-	// The wire contract requires ascending brick order regardless of the
-	// request's (already duplicate-free) ordering.
-	ids := append([]int(nil), bricks...)
-	sort.Ints(ids)
-	var stripes []core.BrickStripe
-	var seconds float64
-	for done, id := range ids {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, deadlineError{fmt.Errorf(
-				"dist: deadline expired after %d/%d bricks: %w", done, len(ids), err)}
-		}
-		res, err := wk.mapBricks(wk.cfg.Spec, opt, []int{id}, wk.cfg.DevWorkers)
-		if err != nil {
-			return nil, 0, fmt.Errorf("dist: map phase: %w", err)
-		}
-		stripes = append(stripes, res.Stripes...)
-		seconds += res.Runtime.Seconds()
-	}
-	return stripes, seconds, nil
 }
 
 // validatePlan bounds a reduce plan before any work runs.

@@ -106,6 +106,17 @@ func (s *Service) handleMap(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	// The batch's deadline runs from its arrival, so a wait for a slot
+	// spends it: a batch admitted after its deadline gets the worker's
+	// 504 and no map work.
+	if budget, ok, err := resilience.ParseDeadline(r.Header.Get(resilience.HeaderDeadline)); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	} else if ok {
+		ctx, cancel := context.WithTimeout(r.Context(), budget)
+		defer cancel()
+		r = r.WithContext(ctx)
+	}
 	if err := s.beginJob(); err != nil {
 		w.Header().Set("Retry-After", "5")
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)

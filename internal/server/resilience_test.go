@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -9,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"gvmr/internal/core"
 	"gvmr/internal/dist"
 	"gvmr/internal/resilience"
 )
@@ -202,6 +205,32 @@ func TestRetryAfterOnOverloadAndDrain(t *testing.T) {
 	s := newTestService(t, Config{GPUs: 2, Workers: 1})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
+
+	// A full queue sheds renders and map batches alike.
+	for len(s.queue) < cap(s.queue) {
+		s.queue <- struct{}{}
+	}
+	for _, post := range []bool{false, true} {
+		var resp *http.Response
+		var err error
+		if post {
+			resp, err = http.Post(srv.URL+dist.MapPath, "application/json", nil)
+		} else {
+			resp, err = http.Get(srv.URL + "/render?dataset=skull&edge=16&size=32")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+			t.Errorf("overloaded (map %v): HTTP %d, Retry-After %q; want 429 with Retry-After",
+				post, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+	}
+	for len(s.queue) > 0 {
+		<-s.queue
+	}
+
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := s.Close(ctx); err != nil {
@@ -230,5 +259,52 @@ func TestRetryAfterOnOverloadAndDrain(t *testing.T) {
 	}
 	if mresp.Header.Get("Retry-After") == "" {
 		t.Error("draining /map 503 missing Retry-After")
+	}
+}
+
+// TestMapDeadlineSpentInQueue: a /map batch's deadline runs from its
+// arrival. A batch that waits out its budget for a render slot gets a 504
+// and counts a deadline abort instead of being mapped.
+func TestMapDeadlineSpentInQueue(t *testing.T) {
+	s := newTestService(t, Config{GPUs: 2, Workers: 1})
+	req := Request{Dataset: "skull", Edge: 16, Width: 32, Height: 32}
+	job, err := req.normalize(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := job.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := core.PlanGrid(job.PlanSpec(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(dist.MapRequest{Job: job, Bricks: []int{0}, GridCounts: grid.Counts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(deadline string) *httptest.ResponseRecorder {
+		r := httptest.NewRequest(http.MethodPost, dist.MapPath, bytes.NewReader(body))
+		r.Header.Set(resilience.HeaderDeadline, deadline)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, r)
+		return rec
+	}
+
+	s.sem <- struct{}{} // the one render slot is busy
+	done := make(chan *httptest.ResponseRecorder)
+	go func() { done <- send("1") }()
+	waitFor(t, "the batch to queue", func() bool { return len(s.queue) == 1 })
+	time.Sleep(10 * time.Millisecond) // past its 1 ms budget
+	<-s.sem
+	if rec := <-done; rec.Code != http.StatusGatewayTimeout {
+		t.Errorf("budget spent in the queue: HTTP %d, want 504", rec.Code)
+	}
+	if n := s.res.Snapshot().DeadlineAborts; n != 1 {
+		t.Errorf("deadline aborts = %d, want 1", n)
+	}
+	if rec := send("60000"); rec.Code != http.StatusOK {
+		t.Errorf("budget left: HTTP %d, want 200 (%s)", rec.Code, bytes.TrimSpace(rec.Body.Bytes()))
 	}
 }

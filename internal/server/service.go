@@ -20,7 +20,7 @@
 // independent deterministic simulation on a fresh instance of the
 // service's cluster spec, so identical requests produce bit-identical
 // frames whether served from cache, coalesced, or re-rendered — the
-// property the loadtest and the CI smoke test assert end to end.
+// property the service tests and the CI smoke test assert end to end.
 package server
 
 import (

@@ -3,7 +3,10 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -101,27 +104,41 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestServiceCoalesces arranges a deterministic storm: a leader blocked
 // inside the render plus N followers on the same key — exactly one
-// render happens and everyone shares its frame.
+// render happens, everyone shares its frame, and each follower's
+// response says X-Gvmr-Served: coalesced.
 func TestServiceCoalesces(t *testing.T) {
 	g := newGatedRender()
 	s := newTestService(t, Config{GPUs: 2, Workers: 1})
 	s.renderOn = g.fn
 	req := Request{Dataset: "skull", Edge: 16, Width: 32, Height: 32}
+	h := s.Handler()
 
 	type out struct {
-		f   *Frame
-		via ServedVia
-		err error
+		digest string
+		via    ServedVia
+		err    error
 	}
 	results := make(chan out, 5)
-	render := func() {
+	go func() {
 		f, via, err := s.Render(context.Background(), req)
-		results <- out{f, via, err}
-	}
-	go render()
+		if err != nil {
+			results <- out{err: err}
+			return
+		}
+		results <- out{f.Digest, via, nil}
+	}()
 	<-g.entered // leader is inside the render
+	// The followers come in over HTTP, which names how each was served.
 	for i := 0; i < 4; i++ {
-		go render()
+		go func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/render?dataset=skull&edge=16&size=32&format=raw", nil))
+			if rec.Code != http.StatusOK {
+				results <- out{err: fmt.Errorf("follower: HTTP %d: %s", rec.Code, rec.Body)}
+				return
+			}
+			results <- out{rec.Header().Get(HeaderDigest), ServedVia(rec.Header().Get(HeaderServed)), nil}
+		}()
 	}
 	waitFor(t, "4 followers", func() bool { return s.cache.Stats().Joins == 4 })
 	close(g.release)
@@ -135,8 +152,8 @@ func TestServiceCoalesces(t *testing.T) {
 		}
 		vias[r.via]++
 		if digest == "" {
-			digest = r.f.Digest
-		} else if r.f.Digest != digest {
+			digest = r.digest
+		} else if r.digest != digest {
 			t.Error("coalesced frames differ")
 		}
 	}

@@ -25,11 +25,10 @@ type LatencyStats struct {
 	MaxMs  float64 `json:"max_ms"`
 }
 
-// SummarizeLatency computes the nearest-rank quantiles, mean and max of
-// samples (which it sorts in place); count is reported verbatim. The
-// /stats endpoint and gvmrd loadtest share it so both records quantify
-// latency identically.
-func SummarizeLatency(samples []time.Duration, count int64) LatencyStats {
+// summarizeLatency computes the nearest-rank quantiles, mean and max of
+// samples (which it sorts in place) for /stats; count is reported
+// verbatim.
+func summarizeLatency(samples []time.Duration, count int64) LatencyStats {
 	st := LatencyStats{Count: count}
 	if len(samples) == 0 {
 		return st
@@ -187,7 +186,7 @@ func (l *latencyRing) stats() LatencyStats {
 	copy(window, l.samples[:n])
 	count := l.count
 	l.mu.Unlock()
-	return SummarizeLatency(window, count)
+	return summarizeLatency(window, count)
 }
 
 // quantile picks the nearest-rank quantile from sorted samples.
