@@ -31,8 +31,9 @@ func (s *Service) endJob() {
 
 // admit enforces the backpressure contract for one unit of work (a local
 // render or a /map batch): claim a queue token immediately or fail with
-// ErrOverloaded, then wait for a render-worker slot (Close interrupts the
-// wait with ErrDraining). The token covers waiting AND working; the
+// ErrOverloaded, then wait for a render-worker slot. Close interrupts the
+// wait with ErrDraining, and ctx ending interrupts it with ctx.Err(); both
+// return the token at once. The token covers waiting AND working; the
 // returned release frees slot then token.
 //
 // Shedding is by priority, lowest class first: speculative work (hedge
@@ -41,7 +42,7 @@ func (s *Service) endJob() {
 // capacity that remains serves the humans. The fill reads are racy
 // against concurrent admits, which is fine: the thresholds are pressure
 // valves, not invariants, and the queue send below is the hard bound.
-func (s *Service) admit(pri resilience.Priority) (release func(), err error) {
+func (s *Service) admit(ctx context.Context, pri resilience.Priority) (release func(), err error) {
 	fill, capQ := len(s.queue), cap(s.queue)
 	shed := false
 	switch pri {
@@ -71,6 +72,9 @@ func (s *Service) admit(pri resilience.Priority) (release func(), err error) {
 	case <-s.closed:
 		<-s.queue
 		return nil, ErrDraining
+	case <-ctx.Done():
+		<-s.queue
+		return nil, ctx.Err()
 	}
 	return func() {
 		<-s.sem

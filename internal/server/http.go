@@ -107,8 +107,9 @@ func (s *Service) handleMap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The batch's deadline runs from its arrival, so a wait for a slot
-	// spends it: a batch admitted after its deadline gets the worker's
-	// 504 and no map work.
+	// spends it: a batch whose deadline passes in the queue, or whose
+	// coordinator hangs up there, leaves the queue at once and does no
+	// map work.
 	if budget, ok, err := resilience.ParseDeadline(r.Header.Get(resilience.HeaderDeadline)); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -123,12 +124,18 @@ func (s *Service) handleMap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.endJob()
-	release, err := s.admit(pri)
+	release, err := s.admit(r.Context(), pri)
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
 		return
+	case errors.Is(err, context.DeadlineExceeded):
+		s.res.DeadlineAbort()
+		http.Error(w, "map batch deadline spent waiting for a render slot", http.StatusGatewayTimeout)
+		return
+	case errors.Is(err, context.Canceled):
+		return // the coordinator hung up: nobody reads a reply
 	case err != nil:
 		w.Header().Set("Retry-After", "5")
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)

@@ -226,7 +226,7 @@ func (s *Service) renderLeader(job dist.JobSpec, po RenderOptions) (*Frame, int6
 	}
 	defer s.endJob()
 
-	release, err := s.admit(po.Priority)
+	release, err := s.admit(context.Background(), po.Priority)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -31,21 +31,21 @@ func TestAdmitShedsByPriority(t *testing.T) {
 	s.queue <- struct{}{}
 	s.queue <- struct{}{}
 
-	if _, err := s.admit(resilience.Speculative); !errors.Is(err, ErrOverloaded) {
+	if _, err := s.admit(context.Background(), resilience.Speculative); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("speculative at half full: %v, want ErrOverloaded", err)
 	}
-	rel1, err := s.admit(resilience.Batch)
+	rel1, err := s.admit(context.Background(), resilience.Batch)
 	if err != nil {
 		t.Fatalf("batch below three quarters: %v", err)
 	}
-	if _, err := s.admit(resilience.Batch); !errors.Is(err, ErrOverloaded) {
+	if _, err := s.admit(context.Background(), resilience.Batch); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("batch at three quarters: %v, want ErrOverloaded", err)
 	}
-	rel2, err := s.admit(resilience.Interactive)
+	rel2, err := s.admit(context.Background(), resilience.Interactive)
 	if err != nil {
 		t.Fatalf("interactive below full: %v", err)
 	}
-	if _, err := s.admit(resilience.Interactive); !errors.Is(err, ErrOverloaded) {
+	if _, err := s.admit(context.Background(), resilience.Interactive); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("interactive at full: %v, want ErrOverloaded", err)
 	}
 
@@ -262,11 +262,10 @@ func TestRetryAfterOnOverloadAndDrain(t *testing.T) {
 	}
 }
 
-// TestMapDeadlineSpentInQueue: a /map batch's deadline runs from its
-// arrival. A batch that waits out its budget for a render slot gets a 504
-// and counts a deadline abort instead of being mapped.
-func TestMapDeadlineSpentInQueue(t *testing.T) {
-	s := newTestService(t, Config{GPUs: 2, Workers: 1})
+// mapSender returns a function that posts one single-brick skull /map
+// batch to s, under ctx and with a deadline header unless it is empty.
+func mapSender(t *testing.T, s *Service) func(ctx context.Context, deadline string) *httptest.ResponseRecorder {
+	t.Helper()
 	req := Request{Dataset: "skull", Edge: 16, Width: 32, Height: 32}
 	job, err := req.normalize(s)
 	if err != nil {
@@ -284,27 +283,78 @@ func TestMapDeadlineSpentInQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	send := func(deadline string) *httptest.ResponseRecorder {
-		r := httptest.NewRequest(http.MethodPost, dist.MapPath, bytes.NewReader(body))
-		r.Header.Set(resilience.HeaderDeadline, deadline)
+	return func(ctx context.Context, deadline string) *httptest.ResponseRecorder {
+		r := httptest.NewRequest(http.MethodPost, dist.MapPath, bytes.NewReader(body)).WithContext(ctx)
+		if deadline != "" {
+			r.Header.Set(resilience.HeaderDeadline, deadline)
+		}
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, r)
 		return rec
 	}
+}
+
+// TestMapDeadlineSpentInQueue: a /map batch's deadline runs from its
+// arrival. A batch that spends its budget waiting for a render slot gets
+// its 504 as the budget runs out, while the slot is still held, returns
+// its queue token and counts a deadline abort, not a shed.
+func TestMapDeadlineSpentInQueue(t *testing.T) {
+	s := newTestService(t, Config{GPUs: 2, Workers: 1})
+	send := mapSender(t, s)
 
 	s.sem <- struct{}{} // the one render slot is busy
-	done := make(chan *httptest.ResponseRecorder)
-	go func() { done <- send("1") }()
-	waitFor(t, "the batch to queue", func() bool { return len(s.queue) == 1 })
-	time.Sleep(10 * time.Millisecond) // past its 1 ms budget
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() { done <- send(context.Background(), "1") }()
+	select {
+	case rec := <-done:
+		if rec.Code != http.StatusGatewayTimeout {
+			t.Errorf("budget spent in the queue: HTTP %d, want 504", rec.Code)
+		}
+	case <-time.After(10 * time.Second):
+		<-s.sem
+		<-done
+		t.Fatal("a batch with a 1 ms budget was still queued after 10 s: it waited for the slot")
+	}
+	if n := len(s.queue); n != 0 {
+		t.Errorf("the timed-out batch left %d queue tokens held", n)
+	}
+	snap := s.res.Snapshot()
+	if snap.DeadlineAborts != 1 {
+		t.Errorf("deadline aborts = %d, want 1", snap.DeadlineAborts)
+	}
+	for class, n := range snap.ShedsByClass {
+		if n != 0 {
+			t.Errorf("sheds[%s] = %d, want 0: a spent deadline is not a shed", class, n)
+		}
+	}
 	<-s.sem
-	if rec := <-done; rec.Code != http.StatusGatewayTimeout {
-		t.Errorf("budget spent in the queue: HTTP %d, want 504", rec.Code)
-	}
-	if n := s.res.Snapshot().DeadlineAborts; n != 1 {
-		t.Errorf("deadline aborts = %d, want 1", n)
-	}
-	if rec := send("60000"); rec.Code != http.StatusOK {
+	if rec := send(context.Background(), "60000"); rec.Code != http.StatusOK {
 		t.Errorf("budget left: HTTP %d, want 200 (%s)", rec.Code, bytes.TrimSpace(rec.Body.Bytes()))
+	}
+}
+
+// TestMapHangUpLeavesQueue: a /map batch whose coordinator hangs up while
+// it waits for a render slot returns its queue token before the slot
+// frees, and no map work runs for it.
+func TestMapHangUpLeavesQueue(t *testing.T) {
+	s := newTestService(t, Config{GPUs: 2, Workers: 1})
+	send := mapSender(t, s)
+
+	s.sem <- struct{}{} // the one render slot is busy
+	ctx, hangUp := context.WithCancel(context.Background())
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() { done <- send(ctx, "") }()
+	waitFor(t, "the batch to queue", func() bool { return len(s.queue) == 1 })
+	hangUp()
+	waitFor(t, "the hung-up batch to leave the queue", func() bool { return len(s.queue) == 0 })
+	<-s.sem
+	if rec := <-done; rec.Body.Len() != 0 {
+		t.Errorf("a hung-up batch was answered: HTTP %d %q", rec.Code, bytes.TrimSpace(rec.Body.Bytes()))
+	}
+	s.mu.Lock()
+	mapJobs := s.mapJobs
+	s.mu.Unlock()
+	if mapJobs != 0 {
+		t.Errorf("%d map jobs ran for a batch whose coordinator hung up", mapJobs)
 	}
 }

@@ -11,7 +11,11 @@ import (
 // radial offsets), evaluate fbm noise incrementally across the lattice,
 // replace math.Exp with the polynomial expNeg, and skip provably-empty
 // voxels — together they make first-time materialisation of a dataset
-// roughly an order of magnitude faster than per-voxel Field calls.
+// roughly an order of magnitude faster than per-voxel Field calls. The
+// skull's evaluator also limits each ellipsoid to the x-span a row
+// crosses it in and evaluates its membership only in the shell band of
+// that span, bit-identical to evaluating every ellipsoid at every voxel
+// of the row (TestSkullRowsBitIdentical).
 //
 // They are fast-math: results may differ from the exact reference fields
 // (SkullField, SupernovaField, PlumeField) by up to fastFieldTolerance,
@@ -56,43 +60,89 @@ type ellipsoidFast struct {
 	// maxDy2/maxDz2 bound the squared y/z offsets of the q < 1+shellW
 	// support, for whole-row ellipsoid rejection.
 	maxDy2, maxDz2 float64
+	// qa is the dx² coefficient of q along an x-row.
+	qa float64
 }
 
 var skullFast = func() []ellipsoidFast {
-	if len(skullEllipsoids) > 16 {
+	if len(skullEllipsoids) > maxSkullEllipsoids {
 		panic("dataset: skull phantom outgrew SkullRows' fixed row-ellipsoid buffer")
 	}
 	out := make([]ellipsoidFast, len(skullEllipsoids))
 	k := 1 + shellW
 	for i, e := range skullEllipsoids {
 		c, s := math.Cos(e.phi), math.Sin(e.phi)
+		invAx2, invAy2 := 1/(e.ax*e.ax), 1/(e.ay*e.ay)
 		out[i] = ellipsoidFast{
 			cx: e.cx, cy: e.cy, cz: e.cz,
-			invAx2: 1 / (e.ax * e.ax), invAy2: 1 / (e.ay * e.ay), invAz2: 1 / (e.az * e.az),
+			invAx2: invAx2, invAy2: invAy2, invAz2: 1 / (e.az * e.az),
 			cos: c, sin: s, val: e.val,
 			// The rotated ellipse {q ≤ k} projects on y to
 			// |dy| ≤ √k·√(ax²sin² + ay²cos²); z is unrotated.
 			maxDy2: k * (e.ax*e.ax*s*s + e.ay*e.ay*c*c),
 			maxDz2: k * e.az * e.az,
+			qa:     c*c*invAx2 + s*s*invAy2,
 		}
 	}
 	return out
 }()
 
-// SkullRows is the row-batched SkullField: per row it keeps only the
-// ellipsoids whose support intersects the row (y/z rejection) with their
-// y/z terms folded, so the per-voxel loop is a handful of fused terms per
-// surviving ellipsoid and no trig at all.
+// maxSkullEllipsoids sizes SkullRows' per-row buffers: the phantom's ten
+// ellipsoids.
+const maxSkullEllipsoids = 10
+
+// skullQMargin is how far SkullRows' x-spans reach past the shell in q:
+// far above the rounding error of one voxel's q (≈1e-13 on this
+// phantom), so a voxel outside a span has q ≥ 1+shellW and one inside an
+// interior has q ≤ 1−shellW however its q rounds.
+const skullQMargin = 1e-9
+
+// skullRowEll is one ellipsoid that reaches an x-row: its y/z terms
+// folded, and the voxel spans where its membership is not 0 ([s0, s1))
+// and where it is surely 1 ([i0, i1), empty when i0 == i1).
+type skullRowEll struct {
+	cx, invAx2, invAy2 float64
+	cos, sin           float64
+	sdy, cdy, zq       float64
+	val                float64
+	s0, s1, i0, i1     int
+}
+
+// SkullRows is the row-batched SkullField. Along an x-row an ellipsoid's
+// q is a quadratic in px, so per row it solves, for each ellipsoid whose
+// support the row meets, the x-span where q < 1+shellW and the sure
+// interior where q ≤ 1−shellW — the span widened and the interior shrunk
+// by skullQMargin in q plus one voxel. It adds an ellipsoid's val over
+// its interior without computing q, evaluates the exact per-voxel q only
+// in the shell band between the two, and writes every segment that no
+// shell band crosses as one clamped constant. Each voxel's sum keeps its
+// terms in ellipsoid order and each term is the one a per-voxel test of
+// every ellipsoid would add, so the output is bit-identical to that loop
+// (TestSkullRowsBitIdentical). xs must ascend with each value
+// within a quarter step of an even lattice, as Fill's voxel centres are
+// (to rounding); the one voxel of widening covers the half step by
+// which a value may then stray from the lattice SkullRows infers from
+// the row's ends.
 func SkullRows(dst []float32, xs []float64, y, z float64) {
+	nx := len(xs)
+	if nx == 0 {
+		return
+	}
 	py := 2*y - 1
 	pz := 2*z - 1
-	type rowEll struct {
-		cx, invAx2, invAy2 float64
-		cos, sin           float64
-		sdy, cdy, zq       float64
-		val                float64
+	// Voxel index of a row position px on the lattice through xs's ends,
+	// kept within two voxels of the row so that it converts to an int.
+	x0, perStep := xs[0], 1.0
+	if nx > 1 {
+		perStep = float64(nx-1) / (xs[nx-1] - xs[0])
 	}
-	var act [16]rowEll
+	index := func(px float64) float64 {
+		return min(max(((px+1)*0.5-x0)*perStep, -2), float64(nx)+2)
+	}
+	var act [maxSkullEllipsoids]skullRowEll
+	var cuts [2 + 4*maxSkullEllipsoids]int
+	cuts[0], cuts[1] = 0, nx
+	nc := 2
 	n := 0
 	for i := range skullFast {
 		e := &skullFast[i]
@@ -104,45 +154,124 @@ func SkullRows(dst []float32, xs []float64, y, z float64) {
 		if dy*dy > e.maxDy2 {
 			continue
 		}
-		act[n] = rowEll{
+		r := skullRowEll{
 			cx: e.cx, invAx2: e.invAx2, invAy2: e.invAy2,
 			cos: e.cos, sin: e.sin,
 			sdy: e.sin * dy, cdy: e.cos * dy,
 			zq:  dz * dz * e.invAz2,
 			val: e.val,
 		}
+		// q(dx) = qa·dx² + qb·dx + qc with dx = px − cx, minimal at dxv.
+		qb := 2 * (r.cos*r.sdy*r.invAx2 - r.sin*r.cdy*r.invAy2)
+		qc := r.sdy*r.sdy*r.invAx2 + r.cdy*r.cdy*r.invAy2 + r.zq
+		dxv := -qb / (2 * e.qa)
+		qmin := qc - qb*qb/(4*e.qa)
+		kOut := 1 + shellW + skullQMargin
+		if qmin >= kOut {
+			continue
+		}
+		h := math.Sqrt((kOut - qmin) / e.qa)
+		r.s0 = clampInt(int(math.Floor(index(e.cx+dxv-h))), 0, nx)
+		r.s1 = clampInt(int(math.Ceil(index(e.cx+dxv+h)))+1, 0, nx)
+		if r.s0 >= r.s1 {
+			continue
+		}
+		r.i0, r.i1 = r.s0, r.s0
+		if kIn := 1 - shellW - skullQMargin; qmin < kIn {
+			h := math.Sqrt((kIn - qmin) / e.qa)
+			i0 := clampInt(int(math.Ceil(index(e.cx+dxv-h)))+1, r.s0, r.s1)
+			i1 := clampInt(int(math.Floor(index(e.cx+dxv+h))), r.s0, r.s1)
+			if i0 < i1 {
+				r.i0, r.i1 = i0, i1
+			}
+		}
+		act[n] = r
 		n++
+		cuts[nc], cuts[nc+1], cuts[nc+2], cuts[nc+3] = r.s0, r.s1, r.i0, r.i1
+		nc += 4
 	}
 	if n == 0 {
 		zero32(dst)
 		return
 	}
-	for i, x := range xs {
-		px := 2*x - 1
+	// Between consecutive cuts every ellipsoid is wholly outside, in its
+	// shell band or in its interior.
+	c := cuts[:nc]
+	for i := 1; i < len(c); i++ {
+		for j := i; j > 0 && c[j] < c[j-1]; j-- {
+			c[j], c[j-1] = c[j-1], c[j]
+		}
+	}
+	var seg [maxSkullEllipsoids]int // act index, negated−1 for a shell band
+	for k := 1; k < len(c); k++ {
+		a, b := c[k-1], c[k]
+		if a == b {
+			continue
+		}
+		ns, shell := 0, false
 		sum := 0.0
 		for j := 0; j < n; j++ {
 			e := &act[j]
-			dx := px - e.cx
-			rx := e.cos*dx + e.sdy
-			ry := e.cdy - e.sin*dx
-			q := rx*rx*e.invAx2 + ry*ry*e.invAy2 + e.zq
 			switch {
-			case q <= 1-shellW:
+			case e.i0 <= a && b <= e.i1:
+				seg[ns] = j
 				sum += e.val
-			case q < 1+shellW:
-				t := (1 + shellW - q) / (2 * shellW)
-				sum += e.val * t * t * (3 - 2*t)
+			case e.s0 <= a && b <= e.s1:
+				seg[ns] = -j - 1
+				shell = true
+			default:
+				continue
 			}
+			ns++
 		}
-		if sum < 0 {
-			sum = 0
+		if !shell {
+			// Stored, not scanned as zero32 scans: a row that reaches an
+			// ellipsoid is written elsewhere, so its pages are touched.
+			v := float32(min(max(sum, 0), 1))
+			run := dst[a:b]
+			for len(run) >= 4 {
+				run[0], run[1], run[2], run[3] = v, v, v, v
+				run = run[4:]
+			}
+			for i := range run {
+				run[i] = v
+			}
+			continue
 		}
-		if sum > 1 {
-			sum = 1
+		for i := a; i < b; i++ {
+			px := 2*xs[i] - 1
+			sum := 0.0
+			for _, j := range seg[:ns] {
+				if j >= 0 {
+					sum += act[j].val
+					continue
+				}
+				e := &act[-j-1]
+				dx := px - e.cx
+				rx := e.cos*dx + e.sdy
+				ry := e.cdy - e.sin*dx
+				q := rx*rx*e.invAx2 + ry*ry*e.invAy2 + e.zq
+				switch {
+				case q <= 1-shellW:
+					sum += e.val
+				case q < 1+shellW:
+					t := (1 + shellW - q) / (2 * shellW)
+					sum += e.val * t * t * (3 - 2*t)
+				}
+			}
+			if sum < 0 {
+				sum = 0
+			}
+			if sum > 1 {
+				sum = 1
+			}
+			dst[i] = float32(sum)
 		}
-		dst[i] = float32(sum)
 	}
 }
+
+// clampInt limits v to [lo, hi].
+func clampInt(v, lo, hi int) int { return min(max(v, lo), hi) }
 
 // ---- Supernova ----
 
@@ -292,18 +421,22 @@ func PlumeRows(dst []float32, xs []float64, y, z float64) {
 // destinations are usually freshly allocated — already zero and still
 // backed by the kernel's shared zero page — so skipping redundant stores
 // avoids both the write pass and the page-allocation faults for empty
-// space, which for the sparse plume is most of the volume. The scan
-// stops at the first nonzero value and the remainder is cleared with
-// stores. (A scanned-over negative zero is left in place; it compares
-// equal to zero everywhere downstream.)
+// space, which for the sparse plume is most of the volume. The scan reads
+// eight voxels' bits at a time and stops at the first group holding a
+// nonzero bit pattern; the remainder is cleared with stores.
 func zero32(s []float32) {
 	i := 0
-	for ; i < len(s); i++ {
-		if s[i] != 0 {
+	for ; i+8 <= len(s); i += 8 {
+		w := s[i : i+8 : i+8]
+		if math.Float32bits(w[0])|math.Float32bits(w[1])|math.Float32bits(w[2])|math.Float32bits(w[3])|
+			math.Float32bits(w[4])|math.Float32bits(w[5])|math.Float32bits(w[6])|math.Float32bits(w[7]) != 0 {
 			break
 		}
 	}
 	for ; i < len(s); i++ {
-		s[i] = 0
+		if math.Float32bits(s[i]) != 0 {
+			break
+		}
 	}
+	clear(s[i:])
 }

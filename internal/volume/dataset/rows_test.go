@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"gvmr/internal/volume"
@@ -65,6 +66,130 @@ func TestRowsMatchReferenceFields(t *testing.T) {
 		if bad > 0 {
 			t.Errorf("%s: %d voxels beyond tolerance %g (worst |Δ| = %g)",
 				c.name, bad, fastFieldTolerance, worst)
+		}
+	}
+}
+
+// skullRowsReference is the plain row evaluator SkullRows must match bit
+// for bit: every ellipsoid that survives the y/z test is evaluated at
+// every x.
+func skullRowsReference(dst []float32, xs []float64, y, z float64) {
+	py := 2*y - 1
+	pz := 2*z - 1
+	type rowEll struct {
+		cx, invAx2, invAy2 float64
+		cos, sin           float64
+		sdy, cdy, zq       float64
+		val                float64
+	}
+	var act [maxSkullEllipsoids]rowEll
+	n := 0
+	for i := range skullFast {
+		e := &skullFast[i]
+		dz := pz - e.cz
+		if dz*dz > e.maxDz2 {
+			continue
+		}
+		dy := py - e.cy
+		if dy*dy > e.maxDy2 {
+			continue
+		}
+		act[n] = rowEll{
+			cx: e.cx, invAx2: e.invAx2, invAy2: e.invAy2,
+			cos: e.cos, sin: e.sin,
+			sdy: e.sin * dy, cdy: e.cos * dy,
+			zq:  dz * dz * e.invAz2,
+			val: e.val,
+		}
+		n++
+	}
+	for i, x := range xs {
+		px := 2*x - 1
+		sum := 0.0
+		for j := 0; j < n; j++ {
+			e := &act[j]
+			dx := px - e.cx
+			rx := e.cos*dx + e.sdy
+			ry := e.cdy - e.sin*dx
+			q := rx*rx*e.invAx2 + ry*ry*e.invAy2 + e.zq
+			switch {
+			case q <= 1-shellW:
+				sum += e.val
+			case q < 1+shellW:
+				t := (1 + shellW - q) / (2 * shellW)
+				sum += e.val * t * t * (3 - 2*t)
+			}
+		}
+		if sum < 0 {
+			sum = 0
+		}
+		if sum > 1 {
+			sum = 1
+		}
+		dst[i] = float32(sum)
+	}
+}
+
+// TestSkullRowsBitIdentical holds SkullRows to skullRowsReference bit for
+// bit: whole cubes from one voxel up to the 256³ the benchmark renders, a
+// volume with unequal odd edges, and sub-regions off the origin (what
+// FillBrick asks for when the staging cache is bypassed).
+func TestSkullRowsBitIdentical(t *testing.T) {
+	type fill struct {
+		dims volume.Dims
+		reg  volume.Region
+	}
+	whole := func(d volume.Dims) fill { return fill{d, volume.Region{Ext: d}} }
+	var cases []fill
+	for _, n := range []int{1, 2, 3, 17, 64, 144, 256} {
+		if n == 256 && testing.Short() {
+			continue
+		}
+		cases = append(cases, whole(volume.Cube(n)))
+	}
+	odd := volume.Dims{X: 300, Y: 97, Z: 211}
+	cases = append(cases, whole(odd),
+		fill{odd, volume.Region{Org: [3]int{37, 11, 60}, Ext: volume.Dims{X: 151, Y: 80, Z: 90}}},
+		fill{volume.Cube(144), volume.Region{Org: [3]int{35, 70, 70}, Ext: volume.Cube(20)}},
+		fill{volume.Cube(144), volume.Region{Org: [3]int{143, 0, 71}, Ext: volume.Dims{X: 1, Y: 144, Z: 2}}},
+		fill{volume.Cube(64), volume.Region{Org: [3]int{5, 30, 31}, Ext: volume.Dims{X: 59, Y: 3, Z: 2}}},
+	)
+	// Rows through the head whose x positions stray from the lattice by up
+	// to a quarter step, as the RowFiller contract allows.
+	r := rand.New(rand.NewSource(43))
+	for row := 0; row < 4000; row++ {
+		n := 1 + r.Intn(300)
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = (float64(i) + 0.5 + (r.Float64()-0.5)/2) / float64(n)
+		}
+		y, z := 0.05+0.9*r.Float64(), 0.05+0.9*r.Float64()
+		got, want := make([]float32, n), make([]float32, n)
+		SkullRows(got, xs, y, z)
+		skullRowsReference(want, xs, y, z)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("row y=%v z=%v over %d uneven xs, voxel %d: %v, want %v", y, z, n, i, got[i], want[i])
+			}
+		}
+	}
+	for _, c := range cases {
+		fast := volume.NewFuncSourceRows("fast", c.dims, SkullField, SkullRows)
+		ref := volume.NewFuncSourceRows("ref", c.dims, SkullField, skullRowsReference)
+		got := make([]float32, c.reg.Ext.Voxels())
+		want := make([]float32, len(got))
+		if err := fast.Fill(c.reg, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Fill(c.reg, want); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				e := c.reg.Ext
+				t.Fatalf("%v region %+v voxel (%d,%d,%d): %v (%#x), want %v (%#x)", c.dims, c.reg,
+					i%e.X, i/e.X%e.Y, i/(e.X*e.Y), got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+			}
 		}
 	}
 }

@@ -18,3 +18,7 @@ func FreeGhostBytes() int64 {
 	defer ghostFree.mu.Unlock()
 	return ghostFree.bytes
 }
+
+// CheckGridBruteForce is checkGridBruteForce, for grids over datasets
+// that package volume's own tests cannot import.
+var CheckGridBruteForce = checkGridBruteForce

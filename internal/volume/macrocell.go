@@ -3,6 +3,7 @@ package volume
 import (
 	"math"
 	"sync"
+	"unsafe"
 )
 
 // This file implements macrocell grids: coarse per-cell min/max summaries
@@ -101,9 +102,18 @@ func (m *Macrocells) CellIndex(cx, cy, cz int) int {
 // reductions over a box window are separable, so the build reduces x,
 // then y, then z: every voxel is read in layout order by one stage, and
 // only the already-256×-smaller intermediate layers pay the window
-// overlap — the whole build costs about one linear pass over the volume
-// (it shares the staging cache's materialisation, so a render's first
-// frame absorbs it and every later frame skips for free).
+// overlap — the whole build costs about one linear pass over the volume.
+//
+// Most of a volume is runs of one value, so every stage does its work
+// where the runs end. The x stage copies each voxel row into a buffer
+// padded with the row's end voxels, where every cell's flat window is the
+// same eight slots: flatness is one branch-free XOR-OR, a flat window's
+// run is followed to its end two voxels a compare and answers every cell
+// it covers, and only cells that are not flat take a min/max. The y
+// stage answers the cells of a band that lie in runs opening or closing
+// all of its rows without reading them. The y and z stages reduce a
+// whole row of cells at a time, the flat marks column by column, the
+// ranges only in columns that are not flat.
 func BuildMacrocells(data []float32, vox Dims, org [3]int) *Macrocells {
 	m := &Macrocells{Org: org, Vox: vox, Cells: macrocellCounts(vox)}
 	n := m.NumCells()
@@ -117,98 +127,281 @@ func BuildMacrocells(data []float32, vox Dims, org [3]int) *Macrocells {
 	// tmp holds one voxel layer reduced along x (per voxel row, per cell
 	// column); ring holds the last ringLayers fully xy-reduced layers —
 	// exactly one cell band's flat window in z (Edge+4), of which the next
-	// band reuses four. The One arrays carry the flat reduction: the
-	// window's single bit pattern, or notFlat.
+	// band reuses four (a power of two, so z%ringLayers is z&(ringLayers−1)).
+	// The One arrays carry the flat reduction: the window's single bit
+	// pattern, or notFlat.
 	const ringLayers = MacrocellEdge + 4
-	tmpMin := make([]float32, vox.Y*cx)
-	tmpMax := make([]float32, vox.Y*cx)
-	tmpOne := make([]uint32, vox.Y*cx)
-	ringMin := make([]float32, ringLayers*layer)
-	ringMax := make([]float32, ringLayers*layer)
-	ringOne := make([]uint32, ringLayers*layer)
-
-	// reduceLayer folds voxel layer z into ring[z%ringLayers].
-	reduceLayer := func(z int) {
-		base := z * slab
-		for y := 0; y < vox.Y; y++ {
-			row := data[base+y*vox.X : base+(y+1)*vox.X]
-			out := y * cx
-			for k := 0; k < cx; k++ {
-				x0, x1 := windowClamp(k, vox.X, 1)
-				f0, f1 := windowClamp(k, vox.X, 2)
-				// The window's ends differ wherever the field has a slope,
-				// so most windows that are not flat cost one comparison.
-				one := math.Float32bits(row[f0])
-				diff := one ^ math.Float32bits(row[f1-1])
-				if diff == 0 {
-					for _, v := range row[f0+1 : f1] {
-						diff |= one ^ math.Float32bits(v)
-					}
-				}
-				lo, hi := row[x0], row[x0]
-				if diff != 0 || one&expMask == expMask {
-					one = notFlat
-					for _, v := range row[x0+1 : x1] {
-						if v < lo {
-							lo = v
-						} else if v > hi {
-							hi = v
-						} else if v != v {
-							lo = v // comparisons drop a NaN: keep it (min carries it on)
-						}
-					}
-				}
-				tmpMin[out+k], tmpMax[out+k], tmpOne[out+k] = lo, hi, one
-			}
-		}
-		dst := (z % ringLayers) * layer
-		for ky := 0; ky < cy; ky++ {
-			y0, y1 := windowClamp(ky, vox.Y, 1)
-			f0, f1 := windowClamp(ky, vox.Y, 2)
-			for k := 0; k < cx; k++ {
-				one := tmpOne[f0*cx+k]
-				for y := f0 + 1; y < f1 && one != notFlat; y++ {
-					if tmpOne[y*cx+k] != one {
-						one = notFlat
-					}
-				}
-				// A flat window's rows all hold [v, v]: only others reduce.
-				lo, hi := tmpMin[y0*cx+k], tmpMax[y0*cx+k]
-				for y := y0 + 1; y < y1 && one == notFlat; y++ {
-					lo, hi = min(lo, tmpMin[y*cx+k]), max(hi, tmpMax[y*cx+k])
-				}
-				ringMin[dst+ky*cx+k], ringMax[dst+ky*cx+k], ringOne[dst+ky*cx+k] = lo, hi, one
-			}
-		}
+	tmpLen, ringLen := vox.Y*cx, ringLayers*layer
+	fbuf := make([]float32, 2*tmpLen+2*ringLen)
+	ringMin, ringMax := fbuf[2*tmpLen:2*tmpLen+ringLen], fbuf[2*tmpLen+ringLen:2*tmpLen+2*ringLen]
+	ubuf := make([]uint32, tmpLen+ringLen+layer)
+	ringOne, zOne := ubuf[tmpLen:tmpLen+ringLen], ubuf[tmpLen+ringLen:]
+	x := xFold{
+		cx: cx, min: fbuf[:tmpLen], max: fbuf[tmpLen : 2*tmpLen], one: ubuf[:tmpLen],
+		runs: make([]rowRuns, vox.Y), pad64: make([]uint64, (cx<<MacrocellShift+4)/2),
 	}
+	f := cellFold{cols: make([]int32, 0, layer)}
 
 	next := 0 // first voxel layer not yet reduced
 	for kz := 0; kz < m.Cells.Z; kz++ {
 		z0, z1 := windowClamp(kz, vox.Z, 1)
 		f0, f1 := windowClamp(kz, vox.Z, 2)
+		// Fold voxel layers into ring[z%ringLayers].
 		for ; next < f1; next++ {
-			reduceLayer(next)
+			base := next * slab
+			for y := 0; y < vox.Y; y++ {
+				x.row(y, data[base+y*vox.X:base+(y+1)*vox.X])
+			}
+			dst := (next & (ringLayers - 1)) * layer
+			for ky := 0; ky < cy; ky++ {
+				y0, y1 := windowClamp(ky, vox.Y, 1)
+				f0, f1 := windowClamp(ky, vox.Y, 2)
+				oMin, oMax, oOne := ringMin[dst+ky*cx:][:cx], ringMax[dst+ky*cx:][:cx], ringOne[dst+ky*cx:][:cx]
+				// Cells [0, k0) of every row of the window hold one flat
+				// value, and so do cells [k1, cx): so do the band's.
+				k0, k1 := cx, 0
+				lead, trail := x.runs[f0].leadBits, x.runs[f0].trailBits
+				for _, r := range x.runs[f0:f1] {
+					if r.leadBits == lead {
+						k0 = min(k0, int(r.lead))
+					} else {
+						k0 = 0
+					}
+					if r.trailBits == trail {
+						k1 = max(k1, int(r.trail))
+					} else {
+						k1 = cx
+					}
+				}
+				if k0 >= k1 { // every row is the one value
+					fillCells(oMin, oMax, oOne, math.Float32frombits(lead))
+					continue
+				}
+				fillCells(oMin[:k0], oMax[:k0], oOne[:k0], math.Float32frombits(lead))
+				fillCells(oMin[k1:], oMax[k1:], oOne[k1:], math.Float32frombits(trail))
+				for y := f0; y < f1; y++ {
+					x.need(y, k0, k1)
+				}
+				f.rows(x.one[k0:], x.min[k0:], x.max[k0:], cx, -1, f0, f1, y0, y1,
+					oOne[k0:k1], oMin[k0:k1], oMax[k0:k1])
+			}
 		}
 		out := kz * layer
-		for i := 0; i < layer; i++ {
-			one := ringOne[(f0%ringLayers)*layer+i]
-			for z := f0 + 1; z < f1 && one != notFlat; z++ {
-				if ringOne[(z%ringLayers)*layer+i] != one {
-					one = notFlat
-				}
-			}
-			lo, hi := ringMin[(z0%ringLayers)*layer+i], ringMax[(z0%ringLayers)*layer+i]
-			for z := z0 + 1; z < z1 && one == notFlat; z++ {
-				src := (z % ringLayers) * layer
-				lo, hi = min(lo, ringMin[src+i]), max(hi, ringMax[src+i])
-			}
-			m.Min[out+i], m.Max[out+i] = lo, hi
-			if one != notFlat {
+		f.rows(ringOne, ringMin, ringMax, layer, ringLayers-1, f0, f1, z0, z1,
+			zOne, m.Min[out:out+layer], m.Max[out:out+layer])
+		for i, o := range zOne {
+			if o != notFlat {
 				m.Flat[(out+i)>>6] |= 1 << ((out + i) & 63)
 			}
 		}
 	}
 	return m
+}
+
+// rowRuns is what the x stage leaves of a voxel row of n cells: cells
+// [0, lead) hold the flat value leadBits, cells [trail, n) the flat value
+// trailBits, and the x stage's arrays hold cells [lo, hi), a range that
+// covers [lead, trail) and grows as bands ask for more. A row of one flat
+// value has lead n, trail 0 and nothing in the arrays.
+type rowRuns struct {
+	lead, trail         int32
+	leadBits, trailBits uint32
+	lo, hi              int
+}
+
+// flatValue reports whether a flat cell may hold the value with bits b:
+// finite and not −0.
+func flatValue(b uint32) bool { return b&expMask != expMask && b != notFlat }
+
+// xFold is the x stage: one voxel layer reduced along x, cx cells a row,
+// into min, max and one (the flat marks), what each row's runs hold, and
+// the padded row buffer.
+type xFold struct {
+	cx       int
+	min, max []float32
+	one      []uint32
+	runs     []rowRuns
+	pad64    []uint64
+}
+
+// need makes cells [a, b) of voxel row y valid in the x stage's arrays,
+// filling in what the row's runs hold.
+func (x *xFold) need(y, a, b int) {
+	r, t := &x.runs[y], y*x.cx
+	if r.lo >= r.hi { // a row of one value: all of [a, b) is its lead
+		r.lo, r.hi = b, b
+	}
+	if a < r.lo {
+		fillCells(x.min[t+a:t+r.lo], x.max[t+a:t+r.lo], x.one[t+a:t+r.lo], math.Float32frombits(r.leadBits))
+		r.lo = a
+	}
+	if b > r.hi {
+		fillCells(x.min[t+r.hi:t+b], x.max[t+r.hi:t+b], x.one[t+r.hi:t+b], math.Float32frombits(r.trailBits))
+		r.hi = b
+	}
+}
+
+// row reduces voxel row y into its cells' x ranges and flat marks. It
+// reads the row from pad64: the row led by two copies of its first voxel
+// and trailed by copies of its last, so that cell k's flat window is the
+// eight voxels in pad64[2k, 2k+4) and its range window pad[4k+1, 4k+7).
+// The repeated end voxels are already in the clamped windows, and
+// repeating a value leaves either reduction unchanged. A flat window
+// opens a run, which is followed to its end: every cell whose window the
+// run covers holds its value, and the runs that open and close the row
+// are left out of the arrays (see rowRuns).
+func (x *xFold) row(y int, row []float32) {
+	n, t := x.cx, y*x.cx
+	lo, hi, ones := x.min[t:t+n], x.max[t:t+n], x.one[t:t+n]
+	pad64 := x.pad64[:2*n+2]
+	pad := unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(pad64))), 4*n+4)
+	pad[0], pad[1] = row[0], row[0]
+	tail := pad[2+copy(pad[2:], row):]
+	for i := range tail {
+		tail[i] = row[len(row)-1]
+	}
+	r := rowRuns{trail: int32(n)}
+	for k := 0; k < n; k++ {
+		w := pad64[2*k : 2*k+4 : 2*k+4]
+		b := w[0] & 0xffffffff
+		b64 := b | b<<32
+		if (w[0]^b64)|(w[1]^b64)|(w[2]^b64)|(w[3]^b64) == 0 && flatValue(uint32(b)) {
+			e := 2*k + 4
+			for e < len(pad64) && pad64[e] == b64 {
+				e++
+			}
+			end := min(e/2-1, n)
+			switch {
+			case k == 0 && end == n: // a row of one value
+				r = rowRuns{lead: int32(n), leadBits: uint32(b), trailBits: uint32(b)}
+			case k == 0:
+				r.lead, r.leadBits = int32(end), uint32(b)
+			case end == n:
+				r.trail, r.trailBits = int32(k), uint32(b)
+			default:
+				fillCells(lo[k:end], hi[k:end], ones[k:end], math.Float32frombits(uint32(b)))
+			}
+			k = end - 1
+			continue
+		}
+		// On a window of non-negative numbers — all a density holds — the
+		// range is the least and greatest bit pattern, found without a
+		// branch; compareRange takes any other window.
+		v := pad[4*k+1 : 4*k+7 : 4*k+7]
+		b0, b1, b2 := int32(math.Float32bits(v[0])), int32(math.Float32bits(v[1])), int32(math.Float32bits(v[2]))
+		b3, b4, b5 := int32(math.Float32bits(v[3])), int32(math.Float32bits(v[4])), int32(math.Float32bits(v[5]))
+		if l, h := min(b0, b1, b2, b3, b4, b5), max(b0, b1, b2, b3, b4, b5); l >= 0 && h <= expMask {
+			lo[k], hi[k] = math.Float32frombits(uint32(l)), math.Float32frombits(uint32(h))
+		} else {
+			lo[k], hi[k] = compareRange(v)
+		}
+		ones[k] = notFlat
+	}
+	r.lo, r.hi = int(r.lead), int(r.trail)
+	x.runs[y] = r
+}
+
+// compareRange returns a window's range as a one-at-a-time compare loop
+// finds it: Min and Max are the window's first voxel, lowered to each
+// smaller voxel, raised to each larger one, and Min is set to each NaN
+// (comparisons drop it).
+func compareRange(r []float32) (lo, hi float32) {
+	lo, hi = r[0], r[0]
+	for _, v := range r[1:] {
+		if v < lo {
+			lo = v
+		} else if v > hi {
+			hi = v
+		} else if v != v {
+			lo = v
+		}
+	}
+	return lo, hi
+}
+
+// fillCells sets cells whose flat windows hold only v: flat, unless v
+// may not be (an Inf, a NaN or −0, whose bits are notFlat already).
+func fillCells(lo, hi []float32, ones []uint32, v float32) {
+	b := math.Float32bits(v)
+	if b&expMask == expMask {
+		b = notFlat
+	}
+	for k := range ones {
+		lo[k], hi[k], ones[k] = v, v, b
+	}
+}
+
+// cellFold is the scratch of the y and z stages: the columns of a row
+// of cells that are not flat.
+type cellFold struct{ cols []int32 }
+
+// rows folds rows of len(one) cells into one row: the flat marks of
+// rows [f0, f1) into one, the ranges of rows [r0, r1) into lo and hi.
+// Row r starts at (r&mask)·stride in ones, mins and maxs. A flat
+// window's rows all hold [v, v], so only the other columns reduce their
+// ranges.
+func (f *cellFold) rows(ones []uint32, mins, maxs []float32, stride, mask, f0, f1, r0, r1 int,
+	one []uint32, lo, hi []float32) {
+	w := len(one)
+	row := func(r int) int { return (r & mask) * stride }
+	mixed := f.cols[:0]
+	if f1-f0 == MacrocellEdge+4 {
+		// An unclamped window: eight rows, each column's XOR-OR in registers.
+		a0, a1, a2, a3 := ones[row(f0):][:w], ones[row(f0+1):][:w], ones[row(f0+2):][:w], ones[row(f0+3):][:w]
+		a4, a5, a6, a7 := ones[row(f0+4):][:w], ones[row(f0+5):][:w], ones[row(f0+6):][:w], ones[row(f0+7):][:w]
+		for k, b := range a0 {
+			if (a1[k]^b)|(a2[k]^b)|(a3[k]^b)|(a4[k]^b)|(a5[k]^b)|(a6[k]^b)|(a7[k]^b) != 0 {
+				b = notFlat
+			}
+			one[k] = b
+			if b == notFlat {
+				mixed = append(mixed, int32(k))
+			}
+		}
+	} else {
+		copy(one, ones[row(f0):][:w])
+		for r := f0 + 1; r < f1; r++ {
+			src := ones[row(r):][:w]
+			for k, b := range src {
+				if b != one[k] {
+					one[k] = notFlat
+				}
+			}
+		}
+		for k, b := range one {
+			if b == notFlat {
+				mixed = append(mixed, int32(k))
+			}
+		}
+	}
+	copy(lo, mins[row(r0):][:w])
+	copy(hi, maxs[row(r0):][:w])
+	var at [MacrocellEdge + 2]int
+	for r := r0 + 1; r < r1; r++ {
+		at[r-r0-1] = row(r)
+	}
+	rest := at[:r1-r0-1]
+	for _, k := range mixed {
+		// On non-negative numbers the builtins' float order is the order
+		// of the bit patterns, which compare without a branch; the
+		// greatest pattern of each input says whether all are such.
+		l, h := math.Float32bits(lo[k]), math.Float32bits(hi[k])
+		top := l
+		for _, a := range rest {
+			b := math.Float32bits(mins[a+int(k)])
+			l, top = min(l, b), max(top, b)
+			h = max(h, math.Float32bits(maxs[a+int(k)]))
+		}
+		if max(top, h) <= expMask {
+			lo[k], hi[k] = math.Float32frombits(l), math.Float32frombits(h)
+			continue
+		}
+		fl, fh := lo[k], hi[k]
+		for _, a := range rest {
+			fl, fh = min(fl, mins[a+int(k)]), max(fh, maxs[a+int(k)])
+		}
+		lo[k], hi[k] = fl, fh
+	}
 }
 
 // notFlat is the flat reduction's "more than one value" mark: the bits of

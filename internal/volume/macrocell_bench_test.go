@@ -8,6 +8,23 @@ import (
 	"gvmr/internal/volume/dataset"
 )
 
+// TestSkullMacrocellsBruteForce holds the grid of the 256³ skull, the
+// volume the benchmark renders, to the cell-by-cell specification.
+func TestSkullMacrocellsBruteForce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and checks the 256³ skull grid")
+	}
+	src, err := dataset.New(dataset.Skull, volume.Cube(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := volume.Materialize(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	volume.CheckGridBruteForce(t, v.Data, v.Dims, volume.BuildMacrocells(v.Data, v.Dims, [3]int{}))
+}
+
 // BenchmarkMacrocellBuild is BuildMacrocells — ranges and flat bits in one
 // separable pass — on the two region sizes that pay it: the whole 256³
 // skull (once per staged volume, inside setup_s) and one 18³ file brick of

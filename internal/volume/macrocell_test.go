@@ -59,31 +59,44 @@ func sameRange(gotLo, gotHi, lo, hi float32) bool {
 	return gotLo == lo && gotHi == hi
 }
 
+// checkGridBruteForce holds every cell of mc, built over data, to
+// bruteCellRange.
+func checkGridBruteForce(t *testing.T, data []float32, d Dims, mc *Macrocells) {
+	t.Helper()
+	for cz := 0; cz < mc.Cells.Z; cz++ {
+		for cy := 0; cy < mc.Cells.Y; cy++ {
+			for cx := 0; cx < mc.Cells.X; cx++ {
+				lo, hi, flat := bruteCellRange(data, d, cx, cy, cz)
+				i := mc.CellIndex(cx, cy, cz)
+				if !sameRange(mc.Min[i], mc.Max[i], lo, hi) || mc.IsFlat(i) != flat {
+					t.Fatalf("%v cell (%d,%d,%d): [%v,%v] flat %v, want [%v,%v] flat %v",
+						d, cx, cy, cz, mc.Min[i], mc.Max[i], mc.IsFlat(i), lo, hi, flat)
+				}
+			}
+		}
+	}
+}
+
 func TestMacrocellMinMaxBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
-	// Odd dims exercise partial cells at the high edges.
-	for _, d := range []Dims{{X: 4, Y: 4, Z: 4}, {X: 13, Y: 9, Z: 11}, {X: 17, Y: 5, Z: 23}} {
+	// Odd dims exercise partial cells at the high edges; X extents under
+	// eight make rows narrower than one cell's flat window.
+	dims := []Dims{{X: 4, Y: 4, Z: 4}, {X: 13, Y: 9, Z: 11}, {X: 17, Y: 5, Z: 23}}
+	for _, x := range []int{1, 2, 3, 5, 6, 7} {
+		dims = append(dims, Dims{X: x, Y: 1 + r.Intn(12), Z: 1 + r.Intn(12)})
+	}
+	for _, d := range dims {
 		data := make([]float32, d.Voxels())
 		for i := range data {
 			data[i] = r.Float32()
 		}
-		mc := BuildMacrocells(data, d, [3]int{})
+		org := [3]int{r.Intn(40), r.Intn(40), r.Intn(40)}
+		mc := BuildMacrocells(data, d, org)
 		want := macrocellCounts(d)
-		if mc.Cells != want {
-			t.Fatalf("%v: cell grid %v, want %v", d, mc.Cells, want)
+		if mc.Cells != want || mc.Org != org || mc.Vox != d {
+			t.Fatalf("%v at %v: grid %v at %v over %v, want %v at %v", d, org, mc.Cells, mc.Org, mc.Vox, want, org)
 		}
-		for cz := 0; cz < mc.Cells.Z; cz++ {
-			for cy := 0; cy < mc.Cells.Y; cy++ {
-				for cx := 0; cx < mc.Cells.X; cx++ {
-					lo, hi, flat := bruteCellRange(data, d, cx, cy, cz)
-					i := mc.CellIndex(cx, cy, cz)
-					if !sameRange(mc.Min[i], mc.Max[i], lo, hi) || mc.IsFlat(i) != flat {
-						t.Fatalf("%v cell (%d,%d,%d): [%v,%v] flat %v, want [%v,%v] flat %v",
-							d, cx, cy, cz, mc.Min[i], mc.Max[i], mc.IsFlat(i), lo, hi, flat)
-					}
-				}
-			}
-		}
+		checkGridBruteForce(t, data, d, mc)
 	}
 }
 
@@ -128,8 +141,12 @@ func plateauData(r *rand.Rand, d Dims, boxes int) []float32 {
 func TestMacrocellFlatBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	var flats, nans, cells int
-	for trial := 0; trial < 60; trial++ {
+	narrow := []int{1, 2, 3, 5, 6, 7} // rows narrower than a flat window
+	for trial := 0; trial < 60+2*len(narrow); trial++ {
 		d := Dims{X: 1 + r.Intn(30), Y: 1 + r.Intn(26), Z: 1 + r.Intn(22)}
+		if trial >= 60 {
+			d.X = narrow[(trial-60)/2]
+		}
 		data := plateauData(r, d, r.Intn(9))
 		mc := BuildMacrocells(data, d, [3]int{r.Intn(5), r.Intn(5), r.Intn(5)})
 		for cz := 0; cz < mc.Cells.Z; cz++ {

@@ -66,7 +66,8 @@ func copyRegion(v *Volume, r Region, dst []float32) {
 type Field func(x, y, z float64) float32
 
 // RowFiller evaluates a whole x-row of an analytic field at once:
-// dst[i] = field(xs[i], y, z) with len(dst) == len(xs). Batch evaluation
+// dst[i] = field(xs[i], y, z) with len(dst) == len(xs), xs being the
+// ascending, evenly spaced voxel centres of one row. Batch evaluation
 // lets field implementations hoist per-row terms and evaluate lattice
 // noise incrementally, which is several times faster than per-voxel calls.
 type RowFiller func(dst []float32, xs []float64, y, z float64)
