@@ -153,7 +153,6 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 		hedgeAfter    = fs.Duration("hedge-after", 0, "duplicate a straggling map batch onto another worker after this delay (coordinator mode; 0 = off)")
 		attemptTO     = fs.Duration("attempt-timeout", 0, "bound one map exchange with a worker (coordinator mode; 0 = 30s default)")
 		distReduce    = fs.Bool("dist-reduce", false, "reduce on the worker fleet: mappers exchange stripes peer-to-peer and the coordinator collects near-final pixels (coordinator mode)")
-		wireCompress  = fs.Bool("wire-compress", true, "compress stripes (columnar + flate) on the map/reduce wire")
 		acceptJoins   = fs.Bool("accept-joins", false, "accept dynamic worker joins (POST /register); coordinator mode with a live fleet")
 		heartbeat     = fs.Duration("heartbeat", 2*time.Second, "lease heartbeat interval assigned to joining workers")
 		leaseMisses   = fs.Int("lease-misses", 3, "missed heartbeats before a joined worker's lease expires and it is evicted")
@@ -204,7 +203,6 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 		HedgeAfter:      *hedgeAfter,
 		AttemptTimeout:  *attemptTO,
 		DistReduce:      *distReduce,
-		NoWireCompress:  !*wireCompress,
 		AcceptJoins:     *acceptJoins,
 		HeartbeatEvery:  *heartbeat,
 		LeaseMisses:     *leaseMisses,

@@ -104,27 +104,24 @@ func goldenPartitionJob(t *testing.T, angle *float64) dist.JobSpec {
 
 // TestDistributedGoldenNonConvex is the acceptance battery for the
 // non-convex partition path: the adversarial interleaved goldens,
-// rendered through the cluster in every wire regime — classic and
-// distributed reduce, compressed and identity — must reproduce the
-// committed single-process digests bit for bit. Rays re-enter units
-// here, so whole fragment *lists* ride the v2/cf2 codecs and the
-// exchange; one moved bit anywhere in that path fails this test.
+// rendered through the cluster in both topologies — classic and
+// distributed reduce — must reproduce the committed single-process
+// digests bit for bit. Rays re-enter units here, so whole fragment
+// *lists* ride the cf2 codec and the exchange; one moved bit anywhere
+// in that path fails this test.
 func TestDistributedGoldenNonConvex(t *testing.T) {
 	want := committedGoldens(t)
 	for _, mode := range []struct {
 		name       string
 		distReduce bool
-		noCompress bool
 	}{
-		{"classic", false, false},
-		{"classic-nocompress", false, true},
-		{"reduce", true, false},
-		{"reduce-nocompress", true, true},
+		{"classic", false},
+		{"reduce", true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			addrs := startGoldenWorkers(t, 3, nil)
 			coord, err := dist.NewCoordinator(dist.CoordinatorConfig{
-				Nodes: addrs, DistReduce: mode.distReduce, NoCompress: mode.noCompress,
+				Nodes: addrs, DistReduce: mode.distReduce,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -86,10 +86,6 @@ type CoordinatorConfig struct {
 	// the classic coordinator-local composite on a fresh membership
 	// view — bits never change, only topology (DESIGN.md §11).
 	DistReduce bool
-	// NoCompress asks for raw stripes (EncodingListV2) on every hop — map
-	// responses, exchange pushes, collects — instead of the compressed
-	// EncodingColumnar2.
-	NoCompress bool
 	// Spec, when non-nil, is the hardware description used for grid
 	// planning and the coordinator-side reduce/wire rates — set it when
 	// the workers run a non-AC spec (the grid-counts cross-check turns

@@ -38,7 +38,7 @@ func TestDeadlineLeavesBatchUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := mustJSON(t, MapRequest{Job: job, Bricks: []int{0, 1, 2, 3}, GridCounts: grid.Counts, Compress: true})
+	body := mustJSON(t, MapRequest{Job: job, Bricks: []int{0, 1, 2, 3}, GridCounts: grid.Counts})
 	serve := func(deadline string) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(http.MethodPost, MapPath, bytes.NewBufferString(body))
 		if deadline != "" {

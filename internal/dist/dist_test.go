@@ -233,8 +233,8 @@ func TestWireRoundTrip(t *testing.T) {
 		{Brick: 2}, // empty stripe
 		{Brick: 5, Frags: []composite.Fragment{{Key: 0, A: 1, Depth: 0.5}}},
 	}
-	payload := encodeV2(stripes)
-	back, err := decodeV2(payload)
+	payload := encodeCF2(stripes)
+	back, err := DecodePayload(EncodingColumnar2, payload, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestWireRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if PayloadDigest(payload) != PayloadDigest(encodeV2(back)) {
+	if PayloadDigest(payload) != PayloadDigest(encodeCF2(back)) {
 		t.Error("re-encoding changed the payload bytes")
 	}
 }
@@ -263,10 +263,8 @@ func TestDecodeStripesRejectsGarbage(t *testing.T) {
 		"negative brick id": {255, 255, 255, 255, 0, 0, 0, 0},
 	}
 	for name, data := range cases {
-		for _, enc := range []string{EncodingListV2, EncodingColumnar2} {
-			if _, err := DecodePayload(enc, data, 1<<20); err == nil {
-				t.Errorf("%s as %s: decoded without error", name, enc)
-			}
+		if _, err := DecodePayload(EncodingColumnar2, data, 1<<20); err == nil {
+			t.Errorf("%s: decoded without error", name)
 		}
 	}
 }
@@ -279,7 +277,7 @@ func TestGridPlanMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	job := testJob(t, dataset.Skull, 24, 48, 2, 0, false)
-	_, _, _, err = wk.Map(MapRequest{Job: job, Bricks: []int{0}, GridCounts: [3]int{7, 7, 7}})
+	_, err = wk.run(context.Background(), MapRequest{Job: job, Bricks: []int{0}, GridCounts: [3]int{7, 7, 7}})
 	if err == nil {
 		t.Fatal("mismatched grid plan accepted")
 	}

@@ -46,9 +46,6 @@ type CollectRequest struct {
 	// Job rebinds the collect to the frame (request bounds, plan spec
 	// for the modeled reduce charge).
 	Job JobSpec `json:"job"`
-	// Compress asks for the range as EncodingColumnar2 instead of
-	// EncodingListV2.
-	Compress bool `json:"compress,omitempty"`
 }
 
 // ExchangeStats counts exchange events for /stats.
@@ -328,12 +325,7 @@ func (wk *Worker) HandleCollect(w http.ResponseWriter, r *http.Request) {
 	charge := sim.WorkTime(float64(total), spec.PartitionRate) +
 		sim.WorkTime(float64(total), spec.SortRate) +
 		sim.WorkTime(float64(total), spec.CompositeRate)
-	encoding := stripeEncoding(req.Compress)
-	payload, err := EncodePayloadAs([]core.BrickStripe{{Brick: 0, Frags: frags}}, encoding)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
+	payload := encodeCF2([]core.BrickStripe{{Brick: 0, Frags: frags}})
 	wk.ex.remove(req.Exchange)
 	wk.ex.mu.Lock()
 	wk.ex.collects++
@@ -341,7 +333,7 @@ func (wk *Worker) HandleCollect(w http.ResponseWriter, r *http.Request) {
 
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
-	h.Set("Content-Encoding", encoding)
+	h.Set("Content-Encoding", EncodingColumnar2)
 	h.Set("Content-Length", strconv.Itoa(len(payload)))
 	h.Set(HeaderFragCount, strconv.Itoa(len(frags)))
 	h.Set(HeaderStripeDigest, PayloadDigest(payload))

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -228,6 +229,89 @@ func TestCorruptStoredPlaneRetried(t *testing.T) {
 	}
 	if st := coord.Stats(); st.Corrupt != 1 || st.Retries < 1 {
 		t.Errorf("flipped stored plane not caught and retried: %+v", st)
+	}
+}
+
+// TestMalformedHopCountedCorrupt: node 0 answers one kind of hop
+// malformed — without HeaderFragCount, or with its stripes in the
+// identity layout under its own label (re-digested, so only the label
+// is wrong). The coordinator must count the reply corrupt and never
+// composite it: a classic /map batch is re-placed, a broken exchange
+// falls back to the classic path, and the frame keeps the direct
+// render's bits.
+func TestMalformedHopCountedCorrupt(t *testing.T) {
+	job := testJob(t, dataset.Skull, 32, 64, 4, 30, true)
+	want := directDigest(t, job)
+	noFragCount := func(t *testing.T, h http.Header, body []byte) []byte {
+		h.Del(HeaderFragCount)
+		return body
+	}
+	identity := func(t *testing.T, h http.Header, body []byte) []byte {
+		stripes, err := DecodePayload(h.Get("Content-Encoding"), body, 1<<30)
+		if err != nil {
+			t.Errorf("worker payload does not decode: %v", err)
+		}
+		body = encodeV2(stripes)
+		h.Set("Content-Encoding", EncodingListV2)
+		h.Set(HeaderStripeDigest, PayloadDigest(body))
+		return body
+	}
+	for _, tc := range []struct {
+		name       string
+		distReduce bool
+		path       string
+		reduced    bool // tamper with reduce-mode /map replies, not classic ones
+		edit       func(*testing.T, http.Header, []byte) []byte
+	}{
+		{"map/no-frag-count", false, MapPath, false, noFragCount},
+		{"reduce-map/no-frag-count", true, MapPath, true, noFragCount},
+		{"collect/no-frag-count", true, CollectPath, false, noFragCount},
+		{"map/identity", false, MapPath, false, identity},
+		{"collect/identity", true, CollectPath, false, identity},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var tampered atomic.Int64
+			addrs, _ := startReduceWorkers(t, 2, func(i int, path string, h http.Handler) http.Handler {
+				if i != 0 || path != tc.path {
+					return h
+				}
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, r)
+					body := rec.Body.Bytes()
+					if rec.Code == http.StatusOK && (rec.Header().Get(HeaderReduced) == "1") == tc.reduced {
+						body = tc.edit(t, rec.Header(), body)
+						rec.Header().Set("Content-Length", strconv.Itoa(len(body)))
+						tampered.Add(1)
+					}
+					for k, v := range rec.Header() {
+						w.Header()[k] = v
+					}
+					w.WriteHeader(rec.Code)
+					_, _ = w.Write(body)
+				})
+			})
+			coord := newTestCoordinator(t, addrs, func(c *CoordinatorConfig) {
+				c.DistReduce = tc.distReduce
+			})
+			res, _, err := coord.Render(context.Background(), job)
+			if err != nil {
+				t.Fatalf("render: %v", err)
+			}
+			if got := res.Image.Digest(); got != want {
+				t.Errorf("digest %s != direct %s", got, want)
+			}
+			st := coord.Stats()
+			if tampered.Load() == 0 {
+				t.Fatal("node 0 answered no hop to tamper with")
+			}
+			if st.Corrupt != tampered.Load() {
+				t.Errorf("%d replies tampered with, %d counted corrupt: %+v", tampered.Load(), st.Corrupt, st)
+			}
+			if tc.distReduce && (st.ReduceFallbacks != 1 || st.ReduceJobs != 0) {
+				t.Errorf("broken exchange did not fall back: %+v", st)
+			}
+		})
 	}
 }
 

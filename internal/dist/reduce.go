@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
-	"strconv"
 
 	"gvmr/internal/cluster"
 	"gvmr/internal/composite"
@@ -47,7 +46,6 @@ func (c *Coordinator) renderReduce(ctx context.Context, job JobSpec, opt core.Op
 		}
 	}
 	exID := exchangeID()
-	compress := !c.cfg.NoCompress
 
 	// Map fan-out: one batch per node, each carrying the identical
 	// reducer plan. All maps must land before any collect can complete,
@@ -62,7 +60,7 @@ func (c *Coordinator) renderReduce(ctx context.Context, job JobSpec, opt core.Op
 		// A mapper that is not a reducer (its breaker turned between the
 		// two reads) delivers every range over the wire.
 		self := slices.IndexFunc(targets, func(t ReduceTarget) bool { return t.Addr == a })
-		plan := &ReducePlan{Exchange: exID, Self: self, Compress: compress, Reducers: targets}
+		plan := &ReducePlan{Exchange: exID, Self: self, Reducers: targets}
 		go func(a string, bricks []int) {
 			secs, frags, err := c.postMapReduce(ctx, job, grid.Counts, bricks, a, plan)
 			mapCh <- mapRes{mapSeconds: secs, frags: frags, err: err}
@@ -97,7 +95,7 @@ func (c *Coordinator) renderReduce(ctx context.Context, job JobSpec, opt core.Op
 	colCh := make(chan collectRes, n)
 	for i := range targets {
 		go func(i int) {
-			out, err := c.postCollect(ctx, job, exID, targets[i], numUnits, opt.Background, compress)
+			out, err := c.postCollect(ctx, job, exID, targets[i], numUnits, opt.Background)
 			colCh <- collectRes{i: i, out: out, err: err}
 		}(i)
 	}
@@ -163,19 +161,13 @@ func (c *Coordinator) postMapReduce(ctx context.Context, job JobSpec, counts [3]
 		return 0, 0, fmt.Errorf("dist: node %s: map response lacks %s (stripes went nowhere)", addr, HeaderReduced)
 	}
 	mapSeconds, err = parseSecondsHeader(resp, HeaderMapSeconds)
+	if err == nil {
+		frags, err = fragCount(resp)
+	}
 	if err != nil {
 		c.corrupt.Add(1)
 		c.markFailure(b)
 		return 0, 0, fmt.Errorf("dist: node %s: %w", addr, err)
-	}
-	if h := resp.Header.Get(HeaderFragCount); h != "" {
-		v, perr := strconv.ParseInt(h, 10, 64)
-		if perr != nil || v < 0 {
-			c.corrupt.Add(1)
-			c.markFailure(b)
-			return 0, 0, fmt.Errorf("dist: node %s: bad %s header %q", addr, HeaderFragCount, h)
-		}
-		frags = v
 	}
 	return mapSeconds, frags, nil
 }
@@ -191,7 +183,7 @@ type collectOutcome struct {
 
 // postCollect fetches and verifies one reducer's composited range.
 func (c *Coordinator) postCollect(ctx context.Context, job JobSpec, exID string,
-	tgt ReduceTarget, numBricks int, bg vec.V4, compress bool) (collectOutcome, error) {
+	tgt ReduceTarget, numBricks int, bg vec.V4) (collectOutcome, error) {
 	body, err := json.Marshal(CollectRequest{
 		Exchange:   exID,
 		Lo:         tgt.Lo,
@@ -199,7 +191,6 @@ func (c *Coordinator) postCollect(ctx context.Context, job JobSpec, exID string,
 		NumBricks:  numBricks,
 		Background: [4]float32{bg.X, bg.Y, bg.Z, bg.W},
 		Job:        job,
-		Compress:   compress,
 	})
 	if err != nil {
 		return collectOutcome{}, err

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -98,89 +99,63 @@ func TestDistReduceMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestDistReduceCompressionToggle: the exchange produces identical bits
-// with wire compression on and off (it only changes the encoding).
-func TestDistReduceCompressionToggle(t *testing.T) {
-	job := testJob(t, dataset.Supernova, 24, 48, 2, 75, false)
-	want := directDigest(t, job)
-	for _, noCompress := range []bool{false, true} {
-		addrs, _ := startReduceWorkers(t, 2, nil)
-		coord := newTestCoordinator(t, addrs, func(c *CoordinatorConfig) {
-			c.DistReduce = true
-			c.NoCompress = noCompress
-		})
-		res, _, err := coord.Render(context.Background(), job)
-		if err != nil {
-			t.Fatalf("noCompress=%t: %v", noCompress, err)
-		}
-		if got := res.Image.Digest(); got != want {
-			t.Errorf("noCompress=%t: digest %s != direct %s", noCompress, got, want)
-		}
-	}
-}
-
-// TestStripeEncodingPerHop: the requester chooses the encoding in the
-// request body and every hop that carries stripes labels them with it —
-// gvmr-cf2 by default, gvmr-v2 under NoCompress, on /map responses, peer
-// pushes and collect responses alike. A reduce-mode /map response carries
-// no stripes and no label.
+// TestStripeEncodingPerHop: every hop that carries stripes labels them
+// gvmr-cf2 — /map responses, peer pushes and collect responses alike. A
+// reduce-mode /map response carries no stripes and no label.
 func TestStripeEncodingPerHop(t *testing.T) {
 	job := testJob(t, dataset.Skull, 32, 64, 4, 30, true)
 	want := directDigest(t, job)
 	for _, distReduce := range []bool{false, true} {
-		for _, noCompress := range []bool{false, true} {
-			var mu sync.Mutex
-			seen := map[string]map[string]int{} // path → Content-Encoding → payloads
-			note := func(path, label string) {
-				mu.Lock()
-				defer mu.Unlock()
-				if seen[path] == nil {
-					seen[path] = map[string]int{}
-				}
-				seen[path][label]++
-			}
-			addrs, _ := startReduceWorkers(t, 2, func(i int, path string, h http.Handler) http.Handler {
-				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-					if path == ReducePath { // a push: the payload is the request
-						note(path, r.Header.Get("Content-Encoding"))
-						h.ServeHTTP(w, r)
-						return
-					}
-					h.ServeHTTP(&labelRecorder{ResponseWriter: w, note: func(h http.Header) {
-						hop := path
-						if h.Get(HeaderReduced) == "1" {
-							hop += " (reduced)"
-						}
-						note(hop, h.Get("Content-Encoding"))
-					}}, r)
-				})
-			})
-			coord := newTestCoordinator(t, addrs, func(c *CoordinatorConfig) {
-				c.DistReduce = distReduce
-				c.NoCompress = noCompress
-			})
-			res, _, err := coord.Render(context.Background(), job)
-			if err != nil {
-				t.Fatalf("distReduce=%t noCompress=%t: %v", distReduce, noCompress, err)
-			}
-			if got := res.Image.Digest(); got != want {
-				t.Errorf("distReduce=%t noCompress=%t: digest %s != direct %s", distReduce, noCompress, got, want)
-			}
-			enc := stripeEncoding(!noCompress)
-			wantSeen := map[string]map[string]int{MapPath: {enc: 2}}
-			if distReduce {
-				wantSeen = map[string]map[string]int{
-					MapPath + " (reduced)": {"": 2},
-					ReducePath:             {enc: 2},
-					CollectPath:            {enc: 2},
-				}
-			}
+		var mu sync.Mutex
+		seen := map[string]map[string]int{} // path → Content-Encoding → payloads
+		note := func(path, label string) {
 			mu.Lock()
-			if !reflect.DeepEqual(seen, wantSeen) {
-				t.Errorf("distReduce=%t noCompress=%t: payload labels per hop %v, want %v", distReduce, noCompress, seen, wantSeen)
+			defer mu.Unlock()
+			if seen[path] == nil {
+				seen[path] = map[string]int{}
 			}
-			mu.Unlock()
+			seen[path][label]++
 		}
+		addrs, _ := startReduceWorkers(t, 2, func(i int, path string, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if path == ReducePath { // a push: the payload is the request
+					note(path, r.Header.Get("Content-Encoding"))
+					h.ServeHTTP(w, r)
+					return
+				}
+				h.ServeHTTP(&labelRecorder{ResponseWriter: w, note: func(h http.Header) {
+					hop := path
+					if h.Get(HeaderReduced) == "1" {
+						hop += " (reduced)"
+					}
+					note(hop, h.Get("Content-Encoding"))
+				}}, r)
+			})
+		})
+		coord := newTestCoordinator(t, addrs, func(c *CoordinatorConfig) {
+			c.DistReduce = distReduce
+		})
+		res, _, err := coord.Render(context.Background(), job)
+		if err != nil {
+			t.Fatalf("distReduce=%t: %v", distReduce, err)
+		}
+		if got := res.Image.Digest(); got != want {
+			t.Errorf("distReduce=%t: digest %s != direct %s", distReduce, got, want)
+		}
+		enc := EncodingColumnar2
+		wantSeen := map[string]map[string]int{MapPath: {enc: 2}}
+		if distReduce {
+			wantSeen = map[string]map[string]int{
+				MapPath + " (reduced)": {"": 2},
+				ReducePath:             {enc: 2},
+				CollectPath:            {enc: 2},
+			}
+		}
+		mu.Lock()
+		if !reflect.DeepEqual(seen, wantSeen) {
+			t.Errorf("distReduce=%t: payload labels per hop %v, want %v", distReduce, seen, wantSeen)
+		}
+		mu.Unlock()
 	}
 }
 
@@ -413,12 +388,18 @@ func TestParseSecondsHeaderRejectsNonFinite(t *testing.T) {
 }
 
 // syntheticMapResponse builds the http.Response + payload pair a worker
-// would serve for the given stripes, with a correct digest.
+// would serve for the given stripes, with a correct digest and fragment
+// count.
 func syntheticMapResponse(stripes []core.BrickStripe, mut func(h http.Header)) (*http.Response, []byte) {
-	payload := encodeV2(stripes)
+	payload := encodeCF2(stripes)
+	frags := 0
+	for _, s := range stripes {
+		frags += len(s.Frags)
+	}
 	h := http.Header{}
-	h.Set("Content-Encoding", EncodingListV2)
+	h.Set("Content-Encoding", EncodingColumnar2)
 	h.Set(HeaderStripeDigest, PayloadDigest(payload))
+	h.Set(HeaderFragCount, strconv.Itoa(frags))
 	h.Set(HeaderMapSeconds, "0.25")
 	if mut != nil {
 		mut(h)
@@ -588,10 +569,15 @@ func reduceWorker(t *testing.T, mut func(*WorkerConfig)) *Worker {
 
 // pushReq builds a /reduce request for stripes with a correct digest.
 func pushReq(exchange string, lo, hi int32, stripes []core.BrickStripe) *http.Request {
-	payload := encodeV2(stripes)
+	return pushReqAs(exchange, lo, hi, EncodingColumnar2, encodeCF2(stripes))
+}
+
+// pushReqAs builds a /reduce request for a payload under a label, with a
+// correct digest.
+func pushReqAs(exchange string, lo, hi int32, encoding string, payload []byte) *http.Request {
 	u := fmt.Sprintf("%s?ex=%s&lo=%d&hi=%d", ReducePath, url.QueryEscape(exchange), lo, hi)
 	r := httptest.NewRequest(http.MethodPost, u, bytes.NewReader(payload))
-	r.Header.Set("Content-Encoding", EncodingListV2)
+	r.Header.Set("Content-Encoding", encoding)
 	r.Header.Set(HeaderStripeDigest, PayloadDigest(payload))
 	return r
 }
@@ -626,7 +612,13 @@ func TestReducePushRejects(t *testing.T) {
 		req    *http.Request
 		status int
 	}{"digest mismatch", corrupt, http.StatusBadRequest})
-	// A sound payload under any label but the two encodings is refused.
+	// The identity layout under its own label is refused like a stranger.
+	cases = append(cases, struct {
+		name   string
+		req    *http.Request
+		status int
+	}{"identity payload", pushReqAs("e", 0, 10, EncodingListV2, encodeV2(good)), http.StatusBadRequest})
+	// A sound payload under any label but gvmr-cf2 is refused.
 	for _, enc := range rejectedEncodings {
 		mislabelled := pushReq("e", 0, 10, good)
 		mislabelled.Header.Set("Content-Encoding", enc)

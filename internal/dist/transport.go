@@ -309,7 +309,7 @@ func (c *Coordinator) post(parent context.Context, perAttempt time.Duration,
 // bounded by the per-attempt deadline.
 func (c *Coordinator) postMap(parent context.Context, perAttempt time.Duration, job JobSpec,
 	counts [3]int, bricks []int, addr string) (batchOutcome, error) {
-	body, err := encodeMapRequest(MapRequest{Job: job, Bricks: bricks, GridCounts: counts, Compress: !c.cfg.NoCompress})
+	body, err := encodeMapRequest(MapRequest{Job: job, Bricks: bricks, GridCounts: counts})
 	if err != nil {
 		return batchOutcome{}, err
 	}
@@ -329,9 +329,9 @@ func (c *Coordinator) postMap(parent context.Context, perAttempt time.Duration, 
 
 // readStripes is the check every stripe-carrying response passes first:
 // the body against its digest header, the decode under its
-// Content-Encoding, and the fragment count against HeaderFragCount when
-// one is sent. The digest only covers transport; what the stripes may
-// hold is the caller's to check.
+// Content-Encoding, and the fragment count against HeaderFragCount. The
+// digest only covers transport; what the stripes may hold is the
+// caller's to check.
 func (c *Coordinator) readStripes(resp *http.Response, payload []byte) ([]core.BrickStripe, error) {
 	wantDigest := resp.Header.Get(HeaderStripeDigest)
 	if wantDigest == "" {
@@ -340,20 +340,33 @@ func (c *Coordinator) readStripes(resp *http.Response, payload []byte) ([]core.B
 	if got := PayloadDigest(payload); got != wantDigest {
 		return nil, fmt.Errorf("stripe digest mismatch: body %s != header %s (corrupt response)", got, wantDigest)
 	}
+	wantFrags, err := fragCount(resp)
+	if err != nil {
+		return nil, err
+	}
 	stripes, err := DecodePayload(resp.Header.Get("Content-Encoding"), payload, c.cfg.MaxResponseBytes)
 	if err != nil {
 		return nil, err
 	}
-	frags := 0
+	var frags int64
 	for _, s := range stripes {
-		frags += len(s.Frags)
+		frags += int64(len(s.Frags))
 	}
-	if h := resp.Header.Get(HeaderFragCount); h != "" {
-		if n, err := strconv.Atoi(h); err != nil || n != frags {
-			return nil, fmt.Errorf("fragment count mismatch: body %d != header %q", frags, h)
-		}
+	if frags != wantFrags {
+		return nil, fmt.Errorf("fragment count mismatch: body %d != header %d", frags, wantFrags)
 	}
 	return stripes, nil
+}
+
+// fragCount reads HeaderFragCount, which every map and collect response
+// carries: the fragments the worker produced for the batch or range.
+func fragCount(resp *http.Response) (int64, error) {
+	h := resp.Header.Get(HeaderFragCount)
+	n, err := strconv.ParseInt(h, 10, 64)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("missing or bad %s header %q", HeaderFragCount, h)
+	}
+	return n, nil
 }
 
 // verifyResponse checks digest, fragment counts, brick coverage,

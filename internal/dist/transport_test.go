@@ -63,9 +63,16 @@ func TestOverLimitBodiesStillRefused(t *testing.T) {
 	}
 
 	wk := reduceWorker(t, func(c *WorkerConfig) { c.MaxResponseBytes = 64 })
-	frags := make([]composite.Fragment, 8) // 8 + 8×24 bytes on the wire
+	frags := make([]composite.Fragment, 32)
+	for i := range frags {
+		frags[i] = composite.Fragment{Key: int32(i / 4), R: float32(i) / 3, A: 1 / float32(i+1), Depth: float32(i) * 1.7}
+	}
+	stripes := []core.BrickStripe{{Brick: 0, Frags: frags}}
+	if n := len(encodeCF2(stripes)); n <= 64 {
+		t.Fatalf("push payload is %d bytes, not past the 64-byte limit", n)
+	}
 	rec := httptest.NewRecorder()
-	wk.HandleReducePush(rec, pushReq("e", 0, 10, []core.BrickStripe{{Brick: 0, Frags: frags}}))
+	wk.HandleReducePush(rec, pushReq("e", 0, 10, stripes))
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "reading push payload") {
 		t.Errorf("over-limit push: %d %s", rec.Code, rec.Body.String())
 	}

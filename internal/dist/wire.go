@@ -33,10 +33,10 @@ const (
 	// HeaderMapSeconds is the virtual duration of the worker's map job
 	// (its simulated makespan, not wall time), in seconds.
 	HeaderMapSeconds = "X-Gvmr-Map-Seconds"
-	// HeaderStripeDigest is the SHA-256 of the exact body (the bytes as
-	// sent, compressed or not). The receiver recomputes it; any
-	// corruption in flight (or a buggy worker) turns into a retry on
-	// another node instead of wrong bits.
+	// HeaderStripeDigest is the SHA-256 of the exact body, the bytes as
+	// sent. The receiver recomputes it; any corruption in flight (or a
+	// buggy worker) turns into a retry on another node instead of wrong
+	// bits.
 	HeaderStripeDigest = "X-Gvmr-Stripe-Digest"
 	// HeaderReduced marks a map response whose stripes went to the
 	// exchange's reducers instead of the response body ("1").
@@ -51,27 +51,19 @@ const (
 	HeaderExchangeMsgs  = "X-Gvmr-Exchange-Msgs"
 )
 
-// The two stripe encodings: one layout, raw or under flate. Every hop —
-// map response, peer push, collect response — carries one of them, the
-// requester says which in the request body (a compress bool), and the
-// sender labels the body with Content-Encoding. There is nothing else to
-// agree on: a decoder accepts exactly these two names.
+// The stripe encodings. Every hop — map response, peer push, collect
+// response — carries EncodingColumnar2, labelled with Content-Encoding;
+// a decoder accepts that one name and refuses every other, the identity
+// layout's included.
 const (
-	// EncodingListV2 is the identity layout.
+	// EncodingListV2 is the identity layout. No hop carries it: it is
+	// the raw-size reference the columnar form is measured against.
 	EncodingListV2 = "gvmr-v2"
 	// EncodingColumnar2 is the same layout as a columnar transform
 	// (varint headers, delta-coded pixel keys, byte-plane-split float
 	// channels — wire_columnar.go) under stdlib flate.
 	EncodingColumnar2 = "gvmr-cf2"
 )
-
-// stripeEncoding names the encoding a requester's compress flag selects.
-func stripeEncoding(compress bool) string {
-	if compress {
-		return EncodingColumnar2
-	}
-	return EncodingListV2
-}
 
 // MapRequest asks a worker to run the map phase for a batch of bricks.
 type MapRequest struct {
@@ -83,9 +75,6 @@ type MapRequest struct {
 	// GPU model, different bricking policy version) must fail loudly,
 	// never render different bricks.
 	GridCounts [3]int `json:"grid_counts"`
-	// Compress asks for the response stripes as EncodingColumnar2
-	// instead of EncodingListV2.
-	Compress bool `json:"compress,omitempty"`
 	// Reduce, when non-nil, turns the batch into one leg of a
 	// distributed reduce: instead of returning stripes, the worker
 	// pushes each reducer's pixel range to its /reduce endpoint (its own
@@ -114,8 +103,6 @@ type ReducePlan struct {
 	// Self is the index in Reducers of the mapper itself, or -1 when the
 	// mapper is not a reducer; its own range skips the wire entirely.
 	Self int `json:"self"`
-	// Compress pushes the payloads as EncodingColumnar2.
-	Compress bool `json:"compress,omitempty"`
 
 	Reducers []ReduceTarget `json:"reducers"`
 }
@@ -134,9 +121,8 @@ type ReducePlan struct {
 // pixel a non-convex unit hits k times costs 8 bytes, not 4k. Fragment
 // floats are raw IEEE-754 bit patterns — the renderer's exact bits, like
 // /render?format=raw. Runs are maximal: adjacent runs in one stripe
-// never share a key, and every count is at least 1. That makes the
-// layout canonical — any payload decodeV2 accepts re-encodes to
-// identical bytes, the fixed-point property FuzzDecodeStripes holds.
+// never share a key, and every count is at least 1, so the layout is
+// canonical: a stripe set has exactly one encoding.
 const (
 	v2StripeHeaderBytes = 8
 	v2RunBytes          = 8
@@ -190,67 +176,6 @@ func encodeV2(stripes []core.BrickStripe) []byte {
 		}
 	}
 	return buf
-}
-
-// decodeV2 parses an identity payload. It validates structure only
-// (framing, counts) — semantic checks, such as whether the unit IDs
-// match the request, are the receiver's job — but structure includes
-// canonical form: run counts must be positive and adjacent runs must not
-// share a key, so accepted payloads are exactly encodeV2's image.
-func decodeV2(data []byte) ([]core.BrickStripe, error) {
-	var stripes []core.BrickStripe
-	off := 0
-	for off < len(data) {
-		if len(data)-off < v2StripeHeaderBytes {
-			return nil, fmt.Errorf("dist: truncated v2 stripe header at byte %d", off)
-		}
-		brick := int32(binary.LittleEndian.Uint32(data[off:]))
-		runs := int32(binary.LittleEndian.Uint32(data[off+4:]))
-		off += v2StripeHeaderBytes
-		if brick < 0 {
-			return nil, fmt.Errorf("dist: negative unit ID %d", brick)
-		}
-		if runs < 0 || int64(runs)*v2RunBytes > int64(len(data)-off) {
-			return nil, fmt.Errorf("dist: v2 stripe for unit %d claims %d runs beyond payload", brick, runs)
-		}
-		var total int64
-		keys := make([]int32, runs)
-		counts := make([]int32, runs)
-		for i := int32(0); i < runs; i++ {
-			keys[i] = int32(binary.LittleEndian.Uint32(data[off:]))
-			counts[i] = int32(binary.LittleEndian.Uint32(data[off+4:]))
-			off += v2RunBytes
-			if counts[i] < 1 {
-				return nil, fmt.Errorf("dist: v2 run %d of unit %d has count %d", i, brick, counts[i])
-			}
-			if i > 0 && keys[i] == keys[i-1] {
-				return nil, fmt.Errorf("dist: v2 unit %d has non-maximal runs (key %d repeats)", brick, keys[i])
-			}
-			total += int64(counts[i])
-		}
-		if total*v2FragBytes > int64(len(data)-off) {
-			return nil, fmt.Errorf("dist: v2 stripe for unit %d claims %d fragments beyond payload", brick, total)
-		}
-		s := core.BrickStripe{Brick: int(brick)}
-		if total > 0 {
-			s.Frags = make([]composite.Fragment, 0, total)
-			for i := int32(0); i < runs; i++ {
-				for c := int32(0); c < counts[i]; c++ {
-					s.Frags = append(s.Frags, composite.Fragment{
-						Key:   keys[i],
-						R:     math.Float32frombits(binary.LittleEndian.Uint32(data[off:])),
-						G:     math.Float32frombits(binary.LittleEndian.Uint32(data[off+4:])),
-						B:     math.Float32frombits(binary.LittleEndian.Uint32(data[off+8:])),
-						A:     math.Float32frombits(binary.LittleEndian.Uint32(data[off+12:])),
-						Depth: math.Float32frombits(binary.LittleEndian.Uint32(data[off+16:])),
-					})
-					off += v2FragBytes
-				}
-			}
-		}
-		stripes = append(stripes, s)
-	}
-	return stripes, nil
 }
 
 // encodeCF2 serialises stripes into the EncodingColumnar2 payload:
@@ -334,7 +259,7 @@ func appendColumnar(b []byte, stripes []core.BrickStripe) (_ []byte, head, total
 // violations — truncation, counts beyond the payload, out-of-range units
 // or keys, a bad plane mask, either plane section longer or shorter than
 // its planes, trailing garbage — and canonical-form violations (zero
-// counts, split runs) are errors, mirroring decodeV2.
+// counts, split runs) are errors.
 func decodeCF2(data []byte, maxBytes int64) ([]core.BrickStripe, error) {
 	buf := flatepool.GetBuf()
 	defer flatepool.PutBuf(buf)
@@ -443,8 +368,9 @@ func SanitizeStripes(stripes []core.BrickStripe) ([]core.BrickStripe, int) {
 	return out, stripped
 }
 
-// EncodePayloadAs serialises stripes in the named encoding — the
-// Content-Encoding value the body travels under.
+// EncodePayloadAs serialises stripes in the named encoding: the wire's
+// EncodingColumnar2, or the identity EncodingListV2 as a raw-size
+// reference.
 func EncodePayloadAs(stripes []core.BrickStripe, encoding string) ([]byte, error) {
 	switch encoding {
 	case EncodingListV2:
@@ -456,18 +382,15 @@ func EncodePayloadAs(stripes []core.BrickStripe, encoding string) ([]byte, error
 	}
 }
 
-// DecodePayload parses a wire payload according to its Content-Encoding;
-// a missing or unknown label is an error, never a guess. maxBytes bounds
-// the decompressed size of compressed payloads.
+// DecodePayload parses a wire payload labelled with its Content-Encoding.
+// Only EncodingColumnar2 travels: any other label, EncodingListV2's
+// included, is an error, never a guess. maxBytes bounds the decompressed
+// size of the payload.
 func DecodePayload(encoding string, data []byte, maxBytes int64) ([]core.BrickStripe, error) {
-	switch encoding {
-	case EncodingListV2:
-		return decodeV2(data)
-	case EncodingColumnar2:
-		return decodeCF2(data, maxBytes)
-	default:
+	if encoding != EncodingColumnar2 {
 		return nil, fmt.Errorf("dist: unsupported content encoding %q", encoding)
 	}
+	return decodeCF2(data, maxBytes)
 }
 
 // PayloadDigest is the hex SHA-256 of a stripe payload — the value of

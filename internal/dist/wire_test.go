@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -29,30 +30,6 @@ func listStripes() []core.BrickStripe {
 	}
 }
 
-func TestStripesV2RoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		stripes []core.BrickStripe
-	}{
-		{"lists", listStripes()},
-		{"nil", nil},
-		{"empty-stripe", []core.BrickStripe{{Brick: 0}}},
-	} {
-		payload := encodeV2(tc.stripes)
-		back, err := decodeV2(payload)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", tc.name, err)
-		}
-		if !stripesBitEqual(tc.stripes, back) && !(len(tc.stripes) == 0 && len(back) == 0) {
-			t.Fatalf("%s: v2 round trip changed stripes", tc.name)
-		}
-		// Canonical form: re-encoding the decode is the identity.
-		if again := encodeV2(back); !bytes.Equal(again, payload) {
-			t.Fatalf("%s: v2 re-encode is not a fixed point", tc.name)
-		}
-	}
-}
-
 func TestStripesV2RunHeadersCompact(t *testing.T) {
 	// 64 fragments of one pixel = one run: 8 bytes of keys, not 4 per
 	// fragment.
@@ -69,73 +46,53 @@ func TestStripesV2RunHeadersCompact(t *testing.T) {
 }
 
 func TestCompressStripesV2RoundTrip(t *testing.T) {
-	s := listStripes()
-	payload := encodeCF2(s)
-	back, err := decodeCF2(payload, 1<<20)
-	if err != nil {
-		t.Fatalf("decompress: %v", err)
-	}
-	if !stripesBitEqual(s, back) {
-		t.Fatal("cf2 round trip changed fragment bits")
+	for _, tc := range []struct {
+		name    string
+		stripes []core.BrickStripe
+	}{
+		{"lists", listStripes()},
+		{"empty-stripe", []core.BrickStripe{{Brick: 0}}},
+	} {
+		payload := encodeCF2(tc.stripes)
+		back, err := decodeCF2(payload, 1<<20)
+		if err != nil {
+			t.Fatalf("%s: decompress: %v", tc.name, err)
+		}
+		if !stripesBitEqual(tc.stripes, back) {
+			t.Fatalf("%s: cf2 round trip changed fragment bits", tc.name)
+		}
+		if again := encodeCF2(back); !bytes.Equal(again, payload) {
+			t.Fatalf("%s: cf2 re-encode changed the payload bytes", tc.name)
+		}
 	}
 	if got, err := decodeCF2(encodeCF2(nil), 1<<20); err != nil || got != nil {
 		t.Fatalf("empty cf2 payload: got %v, %v", got, err)
 	}
 }
 
-func TestDecodeStripesV2Rejects(t *testing.T) {
-	good := encodeV2(listStripes())
-	cases := map[string][]byte{
-		"truncated header":  good[:5],
-		"truncated runs":    good[:v2StripeHeaderBytes+3],
-		"truncated payload": good[:len(good)-1],
-	}
-	// Zero-count run: unit 0, 1 run, (key 5, count 0).
-	zero := make([]byte, v2StripeHeaderBytes+v2RunBytes)
-	zero[4] = 1 // run count 1
-	zero[8] = 5 // key 5, count stays 0
-	cases["zero-count run"] = zero
-	// Non-maximal runs: two adjacent runs with the same key.
-	split := append([]byte(nil), encodeV2([]core.BrickStripe{{Brick: 0, Frags: []composite.Fragment{
-		{Key: 5, A: 1, Depth: 1},
-		{Key: 5, A: 1, Depth: 2},
-	}}})...)
-	// Rewrite the single (key 5, count 2) run as two (key 5, count 1) runs.
-	nonMax := make([]byte, 0, len(split)+v2RunBytes)
-	nonMax = append(nonMax, split[:4]...)
-	nonMax = append(nonMax, 2, 0, 0, 0) // run count 2
-	nonMax = append(nonMax, 5, 0, 0, 0, 1, 0, 0, 0)
-	nonMax = append(nonMax, 5, 0, 0, 0, 1, 0, 0, 0)
-	nonMax = append(nonMax, split[v2StripeHeaderBytes+v2RunBytes:]...)
-	cases["non-maximal runs"] = nonMax
-	// Negative unit ID.
-	neg := append([]byte(nil), good...)
-	neg[3] = 0x80
-	cases["negative unit"] = neg
-
-	for name, data := range cases {
-		if _, err := decodeV2(data); err == nil {
-			t.Errorf("%s: decode accepted a malformed payload", name)
-		}
-	}
-}
-
+// TestEncodePayloadAsRoundTrips: the wire encoding round-trips through
+// DecodePayload; the identity layout still encodes, as the raw-size
+// reference, and is exactly encodeV2's output.
 func TestEncodePayloadAsRoundTrips(t *testing.T) {
 	s := listStripes()
-	for _, enc := range []string{EncodingListV2, EncodingColumnar2} {
-		payload, err := EncodePayloadAs(s, enc)
-		if err != nil {
-			t.Fatalf("%q: encode: %v", enc, err)
-		}
-		back, err := DecodePayload(enc, payload, 1<<20)
-		if err != nil {
-			t.Fatalf("%q: decode: %v", enc, err)
-		}
-		if !stripesBitEqual(s, back) {
-			t.Fatalf("%q: payload round trip changed stripes", enc)
-		}
+	payload, err := EncodePayloadAs(s, EncodingColumnar2)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	back, err := DecodePayload(EncodingColumnar2, payload, 1<<20)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !stripesBitEqual(s, back) {
+		t.Fatal("payload round trip changed stripes")
+	}
+	if raw, err := EncodePayloadAs(s, EncodingListV2); err != nil || !bytes.Equal(raw, encodeV2(s)) {
+		t.Fatalf("%s reference: %d bytes, %v", EncodingListV2, len(raw), err)
 	}
 	for _, enc := range rejectedEncodings {
+		if enc == EncodingListV2 {
+			continue
+		}
 		if _, err := EncodePayloadAs(s, enc); err == nil {
 			t.Errorf("EncodePayloadAs accepted encoding %q", enc)
 		}
@@ -143,23 +100,22 @@ func TestEncodePayloadAsRoundTrips(t *testing.T) {
 }
 
 // rejectedEncodings are labels a payload must never be parsed under: no
-// label, the HTTP default, a stranger, and the per-fragment-key codec
-// this tree once shipped.
-var rejectedEncodings = []string{"", "identity", "gzip", "gvmr-cf1"}
+// label, the HTTP default, a stranger, the per-fragment-key codec this
+// tree once shipped and the identity layout, which no hop carries.
+var rejectedEncodings = []string{"", "identity", "gzip", "gvmr-cf1", EncodingListV2}
 
-// TestDecodePayloadUnknownEncoding: exactly two names decode. A valid
-// payload under any other label is an error, never silently misparsed.
+// TestDecodePayloadUnknownEncoding: exactly one name decodes. A valid
+// payload under any other label is an error, never silently misparsed,
+// and so is an identity payload under its own label.
 func TestDecodePayloadUnknownEncoding(t *testing.T) {
-	for _, good := range []string{EncodingListV2, EncodingColumnar2} {
-		payload, err := EncodePayloadAs(listStripes(), good)
-		if err != nil {
-			t.Fatal(err)
+	payload := encodeCF2(listStripes())
+	for _, enc := range rejectedEncodings {
+		if _, err := DecodePayload(enc, payload, 1<<20); err == nil {
+			t.Errorf("DecodePayload parsed a %s payload labelled %q", EncodingColumnar2, enc)
 		}
-		for _, enc := range rejectedEncodings {
-			if _, err := DecodePayload(enc, payload, 1<<20); err == nil {
-				t.Errorf("DecodePayload parsed a %s payload labelled %q", good, enc)
-			}
-		}
+	}
+	if _, err := DecodePayload(EncodingListV2, encodeV2(listStripes()), 1<<20); err == nil {
+		t.Errorf("DecodePayload parsed a %s payload", EncodingListV2)
 	}
 }
 
@@ -306,14 +262,14 @@ func TestWorkerStripsPlaceholders(t *testing.T) {
 			}},
 		}}, nil
 	}
-	payload, frags, _, err := wk.Map(MapRequest{Job: job, Bricks: []int{0}, GridCounts: grid.Counts})
+	out, err := wk.run(context.Background(), MapRequest{Job: job, Bricks: []int{0}, GridCounts: grid.Counts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frags != 2 {
-		t.Errorf("reported %d fragments, want 2 survivors", frags)
+	if out.frags != 2 {
+		t.Errorf("reported %d fragments, want 2 survivors", out.frags)
 	}
-	stripes, err := decodeV2(payload)
+	stripes, err := decodeCF2(out.payload, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,8 +147,7 @@ func (wk *Worker) PlaceholdersStripped() int64 { return wk.stripped.Load() }
 
 // mapOutcome is one successful map batch, ready to serve.
 type mapOutcome struct {
-	payload    []byte
-	encoding   string // Content-Encoding of payload
+	payload    []byte // EncodingColumnar2
 	frags      int
 	mapSeconds float64
 	reduced    bool // stripes went to the exchange: no payload, no encoding
@@ -207,24 +206,13 @@ func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if out.reduced {
 		h.Set(HeaderReduced, "1")
 	} else {
-		h.Set("Content-Encoding", out.encoding)
+		h.Set("Content-Encoding", EncodingColumnar2)
 	}
 	h.Set("Content-Length", strconv.Itoa(len(out.payload)))
 	h.Set(HeaderFragCount, strconv.Itoa(out.frags))
 	h.Set(HeaderMapSeconds, strconv.FormatFloat(out.mapSeconds, 'g', -1, 64))
 	h.Set(HeaderStripeDigest, PayloadDigest(out.payload))
 	_, _ = w.Write(out.payload) // client hangup; the coordinator will retry
-}
-
-// Map is the in-process form of the endpoint: run a map batch and return
-// the payload in the encoding req.Compress selects, its fragment count
-// and the job's virtual seconds. Tests share it.
-func (wk *Worker) Map(req MapRequest) ([]byte, int, float64, error) {
-	out, err := wk.run(context.Background(), req)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return out.payload, out.frags, out.mapSeconds, nil
 }
 
 func (wk *Worker) run(ctx context.Context, req MapRequest) (mapOutcome, error) {
@@ -300,11 +288,7 @@ func (wk *Worker) run(ctx context.Context, req MapRequest) (mapOutcome, error) {
 		out.reduced = true
 		return out, nil
 	}
-	out.encoding = stripeEncoding(req.Compress)
-	out.payload, err = EncodePayloadAs(stripes, out.encoding)
-	if err != nil {
-		return mapOutcome{}, err
-	}
+	out.payload = encodeCF2(stripes)
 	return out, nil
 }
 
@@ -345,7 +329,7 @@ func (wk *Worker) pushStripes(ctx context.Context, plan *ReducePlan, stripes []c
 			s.deliver(sub, 0, 0, wk.ex.now())
 			continue
 		}
-		if err := wk.postPush(ctx, tgt, plan.Exchange, sub, plan.Compress); err != nil {
+		if err := wk.postPush(ctx, tgt, plan.Exchange, sub); err != nil {
 			return pushError{fmt.Errorf("dist: pushing range [%d,%d) to %s: %w", tgt.Lo, tgt.Hi, tgt.Addr, err)}
 		}
 	}
@@ -353,12 +337,8 @@ func (wk *Worker) pushStripes(ctx context.Context, plan *ReducePlan, stripes []c
 }
 
 func (wk *Worker) postPush(ctx context.Context, tgt ReduceTarget, exchange string,
-	stripes []core.BrickStripe, compress bool) error {
-	encoding := stripeEncoding(compress)
-	payload, err := EncodePayloadAs(stripes, encoding)
-	if err != nil {
-		return err
-	}
+	stripes []core.BrickStripe) error {
+	payload := encodeCF2(stripes)
 	ctx, cancel := context.WithTimeout(ctx, pushTimeout)
 	defer cancel()
 	u := fmt.Sprintf("%s%s?ex=%s&lo=%d&hi=%d", tgt.Addr, ReducePath, url.QueryEscape(exchange), tgt.Lo, tgt.Hi)
@@ -367,7 +347,7 @@ func (wk *Worker) postPush(ctx context.Context, tgt ReduceTarget, exchange strin
 		return err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	req.Header.Set("Content-Encoding", encoding)
+	req.Header.Set("Content-Encoding", EncodingColumnar2)
 	req.Header.Set(HeaderStripeDigest, PayloadDigest(payload))
 	resp, err := client.Do(req)
 	if err != nil {

@@ -96,9 +96,6 @@ type Config struct {
 	// Bits are identical either way; any exchange failure falls back to
 	// the classic coordinator-local composite. Coordinator mode only.
 	DistReduce bool
-	// NoWireCompress asks the workers for raw stripes instead of the
-	// columnar-compressed encoding on every hop. Coordinator mode only.
-	NoWireCompress bool
 
 	// DefaultDeadline bounds every render that arrives without its own
 	// deadline (0 = unbounded, the historical behavior). The effective
@@ -238,7 +235,6 @@ func New(cfg Config) (*Service, error) {
 			HedgeAfter:     cfg.HedgeAfter,
 			AttemptTimeout: cfg.AttemptTimeout,
 			DistReduce:     cfg.DistReduce,
-			NoCompress:     cfg.NoWireCompress,
 			Metrics:        s.res,
 			// Plan grids with this service's spec: AC(cfg.GPUs), the
 			// machine the wire and reduce charges model.

@@ -643,9 +643,6 @@ func (s *PagedSource) Dims() Dims { return s.hdr.dims }
 // BrickGrid returns the file's brick decomposition.
 func (s *PagedSource) BrickGrid() *Grid { return s.grid }
 
-// Compressed reports whether brick payloads are run-length coded.
-func (s *PagedSource) Compressed() bool { return s.hdr.compressed() }
-
 // SetCache routes pages through c instead of the process-wide cache
 // (nil, or a cache with no capacity, reads every page straight from
 // disk). Call before the first Fill.

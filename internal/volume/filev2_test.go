@@ -41,8 +41,8 @@ func TestFileV2RoundTrip(t *testing.T) {
 			if ps.Dims() != d {
 				t.Fatalf("dims = %v, want %v", ps.Dims(), d)
 			}
-			if ps.Compressed() != tc.opts.Compress {
-				t.Fatalf("compressed = %v, want %v", ps.Compressed(), tc.opts.Compress)
+			if ps.hdr.compressed() != tc.opts.Compress {
+				t.Fatalf("compressed = %v, want %v", ps.hdr.compressed(), tc.opts.Compress)
 			}
 			got, err := Materialize(ps)
 			if err != nil {
