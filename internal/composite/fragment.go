@@ -32,12 +32,13 @@ const FragmentBytes = 24
 // fragment can carry (entry depths come from finite ray/box arithmetic).
 var placeholderDepth = float32(math.NaN())
 
-// Placeholder returns the discarded-later fragment a GPU thread emits when
-// its ray contributes nothing (§3.1.1: every thread must emit). The NaN
-// depth is an explicit sentinel: being a placeholder is a statement about
-// how the fragment was produced, not about its color, so a real fragment
-// that happens to be fully transparent black is NOT a placeholder and
-// survives partitioning and compositing like any other.
+// Placeholder returns the "nothing" value of the single-fragment adapter
+// (render.CastPixel): the pixel's ray contributed nothing. The map path
+// never carries one — there an empty fragment list says it, and the
+// kernel charges the §3.1.1 place-holder record itself. The NaN depth is
+// an explicit sentinel: being a placeholder is a statement about how the
+// fragment was produced, not about its color, so a real fragment that
+// happens to be fully transparent black is NOT a placeholder.
 func Placeholder(key int32) Fragment {
 	return Fragment{Key: key, Depth: placeholderDepth}
 }
@@ -68,11 +69,10 @@ func Under(front, back vec.V4) vec.V4 {
 const insertionSortMax = 32
 
 // SortByDepth orders fragments by ascending depth (stable, so equal-depth
-// fragments keep emission order — determinism across runs). Placeholders
-// (NaN depth) sort after every real fragment: NaN would otherwise defeat
-// the comparator's ordering and could leave real fragments unsorted
-// across a placeholder, breaking CompositePixel's promise that
-// placeholders contribute nothing wherever they land.
+// fragments keep emission order — determinism across runs). NaN depths,
+// which can still arrive off the wire, sort after every real fragment:
+// NaN would otherwise defeat the comparator's ordering and could leave
+// real fragments unsorted across one.
 //
 // It runs once per pixel, so short lists are insertion-sorted in place:
 // no closure, no reflection-built swapper, no allocation. A stable sort's
@@ -92,8 +92,8 @@ func SortByDepth(frags []Fragment) {
 	}
 }
 
-// depthLess is SortByDepth's comparator: ascending depth with NaN
-// (placeholder) after every real value.
+// depthLess is SortByDepth's comparator: ascending depth with NaN after
+// every real value.
 func depthLess(a, b float32) bool {
 	if a != a {
 		return false
@@ -107,7 +107,7 @@ func depthLess(a, b float32) bool {
 // CompositePixel sorts the pixel's fragments by ascending depth, folds
 // them front to back, and blends the result over an opaque background,
 // exactly as §3.2 describes the reduce. The input slice is sorted in
-// place. Placeholders contribute nothing wherever they land.
+// place. A zero-colour placeholder contributes nothing wherever it lands.
 func CompositePixel(frags []Fragment, background vec.V4) vec.V4 {
 	SortByDepth(frags)
 	return CompositeSorted(frags, background)

@@ -32,11 +32,11 @@ func specGPUs(spec cluster.Spec, opt Options) int {
 	return cmp.Or(opt.GPUs, spec.Nodes*spec.GPUsPerNode)
 }
 
-// BrickStripe is one map unit's surviving (non-placeholder) fragments in
-// kernel emission order — the depth-tagged stripe a distributed map
-// worker returns for one of its units. Brick is the unit ID: the brick
-// ID itself in the convex default (one unit per brick), the partition's
-// unit index when Options.Partition groups bricks. The order within a
+// BrickStripe is one map unit's fragments in kernel emission order —
+// the depth-tagged stripe a distributed map worker returns for one of
+// its units. Brick is the unit ID: the brick ID itself in the convex
+// default (one unit per brick), the partition's unit index when
+// Options.Partition groups bricks. The order within a
 // stripe is a pure function of (unit, camera, params, source): the
 // unit's bricks ascending by brick ID, each in thread order over the
 // brick's screen footprint. It does not depend on which worker or node
@@ -53,8 +53,8 @@ type BrickStripe struct {
 // render's bricks.
 type MapResult struct {
 	// Stripes holds one entry per requested brick, ascending by brick ID.
-	// Bricks whose footprint misses the screen (or whose rays all emit
-	// placeholders) appear with an empty fragment slice.
+	// Bricks whose footprint misses the screen (or whose rays all
+	// contribute nothing) appear with an empty fragment slice.
 	Stripes []BrickStripe
 	// Runtime is the virtual makespan of the local job: staging, texture
 	// uploads, kernels, fragment read-back, partition and the local
@@ -65,7 +65,7 @@ type MapResult struct {
 	Grid  *volume.Grid
 }
 
-// FragmentCount sums the surviving fragments across stripes.
+// FragmentCount sums the fragments across stripes.
 func (m *MapResult) FragmentCount() int {
 	n := 0
 	for _, s := range m.Stripes {
@@ -74,7 +74,7 @@ func (m *MapResult) FragmentCount() int {
 	return n
 }
 
-// stripeRecorder captures each chunk's surviving fragments as the mapper
+// stripeRecorder captures each chunk's fragments as the mapper
 // emits them. The mutex serialises recording across worker processes; the
 // per-chunk order is emission order, so the recorded stripes are
 // deterministic regardless of how the engine schedules workers.
@@ -83,21 +83,11 @@ type stripeRecorder struct {
 	stripes map[int]*BrickStripe
 }
 
-// recordingMapper forwards to the real ray-cast mapper while teeing every
-// surviving fragment into the recorder. Placeholders still flow to the
-// engine so worker statistics (emitted/discarded) stay comparable to a
-// single-process render of the same bricks.
+// recordingMapper is the real ray-cast mapper with every emitted fragment
+// teed into the recorder.
 type recordingMapper struct {
-	inner *rayCastMapper
-	rec   *stripeRecorder
-}
-
-func (m *recordingMapper) Init(p mapreduce.Ctx, w *mapreduce.Worker) error {
-	return m.inner.Init(p, w)
-}
-
-func (m *recordingMapper) Stage(p mapreduce.Ctx, w *mapreduce.Worker, c mapreduce.Chunk) ([]*volume.BrickData, error) {
-	return m.inner.Stage(p, w, c)
+	*rayCastMapper
+	rec *stripeRecorder
 }
 
 func (m *recordingMapper) Map(p mapreduce.Ctx, w *mapreduce.Worker, c mapreduce.Chunk,
@@ -106,12 +96,10 @@ func (m *recordingMapper) Map(p mapreduce.Ctx, w *mapreduce.Worker, c mapreduce.
 	stripe := m.rec.stripes[c.ID()]
 	m.rec.mu.Unlock()
 	tee := func(kv mapreduce.KV[composite.Fragment]) {
-		if kv.Key >= 0 {
-			stripe.Frags = append(stripe.Frags, kv.Val)
-		}
+		stripe.Frags = append(stripe.Frags, kv.Val)
 		emit(kv)
 	}
-	return m.inner.Map(p, w, c, bd, tee)
+	return m.rayCastMapper.Map(p, w, c, bd, tee)
 }
 
 // discardReducer sinks the engine-side pairs: MapBricks callers composite
@@ -168,7 +156,7 @@ func MapBricks(spec cluster.Spec, opt Options, brickIDs []int, devWorkers int) (
 		return nil, err
 	}
 	defer planFrame(mapper.src, chunks)()
-	cfg := opt.jobConfig(inst, min(inst.TotalGPUs(), len(chunks)), &recordingMapper{inner: mapper, rec: rec}, chunks)
+	cfg := opt.jobConfig(inst, min(inst.TotalGPUs(), len(chunks)), &recordingMapper{rayCastMapper: mapper, rec: rec}, chunks)
 	cfg.MakeReducer = func(int) mapreduce.Reducer[composite.Fragment] { return discardReducer{} }
 	t0 := inst.Env.Now()
 	stats, err := mapreduce.Run(cfg)

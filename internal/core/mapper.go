@@ -67,10 +67,8 @@ func (m *rayCastMapper) tfEmpty() func(lo, hi float32) bool {
 // Map implements mapreduce.Mapper: per brick of the unit, upload, run the
 // kernel, read back, and emit every thread's fragment list, then free the
 // texture and release the staged buffer for the next brick's stage. A thread
-// whose list is empty (padding, miss, zero opacity) emits one key -1
-// placeholder pair — the §3.1.1 "later-discarded place holders" — so the
-// engine's emitted/discarded statistics stay comparable to the classic
-// one-fragment-per-thread contract.
+// whose list is empty (padding, miss, zero opacity) emits nothing: the
+// kernel already charged its §3.1.1 "later-discarded place holder" record.
 func (m *rayCastMapper) Map(p mapreduce.Ctx, w *mapreduce.Worker, c mapreduce.Chunk,
 	staged []*volume.BrickData, emit func(mapreduce.KV[composite.Fragment])) error {
 	for _, bd := range staged {
@@ -91,10 +89,6 @@ func (m *rayCastMapper) Map(p mapreduce.Ctx, w *mapreduce.Worker, c mapreduce.Ch
 		// (per-thread counts plus packed fragments).
 		w.Download(p, k.OutBytes())
 		k.ForEachThread(func(_ int, frags []composite.Fragment) {
-			if len(frags) == 0 {
-				emit(mapreduce.KV[composite.Fragment]{Key: -1})
-				return
-			}
 			for _, f := range frags {
 				emit(mapreduce.KV[composite.Fragment]{Key: f.Key, Val: f})
 			}

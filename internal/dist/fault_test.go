@@ -233,19 +233,25 @@ func TestCorruptStoredPlaneRetried(t *testing.T) {
 }
 
 // TestMalformedHopCountedCorrupt: node 0 answers one kind of hop
-// malformed — without HeaderFragCount, or with its stripes in the
-// identity layout under its own label (re-digested, so only the label
-// is wrong). The coordinator must count the reply corrupt and never
-// composite it: a classic /map batch is re-placed, a broken exchange
-// falls back to the classic path, and the frame keeps the direct
-// render's bits.
+// malformed — without HeaderFragCount or one of the virtual-clock
+// headers, or with its stripes in the identity layout under its own
+// label (re-digested, so only the label is wrong). The coordinator must
+// count the reply corrupt and never composite it: a classic /map batch
+// is re-placed, a broken exchange falls back to the classic path, and
+// the frame keeps the direct render's bits.
 func TestMalformedHopCountedCorrupt(t *testing.T) {
 	job := testJob(t, dataset.Skull, 32, 64, 4, 30, true)
 	want := directDigest(t, job)
-	noFragCount := func(t *testing.T, h http.Header, body []byte) []byte {
-		h.Del(HeaderFragCount)
-		return body
+	without := func(name string) func(*testing.T, http.Header, []byte) []byte {
+		return func(t *testing.T, h http.Header, body []byte) []byte {
+			if h.Get(name) == "" {
+				t.Errorf("worker reply lacks %s before tampering", name)
+			}
+			h.Del(name)
+			return body
+		}
 	}
+	noFragCount := without(HeaderFragCount)
 	identity := func(t *testing.T, h http.Header, body []byte) []byte {
 		stripes, err := DecodePayload(h.Get("Content-Encoding"), body, 1<<30)
 		if err != nil {
@@ -266,6 +272,11 @@ func TestMalformedHopCountedCorrupt(t *testing.T) {
 		{"map/no-frag-count", false, MapPath, false, noFragCount},
 		{"reduce-map/no-frag-count", true, MapPath, true, noFragCount},
 		{"collect/no-frag-count", true, CollectPath, false, noFragCount},
+		{"map/no-map-seconds", false, MapPath, false, without(HeaderMapSeconds)},
+		{"reduce-map/no-map-seconds", true, MapPath, true, without(HeaderMapSeconds)},
+		{"collect/no-reduce-seconds", true, CollectPath, false, without(HeaderReduceSeconds)},
+		{"collect/no-exchange-bytes", true, CollectPath, false, without(HeaderExchangeBytes)},
+		{"collect/no-exchange-msgs", true, CollectPath, false, without(HeaderExchangeMsgs)},
 		{"map/identity", false, MapPath, false, identity},
 		{"collect/identity", true, CollectPath, false, identity},
 	} {

@@ -162,7 +162,7 @@ func (c *Coordinator) postMapReduce(ctx context.Context, job JobSpec, counts [3]
 	}
 	mapSeconds, err = parseSecondsHeader(resp, HeaderMapSeconds)
 	if err == nil {
-		frags, err = fragCount(resp)
+		frags, err = countHeader(resp, HeaderFragCount)
 	}
 	if err != nil {
 		c.corrupt.Add(1)

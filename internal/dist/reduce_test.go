@@ -361,7 +361,7 @@ func TestParseSecondsHeaderRejectsNonFinite(t *testing.T) {
 		want  float64
 		ok    bool
 	}{
-		{"", 0, true},
+		{"", 0, false},
 		{"1.5", 1.5, true},
 		{"0", 0, true},
 		{"NaN", 0, false},

@@ -340,7 +340,7 @@ func (c *Coordinator) readStripes(resp *http.Response, payload []byte) ([]core.B
 	if got := PayloadDigest(payload); got != wantDigest {
 		return nil, fmt.Errorf("stripe digest mismatch: body %s != header %s (corrupt response)", got, wantDigest)
 	}
-	wantFrags, err := fragCount(resp)
+	wantFrags, err := countHeader(resp, HeaderFragCount)
 	if err != nil {
 		return nil, err
 	}
@@ -358,13 +358,15 @@ func (c *Coordinator) readStripes(resp *http.Response, payload []byte) ([]core.B
 	return stripes, nil
 }
 
-// fragCount reads HeaderFragCount, which every map and collect response
-// carries: the fragments the worker produced for the batch or range.
-func fragCount(resp *http.Response) (int64, error) {
-	h := resp.Header.Get(HeaderFragCount)
+// countHeader reads a required non-negative count header: every map and
+// collect response carries HeaderFragCount (the fragments the worker
+// produced for the batch or range), and every collect response the
+// exchange's byte and message counts.
+func countHeader(resp *http.Response, name string) (int64, error) {
+	h := resp.Header.Get(name)
 	n, err := strconv.ParseInt(h, 10, 64)
 	if err != nil || n < 0 {
-		return 0, fmt.Errorf("missing or bad %s header %q", HeaderFragCount, h)
+		return 0, fmt.Errorf("missing or bad %s header %q", name, h)
 	}
 	return n, nil
 }
@@ -443,34 +445,26 @@ func (c *Coordinator) verifyCollect(resp *http.Response, payload []byte, tgt Red
 	if out.reduceSeconds, err = parseSecondsHeader(resp, HeaderReduceSeconds); err != nil {
 		return collectOutcome{}, err
 	}
-	for _, h := range []struct {
-		name string
-		dst  *int64
-	}{{HeaderExchangeBytes, &out.netBytes}, {HeaderExchangeMsgs, &out.netMsgs}} {
-		if s := resp.Header.Get(h.name); s != "" {
-			v, perr := strconv.ParseInt(s, 10, 64)
-			if perr != nil || v < 0 {
-				return collectOutcome{}, fmt.Errorf("bad %s header %q", h.name, s)
-			}
-			*h.dst = v
-		}
+	if out.netBytes, err = countHeader(resp, HeaderExchangeBytes); err != nil {
+		return collectOutcome{}, err
+	}
+	if out.netMsgs, err = countHeader(resp, HeaderExchangeMsgs); err != nil {
+		return collectOutcome{}, err
 	}
 	return out, nil
 }
 
-// parseSecondsHeader reads an optional virtual-seconds header. Values
-// must be finite and non-negative: NaN compares false against every
-// bound (the old `v < 0` guard silently accepted it) and a single NaN
-// or +Inf from one hostile worker would poison every aggregated
+// parseSecondsHeader reads a required virtual-seconds header: a reply
+// without one would composite the frame on a shortened virtual clock.
+// Values must be finite and non-negative: NaN compares false against
+// every bound (the old `v < 0` guard silently accepted it) and a single
+// NaN or +Inf from one hostile worker would poison every aggregated
 // virtual-time stat and BENCH record downstream.
 func parseSecondsHeader(resp *http.Response, name string) (float64, error) {
 	h := resp.Header.Get(name)
-	if h == "" {
-		return 0, nil
-	}
 	v, err := strconv.ParseFloat(h, 64)
 	if err != nil || v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("bad %s header %q", name, h)
+		return 0, fmt.Errorf("missing or bad %s header %q", name, h)
 	}
 	return v, nil
 }

@@ -28,7 +28,8 @@ const (
 	// as a sparse result stripe.
 	CollectPath = "/reduce/collect"
 	// HeaderFragCount is the total fragment count across all stripes in
-	// the response body.
+	// the response body. It, HeaderMapSeconds and the collect headers
+	// below are required: a reply that lacks one is counted corrupt.
 	HeaderFragCount = "X-Gvmr-Frag-Count"
 	// HeaderMapSeconds is the virtual duration of the worker's map job
 	// (its simulated makespan, not wall time), in seconds.
@@ -322,50 +323,6 @@ func decodeCF2(data []byte, maxBytes int64) ([]core.BrickStripe, error) {
 		return nil, nil
 	}
 	return stripes, nil
-}
-
-// SanitizeStripes strips placeholder fragments from stripes and returns
-// the clean stripes plus the number stripped. Placeholders are a
-// kernel-internal sentinel (§3.1.1 cost parity) that every emit path
-// already drops before recording stripes, so a placeholder here means a
-// bug upstream — the worker strips it rather than shipping it (a NaN
-// depth would survive compositing as a no-op, but the wire contract
-// says stripes carry only surviving fragments) and surfaces the count
-// in /stats. Stripes are only copied when a placeholder is found.
-func SanitizeStripes(stripes []core.BrickStripe) ([]core.BrickStripe, int) {
-	stripped := 0
-	var out []core.BrickStripe
-	for i, s := range stripes {
-		dirty := false
-		for _, f := range s.Frags {
-			if f.IsPlaceholder() {
-				dirty = true
-				break
-			}
-		}
-		if !dirty {
-			if out != nil {
-				out = append(out, s)
-			}
-			continue
-		}
-		if out == nil {
-			out = append(out, stripes[:i]...)
-		}
-		clean := core.BrickStripe{Brick: s.Brick, Frags: make([]composite.Fragment, 0, len(s.Frags))}
-		for _, f := range s.Frags {
-			if f.IsPlaceholder() {
-				stripped++
-				continue
-			}
-			clean.Frags = append(clean.Frags, f)
-		}
-		out = append(out, clean)
-	}
-	if out == nil {
-		return stripes, 0
-	}
-	return out, stripped
 }
 
 // EncodePayloadAs serialises stripes in the named encoding: the wire's

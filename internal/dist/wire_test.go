@@ -2,15 +2,12 @@ package dist
 
 import (
 	"bytes"
-	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
 
-	"gvmr/internal/cluster"
 	"gvmr/internal/composite"
 	"gvmr/internal/core"
-	"gvmr/internal/volume/dataset"
 )
 
 // listStripes is a fixture with per-pixel fragment lists: pixel 7 of
@@ -183,104 +180,5 @@ func TestWireFormatPinned(t *testing.T) {
 		if got := PayloadDigest(format); got != tc.cf2 {
 			t.Errorf("depth %d: %s format digest %s, pinned %s", tc.depth, EncodingColumnar2, got, tc.cf2)
 		}
-	}
-}
-
-func TestSanitizeStripes(t *testing.T) {
-	clean := listStripes()
-	got, n := SanitizeStripes(clean)
-	if n != 0 {
-		t.Fatalf("clean stripes stripped %d", n)
-	}
-	if &got[0].Frags[0] != &clean[0].Frags[0] {
-		t.Fatal("clean stripes were copied")
-	}
-
-	dirty := []core.BrickStripe{
-		{Brick: 0, Frags: []composite.Fragment{
-			{Key: 1, A: 1, Depth: 0.5},
-			composite.Placeholder(2),
-			{Key: 3, A: 1, Depth: 1.5},
-		}},
-		{Brick: 2, Frags: []composite.Fragment{composite.Placeholder(4)}},
-		{Brick: 5, Frags: []composite.Fragment{{Key: 6, A: 1, Depth: 2.5}}},
-	}
-	got, n = SanitizeStripes(dirty)
-	if n != 2 {
-		t.Fatalf("stripped %d placeholders, want 2", n)
-	}
-	want := []core.BrickStripe{
-		{Brick: 0, Frags: []composite.Fragment{
-			{Key: 1, A: 1, Depth: 0.5},
-			{Key: 3, A: 1, Depth: 1.5},
-		}},
-		{Brick: 2, Frags: []composite.Fragment{}},
-		{Brick: 5, Frags: []composite.Fragment{{Key: 6, A: 1, Depth: 2.5}}},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d stripes, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Brick != want[i].Brick || len(got[i].Frags) != len(want[i].Frags) {
-			t.Fatalf("stripe %d: got %+v, want %+v", i, got[i], want[i])
-		}
-		for j := range want[i].Frags {
-			if got[i].Frags[j] != want[i].Frags[j] {
-				t.Fatalf("stripe %d frag %d: got %+v, want %+v", i, j, got[i].Frags[j], want[i].Frags[j])
-			}
-		}
-	}
-}
-
-// TestWorkerStripsPlaceholders is the regression test for the sanitize
-// seam: a mapper that leaks the kernel-internal placeholder sentinel
-// must never put it on the wire. The stub stands in for such a buggy
-// mapper; the assertions pin the payload placeholder-free, the fragment
-// count net of the strip, and the /stats counter equal to the leak.
-func TestWorkerStripsPlaceholders(t *testing.T) {
-	spec := cluster.AC(1)
-	job := testJob(t, dataset.Skull, 24, 48, 1, 0, false)
-	opt, err := job.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, err := core.PlanGrid(spec, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wk, err := NewWorker(WorkerConfig{Spec: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wk.mapBricks = func(cluster.Spec, core.Options, []int, int) (*core.MapResult, error) {
-		return &core.MapResult{Stripes: []core.BrickStripe{
-			{Brick: 0, Frags: []composite.Fragment{
-				{Key: 1, A: 1, Depth: 0.5},
-				composite.Placeholder(2),
-				composite.Placeholder(3),
-				{Key: 4, A: 1, Depth: 1.5},
-			}},
-		}}, nil
-	}
-	out, err := wk.run(context.Background(), MapRequest{Job: job, Bricks: []int{0}, GridCounts: grid.Counts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.frags != 2 {
-		t.Errorf("reported %d fragments, want 2 survivors", out.frags)
-	}
-	stripes, err := decodeCF2(out.payload, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range stripes {
-		for _, f := range s.Frags {
-			if f.IsPlaceholder() {
-				t.Fatalf("placeholder for key %d crossed the wire", f.Key)
-			}
-		}
-	}
-	if got := wk.PlaceholdersStripped(); got != 2 {
-		t.Errorf("PlaceholdersStripped() = %d, want 2", got)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"gvmr/internal/cluster"
@@ -114,12 +113,6 @@ type Worker struct {
 	cfg WorkerConfig
 	ex  *exchangeTable
 
-	// stripped counts placeholder fragments SanitizeStripes removed
-	// before encoding — always zero unless a mapper bug leaks the
-	// kernel-internal sentinel; surfaced in /stats so a leak is visible
-	// fleet-wide instead of silently riding the wire.
-	stripped atomic.Int64
-
 	// mapBricks is the compute seam; tests substitute it to fault-inject
 	// internal failures without a sick GPU model.
 	mapBricks func(spec cluster.Spec, opt core.Options, brickIDs []int, devWorkers int) (*core.MapResult, error)
@@ -139,11 +132,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 
 // ExchangeStats snapshots the worker's reduce-exchange counters.
 func (wk *Worker) ExchangeStats() ExchangeStats { return wk.ex.stats() }
-
-// PlaceholdersStripped reports how many placeholder fragments the
-// worker has stripped from outgoing stripes over its lifetime. Nonzero
-// means a mapper bug leaked the kernel-internal sentinel.
-func (wk *Worker) PlaceholdersStripped() int64 { return wk.stripped.Load() }
 
 // mapOutcome is one successful map batch, ready to serve.
 type mapOutcome struct {
@@ -269,26 +257,15 @@ func (wk *Worker) run(ctx context.Context, req MapRequest) (mapOutcome, error) {
 	if err != nil {
 		return mapOutcome{}, fmt.Errorf("dist: map phase: %w", err)
 	}
-	rawFrags := 0
-	for _, s := range res.Stripes {
-		rawFrags += len(s.Frags)
-	}
-	// The wire contract says stripes carry only surviving fragments;
-	// strip (and loudly count) any placeholder a buggy mapper leaked
-	// rather than shipping the sentinel.
-	stripes, stripped := SanitizeStripes(res.Stripes)
-	if stripped > 0 {
-		wk.stripped.Add(int64(stripped))
-	}
-	out := mapOutcome{frags: rawFrags - stripped, mapSeconds: res.Runtime.Seconds()}
+	out := mapOutcome{frags: res.FragmentCount(), mapSeconds: res.Runtime.Seconds()}
 	if req.Reduce != nil {
-		if err := wk.pushStripes(ctx, req.Reduce, stripes); err != nil {
+		if err := wk.pushStripes(ctx, req.Reduce, res.Stripes); err != nil {
 			return mapOutcome{}, err
 		}
 		out.reduced = true
 		return out, nil
 	}
-	out.payload = encodeCF2(stripes)
+	out.payload = encodeCF2(res.Stripes)
 	return out, nil
 }
 

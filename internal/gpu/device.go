@@ -3,8 +3,8 @@ package gpu
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
+	"gvmr/internal/schedule"
 	"gvmr/internal/sim"
 	"gvmr/internal/volume"
 )
@@ -174,48 +174,13 @@ func (d *Device) Occupy(p *sim.Proc, dur sim.Time) {
 // the per-block stats deterministically.
 func (d *Device) runBlocks(k Kernel) Stats {
 	grid := k.Grid()
-	n := grid.Count()
-	if n == 0 {
-		return Stats{}
-	}
 	workers := d.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	perBlock := make([]Stats, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			perBlock[i] = k.RunBlock(i%grid.X, i/grid.X)
-		}
-	} else {
-		var next int64
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		take := func() int {
-			mu.Lock()
-			defer mu.Unlock()
-			i := next
-			next++
-			return int(i)
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := take()
-					if i >= n {
-						return
-					}
-					perBlock[i] = k.RunBlock(i%grid.X, i/grid.X)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	perBlock, _ := schedule.Map(workers, grid.Count(), func(i int) (Stats, error) { // no job fails
+		return k.RunBlock(i%grid.X, i/grid.X), nil
+	})
 	var total Stats
 	for i := range perBlock {
 		total.Add(perBlock[i])

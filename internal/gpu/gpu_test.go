@@ -165,35 +165,48 @@ func (k *countKernel) RunBlock(bx, by int) Stats {
 	}
 }
 
+// TestExecuteRunsEveryBlockOnce runs one kernel at every pool width, the
+// inline width 1 and the pooled widths included, so the pooled path is
+// covered on a one-core host too: each block runs once and the device
+// reports the same Stats at every width.
 func TestExecuteRunsEveryBlockOnce(t *testing.T) {
-	env := sim.NewEnv()
-	d := testDevice(env)
-	mark := make([][]int32, 7)
-	for i := range mark {
-		mark[i] = make([]int32, 5)
-	}
-	k := &countKernel{grid: Dim2{5, 7}, block: Dim2{16, 16}, samplesPerThread: 3, mark: mark}
-	env.Go("host", func(p *sim.Proc) {
-		stats := d.Execute(p, k, false)
-		if stats.Threads != int64(5*7*256) {
-			t.Errorf("threads = %d", stats.Threads)
+	var first DeviceStats
+	for _, workers := range []int{0, 1, 2, 3} {
+		env := sim.NewEnv()
+		d := testDevice(env)
+		d.Workers = workers
+		mark := make([][]int32, 7)
+		for i := range mark {
+			mark[i] = make([]int32, 5)
 		}
-		if stats.Samples != int64(5*7*256*3) {
-			t.Errorf("samples = %d", stats.Samples)
+		k := &countKernel{grid: Dim2{5, 7}, block: Dim2{16, 16}, samplesPerThread: 3, mark: mark}
+		env.Go("host", func(p *sim.Proc) {
+			stats := d.Execute(p, k, false)
+			if stats.Threads != int64(5*7*256) {
+				t.Errorf("workers %d: threads = %d", workers, stats.Threads)
+			}
+			if stats.Samples != int64(5*7*256*3) {
+				t.Errorf("workers %d: samples = %d", workers, stats.Samples)
+			}
+		})
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
 		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for by := range mark {
-		for bx := range mark[by] {
-			if mark[by][bx] != 1 {
-				t.Fatalf("block (%d,%d) ran %d times", bx, by, mark[by][bx])
+		for by := range mark {
+			for bx := range mark[by] {
+				if mark[by][bx] != 1 {
+					t.Fatalf("workers %d: block (%d,%d) ran %d times", workers, bx, by, mark[by][bx])
+				}
 			}
 		}
-	}
-	if d.Stats().Launches != 1 {
-		t.Errorf("launches = %d", d.Stats().Launches)
+		if d.Stats().Launches != 1 {
+			t.Errorf("workers %d: launches = %d", workers, d.Stats().Launches)
+		}
+		if workers == 0 {
+			first = d.Stats()
+		} else if d.Stats() != first {
+			t.Errorf("workers %d: stats %+v, want %+v (workers 0)", workers, d.Stats(), first)
+		}
 	}
 }
 

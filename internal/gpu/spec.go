@@ -79,7 +79,7 @@ type Stats struct {
 	// Cells counts macrocell visits — an occupancy fetch + exit computation
 	// each, not cells crossed — charged at Spec.CellRate.
 	Cells   int64
-	Emitted int64 // key-value pairs written (including placeholders)
+	Emitted int64 // records written: fragments, plus one charged per empty thread
 	RaysHit int64 // rays that intersected the brick
 }
 

@@ -147,8 +147,8 @@ type Config[V, S any] struct {
 	MakeReducer func(r int) Reducer[V]
 	Partitioner Partitioner
 
-	// KeyRange bounds keys to [0, KeyRange). Emitting outside it is an
-	// error; keys of -1 are placeholders, discarded during partition.
+	// KeyRange bounds keys to [0, KeyRange). Emitting outside it,
+	// negative keys included, fails the job.
 	KeyRange int32
 	// ValueBytes is the wire size of one value (keys add 4 bytes).
 	ValueBytes int

@@ -191,11 +191,7 @@ func Run[V, S any](cfg Config[V, S]) (*JobStats, error) {
 				if emitFailed {
 					return
 				}
-				if kv.Key < 0 {
-					w.discarded++ // placeholder, dropped at partition
-					return
-				}
-				if kv.Key >= cfg.KeyRange {
+				if kv.Key < 0 || kv.Key >= cfg.KeyRange {
 					errs = append(errs, fmt.Errorf(
 						"mapreduce: worker %d emitted key %d outside range %d",
 						w.Index, kv.Key, cfg.KeyRange))
@@ -338,12 +334,11 @@ func assembleStats[V, S any](cfg Config[V, S], makespan sim.Time,
 		work := w.Dev.Stats().Work
 		work.Sub(w.work0)
 		js.Workers = append(js.Workers, WorkerStats{
-			Index:     w.Index,
-			Chunks:    w.chunksDone,
-			Emitted:   w.emitted,
-			Discarded: w.discarded,
-			CommBusy:  w.commBusy,
-			Kernel:    work,
+			Index:    w.Index,
+			Chunks:   w.chunksDone,
+			Emitted:  w.emitted,
+			CommBusy: w.commBusy,
+			Kernel:   work,
 		})
 		js.TotalEmitted += w.emitted
 		js.TotalSamples += work.Samples

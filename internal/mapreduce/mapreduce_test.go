@@ -26,7 +26,7 @@ func (c intChunk) Bytes() int64 { return int64(len(c.vals)) * 4 }
 // that satisfies every paper restriction.
 type histMapper struct {
 	buckets     int32
-	emitNegOnce bool // also emit one placeholder per chunk when set
+	emitNegOnce bool // also emit one key -1 pair per chunk when set
 	failChunk   int  // chunk ID whose Map fails (-1: never)
 	failStage   int  // chunk ID whose Stage fails (-1: never)
 }
@@ -199,35 +199,28 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestPlaceholdersDiscarded(t *testing.T) {
-	cfg, reducers := newHistConfig(t, 2, 4, 100, 16)
-	cfg.Mapper = &histMapper{buckets: 16, emitNegOnce: true, failChunk: -1, failStage: -1}
-	stats, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var discarded int64
-	for _, w := range stats.Workers {
-		discarded += w.Discarded
-	}
-	if discarded != 4 { // one per chunk
-		t.Errorf("discarded = %d, want 4", discarded)
-	}
-	got := mergeSums(*reducers)
-	want := expectedHist(cfg, 16)
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("bucket %d = %d, want %d (placeholders leaked?)", k, got[k], v)
-		}
-	}
-}
-
+// TestKeyOutOfRangeFails: a key at or past KeyRange and a negative key
+// both fail the job. There is no placeholder key; a map thread that
+// contributes nothing emits nothing.
 func TestKeyOutOfRangeFails(t *testing.T) {
-	cfg, _ := newHistConfig(t, 2, 2, 50, 16)
-	cfg.KeyRange = 3 // mapper emits modulo 16: some keys exceed 3
-	if _, err := Run(cfg); err == nil {
-		t.Error("out-of-range key accepted")
-	}
+	t.Run("above", func(t *testing.T) {
+		cfg, _ := newHistConfig(t, 2, 2, 50, 16)
+		cfg.KeyRange = 3 // mapper emits modulo 16: some keys exceed 3
+		if _, err := Run(cfg); err == nil {
+			t.Error("out-of-range key accepted")
+		}
+	})
+	t.Run("negative", func(t *testing.T) {
+		cfg, _ := newHistConfig(t, 2, 4, 100, 16)
+		cfg.Mapper = &histMapper{buckets: 16, emitNegOnce: true, failChunk: -1, failStage: -1}
+		_, err := Run(cfg)
+		if err == nil {
+			t.Fatal("key -1 accepted")
+		}
+		if want := "emitted key -1 outside range"; !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	})
 }
 
 // overflowMapper emits Key == KeyRange for every value — each emit

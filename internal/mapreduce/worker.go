@@ -29,7 +29,6 @@ type Worker struct {
 	kernelTime sim.Time
 	chunksDone int
 	emitted    int64
-	discarded  int64
 
 	// work0 snapshots the device's lifetime kernel-work counters at job
 	// start, so WorkerStats.Kernel reports this job's work only — a job's
@@ -140,13 +139,12 @@ func (s StageTimes) scale(n int) StageTimes {
 
 // WorkerStats reports one worker's activity.
 type WorkerStats struct {
-	Index     int
-	Stage     StageTimes
-	Chunks    int
-	Emitted   int64 // key-value pairs sent to reducers
-	Discarded int64 // placeholders dropped during partition
-	CommBusy  sim.Time
-	Kernel    gpu.Stats
+	Index    int
+	Stage    StageTimes
+	Chunks   int
+	Emitted  int64 // key-value pairs sent to reducers
+	CommBusy sim.Time
+	Kernel   gpu.Stats
 }
 
 // ReducerStats reports one reducer's activity.

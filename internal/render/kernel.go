@@ -45,8 +45,8 @@ type Kernel struct {
 // (px,py) through the brick and emits zero or more fragments. Convex
 // bricks yield at most one fragment per ray; emit exists so a sampler
 // can cut a ray at partition re-entry boundaries and emit one fragment
-// per traversal span. A ray that contributes nothing emits nothing (the
-// old per-thread placeholder is now an empty list).
+// per traversal span. A ray that contributes nothing emits nothing; the
+// kernel charges its §3.1.1 place-holder record.
 type SampleFn func(cam *camera.Camera, sp volume.Space, bd *volume.BrickData, prm Params, px, py int, emit func(composite.Fragment)) SampleStats
 
 // SampleOne adapts an emit-based sampler to the classic single-fragment
@@ -157,8 +157,9 @@ func (k *Kernel) RunBlock(bx, by int) gpu.Stats {
 			px := k.FP.X0 + gx
 			py := k.FP.Y0 + gy
 			if px > k.FP.X1 || py > k.FP.Y1 {
-				// Padding thread: emits nothing, but still writes one
-				// placeholder-sized record (§3.1.1 cost parity).
+				// Padding thread: emits nothing, but is charged one
+				// place-holder record (§3.1.1 cost parity) that never
+				// leaves the kernel.
 				st.Emitted++
 				k.Counts[slot] = 0
 				continue
@@ -174,7 +175,7 @@ func (k *Kernel) RunBlock(bx, by int) gpu.Stats {
 				st.RaysHit++
 				st.Emitted += int64(n)
 			} else {
-				st.Emitted++ // empty list still writes a placeholder record
+				st.Emitted++ // empty list: one charged record, emitted nowhere
 			}
 		}
 	}

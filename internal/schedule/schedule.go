@@ -13,6 +13,11 @@
 // combined in index order, parallel execution is bit-identical to serial
 // execution — see the golden-image and determinism tests at the module
 // root.
+//
+// Map is also the host's one parallel loop below the frame: a device's
+// kernel blocks (gpu.Device) and an analytic source's z-slabs
+// (volume.FuncSource.Fill) run on it, each result written to its own
+// index, so every width gives the same bits.
 package schedule
 
 import (

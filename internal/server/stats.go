@@ -61,10 +61,6 @@ type Stats struct {
 	// MapJobs counts /map batches served for remote coordinators (this
 	// node acting as a cluster worker).
 	MapJobs int64 `json:"map_jobs"`
-	// PlaceholdersStripped counts placeholder fragments the worker layer
-	// stripped from outgoing stripes — always zero unless a mapper bug
-	// leaks the kernel-internal sentinel onto the wire path.
-	PlaceholdersStripped int64 `json:"placeholders_stripped,omitempty"`
 	// Exchange counts distributed-reduce activity on this node acting as
 	// a reducer: stripe pushes received from peer mappers, collects
 	// served to coordinators, and sessions expired or live. Omitted
@@ -122,7 +118,6 @@ func (s *Service) Stats() Stats {
 	}
 	s.mu.Unlock()
 	st.Ready, _ = s.Ready()
-	st.PlaceholdersStripped = s.worker.PlaceholdersStripped()
 	if ex := s.worker.ExchangeStats(); ex != (dist.ExchangeStats{}) {
 		st.Exchange = &ex
 	}

@@ -2,8 +2,8 @@ package volume
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+
+	"gvmr/internal/schedule"
 )
 
 // Source produces voxel data for arbitrary regions of a (possibly larger
@@ -119,47 +119,28 @@ func (s *FuncSource) Fill(r Region, dst []float32) error {
 	rowLen := r.Ext.X
 	slabLen := r.Ext.X * r.Ext.Y
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > r.Ext.Z {
-		workers = r.Ext.Z
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	// The normalized x-coordinates are shared by every row of the region.
 	xs := make([]float64, r.Ext.X)
 	for x := r.Org[0]; x < e[0]; x++ {
 		xs[x-r.Org[0]] = (float64(x) + 0.5) * invX
 	}
-	var wg sync.WaitGroup
-	zChan := make(chan int, r.Ext.Z)
-	for z := r.Org[2]; z < e[2]; z++ {
-		zChan <- z
-	}
-	close(zChan)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for z := range zChan {
-				nz := (float64(z) + 0.5) * invZ
-				base := (z - r.Org[2]) * slabLen
-				for y := r.Org[1]; y < e[1]; y++ {
-					ny := (float64(y) + 0.5) * invY
-					row := base + (y-r.Org[1])*rowLen
-					if s.Rows != nil {
-						s.Rows(dst[row:row+rowLen], xs, ny, nz)
-						continue
-					}
-					for i, nx := range xs {
-						dst[row+i] = s.Field(nx, ny, nz)
-					}
-				}
+	_, err := schedule.Map(schedule.Workers(r.Ext.Z), r.Ext.Z, func(dz int) (struct{}, error) {
+		nz := (float64(r.Org[2]+dz) + 0.5) * invZ
+		base := dz * slabLen
+		for y := r.Org[1]; y < e[1]; y++ {
+			ny := (float64(y) + 0.5) * invY
+			row := base + (y-r.Org[1])*rowLen
+			if s.Rows != nil {
+				s.Rows(dst[row:row+rowLen], xs, ny, nz)
+				continue
 			}
-		}()
-	}
-	wg.Wait()
-	return nil
+			for i, nx := range xs {
+				dst[row+i] = s.Field(nx, ny, nz)
+			}
+		}
+		return struct{}{}, nil
+	})
+	return err
 }
 
 // Materialize evaluates an entire source into a dense Volume. Intended for
