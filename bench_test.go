@@ -16,6 +16,7 @@ import (
 	"gvmr/internal/core"
 	"gvmr/internal/mapreduce"
 	"gvmr/internal/render"
+	"gvmr/internal/sim"
 	"gvmr/internal/transfer"
 	"gvmr/internal/vec"
 	"gvmr/internal/volume"
@@ -201,8 +202,10 @@ func (w *frameWork) report(b *testing.B, maxSamples int64) {
 // benchmark fails — CI's bench smoke runs it — if a frame averages more
 // than 250 000 macrocell visits (the cell-by-cell DDA made 554 k) or
 // 1 400 000 fetches (2.67 M before homogeneous cells were answered from
-// the grid), or if frame 0's issued + skipped fetches are not the dense
-// march's.
+// the grid), if frames average more than 265 virtual ms (267.31 while
+// uploads copied every ghost region whole) or 5.0 ms of it in
+// Partition+I/O (7.19), or if frame 0's issued + skipped fetches are not
+// the dense march's.
 func BenchmarkDirectFrame(b *testing.B) {
 	src, err := dataset.New(dataset.Skull, volume.Cube(256))
 	if err != nil {
@@ -213,7 +216,7 @@ func BenchmarkDirectFrame(b *testing.B) {
 		Width: 160, Height: 160,
 		GPUs: 4, Shading: true, StepVoxels: 1, TerminationAlpha: 0.98,
 	}
-	frame := func(i int) *mapreduce.JobStats {
+	frame := func(i int) *core.Result {
 		cam, err := core.OrbitCamera(src, opt.Width, opt.Height, float64(9*i%360))
 		if err != nil {
 			b.Fatal(err)
@@ -223,22 +226,33 @@ func BenchmarkDirectFrame(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		return res.Stats
+		return res
 	}
-	on := frame(0) // materialise the dataset into the staging cache
+	on := frame(0).Stats // materialise the dataset into the staging cache
 	var work frameWork
+	var virtual, partIO sim.Time
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		work.add(frame(i))
+		res := frame(i)
+		work.add(res.Stats)
+		virtual += res.Runtime
+		partIO += res.Stats.MeanStage.PartitionIO
 	}
 	b.StopTimer()
 	work.report(b, 1_400_000)
 	if per := work.cells / int64(b.N); per > 250_000 {
 		b.Fatalf("%d macrocell visits per frame, want at most 250000", per)
 	}
+	virtualMs := virtual.Seconds() * 1e3 / float64(b.N)
+	partIOMs := partIO.Seconds() * 1e3 / float64(b.N)
+	b.ReportMetric(virtualMs, "virtual-ms/frame")
+	b.ReportMetric(partIOMs, "partio-ms/frame")
+	if virtualMs > 265 || partIOMs > 5.0 {
+		b.Fatalf("%.3f virtual ms a frame, %.3f of it Partition+I/O: want at most 265 and 5.0", virtualMs, partIOMs)
+	}
 	opt.NoEmptySkip = true
-	if off := frame(0); on.TotalSamples+on.TotalSamplesSkipped != off.TotalSamples {
+	if off := frame(0).Stats; on.TotalSamples+on.TotalSamplesSkipped != off.TotalSamples {
 		b.Fatalf("frame 0: %d samples taken + %d skipped, the dense march takes %d", on.TotalSamples, on.TotalSamplesSkipped, off.TotalSamples)
 	}
 }
@@ -348,29 +362,4 @@ func BenchmarkHostCompositePixel(b *testing.B) {
 		copy(buf, frags)
 		composite.CompositePixel(buf, bg)
 	}
-}
-
-// BenchmarkHostFieldSkull measures analytic dataset evaluation (the
-// synthetic-data substitution's cost).
-func BenchmarkHostFieldSkull(b *testing.B) {
-	var sink float32
-	for i := 0; i < b.N; i++ {
-		x := float64(i%101) / 101
-		y := float64(i%103) / 103
-		z := float64(i%107) / 107
-		sink += dataset.SkullField(x, y, z)
-	}
-	_ = sink
-}
-
-// BenchmarkHostFieldSupernova measures the fBm-noise dataset evaluation.
-func BenchmarkHostFieldSupernova(b *testing.B) {
-	var sink float32
-	for i := 0; i < b.N; i++ {
-		x := float64(i%101) / 101
-		y := float64(i%103) / 103
-		z := float64(i%107) / 107
-		sink += dataset.SupernovaField(x, y, z)
-	}
-	_ = sink
 }

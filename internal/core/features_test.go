@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"testing"
 
+	"gvmr/internal/cluster"
 	"gvmr/internal/img"
+	"gvmr/internal/render"
 	"gvmr/internal/trace"
+	"gvmr/internal/volume"
 )
 
 func TestInSituMatchesInCoreImage(t *testing.T) {
@@ -148,5 +151,59 @@ func TestRenderSequenceValidation(t *testing.T) {
 	cl := newCluster(t, 2)
 	if _, err := RenderSequence(cl, skullOptions(t, 16, 24, 2), 0, 90); err == nil {
 		t.Error("zero frames accepted")
+	}
+}
+
+// TestUploadChargesResidentBoxes holds a render's texture uploads to the
+// bricks' resident boxes (render.ResidentBox): with skipping on, their sum
+// — less than the ghost regions on the skull — and with NoEmptySkip or the
+// slicing sampler (which turns skipping off), every ghost region whole,
+// the bytes the upload charged before resident boxes.
+func TestUploadChargesResidentBoxes(t *testing.T) {
+	const gpus = 4
+	opt := skullOptions(t, 48, 48, gpus)
+	opt.Shading = true
+	uploaded := func(opt Options) int64 {
+		cl := newCluster(t, gpus)
+		if _, err := Render(cl, opt); err != nil {
+			t.Fatal(err)
+		}
+		var n int64
+		for i := 0; i < gpus; i++ {
+			n += cl.Device(i).Stats().BytesH2D
+		}
+		return n
+	}
+	grid, err := PlanGrid(cluster.AC(gpus), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol, err := volume.Materialize(opt.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := opt
+	if err := full.fillDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	var ghosts, boxes int64
+	for _, b := range grid.Bricks {
+		ghosts += b.Bytes()
+		boxes += render.ResidentBox(volume.ViewBrick(vol, b), full.renderParams()).Ext.Bytes()
+	}
+	if boxes >= ghosts {
+		t.Fatalf("premise: resident boxes hold %d bytes of the ghost regions' %d", boxes, ghosts)
+	}
+	if got := uploaded(opt); got != boxes {
+		t.Errorf("skipping on: uploaded %d bytes, want the resident boxes' %d", got, boxes)
+	}
+	off := opt
+	off.NoEmptySkip = true
+	slicing := opt
+	slicing.Sampler = Slicing
+	for name, o := range map[string]Options{"NoEmptySkip": off, "slicing": slicing} {
+		if got := uploaded(o); got != ghosts {
+			t.Errorf("%s: uploaded %d bytes, want the ghost regions' %d", name, got, ghosts)
+		}
 	}
 }

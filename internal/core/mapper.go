@@ -9,7 +9,8 @@ import (
 )
 
 // rayCastMapper is the renderer's Mapper: stage a unit's bricks from the
-// source, upload each as a 3D texture, run the ray-casting (or slicing)
+// source, upload the part of each its rays can fetch from (its resident
+// box) as a 3D texture, run the ray-casting (or slicing)
 // kernel over its footprint, read the fragment lists back and emit them.
 // A convex unit holds one brick; a partitioned unit emits its bricks in
 // ascending brick order, which is the canonical in-unit fragment order
@@ -64,7 +65,8 @@ func (m *rayCastMapper) tfEmpty() func(lo, hi float32) bool {
 	return func(lo, hi float32) bool { return tf.MaxAlphaInRange(lo, hi) == 0 }
 }
 
-// Map implements mapreduce.Mapper: per brick of the unit, upload, run the
+// Map implements mapreduce.Mapper: per brick of the unit, upload its
+// resident box (the whole ghost region when skipping is off), run the
 // kernel, read back, and emit every thread's fragment list, then free the
 // texture and release the staged buffer for the next brick's stage. A thread
 // whose list is empty (padding, miss, zero opacity) emits nothing: the
@@ -72,7 +74,7 @@ func (m *rayCastMapper) tfEmpty() func(lo, hi float32) bool {
 func (m *rayCastMapper) Map(p mapreduce.Ctx, w *mapreduce.Worker, c mapreduce.Chunk,
 	staged []*volume.BrickData, emit func(mapreduce.KV[composite.Fragment])) error {
 	for _, bd := range staged {
-		tex, err := w.UploadTexture(p, bd)
+		tex, err := w.UploadTexture(p, bd, render.ResidentBox(bd, m.prm))
 		if err != nil {
 			return err
 		}

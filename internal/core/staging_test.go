@@ -29,8 +29,12 @@ func (s *fillCounter) Fill(r volume.Region, dst []float32) error {
 func countedOptions(t *testing.T, tag string, n, imgSize, gpus int) (Options, *fillCounter) {
 	t.Helper()
 	tag = fmt.Sprintf("%s-%d", tag, tagSeq.Add(1))
-	src := &fillCounter{FuncSource: volume.NewFuncSource(tag, volume.Cube(n),
-		func(x, y, z float64) float32 { return float32((x + y + z) / 3) })}
+	src := &fillCounter{FuncSource: volume.NewFuncSourceRows(tag, volume.Cube(n),
+		func(dst []float32, xs []float64, y, z float64) {
+			for i, x := range xs {
+				dst[i] = float32((x + y + z) / 3)
+			}
+		})}
 	return Options{
 		Source: src,
 		TF:     transfer.SkullPreset(),

@@ -35,7 +35,7 @@ func Micro() (*report.Table, error) {
 
 		bd := &volume.BrickData{Data: make([]float32, brickBytes/4)}
 		start = p.Now()
-		tex, err := cl.Device(0).UploadTexture3D(p, bd)
+		tex, err := cl.Device(0).UploadTexture3D(p, bd, volume.Region{Ext: volume.Cube(64)})
 		if err != nil {
 			panic(err)
 		}

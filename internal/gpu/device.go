@@ -121,12 +121,14 @@ type Texture3D struct {
 // Free releases the texture's VRAM.
 func (t *Texture3D) Free() { t.Buf.dev.Free(t.Buf) }
 
-// UploadTexture3D allocates and synchronously copies a brick into a 3D
-// texture, charging the shared PCIe link. It is synchronous because CUDA
-// 3D-texture uploads were synchronous at the time — the paper calls this
-// out explicitly (§3.1.2, Chunk).
-func (d *Device) UploadTexture3D(p *sim.Proc, bd *volume.BrickData) (*Texture3D, error) {
-	bytes := bd.Bytes()
+// UploadTexture3D allocates and synchronously copies the part box of a
+// brick's ghost region into a 3D texture, charging the shared PCIe link
+// for box alone: the renderer passes the box its rays can fetch from
+// (render.ResidentBox), the whole ghost region when it skips nothing. It
+// is synchronous because CUDA 3D-texture uploads were synchronous at the
+// time — the paper calls this out explicitly (§3.1.2, Chunk).
+func (d *Device) UploadTexture3D(p *sim.Proc, bd *volume.BrickData, box volume.Region) (*Texture3D, error) {
+	bytes := box.Ext.Bytes()
 	buf, err := d.Alloc(bytes)
 	if err != nil {
 		return nil, err

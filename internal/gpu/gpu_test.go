@@ -85,7 +85,7 @@ func TestUploadTexture3DCost(t *testing.T) {
 	// A 64³ brick (the paper's §3 micro-cost unit): < 0.2 ms on PCIe.
 	bd := &volume.BrickData{Data: make([]float32, 64*64*64)}
 	env.Go("host", func(p *sim.Proc) {
-		tex, err := d.UploadTexture3D(p, bd)
+		tex, err := d.UploadTexture3D(p, bd, volume.Region{Ext: volume.Cube(64)})
 		if err != nil {
 			t.Error(err)
 			return
@@ -117,15 +117,16 @@ func TestPCIeSharedContention(t *testing.T) {
 	d1 := NewDevice(env, 0, 0, TeslaC1060(), link)
 	d2 := NewDevice(env, 1, 0, TeslaC1060(), link)
 	bd := &volume.BrickData{Data: make([]float32, 1<<18)} // 1 MiB
+	whole := volume.Region{Ext: volume.Dims{X: 1 << 18, Y: 1, Z: 1}}
 	var t1, t2 sim.Time
 	env.Go("h1", func(p *sim.Proc) {
-		if _, err := d1.UploadTexture3D(p, bd); err != nil {
+		if _, err := d1.UploadTexture3D(p, bd, whole); err != nil {
 			t.Error(err)
 		}
 		t1 = p.Now()
 	})
 	env.Go("h2", func(p *sim.Proc) {
-		if _, err := d2.UploadTexture3D(p, bd); err != nil {
+		if _, err := d2.UploadTexture3D(p, bd, whole); err != nil {
 			t.Error(err)
 		}
 		t2 = p.Now()

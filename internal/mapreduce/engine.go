@@ -100,6 +100,9 @@ func Run[V, S any](cfg Config[V, S]) (*JobStats, error) {
 	workersLeft := cfg.Workers
 	for _, w := range workers {
 		w := w
+		// The fixed job overhead occupies every GPU lane before its first
+		// stage, so a trace's spans cover the whole makespan.
+		w.span("setup", "setup", t0, startAt)
 		env.Go(fmt.Sprintf("worker%d", w.Index), func(p *sim.Proc) {
 			p.WaitUntil(startAt)
 

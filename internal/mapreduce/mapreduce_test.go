@@ -11,6 +11,7 @@ import (
 	"gvmr/internal/cluster"
 	"gvmr/internal/gpu"
 	"gvmr/internal/sim"
+	"gvmr/internal/trace"
 )
 
 // intChunk is a toy chunk holding raw values.
@@ -425,6 +426,47 @@ func TestFixedOverheadCharged(t *testing.T) {
 	want := cluster.AC(2).JobFixedOverhead
 	if diff < want*9/10 || diff > want*11/10 {
 		t.Errorf("fixed overhead added %v, want ≈%v", diff, want)
+	}
+}
+
+// TestSetupSpanCoversFixedOverhead traces one 1-GPU job on AC and on AC
+// without the fixed overhead: on AC the earliest span is the GPU lane's
+// setup span from 0, and the spans sum to exactly the overhead more.
+func TestSetupSpanCoversFixedOverhead(t *testing.T) {
+	traced := func(cl *cluster.Cluster) []trace.Span {
+		cfg, _ := newHistConfig(t, 1, 3, 100, 8)
+		cfg.Cluster, cfg.Trace = cl, &trace.Log{}
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		return cfg.Trace.Spans()
+	}
+	sum := func(spans []trace.Span) (d sim.Time) {
+		for _, s := range spans {
+			d += s.End - s.Start
+		}
+		return d
+	}
+	cl, err := cluster.New(sim.NewEnv(), cluster.AC(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	overhead := cl.Params.JobFixedOverhead
+	spans, free := traced(cl), traced(freeStartCluster(t, 1))
+	if first := spans[0]; first.Cat != "setup" || first.Lane != "gpu0" || first.Start != 0 || first.End != overhead {
+		t.Errorf("earliest span %+v, want gpu0's setup over [0, %v)", first, overhead)
+	}
+	var setups int
+	for _, s := range spans {
+		if s.Cat == "setup" {
+			setups++
+		}
+	}
+	if setups != 1 {
+		t.Errorf("%d setup spans on one GPU lane, want 1", setups)
+	}
+	if got := sum(spans) - sum(free); got != overhead {
+		t.Errorf("spans sum %v more with the fixed overhead, want exactly %v", got, overhead)
 	}
 }
 

@@ -44,12 +44,12 @@ func (w *Worker) span(cat, name string, start, end sim.Time) {
 	w.tr.Add(trace.Span{Name: name, Cat: cat, Lane: w.lane, Start: start, End: end})
 }
 
-// UploadTexture stages a brick into VRAM, synchronously (the paper was
-// forced into synchronous 3D-texture copies), attributed to Partition+I/O
-// as a host↔device transfer.
-func (w *Worker) UploadTexture(p Ctx, bd *volume.BrickData) (*gpu.Texture3D, error) {
+// UploadTexture stages the part box of a brick's ghost region into VRAM,
+// synchronously (the paper was forced into synchronous 3D-texture
+// copies), attributed to Partition+I/O as a host↔device transfer.
+func (w *Worker) UploadTexture(p Ctx, bd *volume.BrickData, box volume.Region) (*gpu.Texture3D, error) {
 	start := p.Now()
-	tex, err := w.Dev.UploadTexture3D(p, bd)
+	tex, err := w.Dev.UploadTexture3D(p, bd, box)
 	w.partIOTime += p.Now() - start
 	w.span("partition+io", "h2d:texture", start, p.Now())
 	return tex, err

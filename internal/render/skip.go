@@ -3,6 +3,7 @@ package render
 import (
 	"bytes"
 	"math"
+	"sync"
 
 	"gvmr/internal/cache"
 	"gvmr/internal/transfer"
@@ -30,6 +31,11 @@ type skipGrid struct {
 	// brick, and is clamped to the brick's end.
 	leap []uint8
 	any  bool // false when nothing is skippable (dense data or dense TF)
+
+	// boxes memoises residentBox per brick core: a grid serves every
+	// frame of every brick it covers, so each box is scanned once.
+	mu    sync.Mutex
+	boxes map[volume.Region]volume.Region
 }
 
 // MemoBuilds returns how many skip grids and opacity-corrected tables
@@ -124,4 +130,82 @@ func occupancyFor(mc *volume.Macrocells, tf *transfer.Func) *skipGrid {
 		return buildSkipGrid(mc, tf), bytes, nil
 	})
 	return g
+}
+
+// residentMargin is how far, in voxels, the fetches of a march over a box
+// of marched cells reach past it. The centre fetch reads corners floor(p−½)
+// and floor(p−½)+1, one voxel beyond the box. A sample within half a voxel
+// of the box's face reads only voxels of the empty cell beyond, whose
+// dilated range proves it invisible, so it takes no gradient; a visible
+// sample's ±1-voxel gradient fetches stay within that voxel too, save
+// that p+1 is rounded in float32 and can round up onto the half-voxel
+// where its corners move one voxel on — the second voxel.
+const residentMargin = 2
+
+// ResidentBox returns the part of bd's ghost region the ray caster can
+// fetch from under prm, which is all an upload has to copy: the bounding
+// box of the marched macrocells (leap 0, flat cells included) that touch
+// the brick's core, clipped to the core, dilated by residentMargin and
+// clipped to the ghost region. The box is empty when every cell is leapt
+// and the whole ghost region when skipping is off. DESIGN.md §8,
+// "Resident box", argues that it covers every fetched stencil.
+func ResidentBox(bd *volume.BrickData, prm Params) volume.Region {
+	g := resolveSkip(&prm, bd)
+	if g == nil {
+		return bd.Brick.Ghost
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	box, ok := g.boxes[bd.Brick.Core]
+	if !ok {
+		box = g.residentBox(bd.Brick)
+		if g.boxes == nil {
+			g.boxes = map[volume.Region]volume.Region{}
+		}
+		g.boxes[bd.Brick.Core] = box
+	}
+	return box
+}
+
+// residentBox scans the cells a sample of brick b can be classified into
+// — those meeting the core grown by one voxel, as positions stray a float
+// rounding outside it — for the bounding box of the marched ones.
+func (g *skipGrid) residentBox(b volume.Brick) volume.Region {
+	mc := g.mc
+	core, ghost := b.Core, b.Ghost
+	cEnd, gEnd := core.End(), ghost.End()
+	n := [3]int{mc.Cells.X, mc.Cells.Y, mc.Cells.Z}
+	var lo, hi, cmin, cmax [3]int
+	for a := range lo {
+		lo[a] = clampCell((core.Org[a]-1-mc.Org[a])>>volume.MacrocellShift, n[a])
+		hi[a] = clampCell((cEnd[a]-mc.Org[a])>>volume.MacrocellShift, n[a])
+		cmin[a], cmax[a] = n[a], -1
+	}
+	for cz := lo[2]; cz <= hi[2]; cz++ {
+		for cy := lo[1]; cy <= hi[1]; cy++ {
+			row := g.leap[mc.CellIndex(0, cy, cz):]
+			for cx := lo[0]; cx <= hi[0]; cx++ {
+				if row[cx] != 0 {
+					continue
+				}
+				c := [3]int{cx, cy, cz}
+				for a := range c {
+					cmin[a], cmax[a] = min(cmin[a], c[a]), max(cmax[a], c[a])
+				}
+			}
+		}
+	}
+	if cmax[0] < 0 {
+		return volume.Region{Org: core.Org}
+	}
+	var org, end [3]int
+	for a := range org {
+		// The cells' voxels, clamped to the core: a position classified
+		// into a cell beside the core lies on the core's face.
+		v0 := min(max(mc.Org[a]+cmin[a]<<volume.MacrocellShift, core.Org[a]), cEnd[a])
+		v1 := min(max(mc.Org[a]+(cmax[a]+1)<<volume.MacrocellShift, core.Org[a]), cEnd[a])
+		org[a] = max(v0-residentMargin, ghost.Org[a])
+		end[a] = min(v1+residentMargin, gEnd[a])
+	}
+	return volume.Region{Org: org, Ext: volume.Dims{X: end[0] - org[0], Y: end[1] - org[1], Z: end[2] - org[2]}}
 }

@@ -18,7 +18,7 @@ import (
 // Span is one closed interval of activity on a (virtual) execution lane.
 type Span struct {
 	Name  string   // operation, e.g. "kernel:raycast"
-	Cat   string   // stage category: map|partition+io|sort|reduce|net
+	Cat   string   // stage category: setup|map|partition+io|sort|reduce|net
 	Lane  string   // execution lane, e.g. "gpu3" or "reducer2"
 	Start sim.Time // virtual time
 	End   sim.Time

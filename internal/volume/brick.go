@@ -171,9 +171,10 @@ type BrickData struct {
 	smp *Sampler
 
 	// empty marks a payload-free brick proven invisible before staging
-	// (see EmptyBrickData): it carries no voxel data, costs no upload
-	// bytes, and its macrocells declare every cell skippable, so the
-	// renderer's empty-space leap never asks it for a sample.
+	// (see EmptyBrickData): it carries no voxel data, and its macrocells
+	// declare every cell skippable, so the renderer's empty-space leap
+	// never asks it for a sample and its resident box, the part an
+	// upload copies, is empty.
 	empty bool
 }
 
@@ -207,19 +208,6 @@ func (bd *BrickData) Cells() *Macrocells {
 		bd.mcOnce.Do(func() { bd.mc = bd.mcFn() })
 	}
 	return bd.mc
-}
-
-// Bytes returns the ghost-region payload size regardless of backing: the
-// held data for copy-backed bricks, the ghost extent for views, zero for
-// payload-free empty bricks.
-func (bd *BrickData) Bytes() int64 {
-	if bd.empty {
-		return 0
-	}
-	if bd.Data != nil {
-		return int64(len(bd.Data)) * 4
-	}
-	return bd.Brick.Bytes()
 }
 
 // Empty reports whether this is a payload-free brick built by

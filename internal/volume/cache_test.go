@@ -32,7 +32,7 @@ func (s *countingSource) Fill(r Region, dst []float32) error {
 // ones over core, ghost, and out-of-ghost (clamped) positions.
 func TestCachedBrickFillEquivalence(t *testing.T) {
 	d := Dims{X: 17, Y: 13, Z: 11}
-	direct := NewFuncSource("cache-equiv", d, testField)
+	direct := fieldSource("cache-equiv", d, testField)
 	cache := NewStagingCache(1 << 20)
 	cached := cache.Wrap(direct)
 	if _, ok := cached.(*CachedSource); !ok {
@@ -89,7 +89,7 @@ func TestCachedBrickFillEquivalence(t *testing.T) {
 // goroutines (run with -race) and checks single materialisation.
 func TestCacheMaterialisesOnceUnderConcurrency(t *testing.T) {
 	d := Dims{X: 32, Y: 32, Z: 32}
-	under := &countingSource{FuncSource: NewFuncSource("cache-conc", d, testField)}
+	under := &countingSource{FuncSource: fieldSource("cache-conc", d, testField)}
 	cache := NewStagingCache(1 << 24)
 	g, err := MakeGrid(d, [3]int{2, 2, 2})
 	if err != nil {
@@ -138,7 +138,7 @@ func TestCacheEvictionAndBypass(t *testing.T) {
 	small := Dims{X: 16, Y: 16, Z: 16} // 16 KiB
 	cache := NewStagingCache(3 * (cacheKey{dims: small}).bytes())
 	fill := func(tag string) {
-		src := cache.Wrap(NewFuncSource(tag, small, testField))
+		src := cache.Wrap(fieldSource(tag, small, testField))
 		dst := make([]float32, small.Voxels())
 		if err := src.Fill(Region{Ext: small}, dst); err != nil {
 			t.Fatal(err)
@@ -165,12 +165,12 @@ func TestCacheEvictionAndBypass(t *testing.T) {
 	}
 
 	// A source bigger than the whole budget bypasses the cache.
-	huge := NewFuncSource("huge", Dims{X: 64, Y: 64, Z: 64}, testField)
+	huge := fieldSource("huge", Dims{X: 64, Y: 64, Z: 64}, testField)
 	if s := cache.Wrap(huge); s != Source(huge) {
 		t.Errorf("over-budget source should bypass the cache, got %T", s)
 	}
 	// A source that does not declare Stageable opts out.
-	out := struct{ Source }{NewFuncSource("optout", small, testField)}
+	out := struct{ Source }{fieldSource("optout", small, testField)}
 	if s := cache.Wrap(out); s != Source(out) {
 		t.Errorf("a source that is not Stageable should bypass the cache, got %T", s)
 	}
@@ -180,13 +180,13 @@ func TestCacheEvictionAndBypass(t *testing.T) {
 		t.Errorf("VolumeSource should bypass the cache, got %T", s)
 	}
 	// Wrapping is idempotent.
-	c1 := cache.Wrap(NewFuncSource("idem", small, testField))
+	c1 := cache.Wrap(fieldSource("idem", small, testField))
 	if c2 := cache.Wrap(c1); c2 != c1 {
 		t.Errorf("re-wrapping a cached source should be a no-op")
 	}
 	// A disabled cache is the identity.
 	var nilCache *StagingCache
-	src := NewFuncSource("nilwrap", small, testField)
+	src := fieldSource("nilwrap", small, testField)
 	if s := nilCache.Wrap(src); s != Source(src) {
 		t.Error("nil cache should pass sources through")
 	}
@@ -213,7 +213,7 @@ func TestCacheHitSurvivesConcurrentEviction(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			src := cache.Wrap(NewFuncSource(fmt.Sprintf("churn-%d", w%2), d, testField))
+			src := cache.Wrap(fieldSource(fmt.Sprintf("churn-%d", w%2), d, testField))
 			for i := 0; i < 200; i++ {
 				bd, err := StageBrick(src, g.Bricks[i%2])
 				if err != nil {
@@ -295,7 +295,7 @@ type gateSource struct {
 
 func newGateSource(tag string, d Dims, fails bool) *gateSource {
 	return &gateSource{
-		FuncSource: NewFuncSource(tag, d, testField),
+		FuncSource: fieldSource(tag, d, testField),
 		started:    make(chan struct{}),
 		release:    make(chan struct{}),
 		fails:      fails,
@@ -328,7 +328,7 @@ func TestCacheFallbackWhenBudgetInFlight(t *testing.T) {
 	}()
 	<-gate.started // the reservation now holds the whole budget
 
-	under := &countingSource{FuncSource: NewFuncSource("inflight-victim", d, testField)}
+	under := &countingSource{FuncSource: fieldSource("inflight-victim", d, testField)}
 	victim := cache.Wrap(under)
 	if _, ok := victim.(*CachedSource); !ok {
 		t.Fatalf("Wrap returned %T, want *CachedSource", victim)
@@ -445,7 +445,7 @@ func (s *panicSource) Fill(r Region, dst []float32) error {
 // source materialises instead of blocking on a build nobody is running.
 func TestCachePanickingBuildDoesNotPoison(t *testing.T) {
 	cache := NewStagingCache(1 << 20)
-	src := &panicSource{FuncSource: NewFuncSource("panics", Dims{X: 8, Y: 8, Z: 8}, testField), armed: true}
+	src := &panicSource{FuncSource: fieldSource("panics", Dims{X: 8, Y: 8, Z: 8}, testField), armed: true}
 	fill := func() error {
 		return cache.Wrap(src).Fill(Region{Ext: Dims{1, 1, 1}}, make([]float32, 1))
 	}
@@ -480,7 +480,7 @@ func TestCachePanickingBuildDoesNotPoison(t *testing.T) {
 func TestCacheFlush(t *testing.T) {
 	d := Dims{X: 8, Y: 8, Z: 8}
 	cache := NewStagingCache(1 << 20)
-	src := cache.Wrap(NewFuncSource("flush", d, testField))
+	src := cache.Wrap(fieldSource("flush", d, testField))
 	dst := make([]float32, d.Voxels())
 	if err := src.Fill(Region{Ext: d}, dst); err != nil {
 		t.Fatal(err)
@@ -541,7 +541,7 @@ func TestCacheReadyBytesMatchWalk(t *testing.T) {
 	}
 	check("empty", 0)
 	for i := 0; i < 5; i++ { // two more than fit: evictions
-		if err := fill(NewFuncSource(fmt.Sprintf("ready-%d", i), d, testField)); err != nil {
+		if err := fill(fieldSource(fmt.Sprintf("ready-%d", i), d, testField)); err != nil {
 			t.Fatal(err)
 		}
 		check(fmt.Sprintf("after insert %d", i), int64(min(i+1, 3))*one)
@@ -563,7 +563,7 @@ func TestCacheReadyBytesMatchWalk(t *testing.T) {
 	<-gate.started
 	check("one in flight", 2*one)
 	big := Dims{X: 8, Y: 8, Z: 24} // three entries' worth
-	if _, err := cache.volumeFor(NewFuncSource("ready-big", big, testField)); !errors.Is(err, errBudgetHeld) {
+	if _, err := cache.volumeFor(fieldSource("ready-big", big, testField)); !errors.Is(err, errBudgetHeld) {
 		t.Fatalf("a key needing the in-flight bytes too: err=%v, want refused", err)
 	}
 	check("after refusal", 2*one) // refusal evicts nothing

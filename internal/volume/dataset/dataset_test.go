@@ -32,12 +32,7 @@ func TestPaperDims(t *testing.T) {
 }
 
 func TestFieldsInRange(t *testing.T) {
-	fields := map[string]volume.Field{
-		Skull:     SkullField,
-		Supernova: SupernovaField,
-		Plume:     PlumeField,
-	}
-	for name, f := range fields {
+	for name, f := range referenceFields {
 		for i := 0; i < 2000; i++ {
 			// Deterministic low-discrepancy sweep of the unit cube.
 			x := math.Mod(float64(i)*0.754877666, 1)

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"gvmr/internal/volume"
@@ -31,19 +30,18 @@ func New(name string, d volume.Dims) (volume.Source, error) {
 		}
 		return e.src, nil
 	}
-	var f volume.Field
 	var rows volume.RowFiller
 	switch strings.ToLower(name) {
 	case Skull:
-		f, rows = SkullField, SkullRows
+		rows = SkullRows
 	case Supernova:
-		f, rows = SupernovaField, SupernovaRows
+		rows = SupernovaRows
 	case Plume:
-		f, rows = PlumeField, PlumeRows
+		rows = PlumeRows
 	default:
 		return nil, fmt.Errorf("dataset: unknown dataset %q (have %v)", name, Names())
 	}
-	return volume.NewFuncSourceRows(fmt.Sprintf("%s-%s", name, d), d, f, rows), nil
+	return volume.NewFuncSourceRows(fmt.Sprintf("%s-%s", name, d), d, rows), nil
 }
 
 // PaperDims returns the resolution the paper stores the named dataset at,
@@ -83,98 +81,6 @@ var skullEllipsoids = []ellipsoid{
 	{-0.08, -0.605, 0, 0.046, 0.023, 0.05, 0, 0.35},
 	{0, -0.605, 0, 0.023, 0.023, 0.02, 0, 0.35},
 	{0.06, -0.605, 0, 0.023, 0.046, 0.02, 0, 0.35},
-}
-
-// SkullField is the Skull dataset: a 3D Shepp-Logan head phantom. The
-// ellipsoid boundaries fall off smoothly over a thin shell (a CT scan is
-// band-limited, not binary), which also keeps gradient shading free of
-// stairstep artifacts.
-func SkullField(x, y, z float64) float32 {
-	// Map [0,1]³ to [-1,1]³.
-	px := 2*x - 1
-	py := 2*y - 1
-	pz := 2*z - 1
-	sum := 0.0
-	for i := range skullEllipsoids {
-		e := &skullEllipsoids[i]
-		dx := px - e.cx
-		dy := py - e.cy
-		dz := pz - e.cz
-		c := math.Cos(e.phi)
-		s := math.Sin(e.phi)
-		rx := c*dx + s*dy
-		ry := -s*dx + c*dy
-		q := rx*rx/(e.ax*e.ax) + ry*ry/(e.ay*e.ay) + dz*dz/(e.az*e.az)
-		// Smooth membership: 1 well inside, 0 well outside, C1 falloff
-		// across q ∈ [1-w, 1+w].
-		const w = shellW
-		switch {
-		case q <= 1-w:
-			sum += e.val
-		case q < 1+w:
-			t := (1 + w - q) / (2 * w)
-			sum += e.val * t * t * (3 - 2*t)
-		}
-	}
-	if sum < 0 {
-		sum = 0
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return float32(sum)
-}
-
-// SupernovaField is the Supernova dataset: a turbulent expanding shell with
-// a hot core, modulated by fBm noise — the classic core-collapse remnant
-// structure of the paper's supernova simulation frames.
-func SupernovaField(x, y, z float64) float32 {
-	px := 2*x - 1
-	py := 2*y - 1
-	pz := 2*z - 1
-	r := math.Sqrt(px*px + py*py + pz*pz)
-	// Turbulence distorts the shell radius so the surface is wispy.
-	turb := fbm(px*4+7, py*4+13, pz*4+29, 4, 0xA11CE)
-	shellR := 0.62 + 0.18*(turb-0.5)
-	shell := math.Exp(-sq((r - shellR) / 0.085))
-	core := 0.9 * math.Exp(-sq(r/0.16))
-	// Filaments between core and shell.
-	fil := 0.35 * math.Exp(-sq((r-0.35)/0.22)) * fbm(px*7+3, py*7+5, pz*7+11, 3, 0xBEEF)
-	v := 0.95*shell + core + fil
-	if v > 1 {
-		v = 1
-	}
-	return float32(v)
-}
-
-// PlumeField is the Plume dataset: a buoyant helical plume rising through a
-// tall domain (the paper stores it at 512×512×2048), with fBm turbulence
-// that broadens with height.
-func PlumeField(x, y, z float64) float32 {
-	// z runs along the tall axis; plume axis precesses helically with z.
-	h := z // height in [0,1]
-	swirl := 5.5 * h
-	axisX := 0.5 + 0.13*h*math.Cos(2*math.Pi*swirl)
-	axisY := 0.5 + 0.13*h*math.Sin(2*math.Pi*swirl)
-	dx := x - axisX
-	dy := y - axisY
-	radius := math.Sqrt(dx*dx + dy*dy)
-	// The plume widens and thins as it rises.
-	width := 0.045 + 0.16*h
-	density := math.Exp(-sq(radius/width)) * (1.0 - 0.55*h)
-	// Turbulent puffs.
-	turb := fbm(x*9+1, y*9+17, z*22+5, 4, 0x9D2C)
-	density *= 0.55 + 0.9*turb
-	// Source blob at the bottom.
-	src := 0.8 * math.Exp(-(sq((x-0.5)/0.09) + sq((y-0.5)/0.09) + sq(z/0.05)))
-	v := density + src
-	if v > 1 {
-		v = 1
-	}
-	if v < 0.02 {
-		v = 0 // keep empty space exactly empty so early termination bites
-	}
-	return float32(v)
 }
 
 func sq(v float64) float64 { return v * v }

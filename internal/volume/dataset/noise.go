@@ -20,57 +20,15 @@ func hash3(x, y, z, seed uint32) float64 {
 	return float64(h) / float64(1<<32)
 }
 
-// valueNoise is trilinearly interpolated lattice noise in [0,1).
-func valueNoise(x, y, z float64, seed uint32) float64 {
-	xf := math.Floor(x)
-	yf := math.Floor(y)
-	zf := math.Floor(z)
-	fx := smooth(x - xf)
-	fy := smooth(y - yf)
-	fz := smooth(z - zf)
-	xi, yi, zi := uint32(int64(xf)), uint32(int64(yf)), uint32(int64(zf))
-
-	c000 := hash3(xi, yi, zi, seed)
-	c100 := hash3(xi+1, yi, zi, seed)
-	c010 := hash3(xi, yi+1, zi, seed)
-	c110 := hash3(xi+1, yi+1, zi, seed)
-	c001 := hash3(xi, yi, zi+1, seed)
-	c101 := hash3(xi+1, yi, zi+1, seed)
-	c011 := hash3(xi, yi+1, zi+1, seed)
-	c111 := hash3(xi+1, yi+1, zi+1, seed)
-
-	c00 := c000 + (c100-c000)*fx
-	c10 := c010 + (c110-c010)*fx
-	c01 := c001 + (c101-c001)*fx
-	c11 := c011 + (c111-c011)*fx
-	c0 := c00 + (c10-c00)*fy
-	c1 := c01 + (c11-c01)*fy
-	return c0 + (c1-c0)*fz
-}
-
 // smooth is the C1 smoothstep fade used for noise interpolation.
 func smooth(t float64) float64 { return t * t * (3 - 2*t) }
 
-// fbm is fractal Brownian motion: `octaves` layers of value noise, each at
-// double frequency and half amplitude, normalised to [0,1).
-func fbm(x, y, z float64, octaves int, seed uint32) float64 {
-	sum := 0.0
-	amp := 0.5
-	norm := 0.0
-	for o := 0; o < octaves; o++ {
-		sum += amp * valueNoise(x, y, z, seed+uint32(o)*101)
-		norm += amp
-		x, y, z = x*2.03, y*2.03, z*2.03
-		amp *= 0.5
-	}
-	return sum / norm
-}
-
 // ---- Row-batched fast-math kernels ----
 //
-// The functions below are the Fill fast path used by the RowFiller dataset
-// evaluators. They compute the same quantities as valueNoise/fbm/math.Exp
-// but walk a whole x-row at once, so lattice corner hashes are recomputed
+// The functions below are the Fill path used by the RowFiller dataset
+// evaluators. They compute the same quantities as the per-voxel
+// references valueNoise, fbm and math.Exp (rows_test.go) but walk a
+// whole x-row at once, so lattice corner hashes are recomputed
 // only at cell crossings and per-row terms are hoisted. Evaluation order
 // of the trilinear blend is rearranged (y/z collapse first, then x), and a
 // polynomial exp replaces math.Exp, so results differ from the reference

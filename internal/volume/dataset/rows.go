@@ -5,20 +5,22 @@ import (
 	"sync"
 )
 
-// This file holds the row-batched fast evaluators for the three datasets:
-// the volume.RowFiller implementations FuncSource.Fill uses. They hoist
+// This file holds the row-batched evaluators for the three datasets: the
+// volume.RowFiller implementations FuncSource.Fill uses, and the only
+// way the datasets are evaluated. They hoist
 // everything that is constant along an x-row (trig, per-ellipsoid terms,
 // radial offsets), evaluate fbm noise incrementally across the lattice,
 // replace math.Exp with the polynomial expNeg, and skip provably-empty
 // voxels — together they make first-time materialisation of a dataset
-// roughly an order of magnitude faster than per-voxel Field calls. The
+// roughly an order of magnitude faster than per-voxel evaluation. The
 // skull's evaluator also limits each ellipsoid to the x-span a row
 // crosses it in and evaluates its membership only in the shell band of
 // that span, bit-identical to evaluating every ellipsoid at every voxel
 // of the row (TestSkullRowsBitIdentical).
 //
-// They are fast-math: results may differ from the exact reference fields
-// (SkullField, SupernovaField, PlumeField) by up to fastFieldTolerance,
+// They are fast-math: results may differ from the exact per-voxel
+// reference fields (SkullField, SupernovaField, PlumeField, kept in
+// rows_test.go as the test's oracle) by up to fastFieldTolerance,
 // and values the reference puts below zeroCutoff may be flushed to zero.
 // TestRowsMatchReferenceFields enforces both bounds.
 

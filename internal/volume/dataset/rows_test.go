@@ -28,15 +28,11 @@ func TestRowsMatchReferenceFields(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs := src.(*volume.FuncSource)
-		if fs.Rows == nil {
-			t.Fatalf("%s: no row evaluator", c.name)
-		}
 		fast, err := volume.Materialize(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := volume.Materialize(volume.NewFuncSource(fs.Tag+"-ref", c.dims, fs.Field))
+		ref, err := volume.Materialize(volume.NewFuncSourceRows(c.name+"-ref", c.dims, fieldRows(referenceFields[c.name])))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,6 +64,159 @@ func TestRowsMatchReferenceFields(t *testing.T) {
 				c.name, bad, fastFieldTolerance, worst)
 		}
 	}
+}
+
+// referenceFields maps each built-in dataset to its per-voxel reference.
+var referenceFields = map[string]func(x, y, z float64) float32{
+	Skull:     SkullField,
+	Supernova: SupernovaField,
+	Plume:     PlumeField,
+}
+
+// fieldRows evaluates a per-voxel field one x-row at a time, the shape
+// volume.FuncSource asks for.
+func fieldRows(f func(x, y, z float64) float32) volume.RowFiller {
+	return func(dst []float32, xs []float64, y, z float64) {
+		for i, x := range xs {
+			dst[i] = f(x, y, z)
+		}
+	}
+}
+
+// SkullField is the per-voxel reference of SkullRows, the Skull dataset:
+// a 3D Shepp-Logan head phantom. The ellipsoid boundaries fall off
+// smoothly over a thin shell (a CT scan is band-limited, not binary),
+// which also keeps gradient shading free of stairstep artifacts.
+func SkullField(x, y, z float64) float32 {
+	// Map [0,1]³ to [-1,1]³.
+	px := 2*x - 1
+	py := 2*y - 1
+	pz := 2*z - 1
+	sum := 0.0
+	for i := range skullEllipsoids {
+		e := &skullEllipsoids[i]
+		dx := px - e.cx
+		dy := py - e.cy
+		dz := pz - e.cz
+		c := math.Cos(e.phi)
+		s := math.Sin(e.phi)
+		rx := c*dx + s*dy
+		ry := -s*dx + c*dy
+		q := rx*rx/(e.ax*e.ax) + ry*ry/(e.ay*e.ay) + dz*dz/(e.az*e.az)
+		// Smooth membership: 1 well inside, 0 well outside, C1 falloff
+		// across q ∈ [1-w, 1+w].
+		const w = shellW
+		switch {
+		case q <= 1-w:
+			sum += e.val
+		case q < 1+w:
+			t := (1 + w - q) / (2 * w)
+			sum += e.val * t * t * (3 - 2*t)
+		}
+	}
+	if sum < 0 {
+		sum = 0
+	}
+	if sum > 1 {
+		sum = 1
+	}
+	return float32(sum)
+}
+
+// SupernovaField is the per-voxel reference of SupernovaRows, the
+// Supernova dataset: a turbulent expanding shell with a hot core,
+// modulated by fBm noise — the classic core-collapse remnant structure of
+// the paper's supernova simulation frames.
+func SupernovaField(x, y, z float64) float32 {
+	px := 2*x - 1
+	py := 2*y - 1
+	pz := 2*z - 1
+	r := math.Sqrt(px*px + py*py + pz*pz)
+	// Turbulence distorts the shell radius so the surface is wispy.
+	turb := fbm(px*4+7, py*4+13, pz*4+29, 4, 0xA11CE)
+	shellR := 0.62 + 0.18*(turb-0.5)
+	shell := math.Exp(-sq((r - shellR) / 0.085))
+	core := 0.9 * math.Exp(-sq(r/0.16))
+	// Filaments between core and shell.
+	fil := 0.35 * math.Exp(-sq((r-0.35)/0.22)) * fbm(px*7+3, py*7+5, pz*7+11, 3, 0xBEEF)
+	v := 0.95*shell + core + fil
+	if v > 1 {
+		v = 1
+	}
+	return float32(v)
+}
+
+// PlumeField is the per-voxel reference of PlumeRows, the Plume dataset:
+// a buoyant helical plume rising through a tall domain (the paper stores
+// it at 512×512×2048), with fBm turbulence that broadens with height.
+func PlumeField(x, y, z float64) float32 {
+	// z runs along the tall axis; plume axis precesses helically with z.
+	h := z // height in [0,1]
+	swirl := 5.5 * h
+	axisX := 0.5 + 0.13*h*math.Cos(2*math.Pi*swirl)
+	axisY := 0.5 + 0.13*h*math.Sin(2*math.Pi*swirl)
+	dx := x - axisX
+	dy := y - axisY
+	radius := math.Sqrt(dx*dx + dy*dy)
+	// The plume widens and thins as it rises.
+	width := 0.045 + 0.16*h
+	density := math.Exp(-sq(radius/width)) * (1.0 - 0.55*h)
+	// Turbulent puffs.
+	turb := fbm(x*9+1, y*9+17, z*22+5, 4, 0x9D2C)
+	density *= 0.55 + 0.9*turb
+	// Source blob at the bottom.
+	src := 0.8 * math.Exp(-(sq((x-0.5)/0.09) + sq((y-0.5)/0.09) + sq(z/0.05)))
+	v := density + src
+	if v > 1 {
+		v = 1
+	}
+	if v < 0.02 {
+		v = 0 // keep empty space exactly empty so early termination bites
+	}
+	return float32(v)
+}
+
+// valueNoise is trilinearly interpolated lattice noise in [0,1).
+func valueNoise(x, y, z float64, seed uint32) float64 {
+	xf := math.Floor(x)
+	yf := math.Floor(y)
+	zf := math.Floor(z)
+	fx := smooth(x - xf)
+	fy := smooth(y - yf)
+	fz := smooth(z - zf)
+	xi, yi, zi := uint32(int64(xf)), uint32(int64(yf)), uint32(int64(zf))
+
+	c000 := hash3(xi, yi, zi, seed)
+	c100 := hash3(xi+1, yi, zi, seed)
+	c010 := hash3(xi, yi+1, zi, seed)
+	c110 := hash3(xi+1, yi+1, zi, seed)
+	c001 := hash3(xi, yi, zi+1, seed)
+	c101 := hash3(xi+1, yi, zi+1, seed)
+	c011 := hash3(xi, yi+1, zi+1, seed)
+	c111 := hash3(xi+1, yi+1, zi+1, seed)
+
+	c00 := c000 + (c100-c000)*fx
+	c10 := c010 + (c110-c010)*fx
+	c01 := c001 + (c101-c001)*fx
+	c11 := c011 + (c111-c011)*fx
+	c0 := c00 + (c10-c00)*fy
+	c1 := c01 + (c11-c01)*fy
+	return c0 + (c1-c0)*fz
+}
+
+// fbm is fractal Brownian motion: `octaves` layers of value noise, each at
+// double frequency and half amplitude, normalised to [0,1).
+func fbm(x, y, z float64, octaves int, seed uint32) float64 {
+	sum := 0.0
+	amp := 0.5
+	norm := 0.0
+	for o := 0; o < octaves; o++ {
+		sum += amp * valueNoise(x, y, z, seed+uint32(o)*101)
+		norm += amp
+		x, y, z = x*2.03, y*2.03, z*2.03
+		amp *= 0.5
+	}
+	return sum / norm
 }
 
 // skullRowsReference is the plain row evaluator SkullRows must match bit
@@ -174,8 +323,8 @@ func TestSkullRowsBitIdentical(t *testing.T) {
 		}
 	}
 	for _, c := range cases {
-		fast := volume.NewFuncSourceRows("fast", c.dims, SkullField, SkullRows)
-		ref := volume.NewFuncSourceRows("ref", c.dims, SkullField, skullRowsReference)
+		fast := volume.NewFuncSourceRows("fast", c.dims, SkullRows)
+		ref := volume.NewFuncSourceRows("ref", c.dims, skullRowsReference)
 		got := make([]float32, c.reg.Ext.Voxels())
 		want := make([]float32, len(got))
 		if err := fast.Fill(c.reg, got); err != nil {

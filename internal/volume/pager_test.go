@@ -531,7 +531,7 @@ func TestKeptMacrocellsMatchFreshBuild(t *testing.T) {
 // pager with a dense brick and a directory constant.
 func pageReadFixture(tb testing.TB) (ps *PagedSource, ff *faultFile, dense, constant int) {
 	tb.Helper()
-	src := NewFuncSource("blob", Cube(72), func(x, y, z float64) float32 {
+	src := fieldSource("blob", Cube(72), func(x, y, z float64) float32 {
 		r := math.Sqrt((x-.5)*(x-.5) + (y-.5)*(y-.5) + (z-.5)*(z-.5))
 		return float32(math.Max(0, 0.4-r) * (1 + 0.1*math.Sin(40*x)*math.Sin(31*y)))
 	})

@@ -62,38 +62,27 @@ func copyRegion(v *Volume, r Region, dst []float32) {
 	}
 }
 
-// Field is an analytic scalar field over normalized coordinates in [0,1]³.
-type Field func(x, y, z float64) float32
-
 // RowFiller evaluates a whole x-row of an analytic field at once:
 // dst[i] = field(xs[i], y, z) with len(dst) == len(xs), xs being the
-// ascending, evenly spaced voxel centres of one row. Batch evaluation
-// lets field implementations hoist per-row terms and evaluate lattice
-// noise incrementally, which is several times faster than per-voxel calls.
+// ascending, evenly spaced voxel centres of one row, all coordinates
+// normalised to [0,1]. Batch evaluation lets field implementations hoist
+// per-row terms and evaluate lattice noise incrementally, which is
+// several times faster than per-voxel calls.
 type RowFiller func(dst []float32, xs []float64, y, z float64)
 
-// FuncSource evaluates an analytic field lazily; it backs the synthetic
-// datasets so that volumes too big for the staging cache never need to be
-// materialised.
+// FuncSource evaluates an analytic field lazily, one x-row at a time; it
+// backs the synthetic datasets so that volumes too big for the staging
+// cache never need to be materialised.
 type FuncSource struct {
-	Tag   string
-	Size  Dims
-	Field Field
-	// Rows, when non-nil, is used by Fill instead of per-voxel Field
-	// calls. It must agree with Field to within the dataset package's
-	// documented fast-math tolerance.
+	Tag  string
+	Size Dims
 	Rows RowFiller
 }
 
-// NewFuncSource builds a Source from an analytic field.
-func NewFuncSource(tag string, d Dims, f Field) *FuncSource {
-	return &FuncSource{Tag: tag, Size: d, Field: f}
-}
-
-// NewFuncSourceRows builds a Source from an analytic field with a batched
-// row evaluator used on the Fill fast path.
-func NewFuncSourceRows(tag string, d Dims, f Field, rows RowFiller) *FuncSource {
-	return &FuncSource{Tag: tag, Size: d, Field: f, Rows: rows}
+// NewFuncSourceRows builds a Source from an analytic field's row
+// evaluator.
+func NewFuncSourceRows(tag string, d Dims, rows RowFiller) *FuncSource {
+	return &FuncSource{Tag: tag, Size: d, Rows: rows}
 }
 
 // Name implements Source.
@@ -106,8 +95,8 @@ func (s *FuncSource) Dims() Dims { return s.Size }
 // per (tag, dims), so staging caches may materialise them once.
 func (s *FuncSource) StageCacheable() bool { return true }
 
-// Fill implements Source, evaluating the field at voxel centers in
-// parallel over host cores (z-slabs).
+// Fill implements Source, evaluating the field's rows at voxel centers
+// in parallel over host cores (z-slabs).
 func (s *FuncSource) Fill(r Region, dst []float32) error {
 	if err := checkRegion(s.Size, r, len(dst)); err != nil {
 		return err
@@ -130,13 +119,7 @@ func (s *FuncSource) Fill(r Region, dst []float32) error {
 		for y := r.Org[1]; y < e[1]; y++ {
 			ny := (float64(y) + 0.5) * invY
 			row := base + (y-r.Org[1])*rowLen
-			if s.Rows != nil {
-				s.Rows(dst[row:row+rowLen], xs, ny, nz)
-				continue
-			}
-			for i, nx := range xs {
-				dst[row+i] = s.Field(nx, ny, nz)
-			}
+			s.Rows(dst[row:row+rowLen], xs, ny, nz)
 		}
 		return struct{}{}, nil
 	})

@@ -184,7 +184,7 @@ func TestFillRejectsBadRegion(t *testing.T) {
 
 func TestFuncSourceMatchesField(t *testing.T) {
 	f := func(x, y, z float64) float32 { return float32(x + 10*y + 100*z) }
-	src := NewFuncSource("f", Dims{4, 4, 4}, f)
+	src := fieldSource("f", Dims{4, 4, 4}, f)
 	v, err := Materialize(src)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestFuncSourceMatchesField(t *testing.T) {
 func TestFuncSourceRegionProperty(t *testing.T) {
 	f := func(x, y, z float64) float32 { return float32(x*y + z) }
 	d := Dims{8, 7, 6}
-	src := NewFuncSource("f", d, f)
+	src := fieldSource("f", d, f)
 	full, err := Materialize(src)
 	if err != nil {
 		t.Fatal(err)
@@ -249,4 +249,14 @@ func abs32(v float32) float32 {
 		return -v
 	}
 	return v
+}
+
+// fieldSource is a FuncSource over a per-voxel field, evaluated a row at
+// a time the way FuncSource asks.
+func fieldSource(tag string, d Dims, f func(x, y, z float64) float32) *FuncSource {
+	return NewFuncSourceRows(tag, d, func(dst []float32, xs []float64, y, z float64) {
+		for i, x := range xs {
+			dst[i] = f(x, y, z)
+		}
+	})
 }
