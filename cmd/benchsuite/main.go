@@ -16,61 +16,61 @@
 // cores through the internal/schedule worker pool, GOMAXPROCS wide;
 // GOMAXPROCS=1 runs them one at a time, and the output is byte-identical
 // either way. -cpuprofile writes a pprof CPU profile of the run.
+//
+// The quick-scale tables of `all` are pinned in testdata/quick_all.txt;
+// `go test ./cmd/benchsuite -update` rewrites the file after a reviewed
+// change to what they report.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"runtime/pprof"
-	"sync"
 
 	"gvmr/internal/experiments"
 	"gvmr/internal/volume"
 )
 
-// profileStop flushes the -cpuprofile output (no-op when profiling is
-// off). Exits must run it explicitly: log.Fatal skips defers, and a
-// profile is most valuable exactly when a regression guard trips.
-var profileStop = func() {}
-
-// fatal and fatalf flush the profile, then exit like log.Fatal(f).
-func fatal(v ...any) {
-	profileStop()
-	log.Fatal(v...)
-}
-
-func fatalf(format string, v ...any) {
-	profileStop()
-	log.Fatalf(format, v...)
-}
-
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("benchsuite: ")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes the command line args, writing the tables to stdout and
+// progress and errors to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchsuite", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		scaleName  = flag.String("scale", "paper", "experiment scale: paper|quick")
-		outDir     = flag.String("out", "", "directory for rendered PNGs (fig2)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this path (perf work starts from profiles, not guesses)")
+		scaleName  = fs.String("scale", "paper", "experiment scale: paper|quick")
+		outDir     = fs.String("out", "", "directory for rendered PNGs (fig2)")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this path (perf work starts from profiles, not guesses)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "benchsuite:", err)
+		return 1
+	}
 	if *cpuProfile != "" {
+		// The deferred stop flushes the profile on every return, failed
+		// runs included: a profile is most valuable exactly when a
+		// regression guard trips.
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		var once sync.Once
-		profileStop = func() {
-			once.Do(func() {
-				pprof.StopCPUProfile()
-				f.Close()
-			})
-		}
-		defer profileStop()
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return fail(err)
 		}
+		defer pprof.StopCPUProfile()
 	}
 	var sc experiments.Scale
 	switch *scaleName {
@@ -79,10 +79,10 @@ func main() {
 	case "quick":
 		sc = experiments.Quick()
 	default:
-		fatalf("unknown scale %q", *scaleName)
+		return fail(fmt.Errorf("unknown scale %q", *scaleName))
 	}
 
-	cmds := flag.Args()
+	cmds := fs.Args()
 	if len(cmds) == 0 {
 		cmds = []string{"all"}
 	}
@@ -94,94 +94,109 @@ func main() {
 	want := map[string]bool{}
 	for _, c := range cmds {
 		if !known[c] {
-			fmt.Fprintf(os.Stderr, "benchsuite: unknown subcommand %q\n", c)
-			profileStop()
-			os.Exit(2)
+			fmt.Fprintf(stderr, "benchsuite: unknown subcommand %q\n", c)
+			return 2
 		}
 		want[c] = true
 	}
 	all := want["all"]
 	need := func(name string) bool { return all || want[name] }
 
-	fmt.Printf("== gvmr benchsuite — scale %q ==\n\n", sc.Name)
+	fmt.Fprintf(stdout, "== gvmr benchsuite — scale %q ==\n\n", sc.Name)
 
 	var sweep []experiments.SweepRow
-	ensureSweep := func() []experiments.SweepRow {
-		if sweep == nil {
-			log.Printf("running scaling sweep (%v volumes × %v GPUs)...", sc.Edges, sc.GPUCounts)
-			var err error
-			sweep, err = experiments.Sweep(sc)
-			if err != nil {
-				fatal(err)
-			}
+	ensureSweep := func() error {
+		if sweep != nil {
+			return nil
 		}
-		return sweep
+		fmt.Fprintf(stderr, "benchsuite: running scaling sweep (%v volumes × %v GPUs)...\n", sc.Edges, sc.GPUCounts)
+		var err error
+		sweep, err = experiments.Sweep(sc)
+		return err
 	}
 
 	if need("fig2") {
 		t, err := experiments.Fig2(sc, *outDir)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Println(t)
+		fmt.Fprintln(stdout, t)
 	}
 	if need("fig3") {
-		fmt.Println(experiments.Fig3(ensureSweep()))
+		if err := ensureSweep(); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintln(stdout, experiments.Fig3(sweep))
 	}
 	if need("fig4") {
-		fps, vps := experiments.Fig4(ensureSweep())
-		fmt.Println(fps)
-		fmt.Println(vps)
+		if err := ensureSweep(); err != nil {
+			return fail(err)
+		}
+		fps, vps := experiments.Fig4(sweep)
+		fmt.Fprintln(stdout, fps)
+		fmt.Fprintln(stdout, vps)
 	}
 	if need("efficiency") {
-		fmt.Println(experiments.Efficiency(ensureSweep()))
+		if err := ensureSweep(); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintln(stdout, experiments.Efficiency(sweep))
 	}
 	if need("sec63") {
 		_, t, err := experiments.Sec63(sc)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Println(t)
+		fmt.Fprintln(stdout, t)
 	}
 	if need("micro") {
 		t, err := experiments.Micro()
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Println(t)
+		fmt.Fprintln(stdout, t)
 	}
 	if need("baseline") {
 		t, err := experiments.BaselineCmp(sc)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Println(t)
+		fmt.Fprintln(stdout, t)
 	}
 	if need("claims") {
-		fmt.Println(experiments.ClaimsReport(sc, ensureSweep()))
+		if err := ensureSweep(); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintln(stdout, experiments.ClaimsReport(sc, sweep))
 	}
 	if need("inoutcore") {
 		t, err := experiments.InOutOfCore(sc)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Println(t)
+		fmt.Fprintln(stdout, t)
 	}
 	if need("ablation") {
 		t, err := experiments.Ablations(sc)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Println(t)
+		fmt.Fprintln(stdout, t)
 	}
 	if need("zerocopy") {
-		fmt.Println(experiments.ZeroCopy(sc))
+		fmt.Fprintln(stdout, experiments.ZeroCopy(sc))
 	}
 
 	// The sweep and the figure renders share dataset synthesis through the
 	// process-wide staging cache; show how much re-synthesis it absorbed.
 	st := volume.Cache.Stats()
-	fmt.Printf("staging cache: %d materialisations, %d cached stages, %d evictions, %.2f GiB in use (cap %.0f GiB)\n",
-		st.Materialisations, st.Hits, st.Evictions,
+	fmt.Fprintf(stdout, "%s%d materialisations, %d cached stages, %d evictions, %.2f GiB in use (cap %.0f GiB)\n",
+		cacheFooter, st.Materialisations, st.Hits, st.Evictions,
 		float64(st.BytesInUse)/(1<<30), float64(st.Capacity)/(1<<30))
+	return 0
 }
+
+// cacheFooter starts the staging-cache line that ends every run. Its
+// capacity follows the host's available memory and its counts the
+// process's earlier runs, so the pinned tables leave it out.
+const cacheFooter = "staging cache: "
