@@ -8,6 +8,7 @@ import (
 	"gvmr/internal/cluster"
 	"gvmr/internal/img"
 	"gvmr/internal/render"
+	"gvmr/internal/sim"
 	"gvmr/internal/trace"
 	"gvmr/internal/volume"
 )
@@ -205,5 +206,28 @@ func TestUploadChargesResidentBoxes(t *testing.T) {
 		if got := uploaded(o); got != ghosts {
 			t.Errorf("%s: uploaded %d bytes, want the ghost regions' %d", name, got, ghosts)
 		}
+	}
+}
+
+// TestTraceCoversMakespan renders a traced 1-GPU frame: the union of its
+// spans over every lane is exactly [0, makespan], with no gap, so every
+// modelled cost — partitioning included — shows on the timeline.
+func TestTraceCoversMakespan(t *testing.T) {
+	opt := skullOptions(t, 32, 64, 1)
+	log := &trace.Log{}
+	opt.Trace = log
+	res, err := Render(newCluster(t, 1), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var covered sim.Time // end of the union so far; spans come sorted by start
+	for _, s := range log.Spans() {
+		if s.Start > covered {
+			t.Fatalf("nothing traced over [%v, %v); next span %+v", covered, s.Start, s)
+		}
+		covered = max(covered, s.End)
+	}
+	if covered != res.Runtime {
+		t.Errorf("spans end at %v, makespan %v", covered, res.Runtime)
 	}
 }

@@ -92,9 +92,9 @@ type Options struct {
 
 	// InSitu models the §7 in-situ pipeline: bricks are already resident
 	// on the cluster's nodes (produced by a co-located simulation,
-	// distributed round-robin across nodes), workers are scheduled with
-	// node affinity, and any brick mapped off its home node costs an
-	// interconnect hand-off instead of a disk read.
+	// distributed round-robin across nodes). Static assignment keeps each
+	// brick on a worker of its home node; any brick mapped off it (under
+	// AssignDynamic) costs an interconnect hand-off instead of a disk read.
 	InSitu bool
 
 	// Trace, when non-nil, collects per-operation activity spans (see

@@ -133,10 +133,9 @@ func Render(cl *cluster.Cluster, opt Options) (*Result, error) {
 		if opt.FromDisk {
 			return nil, fmt.Errorf("core: InSitu and FromDisk are mutually exclusive")
 		}
-		// A co-located simulation leaves brick i on node i mod N; render
-		// workers follow the data.
+		// A co-located simulation leaves brick i on node i mod N; static
+		// assignment keeps render workers on the data.
 		nodes := len(cl.Nodes)
-		cfg.Assign = mapreduce.AssignAffinity
 		cfg.Home = func(c mapreduce.Chunk) int { return c.ID() % nodes }
 	}
 

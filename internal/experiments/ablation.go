@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"gvmr/internal/core"
 	"gvmr/internal/gpu"
@@ -27,9 +28,18 @@ func Ablations(sc Scale) (*report.Table, error) {
 		if err != nil {
 			return fmt.Errorf("ablation %q: %w", name, err)
 		}
+		if strings.HasPrefix(name, "dynamic") {
+			// Scheduling rows report how many GPUs the queue kept busy.
+			busy := 0
+			for _, w := range res.Stats.Workers {
+				busy += min(w.Chunks, 1)
+			}
+			notes += fmt.Sprintf("; %d/%d GPUs busy", busy, gpus)
+		}
 		t.Add(name, report.Sec(res.Runtime), report.F0(res.VPSMillions), notes)
 		return nil
 	}
+	dynamic := func(o *core.Options) { o.Assign = mapreduce.AssignDynamic }
 
 	cases := []struct {
 		name   string
@@ -43,8 +53,7 @@ func Ablations(sc Scale) (*report.Table, error) {
 			func(o *core.Options) { o.Sampler = core.Slicing }},
 		{"reduce on GPU", "§3.1.2: paper found CPU faster",
 			func(o *core.Options) { o.ReduceOn = mapreduce.OnGPU; o.SortOn = mapreduce.OnGPU }},
-		{"dynamic chunk queue", "paper omits advanced scheduling",
-			func(o *core.Options) { o.Assign = mapreduce.AssignDynamic }},
+		{"dynamic chunk queue", "§6.1: paper omits it", dynamic},
 		{"image-block partitioning", "§6: blocked distribution",
 			func(o *core.Options) {
 				o.Partitioner = mapreduce.Blocked{KeyRange: int32(sc.ImageSize * sc.ImageSize)}
@@ -59,6 +68,8 @@ func Ablations(sc Scale) (*report.Table, error) {
 			}},
 		{"4 bricks per GPU", "paper: bricks within ~4x of GPUs",
 			func(o *core.Options) { o.BricksPerGPU = 4 }},
+		{"dynamic, 4 bricks per GPU", "§6.1: paper omits it",
+			func(o *core.Options) { dynamic(o); o.BricksPerGPU = 4 }},
 		{"gradient shading", "§2 shading; 6 extra fetches/sample",
 			func(o *core.Options) { o.Shading = true }},
 		{"no empty-space skipping", "DESIGN §8 macrocell DDA off; same image",

@@ -120,16 +120,16 @@ func (p Placement) String() string {
 // AssignMode selects how chunks are distributed over workers.
 type AssignMode int
 
-// Assignment modes. Static round-robin is what the paper uses ("we
-// specifically omitted … advanced scheduling"); the dynamic work queue is
-// kept for the scheduling ablation; affinity assignment places each chunk
-// on a worker of the node that already holds its data — the in-situ
-// pipeline §7 proposes ("the simulation nodes efficiently split the
-// volume and transfer it over a high-speed interconnect").
+// Assignment modes. Static round robin is what the paper uses ("we
+// specifically omitted … advanced scheduling"); with Config.Home set it
+// deals each chunk over the workers of the node that already holds its
+// data — the in-situ pipeline §7 proposes ("the simulation nodes
+// efficiently split the volume and transfer it over a high-speed
+// interconnect"). The dynamic queue, kept for the scheduling ablation,
+// is one list a worker claims from whenever it has nothing staged.
 const (
 	AssignStatic AssignMode = iota
 	AssignDynamic
-	AssignAffinity
 )
 
 // Config describes a job. Every job starts after the cluster's per-job
@@ -179,9 +179,9 @@ type Config[V, S any] struct {
 	SortOn   Placement
 
 	// Home maps a chunk to the node ID that holds its data (the in-situ
-	// producer). With AssignAffinity, chunks are scheduled onto workers
-	// of their home node when possible; any chunk staged away from its
-	// home is charged an interconnect hand-off of Chunk.Bytes.
+	// producer). AssignStatic deals chunks onto workers of their home
+	// node when it has any; any chunk staged away from its home is
+	// charged an interconnect hand-off of Chunk.Bytes.
 	Home func(c Chunk) int
 
 	// Trace, when non-nil, records activity spans (kernels, transfers,
@@ -217,8 +217,8 @@ func (c *Config[V, S]) validate() error {
 	if len(c.Chunks) == 0 {
 		return fmt.Errorf("mapreduce: no chunks")
 	}
-	if c.Assign == AssignAffinity && c.Home == nil {
-		return fmt.Errorf("mapreduce: affinity assignment needs a Home function")
+	if c.Assign != AssignStatic && c.Assign != AssignDynamic {
+		return fmt.Errorf("mapreduce: unknown assign mode %d", c.Assign)
 	}
 	return nil
 }

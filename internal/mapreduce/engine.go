@@ -58,44 +58,32 @@ func Run[V, S any](cfg Config[V, S]) (*JobStats, error) {
 	var errs []error
 	var totalWire, totalMsgs int64
 
-	// Chunk assignment. Static round-robin is the paper's scheme; the
-	// dynamic queue is the scheduling ablation.
-	var static [][]Chunk
-	var queue *sim.Chan[Chunk]
-	switch cfg.Assign {
-	case AssignStatic:
-		static = make([][]Chunk, cfg.Workers)
-		for i, c := range cfg.Chunks {
-			w := i % cfg.Workers
-			static[w] = append(static[w], c)
-		}
-	case AssignDynamic:
-		queue = sim.NewChan[Chunk](env, "chunk.queue", len(cfg.Chunks)+1)
-	case AssignAffinity:
-		// Locality-aware: route each chunk to a worker on its home node
-		// when one exists, cycling within the node; otherwise fall back
-		// to global round-robin.
-		static = make([][]Chunk, cfg.Workers)
-		byNode := map[int][]int{}
-		for i, w := range workers {
-			byNode[w.Node.ID] = append(byNode[w.Node.ID], i)
-		}
-		nodeCursor := map[int]int{}
-		fallback := 0
-		for _, c := range cfg.Chunks {
+	// Chunk assignment. Static round robin is the paper's scheme: each
+	// worker owns a list, dealt over the workers of a chunk's home node
+	// when Home names one (in-situ data stays where it was produced),
+	// else over all workers. The dynamic queue, the scheduling ablation,
+	// is one shared list.
+	lists := make([][]Chunk, cfg.Workers)
+	byNode := map[int][]int{}
+	for i, w := range workers {
+		byNode[w.Node.ID] = append(byNode[w.Node.ID], i)
+	}
+	nodeCursor := map[int]int{}
+	fallback := 0
+	for _, c := range cfg.Chunks {
+		if cfg.Home != nil {
 			home := cfg.Home(c)
 			if cands, ok := byNode[home]; ok {
 				w := cands[nodeCursor[home]%len(cands)]
 				nodeCursor[home]++
-				static[w] = append(static[w], c)
+				lists[w] = append(lists[w], c)
 				continue
 			}
-			static[fallback%cfg.Workers] = append(static[fallback%cfg.Workers], c)
-			fallback++
 		}
-	default:
-		return nil, fmt.Errorf("mapreduce: unknown assign mode %d", cfg.Assign)
+		lists[fallback%cfg.Workers] = append(lists[fallback%cfg.Workers], c)
+		fallback++
 	}
+	shared := cfg.Chunks
 
 	workersLeft := cfg.Workers
 	for _, w := range workers {
@@ -106,27 +94,27 @@ func Run[V, S any](cfg Config[V, S]) (*JobStats, error) {
 		env.Go(fmt.Sprintf("worker%d", w.Index), func(p *sim.Proc) {
 			p.WaitUntil(startAt)
 
-			// Loader: stages chunks (disk + materialisation) one ahead of
-			// the map loop — the streaming overlap of §3.
+			// Loader: stages the next chunk of the worker's source. A static
+			// worker stages one ahead of its map loop — the streaming
+			// overlap of §3. A dynamic worker claims only on the map loop's
+			// ready token, so no worker holds a chunk another could map.
 			staged := sim.NewChan[stagedChunk[S]](env, fmt.Sprintf("worker%d.staged", w.Index), 1)
+			src := &lists[w.Index]
+			var ready *sim.Chan[struct{}]
+			if cfg.Assign == AssignDynamic {
+				src, ready = &shared, sim.NewChan[struct{}](env, fmt.Sprintf("worker%d.ready", w.Index), 1)
+			}
 			env.Go(fmt.Sprintf("worker%d.loader", w.Index), func(lp *sim.Proc) {
 				lp.WaitUntil(startAt)
-				next := func() (Chunk, bool) {
-					if queue != nil {
-						return queue.Recv(lp)
-					}
-					if len(static[w.Index]) == 0 {
-						return nil, false
-					}
-					c := static[w.Index][0]
-					static[w.Index] = static[w.Index][1:]
-					return c, true
-				}
 				for {
-					c, ok := next()
-					if !ok {
+					if ready != nil {
+						ready.Recv(lp)
+					}
+					if len(*src) == 0 {
 						break
 					}
+					c := (*src)[0]
+					*src = (*src)[1:]
 					if cfg.FromDisk {
 						ioStart := lp.Now()
 						w.Node.ReadDisk(lp, c.Bytes())
@@ -168,6 +156,7 @@ func Run[V, S any](cfg Config[V, S]) (*JobStats, error) {
 				partStart := p.Now()
 				w.Node.CPUWork(p, float64(len(batch)), cfg.Cluster.Params.PartitionRate)
 				w.partIOTime += p.Now() - partStart
+				w.span("partition+io", "cpu:partition", partStart, p.Now())
 
 				dst := reducers[r]
 				bytes := int64(len(batch)) * kvBytes
@@ -227,15 +216,21 @@ func Run[V, S any](cfg Config[V, S]) (*JobStats, error) {
 				workersLeft--
 			}
 
+			failed := false
 			if err := cfg.Mapper.Init(p, w); err != nil {
 				errs = append(errs, fmt.Errorf("mapreduce: worker %d init: %w", w.Index, err))
-				for range allStaged(p, staged) {
-				}
-				finish()
-				return
+				failed = true
 			}
-			failed := false
-			for sc := range allStaged(p, staged) {
+			for {
+				// The ready token: sent at the start and after each chunk,
+				// the moments the map loop holds nothing staged.
+				if ready != nil {
+					ready.Send(p, struct{}{})
+				}
+				sc, ok := staged.Recv(p)
+				if !ok {
+					break
+				}
 				if failed {
 					continue // drain so the loader can exit
 				}
@@ -270,15 +265,6 @@ func Run[V, S any](cfg Config[V, S]) (*JobStats, error) {
 		})
 	}
 
-	if queue != nil {
-		env.Go("chunk.feeder", func(p *sim.Proc) {
-			for _, c := range cfg.Chunks {
-				queue.Send(p, c)
-			}
-			queue.Close(p)
-		})
-	}
-
 	view := &configView{
 		tr:         cfg.Trace,
 		workers:    cfg.Workers,
@@ -307,21 +293,6 @@ func Run[V, S any](cfg Config[V, S]) (*JobStats, error) {
 		return nil, fmt.Errorf("mapreduce: %d workers did not finish", workersLeft)
 	}
 	return assembleStats(cfg, env.Now()-t0, workers, reducers, totalWire, totalMsgs), nil
-}
-
-// allStaged adapts a staged-chunk channel to a range-able sequence.
-func allStaged[S any](p *sim.Proc, ch *sim.Chan[stagedChunk[S]]) func(func(stagedChunk[S]) bool) {
-	return func(yield func(stagedChunk[S]) bool) {
-		for {
-			sc, ok := ch.Recv(p)
-			if !ok {
-				return
-			}
-			if !yield(sc) {
-				return
-			}
-		}
-	}
 }
 
 func assembleStats[V, S any](cfg Config[V, S], makespan sim.Time,

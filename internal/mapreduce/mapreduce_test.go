@@ -591,12 +591,11 @@ func TestWorkerStatspopulated(t *testing.T) {
 }
 
 func TestAffinityAssignmentAvoidsHandoff(t *testing.T) {
-	// Chunks homed on the workers' nodes: affinity scheduling maps each
-	// on its home node, so no interconnect hand-off is charged; the
+	// Chunks homed on the workers' nodes: static assignment with Home maps
+	// each on its home node, so no interconnect hand-off is charged; the
 	// misplaced variant (all chunks homed on node 0) must pay transfers.
 	run := func(home func(c Chunk) int) *JobStats {
 		cfg, _ := newHistConfig(t, 8, 16, 20000, 16) // 2 nodes
-		cfg.Assign = AssignAffinity
 		cfg.Home = home
 		stats, err := Run(cfg)
 		if err != nil {
@@ -612,17 +611,8 @@ func TestAffinityAssignmentAvoidsHandoff(t *testing.T) {
 	}
 }
 
-func TestAffinityRequiresHome(t *testing.T) {
-	cfg, _ := newHistConfig(t, 4, 8, 100, 16)
-	cfg.Assign = AssignAffinity
-	if _, err := Run(cfg); err == nil {
-		t.Error("affinity without Home accepted")
-	}
-}
-
 func TestAffinityFallsBackForUnknownHome(t *testing.T) {
 	cfg, reducers := newHistConfig(t, 2, 6, 500, 16)
-	cfg.Assign = AssignAffinity
 	cfg.Home = func(c Chunk) int { return 99 } // no such node
 	stats, err := Run(cfg)
 	if err != nil {
@@ -645,21 +635,71 @@ func TestAffinityFallsBackForUnknownHome(t *testing.T) {
 }
 
 func TestHomeChargesHandoffWithStaticAssign(t *testing.T) {
-	// Home is honoured even with static assignment: chunks mapped off
-	// their home pay the interconnect transfer, slowing the job.
-	base, _ := newHistConfig(t, 8, 8, 120000, 16)
-	sBase, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
+	// A chunk mapped off its home node pays the interconnect transfer.
+	// Static assignment does so only when the home node runs none of the
+	// job's workers (here 4 workers, all on node 0 of two); the dynamic
+	// queue whenever a worker of another node claims the chunk.
+	run := func(assign AssignMode, workers int, home func(Chunk) int) *JobStats {
+		cfg, _ := newHistConfig(t, 8, 8, 120000, 16)
+		cfg.Assign, cfg.Workers, cfg.Home = assign, workers, home
+		stats, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats
 	}
-	moved, _ := newHistConfig(t, 8, 8, 120000, 16)
-	moved.Home = func(c Chunk) int { return 1 } // all data on node 1
-	sMoved, err := Run(moved)
-	if err != nil {
-		t.Fatal(err)
+	onNode := func(n int) func(Chunk) int { return func(Chunk) int { return n } }
+	for _, tc := range []struct {
+		name          string
+		assign        AssignMode
+		workers       int
+		local, remote func(Chunk) int
+	}{
+		{"static, home node idle", AssignStatic, 4, onNode(0), onNode(1)},
+		{"dynamic", AssignDynamic, 8, nil, onNode(1)},
+	} {
+		local := run(tc.assign, tc.workers, tc.local)
+		remote := run(tc.assign, tc.workers, tc.remote)
+		if remote.Makespan <= local.Makespan || remote.MapComm <= local.MapComm {
+			t.Errorf("%s: hand-offs (%v, comm %v) should cost more than local data (%v, comm %v)",
+				tc.name, remote.Makespan, remote.MapComm, local.Makespan, local.MapComm)
+		}
 	}
-	if sMoved.Makespan <= sBase.Makespan {
-		t.Errorf("hand-offs %v should cost more than local data %v",
-			sMoved.Makespan, sBase.Makespan)
+}
+
+func TestDynamicMapsOnEveryGPU(t *testing.T) {
+	// A worker claims from the dynamic queue only when its map loop has
+	// nothing staged, so c chunks on g GPUs keep min(c, g) of them busy,
+	// and the reducers see exactly what static assignment gives them.
+	const g = 8
+	for _, c := range []int{g / 2, g, 4 * g} {
+		run := func(assign AssignMode) (*JobStats, []*sumReducer) {
+			cfg, reducers := newHistConfig(t, g, c, 5000, 64)
+			cfg.Assign = assign
+			stats, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return stats, *reducers
+		}
+		static, sr := run(AssignStatic)
+		dynamic, dr := run(AssignDynamic)
+		busy := 0
+		for _, w := range dynamic.Workers {
+			if w.Chunks > 0 {
+				busy++
+			}
+		}
+		if busy != min(c, g) {
+			t.Errorf("%d chunks: dynamic kept %d of %d GPUs busy, want %d", c, busy, g, min(c, g))
+		}
+		if dynamic.TotalEmitted != static.TotalEmitted {
+			t.Errorf("%d chunks: dynamic emitted %d pairs, static %d", c, dynamic.TotalEmitted, static.TotalEmitted)
+		}
+		for r := range sr {
+			if fmt.Sprint(dr[r].sums) != fmt.Sprint(sr[r].sums) {
+				t.Errorf("%d chunks: reducer %d differs between dynamic and static", c, r)
+			}
+		}
 	}
 }
