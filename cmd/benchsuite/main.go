@@ -104,17 +104,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	fmt.Fprintf(stdout, "== gvmr benchsuite — scale %q ==\n\n", sc.Name)
 
-	var sweep []experiments.SweepRow
-	ensureSweep := func() error {
-		if sweep != nil {
-			return nil
-		}
-		fmt.Fprintf(stderr, "benchsuite: running scaling sweep (%v volumes × %v GPUs)...\n", sc.Edges, sc.GPUCounts)
-		var err error
-		sweep, err = experiments.Sweep(sc)
-		return err
-	}
-
 	if need("fig2") {
 		t, err := experiments.Fig2(sc, *outDir)
 		if err != nil {
@@ -122,24 +111,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintln(stdout, t)
 	}
-	if need("fig3") {
-		if err := ensureSweep(); err != nil {
+	var sweep []experiments.SweepRow
+	if need("fig3") || need("fig4") || need("efficiency") || need("claims") {
+		fmt.Fprintf(stderr, "benchsuite: running scaling sweep (%v volumes × %v GPUs)...\n", sc.Edges, sc.GPUCounts)
+		var err error
+		if sweep, err = experiments.Sweep(sc); err != nil {
 			return fail(err)
 		}
+	}
+	if need("fig3") {
 		fmt.Fprintln(stdout, experiments.Fig3(sweep))
 	}
 	if need("fig4") {
-		if err := ensureSweep(); err != nil {
-			return fail(err)
-		}
 		fps, vps := experiments.Fig4(sweep)
 		fmt.Fprintln(stdout, fps)
 		fmt.Fprintln(stdout, vps)
 	}
 	if need("efficiency") {
-		if err := ensureSweep(); err != nil {
-			return fail(err)
-		}
 		fmt.Fprintln(stdout, experiments.Efficiency(sweep))
 	}
 	if need("sec63") {
@@ -164,9 +152,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, t)
 	}
 	if need("claims") {
-		if err := ensureSweep(); err != nil {
-			return fail(err)
-		}
 		fmt.Fprintln(stdout, experiments.ClaimsReport(sc, sweep))
 	}
 	if need("inoutcore") {

@@ -36,20 +36,14 @@ func TestQuickTablesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) || i < len(wl); i++ {
-			var g, w string
-			if i < len(gl) {
-				g = gl[i]
-			}
-			if i < len(wl) {
-				w = wl[i]
-			}
-			if g != w {
-				t.Errorf("line %d:\n got %q\nwant %q", i+1, g, w)
-			}
-		}
-		t.Log("rerun with -update after reviewing the change")
+	if got == string(want) {
+		return
 	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(gl), len(wl)) {
+		if gl[i] != wl[i] {
+			t.Fatalf("line %d of %s:\n got %q\nwant %q\n(-update rewrites the file after review)", i+1, path, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%d lines, %s has %d (-update rewrites the file after review)", len(gl), path, len(wl))
 }

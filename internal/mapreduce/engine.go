@@ -62,7 +62,8 @@ func Run[V, S any](cfg Config[V, S]) (*JobStats, error) {
 	// worker owns a list, dealt over the workers of a chunk's home node
 	// when Home names one (in-situ data stays where it was produced),
 	// else over all workers. The dynamic queue, the scheduling ablation,
-	// is one shared list.
+	// is one shared list; the simulation runs one process at a time, so
+	// it needs no lock.
 	lists := make([][]Chunk, cfg.Workers)
 	byNode := map[int][]int{}
 	for i, w := range workers {

@@ -294,6 +294,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config[int32, []int32]) { c.KeyRange = 0 },
 		func(c *Config[int32, []int32]) { c.ValueBytes = 0 },
 		func(c *Config[int32, []int32]) { c.Chunks = nil },
+		func(c *Config[int32, []int32]) { c.Assign = AssignDynamic + 1 },
 	}
 	for i, mut := range cases {
 		cfg := base
