@@ -36,8 +36,8 @@
 // optionally serving a coarser degraded frame on a miss. DESIGN.md §13.
 //
 // As a worker (-join coord:port) the daemon registers itself with the
-// coordinator, advertises its capacity, heartbeats its load on the lease
-// the coordinator assigns, and on SIGTERM drains (finish in-flight map
+// coordinator, renews its lease with heartbeats on the interval the
+// coordinator assigns, and on SIGTERM drains (finish in-flight map
 // batches, receive nothing new) before deregistering — see DESIGN.md §10.
 //
 // serve is the only subcommand and the default; anything else is a usage
@@ -281,8 +281,8 @@ func runServe(ctx context.Context, args []string, stdout io.Writer) error {
 }
 
 // startMembership wires the worker side of dynamic membership when -join
-// is set: an agent registers this daemon with the coordinator, heartbeats
-// the service's load, and drives /readyz (a worker that lost its lease or
+// is set: an agent registers this daemon with the coordinator, renews its
+// lease with heartbeats, and drives /readyz (a worker that lost its lease or
 // is draining reports not-ready while staying live).
 func startMembership(svc *server.Service, ln net.Listener, join, advertise string) (*membership.Agent, error) {
 	if join == "" {
@@ -291,16 +291,10 @@ func startMembership(svc *server.Service, ln net.Listener, join, advertise strin
 	if advertise == "" {
 		advertise = advertiseFromListener(ln)
 	}
-	st := svc.Stats()
 	agent, err := membership.StartAgent(membership.AgentConfig{
 		Coordinator: join,
 		Advertise:   advertise,
-		Capacity: membership.Capacity{
-			DeviceWorkers: st.Workers,
-			StagingBytes:  st.Staging.Capacity,
-		},
-		Load: svc.LoadSnapshot,
-		Logf: log.Printf,
+		Logf:        log.Printf,
 	})
 	if err != nil {
 		return nil, err

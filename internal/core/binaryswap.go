@@ -9,6 +9,7 @@ import (
 	"gvmr/internal/composite"
 	"gvmr/internal/img"
 	"gvmr/internal/sim"
+	"gvmr/internal/trace"
 	"gvmr/internal/vec"
 )
 
@@ -30,9 +31,10 @@ type swapBatch struct {
 //
 // The returned time is the virtual duration of the exchange plus the
 // final local composite; writing into the output image is the untimed
-// stitch.
-func binarySwap(cl *cluster.Cluster, cam *camera.Camera,
-	collectors []*fragmentCollector, background vec.V4, out *img.Image) (sim.Time, error) {
+// stitch. tr, when non-nil, gets each round's exchange (net) and merge
+// (reduce) and the final composite (reduce) on the node's gpuN lane.
+func binarySwap(cl *cluster.Cluster, cam *camera.Camera, collectors []*fragmentCollector,
+	background vec.V4, out *img.Image, tr *trace.Log) (sim.Time, error) {
 	w := len(collectors)
 	rounds := bits.TrailingZeros(uint(w))
 	env := cl.Env
@@ -60,7 +62,11 @@ func binarySwap(cl *cluster.Cluster, cam *camera.Camera,
 		st := owned{lo: 0, hi: keyRange, pixels: collectors[i].pixels}
 		env.Go(fmt.Sprintf("swap%d", i), func(p *sim.Proc) {
 			node := cl.NodeOf(i)
+			span := func(cat, name string, start sim.Time) {
+				tr.Add(trace.Span{Name: name, Cat: cat, Lane: fmt.Sprintf("gpu%d", i), Start: start, End: p.Now()})
+			}
 			for r := 0; r < rounds; r++ {
+				sent := p.Now()
 				partner := i ^ (1 << r)
 				mid := st.lo + (st.hi-st.lo)/2
 				var keepLo, keepHi int32
@@ -87,6 +93,8 @@ func binarySwap(cl *cluster.Cluster, cam *camera.Camera,
 				if !ok || got.round != r {
 					panic(fmt.Sprintf("swap%d: round mismatch", i))
 				}
+				span("net", "swap:exchange", sent)
+				merge := p.Now()
 				var gotFrags int64
 				for k, fr := range got.pixels {
 					st.pixels[k] = append(st.pixels[k], fr...)
@@ -95,9 +103,11 @@ func binarySwap(cl *cluster.Cluster, cam *camera.Camera,
 				// Merging received fragments into the kept half is host
 				// CPU work.
 				node.CPUWork(p, float64(gotFrags), cl.Params.CompositeRate)
+				span("reduce", "swap:merge", merge)
 				st.lo, st.hi = keepLo, keepHi
 			}
 			// Final local composite of the owned slice.
+			composited := p.Now()
 			final := make(map[int32]vec.V4, len(st.pixels))
 			var n int64
 			for k, fr := range st.pixels {
@@ -105,6 +115,7 @@ func binarySwap(cl *cluster.Cluster, cam *camera.Camera,
 				n += int64(len(fr))
 			}
 			node.CPUWork(p, float64(n), cl.Params.CompositeRate)
+			span("reduce", "swap:composite", composited)
 			finals[i] = final
 		})
 	}

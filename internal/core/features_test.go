@@ -7,6 +7,7 @@ import (
 
 	"gvmr/internal/cluster"
 	"gvmr/internal/img"
+	"gvmr/internal/mapreduce"
 	"gvmr/internal/render"
 	"gvmr/internal/sim"
 	"gvmr/internal/trace"
@@ -209,25 +210,52 @@ func TestUploadChargesResidentBoxes(t *testing.T) {
 	}
 }
 
-// TestTraceCoversMakespan renders a traced 1-GPU frame: the union of its
-// spans over every lane is exactly [0, makespan], with no gap, so every
-// modelled cost — partitioning included — shows on the timeline.
+// TestTraceCoversMakespan renders a traced frame in every configuration
+// the engine and the compositors take: the union of its spans over every
+// lane is exactly [0, makespan], with no gap, so every modelled cost —
+// partitioning and the binary-swap exchange included — shows on the
+// timeline.
 func TestTraceCoversMakespan(t *testing.T) {
-	opt := skullOptions(t, 32, 64, 1)
-	log := &trace.Log{}
-	opt.Trace = log
-	res, err := Render(newCluster(t, 1), opt)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		gpus int
+		set  func(*Options)
+	}{
+		{"1gpu", 1, nil},
+		{"4gpu", 4, nil},
+		{"8gpu", 8, nil},
+		{"4-bricks-per-gpu", 4, func(o *Options) { o.BricksPerGPU = 4 }},
+		{"from-disk", 4, func(o *Options) { o.FromDisk = true }},
+		{"dynamic", 4, func(o *Options) { o.Assign = mapreduce.AssignDynamic }},
+		{"in-situ", 4, func(o *Options) { o.InSitu = true }},
+		{"binary-swap-4", 4, func(o *Options) { o.Compositor = BinarySwap }},
+		{"binary-swap-8", 8, func(o *Options) { o.Compositor = BinarySwap }},
+		{"gpu-sort-reduce", 4, func(o *Options) { o.SortOn, o.ReduceOn = mapreduce.OnGPU, mapreduce.OnGPU }},
+		{"slicing", 4, func(o *Options) { o.Sampler = Slicing }},
+		{"interleave-2", 4, func(o *Options) { o.Partition = Interleaved{NumParts: 2} }},
 	}
-	var covered sim.Time // end of the union so far; spans come sorted by start
-	for _, s := range log.Spans() {
-		if s.Start > covered {
-			t.Fatalf("nothing traced over [%v, %v); next span %+v", covered, s.Start, s)
-		}
-		covered = max(covered, s.End)
-	}
-	if covered != res.Runtime {
-		t.Errorf("spans end at %v, makespan %v", covered, res.Runtime)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := skullOptions(t, 32, 64, tc.gpus)
+			if tc.set != nil {
+				tc.set(&opt)
+			}
+			log := &trace.Log{}
+			opt.Trace = log
+			res, err := Render(newCluster(t, tc.gpus), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var covered sim.Time // end of the union so far; spans come sorted by start
+			for _, s := range log.Spans() {
+				if s.Start > covered {
+					t.Fatalf("nothing traced over [%v, %v); next span %+v", covered, s.Start, s)
+				}
+				covered = max(covered, s.End)
+			}
+			if covered != res.Runtime {
+				t.Errorf("spans end at %v, makespan %v", covered, res.Runtime)
+			}
+		})
 	}
 }

@@ -184,7 +184,7 @@ func Render(cl *cluster.Cluster, opt Options) (*Result, error) {
 			return nil, err
 		}
 		res.Stats = stats
-		swap, err := binarySwap(cl, mapper.cam, collectors, opt.Background, res.Image)
+		swap, err := binarySwap(cl, mapper.cam, collectors, opt.Background, res.Image, opt.Trace)
 		if err != nil {
 			return nil, err
 		}

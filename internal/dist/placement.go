@@ -1,9 +1,6 @@
 package dist
 
-import (
-	"gvmr/internal/membership"
-	"gvmr/internal/resilience"
-)
+import "gvmr/internal/resilience"
 
 // clusterView is one placement decision's consistent view of the fleet:
 // the eligible members and the consistent-hash ring over exactly them.
@@ -11,18 +8,11 @@ type clusterView struct {
 	addrs []string                       // eligible (alive) addrs, ring index order
 	ring  *ring                          // hash ring over addrs
 	nodes map[string]*resilience.Breaker // per-node breakers, shared across views
-	// saturated marks nodes whose last heartbeat reported a full
-	// admission queue (Load.Pressure ≥ 1): placement prefers anyone
-	// else, falling back to them only when no unsaturated node exists —
-	// a 429 there is near-certain and costs a retry for nothing.
-	saturated map[string]bool
 }
 
 // placeable reports whether placement may prefer addr right now: its
-// breaker admits traffic and its heartbeat does not report saturation.
-func (v clusterView) placeable(a string) bool {
-	return v.nodes[a].Placeable() && !v.saturated[a]
-}
+// breaker admits traffic and no recent 429 marked it busy.
+func (v clusterView) placeable(a string) bool { return v.nodes[a].Placeable() }
 
 // placeableAddrs lists the placeable nodes in ring index order.
 func (v clusterView) placeableAddrs() []string {
@@ -45,12 +35,6 @@ func (c *Coordinator) view() (clusterView, error) {
 	if len(eligible) == 0 {
 		return clusterView{}, ErrNoWorkers
 	}
-	saturated := map[string]bool{}
-	for _, m := range snap.Members {
-		if m.State == membership.StateAlive && m.Load.Pressure >= 1 {
-			saturated[m.Addr] = true
-		}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.ringCache == nil || c.ringVer != snap.Version {
@@ -59,10 +43,9 @@ func (c *Coordinator) view() (clusterView, error) {
 		c.ringVer = snap.Version
 	}
 	v := clusterView{
-		addrs:     c.ringAddrs,
-		ring:      c.ringCache,
-		nodes:     make(map[string]*resilience.Breaker, len(c.ringAddrs)),
-		saturated: saturated,
+		addrs: c.ringAddrs,
+		ring:  c.ringCache,
+		nodes: make(map[string]*resilience.Breaker, len(c.ringAddrs)),
 	}
 	for _, a := range c.ringAddrs {
 		v.nodes[a] = c.breakerLocked(a)

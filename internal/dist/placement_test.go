@@ -14,7 +14,7 @@ import (
 
 // Differential check of the one ring walk against the three pickers it
 // replaced, kept here as test-only copies, over generated fleets: every
-// breaker state placement can see, saturation, exclusions and caps.
+// breaker state placement can see, busy marks, exclusions and caps.
 
 // oldPlace picked the node for one re-placed brick.
 func oldPlace(v clusterView, job JobSpec, brick int, excluded map[string]bool) string {
@@ -100,17 +100,17 @@ func oldPlaceInitial(v clusterView, job JobSpec, numBricks int) map[string][]int
 
 // genView builds a fleet of 1–6 nodes whose breakers sit closed, open,
 // half-open with a probe slot free, or half-open with every slot taken,
-// some of them saturated.
+// some of them marked busy by a 429.
 func genView(rng *rand.Rand) clusterView {
 	clk := newChaosClock()
 	cfg := resilience.BreakerConfig{Now: clk.Now}
-	v := clusterView{nodes: map[string]*resilience.Breaker{}, saturated: map[string]bool{}}
-	state := map[string]int{}
+	v := clusterView{nodes: map[string]*resilience.Breaker{}}
+	state, busy := map[string]int{}, map[string]bool{}
 	for i := 1 + rng.Intn(6); i > 0; i-- {
 		a := fmt.Sprintf("http://10.0.0.%d:9000", i)
 		v.addrs = append(v.addrs, a)
 		v.nodes[a] = resilience.NewBreaker(cfg)
-		v.saturated[a] = rng.Intn(4) == 0
+		busy[a] = rng.Intn(4) == 0
 		state[a] = rng.Intn(4)
 	}
 	v.ring = newRing(v.addrs)
@@ -126,6 +126,9 @@ func genView(rng *rand.Rand) clusterView {
 			tripOpen(v.nodes[a])
 		case 3:
 			v.nodes[a].Admit()
+		}
+		if busy[a] {
+			v.nodes[a].Busy()
 		}
 	}
 	return v

@@ -214,3 +214,67 @@ func TestRetryBudgetExhaustionFailsFast(t *testing.T) {
 		t.Errorf("%d retries spent against a budget of %d", retries, budget)
 	}
 }
+
+// TestShedWorkerPassedOverForOneSecond: a static worker whose admission
+// gate answers 429 is marked busy by that answer alone — static members
+// never heartbeat. The frame it shed completes on the other worker with
+// one retry; renders in the next second place nothing on it and retry
+// nothing; after the second its ring share returns. The breaker stays
+// closed and no node is counted down, and a fleet that is busy
+// throughout still places. Every frame is bit-identical to a direct
+// render.
+func TestShedWorkerPassedOverForOneSecond(t *testing.T) {
+	clk := newChaosClock()
+	var full atomic.Bool
+	full.Store(true)
+	addrs, counts := countingWorkers(t, 2, func(i int, h http.Handler) http.Handler {
+		if i != 0 {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if full.Load() {
+				w.Header().Set("Retry-After", "1")
+				http.Error(w, "overloaded", http.StatusTooManyRequests)
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	coord := newTestCoordinator(t, addrs, func(c *CoordinatorConfig) {
+		c.Breaker = resilience.BreakerConfig{Now: clk.Now}
+	})
+	render := func(deg float64, wantMaps0, wantRetries int64) {
+		t.Helper()
+		job := testJob(t, dataset.Skull, 32, 64, 6, deg, false)
+		if got, want := renderAngle(t, coord, deg), directDigest(t, job); got != want {
+			t.Fatalf("frame at %v°: digest %s != direct %s", deg, got, want)
+		}
+		if got := counts[0].Load(); got != wantMaps0 {
+			t.Errorf("frame at %v°: busy worker saw %d map requests in all, want %d", deg, got, wantMaps0)
+		}
+		if got := coord.Stats().Retries; got != wantRetries {
+			t.Errorf("frame at %v°: %d retries in all, want %d", deg, got, wantRetries)
+		}
+	}
+
+	render(10, 1, 1) // shed once, re-placed on the other worker
+	render(20, 1, 1) // same instant: passed over, nothing to retry
+	clk.Advance(time.Second - time.Nanosecond)
+	render(30, 1, 1)
+	full.Store(false)
+	clk.Advance(time.Nanosecond)
+	render(40, 2, 1) // the mark lapsed: its share returns
+
+	if st := coord.BreakerState(addrs[0]); st != resilience.StateClosed {
+		t.Errorf("429s moved the breaker to %v", st)
+	}
+	if got := coord.Stats().NodeDowns; got != 0 {
+		t.Errorf("429s counted %d node downs", got)
+	}
+
+	// Every node busy: the last-resort walk still places.
+	for _, a := range addrs {
+		coord.breaker(a).Busy()
+	}
+	render(50, 3, 1)
+}

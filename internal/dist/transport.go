@@ -277,8 +277,13 @@ func (c *Coordinator) post(parent context.Context, perAttempt time.Duration,
 			// would degrade placement for every following job. The
 			// response itself is breaker-level evidence of life. The batch
 			// still fails here and re-places onto another node (or the
-			// exchange falls back), bounded by MaxAttempts.
+			// exchange falls back), bounded by MaxAttempts. A 429 also
+			// marks the node busy, so placement passes it over for the
+			// next second instead of sending it work it will shed.
 			b.Success()
+			if resp.StatusCode == http.StatusTooManyRequests {
+				b.Busy()
+			}
 		}
 		return nil, nil, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
 	}

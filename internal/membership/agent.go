@@ -39,10 +39,6 @@ type AgentConfig struct {
 	// Advertise is the address the coordinator should reach this worker
 	// at — what goes into the registry and onto the placement ring.
 	Advertise string
-	// Capacity is advertised at registration.
-	Capacity Capacity
-	// Load, when non-nil, is sampled for every heartbeat.
-	Load func() Load
 	// RetryEvery paces registration retries (default 1s).
 	RetryEvery time.Duration
 	// Client is the control-plane HTTP client (default 5s timeout).
@@ -80,9 +76,6 @@ func StartAgent(cfg AgentConfig) (*Agent, error) {
 	self, err := NormalizeAddr(cfg.Advertise)
 	if err != nil {
 		return nil, fmt.Errorf("membership: advertise: %w", err)
-	}
-	if err := cfg.Capacity.validate(); err != nil {
-		return nil, err
 	}
 	if cfg.RetryEvery <= 0 {
 		cfg.RetryEvery = time.Second
@@ -175,9 +168,7 @@ func (a *Agent) post(ctx context.Context, path string, body, out any) (int, erro
 // register performs one registration attempt and adopts the lease terms.
 func (a *Agent) register(ctx context.Context) error {
 	var resp RegisterResponse
-	_, err := a.post(ctx, RegisterPath, RegisterRequest{
-		Addr: a.self, Instance: a.instance, Capacity: a.cfg.Capacity,
-	}, &resp)
+	_, err := a.post(ctx, RegisterPath, RegisterRequest{Addr: a.self, Instance: a.instance}, &resp)
 	if err != nil {
 		return err
 	}
@@ -195,14 +186,8 @@ func (a *Agent) register(ctx context.Context) error {
 
 // beat sends one heartbeat; the returned state is the registry's view.
 func (a *Agent) beat(ctx context.Context) (State, int, error) {
-	load := Load{}
-	if a.cfg.Load != nil {
-		load = a.cfg.Load()
-	}
 	var resp HeartbeatResponse
-	code, err := a.post(ctx, HeartbeatPath, HeartbeatRequest{
-		Addr: a.self, Instance: a.instance, Load: load,
-	}, &resp)
+	code, err := a.post(ctx, HeartbeatPath, HeartbeatRequest{Addr: a.self, Instance: a.instance}, &resp)
 	return resp.State, code, err
 }
 

@@ -7,7 +7,7 @@ import (
 
 // FuzzRegisterWire proves the register decoder never panics and that any
 // accepted body satisfies the registry's invariants: canonical address,
-// well-formed instance token, bounded capacity. The seeds mix valid
+// well-formed instance token, no other field. The seeds mix valid
 // documents with the hostile shapes the wire tests enumerate.
 func FuzzRegisterWire(f *testing.F) {
 	f.Add([]byte(`{"addr":"127.0.0.1:9001","instance":"abc123","capacity":{"device_workers":4,"staging_bytes":1048576}}`))
@@ -38,9 +38,6 @@ func FuzzRegisterWire(f *testing.F) {
 		if err := validInstance(req.Instance); err != nil {
 			t.Fatalf("accepted instance %q invalid: %v", req.Instance, err)
 		}
-		if err := req.Capacity.validate(); err != nil {
-			t.Fatalf("accepted capacity %+v invalid: %v", req.Capacity, err)
-		}
 		// And must drive the registry without a panic or an error.
 		r := New(Config{})
 		if _, err := r.Register(req); err != nil {
@@ -53,7 +50,7 @@ func FuzzRegisterWire(f *testing.F) {
 }
 
 // FuzzHeartbeatWire proves the heartbeat decoder never panics and that
-// accepted bodies carry bounded load and a canonical identity, and that
+// accepted bodies carry a canonical identity, and that
 // feeding them to a live registry can't corrupt it.
 func FuzzHeartbeatWire(f *testing.F) {
 	f.Add([]byte(`{"addr":"127.0.0.1:9001","instance":"abc123","load":{"in_flight":1,"queue_depth":2,"map_jobs":3}}`))
@@ -74,9 +71,6 @@ func FuzzHeartbeatWire(f *testing.F) {
 		}
 		if err := validInstance(req.Instance); err != nil {
 			t.Fatalf("accepted instance %q invalid: %v", req.Instance, err)
-		}
-		if err := req.Load.validate(); err != nil {
-			t.Fatalf("accepted load %+v invalid: %v", req.Load, err)
 		}
 		// Against an empty registry the beat must be a clean 404-class
 		// rejection; after registering that identity it must succeed.

@@ -1,8 +1,9 @@
 // Package membership makes cluster membership a first-class, fault-
 // tolerant subsystem: workers self-register with a coordinator's
-// Registry, maintain liveness with periodic heartbeats carrying load, and
-// leave either gracefully (drain, then deregister) or by lease expiry
-// after a configured number of missed beats.
+// Registry, maintain liveness with periodic heartbeats, and leave either
+// gracefully (drain, then deregister) or by lease expiry after a
+// configured number of missed beats. Membership carries identity and
+// leases only; a worker's load is on its own /stats.
 //
 // The Registry is the coordinator's authoritative view of the fleet. The
 // placement layer (internal/dist) consults Registry.Snapshot at every
@@ -43,28 +44,6 @@ const (
 	// the cut-over point.
 	StateDraining State = "draining"
 )
-
-// Capacity is what a worker advertises at registration time.
-type Capacity struct {
-	// DeviceWorkers is the node's concurrent render/map capacity.
-	DeviceWorkers int `json:"device_workers"`
-	// StagingBytes is the node's volume staging-cache budget.
-	StagingBytes int64 `json:"staging_bytes"`
-}
-
-// Load is the /stats-style load snapshot a heartbeat carries.
-type Load struct {
-	InFlight   int   `json:"in_flight"`
-	QueueDepth int   `json:"queue_depth"`
-	MapJobs    int64 `json:"map_jobs"`
-	// Pressure is the node's admission-queue fill fraction in [0, 1]:
-	// the load-aware shed hint. At 1 the node's next admission is a
-	// near-certain 429, so coordinators place work there only as a last
-	// resort until a fresher heartbeat reports headroom. Omitted (zero)
-	// by workers predating the field — absent pressure never excludes a
-	// node.
-	Pressure float64 `json:"pressure,omitempty"`
-}
 
 // Registry errors.
 var (
@@ -115,8 +94,6 @@ type member struct {
 	instance string // unique per process incarnation
 	static   bool   // seeded from configuration; exempt from lease expiry
 	state    State
-	capacity Capacity
-	load     Load
 	joined   time.Time
 	lastBeat time.Time
 }
@@ -199,7 +176,6 @@ func (r *Registry) Register(req RegisterRequest) (RegisterResponse, error) {
 		// (latest wins — the previous process is gone or restarting), and
 		// an explicit re-register always returns the member to alive.
 		m.instance = req.Instance
-		m.capacity = req.Capacity
 		m.lastBeat = now
 		if m.state != StateAlive {
 			m.state = StateAlive
@@ -209,8 +185,7 @@ func (r *Registry) Register(req RegisterRequest) (RegisterResponse, error) {
 	} else {
 		r.members[addr] = &member{
 			addr: addr, instance: req.Instance,
-			state: StateAlive, capacity: req.Capacity,
-			joined: now, lastBeat: now,
+			state: StateAlive, joined: now, lastBeat: now,
 		}
 		r.version++
 		if r.seen[addr] {
@@ -227,7 +202,7 @@ func (r *Registry) Register(req RegisterRequest) (RegisterResponse, error) {
 	}, nil
 }
 
-// Heartbeat renews a member's lease and records its load. The response
+// Heartbeat renews a member's lease. The response
 // tells the worker its authoritative state — a worker the operator
 // drained learns it here. Unknown members get ErrUnknownMember (the agent
 // re-registers); a stale incarnation gets ErrStaleInstance and must not
@@ -251,7 +226,6 @@ func (r *Registry) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error) {
 		return HeartbeatResponse{}, ErrStaleInstance
 	}
 	m.lastBeat = now
-	m.load = req.Load
 	return HeartbeatResponse{State: m.state}, nil
 }
 
@@ -334,12 +308,10 @@ func (r *Registry) sweepLocked(now time.Time) int {
 
 // MemberInfo is one member's public state.
 type MemberInfo struct {
-	Addr     string   `json:"addr"`
-	Instance string   `json:"instance"`
-	State    State    `json:"state"`
-	Static   bool     `json:"static,omitempty"`
-	Capacity Capacity `json:"capacity"`
-	Load     Load     `json:"load"`
+	Addr     string `json:"addr"`
+	Instance string `json:"instance"`
+	State    State  `json:"state"`
+	Static   bool   `json:"static,omitempty"`
 	// LastBeatAgeMs is how stale the member's lease is; eviction comes at
 	// heartbeat_millis × miss_limit.
 	LastBeatAgeMs float64 `json:"last_beat_age_ms"`
@@ -376,7 +348,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, m := range r.members {
 		snap.Members = append(snap.Members, MemberInfo{
 			Addr: m.addr, Instance: m.instance, State: m.state, Static: m.static,
-			Capacity: m.capacity, Load: m.load,
 			LastBeatAgeMs: float64(now.Sub(m.lastBeat)) / float64(time.Millisecond),
 		})
 	}

@@ -37,8 +37,7 @@ func testRegistry(t *testing.T) (*Registry, *fakeClock) {
 
 func register(t *testing.T, r *Registry, addr, instance string) RegisterResponse {
 	t.Helper()
-	resp, err := r.Register(RegisterRequest{Addr: addr, Instance: instance,
-		Capacity: Capacity{DeviceWorkers: 4, StagingBytes: 1 << 20}})
+	resp, err := r.Register(RegisterRequest{Addr: addr, Instance: instance})
 	if err != nil {
 		t.Fatalf("Register(%s): %v", addr, err)
 	}
@@ -60,9 +59,6 @@ func TestRegisterAssignsLeaseTerms(t *testing.T) {
 	}
 	if got := snap.Eligible(); len(got) != 1 {
 		t.Fatalf("eligible = %v, want the registered member", got)
-	}
-	if snap.Members[0].Capacity.DeviceWorkers != 4 {
-		t.Fatalf("capacity not recorded: %+v", snap.Members[0].Capacity)
 	}
 }
 
@@ -218,8 +214,7 @@ func TestVersionSemantics(t *testing.T) {
 	// Heartbeats refresh the lease but never bump the version — the
 	// placement ring cache is keyed on it.
 	for i := 0; i < 5; i++ {
-		if _, err := r.Heartbeat(HeartbeatRequest{Addr: "127.0.0.1:9001", Instance: "inst-a",
-			Load: Load{InFlight: i}}); err != nil {
+		if _, err := r.Heartbeat(HeartbeatRequest{Addr: "127.0.0.1:9001", Instance: "inst-a"}); err != nil {
 			t.Fatalf("heartbeat %d: %v", i, err)
 		}
 	}
@@ -244,19 +239,6 @@ func TestVersionSemantics(t *testing.T) {
 	}
 	if v := r.Snapshot().Version; v == v2 {
 		t.Fatal("deregister did not bump version")
-	}
-}
-
-func TestHeartbeatRecordsLoad(t *testing.T) {
-	r, _ := testRegistry(t)
-	register(t, r, "127.0.0.1:9001", "inst-a")
-	if _, err := r.Heartbeat(HeartbeatRequest{Addr: "127.0.0.1:9001", Instance: "inst-a",
-		Load: Load{InFlight: 2, QueueDepth: 7, MapJobs: 41}}); err != nil {
-		t.Fatal(err)
-	}
-	m := r.Snapshot().Members[0]
-	if m.Load.InFlight != 2 || m.Load.QueueDepth != 7 || m.Load.MapJobs != 41 {
-		t.Fatalf("load = %+v, want the heartbeat's snapshot", m.Load)
 	}
 }
 

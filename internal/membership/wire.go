@@ -33,12 +33,6 @@ const (
 
 	maxAddrLen     = 256
 	maxInstanceLen = 128
-	// maxCount bounds the advertised integer fields (device workers,
-	// queue depths): far above any real deployment, low enough that
-	// arithmetic on a hostile value can never overflow.
-	maxCount = 1 << 20
-	// maxBytes bounds advertised byte capacities (1 PiB).
-	maxBytes = int64(1) << 50
 )
 
 // RegisterRequest announces a worker to the coordinator.
@@ -50,8 +44,6 @@ type RegisterRequest struct {
 	// registers with a fresh one, and stale incarnations are fenced off
 	// heartbeat/deregister.
 	Instance string `json:"instance"`
-	// Capacity advertises what the node brings to the fleet.
-	Capacity Capacity `json:"capacity"`
 }
 
 // RegisterResponse returns the lease terms the worker must beat on.
@@ -61,12 +53,10 @@ type RegisterResponse struct {
 	MissLimit       int   `json:"miss_limit"`
 }
 
-// HeartbeatRequest renews a lease and reports load.
-type HeartbeatRequest struct {
-	Addr     string `json:"addr"`
-	Instance string `json:"instance"`
-	Load     Load   `json:"load"`
-}
+// HeartbeatRequest renews a lease. It names the same identity a
+// registration does, and nothing else: a worker's load is served by its
+// own /stats.
+type HeartbeatRequest RegisterRequest
 
 // HeartbeatResponse carries the member's authoritative state back — a
 // drained worker learns its fate here.
@@ -174,34 +164,6 @@ func validInstance(s string) error {
 	return nil
 }
 
-func (c Capacity) validate() error {
-	if c.DeviceWorkers < 0 || c.DeviceWorkers > maxCount {
-		return fmt.Errorf("membership: device workers %d outside [0, %d]", c.DeviceWorkers, maxCount)
-	}
-	if c.StagingBytes < 0 || c.StagingBytes > maxBytes {
-		return fmt.Errorf("membership: staging bytes %d outside [0, %d]", c.StagingBytes, maxBytes)
-	}
-	return nil
-}
-
-func (l Load) validate() error {
-	if l.InFlight < 0 || l.InFlight > maxCount {
-		return fmt.Errorf("membership: in-flight %d outside [0, %d]", l.InFlight, maxCount)
-	}
-	if l.QueueDepth < 0 || l.QueueDepth > maxCount {
-		return fmt.Errorf("membership: queue depth %d outside [0, %d]", l.QueueDepth, maxCount)
-	}
-	if l.MapJobs < 0 {
-		return fmt.Errorf("membership: negative map jobs %d", l.MapJobs)
-	}
-	// NaN fails the positive-range spelling too; a hostile heartbeat must
-	// not be able to park an unorderable value in placement decisions.
-	if !(l.Pressure >= 0 && l.Pressure <= 1) {
-		return fmt.Errorf("membership: pressure %v outside [0, 1]", l.Pressure)
-	}
-	return nil
-}
-
 // decodeStrict parses exactly one JSON document into dst: unknown fields,
 // trailing bytes and oversized bodies are all errors. Every membership
 // endpoint funnels hostile input through this.
@@ -224,8 +186,10 @@ func decodeStrict(data []byte, dst any) error {
 }
 
 // DecodeRegister parses and fully validates a register body: the returned
-// request has a normalized address and bounded capacity, or the input is
-// rejected — never a panic, proven by the fuzz target.
+// request has a normalized address and a well-formed instance, or the
+// input is rejected — never a panic, proven by the fuzz target. A body
+// with any other field (a capacity or load from an older build) is
+// refused as unknown.
 func DecodeRegister(data []byte) (RegisterRequest, error) {
 	var req RegisterRequest
 	if err := decodeStrict(data, &req); err != nil {
@@ -239,30 +203,14 @@ func DecodeRegister(data []byte) (RegisterRequest, error) {
 	if err := validInstance(req.Instance); err != nil {
 		return RegisterRequest{}, err
 	}
-	if err := req.Capacity.validate(); err != nil {
-		return RegisterRequest{}, err
-	}
 	return req, nil
 }
 
-// DecodeHeartbeat parses and fully validates a heartbeat body.
+// DecodeHeartbeat parses and fully validates a heartbeat body, under the
+// register body's rules.
 func DecodeHeartbeat(data []byte) (HeartbeatRequest, error) {
-	var req HeartbeatRequest
-	if err := decodeStrict(data, &req); err != nil {
-		return HeartbeatRequest{}, err
-	}
-	norm, err := NormalizeAddr(req.Addr)
-	if err != nil {
-		return HeartbeatRequest{}, err
-	}
-	req.Addr = norm
-	if err := validInstance(req.Instance); err != nil {
-		return HeartbeatRequest{}, err
-	}
-	if err := req.Load.validate(); err != nil {
-		return HeartbeatRequest{}, err
-	}
-	return req, nil
+	req, err := DecodeRegister(data)
+	return HeartbeatRequest(req), err
 }
 
 // DecodeDrain parses and validates a drain body.

@@ -58,7 +58,7 @@ func TestNormalizeAddr(t *testing.T) {
 }
 
 func TestDecodeRegisterRejectsHostileBodies(t *testing.T) {
-	valid := `{"addr":"127.0.0.1:9001","instance":"abc123","capacity":{"device_workers":4,"staging_bytes":1048576}}`
+	valid := `{"addr":"127.0.0.1:9001","instance":"abc123"}`
 	if _, err := DecodeRegister([]byte(valid)); err != nil {
 		t.Fatalf("valid register rejected: %v", err)
 	}
@@ -71,7 +71,7 @@ func TestDecodeRegisterRejectsHostileBodies(t *testing.T) {
 		"bad addr":         `{"addr":"ftp://x:1","instance":"a"}`,
 		"empty instance":   `{"addr":"127.0.0.1:9001","instance":""}`,
 		"instance chars":   `{"addr":"127.0.0.1:9001","instance":"a b\nc"}`,
-		"giant capacity":   `{"addr":"127.0.0.1:9001","instance":"a","capacity":{"device_workers":99999999}}`,
+		"capacity field":   `{"addr":"127.0.0.1:9001","instance":"a","capacity":{"device_workers":4}}`,
 		"negative staging": `{"addr":"127.0.0.1:9001","instance":"a","capacity":{"staging_bytes":-1}}`,
 		"wrong type":       `{"addr":42,"instance":"a"}`,
 		"array body":       `[1,2,3]`,
@@ -89,15 +89,16 @@ func TestDecodeRegisterRejectsHostileBodies(t *testing.T) {
 }
 
 func TestDecodeHeartbeatRejectsHostileBodies(t *testing.T) {
-	valid := `{"addr":"127.0.0.1:9001","instance":"abc123","load":{"in_flight":1,"queue_depth":2,"map_jobs":3}}`
+	valid := `{"addr":"127.0.0.1:9001","instance":"abc123"}`
 	req, err := DecodeHeartbeat([]byte(valid))
 	if err != nil {
 		t.Fatalf("valid heartbeat rejected: %v", err)
 	}
-	if req.Addr != "http://127.0.0.1:9001" || req.Load.MapJobs != 3 {
+	if req.Addr != "http://127.0.0.1:9001" || req.Instance != "abc123" {
 		t.Fatalf("decoded heartbeat = %+v", req)
 	}
 	hostile := map[string]string{
+		"load field":         `{"addr":"127.0.0.1:9001","instance":"a","load":{"in_flight":1,"map_jobs":3}}`,
 		"negative in-flight": `{"addr":"127.0.0.1:9001","instance":"a","load":{"in_flight":-1}}`,
 		"giant queue":        `{"addr":"127.0.0.1:9001","instance":"a","load":{"queue_depth":9999999}}`,
 		"negative map jobs":  `{"addr":"127.0.0.1:9001","instance":"a","load":{"map_jobs":-5}}`,

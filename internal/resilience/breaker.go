@@ -56,6 +56,9 @@ const (
 	// breakerCloseAfter is the consecutive half-open successes required
 	// to close.
 	breakerCloseAfter = 2
+	// breakerBusyFor is how long a node that shed a request (HTTP 429)
+	// is passed over by placement: gvmrd's Retry-After for overload.
+	breakerBusyFor = time.Second
 )
 
 // BreakerConfig wires a circuit breaker to its environment. The zero
@@ -88,6 +91,7 @@ type Breaker struct {
 	openUntil  time.Time // open: when to half-open
 	probes     int       // half-open: trial requests in flight
 	consecSucc int       // half-open: consecutive successes so far
+	busyUntil  time.Time // placement passes the node over until then
 }
 
 // NewBreaker builds a closed breaker.
@@ -135,12 +139,17 @@ func (b *Breaker) State() BreakerState {
 }
 
 // Placeable reports whether placement may choose this node right now:
-// closed always, open never, half-open only while a probe slot is free.
-// It does not consume a probe slot — Admit does, at request time.
+// never while a busy mark holds; otherwise closed always, open never,
+// half-open only while a probe slot is free. It does not consume a probe
+// slot — Admit does, at request time.
 func (b *Breaker) Placeable() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.advance(b.cfg.Now())
+	now := b.cfg.Now()
+	b.advance(now)
+	if now.Before(b.busyUntil) {
+		return false
+	}
 	switch b.state {
 	case StateOpen:
 		return false
@@ -208,6 +217,18 @@ func (b *Breaker) Success() {
 		// A straggling success from before the breaker opened proves
 		// nothing about the node now; drop it.
 	}
+}
+
+// Busy marks the node full for breakerBusyFor: it answered, but shed the
+// request (HTTP 429). The caller records that answer as a Success first —
+// it is evidence of life — so the mark touches neither the state nor the
+// error window; it only keeps Placeable false until it lapses. Admit
+// still admits a busy node, so a fleet that is busy throughout places
+// on its last-resort walk.
+func (b *Breaker) Busy() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.busyUntil = b.cfg.Now().Add(breakerBusyFor)
 }
 
 // Failure records a node-fault exchange (never a caller cancel, a

@@ -185,3 +185,64 @@ func TestBreakerDefaultsAndRealClock(t *testing.T) {
 		t.Fatalf("state = %v, want closed", got)
 	}
 }
+
+// TestBreakerBusyMark: a 429 is a Success plus a busy mark. The mark
+// keeps the node out of placement for breakerBusyFor of the fake clock
+// and no longer; it leaves the state and the error window alone, never
+// refuses admission, and in half-open the answer still frees its probe
+// slot.
+func TestBreakerBusyMark(t *testing.T) {
+	clk := newFakeClock()
+	var m Metrics
+	b := NewBreaker(BreakerConfig{Now: clk.Now, Metrics: &m})
+	b.Failure()
+	if !b.Admit() {
+		t.Fatal("closed breaker refused admission")
+	}
+	b.Success()
+	window := b.buckets
+	b.Busy()
+	if b.Placeable() {
+		t.Fatal("busy node placeable")
+	}
+	if !b.Admit() {
+		t.Fatal("busy node refused admission: a fleet busy throughout could not place")
+	}
+	b.Cancel()
+	if got := b.State(); got != StateClosed || b.buckets != window {
+		t.Fatalf("busy mark moved the breaker: state %v, window %+v, want closed and %+v", got, b.buckets, window)
+	}
+	clk.Advance(breakerBusyFor - time.Nanosecond)
+	if b.Placeable() {
+		t.Fatal("busy mark lapsed early")
+	}
+	clk.Advance(time.Nanosecond)
+	if !b.Placeable() {
+		t.Fatal("busy mark outlived breakerBusyFor")
+	}
+	if got := m.Snapshot().BreakerOpens; got != 0 {
+		t.Fatalf("breaker_opens = %d after a busy mark, want 0", got)
+	}
+
+	// Half-open: the shed probe frees its slot; placement waits only for
+	// the mark.
+	for b.State() != StateOpen {
+		b.Failure()
+	}
+	clk.Advance(breakerOpenFor)
+	if !b.Admit() {
+		t.Fatal("half-open breaker refused its probe")
+	}
+	b.Success()
+	b.Busy()
+	if b.probes != 0 {
+		t.Fatalf("probe slots taken after the 429 = %d, want 0", b.probes)
+	}
+	if b.Placeable() {
+		t.Fatal("busy half-open node placeable")
+	}
+	clk.Advance(breakerBusyFor)
+	if got := b.State(); got != StateHalfOpen || !b.Placeable() {
+		t.Fatalf("after the mark: state %v, placeable %v, want half-open and placeable", got, b.Placeable())
+	}
+}

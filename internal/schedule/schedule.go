@@ -122,109 +122,51 @@ func Map[T any](workers, n int, job func(int) (T, error)) ([]T, error) {
 // as items with Err set; all jobs run regardless (consumers that want
 // fail-fast semantics use Map). The channel is closed after item n-1.
 //
-// The stream applies backpressure: workers run at most a small window
-// ahead of the consumer (in-flight jobs plus a little lookahead), so a
-// slow consumer bounds resident results instead of accumulating all n.
+// A launcher starts the jobs in index order and queues each one's result
+// slot for a deliverer that forwards the slots in order. The deliverer
+// holds one slot and the queue at most workers-1, so at most `workers`
+// jobs have started and not been received: that bounds both the jobs
+// running at once and the results a slow consumer leaves resident.
 //
 // Closing `done` cancels the stream: jobs already running finish (a
-// simulation cannot be interrupted mid-event), no new jobs start, every
-// goroutine exits, and the output channel closes early. A consumer that
-// stops reading MUST cancel (or drain) — otherwise delivery blocks
-// forever. nil means not cancellable.
+// simulation cannot be interrupted mid-event), no new jobs start, and
+// the output channel closes early. A consumer that stops reading MUST
+// cancel (or drain) — otherwise delivery blocks forever. nil means not
+// cancellable.
 func Stream[T any](workers, n int, job func(int) (T, error), done <-chan struct{}) <-chan Item[T] {
 	workers = clamp(workers, n)
-	out := make(chan Item[T], workers)
-	if n == 0 {
-		close(out)
-		return out
-	}
+	out := make(chan Item[T])
+	slots := make(chan chan Item[T], workers-1)
+	go func() {
+		defer close(slots)
+		for i := 0; i < n; i++ {
+			slot := make(chan Item[T], 1)
+			select {
+			case slots <- slot:
+			case <-done: // nil when not cancellable: never ready
+				return
+			}
+			go func() {
+				v, err := job(i)
+				slot <- Item[T]{Index: i, Value: v, Err: err}
+			}()
+		}
+	}()
 	go func() {
 		defer close(out)
-		if workers == 1 {
-			for i := 0; i < n; i++ {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				v, err := job(i)
-				select {
-				case out <- Item[T]{Index: i, Value: v, Err: err}:
-				case <-done:
-					return
-				}
+		for slot := range slots {
+			var item Item[T]
+			select {
+			case item = <-slot:
+			case <-done:
+				return
 			}
-			return
-		}
-		var mu sync.Mutex
-		cond := sync.NewCond(&mu)
-		cancelled := false
-		ready := make([]*Item[T], n)
-		// window bounds how far ahead of the consumer workers may run.
-		// Slots are acquired in index order before a job starts and
-		// released after its item is delivered, so the lowest undelivered
-		// index always holds a slot — progress is guaranteed.
-		window := make(chan struct{}, workers+2)
-		var next int64
-		var wg sync.WaitGroup
-		finished := make(chan struct{})
-		defer close(finished)
-		if done != nil {
-			// Wake the delivery loop out of cond.Wait on cancellation.
-			go func() {
-				select {
-				case <-done:
-					mu.Lock()
-					cancelled = true
-					cond.Broadcast()
-					mu.Unlock()
-				case <-finished:
-				}
-			}()
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					select {
-					case window <- struct{}{}:
-					case <-done: // nil when not cancellable: never ready
-						return
-					}
-					i := int(atomic.AddInt64(&next, 1) - 1)
-					if i >= n {
-						<-window
-						return
-					}
-					v, err := job(i)
-					mu.Lock()
-					ready[i] = &Item[T]{Index: i, Value: v, Err: err}
-					cond.Broadcast()
-					mu.Unlock()
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			mu.Lock()
-			for ready[i] == nil && !cancelled {
-				cond.Wait()
-			}
-			if cancelled {
-				mu.Unlock()
-				return // workers exit via done; jobs in flight finish
-			}
-			item := *ready[i]
-			ready[i] = nil // release the result once delivered
-			mu.Unlock()
 			select {
 			case out <- item:
 			case <-done:
 				return
 			}
-			<-window
 		}
-		wg.Wait()
 	}()
 	return out
 }

@@ -165,3 +165,34 @@ func TestStreamCancel(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamBounds: at most `workers` jobs have started and not been
+// received, so no more run at once, and a consumer that stalls holds the
+// stream that few jobs ahead of it.
+func TestStreamBounds(t *testing.T) {
+	const workers, n = 3, 40
+	var running, peak, started atomic.Int64
+	ch := Stream(workers, n, func(i int) (int, error) {
+		started.Add(1)
+		r := running.Add(1)
+		for p := peak.Load(); r > p && !peak.CompareAndSwap(p, r); p = peak.Load() {
+		}
+		time.Sleep(time.Millisecond)
+		running.Add(-1)
+		return i, nil
+	}, nil)
+	for i := 0; i < n; i++ {
+		if i%10 == 0 {
+			time.Sleep(20 * time.Millisecond) // a stalled reader
+			if ahead := started.Load() - int64(i); ahead > workers {
+				t.Fatalf("after %d items received, %d jobs started: %d ahead, want at most %d", i, started.Load(), ahead, workers)
+			}
+		}
+		if item := <-ch; item.Index != i {
+			t.Fatalf("item %d arrived at position %d", item.Index, i)
+		}
+	}
+	if p := peak.Load(); p > workers {
+		t.Fatalf("%d jobs ran at once, want at most %d", p, workers)
+	}
+}

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 
-	"gvmr/internal/membership"
 	"gvmr/internal/resilience"
 )
 
@@ -112,30 +111,6 @@ func (s *Service) Draining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.draining
-}
-
-// LoadSnapshot is the /stats-style load a worker's membership heartbeats
-// carry to its coordinator.
-func (s *Service) LoadSnapshot() membership.Load {
-	s.mu.Lock()
-	mapJobs := s.mapJobs
-	s.mu.Unlock()
-	inFlight := len(s.sem)
-	depth := len(s.queue) - inFlight
-	if depth < 0 {
-		depth = 0
-	}
-	// Pressure is the admission-queue fill fraction: at 1 the next /map
-	// this node receives is near-certain to be shed, so a coordinator
-	// reading the heartbeat places there only as a last resort.
-	var pressure float64
-	if c := cap(s.queue); c > 0 {
-		pressure = float64(len(s.queue)) / float64(c)
-		if pressure > 1 {
-			pressure = 1
-		}
-	}
-	return membership.Load{InFlight: inFlight, QueueDepth: depth, MapJobs: mapJobs, Pressure: pressure}
 }
 
 // SetReadinessProbe installs an extra readiness input (the daemon wires

@@ -39,8 +39,6 @@ func startJoiningWorker(t *testing.T, coordURL string) (*Service, *membership.Ag
 	agent, err := membership.StartAgent(membership.AgentConfig{
 		Coordinator: coordURL,
 		Advertise:   srv.URL,
-		Capacity:    membership.Capacity{DeviceWorkers: svc.devWorkers},
-		Load:        svc.LoadSnapshot,
 		RetryEvery:  10 * time.Millisecond,
 		Logf:        t.Logf,
 	})
@@ -111,22 +109,15 @@ func TestJoinBasedDistributedRender(t *testing.T) {
 	if fDist.Digest != fLocal.Digest {
 		t.Errorf("distributed digest %s != local %s", fDist.Digest, fLocal.Digest)
 	}
-	if got := w1.Stats().MapJobs + w2.Stats().MapJobs; got < 1 {
-		t.Errorf("no map batches reached the joined workers")
-	}
+	// A worker's load is on its own /stats: the map batches reached the
+	// joined workers.
+	waitUntil(t, "map batches on the joined workers", func() bool {
+		return w1.Stats().MapJobs+w2.Stats().MapJobs >= 1
+	})
 	st := coord.Stats()
 	if st.Membership == nil || st.Membership.Joins != 2 || st.WorkerNodes != 2 {
 		t.Errorf("membership stats = %+v", st.Membership)
 	}
-	// Heartbeats carry worker load into the coordinator's registry view.
-	waitUntil(t, "heartbeat-reported load", func() bool {
-		for _, m := range coord.Registry().Snapshot().Members {
-			if m.Load.MapJobs > 0 {
-				return true
-			}
-		}
-		return false
-	})
 }
 
 // TestWorkerDrainViaAgent: a worker that self-drains reports not-ready

@@ -70,9 +70,10 @@ type Stats struct {
 	// WorkerNodes and Dist describe coordinator mode: the current
 	// registered worker count and the distributed-layer event counters.
 	// Membership is the full registry view — per-node state (alive /
-	// draining, capacity, load, lease age) plus lifetime join / drain /
-	// eviction counters. LocalFallbacks counts renders served in-process
-	// because no eligible worker existed.
+	// draining) and lease age, plus lifetime join / drain / eviction
+	// counters. A node's load is on its own /stats, not here.
+	// LocalFallbacks counts renders served in-process because no
+	// eligible worker existed.
 	WorkerNodes    int                    `json:"worker_nodes,omitempty"`
 	Dist           *dist.CoordinatorStats `json:"dist,omitempty"`
 	Membership     *membership.Stats      `json:"membership,omitempty"`
