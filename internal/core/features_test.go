@@ -211,10 +211,11 @@ func TestUploadChargesResidentBoxes(t *testing.T) {
 }
 
 // TestTraceCoversMakespan renders a traced frame in every configuration
-// the engine and the compositors take: the union of its spans over every
-// lane is exactly [0, makespan], with no gap, so every modelled cost —
-// partitioning and the binary-swap exchange included — shows on the
-// timeline.
+// the engine and the compositors take, and replays one as a distributed
+// frame of either topology: the union of its spans over every lane is
+// exactly [0, makespan], with no gap, so every modelled cost —
+// partitioning, the binary-swap exchange and the classic gather included
+// — shows on the timeline.
 func TestTraceCoversMakespan(t *testing.T) {
 	cases := []struct {
 		name string
@@ -233,7 +234,12 @@ func TestTraceCoversMakespan(t *testing.T) {
 		{"gpu-sort-reduce", 4, func(o *Options) { o.SortOn, o.ReduceOn = mapreduce.OnGPU, mapreduce.OnGPU }},
 		{"slicing", 4, func(o *Options) { o.Sampler = Slicing }},
 		{"interleave-2", 4, func(o *Options) { o.Partition = Interleaved{NumParts: 2} }},
+		{"dist-reduce", 4, nil},
+		{"classic", 4, nil},
 	}
+	// The distributed rows run Replay.Run(·, gather) over their units'
+	// charges, mapped in two batches, instead of Render.
+	replays := map[string]bool{"dist-reduce": false, "classic": true}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := skullOptions(t, 32, 64, tc.gpus)
@@ -242,9 +248,26 @@ func TestTraceCoversMakespan(t *testing.T) {
 			}
 			log := &trace.Log{}
 			opt.Trace = log
-			res, err := Render(newCluster(t, tc.gpus), opt)
+			var res *Result
+			var err error
+			gather, replay := replays[tc.name]
+			if replay {
+				plan, charges := recordedCharges(t, cluster.AC(tc.gpus), opt, 2)
+				res, err = plan.Run(charges, gather)
+			} else {
+				res, err = Render(newCluster(t, tc.gpus), opt)
+			}
 			if err != nil {
 				t.Fatal(err)
+			}
+			gathers := 0
+			for _, s := range log.Spans() {
+				if s.Cat == "net" && s.Lane == "coordinator" {
+					gathers++
+				}
+			}
+			if want := map[bool]int{false: 0, true: 1}[gather]; gathers != want {
+				t.Errorf("%d gather spans, want %d", gathers, want)
 			}
 			var covered sim.Time // end of the union so far; spans come sorted by start
 			for _, s := range log.Spans() {

@@ -3,13 +3,13 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 
 	"gvmr/internal/cluster"
 	"gvmr/internal/composite"
 	"gvmr/internal/mapreduce"
-	"gvmr/internal/sim"
 	"gvmr/internal/volume"
 )
 
@@ -50,19 +50,15 @@ type BrickStripe struct {
 }
 
 // MapResult is the outcome of a map-phase-only job over a subset of a
-// render's bricks.
+// render's units.
 type MapResult struct {
-	// Stripes holds one entry per requested brick, ascending by brick ID.
-	// Bricks whose footprint misses the screen (or whose rays all
+	// Stripes holds one entry per requested unit, ascending by unit ID.
+	// Units whose footprint misses the screen (or whose rays all
 	// contribute nothing) appear with an empty fragment slice.
 	Stripes []BrickStripe
-	// Runtime is the virtual makespan of the local job: staging, texture
-	// uploads, kernels, fragment read-back, partition and the local
-	// stripe preparation, on a fresh instance of the spec.
-	Runtime sim.Time
-	// Stats are the underlying engine statistics.
-	Stats *mapreduce.JobStats
-	Grid  *volume.Grid
+	// Charges holds each requested unit's record, parallel to Stripes:
+	// what mapping it charged the engine of the whole job (replay.go).
+	Charges []UnitCharges
 }
 
 // FragmentCount sums the fragments across stripes.
@@ -74,56 +70,83 @@ func (m *MapResult) FragmentCount() int {
 	return n
 }
 
-// stripeRecorder captures each chunk's fragments as the mapper
-// emits them. The mutex serialises recording across worker processes; the
-// per-chunk order is emission order, so the recorded stripes are
-// deterministic regardless of how the engine schedules workers.
-type stripeRecorder struct {
-	mu      sync.Mutex
-	stripes map[int]*BrickStripe
+// unitRecord is one unit's stripe and charges as the mapper fills them.
+type unitRecord struct {
+	stripe  BrickStripe
+	charges UnitCharges
 }
 
 // recordingMapper is the real ray-cast mapper with every emitted fragment
-// teed into the recorder.
+// teed into its unit's stripe and each brick's charges recorded as the
+// whole job's engine would batch its pairs: per modelled reducer under
+// the job's partitioner, with a flush wherever a reducer's buffer fills.
+// The mutex serialises the record table across worker processes; the
+// per-unit order is emission order, so the records are deterministic
+// regardless of how the engine schedules workers.
 type recordingMapper struct {
 	*rayCastMapper
-	rec *stripeRecorder
+	part     mapreduce.Partitioner
+	reducers int
+
+	mu    sync.Mutex
+	units map[int]*unitRecord
 }
 
 func (m *recordingMapper) Map(p mapreduce.Ctx, w *mapreduce.Worker, c mapreduce.Chunk,
-	bd []*volume.BrickData, emit func(mapreduce.KV[composite.Fragment])) error {
-	m.rec.mu.Lock()
-	stripe := m.rec.stripes[c.ID()]
-	m.rec.mu.Unlock()
-	tee := func(kv mapreduce.KV[composite.Fragment]) {
-		stripe.Frags = append(stripe.Frags, kv.Val)
-		emit(kv)
+	staged []*volume.BrickData, emit func(mapreduce.KV[composite.Fragment])) error {
+	m.mu.Lock()
+	rec := m.units[c.ID()]
+	m.mu.Unlock()
+	// The engine flushes every buffer at a chunk's end, so a unit's
+	// buffers start empty.
+	buf := make([]int64, m.reducers)
+	for _, bd := range staged {
+		frags := make([]int64, m.reducers)
+		var flushes []int
+		tee := func(kv mapreduce.KV[composite.Fragment]) {
+			rec.stripe.Frags = append(rec.stripe.Frags, kv.Val)
+			red := m.part.Partition(kv.Key, m.reducers)
+			frags[red]++
+			if buf[red]++; buf[red] == flushKVs {
+				flushes = append(flushes, red)
+				buf[red] = 0
+			}
+			emit(kv)
+		}
+		ch, err := m.mapBrick(p, w, bd, tee)
+		if err != nil {
+			return err
+		}
+		if ch.Ran {
+			ch.Frags, ch.Flushes = frags, flushes
+		}
+		rec.charges.Bricks = append(rec.charges.Bricks, ch)
 	}
-	return m.rayCastMapper.Map(p, w, c, bd, tee)
+	return nil
 }
 
 // discardReducer sinks the engine-side pairs: MapBricks callers composite
-// elsewhere (the distributed coordinator), so the local reduce is only a
-// cost-model charge for preparing the stripe batch.
-type discardReducer struct{}
+// elsewhere (the distributed coordinator), and a replay only charges.
+type discardReducer[V any] struct{}
 
-func (discardReducer) Reduce(int32, []composite.Fragment) {}
+func (discardReducer[V]) Reduce(int32, []V) {}
 
 // MapBricks runs the map phase of a render job for the given unit IDs on
-// a fresh instance of spec and returns the per-unit fragment stripes plus
-// the job's virtual makespan. It is the remote half of the distributed
-// direct-send pipeline: a coordinator plans the full grid, shards the
-// unit IDs across nodes, and each node calls MapBricks for its share.
-// Without Options.Partition a unit is a brick and the IDs are brick IDs;
-// with a Partition they index the partition's units.
+// a fresh instance of spec and returns each unit's fragment stripe and
+// charges. It is the remote half of the distributed direct-send
+// pipeline: a coordinator plans the full grid, shards the unit IDs across
+// nodes, each node calls MapBricks for its share, and the coordinator
+// replays the charges. Without Options.Partition a unit is a brick and
+// the IDs are brick IDs; with a Partition they index the partition's
+// units.
 //
 // The grid is planned from opt exactly as Render plans it, so the
-// fragments of unit i here are bit-identical to the fragments unit i
-// produces inside a single-process Render of the same options — the
-// invariant the distributed golden tests pin down. spec may be a smaller
-// machine than the one the grid was planned for (opt.GPUs bricks spread
-// over a node with fewer local GPUs run in series); only the planning
-// inputs (GPU VRAM) must match, which PlanGrid documents.
+// fragments and charges of unit i here are bit-identical to what unit i
+// produces and charges inside a single-process Render of the same
+// options — the invariant the distributed golden tests pin down. spec may
+// be a smaller machine than the one the grid was planned for (opt.GPUs
+// bricks spread over a node with fewer local GPUs run in series); only
+// the planning inputs (GPU VRAM) must match, which PlanGrid documents.
 //
 // devWorkers caps the host cores the instance's simulated devices use, as
 // in RenderOn.
@@ -134,20 +157,21 @@ func MapBricks(spec cluster.Spec, opt Options, brickIDs []int, devWorkers int) (
 	if len(brickIDs) == 0 {
 		return nil, fmt.Errorf("core: no bricks to map")
 	}
-	mapper, units, err := planJob(opt, specGPUs(spec, opt), spec.GPU.VRAMBytes)
+	gpus := specGPUs(spec, opt)
+	mapper, units, err := planJob(opt, gpus, spec.GPU.VRAMBytes)
 	if err != nil {
 		return nil, err
 	}
-	rec := &stripeRecorder{stripes: map[int]*BrickStripe{}}
+	rm := &recordingMapper{rayCastMapper: mapper, part: partitionerOf(&opt), reducers: gpus, units: map[int]*unitRecord{}}
 	chunks := make([]mapreduce.Chunk, 0, len(brickIDs))
 	for _, id := range brickIDs {
 		if id < 0 || id >= len(units) {
 			return nil, fmt.Errorf("core: unit %d outside job of %d units", id, len(units))
 		}
-		if _, dup := rec.stripes[id]; dup {
+		if _, dup := rm.units[id]; dup {
 			return nil, fmt.Errorf("core: unit %d requested twice", id)
 		}
-		rec.stripes[id] = &BrickStripe{Brick: id}
+		rm.units[id] = &unitRecord{stripe: BrickStripe{Brick: id}, charges: UnitCharges{Unit: id}}
 		chunks = append(chunks, unitChunk{id: id, bricks: units[id]})
 	}
 
@@ -156,21 +180,16 @@ func MapBricks(spec cluster.Spec, opt Options, brickIDs []int, devWorkers int) (
 		return nil, err
 	}
 	defer planFrame(mapper.src, chunks)()
-	cfg := opt.jobConfig(inst, min(inst.TotalGPUs(), len(chunks)), &recordingMapper{rayCastMapper: mapper, rec: rec}, chunks)
-	cfg.MakeReducer = func(int) mapreduce.Reducer[composite.Fragment] { return discardReducer{} }
-	t0 := inst.Env.Now()
-	stats, err := mapreduce.Run(cfg)
-	if err != nil {
+	cfg := jobConfig(&opt, inst, min(inst.TotalGPUs(), len(chunks)), mapreduce.Mapper[composite.Fragment, []*volume.BrickData](rm), chunks)
+	cfg.MakeReducer = func(int) mapreduce.Reducer[composite.Fragment] { return discardReducer[composite.Fragment]{} }
+	if _, err := mapreduce.Run(cfg); err != nil {
 		return nil, err
 	}
-	res := &MapResult{
-		Runtime: inst.Env.Now() - t0,
-		Stats:   stats,
-		Grid:    mapper.grid,
+	ids := slices.Sorted(maps.Keys(rm.units))
+	res := &MapResult{}
+	for _, id := range ids {
+		res.Stripes = append(res.Stripes, rm.units[id].stripe)
+		res.Charges = append(res.Charges, rm.units[id].charges)
 	}
-	for _, s := range rec.stripes {
-		res.Stripes = append(res.Stripes, *s)
-	}
-	sort.Slice(res.Stripes, func(i, j int) bool { return res.Stripes[i].Brick < res.Stripes[j].Brick })
 	return res, nil
 }

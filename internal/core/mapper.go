@@ -28,9 +28,14 @@ var _ mapreduce.Mapper[composite.Fragment, []*volume.BrickData] = (*rayCastMappe
 // Init implements mapreduce.Mapper. Static per-worker state (view matrix,
 // transfer-function texture) is tiny; its upload cost is charged here.
 func (m *rayCastMapper) Init(p mapreduce.Ctx, w *mapreduce.Worker) error {
-	w.Download(p, 0) // touch the link once: models the TF/texture setup
+	initWorker(p, w)
 	return nil
 }
+
+// initWorker is the per-worker set-up charge every render job's mapper
+// pays, the replay's included: it touches the link once, which models the
+// TF/texture setup.
+func initWorker(p mapreduce.Ctx, w *mapreduce.Worker) { w.Download(p, 0) }
 
 // Stage implements mapreduce.Mapper: materialise the ghost regions of the
 // unit's bricks. The engine charges disk time separately when configured
@@ -74,29 +79,44 @@ func (m *rayCastMapper) tfEmpty() func(lo, hi float32) bool {
 func (m *rayCastMapper) Map(p mapreduce.Ctx, w *mapreduce.Worker, c mapreduce.Chunk,
 	staged []*volume.BrickData, emit func(mapreduce.KV[composite.Fragment])) error {
 	for _, bd := range staged {
-		tex, err := w.UploadTexture(p, bd, render.ResidentBox(bd, m.prm))
-		if err != nil {
+		if _, err := m.mapBrick(p, w, bd, emit); err != nil {
 			return err
 		}
-		k := render.NewKernel(m.cam, m.grid.Space, tex, m.prm)
-		if k == nil {
-			tex.Free()
-			bd.Release()
-			continue // brick off screen: nothing to do
-		}
-		k.Sampler = m.sampler
-		w.RunKernel(p, k)
-		// Fragment read-back over PCIe: the paper measures <2 ms for a 512²
-		// image's worth (§3); the model charges the actual buffer size
-		// (per-thread counts plus packed fragments).
-		w.Download(p, k.OutBytes())
-		k.ForEachThread(func(_ int, frags []composite.Fragment) {
-			for _, f := range frags {
-				emit(mapreduce.KV[composite.Fragment]{Key: f.Key, Val: f})
-			}
-		})
-		tex.Free()
-		bd.Release()
 	}
 	return nil
+}
+
+// mapBrick maps one staged brick and returns what it charged the engine:
+// the record a replay charges again (replay.go). Frags and Flushes are the
+// caller's to fill from the emissions.
+func (m *rayCastMapper) mapBrick(p mapreduce.Ctx, w *mapreduce.Worker, bd *volume.BrickData,
+	emit func(mapreduce.KV[composite.Fragment])) (BrickCharges, error) {
+	box := render.ResidentBox(bd, m.prm)
+	tex, err := w.UploadTexture(p, bd, box)
+	if err != nil {
+		return BrickCharges{}, err
+	}
+	ch := BrickCharges{Box: box.Ext}
+	k := render.NewKernel(m.cam, m.grid.Space, tex, m.prm)
+	if k == nil {
+		tex.Free()
+		bd.Release()
+		return ch, nil // brick off screen: nothing to do
+	}
+	k.Sampler = m.sampler
+	ch.Ran = true
+	ch.Kernel = w.RunKernel(p, k)
+	// Fragment read-back over PCIe: the paper measures <2 ms for a 512²
+	// image's worth (§3); the model charges the actual buffer size
+	// (per-thread counts plus packed fragments).
+	ch.Readback = k.OutBytes()
+	w.Download(p, ch.Readback)
+	k.ForEachThread(func(_ int, frags []composite.Fragment) {
+		for _, f := range frags {
+			emit(mapreduce.KV[composite.Fragment]{Key: f.Key, Val: f})
+		}
+	})
+	tex.Free()
+	bd.Release()
+	return ch, nil
 }

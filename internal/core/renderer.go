@@ -37,9 +37,6 @@ type Result struct {
 	VPSMillions float64
 }
 
-// engineConfig is the MapReduce job configuration a render job runs.
-type engineConfig = mapreduce.Config[composite.Fragment, []*volume.BrickData]
-
 // planJob plans one render job on GPUs with vramBytes of device memory
 // each: the brick grid, the camera (opt.Camera or the fitted default
 // view), and the mapper over the staging-cached source, plus the job's
@@ -51,16 +48,9 @@ func planJob(opt Options, gpus int, vramBytes int64) (*rayCastMapper, [][]volume
 	if err != nil {
 		return nil, nil, err
 	}
-	cam := opt.Camera
-	if cam == nil {
-		cam, err = camera.Fit(grid.Space.Bounds(), opt.Width, opt.Height)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	if cam.Width != opt.Width || cam.Height != opt.Height {
-		return nil, nil, fmt.Errorf("core: camera image %dx%d != options %dx%d",
-			cam.Width, cam.Height, opt.Width, opt.Height)
+	cam, err := jobCamera(opt, grid)
+	if err != nil {
+		return nil, nil, err
 	}
 	// Brick staging reads through the process-wide staging cache: the
 	// source is materialised at most once per identity and every Stage
@@ -86,14 +76,36 @@ func planJob(opt Options, gpus int, vramBytes int64) (*rayCastMapper, [][]volume
 	return mapper, units, nil
 }
 
+// jobCamera is the job's camera: opt.Camera, or the fitted default view
+// of the grid.
+func jobCamera(opt Options, grid *volume.Grid) (*camera.Camera, error) {
+	cam := opt.Camera
+	if cam == nil {
+		var err error
+		if cam, err = camera.Fit(grid.Space.Bounds(), opt.Width, opt.Height); err != nil {
+			return nil, err
+		}
+	}
+	if cam.Width != opt.Width || cam.Height != opt.Height {
+		return nil, fmt.Errorf("core: camera image %dx%d != options %dx%d",
+			cam.Width, cam.Height, opt.Width, opt.Height)
+	}
+	return cam, nil
+}
+
+// jobFlushBytes is a render job's streaming-send threshold: fragments go
+// to a reducer in batches of 256 KiB.
+const jobFlushBytes = 256 << 10
+
 // jobConfig builds the MapReduce configuration of a render job mapping
 // chunks with `workers` GPUs of cl; the caller adds the reducers. The
 // engine charges the per-job fixed overhead (the paper's runtimes include
-// full frame setup) and fragments stream to the reducers in 256 KiB
-// batches.
-func (o *Options) jobConfig(cl *cluster.Cluster, workers int,
-	m mapreduce.Mapper[composite.Fragment, []*volume.BrickData], chunks []mapreduce.Chunk) engineConfig {
-	return engineConfig{
+// full frame setup) and fragments stream to the reducers in
+// jobFlushBytes batches. Render and the replay both run it, with the
+// fragment and its recorded charges as the value types.
+func jobConfig[V, S any](o *Options, cl *cluster.Cluster, workers int,
+	m mapreduce.Mapper[V, S], chunks []mapreduce.Chunk) mapreduce.Config[V, S] {
+	cfg := mapreduce.Config[V, S]{
 		Cluster:     cl,
 		Workers:     workers,
 		Mapper:      m,
@@ -102,11 +114,26 @@ func (o *Options) jobConfig(cl *cluster.Cluster, workers int,
 		ValueBytes:  composite.FragmentBytes - 4,
 		Chunks:      chunks,
 		Assign:      o.Assign,
-		FlushBytes:  256 << 10,
+		FlushBytes:  jobFlushBytes,
 		FromDisk:    o.FromDisk,
 		ReduceOn:    o.ReduceOn,
 		SortOn:      o.SortOn,
 		Trace:       o.Trace,
+	}
+	if o.InSitu {
+		// A co-located simulation leaves brick i on node i mod N; static
+		// assignment keeps render workers on the data.
+		nodes := len(cl.Nodes)
+		cfg.Home = func(c mapreduce.Chunk) int { return c.ID() % nodes }
+	}
+	return cfg
+}
+
+// setRates fills the paper's figures of merit from Runtime.
+func (r *Result) setRates() {
+	if r.Runtime > 0 {
+		r.FPS = 1 / r.Runtime.Seconds()
+		r.VPSMillions = float64(r.Voxels) / r.Runtime.Seconds() / 1e6
 	}
 }
 
@@ -128,15 +155,9 @@ func Render(cl *cluster.Cluster, opt Options) (*Result, error) {
 	chunks := unitChunks(units)
 	defer planFrame(mapper.src, chunks)()
 
-	cfg := opt.jobConfig(cl, gpus, mapper, chunks)
-	if opt.InSitu {
-		if opt.FromDisk {
-			return nil, fmt.Errorf("core: InSitu and FromDisk are mutually exclusive")
-		}
-		// A co-located simulation leaves brick i on node i mod N; static
-		// assignment keeps render workers on the data.
-		nodes := len(cl.Nodes)
-		cfg.Home = func(c mapreduce.Chunk) int { return c.ID() % nodes }
+	cfg := jobConfig(&opt, cl, gpus, mapper, chunks)
+	if opt.InSitu && opt.FromDisk {
+		return nil, fmt.Errorf("core: InSitu and FromDisk are mutually exclusive")
 	}
 
 	res := &Result{
@@ -195,9 +216,6 @@ func Render(cl *cluster.Cluster, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("core: unknown compositor %d", opt.Compositor)
 	}
 
-	if res.Runtime > 0 {
-		res.FPS = 1 / res.Runtime.Seconds()
-		res.VPSMillions = float64(res.Voxels) / res.Runtime.Seconds() / 1e6
-	}
+	res.setRates()
 	return res, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,11 +12,9 @@ import (
 	"gvmr/internal/composite"
 	"gvmr/internal/core"
 	"gvmr/internal/img"
-	"gvmr/internal/mapreduce"
 	"gvmr/internal/membership"
 	"gvmr/internal/resilience"
 	"gvmr/internal/sim"
-	"gvmr/internal/volume"
 )
 
 // ErrNoWorkers means no eligible (alive, non-draining) worker node
@@ -205,59 +202,51 @@ func (c *Coordinator) Nodes() int { return len(c.reg.Snapshot().Members) }
 
 // batchOutcome is one successfully mapped batch.
 type batchOutcome struct {
-	node       string
-	stripes    []core.BrickStripe
-	mapSeconds float64
-	bytes      int64
+	node    string
+	stripes []core.BrickStripe
+	charges []core.UnitCharges // parallel to stripes
+	bytes   int64
 }
 
-// Breakdown decomposes a distributed frame's virtual makespan into its
-// phases: the slowest node's map time (nodes run in parallel), the
-// stripe transfers into the coordinator's NIC, and the local reduce.
-// Wire+Reduce relative to the total is the coordinator overhead the
-// cluster bench records.
+// Breakdown describes a distributed frame's virtual time and traffic.
+// The time is the replayed engine job (DESIGN.md §9): Map is its
+// makespan — map, exchange, sort and reduce, pipelined as in the paper,
+// so no phase of it stands alone — and Wire the classic topology's one
+// gather term into the coordinator's NIC; Reduce is zero, the reduce
+// being inside the job. Map + Wire + Reduce is the frame's Runtime.
 type Breakdown struct {
 	Map    sim.Time `json:"map_seconds"`
 	Wire   sim.Time `json:"wire_seconds"`
 	Reduce sim.Time `json:"reduce_seconds"`
 
+	// Batches and WireBytes count the real HTTP hops: map batches (retries
+	// and hedges that won included) and collects, and the bytes they
+	// carried into the coordinator plus, for an exchange, ExchangeBytes.
 	Batches   int64 `json:"batches"`
 	WireBytes int64 `json:"wire_bytes"`
 	Fragments int64 `json:"fragments"`
 
 	// Reduced marks a frame that completed over the distributed-reduce
-	// exchange; ExchangeBytes crossed the worker-to-worker wire and
-	// CollectBytes the collect hop into the coordinator (both already
-	// counted in WireBytes).
+	// exchange; ExchangeBytes is the fragment exchange the replayed job
+	// models between its GPUs, and CollectBytes crossed the collect hop
+	// into the coordinator (both counted in WireBytes).
 	Reduced       bool  `json:"reduced,omitempty"`
 	ExchangeBytes int64 `json:"exchange_bytes,omitempty"`
 	CollectBytes  int64 `json:"collect_bytes,omitempty"`
 }
 
-// frame assembles a distributed frame's core.Result, either topology:
-// the virtual makespan is the phases' sum — additive, conservative, no
-// modeled overlap.
-func (bd Breakdown) frame(out *img.Image, job JobSpec, opt core.Options, grid *volume.Grid) *core.Result {
-	runtime := bd.Map + bd.Wire + bd.Reduce
-	res := &core.Result{
-		Image: out,
-		Stats: &mapreduce.JobStats{
-			Makespan:      runtime,
-			BytesOnWire:   bd.WireBytes,
-			Messages:      bd.Batches,
-			TotalEmitted:  bd.Fragments,
-			TotalReceived: bd.Fragments,
-		},
-		Grid:    grid,
-		GPUs:    job.GPUs,
-		Runtime: runtime,
-		Voxels:  opt.Source.Dims().Voxels(),
+// replay charges a frame's unit records as the engine's job (gather: plus
+// the classic topology's gather term), fills bd's times and fragment
+// count from it, and returns the frame's result around out.
+func replay(plan *core.Replay, charges []core.UnitCharges, gather bool, out *img.Image, bd *Breakdown) (*core.Result, error) {
+	res, err := plan.Run(charges, gather)
+	if err != nil {
+		return nil, err
 	}
-	if runtime > 0 {
-		res.FPS = 1 / runtime.Seconds()
-		res.VPSMillions = float64(res.Voxels) / runtime.Seconds() / 1e6
-	}
-	return res
+	res.Image = out
+	bd.Map, bd.Wire = res.Stats.Makespan, res.Runtime-res.Stats.Makespan
+	bd.Fragments = res.Stats.TotalEmitted
+	return res, nil
 }
 
 // background returns the frame both topologies fold into, filled with
@@ -290,18 +279,15 @@ func (c *Coordinator) RenderDetailed(ctx context.Context, job JobSpec) (*core.Re
 	if c.cfg.Spec != nil {
 		planSpec = *c.cfg.Spec
 	}
-	grid, err := core.PlanGrid(planSpec, opt)
+	plan, err := core.PlanReplay(planSpec, opt)
 	if err != nil {
 		return nil, Breakdown{}, err
 	}
 	// Map tasks are units, not bricks: one per brick in the convex
 	// default (counts coincide), the partition's unit count otherwise.
-	// Placement, completion counting and stripe validation all run in
-	// unit IDs.
-	numUnits, err := core.NumUnits(grid, opt.Partition)
-	if err != nil {
-		return nil, Breakdown{}, err
-	}
+	// Placement, completion counting, validation and the replay all run
+	// in unit IDs.
+	numUnits := plan.Units()
 	view, err := c.view()
 	if err != nil {
 		return nil, Breakdown{}, err
@@ -315,7 +301,7 @@ func (c *Coordinator) RenderDetailed(ctx context.Context, job JobSpec) (*core.Re
 	// abandons the exchange and falls through to the classic path on a
 	// fresh membership view: same bits, different topology.
 	if reducers := view.placeableAddrs(); c.cfg.DistReduce && len(reducers) >= 2 {
-		res, bd, rerr := c.renderReduce(ctx, job, opt, planSpec, grid, view, reducers, numUnits)
+		res, bd, rerr := c.renderReduce(ctx, job, opt, plan, view, reducers)
 		if rerr == nil {
 			c.reduceJobs.Add(1)
 			return res, bd, nil
@@ -357,7 +343,7 @@ func (c *Coordinator) RenderDetailed(ctx context.Context, job JobSpec) (*core.Re
 				events <- event{err: fmt.Errorf("dist: bricks %v undeliverable after %d attempts", b.bricks, b.attempts)}
 				return
 			}
-			out, avoid, err := c.sendBatch(ctx, job, grid.Counts, b.bricks, b.target, b.excluded, b.attempts)
+			out, avoid, err := c.sendBatch(ctx, job, plan, b.bricks, b.target, b.excluded, b.attempts)
 			if err == nil {
 				events <- event{out: out}
 				return
@@ -408,13 +394,14 @@ func (c *Coordinator) RenderDetailed(ctx context.Context, job JobSpec) (*core.Re
 		launch(pendingBatch{bricks: bricks, target: a})
 	}
 
-	// Gather each unit's stripe as responses land; the fold walks units
-	// ascending, so arrival order never reaches the pixels. A unit
-	// already seen (a late duplicate from a raced retry) is dropped —
-	// duplicates are bit-identical by canonicality anyway.
+	// Gather each unit's stripe and charges as responses land; the fold
+	// and the replay walk units ascending, so arrival order reaches
+	// neither the pixels nor the clock. A unit already seen (a late
+	// duplicate from a raced retry) is dropped — duplicates are
+	// bit-identical by canonicality anyway.
 	runs := make([][]composite.Fragment, numUnits)
+	charges := make([]core.UnitCharges, numUnits)
 	seen := make([]bool, numUnits)
-	nodeVirtual := make(map[string]sim.Time)
 	bd := Breakdown{}
 	for got := 0; got < numUnits; {
 		select {
@@ -422,14 +409,14 @@ func (c *Coordinator) RenderDetailed(ctx context.Context, job JobSpec) (*core.Re
 			if ev.err != nil {
 				return nil, Breakdown{}, ev.err
 			}
-			for _, s := range ev.out.stripes {
+			for i, s := range ev.out.stripes {
 				if !seen[s.Brick] {
 					seen[s.Brick] = true
 					runs[s.Brick] = s.Frags
+					charges[s.Brick] = ev.out.charges[i]
 					got++
 				}
 			}
-			nodeVirtual[ev.out.node] += sim.Seconds(ev.out.mapSeconds)
 			bd.WireBytes += ev.out.bytes
 			bd.Batches++
 		case <-ctx.Done():
@@ -438,35 +425,9 @@ func (c *Coordinator) RenderDetailed(ctx context.Context, job JobSpec) (*core.Re
 	}
 	out := background(opt)
 	foldRange(runs, 0, int32(opt.Width*opt.Height), opt.Background, out.SetKey)
-
-	// Virtual makespan: map phases run node-parallel (max), the stripe
-	// transfers serialise into the coordinator's NIC, the local reduce
-	// follows.
-	for _, v := range nodeVirtual {
-		bd.Map = max(bd.Map, v)
+	res, err := replay(plan, charges, true, out, &bd)
+	if err != nil {
+		return nil, Breakdown{}, err
 	}
-	bd.Wire = sim.Time(bd.Batches)*(planSpec.NICLatency+planSpec.MsgOverhead) +
-		sim.BytesTime(bd.WireBytes, planSpec.NICBandwidth)
-	bd.Fragments, bd.Reduce = classicCharge(runs, len(view.addrs), planSpec)
-	return bd.frame(out, job, opt, grid), bd, nil
-}
-
-// classicCharge is the modeled coordinator-local reduce of runs: one
-// partition scan over everything, then the widest shard's sort and
-// blend — the display node's reducers take pixels round robin (key %
-// shards) and run in parallel, like the engine's co-located reducers.
-// Fragment counts alone decide it: it is independent of placement,
-// faults, and the host machine.
-func classicCharge(runs [][]composite.Fragment, shards int, spec cluster.Spec) (frags int64, charge sim.Time) {
-	width := make([]int64, shards)
-	for _, run := range runs {
-		for _, f := range run {
-			width[int(f.Key)%shards]++
-		}
-		frags += int64(len(run))
-	}
-	widest := slices.Max(width)
-	return frags, sim.WorkTime(float64(frags), spec.PartitionRate) +
-		sim.WorkTime(float64(widest), spec.SortRate) +
-		sim.WorkTime(float64(widest), spec.CompositeRate)
+	return res, bd, nil
 }

@@ -17,12 +17,12 @@ import (
 
 // A propagated deadline decides only whether a /map batch runs, never how:
 // a batch is one core.MapBricks call with or without X-Gvmr-Deadline, so
-// its stripes and virtual seconds are the same, and a budget spent before
+// its stripes and charges are the same, and a budget spent before
 // mapping is a 504 with no map work.
 
 // TestDeadlineLeavesBatchUnchanged: a 4-unit batch of an 8-GPU skull job
 // on a 1-GPU worker returns the same payload bytes and the same
-// X-Gvmr-Map-Seconds with and without a one-minute deadline.
+// X-Gvmr-Unit-Charges with and without a one-minute deadline.
 func TestDeadlineLeavesBatchUnchanged(t *testing.T) {
 	job := testJob(t, dataset.Skull, 64, 96, 8, 30, true)
 	opt, err := job.Options()
@@ -56,8 +56,8 @@ func TestDeadlineLeavesBatchUnchanged(t *testing.T) {
 		t.Errorf("payload with a deadline (%d bytes) differs from the payload without (%d bytes)",
 			bounded.Body.Len(), plain.Body.Len())
 	}
-	if p, b := plain.Header().Get(HeaderMapSeconds), bounded.Header().Get(HeaderMapSeconds); p != b {
-		t.Errorf("map seconds with a deadline %s, without %s", b, p)
+	if p, b := plain.Header().Get(HeaderUnitCharges), bounded.Header().Get(HeaderUnitCharges); p != b {
+		t.Errorf("charges with a deadline %s, without %s", b, p)
 	}
 }
 

@@ -1,9 +1,12 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,6 +14,7 @@ import (
 	"gvmr/internal/composite"
 	"gvmr/internal/core"
 	"gvmr/internal/render"
+	"gvmr/internal/sim"
 	"gvmr/internal/volume/dataset"
 )
 
@@ -69,7 +73,8 @@ func newTestCoordinator(t *testing.T, addrs []string, mut func(*CoordinatorConfi
 	return c
 }
 
-func directDigest(t *testing.T, job JobSpec) string {
+// direct renders job in one process, as core.RenderOn on its plan spec.
+func direct(t *testing.T, job JobSpec) *core.Result {
 	t.Helper()
 	opt, err := job.Options()
 	if err != nil {
@@ -79,8 +84,14 @@ func directDigest(t *testing.T, job JobSpec) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Image.Digest()
+	return res
 }
+
+func directDigest(t *testing.T, job JobSpec) string { return direct(t, job).Image.Digest() }
+
+// directRuntime is the virtual time of job's single-process render: the
+// time a dist-reduce frame of it takes.
+func directRuntime(t *testing.T, job JobSpec) sim.Time { return direct(t, job).Runtime }
 
 // TestDistributedMatchesDirect is the core contract: for every built-in
 // dataset, a render sharded over 1, 2 and 3 worker nodes produces the
@@ -157,37 +168,150 @@ func TestCompositeStrategiesAndPartitionersAgree(t *testing.T) {
 	}
 }
 
-// TestVirtualTimeScalesWithWorkers: with 1-GPU nodes, a 4-brick job's
-// map phase must get faster in virtual time as nodes are added (the
-// distributed scaling claim; the tier-1 guard that 2 workers beat 1).
-// The per-job fixed overhead (250ms, paid node-parallel) dwarfs map work
-// at test scale, so the assertion is on the map component of the
-// breakdown.
-func TestVirtualTimeScalesWithWorkers(t *testing.T) {
-	job := testJob(t, dataset.Skull, 32, 64, 4, 0, false)
-	mapVirtual := map[int]float64{}
-	for _, workers := range []int{1, 2, 4} {
-		addrs := startWorkers(t, workers, nil)
-		coord := newTestCoordinator(t, addrs, nil)
-		res, bd, err := coord.RenderDetailed(context.Background(), job)
+// TestVirtualTimeIsTheJobs: a frame's virtual time is a function of its
+// JobSpec alone. A dist-reduce frame takes the direct render's time, and
+// a classic frame that time plus the gather term — one message per
+// mapping GPU and every fragment at the engine's wire size into the
+// coordinator's NIC — whatever the fleet: static fleets of 1, 2 and 3
+// workers on random ports, a batch retried after a 5xx, a hedged batch,
+// a deadline on the request, an exchange that falls back to classic.
+func TestVirtualTimeIsTheJobs(t *testing.T) {
+	job := testJob(t, dataset.Skull, 32, 64, 4, 30, true)
+	want := direct(t, job)
+	spec := job.PlanSpec()
+	gather := sim.Time(job.GPUs)*(spec.NICLatency+spec.MsgOverhead) +
+		sim.BytesTime(want.Stats.TotalEmitted*composite.FragmentBytes, spec.NICBandwidth)
+	classic, reduce := want.Runtime+gather, want.Runtime
+
+	// The first /map request the fleet sees fails, or stalls until a
+	// hedge wins.
+	var failed, stalled atomic.Bool
+	failFirst := func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if failed.CompareAndSwap(false, true) {
+				http.Error(w, "injected", http.StatusInternalServerError)
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	stallFirst := func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			body, _ := io.ReadAll(r.Body)
+			if stalled.CompareAndSwap(false, true) {
+				select {
+				case <-time.After(10 * time.Second):
+				case <-r.Context().Done():
+					return
+				}
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			h.ServeHTTP(w, r)
+		})
+	}
+	refusePushes := func(_ int, path string, h http.Handler) http.Handler {
+		if path != ReducePath {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "injected", http.StatusInternalServerError)
+		})
+	}
+	reduceFleet := func(n int, wrap func(int, string, http.Handler) http.Handler) []string {
+		addrs, _ := startReduceWorkers(t, n, wrap)
+		return addrs
+	}
+	deadline := func() context.Context {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		t.Cleanup(cancel)
+		return ctx
+	}
+	for _, tc := range []struct {
+		name  string
+		addrs []string
+		cfg   func(*CoordinatorConfig)
+		ctx   context.Context
+		want  sim.Time
+		check func(CoordinatorStats) bool
+	}{
+		{"1 worker", startWorkers(t, 1, nil), nil, nil, classic, nil},
+		{"2 workers", startWorkers(t, 2, nil), nil, nil, classic, nil},
+		{"3 workers", startWorkers(t, 3, nil), nil, nil, classic, nil},
+		{"retried after 5xx", startWorkers(t, 2, failFirst), nil, nil, classic,
+			func(st CoordinatorStats) bool { return st.Retries >= 1 }},
+		{"hedged", startWorkers(t, 3, stallFirst), func(c *CoordinatorConfig) { c.HedgeAfter = 25 * time.Millisecond }, nil, classic,
+			func(st CoordinatorStats) bool { return st.HedgeWins >= 1 }},
+		{"deadline", startWorkers(t, 2, nil), nil, deadline(), classic, nil},
+		{"exchange fell back", reduceFleet(2, refusePushes), func(c *CoordinatorConfig) { c.DistReduce = true }, nil, classic,
+			func(st CoordinatorStats) bool { return st.ReduceFallbacks == 1 }},
+		{"dist-reduce 2 workers", reduceFleet(2, nil), func(c *CoordinatorConfig) { c.DistReduce = true }, nil, reduce,
+			func(st CoordinatorStats) bool { return st.ReduceJobs == 1 }},
+		{"dist-reduce 3 workers, deadline", reduceFleet(3, nil), func(c *CoordinatorConfig) { c.DistReduce = true }, deadline(), reduce,
+			func(st CoordinatorStats) bool { return st.ReduceJobs == 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coord := newTestCoordinator(t, tc.addrs, tc.cfg)
+			ctx := tc.ctx
+			if ctx == nil {
+				ctx = context.Background()
+			}
+			res, bd, err := coord.RenderDetailed(ctx, job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Image.Digest(); got != want.Image.Digest() {
+				t.Errorf("digest %s != direct %s", got, want.Image.Digest())
+			}
+			if res.Runtime != tc.want || bd.Map+bd.Wire+bd.Reduce != res.Runtime {
+				t.Errorf("virtual time %v (breakdown %+v), want %v", res.Runtime, bd, tc.want)
+			}
+			if bd.Fragments != want.Stats.TotalEmitted {
+				t.Errorf("%d fragments replayed, direct render emitted %d", bd.Fragments, want.Stats.TotalEmitted)
+			}
+			if st := coord.Stats(); tc.check != nil && !tc.check(st) {
+				t.Errorf("the fault did not happen: %+v", st)
+			}
+		})
+	}
+}
+
+// TestDistReduceMatchesRenderOn: a dist-reduce frame's bits and virtual
+// time are core.RenderOn's across GPU counts, bricks per GPU, convex and
+// interleaved units, and a job whose unit fills a reducer's send buffer
+// mid-chunk.
+func TestDistReduceMatchesRenderOn(t *testing.T) {
+	addrs, _ := startReduceWorkers(t, 2, nil)
+	coord := newTestCoordinator(t, addrs, func(c *CoordinatorConfig) { c.DistReduce = true })
+	var jobs []JobSpec
+	for _, gpus := range []int{1, 2, 4, 8} {
+		for _, perGPU := range []int{1, 4} {
+			job := testJob(t, dataset.Skull, 24, 48, gpus, 40, true)
+			job.BricksPerGPU = perGPU
+			jobs = append(jobs, job)
+			if gpus*perGPU >= 2 {
+				job.Partition = &PartitionSpec{Scheme: "interleave", Parts: 2}
+				jobs = append(jobs, job)
+			}
+		}
+	}
+	flush := testJob(t, dataset.Skull, 32, 320, 1, 0, false)
+	if _, _, charges := realBatch(t, flush, []int{0}); len(charges[0].Bricks[0].Flushes) == 0 {
+		t.Fatal("premise: the one-brick job does not flush mid-chunk")
+	}
+	jobs = append(jobs, flush)
+	for _, job := range jobs {
+		want := direct(t, job)
+		res, _, err := coord.Render(context.Background(), job)
 		if err != nil {
-			t.Fatalf("%d workers: %v", workers, err)
+			t.Fatalf("%d GPUs, %d per GPU, %v: %v", job.GPUs, job.BricksPerGPU, job.Partition, err)
 		}
-		if got := bd.Map + bd.Wire + bd.Reduce; got != res.Runtime {
-			t.Errorf("%d workers: breakdown sum %v != runtime %v", workers, got, res.Runtime)
+		if res.Image.Digest() != want.Image.Digest() || res.Runtime != want.Runtime {
+			t.Errorf("%d GPUs, %d per GPU, %v: %s in %v, direct %s in %v", job.GPUs, job.BricksPerGPU, job.Partition,
+				res.Image.Digest(), res.Runtime, want.Image.Digest(), want.Runtime)
 		}
-		// One batch per node that received bricks; the consistent hash
-		// may leave a node empty when bricks are few.
-		if bd.Fragments <= 0 || bd.WireBytes <= 0 || bd.Batches < 1 || bd.Batches > int64(workers) {
-			t.Errorf("%d workers: implausible breakdown %+v", workers, bd)
-		}
-		mapVirtual[workers] = bd.Map.Seconds()
 	}
-	if !(mapVirtual[2] < mapVirtual[1]) {
-		t.Errorf("2-worker map virtual %v not faster than 1-worker %v", mapVirtual[2], mapVirtual[1])
-	}
-	if !(mapVirtual[4] < mapVirtual[2]) {
-		t.Errorf("4-worker map virtual %v not faster than 2-worker %v", mapVirtual[4], mapVirtual[2])
+	if st := coord.Stats(); st.ReduceFallbacks != 0 || st.ReduceJobs != int64(len(jobs)) {
+		t.Errorf("not every frame went over the exchange: %+v", st)
 	}
 }
 

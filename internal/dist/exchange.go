@@ -11,7 +11,6 @@ import (
 
 	"gvmr/internal/composite"
 	"gvmr/internal/core"
-	"gvmr/internal/sim"
 	"gvmr/internal/vec"
 )
 
@@ -43,8 +42,7 @@ type CollectRequest struct {
 	// Background is the coordinator's composite background, passed
 	// explicitly so both sides fold the exact same floats.
 	Background [4]float32 `json:"background"`
-	// Job rebinds the collect to the frame (request bounds, plan spec
-	// for the modeled reduce charge).
+	// Job rebinds the collect to the frame: its image bounds the range.
 	Job JobSpec `json:"job"`
 }
 
@@ -72,12 +70,10 @@ type exchangeTable struct {
 type exchangeSession struct {
 	lo, hi int32
 
-	mu       sync.Mutex
-	bricks   map[int][]composite.Fragment
-	netBytes int64
-	netMsgs  int64
-	updated  time.Time
-	arrived  chan struct{} // closed and replaced on every new delivery
+	mu      sync.Mutex
+	bricks  map[int][]composite.Fragment
+	updated time.Time
+	arrived chan struct{} // closed and replaced on every new delivery
 }
 
 func newExchangeTable(maxSessions int, ttl time.Duration) *exchangeTable {
@@ -152,15 +148,13 @@ func (t *exchangeTable) stats() ExchangeStats {
 
 // deliver merges one mapper's stripes into the session,
 // first-write-wins per brick, and wakes any waiting collect.
-func (s *exchangeSession) deliver(stripes []core.BrickStripe, bytes, msgs int64, now time.Time) {
+func (s *exchangeSession) deliver(stripes []core.BrickStripe, now time.Time) {
 	s.mu.Lock()
 	for _, st := range stripes {
 		if _, ok := s.bricks[st.Brick]; !ok {
 			s.bricks[st.Brick] = st.Frags
 		}
 	}
-	s.netBytes += bytes
-	s.netMsgs += msgs
 	s.updated = now
 	close(s.arrived)
 	s.arrived = make(chan struct{})
@@ -242,7 +236,7 @@ func (wk *Worker) HandleReducePush(w http.ResponseWriter, r *http.Request) {
 		wk.rejectPush(w, status, err)
 		return
 	}
-	s.deliver(stripes, int64(len(body)), 1, now)
+	s.deliver(stripes, now)
 	wk.ex.mu.Lock()
 	wk.ex.pushes++
 	wk.ex.mu.Unlock()
@@ -320,11 +314,7 @@ func (wk *Worker) HandleCollect(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	frags, total, netBytes, netMsgs := s.compositeRange(req)
-	spec := req.Job.PlanSpec()
-	charge := sim.WorkTime(float64(total), spec.PartitionRate) +
-		sim.WorkTime(float64(total), spec.SortRate) +
-		sim.WorkTime(float64(total), spec.CompositeRate)
+	frags := s.compositeRange(req)
 	payload := encodeCF2([]core.BrickStripe{{Brick: 0, Frags: frags}})
 	wk.ex.remove(req.Exchange)
 	wk.ex.mu.Lock()
@@ -337,9 +327,6 @@ func (wk *Worker) HandleCollect(w http.ResponseWriter, r *http.Request) {
 	h.Set("Content-Length", strconv.Itoa(len(payload)))
 	h.Set(HeaderFragCount, strconv.Itoa(len(frags)))
 	h.Set(HeaderStripeDigest, PayloadDigest(payload))
-	h.Set(HeaderReduceSeconds, strconv.FormatFloat(charge.Seconds(), 'g', -1, 64))
-	h.Set(HeaderExchangeBytes, strconv.FormatInt(netBytes, 10))
-	h.Set(HeaderExchangeMsgs, strconv.FormatInt(netMsgs, 10))
 	_, _ = w.Write(payload) // client hangup; the coordinator falls back
 }
 
@@ -347,7 +334,7 @@ func (wk *Worker) HandleCollect(w http.ResponseWriter, r *http.Request) {
 // touched pixel with the coordinator's own fold, in the canonical order:
 // bricks ascending, emission order within a brick — so the folded
 // floats are bit-identical to the coordinator-local path.
-func (s *exchangeSession) compositeRange(req CollectRequest) (frags []composite.Fragment, total int64, netBytes, netMsgs int64) {
+func (s *exchangeSession) compositeRange(req CollectRequest) (frags []composite.Fragment) {
 	s.mu.Lock()
 	ids := make([]int, 0, len(s.bricks))
 	for id := range s.bricks {
@@ -357,14 +344,12 @@ func (s *exchangeSession) compositeRange(req CollectRequest) (frags []composite.
 	sort.Ints(ids)
 	for _, id := range ids {
 		runs = append(runs, s.bricks[id])
-		total += int64(len(s.bricks[id]))
 	}
-	netBytes, netMsgs = s.netBytes, s.netMsgs
 	s.mu.Unlock()
 
 	bg := vec.V4{X: req.Background[0], Y: req.Background[1], Z: req.Background[2], W: req.Background[3]}
 	foldRange(runs, req.Lo, req.Hi, bg, func(k int32, c vec.V4) {
 		frags = append(frags, composite.Fragment{Key: k, R: c.X, G: c.Y, B: c.Z, A: c.W})
 	})
-	return frags, total, netBytes, netMsgs
+	return frags
 }

@@ -233,9 +233,10 @@ func TestCorruptStoredPlaneRetried(t *testing.T) {
 }
 
 // TestMalformedHopCountedCorrupt: node 0 answers one kind of hop
-// malformed — without HeaderFragCount or one of the virtual-clock
-// headers, or with its stripes in the identity layout under its own
-// label (re-digested, so only the label is wrong). The coordinator must
+// malformed — without HeaderFragCount or HeaderUnitCharges, with charges
+// that disagree with what it mapped, or with its stripes in the identity
+// layout under its own label (re-digested, so only the label is wrong).
+// The coordinator must
 // count the reply corrupt and never composite it: a classic /map batch
 // is re-placed, a broken exchange falls back to the classic path, and
 // the frame keeps the direct render's bits.
@@ -252,6 +253,24 @@ func TestMalformedHopCountedCorrupt(t *testing.T) {
 		}
 	}
 	noFragCount := without(HeaderFragCount)
+	// hostile claims one more fragment for the batch's first unit than
+	// it has, in the records and the count header alike.
+	hostile := func(t *testing.T, h http.Header, body []byte) []byte {
+		charges, err := decodeCharges(h.Get(HeaderUnitCharges))
+		if err != nil {
+			t.Fatalf("worker charges do not decode: %v", err)
+		}
+		for u := range charges {
+			if b := &charges[u].Bricks[0]; b.Ran {
+				b.Frags[0]++
+				break
+			}
+		}
+		frags, _ := strconv.Atoi(h.Get(HeaderFragCount))
+		h.Set(HeaderFragCount, strconv.Itoa(frags+1))
+		h.Set(HeaderUnitCharges, encodeCharges(len(charges[0].Bricks[0].Frags), charges))
+		return body
+	}
 	identity := func(t *testing.T, h http.Header, body []byte) []byte {
 		stripes, err := DecodePayload(h.Get("Content-Encoding"), body, 1<<30)
 		if err != nil {
@@ -272,11 +291,10 @@ func TestMalformedHopCountedCorrupt(t *testing.T) {
 		{"map/no-frag-count", false, MapPath, false, noFragCount},
 		{"reduce-map/no-frag-count", true, MapPath, true, noFragCount},
 		{"collect/no-frag-count", true, CollectPath, false, noFragCount},
-		{"map/no-map-seconds", false, MapPath, false, without(HeaderMapSeconds)},
-		{"reduce-map/no-map-seconds", true, MapPath, true, without(HeaderMapSeconds)},
-		{"collect/no-reduce-seconds", true, CollectPath, false, without(HeaderReduceSeconds)},
-		{"collect/no-exchange-bytes", true, CollectPath, false, without(HeaderExchangeBytes)},
-		{"collect/no-exchange-msgs", true, CollectPath, false, without(HeaderExchangeMsgs)},
+		{"map/no-charges", false, MapPath, false, without(HeaderUnitCharges)},
+		{"reduce-map/no-charges", true, MapPath, true, without(HeaderUnitCharges)},
+		{"map/hostile-charges", false, MapPath, false, hostile},
+		{"reduce-map/hostile-charges", true, MapPath, true, hostile},
 		{"map/identity", false, MapPath, false, identity},
 		{"collect/identity", true, CollectPath, false, identity},
 	} {

@@ -6,12 +6,10 @@ import (
 	"sort"
 	"testing"
 
-	"gvmr/internal/cluster"
 	"gvmr/internal/composite"
 	"gvmr/internal/core"
 	"gvmr/internal/img"
 	"gvmr/internal/mapreduce"
-	"gvmr/internal/sim"
 	"gvmr/internal/vec"
 )
 
@@ -20,8 +18,8 @@ import (
 // (shard, brick) buckets with their counting sort, and the exchange's
 // one bucket per touched pixel. Generated stripes carry empty units,
 // repeated keys, tied depths and NaN colour bits; generated ranges
-// include empty ones and the full image. Image bits, sparse range bits
-// and modelled charges must all match exactly.
+// include empty ones and the full image. Image bits and sparse range
+// bits must match exactly.
 
 // oldStream is the coordinator-local reduce before foldRange, fed one
 // stripe per unit in arrival order.
@@ -30,16 +28,14 @@ type oldStream struct {
 	bg            vec.V4
 	part          mapreduce.Partitioner
 	reducers      int
-	spec          cluster.Spec
 
 	shards []map[int][]composite.Fragment // shard → brick → fragments, emission order
-	total  int64
 }
 
-func newOldStream(width, height int, bg vec.V4, reducers int, spec cluster.Spec) *oldStream {
+func newOldStream(width, height int, bg vec.V4, reducers int) *oldStream {
 	sc := &oldStream{
 		width: width, height: height, bg: bg,
-		part: mapreduce.RoundRobin{}, reducers: reducers, spec: spec,
+		part: mapreduce.RoundRobin{}, reducers: reducers,
 		shards: make([]map[int][]composite.Fragment, reducers),
 	}
 	for r := range sc.shards {
@@ -53,20 +49,13 @@ func (sc *oldStream) add(s core.BrickStripe) {
 		r := sc.part.Partition(f.Key, sc.reducers)
 		sc.shards[r][s.Brick] = append(sc.shards[r][s.Brick], f)
 	}
-	sc.total += int64(len(s.Frags))
 }
 
 // finish folds the shards one after another; the original fanned them
 // out over a worker pool, which cannot matter — shards hold disjoint
 // pixel keys.
-func (sc *oldStream) finish() (*img.Image, sim.Time) {
+func (sc *oldStream) finish() *img.Image {
 	out := img.New(sc.width, sc.height, composite.Finalize(composite.Fragment{}.Color(), sc.bg))
-	shardCount := make([]int64, sc.reducers)
-	for r, m := range sc.shards {
-		for _, frags := range m {
-			shardCount[r] += int64(len(frags))
-		}
-	}
 	keyRange := int32(sc.width * sc.height)
 	for _, m := range sc.shards {
 		if len(m) == 0 {
@@ -90,20 +79,11 @@ func (sc *oldStream) finish() (*img.Image, sim.Time) {
 			out.SetKey(k, composite.CompositePixel(groups[i], sc.bg))
 		}
 	}
-	var widest int64
-	for _, n := range shardCount {
-		if n > widest {
-			widest = n
-		}
-	}
-	charge := sim.WorkTime(float64(sc.total), sc.spec.PartitionRate) +
-		sim.WorkTime(float64(widest), sc.spec.SortRate) +
-		sim.WorkTime(float64(widest), sc.spec.CompositeRate)
-	return out, charge
+	return out
 }
 
 // oldCompositeRange is the exchange's range fold before foldRange.
-func oldCompositeRange(runs [][]composite.Fragment, lo, hi int32, bg vec.V4) (frags []composite.Fragment, total int64) {
+func oldCompositeRange(runs [][]composite.Fragment, lo, hi int32, bg vec.V4) (frags []composite.Fragment) {
 	buckets := make([][]composite.Fragment, hi-lo)
 	touched := 0
 	for _, run := range runs {
@@ -113,7 +93,6 @@ func oldCompositeRange(runs [][]composite.Fragment, lo, hi int32, bg vec.V4) (fr
 				touched++
 			}
 			buckets[i] = append(buckets[i], f)
-			total++
 		}
 	}
 	frags = make([]composite.Fragment, 0, touched)
@@ -124,7 +103,7 @@ func oldCompositeRange(runs [][]composite.Fragment, lo, hi int32, bg vec.V4) (fr
 		c := composite.CompositePixel(b, bg)
 		frags = append(frags, composite.Fragment{Key: lo + int32(i), R: c.X, G: c.Y, B: c.Z, A: c.W})
 	}
-	return frags, total
+	return frags
 }
 
 // genRuns draws numUnits fragment runs with keys in [lo,hi): some units
@@ -174,29 +153,24 @@ func cloneRuns(runs [][]composite.Fragment) [][]composite.Fragment {
 }
 
 // TestFoldRangeMatchesStreamedCompositeGenerated: over the full image,
-// foldRange plus classicCharge give the old streamed reduce's image bits
-// and charge, whatever order the stripes arrived in.
+// foldRange gives the old streamed reduce's image bits, whatever order
+// the stripes arrived in.
 func TestFoldRangeMatchesStreamedCompositeGenerated(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
-	spec := cluster.AC(1)
 	for trial := 0; trial < 400; trial++ {
 		w, h := 1+rng.Intn(9), 1+rng.Intn(9)
 		shards := 1 + rng.Intn(4)
 		bg := vec.V4{X: rng.Float32(), Y: rng.Float32(), Z: rng.Float32(), W: 1}
 		runs := genRuns(rng, 1+rng.Intn(6), 0, int32(w*h))
 
-		old, oldRuns := newOldStream(w, h, bg, shards, spec), cloneRuns(runs)
+		old, oldRuns := newOldStream(w, h, bg, shards), cloneRuns(runs)
 		for _, u := range rng.Perm(len(runs)) {
 			old.add(core.BrickStripe{Brick: u, Frags: oldRuns[u]})
 		}
-		wantImg, wantCharge := old.finish()
+		wantImg := old.finish()
 
 		got := img.New(w, h, composite.Finalize(composite.Fragment{}.Color(), bg))
 		foldRange(cloneRuns(runs), 0, int32(w*h), bg, got.SetKey)
-		frags, charge := classicCharge(runs, shards, spec)
-		if frags != old.total || charge != wantCharge {
-			t.Fatalf("trial %d: %d fragments charged %v, old %d charged %v", trial, frags, charge, old.total, wantCharge)
-		}
 		for k := range wantImg.Pix {
 			if !bitsEqual(got.Pix[k], wantImg.Pix[k]) {
 				t.Fatalf("trial %d: pixel %d is %v, old fold %v", trial, k, got.Pix[k], wantImg.Pix[k])
@@ -208,7 +182,7 @@ func TestFoldRangeMatchesStreamedCompositeGenerated(t *testing.T) {
 // TestFoldRangeMatchesBucketRangeGenerated: over generated ranges —
 // empty [lo,lo), the full image, and everything between — the
 // exchange's compositeRange gives the old bucket fold's sparse pixels,
-// bit for bit, and the same fragment total.
+// bit for bit.
 func TestFoldRangeMatchesBucketRangeGenerated(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	for trial := 0; trial < 400; trial++ {
@@ -224,15 +198,15 @@ func TestFoldRangeMatchesBucketRangeGenerated(t *testing.T) {
 		}
 		bg := vec.V4{X: rng.Float32(), Y: rng.Float32(), Z: rng.Float32(), W: 1}
 		runs := genRuns(rng, 1+rng.Intn(6), lo, hi)
-		want, wantTotal := oldCompositeRange(cloneRuns(runs), lo, hi, bg)
+		want := oldCompositeRange(cloneRuns(runs), lo, hi, bg)
 
 		s := &exchangeSession{lo: lo, hi: hi, bricks: map[int][]composite.Fragment{}}
 		for u, r := range cloneRuns(runs) {
 			s.bricks[u] = r
 		}
-		got, total, _, _ := s.compositeRange(CollectRequest{Lo: lo, Hi: hi, Background: [4]float32{bg.X, bg.Y, bg.Z, bg.W}})
-		if total != wantTotal || len(got) != len(want) {
-			t.Fatalf("trial %d [%d,%d): %d pixels of %d fragments, old %d of %d", trial, lo, hi, len(got), total, len(want), wantTotal)
+		got := s.compositeRange(CollectRequest{Lo: lo, Hi: hi, Background: [4]float32{bg.X, bg.Y, bg.Z, bg.W}})
+		if len(got) != len(want) {
+			t.Fatalf("trial %d [%d,%d): %d pixels, old %d", trial, lo, hi, len(got), len(want))
 		}
 		for i := range want {
 			g, w := got[i], want[i]

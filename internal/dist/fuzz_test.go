@@ -1,10 +1,13 @@
 package dist
 
 import (
+	"reflect"
 	"testing"
 
 	"gvmr/internal/composite"
 	"gvmr/internal/core"
+	"gvmr/internal/gpu"
+	"gvmr/internal/volume"
 )
 
 // FuzzDecodeStripes drives the wire decoder, gvmr-cf2, with arbitrary
@@ -62,6 +65,47 @@ func fuzzDecodeStripes(f *testing.F) {
 			if !stripesBitEqual(stripes, back) {
 				t.Fatal("cf2 re-compression changed fragment bits")
 			}
+		}
+	})
+}
+
+// FuzzDecodeCharges drives the HeaderUnitCharges decoder with arbitrary
+// header values. Beyond not panicking, what it accepts re-encodes to a
+// value that decodes to the same records (a fuzzer-found value may use
+// non-minimal varints).
+func FuzzDecodeCharges(f *testing.F) {
+	ran := core.BrickCharges{
+		Box: volume.Dims{X: 17, Y: 9, Z: 33}, Ran: true,
+		Kernel:   gpu.Stats{Threads: 512, Samples: 9000, SamplesSkipped: 700, Cells: 1200, Emitted: 512 + 40 - 30, RaysHit: 30},
+		Readback: 4*512 + composite.FragmentBytes*40,
+		Frags:    []int64{25, 15}, Flushes: []int{1, 0},
+	}
+	off := core.BrickCharges{Box: volume.Dims{X: 8, Y: 8, Z: 8}}
+	f.Add(encodeCharges(2, []core.UnitCharges{{Unit: 0, Bricks: []core.BrickCharges{ran}}, {Unit: 3, Bricks: []core.BrickCharges{off, ran}}}))
+	f.Add(encodeCharges(1, []core.UnitCharges{{Unit: 5, Bricks: []core.BrickCharges{off}}}))
+	f.Add(encodeCharges(4, nil))
+	f.Add("")
+	f.Add("!!!")
+	f.Add("AQEAAQEBAQH/////////////AQ==")
+	f.Fuzz(func(t *testing.T, value string) {
+		units, err := decodeCharges(value)
+		if err != nil {
+			return
+		}
+		reducers := 1
+		for _, u := range units {
+			for _, b := range u.Bricks {
+				if b.Ran {
+					reducers = len(b.Frags)
+				}
+			}
+		}
+		back, err := decodeCharges(encodeCharges(reducers, units))
+		if err != nil {
+			t.Fatalf("re-encoded charges failed to decode: %v", err)
+		}
+		if !reflect.DeepEqual(back, units) {
+			t.Fatalf("re-encoding changed the records: %+v != %+v", back, units)
 		}
 	})
 }

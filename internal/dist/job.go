@@ -8,8 +8,10 @@
 // The split is exact: a worker node runs core.MapBricks for its assigned
 // brick IDs (the map phase, bit-identical per brick to a single-process
 // render), ships each brick's surviving fragments back as a depth-tagged
-// stripe (raw little-endian float32, like /render's format=raw), and the
-// coordinator composites all stripes with internal/composite. Because
+// stripe (raw little-endian float32, like /render's format=raw) beside
+// each unit's engine charges, and the coordinator composites all stripes
+// with internal/composite and replays the charges for the frame's
+// virtual time, the in-process engine's own (DESIGN.md §9). Because
 // stripes are canonical per brick — emission order, placement-independent
 // — the final image is byte-identical to the single-process render no
 // matter how bricks are placed, re-placed after a node death, or hedged

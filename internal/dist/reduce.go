@@ -7,12 +7,9 @@ import (
 	"math/rand/v2"
 	"slices"
 
-	"gvmr/internal/cluster"
 	"gvmr/internal/composite"
 	"gvmr/internal/core"
-	"gvmr/internal/sim"
 	"gvmr/internal/vec"
-	"gvmr/internal/volume"
 )
 
 // exchangeID mints a session identifier unique enough that a stale
@@ -29,11 +26,12 @@ func exchangeID() string {
 // hedging inside an exchange — a delivered push is not idempotent-free
 // to re-place across nodes mid-flight, so any failure aborts the
 // exchange and the caller falls back to the classic path, which has both.
-func (c *Coordinator) renderReduce(ctx context.Context, job JobSpec, opt core.Options, planSpec cluster.Spec,
-	grid *volume.Grid, view clusterView, reducers []string, numUnits int) (*core.Result, Breakdown, error) {
+func (c *Coordinator) renderReduce(ctx context.Context, job JobSpec, opt core.Options, plan *core.Replay,
+	view clusterView, reducers []string) (*core.Result, Breakdown, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
+	numUnits := plan.Units()
 	perNode := view.placeInitial(job, numUnits)
 	n := len(reducers)
 	pixels := int64(opt.Width) * int64(opt.Height)
@@ -51,22 +49,22 @@ func (c *Coordinator) renderReduce(ctx context.Context, job JobSpec, opt core.Op
 	// reducer plan. All maps must land before any collect can complete,
 	// so failures surface here first.
 	type mapRes struct {
-		mapSeconds float64
-		frags      int64
-		err        error
+		charges []core.UnitCharges
+		err     error
 	}
 	mapCh := make(chan mapRes, len(perNode))
 	for a, bricks := range perNode {
 		// A mapper that is not a reducer (its breaker turned between the
 		// two reads) delivers every range over the wire.
 		self := slices.IndexFunc(targets, func(t ReduceTarget) bool { return t.Addr == a })
-		plan := &ReducePlan{Exchange: exID, Self: self, Reducers: targets}
+		rp := &ReducePlan{Exchange: exID, Self: self, Reducers: targets}
 		go func(a string, bricks []int) {
-			secs, frags, err := c.postMapReduce(ctx, job, grid.Counts, bricks, a, plan)
-			mapCh <- mapRes{mapSeconds: secs, frags: frags, err: err}
+			charges, err := c.postMapReduce(ctx, job, plan, bricks, a, rp)
+			mapCh <- mapRes{charges: charges, err: err}
 		}(a, bricks)
 	}
 	bd := Breakdown{Reduced: true, Batches: int64(len(perNode)) + int64(n)}
+	charges := make([]core.UnitCharges, numUnits)
 	var mapErr error
 	for range perNode {
 		mr := <-mapCh
@@ -77,8 +75,9 @@ func (c *Coordinator) renderReduce(ctx context.Context, job JobSpec, opt core.Op
 			}
 			continue
 		}
-		bd.Map = max(bd.Map, sim.Seconds(mr.mapSeconds))
-		bd.Fragments += mr.frags
+		for _, ch := range mr.charges {
+			charges[ch.Unit] = ch
+		}
 	}
 	if mapErr != nil {
 		return nil, Breakdown{}, mapErr
@@ -119,66 +118,55 @@ func (c *Coordinator) renderReduce(ctx context.Context, job JobSpec, opt core.Op
 	// Assemble: untouched pixels keep the same pre-filled background as
 	// the classic path; every collected pixel carries its final color.
 	out := background(opt)
-	var exchangeWire, collectWire sim.Time
 	for _, co := range outs {
 		for _, f := range co.frags {
 			out.SetKey(f.Key, vec.V4{X: f.R, Y: f.G, Z: f.B, W: f.A})
 		}
-		// Peer pushes into the reducers' NICs run reducer-parallel (max);
-		// the collect responses serialise into the coordinator's NIC.
-		exchangeWire = max(exchangeWire, sim.Time(co.netMsgs)*(planSpec.NICLatency+planSpec.MsgOverhead)+
-			sim.BytesTime(co.netBytes, planSpec.NICBandwidth))
-		bd.Reduce = max(bd.Reduce, sim.Seconds(co.reduceSeconds))
-		collectWire += planSpec.NICLatency + planSpec.MsgOverhead +
-			sim.BytesTime(co.bytes, planSpec.NICBandwidth)
-		bd.ExchangeBytes += co.netBytes
 		bd.CollectBytes += co.bytes
 	}
-	mapMsgs := sim.Time(len(perNode)) * (planSpec.NICLatency + planSpec.MsgOverhead)
-	bd.Wire = mapMsgs + exchangeWire + collectWire
+	res, err := replay(plan, charges, false, out, &bd)
+	if err != nil {
+		return nil, Breakdown{}, err
+	}
+	bd.ExchangeBytes = res.Stats.BytesOnWire
 	bd.WireBytes = bd.ExchangeBytes + bd.CollectBytes
-	return bd.frame(out, job, opt, grid), bd, nil
+	return res, bd, nil
 }
 
 // postMapReduce posts one reduce-mode map batch: the worker pushes its
-// stripes into the exchange and answers with an empty body and the
-// HeaderReduced marker.
-func (c *Coordinator) postMapReduce(ctx context.Context, job JobSpec, counts [3]int,
-	bricks []int, addr string, plan *ReducePlan) (mapSeconds float64, frags int64, err error) {
-	body, err := encodeMapRequest(MapRequest{Job: job, Bricks: bricks, GridCounts: counts, Reduce: plan})
+// stripes into the exchange and answers with an empty body, the
+// HeaderReduced marker and its units' charges.
+func (c *Coordinator) postMapReduce(ctx context.Context, job JobSpec, plan *core.Replay,
+	bricks []int, addr string, rp *ReducePlan) ([]core.UnitCharges, error) {
+	body, err := encodeMapRequest(MapRequest{Job: job, Bricks: bricks, GridCounts: plan.Grid.Counts, Reduce: rp})
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
 	c.batches.Add(1)
 	b := c.breaker(addr)
 	resp, _, err := c.post(ctx, c.attemptTimeout(ctx, 0), addr, MapPath, body, "application/json")
 	if err != nil {
-		return 0, 0, fmt.Errorf("dist: node %s: %w", addr, err)
+		return nil, fmt.Errorf("dist: node %s: %w", addr, err)
 	}
 	if resp.Header.Get(HeaderReduced) != "1" {
-		c.corrupt.Add(1)
-		c.markFailure(b)
-		return 0, 0, fmt.Errorf("dist: node %s: map response lacks %s (stripes went nowhere)", addr, HeaderReduced)
+		err = fmt.Errorf("map response lacks %s (stripes went nowhere)", HeaderReduced)
 	}
-	mapSeconds, err = parseSecondsHeader(resp, HeaderMapSeconds)
+	var charges []core.UnitCharges
 	if err == nil {
-		frags, err = countHeader(resp, HeaderFragCount)
+		charges, err = checkCharges(resp, plan, bricks)
 	}
 	if err != nil {
 		c.corrupt.Add(1)
 		c.markFailure(b)
-		return 0, 0, fmt.Errorf("dist: node %s: %w", addr, err)
+		return nil, fmt.Errorf("dist: node %s: %w", addr, err)
 	}
-	return mapSeconds, frags, nil
+	return charges, nil
 }
 
 // collectOutcome is one reducer's composited range.
 type collectOutcome struct {
-	frags         []composite.Fragment // sparse final pixels (Key + RGBA)
-	reduceSeconds float64
-	netBytes      int64 // exchange bytes the reducer received from peers
-	netMsgs       int64
-	bytes         int64 // collect response bytes on the coordinator hop
+	frags []composite.Fragment // sparse final pixels (Key + RGBA)
+	bytes int64                // collect response bytes on the coordinator hop
 }
 
 // postCollect fetches and verifies one reducer's composited range.

@@ -3,6 +3,8 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +14,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -79,8 +82,8 @@ func TestDistReduceMatchesDirect(t *testing.T) {
 		if !bd.Reduced {
 			t.Errorf("%d workers: breakdown not marked reduced: %+v", workers, bd)
 		}
-		if bd.Map <= 0 || bd.Wire <= 0 || bd.Reduce <= 0 || bd.Map+bd.Wire+bd.Reduce != res.Runtime {
-			t.Errorf("%d workers: implausible breakdown %+v (runtime %v)", workers, bd, res.Runtime)
+		if bd.Map != directRuntime(t, job) || bd.Wire != 0 || bd.Reduce != 0 || bd.Map != res.Runtime {
+			t.Errorf("%d workers: breakdown %+v (runtime %v) is not the direct render's job", workers, bd, res.Runtime)
 		}
 		if bd.CollectBytes <= 0 {
 			t.Errorf("%d workers: no collect bytes recorded: %+v", workers, bd)
@@ -351,46 +354,74 @@ func TestDistReduceOldWorkerFallsBack(t *testing.T) {
 
 // --- map-protocol hardening regressions ---
 
-// TestParseSecondsHeaderRejectsNonFinite pins the NaN/Inf regression:
-// the old `v < 0` guard compared false against NaN and accepted it, and
-// one hostile worker's NaN would poison every aggregated virtual-time
-// stat downstream.
-func TestParseSecondsHeaderRejectsNonFinite(t *testing.T) {
-	cases := []struct {
-		value string
-		want  float64
-		ok    bool
-	}{
-		{"", 0, false},
-		{"1.5", 1.5, true},
-		{"0", 0, true},
-		{"NaN", 0, false},
-		{"nan", 0, false},
-		{"+Inf", 0, false},
-		{"Inf", 0, false},
-		{"-Inf", 0, false},
-		{"-0.001", 0, false},
-		{"bogus", 0, false},
+// realBatch maps units of job on a 1-GPU node, as a worker would, and
+// returns the replay plan with the units' stripes and charges.
+func realBatch(t *testing.T, job JobSpec, units []int) (*core.Replay, []core.BrickStripe, []core.UnitCharges) {
+	t.Helper()
+	opt, err := job.Options()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		resp := &http.Response{Header: http.Header{}}
-		if tc.value != "" {
-			resp.Header.Set(HeaderMapSeconds, tc.value)
+	plan, err := core.PlanReplay(job.PlanSpec(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr, err := core.MapBricks(cluster.AC(1), opt, units, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan, mr.Stripes, mr.Charges
+}
+
+// TestDecodeChargesRejectsHostile: the charges decoder round-trips a
+// real batch's records and refuses every malformed value — empty, bad
+// base64, truncated, overlong varints, values past the overflow bound,
+// counts longer than the record, a ran flag other than 0 or 1, a flush
+// of a reducer outside the record, and trailing bytes.
+func TestDecodeChargesRejectsHostile(t *testing.T) {
+	job := testJob(t, dataset.Skull, 24, 48, 2, 0, false)
+	_, _, charges := realBatch(t, job, []int{0, 1})
+	enc := encodeCharges(job.GPUs, charges)
+	back, err := decodeCharges(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, charges) {
+		t.Fatalf("round trip: %+v != %+v", back, charges)
+	}
+	raw, _ := base64.StdEncoding.DecodeString(enc)
+	b64 := base64.StdEncoding.EncodeToString
+	uv := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
 		}
-		v, err := parseSecondsHeader(resp, HeaderMapSeconds)
-		if tc.ok && (err != nil || v != tc.want) {
-			t.Errorf("%q: got %v, %v; want %v", tc.value, v, err, tc.want)
-		}
-		if !tc.ok && err == nil {
-			t.Errorf("%q: accepted (got %v)", tc.value, v)
+		return b
+	}
+	for name, value := range map[string]string{
+		"empty":         "",
+		"not base64":    "!!!",
+		"truncated":     b64(raw[:len(raw)-1]),
+		"trailing":      b64(append(append([]byte{}, raw...), 0)),
+		"overlong":      b64(append(uv(1, 1, 0, 1, 0, 0, 0), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01)),
+		"overflow":      b64(uv(1, 1, 0, 1, 1, 1, 1, 1, 1<<47, 0, 0, 0, 0, 0, 0, 0, 0)),
+		"no reducers":   b64(uv(0, 0)),
+		"long units":    b64(uv(1, 100, 0)),
+		"long bricks":   b64(uv(1, 1, 0, 100, 0)),
+		"ran 2":         b64(uv(1, 1, 0, 1, 1, 1, 1, 2)),
+		"short reducer": b64(uv(4, 1, 0, 1, 1, 1, 1, 1, 256, 1, 0, 0, 256, 1, 1064, 1)),
+		"flush outside": b64(uv(1, 1, 0, 1, 1, 1, 1, 1, 256, 1, 0, 0, 256, 1, 1064, 1, 1, 1)),
+	} {
+		if got, err := decodeCharges(value); err == nil {
+			t.Errorf("%s: accepted %+v", name, got)
 		}
 	}
 }
 
 // syntheticMapResponse builds the http.Response + payload pair a worker
-// would serve for the given stripes, with a correct digest and fragment
-// count.
-func syntheticMapResponse(stripes []core.BrickStripe, mut func(h http.Header)) (*http.Response, []byte) {
+// would serve for the given stripes and charges, with a correct digest
+// and fragment count.
+func syntheticMapResponse(gpus int, stripes []core.BrickStripe, charges []core.UnitCharges, mut func(h http.Header)) (*http.Response, []byte) {
 	payload := encodeCF2(stripes)
 	frags := 0
 	for _, s := range stripes {
@@ -400,7 +431,7 @@ func syntheticMapResponse(stripes []core.BrickStripe, mut func(h http.Header)) (
 	h.Set("Content-Encoding", EncodingColumnar2)
 	h.Set(HeaderStripeDigest, PayloadDigest(payload))
 	h.Set(HeaderFragCount, strconv.Itoa(frags))
-	h.Set(HeaderMapSeconds, "0.25")
+	h.Set(HeaderUnitCharges, encodeCharges(gpus, charges))
 	if mut != nil {
 		mut(h)
 	}
@@ -415,41 +446,87 @@ func syntheticMapResponse(stripes []core.BrickStripe, mut func(h http.Header)) (
 func TestVerifyResponseStripeOrder(t *testing.T) {
 	job := testJob(t, dataset.Skull, 24, 48, 2, 0, false)
 	coord := newTestCoordinator(t, []string{"http://unused:1"}, nil)
-	frag := composite.Fragment{Key: 1, A: 0.5, Depth: 1}
+	plan, stripes, charges := realBatch(t, job, []int{0, 1})
 
-	ordered := []core.BrickStripe{{Brick: 0, Frags: []composite.Fragment{frag}}, {Brick: 2}}
-	resp, payload := syntheticMapResponse(ordered, nil)
-	if _, err := coord.verifyResponse(resp, payload, job, []int{0, 2}, "w"); err != nil {
+	resp, payload := syntheticMapResponse(job.GPUs, stripes, charges, nil)
+	if _, err := coord.verifyResponse(resp, payload, job, plan, []int{0, 1}, "w"); err != nil {
 		t.Fatalf("canonical response rejected: %v", err)
 	}
 
-	reversed := []core.BrickStripe{{Brick: 2}, {Brick: 0, Frags: []composite.Fragment{frag}}}
-	resp, payload = syntheticMapResponse(reversed, nil)
-	if _, err := coord.verifyResponse(resp, payload, job, []int{0, 2}, "w"); err == nil {
+	reversed := []core.BrickStripe{stripes[1], stripes[0]}
+	resp, payload = syntheticMapResponse(job.GPUs, reversed, charges, nil)
+	if _, err := coord.verifyResponse(resp, payload, job, plan, []int{0, 1}, "w"); err == nil {
 		t.Fatal("out-of-order stripes accepted")
 	} else if !strings.Contains(err.Error(), "order") {
 		t.Fatalf("out-of-order stripes rejected for the wrong reason: %v", err)
 	}
 
-	duplicated := []core.BrickStripe{{Brick: 0}, {Brick: 0, Frags: []composite.Fragment{frag}}}
-	resp, payload = syntheticMapResponse(duplicated, nil)
-	if _, err := coord.verifyResponse(resp, payload, job, []int{0}, "w"); err == nil {
+	duplicated := []core.BrickStripe{{Brick: 0}, stripes[0]}
+	resp, payload = syntheticMapResponse(job.GPUs, duplicated, charges[:1], nil)
+	if _, err := coord.verifyResponse(resp, payload, job, plan, []int{0}, "w"); err == nil {
 		t.Fatal("duplicated stripe accepted")
 	}
 }
 
-// TestVerifyResponseRejectsNonFiniteMapSeconds drives the NaN guard
-// through the full verification path a real response takes.
-func TestVerifyResponseRejectsNonFiniteMapSeconds(t *testing.T) {
+// TestVerifyResponseRejectsHostileCharges drives the charges checks
+// through the full verification path a real response takes: a record
+// that is missing, negative, overflowing, names the wrong unit, disagrees
+// with its stripe on the fragment count or the per-reducer split, claims
+// a box larger than its brick's ghost region, or misplaces a flush fails
+// the reply, while the honest record passes.
+func TestVerifyResponseRejectsHostileCharges(t *testing.T) {
 	job := testJob(t, dataset.Skull, 24, 48, 2, 0, false)
 	coord := newTestCoordinator(t, []string{"http://unused:1"}, nil)
-	for _, bad := range []string{"NaN", "+Inf", "-Inf"} {
-		resp, payload := syntheticMapResponse([]core.BrickStripe{{Brick: 0}}, func(h http.Header) {
-			h.Set(HeaderMapSeconds, bad)
-		})
-		if _, err := coord.verifyResponse(resp, payload, job, []int{0}, "w"); err == nil {
-			t.Errorf("map seconds %q accepted", bad)
+	plan, stripes, charges := realBatch(t, job, []int{0, 1})
+	ran := func(c []core.UnitCharges) *core.BrickCharges {
+		for u := range c {
+			if b := &c[u].Bricks[0]; b.Ran && b.Frags[0] > 0 && b.Frags[1] > 0 {
+				return b
+			}
 		}
+		t.Fatal("premise: no brick with fragments for both reducers")
+		return nil
+	}
+	clone := func() []core.UnitCharges {
+		c := make([]core.UnitCharges, len(charges))
+		for u := range charges {
+			c[u] = core.UnitCharges{Unit: charges[u].Unit}
+			for _, b := range charges[u].Bricks {
+				b.Frags, b.Flushes = slices.Clone(b.Frags), slices.Clone(b.Flushes)
+				c[u].Bricks = append(c[u].Bricks, b)
+			}
+		}
+		return c
+	}
+	resp, payload := syntheticMapResponse(job.GPUs, stripes, clone(), nil)
+	if _, err := coord.verifyResponse(resp, payload, job, plan, []int{0, 1}, "w"); err != nil {
+		t.Fatalf("honest charges rejected: %v", err)
+	}
+	for name, edit := range map[string]func([]core.UnitCharges) []core.UnitCharges{
+		"wrong unit":        func(c []core.UnitCharges) []core.UnitCharges { c[0].Unit = 1; return c },
+		"missing unit":      func(c []core.UnitCharges) []core.UnitCharges { return c[:1] },
+		"extra fragment":    func(c []core.UnitCharges) []core.UnitCharges { ran(c).Frags[0]++; return c },
+		"moved fragment":    func(c []core.UnitCharges) []core.UnitCharges { b := ran(c); b.Frags[0]++; b.Frags[1]--; return c },
+		"negative samples":  func(c []core.UnitCharges) []core.UnitCharges { ran(c).Kernel.Samples = -1; return c },
+		"overflowing cells": func(c []core.UnitCharges) []core.UnitCharges { ran(c).Kernel.Cells = math.MaxInt64; return c },
+		"box past ghost":    func(c []core.UnitCharges) []core.UnitCharges { ran(c).Box.X += 1000; return c },
+		"threads":           func(c []core.UnitCharges) []core.UnitCharges { ran(c).Kernel.Threads += 256; return c },
+		"read-back":         func(c []core.UnitCharges) []core.UnitCharges { ran(c).Readback++; return c },
+		"early flush":       func(c []core.UnitCharges) []core.UnitCharges { b := ran(c); b.Flushes = append(b.Flushes, 0); return c },
+		"no kernel": func(c []core.UnitCharges) []core.UnitCharges {
+			b := ran(c)
+			*b = core.BrickCharges{Box: b.Box}
+			return c
+		},
+	} {
+		resp, payload := syntheticMapResponse(job.GPUs, stripes, edit(clone()), nil)
+		if _, err := coord.verifyResponse(resp, payload, job, plan, []int{0, 1}, "w"); err == nil {
+			t.Errorf("%s: hostile charges accepted", name)
+		}
+	}
+	resp, payload = syntheticMapResponse(job.GPUs, stripes, charges, func(h http.Header) { h.Del(HeaderUnitCharges) })
+	if _, err := coord.verifyResponse(resp, payload, job, plan, []int{0, 1}, "w"); err == nil {
+		t.Error("reply without charges accepted")
 	}
 }
 
@@ -716,8 +793,8 @@ func TestReduceDuplicateDeliveryFirstWriteWins(t *testing.T) {
 	}
 	first := []composite.Fragment{{Key: 1, A: 0.5}}
 	second := []composite.Fragment{{Key: 2, A: 0.9}}
-	s.deliver([]core.BrickStripe{{Brick: 0, Frags: first}}, 0, 0, time.Unix(1, 0))
-	s.deliver([]core.BrickStripe{{Brick: 0, Frags: second}}, 0, 0, time.Unix(2, 0))
+	s.deliver([]core.BrickStripe{{Brick: 0, Frags: first}}, time.Unix(1, 0))
+	s.deliver([]core.BrickStripe{{Brick: 0, Frags: second}}, time.Unix(2, 0))
 	s.mu.Lock()
 	got := s.bricks[0]
 	s.mu.Unlock()

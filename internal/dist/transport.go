@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"sort"
@@ -99,7 +98,7 @@ func (c *Coordinator) attemptTimeout(ctx context.Context, attempt int) time.Dura
 // not be re-placed on: the exclusions it came with plus every node it
 // was attempted on (primary and hedges) — a batch never retries a node
 // that already failed it.
-func (c *Coordinator) sendBatch(ctx context.Context, job JobSpec, counts [3]int,
+func (c *Coordinator) sendBatch(ctx context.Context, job JobSpec, plan *core.Replay,
 	bricks []int, target string, excluded map[string]bool, attempt int) (batchOutcome, map[string]bool, error) {
 	type result struct {
 		out batchOutcome
@@ -110,7 +109,7 @@ func (c *Coordinator) sendBatch(ctx context.Context, job JobSpec, counts [3]int,
 	defer cancel()
 	resCh := make(chan result, len(c.reg.Snapshot().Members)+2)
 	post := func(ctx context.Context, addr string) {
-		out, err := c.postMap(ctx, perAttempt, job, counts, bricks, addr)
+		out, err := c.postMap(ctx, perAttempt, job, plan, bricks, addr)
 		resCh <- result{out: out, err: err}
 	}
 	c.batches.Add(1)
@@ -313,8 +312,8 @@ func (c *Coordinator) post(parent context.Context, perAttempt time.Duration,
 // postMap performs one HTTP map exchange with full response verification,
 // bounded by the per-attempt deadline.
 func (c *Coordinator) postMap(parent context.Context, perAttempt time.Duration, job JobSpec,
-	counts [3]int, bricks []int, addr string) (batchOutcome, error) {
-	body, err := encodeMapRequest(MapRequest{Job: job, Bricks: bricks, GridCounts: counts})
+	plan *core.Replay, bricks []int, addr string) (batchOutcome, error) {
+	body, err := encodeMapRequest(MapRequest{Job: job, Bricks: bricks, GridCounts: plan.Grid.Counts})
 	if err != nil {
 		return batchOutcome{}, err
 	}
@@ -323,7 +322,7 @@ func (c *Coordinator) postMap(parent context.Context, perAttempt time.Duration, 
 	if err != nil {
 		return batchOutcome{}, fmt.Errorf("dist: node %s: %w", addr, err)
 	}
-	out, err := c.verifyResponse(resp, payload, job, bricks, addr)
+	out, err := c.verifyResponse(resp, payload, job, plan, bricks, addr)
 	if err != nil {
 		c.corrupt.Add(1)
 		c.markFailure(b)
@@ -365,8 +364,7 @@ func (c *Coordinator) readStripes(resp *http.Response, payload []byte) ([]core.B
 
 // countHeader reads a required non-negative count header: every map and
 // collect response carries HeaderFragCount (the fragments the worker
-// produced for the batch or range), and every collect response the
-// exchange's byte and message counts.
+// produced for the batch or range).
 func countHeader(resp *http.Response, name string) (int64, error) {
 	h := resp.Header.Get(name)
 	n, err := strconv.ParseInt(h, 10, 64)
@@ -377,9 +375,10 @@ func countHeader(resp *http.Response, name string) (int64, error) {
 }
 
 // verifyResponse checks digest, fragment counts, brick coverage,
-// canonical stripe order and per-fragment key bounds of a map response.
+// canonical stripe order and per-fragment key bounds of a map response,
+// and each unit's charges against the plan and the unit's stripe.
 func (c *Coordinator) verifyResponse(resp *http.Response, payload []byte,
-	job JobSpec, bricks []int, addr string) (batchOutcome, error) {
+	job JobSpec, plan *core.Replay, bricks []int, addr string) (batchOutcome, error) {
 	stripes, err := c.readStripes(resp, payload)
 	if err != nil {
 		return batchOutcome{}, err
@@ -423,11 +422,48 @@ func (c *Coordinator) verifyResponse(resp *http.Response, payload []byte,
 		sort.Ints(missing)
 		return batchOutcome{}, fmt.Errorf("response missing bricks %v", missing)
 	}
-	mapSeconds, err := parseSecondsHeader(resp, HeaderMapSeconds)
+	charges, err := checkCharges(resp, plan, bricks)
 	if err != nil {
 		return batchOutcome{}, err
 	}
-	return batchOutcome{node: addr, stripes: stripes, mapSeconds: mapSeconds, bytes: int64(len(payload))}, nil
+	for i, s := range stripes {
+		if err := plan.CheckStripe(charges[i], s.Frags); err != nil {
+			return batchOutcome{}, err
+		}
+	}
+	return batchOutcome{node: addr, stripes: stripes, charges: charges, bytes: int64(len(payload))}, nil
+}
+
+// checkCharges decodes a /map reply's HeaderUnitCharges and checks it
+// covers exactly the batch's units, ascending, each record one its unit
+// could have produced (core.Replay.Check) and, together, the fragments
+// HeaderFragCount declares.
+func checkCharges(resp *http.Response, plan *core.Replay, units []int) ([]core.UnitCharges, error) {
+	charges, err := decodeCharges(resp.Header.Get(HeaderUnitCharges))
+	if err != nil {
+		return nil, err
+	}
+	if len(charges) != len(units) {
+		return nil, fmt.Errorf("charges for %d units in a batch of %d", len(charges), len(units))
+	}
+	wantFrags, err := countHeader(resp, HeaderFragCount)
+	if err != nil {
+		return nil, err
+	}
+	var frags int64
+	for i, ch := range charges {
+		if ch.Unit != units[i] {
+			return nil, fmt.Errorf("charges for unit %d where the batch has unit %d", ch.Unit, units[i])
+		}
+		if err := plan.Check(ch); err != nil {
+			return nil, err
+		}
+		frags += ch.Fragments()
+	}
+	if frags != wantFrags {
+		return nil, fmt.Errorf("charges hold %d fragments, header %d", frags, wantFrags)
+	}
+	return charges, nil
 }
 
 // verifyCollect checks digest and fragment count, decodes the sparse
@@ -446,30 +482,5 @@ func (c *Coordinator) verifyCollect(resp *http.Response, payload []byte, tgt Red
 			return collectOutcome{}, fmt.Errorf("collected pixel %d outside range [%d,%d)", f.Key, tgt.Lo, tgt.Hi)
 		}
 	}
-	out := collectOutcome{frags: frags, bytes: int64(len(payload))}
-	if out.reduceSeconds, err = parseSecondsHeader(resp, HeaderReduceSeconds); err != nil {
-		return collectOutcome{}, err
-	}
-	if out.netBytes, err = countHeader(resp, HeaderExchangeBytes); err != nil {
-		return collectOutcome{}, err
-	}
-	if out.netMsgs, err = countHeader(resp, HeaderExchangeMsgs); err != nil {
-		return collectOutcome{}, err
-	}
-	return out, nil
-}
-
-// parseSecondsHeader reads a required virtual-seconds header: a reply
-// without one would composite the frame on a shortened virtual clock.
-// Values must be finite and non-negative: NaN compares false against
-// every bound (the old `v < 0` guard silently accepted it) and a single
-// NaN or +Inf from one hostile worker would poison every aggregated
-// virtual-time stat and BENCH record downstream.
-func parseSecondsHeader(resp *http.Response, name string) (float64, error) {
-	h := resp.Header.Get(name)
-	v, err := strconv.ParseFloat(h, 64)
-	if err != nil || v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("missing or bad %s header %q", name, h)
-	}
-	return v, nil
+	return collectOutcome{frags: frags, bytes: int64(len(payload))}, nil
 }

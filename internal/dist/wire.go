@@ -28,12 +28,10 @@ const (
 	// as a sparse result stripe.
 	CollectPath = "/reduce/collect"
 	// HeaderFragCount is the total fragment count across all stripes in
-	// the response body. It, HeaderMapSeconds and the collect headers
-	// below are required: a reply that lacks one is counted corrupt.
+	// the response body, or pushed to the exchange by a reduce-mode /map
+	// batch. It, and HeaderUnitCharges on a /map reply, are required: a
+	// reply that lacks one is counted corrupt.
 	HeaderFragCount = "X-Gvmr-Frag-Count"
-	// HeaderMapSeconds is the virtual duration of the worker's map job
-	// (its simulated makespan, not wall time), in seconds.
-	HeaderMapSeconds = "X-Gvmr-Map-Seconds"
 	// HeaderStripeDigest is the SHA-256 of the exact body, the bytes as
 	// sent. The receiver recomputes it; any corruption in flight (or a
 	// buggy worker) turns into a retry on another node instead of wrong
@@ -42,14 +40,6 @@ const (
 	// HeaderReduced marks a map response whose stripes went to the
 	// exchange's reducers instead of the response body ("1").
 	HeaderReduced = "X-Gvmr-Reduced"
-	// HeaderReduceSeconds is the reducer's modeled composite charge for
-	// its pixel range, in virtual seconds (collect responses).
-	HeaderReduceSeconds = "X-Gvmr-Reduce-Seconds"
-	// HeaderExchangeBytes and HeaderExchangeMsgs are the bytes and
-	// messages a reducer received over the peer exchange (collect
-	// responses) — in-process self-deliveries count zero.
-	HeaderExchangeBytes = "X-Gvmr-Exchange-Bytes"
-	HeaderExchangeMsgs  = "X-Gvmr-Exchange-Msgs"
 )
 
 // The stripe encodings. Every hop — map response, peer push, collect

@@ -106,7 +106,8 @@ func (e deadlineError) Unwrap() error { return e.err }
 // Worker serves MapPath: it decodes a MapRequest, cross-checks the grid
 // plan, runs core.MapBricks on the local spec and either writes the
 // stripe payload (classic) or pushes each reducer's pixel range into the
-// frame's exchange (distributed reduce). Mount it on any mux (cmd/gvmrd
+// frame's exchange (distributed reduce); either way the reply carries
+// each unit's charges (HeaderUnitCharges). Mount it on any mux (cmd/gvmrd
 // mounts it on every service, so every daemon is worker-capable out of
 // the box).
 type Worker struct {
@@ -135,10 +136,10 @@ func (wk *Worker) ExchangeStats() ExchangeStats { return wk.ex.stats() }
 
 // mapOutcome is one successful map batch, ready to serve.
 type mapOutcome struct {
-	payload    []byte // EncodingColumnar2
-	frags      int
-	mapSeconds float64
-	reduced    bool // stripes went to the exchange: no payload, no encoding
+	payload []byte // EncodingColumnar2
+	frags   int
+	charges string // HeaderUnitCharges
+	reduced bool   // stripes went to the exchange: no payload, no encoding
 }
 
 // ServeHTTP implements http.Handler for MapPath. Errors map to status by
@@ -198,7 +199,7 @@ func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	h.Set("Content-Length", strconv.Itoa(len(out.payload)))
 	h.Set(HeaderFragCount, strconv.Itoa(out.frags))
-	h.Set(HeaderMapSeconds, strconv.FormatFloat(out.mapSeconds, 'g', -1, 64))
+	h.Set(HeaderUnitCharges, out.charges)
 	h.Set(HeaderStripeDigest, PayloadDigest(out.payload))
 	_, _ = w.Write(out.payload) // client hangup; the coordinator will retry
 }
@@ -249,7 +250,7 @@ func (wk *Worker) run(ctx context.Context, req MapRequest) (mapOutcome, error) {
 	// The propagated deadline is checked once, here: a budget already
 	// spent (in the admission queue, say) gets no map work. Once mapping
 	// starts it runs to the end, as one core.MapBricks call, so a frame's
-	// bits and virtual seconds never depend on the deadline.
+	// bits and charges never depend on the deadline.
 	if err := ctx.Err(); errors.Is(err, context.DeadlineExceeded) {
 		return mapOutcome{}, deadlineError{fmt.Errorf("dist: deadline expired before mapping: %w", err)}
 	}
@@ -257,7 +258,7 @@ func (wk *Worker) run(ctx context.Context, req MapRequest) (mapOutcome, error) {
 	if err != nil {
 		return mapOutcome{}, fmt.Errorf("dist: map phase: %w", err)
 	}
-	out := mapOutcome{frags: res.FragmentCount(), mapSeconds: res.Runtime.Seconds()}
+	out := mapOutcome{frags: res.FragmentCount(), charges: encodeCharges(req.Job.GPUs, res.Charges)}
 	if req.Reduce != nil {
 		if err := wk.pushStripes(ctx, req.Reduce, res.Stripes); err != nil {
 			return mapOutcome{}, err
@@ -303,7 +304,7 @@ func (wk *Worker) pushStripes(ctx context.Context, plan *ReducePlan, stripes []c
 			if err != nil {
 				return pushError{err}
 			}
-			s.deliver(sub, 0, 0, wk.ex.now())
+			s.deliver(sub, wk.ex.now())
 			continue
 		}
 		if err := wk.postPush(ctx, tgt, plan.Exchange, sub); err != nil {

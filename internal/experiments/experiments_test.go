@@ -145,15 +145,50 @@ func TestBaselineCmp(t *testing.T) {
 	}
 }
 
+// TestClaimsReportShape runs the quick-scale headline claims and fails
+// on any claim that does not hold unless DESIGN.md §6's deviation list
+// names it with its measured cause ("- `claim`: cause").
 func TestClaimsReportShape(t *testing.T) {
-	rows, err := Sweep(tiny())
+	rows, err := Sweep(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := ClaimsReport(tiny(), rows)
+	tab := ClaimsReport(Quick(), rows)
 	if len(tab.Rows) == 0 {
 		t.Fatal("claims report empty")
 	}
+	deviations := designDeviations(t)
+	for _, row := range tab.Rows {
+		claim, holds := row[0], row[len(row)-1]
+		if holds != "true" && deviations[claim] == "" {
+			t.Errorf("claim %q does not hold (%v) and DESIGN.md §6 lists no measured cause for it", claim, row)
+		}
+	}
+}
+
+// designDeviations reads DESIGN.md §6's deviation list: claim → cause.
+func designDeviations(t *testing.T) map[string]string {
+	t.Helper()
+	doc, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, ok := strings.Cut(string(doc), "\n## §6 ")
+	if !ok {
+		t.Fatal("DESIGN.md has no §6")
+	}
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	out := map[string]string{}
+	for _, line := range strings.Split(sec, "\n") {
+		entry, ok := strings.CutPrefix(line, "- `")
+		if !ok {
+			continue
+		}
+		if claim, cause, ok := strings.Cut(entry, "`: "); ok {
+			out[claim] = strings.TrimSpace(cause)
+		}
+	}
+	return out
 }
 
 func TestInOutOfCore(t *testing.T) {

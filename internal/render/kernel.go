@@ -4,6 +4,7 @@ import (
 	"gvmr/internal/camera"
 	"gvmr/internal/composite"
 	"gvmr/internal/gpu"
+	"gvmr/internal/vec"
 	"gvmr/internal/volume"
 )
 
@@ -66,10 +67,7 @@ func NewKernel(cam *camera.Camera, sp volume.Space, tex *gpu.Texture3D, prm Para
 	if !ok {
 		return nil
 	}
-	grid := gpu.Dim2{
-		X: (fp.Width() + BlockDim - 1) / BlockDim,
-		Y: (fp.Height() + BlockDim - 1) / BlockDim,
-	}
+	grid := blockGrid(fp)
 	return &Kernel{
 		Cam:        cam,
 		Space:      sp,
@@ -83,6 +81,25 @@ func NewKernel(cam *camera.Camera, sp volume.Space, tex *gpu.Texture3D, prm Para
 	}
 }
 
+// blockGrid is the block grid covering footprint fp.
+func blockGrid(fp camera.Footprint) gpu.Dim2 {
+	return gpu.Dim2{
+		X: (fp.Width() + BlockDim - 1) / BlockDim,
+		Y: (fp.Height() + BlockDim - 1) / BlockDim,
+	}
+}
+
+// KernelThreads is the thread count of the kernel NewKernel plans for a
+// brick with world bounds b — its screen footprint padded to whole
+// blocks — and false when the brick is off screen and no kernel runs.
+func KernelThreads(cam *camera.Camera, b vec.AABB) (int64, bool) {
+	fp, ok := cam.ProjectAABB(b)
+	if !ok {
+		return 0, false
+	}
+	return int64(blockGrid(fp).Count()) * BlockDim * BlockDim, true
+}
+
 // blockOffsLen is a block's share of Kernel.offs: one start offset per
 // thread plus the end sentinel.
 const blockOffsLen = BlockDim*BlockDim + 1
@@ -92,8 +109,11 @@ func (k *Kernel) blockOffs(b int) []int32 {
 	return k.offs[b*blockOffsLen : (b+1)*blockOffsLen]
 }
 
+// KernelName is every map kernel's name in stats and traces.
+const KernelName = "raycast"
+
 // Name implements gpu.Kernel.
-func (k *Kernel) Name() string { return "raycast" }
+func (k *Kernel) Name() string { return KernelName }
 
 // Grid implements gpu.Kernel.
 func (k *Kernel) Grid() gpu.Dim2 { return k.grid }
