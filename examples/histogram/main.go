@@ -49,7 +49,7 @@ func (histMapper) Stage(p mapreduce.Ctx, w *mapreduce.Worker, c mapreduce.Chunk)
 func (histMapper) Map(p mapreduce.Ctx, w *mapreduce.Worker, c mapreduce.Chunk,
 	vals []float64, emit func(mapreduce.KV[int32])) error {
 	// The binning itself is the (modeled) GPU work.
-	w.GPUCompute(p, gpu.Stats{Threads: int64(len(vals)), Emitted: int64(len(vals))})
+	w.RunKernel(p, "histogram", gpu.Stats{Threads: int64(len(vals)), Emitted: int64(len(vals))})
 	for _, v := range vals {
 		b := int32(v * buckets)
 		if b >= buckets {

@@ -3,13 +3,10 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
-	"sync"
 
 	"gvmr/internal/cluster"
 	"gvmr/internal/composite"
-	"gvmr/internal/mapreduce"
 	"gvmr/internal/volume"
 )
 
@@ -57,7 +54,7 @@ type MapResult struct {
 	// contribute nothing) appear with an empty fragment slice.
 	Stripes []BrickStripe
 	// Charges holds each requested unit's record, parallel to Stripes:
-	// what mapping it charged the engine of the whole job (replay.go).
+	// what mapping it charges the engine of the whole job (replay.go).
 	Charges []UnitCharges
 }
 
@@ -70,86 +67,26 @@ func (m *MapResult) FragmentCount() int {
 	return n
 }
 
-// unitRecord is one unit's stripe and charges as the mapper fills them.
-type unitRecord struct {
-	stripe  BrickStripe
-	charges UnitCharges
-}
-
-// recordingMapper is the real ray-cast mapper with every emitted fragment
-// teed into its unit's stripe and each brick's charges recorded as the
-// whole job's engine would batch its pairs: per modelled reducer under
-// the job's partitioner, with a flush wherever a reducer's buffer fills.
-// The mutex serialises the record table across worker processes; the
-// per-unit order is emission order, so the records are deterministic
-// regardless of how the engine schedules workers.
-type recordingMapper struct {
-	*rayCastMapper
-	part     mapreduce.Partitioner
-	reducers int
-
-	mu    sync.Mutex
-	units map[int]*unitRecord
-}
-
-func (m *recordingMapper) Map(p mapreduce.Ctx, w *mapreduce.Worker, c mapreduce.Chunk,
-	staged []*volume.BrickData, emit func(mapreduce.KV[composite.Fragment])) error {
-	m.mu.Lock()
-	rec := m.units[c.ID()]
-	m.mu.Unlock()
-	// The engine flushes every buffer at a chunk's end, so a unit's
-	// buffers start empty.
-	buf := make([]int64, m.reducers)
-	for _, bd := range staged {
-		frags := make([]int64, m.reducers)
-		var flushes []int
-		tee := func(kv mapreduce.KV[composite.Fragment]) {
-			rec.stripe.Frags = append(rec.stripe.Frags, kv.Val)
-			red := m.part.Partition(kv.Key, m.reducers)
-			frags[red]++
-			if buf[red]++; buf[red] == flushKVs {
-				flushes = append(flushes, red)
-				buf[red] = 0
-			}
-			emit(kv)
-		}
-		ch, err := m.mapBrick(p, w, bd, tee)
-		if err != nil {
-			return err
-		}
-		if ch.Ran {
-			ch.Frags, ch.Flushes = frags, flushes
-		}
-		rec.charges.Bricks = append(rec.charges.Bricks, ch)
-	}
-	return nil
-}
-
-// discardReducer sinks the engine-side pairs: MapBricks callers composite
-// elsewhere (the distributed coordinator), and a replay only charges.
-type discardReducer[V any] struct{}
-
-func (discardReducer[V]) Reduce(int32, []V) {}
-
-// MapBricks runs the map phase of a render job for the given unit IDs on
-// a fresh instance of spec and returns each unit's fragment stripe and
-// charges. It is the remote half of the distributed direct-send
-// pipeline: a coordinator plans the full grid, shards the unit IDs across
-// nodes, each node calls MapBricks for its share, and the coordinator
-// replays the charges. Without Options.Partition a unit is a brick and
-// the IDs are brick IDs; with a Partition they index the partition's
-// units.
+// MapBricks maps the given unit IDs of a render job on the host and
+// returns each unit's fragment stripe and charges. It is the remote half
+// of the distributed direct-send pipeline: a coordinator plans the full
+// grid, shards the unit IDs across nodes, each node calls MapBricks for
+// its share, and the coordinator replays the charges. Without
+// Options.Partition a unit is a brick and the IDs are brick IDs; with a
+// Partition they index the partition's units.
 //
-// The grid is planned from opt exactly as Render plans it, so the
-// fragments and charges of unit i here are bit-identical to what unit i
-// produces and charges inside a single-process Render of the same
-// options — the invariant the distributed golden tests pin down. spec may
-// be a smaller machine than the one the grid was planned for (opt.GPUs
-// bricks spread over a node with fewer local GPUs run in series); only
-// the planning inputs (GPU VRAM) must match, which PlanGrid documents.
+// The grid is planned from opt exactly as Render plans it, and each brick
+// is cast as Render's mapper casts it, so the fragments and charges of
+// unit i here are bit-identical to what unit i produces and charges
+// inside a single-process Render of the same options — the invariant the
+// distributed golden tests pin down. No job is simulated: nothing here
+// reads the options that shape only the engine's schedule (Assign,
+// FromDisk, InSitu, Trace), and only spec's planning inputs (GPU VRAM,
+// and its GPU count when opt.GPUs is zero) matter, which PlanGrid
+// documents.
 //
-// devWorkers caps the host cores the instance's simulated devices use, as
-// in RenderOn.
+// devWorkers caps the host cores a brick's kernel uses (≤ 0 means all of
+// GOMAXPROCS), as in RenderOn.
 func MapBricks(spec cluster.Spec, opt Options, brickIDs []int, devWorkers int) (*MapResult, error) {
 	if err := opt.fillDefaults(); err != nil {
 		return nil, err
@@ -162,34 +99,52 @@ func MapBricks(spec cluster.Spec, opt Options, brickIDs []int, devWorkers int) (
 	if err != nil {
 		return nil, err
 	}
-	rm := &recordingMapper{rayCastMapper: mapper, part: partitionerOf(&opt), reducers: gpus, units: map[int]*unitRecord{}}
-	chunks := make([]mapreduce.Chunk, 0, len(brickIDs))
-	for _, id := range brickIDs {
+	ids := slices.Sorted(slices.Values(brickIDs))
+	sel := make([][]volume.Brick, len(ids))
+	for i, id := range ids {
 		if id < 0 || id >= len(units) {
 			return nil, fmt.Errorf("core: unit %d outside job of %d units", id, len(units))
 		}
-		if _, dup := rm.units[id]; dup {
+		if i > 0 && ids[i-1] == id {
 			return nil, fmt.Errorf("core: unit %d requested twice", id)
 		}
-		rm.units[id] = &unitRecord{stripe: BrickStripe{Brick: id}, charges: UnitCharges{Unit: id}}
-		chunks = append(chunks, unitChunk{id: id, bricks: units[id]})
+		sel[i] = units[id]
 	}
+	defer planFrame(mapper.src, sel)()
 
-	inst, err := instance(spec, devWorkers)
-	if err != nil {
-		return nil, err
-	}
-	defer planFrame(mapper.src, chunks)()
-	cfg := jobConfig(&opt, inst, min(inst.TotalGPUs(), len(chunks)), mapreduce.Mapper[composite.Fragment, []*volume.BrickData](rm), chunks)
-	cfg.MakeReducer = func(int) mapreduce.Reducer[composite.Fragment] { return discardReducer[composite.Fragment]{} }
-	if _, err := mapreduce.Run(cfg); err != nil {
-		return nil, err
-	}
-	ids := slices.Sorted(maps.Keys(rm.units))
+	// Each fragment is counted as the job's engine would batch its pair:
+	// per modelled reducer under the job's partitioner, with a flush
+	// wherever a reducer's send buffer fills.
+	part := partitionerOf(&opt)
 	res := &MapResult{}
-	for _, id := range ids {
-		res.Stripes = append(res.Stripes, rm.units[id].stripe)
-		res.Charges = append(res.Charges, rm.units[id].charges)
+	for i, id := range ids {
+		staged, err := mapper.stage(sel[i])
+		if err != nil {
+			return nil, err
+		}
+		stripe, charges := BrickStripe{Brick: id}, UnitCharges{Unit: id}
+		buf := make([]int64, gpus) // the engine flushes every buffer at a chunk's end
+		for _, bd := range staged {
+			ch, k := mapper.cast(bd, devWorkers)
+			if k != nil {
+				ch.Frags = make([]int64, gpus)
+				k.ForEachThread(func(_ int, frags []composite.Fragment) {
+					for _, f := range frags {
+						stripe.Frags = append(stripe.Frags, f)
+						red := part.Partition(f.Key, gpus)
+						ch.Frags[red]++
+						if buf[red]++; buf[red] == flushKVs {
+							ch.Flushes = append(ch.Flushes, red)
+							buf[red] = 0
+						}
+					}
+				})
+			}
+			bd.Release()
+			charges.Bricks = append(charges.Bricks, ch)
+		}
+		res.Stripes = append(res.Stripes, stripe)
+		res.Charges = append(res.Charges, charges)
 	}
 	return res, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"gvmr/internal/camera"
 	"gvmr/internal/composite"
+	"gvmr/internal/gpu"
 	"gvmr/internal/mapreduce"
 	"gvmr/internal/render"
 	"gvmr/internal/volume"
@@ -37,15 +38,19 @@ func (m *rayCastMapper) Init(p mapreduce.Ctx, w *mapreduce.Worker) error {
 // TF/texture setup.
 func initWorker(p mapreduce.Ctx, w *mapreduce.Worker) { w.Download(p, 0) }
 
-// Stage implements mapreduce.Mapper: materialise the ghost regions of the
-// unit's bricks. The engine charges disk time separately when configured
-// FromDisk; the real data production happens here (array copy, analytic
-// evaluation, or file read). Sources that persist per-brick min/max (the
-// v2 demand pager) can prove a brick invisible under the transfer
-// function before any of that happens — such bricks stage as payload-free
-// empties the kernel leaps over.
-func (m *rayCastMapper) Stage(p mapreduce.Ctx, w *mapreduce.Worker, c mapreduce.Chunk) ([]*volume.BrickData, error) {
-	bricks := c.(unitChunk).bricks
+// Stage implements mapreduce.Mapper by staging the unit's bricks.
+func (m *rayCastMapper) Stage(_ mapreduce.Ctx, _ *mapreduce.Worker, c mapreduce.Chunk) ([]*volume.BrickData, error) {
+	return m.stage(c.(unitChunk).bricks)
+}
+
+// stage materialises the ghost regions of a unit's bricks. The engine
+// charges disk time separately when configured FromDisk; the real data
+// production happens here (array copy, analytic evaluation, or file
+// read). Sources that persist per-brick min/max (the v2 demand pager) can
+// prove a brick invisible under the transfer function before any of that
+// happens — such bricks stage as payload-free empties the kernel leaps
+// over.
+func (m *rayCastMapper) stage(bricks []volume.Brick) ([]*volume.BrickData, error) {
 	tfEmpty := m.tfEmpty()
 	staged := make([]*volume.BrickData, 0, len(bricks))
 	for _, b := range bricks {
@@ -70,53 +75,65 @@ func (m *rayCastMapper) tfEmpty() func(lo, hi float32) bool {
 	return func(lo, hi float32) bool { return tf.MaxAlphaInRange(lo, hi) == 0 }
 }
 
-// Map implements mapreduce.Mapper: per brick of the unit, upload its
-// resident box (the whole ghost region when skipping is off), run the
-// kernel, read back, and emit every thread's fragment list, then free the
-// texture and release the staged buffer for the next brick's stage. A thread
-// whose list is empty (padding, miss, zero opacity) emits nothing: the
-// kernel already charged its §3.1.1 "later-discarded place holder" record.
+// Map implements mapreduce.Mapper: per brick of the unit, cast it on the
+// host, charge the record (chargeBrick: the resident box's upload, the
+// kernel and the read-back), emit every thread's fragment list, then
+// release the staged buffer for the next brick's stage. A thread whose
+// list is empty (padding, miss, zero opacity) emits nothing: the kernel
+// already charged its §3.1.1 "later-discarded place holder" record.
 func (m *rayCastMapper) Map(p mapreduce.Ctx, w *mapreduce.Worker, c mapreduce.Chunk,
 	staged []*volume.BrickData, emit func(mapreduce.KV[composite.Fragment])) error {
 	for _, bd := range staged {
-		if _, err := m.mapBrick(p, w, bd, emit); err != nil {
+		ch, k := m.cast(bd, w.Dev.Workers)
+		if err := chargeBrick(p, w, &ch); err != nil {
 			return err
 		}
+		if k != nil {
+			k.ForEachThread(func(_ int, frags []composite.Fragment) {
+				for _, f := range frags {
+					emit(mapreduce.KV[composite.Fragment]{Key: f.Key, Val: f})
+				}
+			})
+		}
+		bd.Release()
 	}
 	return nil
 }
 
-// mapBrick maps one staged brick and returns what it charged the engine:
-// the record a replay charges again (replay.go). Frags and Flushes are the
-// caller's to fill from the emissions.
-func (m *rayCastMapper) mapBrick(p mapreduce.Ctx, w *mapreduce.Worker, bd *volume.BrickData,
-	emit func(mapreduce.KV[composite.Fragment])) (BrickCharges, error) {
-	box := render.ResidentBox(bd, m.prm)
-	tex, err := w.UploadTexture(p, bd, box)
-	if err != nil {
-		return BrickCharges{}, err
-	}
-	ch := BrickCharges{Box: box.Ext}
-	k := render.NewKernel(m.cam, m.grid.Space, tex, m.prm)
+// cast runs one staged brick's kernel on at most workers host cores
+// (gpu.RunBlocks) and returns the brick's record — the resident box
+// (render.ResidentBox: the whole ghost region when skipping is off), the
+// kernel's work and the read-back size — with the kernel, whose fragment
+// lists the caller reads. The kernel is nil when the brick is off screen;
+// Frags and Flushes are left to the caller. No virtual time passes.
+func (m *rayCastMapper) cast(bd *volume.BrickData, workers int) (BrickCharges, *render.Kernel) {
+	ch := BrickCharges{Box: render.ResidentBox(bd, m.prm).Ext}
+	k := render.NewKernel(m.cam, m.grid.Space, bd, m.prm)
 	if k == nil {
-		tex.Free()
-		bd.Release()
-		return ch, nil // brick off screen: nothing to do
+		return ch, nil
 	}
 	k.Sampler = m.sampler
 	ch.Ran = true
-	ch.Kernel = w.RunKernel(p, k)
+	ch.Kernel = gpu.RunBlocks(k, workers)
 	// Fragment read-back over PCIe: the paper measures <2 ms for a 512²
 	// image's worth (§3); the model charges the actual buffer size
 	// (per-thread counts plus packed fragments).
 	ch.Readback = k.OutBytes()
-	w.Download(p, ch.Readback)
-	k.ForEachThread(func(_ int, frags []composite.Fragment) {
-		for _, f := range frags {
-			emit(mapreduce.KV[composite.Fragment]{Key: f.Key, Val: f})
-		}
-	})
+	return ch, k
+}
+
+// chargeBrick charges one brick's record on w: the upload of its resident
+// box, then, when its kernel ran, the kernel and the read-back. Render's
+// mapper and the replay both charge every brick through it.
+func chargeBrick(p mapreduce.Ctx, w *mapreduce.Worker, b *BrickCharges) error {
+	tex, err := w.UploadTexture(p, volume.Region{Ext: b.Box})
+	if err != nil {
+		return err
+	}
+	if b.Ran {
+		w.RunKernel(p, render.KernelName, b.Kernel)
+		w.Download(p, b.Readback)
+	}
 	tex.Free()
-	bd.Release()
-	return ch, nil
+	return nil
 }

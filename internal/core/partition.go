@@ -199,15 +199,15 @@ func unitChunks(units [][]volume.Brick) []mapreduce.Chunk {
 
 // planFrame tells a source that can use it (a volume.FramePlanner: the v2
 // pager, bare or embedded in a wrapper) which ghost regions the job's
-// chunks will stage. The returned func must run when the job ends.
-func planFrame(src volume.Source, chunks []mapreduce.Chunk) (done func()) {
+// units will stage. The returned func must run when the job ends.
+func planFrame(src volume.Source, units [][]volume.Brick) (done func()) {
 	fp, ok := src.(volume.FramePlanner)
 	if !ok {
 		return func() {}
 	}
 	var ghosts []volume.Region
-	for _, c := range chunks {
-		for _, b := range c.(unitChunk).bricks {
+	for _, bricks := range units {
+		for _, b := range bricks {
 			ghosts = append(ghosts, b.Ghost)
 		}
 	}

@@ -152,10 +152,9 @@ func Render(cl *cluster.Cluster, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	chunks := unitChunks(units)
-	defer planFrame(mapper.src, chunks)()
+	defer planFrame(mapper.src, units)()
 
-	cfg := jobConfig(&opt, cl, gpus, mapper, chunks)
+	cfg := jobConfig(&opt, cl, gpus, mapper, unitChunks(units))
 	if opt.InSitu && opt.FromDisk {
 		return nil, fmt.Errorf("core: InSitu and FromDisk are mutually exclusive")
 	}

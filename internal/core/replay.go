@@ -16,11 +16,11 @@ import (
 )
 
 // A distributed frame is charged as the engine's own job (DESIGN.md §9).
-// Wherever a unit is mapped, MapBricks records what mapping it charged
+// Wherever a unit is mapped, MapBricks records what mapping it charges
 // the engine — its UnitCharges — and a Replay runs every unit's record
-// through mapreduce.Run on the job's own modelled cluster: the same
-// uploads, kernels, read-backs and emissions, through the same Worker
-// calls and emit path Render takes. The replay renders nothing, and its
+// through mapreduce.Run on the job's own modelled cluster: each brick
+// through chargeBrick, the one function Render's mapper charges a brick
+// through, then its emissions. The replay renders nothing, and its
 // makespan is Render's, bit for bit, whichever node mapped which unit.
 
 // BrickCharges is what mapping one brick charged the engine.
@@ -278,6 +278,11 @@ func (r *Replay) Run(charges []UnitCharges, gather bool) (*Result, error) {
 	return res, nil
 }
 
+// discardReducer sinks the replay's pairs: a replay only charges.
+type discardReducer[V any] struct{}
+
+func (discardReducer[V]) Reduce(int32, []V) {}
+
 // replayChunk is one unit with its record.
 type replayChunk struct {
 	unitChunk
@@ -291,19 +296,9 @@ type reducerKey struct{}
 // Partition implements mapreduce.Partitioner.
 func (reducerKey) Partition(key int32, _ int) int { return int(key) }
 
-// chargedKernel is a kernel that reports a recorded kernel's work: one
-// block whose stats are the record's, so Execute charges what the real
-// kernel cost.
-type chargedKernel gpu.Stats
-
-func (chargedKernel) Name() string                  { return render.KernelName }
-func (chargedKernel) Grid() gpu.Dim2                { return gpu.Dim2{X: 1, Y: 1} }
-func (chargedKernel) Block() gpu.Dim2               { return gpu.Dim2{X: 1, Y: 1} }
-func (k chargedKernel) RunBlock(_, _ int) gpu.Stats { return gpu.Stats(k) }
-
 // replayMapper charges a unit's record as rayCastMapper charged the unit:
-// per brick the upload, the kernel and the read-back, then the brick's
-// pairs, emitted so each recorded flush falls where it fell.
+// per brick chargeBrick, then the brick's pairs, emitted so each recorded
+// flush falls where it fell.
 type replayMapper struct{}
 
 // Init implements mapreduce.Mapper.
@@ -328,13 +323,10 @@ func (replayMapper) Map(p mapreduce.Ctx, w *mapreduce.Worker, _ mapreduce.Chunk,
 	}
 	for i := range u.Bricks {
 		b := &u.Bricks[i]
-		tex, err := w.UploadTexture(p, nil, volume.Region{Ext: b.Box})
-		if err != nil {
+		if err := chargeBrick(p, w, b); err != nil {
 			return err
 		}
 		if b.Ran {
-			w.RunKernel(p, chargedKernel(b.Kernel))
-			w.Download(p, b.Readback)
 			if buf == nil {
 				buf = make([]int64, len(b.Frags))
 			}
@@ -350,7 +342,6 @@ func (replayMapper) Map(p mapreduce.Ctx, w *mapreduce.Worker, _ mapreduce.Chunk,
 				emitN(red, n)
 			}
 		}
-		tex.Free()
 	}
 	return nil
 }

@@ -12,14 +12,13 @@ import (
 // recordedCharges maps every unit of opt's job on 1-GPU nodes, in
 // `batches` interleaved batches as a fleet of that many workers might,
 // checks each record against the plan and its stripe, and returns the
-// plan with the records in unit order. Only the plan traces.
+// plan with the records in unit order.
 func recordedCharges(t *testing.T, spec cluster.Spec, opt Options, batches int) (*Replay, []UnitCharges) {
 	t.Helper()
 	plan, err := PlanReplay(spec, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Trace = nil
 	charges := make([]UnitCharges, plan.Units())
 	for b := 0; b < batches; b++ {
 		var ids []int

@@ -33,9 +33,8 @@ func Micro() (*report.Table, error) {
 		cl.Nodes[0].ReadDisk(p, brickBytes)
 		disk = p.Now() - start
 
-		bd := &volume.BrickData{Data: make([]float32, brickBytes/4)}
 		start = p.Now()
-		tex, err := cl.Device(0).UploadTexture3D(p, bd, volume.Region{Ext: volume.Cube(64)})
+		tex, err := cl.Device(0).UploadTexture3D(p, volume.Region{Ext: volume.Cube(64)})
 		if err != nil {
 			panic(err)
 		}

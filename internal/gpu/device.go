@@ -47,8 +47,8 @@ type Device struct {
 	allocated int64
 	stats     DeviceStats
 
-	// Workers caps host-side parallelism for kernel execution; zero means
-	// GOMAXPROCS.
+	// Workers caps the host cores RunBlocks uses for this device's
+	// kernels; zero means GOMAXPROCS.
 	Workers int
 }
 
@@ -114,8 +114,7 @@ func (d *Device) Free(b *Buffer) {
 // Texture3D is a brick's voxel data resident in VRAM, sampled through the
 // (simulated) texture units.
 type Texture3D struct {
-	Buf  *Buffer
-	Data *volume.BrickData
+	Buf *Buffer
 }
 
 // Free releases the texture's VRAM.
@@ -127,7 +126,7 @@ func (t *Texture3D) Free() { t.Buf.dev.Free(t.Buf) }
 // (render.ResidentBox), the whole ghost region when it skips nothing. It
 // is synchronous because CUDA 3D-texture uploads were synchronous at the
 // time — the paper calls this out explicitly (§3.1.2, Chunk).
-func (d *Device) UploadTexture3D(p *sim.Proc, bd *volume.BrickData, box volume.Region) (*Texture3D, error) {
+func (d *Device) UploadTexture3D(p *sim.Proc, box volume.Region) (*Texture3D, error) {
 	bytes := box.Ext.Bytes()
 	buf, err := d.Alloc(bytes)
 	if err != nil {
@@ -137,7 +136,7 @@ func (d *Device) UploadTexture3D(p *sim.Proc, bd *volume.BrickData, box volume.R
 	d.PCIe.Link.Use(p, t)
 	d.stats.H2DTime += t
 	d.stats.BytesH2D += bytes
-	return &Texture3D{Buf: buf, Data: bd}, nil
+	return &Texture3D{Buf: buf}, nil
 }
 
 // Download charges a device-to-host copy of n bytes on the shared PCIe
@@ -150,18 +149,16 @@ func (d *Device) Download(p *sim.Proc, n int64) sim.Time {
 	return t
 }
 
-// Execute runs a kernel to completion from the calling process: the real
-// computation executes on host cores, then the modeled cost occupies the
-// device's execution engine, so kernels from concurrent processes on one
-// device serialise while kernels on different devices overlap.
-func (d *Device) Execute(p *sim.Proc, k Kernel, zeroCopy bool) Stats {
-	stats := d.runBlocks(k)
-	cost := KernelCost(&d.Spec, stats, zeroCopy)
+// Execute charges a kernel's recorded work from the calling process: its
+// modeled cost occupies the device's execution engine, so kernels from
+// concurrent processes on one device serialise while kernels on different
+// devices overlap. The work itself ran on host cores beforehand (RunBlocks).
+func (d *Device) Execute(p *sim.Proc, stats Stats) {
+	cost := KernelCost(&d.Spec, stats, false)
 	d.engine.Use(p, cost)
 	d.stats.KernelTime += cost
 	d.stats.Launches++
 	d.stats.Work.Add(stats)
-	return stats
 }
 
 // Occupy holds the execution engine for dur: modeled non-kernel device
@@ -172,11 +169,11 @@ func (d *Device) Occupy(p *sim.Proc, dur sim.Time) {
 	d.stats.KernelTime += dur
 }
 
-// runBlocks executes every block of the kernel across host cores and sums
-// the per-block stats deterministically.
-func (d *Device) runBlocks(k Kernel) Stats {
+// RunBlocks executes every block of the kernel across at most workers
+// host cores (≤ 0 means GOMAXPROCS) and sums the per-block stats
+// deterministically. It runs on the host alone: no virtual time passes.
+func RunBlocks(k Kernel, workers int) Stats {
 	grid := k.Grid()
-	workers := d.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

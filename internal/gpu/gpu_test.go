@@ -83,9 +83,8 @@ func TestUploadTexture3DCost(t *testing.T) {
 	env := sim.NewEnv()
 	d := testDevice(env)
 	// A 64³ brick (the paper's §3 micro-cost unit): < 0.2 ms on PCIe.
-	bd := &volume.BrickData{Data: make([]float32, 64*64*64)}
 	env.Go("host", func(p *sim.Proc) {
-		tex, err := d.UploadTexture3D(p, bd, volume.Region{Ext: volume.Cube(64)})
+		tex, err := d.UploadTexture3D(p, volume.Region{Ext: volume.Cube(64)})
 		if err != nil {
 			t.Error(err)
 			return
@@ -116,17 +115,16 @@ func TestPCIeSharedContention(t *testing.T) {
 	link := PCIe{Link: sim.NewResource(env, "pcie", 1), Bandwidth: 1e9, Latency: 0}
 	d1 := NewDevice(env, 0, 0, TeslaC1060(), link)
 	d2 := NewDevice(env, 1, 0, TeslaC1060(), link)
-	bd := &volume.BrickData{Data: make([]float32, 1<<18)} // 1 MiB
-	whole := volume.Region{Ext: volume.Dims{X: 1 << 18, Y: 1, Z: 1}}
+	whole := volume.Region{Ext: volume.Dims{X: 1 << 18, Y: 1, Z: 1}} // 1 MiB
 	var t1, t2 sim.Time
 	env.Go("h1", func(p *sim.Proc) {
-		if _, err := d1.UploadTexture3D(p, bd, whole); err != nil {
+		if _, err := d1.UploadTexture3D(p, whole); err != nil {
 			t.Error(err)
 		}
 		t1 = p.Now()
 	})
 	env.Go("h2", func(p *sim.Proc) {
-		if _, err := d2.UploadTexture3D(p, bd, whole); err != nil {
+		if _, err := d2.UploadTexture3D(p, whole); err != nil {
 			t.Error(err)
 		}
 		t2 = p.Now()
@@ -151,9 +149,7 @@ type countKernel struct {
 	mark             [][]int32 // per-block execution marker
 }
 
-func (k *countKernel) Name() string { return "count" }
-func (k *countKernel) Grid() Dim2   { return k.grid }
-func (k *countKernel) Block() Dim2  { return k.block }
+func (k *countKernel) Grid() Dim2 { return k.grid }
 func (k *countKernel) RunBlock(bx, by int) Stats {
 	if k.mark != nil {
 		k.mark[by][bx]++
@@ -182,7 +178,8 @@ func TestExecuteRunsEveryBlockOnce(t *testing.T) {
 		}
 		k := &countKernel{grid: Dim2{5, 7}, block: Dim2{16, 16}, samplesPerThread: 3, mark: mark}
 		env.Go("host", func(p *sim.Proc) {
-			stats := d.Execute(p, k, false)
+			stats := RunBlocks(k, d.Workers)
+			d.Execute(p, stats)
 			if stats.Threads != int64(5*7*256) {
 				t.Errorf("workers %d: threads = %d", workers, stats.Threads)
 			}
@@ -260,7 +257,7 @@ func executeConcurrently(t *testing.T, env *sim.Env, k Kernel, devs ...*Device) 
 	var end sim.Time
 	for i, d := range devs {
 		env.Go(fmt.Sprintf("host%d", i), func(p *sim.Proc) {
-			d.Execute(p, k, false)
+			d.Execute(p, RunBlocks(k, d.Workers))
 			end = max(end, p.Now())
 		})
 	}
@@ -303,7 +300,7 @@ func TestOccupyContendsWithKernels(t *testing.T) {
 	kcost := KernelCost(&d.Spec, Stats{Threads: 256, Samples: 256 * 100000, Emitted: 256}, false)
 	var done sim.Time
 	env.Go("kernel", func(p *sim.Proc) {
-		d.Execute(p, k, false)
+		d.Execute(p, RunBlocks(k, d.Workers))
 	})
 	env.Go("occupier", func(p *sim.Proc) {
 		p.Sleep(sim.Microsecond) // arrive while the kernel holds the engine

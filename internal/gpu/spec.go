@@ -1,8 +1,8 @@
 // Package gpu simulates a CUDA-class GPU device on top of the sim kernel:
-// VRAM accounting, 3D textures, PCIe copies, and kernel launches that
-// execute real Go "kernels" (parallelised over thread blocks on host
-// cores) while charging modeled execution time from a calibrated cost
-// model to the device's single execution engine. Overlap of staging,
+// VRAM accounting, 3D textures, PCIe copies, and kernel launches. A
+// kernel is real Go code that RunBlocks runs over thread blocks on host
+// cores; its launch charges the modeled execution time of that work, from
+// a calibrated cost model, to the device's single execution engine. Overlap of staging,
 // kernels and sends comes from the caller's concurrent sim processes
 // (the mapreduce engine's loader and sender processes), not from device
 // streams. This is the substitution for the paper's Tesla C1060 GPUs —
@@ -110,12 +110,8 @@ func (s *Stats) Sub(other Stats) {
 // concurrently from multiple host goroutines and must write only to
 // disjoint output locations (exactly the discipline a CUDA kernel needs).
 type Kernel interface {
-	// Name identifies the kernel in stats and traces.
-	Name() string
 	// Grid returns the block grid extent.
 	Grid() Dim2
-	// Block returns the threads-per-block extent.
-	Block() Dim2
 	// RunBlock executes block (bx,by) and returns its work stats.
 	RunBlock(bx, by int) Stats
 }

@@ -46,7 +46,7 @@ func (m *histMapper) Map(p Ctx, w *Worker, c Chunk, vals []int32, emit func(KV[i
 	if m.failChunk == c.ID() {
 		return fmt.Errorf("synthetic map failure")
 	}
-	w.GPUCompute(p, gpu.Stats{Threads: int64(len(vals)), Emitted: int64(len(vals))})
+	w.RunKernel(p, "histogram", gpu.Stats{Threads: int64(len(vals)), Emitted: int64(len(vals))})
 	if m.emitNegOnce {
 		emit(KV[int32]{Key: -1})
 	}

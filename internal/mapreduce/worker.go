@@ -47,44 +47,23 @@ func (w *Worker) span(cat, name string, start, end sim.Time) {
 // UploadTexture stages the part box of a brick's ghost region into VRAM,
 // synchronously (the paper was forced into synchronous 3D-texture
 // copies), attributed to Partition+I/O as a host↔device transfer.
-func (w *Worker) UploadTexture(p Ctx, bd *volume.BrickData, box volume.Region) (*gpu.Texture3D, error) {
+func (w *Worker) UploadTexture(p Ctx, box volume.Region) (*gpu.Texture3D, error) {
 	start := p.Now()
-	tex, err := w.Dev.UploadTexture3D(p, bd, box)
+	tex, err := w.Dev.UploadTexture3D(p, box)
 	w.partIOTime += p.Now() - start
 	w.span("partition+io", "h2d:texture", start, p.Now())
 	return tex, err
 }
 
-// RunKernel executes a kernel on the worker's device, attributed to Map.
-func (w *Worker) RunKernel(p Ctx, k gpu.Kernel) gpu.Stats {
+// RunKernel charges the work of kernel name, already run on the host
+// (gpu.RunBlocks), on the worker's device, attributed to Map.
+func (w *Worker) RunKernel(p Ctx, name string, stats gpu.Stats) {
 	start := p.Now()
-	st := w.Dev.Execute(p, k, false)
+	w.Dev.Execute(p, stats)
 	elapsed := p.Now() - start
 	w.mapTime += elapsed
 	w.kernelTime += elapsed
-	w.span("map", "kernel:"+k.Name(), start, p.Now())
-	return st
-}
-
-// GPUCompute charges raw modeled kernel work (for mappers that are not
-// rendering kernels, e.g. the histogram example), attributed to Map.
-func (w *Worker) GPUCompute(p Ctx, stats gpu.Stats) {
-	cost := gpu.KernelCost(&w.Dev.Spec, stats, false)
-	start := p.Now()
-	w.chargeEngine(p, cost)
-	elapsed := p.Now() - start
-	w.mapTime += elapsed
-	w.kernelTime += elapsed
-	w.span("map", "compute", start, p.Now())
-}
-
-// chargeEngine occupies the device's execution engine for d. It reuses the
-// device Execute path with a synthetic zero-work kernel so engine
-// contention between workers sharing a device stays modeled.
-func (w *Worker) chargeEngine(p Ctx, d sim.Time) {
-	// Devices are not shared between workers in this engine (worker i ==
-	// GPU i), so a plain sleep is equivalent to engine occupancy.
-	p.Sleep(d)
+	w.span("map", "kernel:"+name, start, p.Now())
 }
 
 // Download charges a device-to-host fragment read-back, attributed to

@@ -20,7 +20,7 @@ import (
 type Kernel struct {
 	Cam   *camera.Camera
 	Space volume.Space
-	Tex   *gpu.Texture3D
+	Data  *volume.BrickData
 	Prm   Params
 	FP    camera.Footprint
 	// Sampler is the per-pixel sampling routine; nil means ray casting
@@ -60,10 +60,10 @@ func SampleOne(fn SampleFn, cam *camera.Camera, sp volume.Space, bd *volume.Bric
 	return frag, st
 }
 
-// NewKernel plans a kernel for one brick; it returns nil (no work) when
-// the brick is off screen.
-func NewKernel(cam *camera.Camera, sp volume.Space, tex *gpu.Texture3D, prm Params) *Kernel {
-	fp, ok := cam.ProjectAABB(tex.Data.Brick.Bounds)
+// NewKernel plans a kernel for one staged brick; it returns nil (no work)
+// when the brick is off screen.
+func NewKernel(cam *camera.Camera, sp volume.Space, bd *volume.BrickData, prm Params) *Kernel {
+	fp, ok := cam.ProjectAABB(bd.Brick.Bounds)
 	if !ok {
 		return nil
 	}
@@ -71,8 +71,8 @@ func NewKernel(cam *camera.Camera, sp volume.Space, tex *gpu.Texture3D, prm Para
 	return &Kernel{
 		Cam:        cam,
 		Space:      sp,
-		Tex:        tex,
-		Prm:        prm.PrepareBrick(tex.Data),
+		Data:       bd,
+		Prm:        prm.PrepareBrick(bd),
 		FP:         fp,
 		Counts:     make([]int32, grid.Count()*BlockDim*BlockDim),
 		blockFrags: make([][]composite.Fragment, grid.Count()),
@@ -112,14 +112,8 @@ func (k *Kernel) blockOffs(b int) []int32 {
 // KernelName is every map kernel's name in stats and traces.
 const KernelName = "raycast"
 
-// Name implements gpu.Kernel.
-func (k *Kernel) Name() string { return KernelName }
-
 // Grid implements gpu.Kernel.
 func (k *Kernel) Grid() gpu.Dim2 { return k.grid }
-
-// Block implements gpu.Kernel.
-func (k *Kernel) Block() gpu.Dim2 { return gpu.Dim2{X: BlockDim, Y: BlockDim} }
 
 // Threads returns the total thread count (one per padded-footprint pixel).
 func (k *Kernel) Threads() int { return len(k.Counts) }
@@ -185,7 +179,7 @@ func (k *Kernel) RunBlock(bx, by int) gpu.Stats {
 				continue
 			}
 			before := len(frags)
-			samples := sample(k.Cam, k.Space, k.Tex.Data, k.Prm, px, py, emit)
+			samples := sample(k.Cam, k.Space, k.Data, k.Prm, px, py, emit)
 			st.Samples += samples.Samples
 			st.SamplesSkipped += samples.Skipped
 			st.Cells += samples.Cells

@@ -239,8 +239,7 @@ func TestGlobalLatticeSampleCountProperty(t *testing.T) {
 func TestKernelCoversFootprintWithPadding(t *testing.T) {
 	src, cam, prm := testScene(t, 32, 64)
 	bd, sp := wholeBrick(t, src)
-	tex := &gpu.Texture3D{Data: bd}
-	k := NewKernel(cam, sp, tex, prm)
+	k := NewKernel(cam, sp, bd, prm)
 	if k == nil {
 		t.Fatal("on-screen brick produced nil kernel")
 	}
@@ -320,7 +319,7 @@ func TestKernelOffScreenIsNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k := NewKernel(cam, sp, &gpu.Texture3D{Data: bd}, prm); k != nil {
+	if k := NewKernel(cam, sp, bd, prm); k != nil {
 		t.Error("off-screen brick produced a kernel")
 	}
 }
