@@ -7,7 +7,6 @@ import (
 
 	"gvmr/internal/cluster"
 	"gvmr/internal/img"
-	"gvmr/internal/mapreduce"
 	"gvmr/internal/render"
 	"gvmr/internal/sim"
 	"gvmr/internal/trace"
@@ -217,49 +216,11 @@ func TestUploadChargesResidentBoxes(t *testing.T) {
 // partitioning, the binary-swap exchange and the classic gather included
 // — shows on the timeline.
 func TestTraceCoversMakespan(t *testing.T) {
-	cases := []struct {
-		name string
-		gpus int
-		set  func(*Options)
-	}{
-		{"1gpu", 1, nil},
-		{"4gpu", 4, nil},
-		{"8gpu", 8, nil},
-		{"4-bricks-per-gpu", 4, func(o *Options) { o.BricksPerGPU = 4 }},
-		{"from-disk", 4, func(o *Options) { o.FromDisk = true }},
-		{"dynamic", 4, func(o *Options) { o.Assign = mapreduce.AssignDynamic }},
-		{"in-situ", 4, func(o *Options) { o.InSitu = true }},
-		{"binary-swap-4", 4, func(o *Options) { o.Compositor = BinarySwap }},
-		{"binary-swap-8", 8, func(o *Options) { o.Compositor = BinarySwap }},
-		{"gpu-sort-reduce", 4, func(o *Options) { o.SortOn, o.ReduceOn = mapreduce.OnGPU, mapreduce.OnGPU }},
-		{"slicing", 4, func(o *Options) { o.Sampler = Slicing }},
-		{"interleave-2", 4, func(o *Options) { o.Partition = Interleaved{NumParts: 2} }},
-		{"dist-reduce", 4, nil},
-		{"classic", 4, nil},
-	}
-	// The distributed rows run Replay.Run(·, gather) over their units'
-	// charges, mapped in two batches, instead of Render.
-	replays := map[string]bool{"dist-reduce": false, "classic": true}
-	for _, tc := range cases {
+	for _, tc := range frameCases {
 		t.Run(tc.name, func(t *testing.T) {
-			opt := skullOptions(t, 32, 64, tc.gpus)
-			if tc.set != nil {
-				tc.set(&opt)
-			}
 			log := &trace.Log{}
-			opt.Trace = log
-			var res *Result
-			var err error
-			gather, replay := replays[tc.name]
-			if replay {
-				plan, charges := recordedCharges(t, cluster.AC(tc.gpus), opt, 2)
-				res, err = plan.Run(charges, gather)
-			} else {
-				res, err = Render(newCluster(t, tc.gpus), opt)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := tc.run(t, log)
+			gather := frameReplays[tc.name]
 			gathers := 0
 			for _, s := range log.Spans() {
 				if s.Cat == "net" && s.Lane == "coordinator" {
