@@ -198,14 +198,17 @@ func (w *frameWork) report(b *testing.B, maxSamples int64) {
 // BenchmarkDirectFrame renders the benchmark's orbit-direct frame (in-RAM
 // skull 256³ → 160², shading on, a 4-GPU job; bench/workloads.go) through
 // core.RenderOn, stepping the orbit 9° per iteration. Run with -benchmem:
-// allocs/op and B/op are guarded numbers, ns/op the wall frame time. The
-// benchmark fails — CI's bench smoke runs it — if a frame averages more
-// than 250 000 macrocell visits (the cell-by-cell DDA made 554 k) or
+// allocs/op rides along, B/op is guarded, ns/op is the wall frame time.
+// The benchmark fails — CI's bench smoke runs it — if a frame averages
+// more than 250 000 macrocell visits (the cell-by-cell DDA made 554 k) or
 // 1 400 000 fetches (2.67 M before homogeneous cells were answered from
 // the grid), if frames average more than 265 virtual ms (267.31 while
 // uploads copied every ghost region whole) or 5.0 ms of it in
-// Partition+I/O (7.19), or if frame 0's issued + skipped fetches are not
-// the dense march's.
+// Partition+I/O (7.19), if a frame allocates more than 2.5 MB (≈ 2.96 MB
+// while real fragments went through a simulated job, ≈ 2.02 MB since the
+// frame maps on the host and replays its records, at one core and two
+// alike), or if frame 0's issued + skipped fetches are not the dense
+// march's.
 func BenchmarkDirectFrame(b *testing.B) {
 	src, err := dataset.New(dataset.Skull, volume.Cube(256))
 	if err != nil {
@@ -231,6 +234,8 @@ func BenchmarkDirectFrame(b *testing.B) {
 	on := frame(0).Stats // materialise the dataset into the staging cache
 	var work frameWork
 	var virtual, partIO sim.Time
+	var mem0, mem1 runtime.MemStats
+	runtime.ReadMemStats(&mem0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -240,7 +245,11 @@ func BenchmarkDirectFrame(b *testing.B) {
 		partIO += res.Stats.MeanStage.PartitionIO
 	}
 	b.StopTimer()
+	runtime.ReadMemStats(&mem1)
 	work.report(b, 1_400_000)
+	if per := (mem1.TotalAlloc - mem0.TotalAlloc) / uint64(b.N); per > 2_500_000 {
+		b.Fatalf("%d bytes allocated per frame, want at most 2.5 MB", per)
+	}
 	if per := work.cells / int64(b.N); per > 250_000 {
 		b.Fatalf("%d macrocell visits per frame, want at most 250000", per)
 	}

@@ -21,7 +21,8 @@ type swapBatch struct {
 }
 
 // binarySwap runs the classic binary-swap exchange (Ma et al. [16]) over
-// the per-node partial images the LocalReduce job produced: log2(W)
+// the per-node partial images — parts[i] holds, per pixel, the fragments
+// of the units GPU i mapped in the LocalReduce job: log2(W)
 // synchronous rounds in which partners split their current key range,
 // exchange the halves they are giving up, and merge. Each node ends up
 // owning 1/W of the image fully composited. Unlike the classic algorithm
@@ -33,9 +34,9 @@ type swapBatch struct {
 // final local composite; writing into the output image is the untimed
 // stitch. tr, when non-nil, gets each round's exchange (net) and merge
 // (reduce) and the final composite (reduce) on the node's gpuN lane.
-func binarySwap(cl *cluster.Cluster, cam *camera.Camera, collectors []*fragmentCollector,
+func binarySwap(cl *cluster.Cluster, cam *camera.Camera, parts []map[int32][]composite.Fragment,
 	background vec.V4, out *img.Image, tr *trace.Log) (sim.Time, error) {
-	w := len(collectors)
+	w := len(parts)
 	rounds := bits.TrailingZeros(uint(w))
 	env := cl.Env
 	start := env.Now()
@@ -59,7 +60,7 @@ func binarySwap(cl *cluster.Cluster, cam *camera.Camera, collectors []*fragmentC
 
 	for i := 0; i < w; i++ {
 		i := i
-		st := owned{lo: 0, hi: keyRange, pixels: collectors[i].pixels}
+		st := owned{lo: 0, hi: keyRange, pixels: parts[i]}
 		env.Go(fmt.Sprintf("swap%d", i), func(p *sim.Proc) {
 			node := cl.NodeOf(i)
 			span := func(cat, name string, start sim.Time) {

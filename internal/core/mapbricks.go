@@ -75,15 +75,15 @@ func (m *MapResult) FragmentCount() int {
 // Options.Partition a unit is a brick and the IDs are brick IDs; with a
 // Partition they index the partition's units.
 //
-// The grid is planned from opt exactly as Render plans it, and each brick
-// is cast as Render's mapper casts it, so the fragments and charges of
-// unit i here are bit-identical to what unit i produces and charges
-// inside a single-process Render of the same options — the invariant the
-// distributed golden tests pin down. No job is simulated: nothing here
-// reads the options that shape only the engine's schedule (Assign,
-// FromDisk, InSitu, Trace), and only spec's planning inputs (GPU VRAM,
-// and its GPU count when opt.GPUs is zero) matter, which PlanGrid
-// documents.
+// The grid is planned from opt exactly as Render plans it, and each unit
+// is mapped by the loop Render maps it with (rayCastMapper.mapUnit), so
+// the fragments and charges of unit i here are bit-identical to what unit
+// i produces and charges inside a single-process Render of the same
+// options — the invariant the distributed golden tests pin down. No job
+// is simulated: nothing here reads the options that shape only the
+// engine's schedule (Assign, FromDisk, InSitu, Trace), and only spec's
+// planning inputs (GPU VRAM, and its GPU count when opt.GPUs is zero)
+// matter, which PlanGrid documents.
 //
 // devWorkers caps the host cores a brick's kernel uses (≤ 0 means all of
 // GOMAXPROCS), as in RenderOn.
@@ -94,8 +94,7 @@ func MapBricks(spec cluster.Spec, opt Options, brickIDs []int, devWorkers int) (
 	if len(brickIDs) == 0 {
 		return nil, fmt.Errorf("core: no bricks to map")
 	}
-	gpus := specGPUs(spec, opt)
-	mapper, units, err := planJob(opt, gpus, spec.GPU.VRAMBytes)
+	m, units, err := planJob(opt, specGPUs(spec, opt), spec.GPU.VRAMBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -110,40 +109,15 @@ func MapBricks(spec cluster.Spec, opt Options, brickIDs []int, devWorkers int) (
 		}
 		sel[i] = units[id]
 	}
-	defer planFrame(mapper.src, sel)()
+	defer planFrame(m.src, sel)()
 
-	// Each fragment is counted as the job's engine would batch its pair:
-	// per modelled reducer under the job's partitioner, with a flush
-	// wherever a reducer's send buffer fills.
-	part := partitionerOf(&opt)
 	res := &MapResult{}
 	for i, id := range ids {
-		staged, err := mapper.stage(sel[i])
+		frags, charges, err := m.mapUnit(id, sel[i], devWorkers)
 		if err != nil {
 			return nil, err
 		}
-		stripe, charges := BrickStripe{Brick: id}, UnitCharges{Unit: id}
-		buf := make([]int64, gpus) // the engine flushes every buffer at a chunk's end
-		for _, bd := range staged {
-			ch, k := mapper.cast(bd, devWorkers)
-			if k != nil {
-				ch.Frags = make([]int64, gpus)
-				k.ForEachThread(func(_ int, frags []composite.Fragment) {
-					for _, f := range frags {
-						stripe.Frags = append(stripe.Frags, f)
-						red := part.Partition(f.Key, gpus)
-						ch.Frags[red]++
-						if buf[red]++; buf[red] == flushKVs {
-							ch.Flushes = append(ch.Flushes, red)
-							buf[red] = 0
-						}
-					}
-				})
-			}
-			bd.Release()
-			charges.Bricks = append(charges.Bricks, ch)
-		}
-		res.Stripes = append(res.Stripes, stripe)
+		res.Stripes = append(res.Stripes, BrickStripe{Brick: id, Frags: frags})
 		res.Charges = append(res.Charges, charges)
 	}
 	return res, nil

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"gvmr/internal/camera"
 	"gvmr/internal/composite"
 	"gvmr/internal/gpu"
@@ -9,43 +11,27 @@ import (
 	"gvmr/internal/volume"
 )
 
-// rayCastMapper is the renderer's Mapper: stage a unit's bricks from the
-// source, upload the part of each its rays can fetch from (its resident
-// box) as a 3D texture, run the ray-casting (or slicing)
-// kernel over its footprint, read the fragment lists back and emit them.
-// A convex unit holds one brick; a partitioned unit emits its bricks in
-// ascending brick order, which is the canonical in-unit fragment order
-// every downstream fold assumes.
+// rayCastMapper maps a render job's units on the host: it stages a unit's
+// bricks from the source, casts each with the ray-casting (or slicing)
+// kernel over its footprint, and keeps each brick's fragment lists and
+// record. A convex unit holds one brick; a partitioned unit maps its
+// bricks in ascending brick order, which is the canonical in-unit
+// fragment order every downstream fold assumes. gpus and part are the
+// job's: each fragment is counted against the modelled reducer the
+// job's partitioner sends it to.
 type rayCastMapper struct {
 	src     volume.Source
 	grid    *volume.Grid
 	cam     *camera.Camera
 	prm     render.Params
 	sampler render.SampleFn
+	gpus    int
+	part    mapreduce.Partitioner
 }
 
-var _ mapreduce.Mapper[composite.Fragment, []*volume.BrickData] = (*rayCastMapper)(nil)
-
-// Init implements mapreduce.Mapper. Static per-worker state (view matrix,
-// transfer-function texture) is tiny; its upload cost is charged here.
-func (m *rayCastMapper) Init(p mapreduce.Ctx, w *mapreduce.Worker) error {
-	initWorker(p, w)
-	return nil
-}
-
-// initWorker is the per-worker set-up charge every render job's mapper
-// pays, the replay's included: it touches the link once, which models the
-// TF/texture setup.
-func initWorker(p mapreduce.Ctx, w *mapreduce.Worker) { w.Download(p, 0) }
-
-// Stage implements mapreduce.Mapper by staging the unit's bricks.
-func (m *rayCastMapper) Stage(_ mapreduce.Ctx, _ *mapreduce.Worker, c mapreduce.Chunk) ([]*volume.BrickData, error) {
-	return m.stage(c.(unitChunk).bricks)
-}
-
-// stage materialises the ghost regions of a unit's bricks. The engine
-// charges disk time separately when configured FromDisk; the real data
-// production happens here (array copy, analytic evaluation, or file
+// stage materialises the ghost regions of a unit's bricks. The replayed
+// job charges disk time separately when configured FromDisk; the real
+// data production happens here (array copy, analytic evaluation, or file
 // read). Sources that persist per-brick min/max (the v2 demand pager) can
 // prove a brick invisible under the transfer function before any of that
 // happens — such bricks stage as payload-free empties the kernel leaps
@@ -75,29 +61,43 @@ func (m *rayCastMapper) tfEmpty() func(lo, hi float32) bool {
 	return func(lo, hi float32) bool { return tf.MaxAlphaInRange(lo, hi) == 0 }
 }
 
-// Map implements mapreduce.Mapper: per brick of the unit, cast it on the
-// host, charge the record (chargeBrick: the resident box's upload, the
-// kernel and the read-back), emit every thread's fragment list, then
-// release the staged buffer for the next brick's stage. A thread whose
-// list is empty (padding, miss, zero opacity) emits nothing: the kernel
-// already charged its §3.1.1 "later-discarded place holder" record.
-func (m *rayCastMapper) Map(p mapreduce.Ctx, w *mapreduce.Worker, c mapreduce.Chunk,
-	staged []*volume.BrickData, emit func(mapreduce.KV[composite.Fragment])) error {
+// mapUnit maps unit id — bricks, ascending by brick ID — on the host:
+// it stages the bricks, casts each on at most workers host cores, and
+// releases each staged buffer once cast. It returns the unit's fragments
+// in kernel emission order (its BrickStripe) and its record, each
+// fragment counted as the job's engine batches its pair: per modelled
+// reducer under the job's partitioner, with a flush wherever a reducer's
+// send buffer fills. No virtual time passes.
+func (m *rayCastMapper) mapUnit(id int, bricks []volume.Brick, workers int) ([]composite.Fragment, UnitCharges, error) {
+	charges := UnitCharges{Unit: id}
+	staged, err := m.stage(bricks)
+	if err != nil {
+		return nil, charges, err
+	}
+	var frags []composite.Fragment
+	buf := make([]int64, m.gpus) // the engine flushes every buffer at a chunk's end
 	for _, bd := range staged {
-		ch, k := m.cast(bd, w.Dev.Workers)
-		if err := chargeBrick(p, w, &ch); err != nil {
-			return err
-		}
+		ch, k := m.cast(bd, workers)
 		if k != nil {
-			k.ForEachThread(func(_ int, frags []composite.Fragment) {
-				for _, f := range frags {
-					emit(mapreduce.KV[composite.Fragment]{Key: f.Key, Val: f})
+			ch.Frags = make([]int64, m.gpus)
+			// The read-back is the count table and the fragments.
+			frags = slices.Grow(frags, int(ch.Readback-4*int64(k.Threads()))/composite.FragmentBytes)
+			k.ForEachThread(func(_ int, fs []composite.Fragment) {
+				for _, f := range fs {
+					frags = append(frags, f)
+					red := m.part.Partition(f.Key, m.gpus)
+					ch.Frags[red]++
+					if buf[red]++; buf[red] == flushKVs {
+						ch.Flushes = append(ch.Flushes, red)
+						buf[red] = 0
+					}
 				}
 			})
 		}
 		bd.Release()
+		charges.Bricks = append(charges.Bricks, ch)
 	}
-	return nil
+	return frags, charges, nil
 }
 
 // cast runs one staged brick's kernel on at most workers host cores
@@ -123,8 +123,7 @@ func (m *rayCastMapper) cast(bd *volume.BrickData, workers int) (BrickCharges, *
 }
 
 // chargeBrick charges one brick's record on w: the upload of its resident
-// box, then, when its kernel ran, the kernel and the read-back. Render's
-// mapper and the replay both charge every brick through it.
+// box, then, when its kernel ran, the kernel and the read-back.
 func chargeBrick(p mapreduce.Ctx, w *mapreduce.Worker, b *BrickCharges) error {
 	tex, err := w.UploadTexture(p, volume.Region{Ext: b.Box})
 	if err != nil {

@@ -2,7 +2,9 @@
 // library: bricked ray casting in the Map phase, per-pixel round-robin
 // partitioning, counting sort, and direct-send compositing in the Reduce
 // phase (§3.2), with binary-swap compositing and a slicing sampler as the
-// pluggable alternatives §6.1 describes.
+// pluggable alternatives §6.1 describes. A frame's units are mapped on
+// the host and their fragments folded once; the MapReduce engine runs the
+// units' recorded charges for the frame's virtual time (DESIGN.md §3).
 package core
 
 import (

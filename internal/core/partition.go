@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"gvmr/internal/mapreduce"
 	"gvmr/internal/volume"
 )
 
@@ -163,38 +162,6 @@ func jobUnits(g *volume.Grid, p Partition) ([][]volume.Brick, error) {
 		return units, nil
 	}
 	return planUnits(g, p)
-}
-
-// unitChunk adapts one map unit — one brick in the convex default,
-// several under a Partition — to the MapReduce Chunk interface. Chunk
-// IDs are unit IDs; for singleton units they coincide with brick IDs,
-// which keeps the convex path's placement, charges and stats identical
-// to the pre-partition code.
-type unitChunk struct {
-	id     int
-	bricks []volume.Brick // ascending by brick ID
-}
-
-// ID implements mapreduce.Chunk.
-func (c unitChunk) ID() int { return c.id }
-
-// Bytes implements mapreduce.Chunk: the ghost-region payload that moves
-// from disk to host memory to VRAM, summed over the unit's bricks.
-func (c unitChunk) Bytes() int64 {
-	var n int64
-	for _, b := range c.bricks {
-		n += b.Bytes()
-	}
-	return n
-}
-
-// unitChunks builds the engine chunk list for the given units.
-func unitChunks(units [][]volume.Brick) []mapreduce.Chunk {
-	chunks := make([]mapreduce.Chunk, 0, len(units))
-	for id, bricks := range units {
-		chunks = append(chunks, unitChunk{id: id, bricks: bricks})
-	}
-	return chunks
 }
 
 // planFrame tells a source that can use it (a volume.FramePlanner: the v2

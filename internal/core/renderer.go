@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 
 	"gvmr/internal/camera"
@@ -11,6 +10,7 @@ import (
 	"gvmr/internal/mapreduce"
 	"gvmr/internal/render"
 	"gvmr/internal/sim"
+	"gvmr/internal/vec"
 	"gvmr/internal/volume"
 )
 
@@ -39,10 +39,10 @@ type Result struct {
 
 // planJob plans one render job on GPUs with vramBytes of device memory
 // each: the brick grid, the camera (opt.Camera or the fitted default
-// view), and the mapper over the staging-cached source, plus the job's
-// map units. Render and MapBricks both plan through it, which is what
-// makes a unit's fragments in MapBricks bit-identical to the same unit's
-// inside Render. opt must already hold its defaults.
+// view), the mapper over the staging-cached source and the job's map
+// units. Render, MapBricks and PlanReplay all plan through it, which is
+// what makes a unit's fragments and record in MapBricks bit-identical to
+// the same unit's inside Render. opt must already hold its defaults.
 func planJob(opt Options, gpus int, vramBytes int64) (*rayCastMapper, [][]volume.Brick, error) {
 	grid, err := planBricks(opt.Source.Dims(), gpus, opt.BricksPerGPU, vramBytes)
 	if err != nil {
@@ -53,15 +53,17 @@ func planJob(opt Options, gpus int, vramBytes int64) (*rayCastMapper, [][]volume
 		return nil, nil, err
 	}
 	// Brick staging reads through the process-wide staging cache: the
-	// source is materialised at most once per identity and every Stage
-	// call becomes a row-wise copy (virtual disk/PCIe time is still
-	// charged by the engine as configured). A source that does not
-	// declare volume.Stageable passes through uncached.
+	// source is materialised at most once per identity and every stage
+	// becomes a row-wise copy (virtual disk/PCIe time is still charged by
+	// the replayed job as configured). A source that does not declare
+	// volume.Stageable passes through uncached.
 	mapper := &rayCastMapper{
 		src:  volume.Cached(opt.Source),
 		grid: grid,
 		cam:  cam,
 		prm:  opt.renderParams(),
+		gpus: gpus,
+		part: partitionerOf(&opt),
 	}
 	if opt.Sampler == Slicing {
 		mapper.sampler = render.CastRaySlicing
@@ -97,38 +99,6 @@ func jobCamera(opt Options, grid *volume.Grid) (*camera.Camera, error) {
 // to a reducer in batches of 256 KiB.
 const jobFlushBytes = 256 << 10
 
-// jobConfig builds the MapReduce configuration of a render job mapping
-// chunks with `workers` GPUs of cl; the caller adds the reducers. The
-// engine charges the per-job fixed overhead (the paper's runtimes include
-// full frame setup) and fragments stream to the reducers in
-// jobFlushBytes batches. Render and the replay both run it, with the
-// fragment and its recorded charges as the value types.
-func jobConfig[V, S any](o *Options, cl *cluster.Cluster, workers int,
-	m mapreduce.Mapper[V, S], chunks []mapreduce.Chunk) mapreduce.Config[V, S] {
-	cfg := mapreduce.Config[V, S]{
-		Cluster:     cl,
-		Workers:     workers,
-		Mapper:      m,
-		Partitioner: o.Partitioner,
-		KeyRange:    int32(o.Width * o.Height),
-		ValueBytes:  composite.FragmentBytes - 4,
-		Chunks:      chunks,
-		Assign:      o.Assign,
-		FlushBytes:  jobFlushBytes,
-		FromDisk:    o.FromDisk,
-		ReduceOn:    o.ReduceOn,
-		SortOn:      o.SortOn,
-		Trace:       o.Trace,
-	}
-	if o.InSitu {
-		// A co-located simulation leaves brick i on node i mod N; static
-		// assignment keeps render workers on the data.
-		nodes := len(cl.Nodes)
-		cfg.Home = func(c mapreduce.Chunk) int { return c.ID() % nodes }
-	}
-	return cfg
-}
-
 // setRates fills the paper's figures of merit from Runtime.
 func (r *Result) setRates() {
 	if r.Runtime > 0 {
@@ -137,84 +107,99 @@ func (r *Result) setRates() {
 	}
 }
 
+// BlankImage returns opt's frame before any fragment lands: every pixel
+// the color of one no fragment reaches, the background alone. Every fold
+// of a frame's fragments — in process or distributed — writes into it.
+func BlankImage(opt Options) *img.Image {
+	return img.New(opt.Width, opt.Height, composite.Finalize(vec.V4{}, opt.Background))
+}
+
 // Render renders one frame of the source volume on the cluster and
-// returns the image plus full statistics. It drives the cluster's
-// simulation environment to completion.
+// returns the image plus full statistics. It runs the frame's one
+// pipeline (DESIGN.md §3): it maps every unit on the host, folds the
+// stripes into the image (composite.FoldRange, or binary swap's
+// exchange), and charges the frame by replaying the units' records
+// through the engine's job on cl, which it drives to completion.
 func Render(cl *cluster.Cluster, opt Options) (*Result, error) {
 	if err := opt.fillDefaults(); err != nil {
 		return nil, err
 	}
-	gpus := cmp.Or(opt.GPUs, cl.TotalGPUs())
-	if gpus < 1 || gpus > cl.TotalGPUs() {
-		return nil, fmt.Errorf("core: %d GPUs requested, cluster has %d", gpus, cl.TotalGPUs())
-	}
-	mapper, units, err := planJob(opt, gpus, cl.Params.GPU.VRAMBytes)
-	if err != nil {
-		return nil, err
-	}
-	defer planFrame(mapper.src, units)()
-
-	cfg := jobConfig(&opt, cl, gpus, mapper, unitChunks(units))
 	if opt.InSitu && opt.FromDisk {
 		return nil, fmt.Errorf("core: InSitu and FromDisk are mutually exclusive")
 	}
-
-	res := &Result{
-		Grid:   mapper.grid,
-		GPUs:   gpus,
-		Voxels: opt.Source.Dims().Voxels(),
-	}
-	background := composite.Finalize(composite.Fragment{}.Color(), opt.Background)
-	res.Image = img.New(opt.Width, opt.Height, background)
-
-	switch opt.Compositor {
-	case DirectSend:
-		reducers := make([]*imageReducer, 0, gpus)
-		cfg.MakeReducer = func(int) mapreduce.Reducer[composite.Fragment] {
-			r := &imageReducer{background: opt.Background}
-			reducers = append(reducers, r)
-			return r
-		}
-		stats, err := mapreduce.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		res.Stats = stats
-		res.Runtime = stats.Makespan
-		// Stitch (excluded from timings, as in the paper).
-		for _, r := range reducers {
-			for _, px := range r.pixels {
-				res.Image.SetKey(px.Key, px.Color)
-			}
-		}
-
-	case BinarySwap:
-		if gpus&(gpus-1) != 0 {
-			return nil, fmt.Errorf("core: binary swap needs a power-of-two GPU count, got %d", gpus)
-		}
-		collectors := make([]*fragmentCollector, 0, gpus)
-		cfg.LocalReduce = true
-		cfg.MakeReducer = func(int) mapreduce.Reducer[composite.Fragment] {
-			r := &fragmentCollector{pixels: map[int32][]composite.Fragment{}}
-			collectors = append(collectors, r)
-			return r
-		}
-		stats, err := mapreduce.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		res.Stats = stats
-		swap, err := binarySwap(cl, mapper.cam, collectors, opt.Background, res.Image, opt.Trace)
-		if err != nil {
-			return nil, err
-		}
-		res.SwapTime = swap
-		res.Runtime = stats.Makespan + swap
-
-	default:
+	if opt.Compositor != DirectSend && opt.Compositor != BinarySwap {
 		return nil, fmt.Errorf("core: unknown compositor %d", opt.Compositor)
 	}
+	plan, err := planReplay(cl.Params, opt)
+	if err != nil {
+		return nil, err
+	}
+	m, gpus := plan.m, plan.m.gpus
+	if opt.Compositor == BinarySwap && gpus&(gpus-1) != 0 {
+		return nil, fmt.Errorf("core: binary swap needs a power-of-two GPU count, got %d", gpus)
+	}
+	defer planFrame(m.src, plan.units)()
 
+	stripes := make([][]composite.Fragment, len(plan.units))
+	charges := make([]UnitCharges, len(plan.units))
+	for _, u := range mapOrder(len(plan.units), gpus) {
+		if stripes[u], charges[u], err = m.mapUnit(u, plan.units[u], cl.Device(u%gpus).Workers); err != nil {
+			return nil, err
+		}
+	}
+	stats, mappedBy, err := plan.replayJob(cl, charges)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{
+		Image:   BlankImage(opt),
+		Stats:   stats,
+		Grid:    m.grid,
+		GPUs:    gpus,
+		Runtime: stats.Makespan,
+		Voxels:  opt.Source.Dims().Voxels(),
+	}
+	if opt.Compositor == DirectSend {
+		composite.FoldRange(stripes, 0, int32(opt.Width*opt.Height), opt.Background, res.Image.SetKey)
+	} else {
+		// Each GPU's partial image: the fragments of the units it mapped,
+		// per pixel, in unit order.
+		parts := make([]map[int32][]composite.Fragment, gpus)
+		for i := range parts {
+			parts[i] = map[int32][]composite.Fragment{}
+		}
+		for u, frags := range stripes {
+			part := parts[mappedBy[u]]
+			for _, f := range frags {
+				part[f.Key] = append(part[f.Key], f)
+			}
+		}
+		if res.SwapTime, err = binarySwap(cl, m.cam, parts, opt.Background, res.Image, opt.Trace); err != nil {
+			return nil, err
+		}
+		res.Runtime += res.SwapTime
+	}
 	res.setRates()
 	return res, nil
+}
+
+// mapOrder is the order Render maps a job's units in on the host: the
+// order the engine's static loaders stage them in when the GPUs keep
+// pace — GPU by GPU, each fills its two-deep pipeline (the unit it maps
+// and the one staged behind it; unit u is GPU u mod gpus's), then the
+// rest follow round by round. Neither bits nor virtual time depend on
+// it, but a demand pager's reads do: its LRU keeps what the order
+// revisits soonest, and this order reads what the engine's staging read
+// (DESIGN.md §14).
+func mapOrder(units, gpus int) []int {
+	order := make([]int, 0, units)
+	for g := 0; g < gpus; g++ {
+		for u := g; u < min(units, g+2*gpus); u += gpus {
+			order = append(order, u)
+		}
+	}
+	for u := 2 * gpus; u < units; u++ {
+		order = append(order, u)
+	}
+	return order
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"gvmr/internal/camera"
 	"gvmr/internal/cluster"
 	"gvmr/internal/composite"
 	"gvmr/internal/gpu"
@@ -15,13 +14,14 @@ import (
 	"gvmr/internal/volume"
 )
 
-// A distributed frame is charged as the engine's own job (DESIGN.md §9).
-// Wherever a unit is mapped, MapBricks records what mapping it charges
-// the engine — its UnitCharges — and a Replay runs every unit's record
-// through mapreduce.Run on the job's own modelled cluster: each brick
-// through chargeBrick, the one function Render's mapper charges a brick
-// through, then its emissions. The replay renders nothing, and its
-// makespan is Render's, bit for bit, whichever node mapped which unit.
+// Every frame is charged as the engine's own job (DESIGN.md §9).
+// Wherever a unit is mapped — inside Render, or by MapBricks on a
+// cluster worker — the mapper records what mapping it charges the
+// engine, its UnitCharges, and replayJob runs every unit's record
+// through mapreduce.Run: each brick through chargeBrick, then its
+// emissions. Render replays on the caller's cluster, Replay.Run on a
+// fresh instance of the job's spec; neither job renders anything, and
+// the makespan does not depend on which node mapped which unit.
 
 // BrickCharges is what mapping one brick charged the engine.
 type BrickCharges struct {
@@ -84,15 +84,13 @@ type Replay struct {
 
 	spec  cluster.Spec
 	opt   Options
-	gpus  int
-	part  mapreduce.Partitioner
-	cam   *camera.Camera
+	m     *rayCastMapper
 	units [][]volume.Brick
 }
 
 // PlanReplay plans the job a replay of these options runs on a fresh
 // instance of spec: the job RenderOn(spec, opt, ·) runs. Only direct
-// send is modelled.
+// send is modelled: Run charges no binary-swap exchange.
 func PlanReplay(spec cluster.Spec, opt Options) (*Replay, error) {
 	if err := opt.fillDefaults(); err != nil {
 		return nil, err
@@ -100,23 +98,20 @@ func PlanReplay(spec cluster.Spec, opt Options) (*Replay, error) {
 	if opt.Compositor != DirectSend {
 		return nil, fmt.Errorf("core: a replay models direct send, not %v", opt.Compositor)
 	}
+	return planReplay(spec, opt)
+}
+
+// planReplay plans opt's job on spec's GPUs; opt must hold its defaults.
+func planReplay(spec cluster.Spec, opt Options) (*Replay, error) {
 	gpus := specGPUs(spec, opt)
 	if gpus < 1 || gpus > spec.Nodes*spec.GPUsPerNode {
 		return nil, fmt.Errorf("core: %d GPUs requested, cluster has %d", gpus, spec.Nodes*spec.GPUsPerNode)
 	}
-	grid, err := planBricks(opt.Source.Dims(), gpus, opt.BricksPerGPU, spec.GPU.VRAMBytes)
+	m, units, err := planJob(opt, gpus, spec.GPU.VRAMBytes)
 	if err != nil {
 		return nil, err
 	}
-	cam, err := jobCamera(opt, grid)
-	if err != nil {
-		return nil, err
-	}
-	units, err := jobUnits(grid, opt.Partition)
-	if err != nil {
-		return nil, err
-	}
-	return &Replay{Grid: grid, spec: spec, opt: opt, gpus: gpus, part: partitionerOf(&opt), cam: cam, units: units}, nil
+	return &Replay{Grid: m.grid, spec: spec, opt: opt, m: m, units: units}, nil
 }
 
 // Units returns the job's map-unit count.
@@ -137,7 +132,7 @@ func (r *Replay) Check(c UnitCharges) error {
 	if len(c.Bricks) != len(bricks) {
 		return fmt.Errorf("core: unit %d charges %d bricks, has %d", c.Unit, len(c.Bricks), len(bricks))
 	}
-	buf := make([]int64, r.gpus)
+	buf := make([]int64, r.m.gpus)
 	for i := range c.Bricks {
 		if err := r.checkBrick(&c.Bricks[i], bricks[i], buf); err != nil {
 			return fmt.Errorf("core: unit %d brick %d: %w", c.Unit, bricks[i].ID, err)
@@ -153,7 +148,7 @@ func (r *Replay) checkBrick(b *BrickCharges, brick volume.Brick, buf []int64) er
 	if b.Box.X < 0 || b.Box.Y < 0 || b.Box.Z < 0 || b.Box.X > g.X || b.Box.Y > g.Y || b.Box.Z > g.Z {
 		return fmt.Errorf("resident box %v outside ghost region %v", b.Box, g)
 	}
-	threads, visible := render.KernelThreads(r.cam, brick.Bounds)
+	threads, visible := render.KernelThreads(r.m.cam, brick.Bounds)
 	if b.Ran != visible {
 		return fmt.Errorf("kernel ran %v with the footprint on screen %v", b.Ran, visible)
 	}
@@ -163,8 +158,8 @@ func (r *Replay) checkBrick(b *BrickCharges, brick volume.Brick, buf []int64) er
 		}
 		return nil
 	}
-	if len(b.Frags) != r.gpus {
-		return fmt.Errorf("%d reducer counts for %d reducers", len(b.Frags), r.gpus)
+	if len(b.Frags) != r.m.gpus {
+		return fmt.Errorf("%d reducer counts for %d reducers", len(b.Frags), r.m.gpus)
 	}
 	var frags int64
 	for _, n := range b.Frags {
@@ -189,8 +184,8 @@ func (r *Replay) checkBrick(b *BrickCharges, brick volume.Brick, buf []int64) er
 	}
 	left := slices.Clone(b.Frags)
 	for _, red := range b.Flushes {
-		if red < 0 || red >= r.gpus {
-			return fmt.Errorf("flush of reducer %d of %d", red, r.gpus)
+		if red < 0 || red >= r.m.gpus {
+			return fmt.Errorf("flush of reducer %d of %d", red, r.m.gpus)
 		}
 		n := flushKVs - buf[red]
 		if n > left[red] {
@@ -211,14 +206,14 @@ func (r *Replay) checkBrick(b *BrickCharges, brick volume.Brick, buf []int64) er
 // of its unit's stripe frags under the job's partitioner. Every key must
 // already lie inside the image.
 func (r *Replay) CheckStripe(c UnitCharges, frags []composite.Fragment) error {
-	diff := make([]int64, r.gpus)
+	diff := make([]int64, r.m.gpus)
 	for _, b := range c.Bricks {
 		for red, n := range b.Frags {
 			diff[red] += n
 		}
 	}
 	for _, f := range frags {
-		diff[r.part.Partition(f.Key, r.gpus)]--
+		diff[r.m.part.Partition(f.Key, r.m.gpus)]--
 	}
 	for red, d := range diff {
 		if d != 0 {
@@ -240,36 +235,31 @@ func (r *Replay) Run(charges []UnitCharges, gather bool) (*Result, error) {
 	if len(charges) != len(r.units) {
 		return nil, fmt.Errorf("core: %d unit records for %d units", len(charges), len(r.units))
 	}
+	var frags int64
+	for u := range r.units {
+		if charges[u].Unit != u {
+			return nil, fmt.Errorf("core: record %d is unit %d's", u, charges[u].Unit)
+		}
+		frags += charges[u].Fragments()
+	}
 	inst, err := instance(r.spec, 1)
 	if err != nil {
 		return nil, err
 	}
-	chunks := make([]mapreduce.Chunk, len(r.units))
-	var frags int64
-	for u, bricks := range r.units {
-		if charges[u].Unit != u {
-			return nil, fmt.Errorf("core: record %d is unit %d's", u, charges[u].Unit)
-		}
-		chunks[u] = replayChunk{unitChunk{id: u, bricks: bricks}, &charges[u]}
-		frags += charges[u].Fragments()
-	}
-	cfg := jobConfig(&r.opt, inst, r.gpus, mapreduce.Mapper[struct{}, *UnitCharges](replayMapper{}), chunks)
-	cfg.Partitioner, cfg.KeyRange = reducerKey{}, int32(r.gpus)
-	cfg.MakeReducer = func(int) mapreduce.Reducer[struct{}] { return discardReducer[struct{}]{} }
-	stats, err := mapreduce.Run(cfg)
+	stats, _, err := r.replayJob(inst, charges)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{
 		Stats:   stats,
 		Grid:    r.Grid,
-		GPUs:    r.gpus,
+		GPUs:    r.m.gpus,
 		Runtime: stats.Makespan,
 		Voxels:  r.opt.Source.Dims().Voxels(),
 	}
 	if gather {
 		start := inst.Env.Now()
-		g := sim.Time(min(r.gpus, len(r.units)))*(r.spec.NICLatency+r.spec.MsgOverhead) +
+		g := sim.Time(min(r.m.gpus, len(r.units)))*(r.spec.NICLatency+r.spec.MsgOverhead) +
 			sim.BytesTime(frags*composite.FragmentBytes, r.spec.NICBandwidth)
 		r.opt.Trace.Add(trace.Span{Name: "gather", Cat: "net", Lane: "coordinator", Start: start, End: start + g})
 		res.Runtime += g
@@ -278,15 +268,69 @@ func (r *Replay) Run(charges []UnitCharges, gather bool) (*Result, error) {
 	return res, nil
 }
 
+// replayJob runs the job's unit records, one per unit in unit order,
+// through the engine on cl: the render job's own configuration, with a
+// unit's pairs emitted as its record says they were. It returns the
+// job's statistics and, per unit, the GPU that mapped it. A binary-swap
+// job reduces every pair on its mapping GPU (LocalReduce).
+func (r *Replay) replayJob(cl *cluster.Cluster, charges []UnitCharges) (*mapreduce.JobStats, []int, error) {
+	chunks := make([]mapreduce.Chunk, len(r.units))
+	for u, bricks := range r.units {
+		chunks[u] = unitChunk{id: u, bricks: bricks, charges: &charges[u]}
+	}
+	mapper := &replayMapper{mappedBy: make([]int, len(r.units))}
+	o := &r.opt
+	cfg := mapreduce.Config[struct{}, *UnitCharges]{
+		Cluster:     cl,
+		Workers:     r.m.gpus,
+		Mapper:      mapper,
+		MakeReducer: func(int) mapreduce.Reducer[struct{}] { return discardReducer{} },
+		Partitioner: reducerKey{},
+		KeyRange:    int32(r.m.gpus),
+		ValueBytes:  composite.FragmentBytes - 4,
+		Chunks:      chunks,
+		Assign:      o.Assign,
+		FlushBytes:  jobFlushBytes,
+		FromDisk:    o.FromDisk,
+		LocalReduce: o.Compositor == BinarySwap,
+		ReduceOn:    o.ReduceOn,
+		SortOn:      o.SortOn,
+		Trace:       o.Trace,
+	}
+	if o.InSitu {
+		// A co-located simulation leaves brick i on node i mod N; static
+		// assignment keeps render workers on the data.
+		nodes := len(cl.Nodes)
+		cfg.Home = func(c mapreduce.Chunk) int { return c.ID() % nodes }
+	}
+	stats, err := mapreduce.Run(cfg)
+	return stats, mapper.mappedBy, err
+}
+
 // discardReducer sinks the replay's pairs: a replay only charges.
-type discardReducer[V any] struct{}
+type discardReducer struct{}
 
-func (discardReducer[V]) Reduce(int32, []V) {}
+func (discardReducer) Reduce(int32, []struct{}) {}
 
-// replayChunk is one unit with its record.
-type replayChunk struct {
-	unitChunk
+// unitChunk is one map unit with its record, as the engine's chunk. Chunk
+// IDs are unit IDs; for singleton units they coincide with brick IDs.
+type unitChunk struct {
+	id      int
+	bricks  []volume.Brick // ascending by brick ID
 	charges *UnitCharges
+}
+
+// ID implements mapreduce.Chunk.
+func (c unitChunk) ID() int { return c.id }
+
+// Bytes implements mapreduce.Chunk: the ghost-region payload that moves
+// from disk to host memory to VRAM, summed over the unit's bricks.
+func (c unitChunk) Bytes() int64 {
+	var n int64
+	for _, b := range c.bricks {
+		n += b.Bytes()
+	}
+	return n
 }
 
 // reducerKey routes a replayed pair to the reducer its key names: the
@@ -296,25 +340,27 @@ type reducerKey struct{}
 // Partition implements mapreduce.Partitioner.
 func (reducerKey) Partition(key int32, _ int) int { return int(key) }
 
-// replayMapper charges a unit's record as rayCastMapper charged the unit:
-// per brick chargeBrick, then the brick's pairs, emitted so each recorded
-// flush falls where it fell.
-type replayMapper struct{}
+// replayMapper charges a unit's record as the unit was mapped: per brick
+// chargeBrick, then the brick's pairs, emitted so each recorded flush
+// falls where it fell. mappedBy records which GPU charged each unit.
+type replayMapper struct{ mappedBy []int }
 
-// Init implements mapreduce.Mapper.
-func (replayMapper) Init(p mapreduce.Ctx, w *mapreduce.Worker) error {
-	initWorker(p, w)
+// Init implements mapreduce.Mapper: every worker touches its link once,
+// which models the view-matrix and transfer-function texture upload.
+func (*replayMapper) Init(p mapreduce.Ctx, w *mapreduce.Worker) error {
+	w.Download(p, 0)
 	return nil
 }
 
 // Stage implements mapreduce.Mapper.
-func (replayMapper) Stage(_ mapreduce.Ctx, _ *mapreduce.Worker, c mapreduce.Chunk) (*UnitCharges, error) {
-	return c.(replayChunk).charges, nil
+func (*replayMapper) Stage(_ mapreduce.Ctx, _ *mapreduce.Worker, c mapreduce.Chunk) (*UnitCharges, error) {
+	return c.(unitChunk).charges, nil
 }
 
 // Map implements mapreduce.Mapper.
-func (replayMapper) Map(p mapreduce.Ctx, w *mapreduce.Worker, _ mapreduce.Chunk, u *UnitCharges,
+func (m *replayMapper) Map(p mapreduce.Ctx, w *mapreduce.Worker, c mapreduce.Chunk, u *UnitCharges,
 	emit func(mapreduce.KV[struct{}])) error {
+	m.mappedBy[c.ID()] = w.Index
 	var buf []int64 // per reducer, the pairs buffered since the chunk began or its last flush
 	emitN := func(red int, n int64) {
 		for ; n > 0; n-- {

@@ -249,13 +249,6 @@ func replay(plan *core.Replay, charges []core.UnitCharges, gather bool, out *img
 	return res, nil
 }
 
-// background returns the frame both topologies fold into, filled with
-// the color of a pixel no fragment reaches: the one the in-process
-// reducers never touch.
-func background(opt core.Options) *img.Image {
-	return img.New(opt.Width, opt.Height, composite.Finalize(composite.Fragment{}.Color(), opt.Background))
-}
-
 // Render runs one distributed frame: plan, place, fan out, verify,
 // composite. The image is byte-identical to a single-process
 // core.Render of the same options regardless of node count, placement,
@@ -423,8 +416,8 @@ func (c *Coordinator) RenderDetailed(ctx context.Context, job JobSpec) (*core.Re
 			return nil, Breakdown{}, ctx.Err()
 		}
 	}
-	out := background(opt)
-	foldRange(runs, 0, int32(opt.Width*opt.Height), opt.Background, out.SetKey)
+	out := core.BlankImage(opt)
+	composite.FoldRange(runs, 0, int32(opt.Width*opt.Height), opt.Background, out.SetKey)
 	res, err := replay(plan, charges, true, out, &bd)
 	if err != nil {
 		return nil, Breakdown{}, err

@@ -348,7 +348,7 @@ func (s *exchangeSession) compositeRange(req CollectRequest) (frags []composite.
 	s.mu.Unlock()
 
 	bg := vec.V4{X: req.Background[0], Y: req.Background[1], Z: req.Background[2], W: req.Background[3]}
-	foldRange(runs, req.Lo, req.Hi, bg, func(k int32, c vec.V4) {
+	composite.FoldRange(runs, req.Lo, req.Hi, bg, func(k int32, c vec.V4) {
 		frags = append(frags, composite.Fragment{Key: k, R: c.X, G: c.Y, B: c.Z, A: c.W})
 	})
 	return frags

@@ -21,7 +21,7 @@ import (
 // include empty ones and the full image. Image bits and sparse range
 // bits must match exactly.
 
-// oldStream is the coordinator-local reduce before foldRange, fed one
+// oldStream is the coordinator-local reduce before composite.FoldRange, fed one
 // stripe per unit in arrival order.
 type oldStream struct {
 	width, height int
@@ -82,7 +82,7 @@ func (sc *oldStream) finish() *img.Image {
 	return out
 }
 
-// oldCompositeRange is the exchange's range fold before foldRange.
+// oldCompositeRange is the exchange's range fold before composite.FoldRange.
 func oldCompositeRange(runs [][]composite.Fragment, lo, hi int32, bg vec.V4) (frags []composite.Fragment) {
 	buckets := make([][]composite.Fragment, hi-lo)
 	touched := 0
@@ -153,7 +153,7 @@ func cloneRuns(runs [][]composite.Fragment) [][]composite.Fragment {
 }
 
 // TestFoldRangeMatchesStreamedCompositeGenerated: over the full image,
-// foldRange gives the old streamed reduce's image bits, whatever order
+// composite.FoldRange gives the old streamed reduce's image bits, whatever order
 // the stripes arrived in.
 func TestFoldRangeMatchesStreamedCompositeGenerated(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
@@ -169,8 +169,8 @@ func TestFoldRangeMatchesStreamedCompositeGenerated(t *testing.T) {
 		}
 		wantImg := old.finish()
 
-		got := img.New(w, h, composite.Finalize(composite.Fragment{}.Color(), bg))
-		foldRange(cloneRuns(runs), 0, int32(w*h), bg, got.SetKey)
+		got := core.BlankImage(core.Options{Width: w, Height: h, Background: bg})
+		composite.FoldRange(cloneRuns(runs), 0, int32(w*h), bg, got.SetKey)
 		for k := range wantImg.Pix {
 			if !bitsEqual(got.Pix[k], wantImg.Pix[k]) {
 				t.Fatalf("trial %d: pixel %d is %v, old fold %v", trial, k, got.Pix[k], wantImg.Pix[k])

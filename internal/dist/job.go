@@ -11,12 +11,12 @@
 // stripe (raw little-endian float32, like /render's format=raw) beside
 // each unit's engine charges, and the coordinator composites all stripes
 // with internal/composite and replays the charges for the frame's
-// virtual time, the in-process engine's own (DESIGN.md §9). Because
-// stripes are canonical per brick — emission order, placement-independent
-// — the final image is byte-identical to the single-process render no
-// matter how bricks are placed, re-placed after a node death, or hedged
-// (DESIGN.md §9 gives the argument; the distributed golden tests enforce
-// it against the committed digests).
+// virtual time, the one a single-process render is charged (DESIGN.md
+// §9). Because stripes are canonical per brick — emission order,
+// placement-independent — the final image is byte-identical to the
+// single-process render no matter how bricks are placed, re-placed after
+// a node death, or hedged (DESIGN.md §9 gives the argument; the
+// distributed golden tests enforce it against the committed digests).
 package dist
 
 import (

@@ -117,7 +117,7 @@ func (c *Coordinator) renderReduce(ctx context.Context, job JobSpec, opt core.Op
 
 	// Assemble: untouched pixels keep the same pre-filled background as
 	// the classic path; every collected pixel carries its final color.
-	out := background(opt)
+	out := core.BlankImage(opt)
 	for _, co := range outs {
 		for _, f := range co.frags {
 			out.SetKey(f.Key, vec.V4{X: f.R, Y: f.G, Z: f.B, W: f.A})

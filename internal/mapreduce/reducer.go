@@ -57,7 +57,6 @@ func (rs *reducerState[V]) run(p *sim.Proc, cfg *configView) {
 		Name: "sort", Cat: "sort",
 		Lane: fmt.Sprintf("reducer%d", rs.index), Start: sortStart, End: p.Now(),
 	})
-	rs.stats.Keys = int64(len(keys))
 
 	// Reduce phase: fold every key group.
 	reduceStart := p.Now()

@@ -130,7 +130,6 @@ type WorkerStats struct {
 type ReducerStats struct {
 	Index    int
 	Received int64
-	Keys     int64
 	Sort     sim.Time
 	Reduce   sim.Time
 }
